@@ -9,6 +9,13 @@ are congruent, so one local stiffness matrix (and one interior Schur
 complement) is shared across elements; the global solve is a static
 condensation: interior modes eliminated elementwise, skeleton solved by a
 sparse direct factorization, interiors back-substituted.
+
+The skeleton is factorized by SuperLU in symmetric mode (minimum-degree
+ordering on A^T + A, diagonal pivots only), so the factorization is
+P A P^T = L U with U = D L^T.  By Sylvester's law of inertia the signs of
+diag(U) are the signs of the eigenvalues of A: the factorization itself
+certifies that the skeleton is positive definite, or names how many
+non-positive eigenvalues it has (``IndefiniteSystemError``).
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ __all__ = [
     "build_dofmap",
     "assemble_poisson",
     "condense_solve",
+    "IndefiniteSystemError",
+    "RefinementError",
     "h1_error",
     "run_p_sweep",
     "fem_problem",
@@ -515,7 +524,6 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
 
     # Dirichlet data
     dir_ids = np.nonzero(dofmap.dirichlet_mask)[0]
-    dir_vals = np.zeros(dir_ids.size)
     value_map = dict.fromkeys(dir_ids.tolist(), 0.0)
     for vid in np.nonzero(mesh.vertex_boundary)[0]:
         value_map[vid] = float(g(*mesh.vertices[vid]))
@@ -608,7 +616,41 @@ def _project_face_data(mesh: Mesh, dofmap: DofMap, g, value_map: dict):
 
 
 class IndefiniteSystemError(RuntimeError):
-    pass
+    """The condensed system is not symmetric positive definite."""
+
+
+class RefinementError(RuntimeError):
+    """Iterative refinement left the relative residual at or above its bound."""
+
+
+REFINE_PASSES = 3
+RESIDUAL_BOUND = 1e-9
+
+
+def _factor_spd(A: sp.csc_matrix):
+    """Symmetric-mode sparse LU of A with an inertia certificate.
+
+    With the same permutation on rows and columns and diagonal pivots only,
+    P A P^T = L U with unit lower L.  For symmetric A that makes U = D L^T,
+    so by Sylvester's law of inertia the number of non-positive entries of
+    diag(U) is the number of non-positive eigenvalues of A.  Raises
+    ``IndefiniteSystemError`` unless that number is zero.
+    """
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise IndefiniteSystemError("skeleton factorization failed") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise IndefiniteSystemError(
+            "skeleton factorization left the diagonal (row and column "
+            "permutations differ); no inertia certificate")
+    n_nonpos = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
+    if n_nonpos:
+        raise IndefiniteSystemError(
+            f"skeleton not SPD: {n_nonpos} non-positive pivot(s) of "
+            f"{A.shape[0]}")
+    return lu
 
 
 @dataclass
@@ -619,7 +661,16 @@ class FemSolution:
 
 
 def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
-    """Eliminate interior modes elementwise, solve the skeleton, back-substitute."""
+    """Eliminate interior modes elementwise, solve the skeleton, back-substitute.
+
+    The free skeleton block is factorized in SuperLU's symmetric mode
+    (``_factor_spd``); its pivots certify positive definiteness by Sylvester's
+    law of inertia, and ``IndefiniteSystemError`` reports the number of
+    non-positive pivots otherwise.  The solution is then checked against the
+    uncondensed operator and refined through the same factorization, up to
+    ``REFINE_PASSES`` times; ``RefinementError`` is raised if the relative
+    residual is still at or above ``RESIDUAL_BOUND``.
+    """
     mesh = dofmap.mesh
     K = system.k_local
     il, bl = dofmap.interior_local, dofmap.skeleton_local
@@ -667,10 +718,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
 
     A_ff = S_glob[free_ids][:, free_ids].tocsc()
     b = rhs[free_ids] - S_glob[free_ids][:, fixed] @ gvals
-    try:
-        lu = spla.splu(A_ff)
-    except RuntimeError as exc:
-        raise IndefiniteSystemError("skeleton factorization failed") from exc
+    lu = _factor_spd(A_ff)
     u_free = lu.solve(b)
 
     u = np.zeros(dofmap.n_dof)
@@ -691,8 +739,8 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
         return r, np.linalg.norm(r[full_free]) / scale
 
     r, rel = rel_residual()
-    for _ in range(3):
-        if rel < 1e-9:
+    for _ in range(REFINE_PASSES):
+        if rel < RESIDUAL_BOUND:
             break
         # one refinement pass through the same condensed factorization
         r_sk = r[:n_skel].copy()
@@ -706,6 +754,10 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
                                   - Ub @ Kib.T).T).T
             u[dofmap.cell_dofs[:, il]] = u_i
         r, rel = rel_residual()
+    if not rel < RESIDUAL_BOUND:
+        raise RefinementError(
+            f"relative residual {rel:.3e} after {REFINE_PASSES} refinement "
+            f"passes (bound {RESIDUAL_BOUND:g})")
     return FemSolution(dofmap=dofmap, values=u, residual_norm=float(rel))
 
 

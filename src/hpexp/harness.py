@@ -323,7 +323,7 @@ def run_config(config, out_dir=".") -> dict:
     results = {}
     for sw in config["sweeps"]:
         kind = sw["kind"]
-        t0 = time.time()
+        t0 = time.perf_counter()
         meta = {"sweep": sw}
         if kind == "project-sweep":
             recs = project_sweep(sw["dim"], sw["proj_kind"],
@@ -366,7 +366,7 @@ def run_config(config, out_dir=".") -> dict:
                 dof=row["m"],
                 errors={"lattice_max": row["lattice_max"], "phi": row["phi"]},
                 extra={"holds": row["holds"]}) for row in rows]
-        meta["seconds"] = time.time() - t0
+        meta["seconds"] = time.perf_counter() - t0
         residuals = [r.extra["residual"] for r in recs if "residual" in r.extra]
         if residuals:
             meta["max_solver_residual"] = max(residuals)

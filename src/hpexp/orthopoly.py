@@ -9,6 +9,7 @@ modules; ``psi_j`` vanishes at both endpoints for j >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,11 +119,14 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+@lru_cache(maxsize=256)
 def gauss_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes (the roots of L_n), exact to degree 2n-1.
 
     Nodes are found by Newton iteration from Chebyshev initial guesses,
     tolerance 1e-15, at most 100 sweeps; weights are 2 / ((1-x^2) L_n'(x)^2).
+    Rules are memoized: every call with the same n returns the same frozen
+    rule, whose node and weight arrays are read-only and shared by all callers.
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
@@ -174,6 +178,7 @@ class GradedRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+@lru_cache(maxsize=256)
 def graded_rule(sigma: float, layers: int, per_cell_order: int,
                 marked_end: int = -1) -> GradedRule:
     """Composite rule with breakpoints at marked_end + 2*sigma^j, j = layers..1.
@@ -181,6 +186,7 @@ def graded_rule(sigma: float, layers: int, per_cell_order: int,
     One layer with sigma = 1/2 is the plain per-cell rule on the two halves.
     Layers beyond floating-point resolution (innermost width below ~2e-12,
     where high-order nodes would round onto the marked endpoint) are clamped.
+    Memoized like ``gauss_rule``: equal arguments return the same read-only rule.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("grading ratio must lie in (0, 1)")

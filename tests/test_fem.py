@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hpexp import fem
 from hpexp.indexsets import BasisSpec, dof_count, serendipity_layout
 
@@ -138,24 +141,104 @@ def test_sine_error_drops_with_p():
     assert e2 / e3 > 5.0
 
 
+def _dense_operator(system):
+    """The uncondensed global matrix, column by column through matvec."""
+    n = system.dofmap.n_dof
+    eye = np.eye(n)
+    return np.column_stack([system.matvec(eye[i]) for i in range(n)])
+
+
+def _dense_solve(system):
+    """Independent dense solve of the full constrained system."""
+    A = _dense_operator(system)
+    free = system.free_mask()
+    u = np.zeros(system.dofmap.n_dof)
+    u[system.dirichlet_dofs] = system.dirichlet_values
+    rhs = system.load[free] - A[np.ix_(free, ~free)] @ u[~free]
+    u[free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+    return u
+
+
 def test_condensed_matches_uncondensed():
     mesh = fem.mesh_uniform(2, 2, (0.0, 1.0))
     dm = fem.build_dofmap(mesh, 4, "Q")
     prob = fem.fem_problem("sine2d")
     system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
     sol = fem.condense_solve(system, dm)
-    # independent dense solve of the full constrained system via matvec columns
-    n = dm.n_dof
-    A = np.zeros((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        A[:, i] = system.matvec(eye[i])
-    free = system.free_mask()
-    u = np.zeros(n)
-    u[system.dirichlet_dofs] = system.dirichlet_values
-    rhs = system.load[free] - A[np.ix_(free, ~free)] @ u[~free]
-    u[free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+    u = _dense_solve(system)
     assert np.max(np.abs(u - sol.values)) < 1e-9 * max(1.0, np.max(np.abs(u)))
+
+
+def test_condensed_matches_uncondensed_3d_q3():
+    mesh = fem.mesh_uniform(3, 2, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, 3, "Q")
+    prob = fem.fem_problem("sine3d")
+    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+    sol = fem.condense_solve(system, dm)
+    assert dm.interior_local.size and sol.residual_norm < 1e-12
+    u = _dense_solve(system)
+    assert np.max(np.abs(u - sol.values)) < 1e-12 * max(1.0, np.max(np.abs(u)))
+
+
+def _p1_system(shift):
+    """Q1 system on a 4x4 mesh (no interior modes), k_local shifted by -shift*I."""
+    mesh = fem.mesh_uniform(2, 4, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, 1, "Q")
+    system = fem.assemble_poisson(mesh, dm, lambda x, y: 1.0 + 0 * x * y,
+                                  lambda x, y: 0.0 * x)
+    k = system.k_local - shift * np.eye(system.k_local.shape[0])
+    return dm, replace(system, k_local=k)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.4, 0.7, 0.8])
+def test_skeleton_certificate_counts_nonpositive_eigenvalues(shift):
+    dm, system = _p1_system(shift)
+    free = system.free_mask()
+    eig = np.linalg.eigvalsh(_dense_operator(system)[np.ix_(free, free)])
+    n_neg = int(np.sum(eig <= 0.0))
+    assert np.min(np.abs(eig)) > 1e-3          # the count is well separated
+    if n_neg == 0:
+        fem.condense_solve(system, dm)
+        return
+    with pytest.raises(fem.IndefiniteSystemError,
+                       match=rf"\b{n_neg} non-positive pivot"):
+        fem.condense_solve(system, dm)
+
+
+def test_negated_skeleton_reports_every_pivot():
+    dm, system = _p1_system(0.0)
+    system = replace(system, k_local=-system.k_local)
+    n_free = int(system.free_mask().sum())
+    with pytest.raises(fem.IndefiniteSystemError,
+                       match=rf"{n_free} non-positive pivot\(s\) of {n_free}"):
+        fem.condense_solve(system, dm)
+
+
+def test_off_diagonal_pivot_has_no_certificate():
+    swap = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(fem.IndefiniteSystemError, match="permutations differ"):
+        fem._factor_spd(swap)
+
+
+def test_refinement_failure_raises_named_error(monkeypatch):
+    mesh = fem.mesh_uniform(2, 2, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, 3, "Q")
+    prob = fem.fem_problem("sine2d")
+    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+    factor = fem._factor_spd
+
+    class HalfSolve:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return 0.5 * self.lu.solve(b)
+
+    monkeypatch.setattr(fem, "_factor_spd", lambda A: HalfSolve(factor(A)))
+    with pytest.raises(fem.RefinementError, match="relative residual") as info:
+        fem.condense_solve(system, dm)
+    assert not isinstance(info.value, fem.IndefiniteSystemError)
+    assert isinstance(info.value, RuntimeError)
 
 
 def test_single_element_harmonic_exactness():

@@ -152,3 +152,28 @@ def test_graded_rule_rejects_bad_ratio():
         graded_rule(1.5, 3, 4, -1)
     with pytest.raises(ValueError):
         graded_rule(0.0, 3, 4, -1)
+
+
+def test_gauss_rule_is_memoized_and_read_only():
+    r = gauss_rule(7)
+    assert gauss_rule(7) is r
+    for arr in (r.nodes, r.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_gauss_rule_rejects_zero_nodes_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            gauss_rule(0)
+
+
+def test_graded_rule_is_memoized_and_read_only():
+    g = graded_rule(0.15, 12, 6, -1)
+    assert graded_rule(0.15, 12, 6, -1) is g
+    assert g.base is gauss_rule(6)
+    for arr in (g.nodes, g.weights, g.breakpoints):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
