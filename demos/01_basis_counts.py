@@ -9,11 +9,13 @@ the (d!)^(1/d) slope gain on the Dof^(1/d) axis.
 
 from math import factorial
 
-from hpexp.harness import basis_count_table
+from hpexp.harness import run_sweep
 
 for d in (2, 3):
     print(f"--- dimension {d}")
-    tables = {fam: dict(basis_count_table(d, fam, 30)) for fam in "QPS"}
+    tables = {fam: {r.p: r.dof for r in run_sweep(
+        {"name": "counts", "kind": "basis-count", "dim": d, "family": fam,
+         "p_max": 30})} for fam in "QPS"}
     print(" p    Q_p      P_p      S_p    S_p*d!/p^d")
     for p in (1, 2, 4, 8, 16, 30):
         q, pp, s = tables["Q"][p], tables["P"][p], tables["S"][p]

@@ -15,14 +15,17 @@ Two regimes, both measurable here:
   not.
 """
 
-from hpexp.harness import fit_slope, project_sweep, ratio_report
+from hpexp.harness import fit_slope, ratio_report, run_sweep
 
 for function, margin in (("runge1d-tensor", 30), ("sine", 20)):
     print(f"--- function {function}")
     for d, pmax in ((2, 20), (3, 12)):
         fits = {}
         for kind in ("l2q", "l2p"):
-            recs = project_sweep(d, kind, function, 2, pmax, margin=margin)
+            recs = run_sweep({"name": kind, "kind": "project-sweep",
+                              "proj_kind": kind, "dim": d,
+                              "function": function, "p_min": 2,
+                              "p_max": pmax, "margin": margin})
             fits[kind] = fit_slope(recs, abscissa="dof_root", error_key="l2")
         rep = ratio_report(fits["l2p"], fits["l2q"])
         print(f"  d={d}: slope(P)={fits['l2p'].slope:.3f} "

@@ -10,20 +10,21 @@ three elements touching the corner; the printed errors are converged in the
 grading depth (doubling the layer count moves them by < 0.1%).
 """
 
-from hpexp import fem
+from hpexp.harness import run_sweep
 
 P_LIST = [1, 2, 3, 4, 5, 10, 15, 20, 25]
 
 results = {}
 for fam in ("S", "Q"):
-    results[fam] = fem.run_p_sweep("lshape", fam, P_LIST)
+    results[fam] = run_sweep({"name": "lshape", "kind": "fem-lshape",
+                              "family": fam, "p_list": P_LIST})
 
 print(" p   dof(S)   err(S)      rate(S)  dof(Q)   err(Q)      rate(Q)  err S/Q")
 for i, p in enumerate(P_LIST):
     rs, rq = results["S"][i], results["Q"][i]
-    es, eq = rs["errors"]["h1_semi"], rq["errors"]["h1_semi"]
-    print(f"{p:3d} {rs['dof']:7d}  {es:.4e} {rs.get('p_rate', float('nan')):8.4f}"
-          f" {rq['dof']:7d}  {eq:.4e} {rq.get('p_rate', float('nan')):8.4f}"
+    es, eq = rs.error("h1_semi"), rq.error("h1_semi")
+    print(f"{p:3d} {rs.dof:7d}  {es:.4e} {rs.extra.get('p_rate', float('nan')):8.4f}"
+          f" {rq.dof:7d}  {eq:.4e} {rq.extra.get('p_rate', float('nan')):8.4f}"
           f"  {es / eq:.4f}")
 print("\nrates climb toward 4/3 = 1.3333 (doubling of the Sobolev-regularity"
       "\nrate); the S/Q error ratio saturates near 2 while dof(S)/dof(Q) -> 1/2.")

@@ -6,15 +6,15 @@ The windowed slopes (average of the last two segments above the round-off
 floor) give the ratio the theory predicts to approach (d!)^(1/d).
 """
 
-from hpexp import fem
-from hpexp.harness import ERROR_FLOOR, fem_records, fit_slope, ratio_report
+from hpexp.harness import ERROR_FLOOR, fit_slope, ratio_report, run_sweep
 
-for problem, d, pmax in (("sine2d", 2, 12), ("sine3d", 3, 12)):
-    print(f"--- {problem}")
+for d, pmax in ((2, 12), (3, 12)):
+    print(f"--- sine{d}d")
     fits = {}
     for fam in ("S", "Q"):
-        recs = fem_records(fem.run_p_sweep(problem, fam, range(2, pmax + 1),
-                                           stop_below=ERROR_FLOOR))
+        recs = run_sweep({"name": "sine", "kind": "fem-sine", "dim": d,
+                          "family": fam, "p_list": list(range(2, pmax + 1))},
+                         stop_below=ERROR_FLOOR)
         for r in recs:
             e = r.errors["h1_semi"]
             if e == e:   # skip NaN (floored) rows

@@ -7,12 +7,12 @@ converge exponentially in the SIP energy norm; against sqrt(Dof) the P_p
 line is steeper by close to sqrt(2).
 """
 
-from hpexp import dgfem
-from hpexp.harness import fem_records, fit_slope, ratio_report
+from hpexp.harness import fit_slope, ratio_report, run_sweep
 
 fits = {}
 for fam, pmax in (("Q", 10), ("P", 12)):
-    recs = fem_records(dgfem.run_p_sweep(8, fam, range(2, pmax + 1)))
+    recs = run_sweep({"name": "dg", "kind": "dg-sine", "n": 8, "family": fam,
+                      "p_list": list(range(2, pmax + 1))})
     for r in recs:
         print(f"  {fam} p={r.p:2d} dof={r.dof:6d} dg={r.errors['dg_norm']:.3e} "
               f"l2={r.errors['l2']:.3e}")

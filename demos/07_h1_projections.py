@@ -12,7 +12,7 @@ are preserved by every member of the family.
 import numpy as np
 
 from hpexp.expansion import evaluate, named_function, reference_expansion
-from hpexp.harness import fit_slope, project_sweep
+from hpexp.harness import fit_slope, run_sweep
 from hpexp.projections import (audit_h1s_bounds, project_h1_q, project_h1_s,
                                projection_errors)
 
@@ -29,7 +29,8 @@ print(f"max |pi_Q u - pi_S u| on an edge: {np.max(np.abs(diff)):.2e}")
 
 print("\nH1-projection error sweeps (2D sine):")
 for kind in ("h1q", "h1s", "h1p"):
-    recs = project_sweep(2, kind, "sine", 5, 16)
+    recs = run_sweep({"name": kind, "kind": "project-sweep", "proj_kind": kind,
+                      "dim": 2, "p_min": 5, "p_max": 16})
     fit = fit_slope(recs, abscissa="p", error_key="h1_semi")
     print(f"  {kind}: windowed slope vs p = {fit.slope:.3f}, "
           f"r2 = {fit.r_squared:.4f}")

@@ -1,10 +1,14 @@
 """Command line entry point: ``hpexp <subcommand>``.
 
-Subcommands mirror the library sweeps (basis-count, project-sweep,
-lemma-audit, sharp-ratio, fem-lshape, fem-sine, dg-sine, slope-fit, run).
-CSV goes to stdout unless --out PREFIX is given, in which case PREFIX.csv and
-PREFIX.meta.json are written.  Exit codes: 0 success, 1 usage error,
-2 numerical failure.
+Subcommands: basis-count, project-sweep, lemma-audit, sharp-ratio,
+fem-lshape, fem-sine, dg-sine, slope-fit, run.  Each sweep subcommand (all
+but sharp-ratio, slope-fit and run) builds one sweep in the config format of
+``hpexp run`` from its options, which carry the names of the config keys, and
+goes through the same validator and runner.  project-sweep and the FEM and DG
+sweeps print CSV to stdout, or with --out PREFIX the config runner writes
+PREFIX.csv and PREFIX.meta.json with the same meta fields as ``hpexp run``;
+basis-count and lemma-audit print their own tables.  Exit codes: 0 success,
+1 usage or config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dgfem, fem, harness
+from . import fem, harness
 from .bounds import phi, sharp_l2_ratio
-from .harness import (ConfigError, basis_count_table, fit_slope,
-                      lemma_audit_table, project_sweep, records_from_csv,
-                      records_to_csv, run_config, write_records)
+from .harness import (ConfigError, fit_slope, records_from_csv, records_to_csv,
+                      run_config, run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,11 +32,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _emit(records, args, meta=None):
-    if args.out:
-        write_records(records, args.out, meta)
-    else:
-        sys.stdout.write(records_to_csv(records))
+def _sweep(args) -> dict:
+    """The config-format sweep of a subcommand; its options carry the key names."""
+    fields = harness.KINDS[args.command].fields
+    sw = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if "family" in sw:
+        sw["family"] = sw["family"].upper()
+    if "p_list" in fields:
+        sw["p_list"] = ([int(t) for t in args.p_list.split(",")]
+                        if getattr(args, "p_list", None)
+                        else list(range(getattr(args, "p_min", 1), args.p_max + 1)))
+    out = getattr(args, "out", None)
+    return {"name": Path(out).name if out else args.command,
+            "kind": args.command, **sw}
 
 
 def _build_parser() -> _Parser:
@@ -47,14 +58,14 @@ def _build_parser() -> _Parser:
 
     ps = sub.add_parser("project-sweep", help="projection error sweep")
     ps.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    ps.add_argument("--kind", required=True, choices=harness.PROJECTION_KINDS)
+    ps.add_argument("--kind", dest="proj_kind", required=True,
+                    choices=harness.PROJECTION_KINDS)
     ps.add_argument("--function", default="sine",
                     choices=("sine", "expsum", "runge1d-tensor"))
     ps.add_argument("--p-min", type=int, required=True)
     ps.add_argument("--p-max", type=int, required=True)
     ps.add_argument("--margin", type=int, default=20)
     ps.add_argument("--runge-a", type=float, default=0.5)
-    ps.add_argument("--out", default=None)
 
     la = sub.add_parser("lemma-audit", help="lattice audit of the Gamma bound")
     la.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
@@ -74,7 +85,6 @@ def _build_parser() -> _Parser:
                     help="comma separated degrees (overrides --p-max)")
     fl.add_argument("--graded-layers", type=int, default=None)
     fl.add_argument("--graded-ratio", type=float, default=fem.GRADED_SIGMA_DEFAULT)
-    fl.add_argument("--out", default=None)
 
     fs = sub.add_parser("fem-sine", help="sine Poisson benchmark")
     fs.add_argument("--dim", type=int, required=True, choices=(2, 3))
@@ -82,7 +92,6 @@ def _build_parser() -> _Parser:
     fs.add_argument("--family", required=True, choices=("q", "s"))
     fs.add_argument("--p-max", type=int, required=True)
     fs.add_argument("--p-min", type=int, default=1)
-    fs.add_argument("--out", default=None)
 
     dg = sub.add_parser("dg-sine", help="SIP DG sine benchmark")
     dg.add_argument("--n", type=int, required=True)
@@ -90,7 +99,9 @@ def _build_parser() -> _Parser:
     dg.add_argument("--p-max", type=int, required=True)
     dg.add_argument("--p-min", type=int, default=1)
     dg.add_argument("--gamma", type=float, default=10.0)
-    dg.add_argument("--out", default=None)
+
+    for sweep_parser in (ps, fl, fs, dg):
+        sweep_parser.add_argument("--out", default=None)
 
     sf = sub.add_parser("slope-fit", help="fit slopes from a sweep CSV")
     sf.add_argument("csv", type=Path)
@@ -108,24 +119,24 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "basis-count":
-            rows = basis_count_table(args.dim, args.family, args.p_max)
-            sys.stdout.write("p,dof\n")
-            for p, dof in rows:
-                sys.stdout.write(f"{p},{dof}\n")
-        elif args.command == "project-sweep":
-            recs = project_sweep(args.dim, args.kind, args.function,
-                                 args.p_min, args.p_max, margin=args.margin,
-                                 runge_a=args.runge_a)
-            _emit(recs, args, {"command": "project-sweep"})
-        elif args.command == "lemma-audit":
-            rows = lemma_audit_table(args.dim, args.M_max, args.m_max)
-            sys.stdout.write("d,M,m,lattice_max,phi,holds,argmax\n")
-            for r in rows:
-                arg = f"xi={r['argmax_xi']} rho={r['argmax_rho']}".replace(",", ";")
-                sys.stdout.write(f"{r['d']},{r['M']},{r['m']},"
-                                 f"{r['lattice_max']:.14e},{r['phi']:.14e},"
-                                 f"{r['holds']},{arg}\n")
+        if args.command in harness.KINDS:
+            sw = _sweep(args)
+            if getattr(args, "out", None):
+                run_config({"sweeps": [sw]}, out_dir=Path(args.out).parent)
+            elif args.command == "basis-count":
+                sys.stdout.write("p,dof\n" + "".join(f"{r.p},{r.dof}\n"
+                                                     for r in run_sweep(sw)))
+            elif args.command == "lemma-audit":
+                recs = run_sweep(sw)
+                sys.stdout.write("d,M,m,lattice_max,phi,holds,argmax\n")
+                for r in recs:
+                    arg = f"xi={r.extra['argmax_xi']} rho={r.extra['argmax_rho']}"
+                    sys.stdout.write(
+                        f"{r.dim},{r.p},{r.dof},{r.error('lattice_max'):.14e},"
+                        f"{r.error('phi'):.14e},{r.extra['holds']},"
+                        f"{arg.replace(',', ';')}\n")
+            else:
+                sys.stdout.write(records_to_csv(run_sweep(sw)))
         elif args.command == "sharp-ratio":
             res = sharp_l2_ratio(args.dim, args.p, args.s, args.buffer)
             bound = phi(args.dim, args.p + 1, args.s)
@@ -134,24 +145,6 @@ def main(argv=None) -> int:
                 f"{res['max_ratio']:.14e} at i={res['argmax']}, "
                 f"phi(d,p+1,s)={bound:.14e}, "
                 f"holds={res['max_ratio'] <= bound * (1 + 1e-12)}\n")
-        elif args.command == "fem-lshape":
-            p_list = ([int(t) for t in args.p_list.split(",")] if args.p_list
-                      else list(range(1, args.p_max + 1)))
-            raw = fem.run_p_sweep("lshape", args.family.upper(), p_list,
-                                  graded_layers=args.graded_layers,
-                                  graded_sigma=args.graded_ratio)
-            _emit(harness.fem_records(raw), args, {"command": "fem-lshape"})
-        elif args.command == "fem-sine":
-            problem = "sine2d" if args.dim == 2 else "sine3d"
-            raw = fem.run_p_sweep(problem, args.family.upper(),
-                                  list(range(args.p_min, args.p_max + 1)),
-                                  n=args.n)
-            _emit(harness.fem_records(raw), args, {"command": "fem-sine"})
-        elif args.command == "dg-sine":
-            raw = dgfem.run_p_sweep(args.n, args.family.upper(),
-                                    list(range(args.p_min, args.p_max + 1)),
-                                    gamma=args.gamma)
-            _emit(harness.fem_records(raw), args, {"command": "dg-sine"})
         elif args.command == "slope-fit":
             recs = records_from_csv(args.csv.read_text())
             fit = fit_slope(recs, abscissa=args.abscissa, window=args.window,

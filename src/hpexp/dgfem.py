@@ -12,14 +12,13 @@ sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .expansion import CoeffTensor
-from .indexsets import BasisSpec, dof_count, enumerate_modes
+from .indexsets import BasisSpec, enumerate_modes
 from .orthopoly import gauss_rule, legendre_deriv_table, legendre_table
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "dg_solve",
     "dg_errors",
     "broken_interpolant",
-    "run_p_sweep",
 ]
 
 
@@ -62,13 +60,6 @@ class BrokenSolution:
     lower: np.ndarray           # (ne, 2) element lower corners
     modes: list
     coeffs: np.ndarray          # (ne, nmodes)
-
-    def element_tensor(self, e: int) -> CoeffTensor:
-        p = self.spec.p
-        out = np.zeros((p + 1, p + 1))
-        for k, (i, j) in enumerate(self.modes):
-            out[i, j] = self.coeffs[e, k]
-        return CoeffTensor(coeffs=out)
 
 
 @dataclass
@@ -347,30 +338,3 @@ def dg_errors(sol: BrokenSolution, exact: Callable,
     return {"l2": float(np.sqrt(l2_sq)),
             "broken_h1": float(np.sqrt(h1_sq)),
             "dg_norm": float(np.sqrt(h1_sq + jump_sq))}
-
-
-def run_p_sweep(n: int, family: str, p_list, gamma: float = 10.0,
-                f: Optional[Callable] = None, exact: Optional[Callable] = None,
-                exact_gradient: Optional[Callable] = None,
-                domain=(0.0, 1.0)) -> list[dict]:
-    """SIP sweep over p on the n x n sine benchmark (or a supplied problem)."""
-    if f is None:
-        f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-        exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        exact_gradient = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                                       np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-    records = []
-    for p in p_list:
-        spec = DgSpec(family=family, p=int(p), gamma=gamma)
-        rec = {"method": f"dg_{family.lower()}", "p": int(p), "dim": 2,
-               "dof": n * n * dof_count(BasisSpec(2, int(p), family))}
-        try:
-            system = assemble_sip(n, spec, f, exact)
-            sol = dg_solve(system)
-            rec["errors"] = dg_errors(sol, exact, exact_gradient)
-        except Exception as exc:    # noqa: BLE001 - sweep must continue
-            rec["error_message"] = str(exc)
-            rec["errors"] = {"l2": float("nan"), "broken_h1": float("nan"),
-                             "dg_norm": float("nan")}
-        records.append(rec)
-    return records

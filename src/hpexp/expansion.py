@@ -132,8 +132,7 @@ def _outer_band_fraction(coeffs: np.ndarray, band: int = 2) -> float:
 
 
 def reference_expansion(f: FunctionOracle, p: int,
-                        margin: int = DEFAULT_REFERENCE_MARGIN,
-                        quad_order: Optional[int] = None) -> CoeffTensor:
+                        margin: int = DEFAULT_REFERENCE_MARGIN) -> CoeffTensor:
     """Overkill expansion used as the reference for degree-p error measurement.
 
     Uses degree p + margin in every direction and quad_order max degree + 10,
@@ -141,9 +140,7 @@ def reference_expansion(f: FunctionOracle, p: int,
     1e-14 of the total energy.
     """
     m = p + margin
-    if quad_order is None:
-        quad_order = m + 10
-    tensor = expand(f, (m,) * f.dim, quad_order)
+    tensor = expand(f, (m,) * f.dim, m + 10)
     trusted = _outer_band_fraction(tensor.coeffs) < TAIL_ENERGY_TOLERANCE
     return CoeffTensor(coeffs=tensor.coeffs.copy(), tail_trusted=trusted)
 
@@ -212,12 +209,8 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def sobolev_seminorm(u: CoeffTensor, s: int, quad_order: Optional[int] = None) -> float:
-    """|u|_{H^s} = sqrt(sum_{|alpha|=s} ||D^alpha u||^2), exact in coefficient space.
-
-    quad_order is accepted for interface compatibility and ignored: derivatives
-    and norms are computed from the coefficients directly.
-    """
+def sobolev_seminorm(u: CoeffTensor, s: int) -> float:
+    """|u|_{H^s} = sqrt(sum_{|alpha|=s} ||D^alpha u||^2), exact in coefficient space."""
     if s < 0:
         raise ValueError("order must be non-negative")
     if s == 0:

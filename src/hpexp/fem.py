@@ -45,10 +45,8 @@ __all__ = [
     "IndefiniteSystemError",
     "RefinementError",
     "h1_error",
-    "run_p_sweep",
     "fem_problem",
     "FemProblem",
-    "p_rate",
     "GRADED_SIGMA_DEFAULT",
 ]
 
@@ -82,9 +80,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elem_lower.shape[0]
-
-    def element_center(self, e: int) -> np.ndarray:
-        return self.elem_lower[e] + 0.5 * self.h
 
 
 def _corner_bits(d: int):
@@ -260,10 +255,6 @@ class DofMap:
     face_rank: dict
     interior_rank: dict
     dirichlet_mask: np.ndarray      # bool (n_dof,) boundary dofs
-
-    @property
-    def n_local(self) -> int:
-        return len(self.local_modes)
 
 
 def _local_modes(dim: int, p: int, family: str):
@@ -762,7 +753,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
 
 
 # ---------------------------------------------------------------------------
-# Error measurement and sweeps
+# Error measurement
 
 
 def _element_rules(mesh: Mesh, e: int, p: int, graded_at,
@@ -836,7 +827,7 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
 
 
 # ---------------------------------------------------------------------------
-# Problems and sweeps
+# Problems
 
 
 @dataclass(frozen=True)
@@ -907,59 +898,3 @@ def fem_problem(name: str, n: Optional[int] = None) -> FemProblem:
         return FemProblem(name, 2, mesh_lshape, lambda x, y: 0.0 * x * y,
                           _lshape_solution, _lshape_gradient, graded=True)
     raise ValueError(f"unknown problem {name!r}")
-
-
-def p_rate(p_prev: int, p_cur: int, e_prev: float, e_cur: float) -> float:
-    """Algebraic rate between consecutive sweep entries: log(e0/e1)/log(p1/p0)."""
-    return float(np.log(e_prev / e_cur) / np.log(p_cur / p_prev))
-
-
-def run_p_sweep(problem: str, family: str, p_list, n: Optional[int] = None,
-                graded_layers: Optional[int] = None,
-                graded_sigma: float = GRADED_SIGMA_DEFAULT,
-                mesh: Optional[Mesh] = None,
-                stop_below: Optional[float] = None) -> list[dict]:
-    """Solve the named problem for each p and record (p, dof, error, rate).
-
-    Per-p solver failures are recorded (error NaN) and the sweep continues.
-    With ``stop_below`` set, degrees after the error first drops under the
-    threshold are skipped (slope fits exclude sub-floor records anyway).
-    """
-    prob = fem_problem(problem, n=n)
-    mesh = mesh if mesh is not None else prob.make_mesh()
-    records = []
-    prev = None
-    floored = False
-    for p in p_list:
-        rec = {"method": f"fem_{family.lower()}", "problem": problem,
-               "p": int(p), "dim": mesh.dim}
-        if floored:
-            rec["errors"] = {"h1_semi": float("nan")}
-            rec["dof"] = -1
-            rec["error_message"] = "skipped: error already below stop_below"
-            records.append(rec)
-            continue
-        try:
-            dofmap = build_dofmap(mesh, p, family)
-            system = assemble_poisson(mesh, dofmap, prob.source, prob.dirichlet)
-            sol = condense_solve(system, dofmap)
-            err = h1_error(sol, prob.exact_gradient,
-                           graded_at=mesh.singular_corner if prob.graded else None,
-                           sigma=graded_sigma,
-                           layers=graded_layers if graded_layers is not None
-                           else max(p, 20))
-            rec["dof"] = dofmap.n_dof
-            rec["errors"] = {"h1_semi": err}
-            rec["residual"] = sol.residual_norm
-            if prev is not None and np.isfinite(prev[1]) and err > 0:
-                rec["p_rate"] = p_rate(prev[0], p, prev[1], err)
-            prev = (p, err)
-            if stop_below is not None and err < stop_below:
-                floored = True
-        except Exception as exc:   # noqa: BLE001 - sweep must continue
-            rec["error_message"] = str(exc)
-            rec["errors"] = {"h1_semi": float("nan")}
-            rec["dof"] = rec.get("dof", -1)
-            prev = None
-        records.append(rec)
-    return records

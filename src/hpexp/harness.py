@@ -1,5 +1,11 @@
 """Experiment orchestration: sweeps, slope fits, ratio reports, CSV/JSON output.
 
+``KINDS`` maps each config ``kind`` to its keys, its records' error keys, its
+meta and a solver ``solve_one(p) -> (dof, errors, extra)`` over the layers'
+stage functions.  ``sweep`` is the one loop over degrees; ``run_config``
+validates a whole config before running any sweep and writes the files;
+``run_sweep`` validates and runs one sweep and writes nothing.
+
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
 convention: the average of the last two segment slopes of the convergence
@@ -16,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, dgfem, fem
-from .bounds import lemma_audit
+from .bounds import LEMMA_AUDIT_CAP, lemma_audit
 from .expansion import named_function, reference_expansion
 from .indexsets import BasisSpec, dof_count
 from .projections import (project_h1_p, project_h1_q, project_h1_s, project_l2,
@@ -30,21 +36,22 @@ from .projections import (project_h1_p, project_h1_q, project_h1_s, project_l2,
 __all__ = [
     "ConvergenceRecord",
     "SlopeFit",
+    "Solver",
     "fit_slope",
     "ratio_report",
     "records_to_csv",
     "records_from_csv",
     "write_records",
-    "project_sweep",
-    "basis_count_table",
-    "lemma_audit_table",
+    "sweep",
+    "run_sweep",
     "run_config",
     "ConfigError",
+    "KINDS",
     "PROJECTION_KINDS",
+    "SWEEP_ERRORS",
 ]
 
 ERROR_FLOOR = 1e-12
-PROJECTION_KINDS = ("l2q", "l2p", "h1q", "h1s", "h1p")
 
 
 @dataclass(frozen=True)
@@ -133,70 +140,139 @@ def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
 # ---------------------------------------------------------------------------
 # Sweeps
 
+# The solvers' named numerical failures and a degree a projection or a space
+# does not admit; a sweep records them, and anything else is a bug.
+SWEEP_ERRORS = (fem.IndefiniteSystemError, fem.RefinementError,
+                dgfem.IndefiniteSipError, np.linalg.LinAlgError, ValueError)
 
-def project_sweep(dim: int, kind: str, function: str, p_min: int, p_max: int,
-                  margin: int = 20, runge_a: float = 0.5) -> list[ConvergenceRecord]:
-    """Projection error sweep on the reference element for one operator kind."""
-    if kind not in PROJECTION_KINDS:
-        raise ValueError(f"kind must be one of {PROJECTION_KINDS}")
-    oracle = named_function(function, dim, runge_a=runge_a)
-    u = reference_expansion(oracle, p_max, margin=margin)
+
+class Solver(NamedTuple):
+    """One sweep's per-degree solve and the tags its records carry."""
+
+    method: str
+    dim: int
+    error_keys: tuple
+    solve_one: Callable     # p -> (dof, errors, extra)
+
+
+def _unsolved(solver: Solver, p: int, extra: dict) -> ConvergenceRecord:
+    return ConvergenceRecord(method=solver.method, p=p, dim=solver.dim, dof=-1,
+                             errors={k: float("nan") for k in solver.error_keys},
+                             extra=extra)
+
+
+def sweep(solver: Solver, p_list,
+          stop_below: Optional[float] = None) -> list[ConvergenceRecord]:
+    """One record per degree.  A solve that raises one of ``SWEEP_ERRORS``
+    gives NaN errors, dof -1, and ``error_class`` and ``error_message`` in
+    ``extra``; the sweep goes on.  Once all errors of a record are below
+    ``stop_below``, the later degrees are skipped the same way."""
     out = []
-    for p in range(p_min, p_max + 1):
+    floored = False
+    for p in p_list:
+        p = int(p)
+        if floored:
+            out.append(_unsolved(solver, p, {
+                "error_message": "skipped: error already below stop_below"}))
+            continue
         try:
-            if kind == "l2q":
-                res, dof = project_l2(u, "Q", p), (p + 1) ** dim
-            elif kind == "l2p":
-                res, dof = project_l2(u, "P", p), dof_count(BasisSpec(dim, p, "P"))
-            elif kind == "h1q":
-                res, dof = project_h1_q(u, p), (p + 1) ** dim
-            elif kind == "h1s":
-                res, dof = project_h1_s(u, p), dof_count(BasisSpec(dim, p, "S"))
-            else:
-                res = project_h1_p(u, p)
-                dof = dof_count(BasisSpec(dim, p, "P"))
-            err = projection_errors(u, res)
-            rec = ConvergenceRecord(
-                method=f"proj_{kind}", p=p, dim=dim, dof=dof,
-                errors={"l2": err.l2, "h1_semi": err.h1_semi},
-                extra={"trusted": err.trusted, "function": function})
-        except ValueError as exc:
-            rec = ConvergenceRecord(method=f"proj_{kind}", p=p, dim=dim, dof=0,
-                                    errors={"l2": float("nan"),
-                                            "h1_semi": float("nan")},
-                                    extra={"skipped": str(exc)})
-        out.append(rec)
+            dof, errors, extra = solver.solve_one(p)
+        except SWEEP_ERRORS as exc:
+            out.append(_unsolved(solver, p, {"error_class": type(exc).__name__,
+                                             "error_message": str(exc)}))
+            continue
+        out.append(ConvergenceRecord(method=solver.method, p=p, dim=solver.dim,
+                                     dof=dof, errors=errors, extra=extra))
+        floored = (stop_below is not None and bool(errors)
+                   and max(errors.values()) < stop_below)
     return out
 
 
-def fem_records(raw: list[dict]) -> list[ConvergenceRecord]:
-    out = []
-    for r in raw:
-        extra = {k: r[k] for k in ("p_rate", "residual", "problem",
-                                   "error_message") if k in r}
-        out.append(ConvergenceRecord(method=r["method"], p=r["p"],
-                                     dim=r.get("dim", 2), dof=r["dof"],
-                                     errors=r["errors"], extra=extra))
-    return out
+def _with_p_rate(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
+    """FEM records: the algebraic rate from each solved degree to the next."""
+    for a, b in zip(records, records[1:]):
+        if "error_message" in a.extra or "error_message" in b.extra:
+            continue
+        ea, eb = a.error("h1_semi"), b.error("h1_semi")
+        if np.isfinite(ea) and eb > 0:
+            b.extra["p_rate"] = float(np.log(ea / eb) / np.log(b.p / a.p))
+    return records
 
 
-def basis_count_table(dim: int, family: str, p_max: int) -> list[tuple[int, int]]:
+def _fem_solver(sw: dict):
+    # graded_* and n are keys of one kind each, so the other gets the defaults
+    prob = fem.fem_problem("lshape" if sw["kind"] == "fem-lshape"
+                           else f"sine{sw.get('dim', 2)}d", n=sw.get("n"))
+    sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
+    layers = sw.get("graded_layers")
+    mesh = prob.make_mesh()
+    family = sw["family"]
+
+    def solve_one(p):
+        dofmap = fem.build_dofmap(mesh, p, family)
+        system = fem.assemble_poisson(mesh, dofmap, prob.source, prob.dirichlet)
+        sol = fem.condense_solve(system, dofmap)
+        err = fem.h1_error(sol, prob.exact_gradient,
+                           graded_at=mesh.singular_corner if prob.graded else None,
+                           sigma=sigma,
+                           layers=layers if layers is not None else max(p, 20))
+        return (dofmap.n_dof, {"h1_semi": err},
+                {"residual": sol.residual_norm, "problem": prob.name})
+
+    return f"fem_{family.lower()}", mesh.dim, sw["p_list"], solve_one
+
+
+def _dg_solver(sw: dict):
+    n, family, gamma = sw.get("n", 8), sw["family"], sw.get("gamma", 10.0)
+    f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    exact_gradient = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                                   np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+
+    def solve_one(p):
+        spec = dgfem.DgSpec(family=family, p=p, gamma=gamma)
+        system = dgfem.assemble_sip(n, spec, f, exact)
+        errors = dgfem.dg_errors(dgfem.dg_solve(system), exact, exact_gradient)
+        return n * n * dof_count(BasisSpec(2, p, family)), errors, {}
+
+    return f"dg_{family.lower()}", 2, sw["p_list"], solve_one
+
+
+# projection kind -> (projection, family of its Dof count)
+_PROJECTIONS = {
+    "l2q": (lambda u, p: project_l2(u, "Q", p), "Q"),
+    "l2p": (lambda u, p: project_l2(u, "P", p), "P"),
+    "h1q": (project_h1_q, "Q"),
+    "h1s": (project_h1_s, "S"),
+    "h1p": (project_h1_p, "P"),
+}
+PROJECTION_KINDS = tuple(_PROJECTIONS)
+
+
+def _projection_solver(sw: dict):
+    """Projection errors on the reference element against one overkill
+    expansion of the named function, built once for the whole sweep."""
+    dim, function = sw["dim"], sw.get("function", "sine")
+    project, family = _PROJECTIONS[sw["proj_kind"]]
+    oracle = named_function(function, dim, runge_a=sw.get("runge_a", 0.5))
+    u = reference_expansion(oracle, sw["p_max"], margin=sw.get("margin", 20))
+
+    def solve_one(p):
+        res = project(u, p)
+        dof = dof_count(BasisSpec(dim, p, family))
+        err = projection_errors(u, res)
+        return (dof, {"l2": err.l2, "h1_semi": err.h1_semi},
+                {"trusted": err.trusted, "function": function})
+
+    return (f"proj_{sw['proj_kind']}", dim, range(sw["p_min"], sw["p_max"] + 1),
+            solve_one)
+
+
+def _basis_count_solver(sw: dict):
+    dim, family = sw.get("dim", 2), sw.get("family", "Q")
     start = 1 if family == "S" else 0
-    return [(p, dof_count(BasisSpec(dim, p, family)))
-            for p in range(start, p_max + 1)]
-
-
-def lemma_audit_table(dim: int, m_max: int, m_small_max: int) -> list[dict]:
-    rows = []
-    for M in range(0, m_max + 1):
-        for m in range(0, min(m_small_max, M) + 1):
-            rep = lemma_audit(dim, M, m)
-            rows.append({"d": dim, "M": M, "m": m,
-                         "lattice_max": rep.lattice_max,
-                         "phi": rep.phi_value, "holds": rep.holds,
-                         "argmax_xi": rep.argmax_xi,
-                         "argmax_rho": rep.argmax_rho})
-    return rows
+    return ("basis_count", dim, range(start, sw.get("p_max", 10) + 1),
+            lambda p: (dof_count(BasisSpec(dim, p, family)), {}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +305,7 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",")
     fixed = ("method", "p", "dim", "dof")
+    error_keys = {k for kind in KINDS.values() for k in kind.error_keys}
     out = []
     for ln in lines[1:]:
         cells = ln.split(",")
@@ -237,8 +314,7 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
         for k in header:
             if k in fixed or row[k] == "":
                 continue
-            (errors if k in ("l2", "h1_semi", "dg_norm", "broken_h1", "lattice_max", "phi")
-             else extra)[k] = float(row[k])
+            (errors if k in error_keys else extra)[k] = float(row[k])
         out.append(ConvergenceRecord(method=row["method"], p=int(row["p"]),
                                      dim=int(row["dim"]), dof=int(row["dof"]),
                                      errors=errors, extra=extra))
@@ -263,49 +339,114 @@ class ConfigError(ValueError):
     pass
 
 
-_SWEEP_KINDS = ("project-sweep", "fem-sine", "fem-lshape", "dg-sine",
-                "basis-count", "lemma-audit")
+def _int(lo: int, hi: Optional[int] = None, required: bool = False):
+    text = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return (required, lambda v: type(v) is int and lo <= v
+            and (hi is None or v <= hi), text)
 
-TABLE1_PRESET = {
-    "sweeps": [
-        {"name": "table1_fem_s", "kind": "fem-lshape", "family": "S",
-         "p_list": [1, 2, 3, 4, 5, 10, 15, 20, 25]},
-        {"name": "table1_fem_q", "kind": "fem-lshape", "family": "Q",
-         "p_list": [1, 2, 3, 4, 5, 10, 15, 20, 25]},
-    ]
+
+def _number(lo: float, hi: float = float("inf")):
+    return (False, lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and lo < v < hi,
+            f"a number in ({lo}, {hi})")
+
+
+def _choice(options: tuple, required: bool = False):
+    return (required, lambda v: isinstance(v, str) and v in options,
+            f"one of {options}")
+
+
+_P_LIST = (True, lambda v: isinstance(v, list) and bool(v)
+           and all(type(p) is int and p >= 1 for p in v),
+           "a non-empty list of integers >= 1")
+
+
+class Kind(NamedTuple):
+    """One config ``kind``: key -> (required, check, description) for each
+    key besides name and kind, the records' error keys, a solver mapping a
+    sweep to ``(method, dim, degrees, solve_one)`` (none for lemma-audit, whose
+    rows are indexed by two budgets), and the extra fields of the meta."""
+
+    fields: dict
+    error_keys: tuple = ()
+    solver: Optional[Callable] = None
+    meta: Callable = lambda sw: {}
+
+
+def _lshape_meta(sw: dict) -> dict:
+    layers = sw.get("graded_layers")
+    return {"quadrature": {
+        "graded_sigma": sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT),
+        "graded_layers": layers if layers is not None else "max(p, 20)",
+        "error_rule_order": "max(2p, 12)"}}
+
+
+KINDS = {
+    "project-sweep": Kind(
+        {"proj_kind": _choice(PROJECTION_KINDS, required=True),
+         "dim": _int(2, 3, required=True),
+         "p_min": _int(0, required=True), "p_max": _int(0, required=True),
+         "function": _choice(("sine", "expsum", "runge1d-tensor")),
+         # projection_errors needs the reference 4 degrees above p_max
+         "margin": _int(4), "runge_a": _number(0.0)},
+        ("l2", "h1_semi"), _projection_solver),
+    "fem-sine": Kind(
+        {"family": _choice(("Q", "S"), required=True), "p_list": _P_LIST,
+         "dim": _int(2, 3), "n": _int(1)},
+        ("h1_semi",), _fem_solver),
+    "fem-lshape": Kind(
+        {"family": _choice(("Q", "S"), required=True), "p_list": _P_LIST,
+         "graded_ratio": _number(0.0, 1.0), "graded_layers": _int(1)},
+        ("h1_semi",), _fem_solver, _lshape_meta),
+    "dg-sine": Kind(
+        {"family": _choice(("Q", "P"), required=True), "p_list": _P_LIST,
+         "n": _int(1), "gamma": _number(0.0)},
+        ("l2", "broken_h1", "dg_norm"), _dg_solver,
+        lambda sw: {"dg_norm_definition":
+                    "sqrt(broken_h1^2 + sum_F sigma_F ||[u-u_h]||_F^2)"}),
+    "basis-count": Kind(
+        {"dim": _int(2, 3), "family": _choice(("Q", "P", "S")),
+         "p_max": _int(1)},
+        (), _basis_count_solver),
+    "lemma-audit": Kind(
+        {"dim": _int(1, 3), "M_max": _int(0, LEMMA_AUDIT_CAP),
+         "m_max": _int(0)},
+        ("lattice_max", "phi")),
 }
+
+TABLE1_PRESET = {"sweeps": [
+    {"name": f"table1_fem_{family.lower()}", "kind": "fem-lshape",
+     "family": family, "p_list": [1, 2, 3, 4, 5, 10, 15, 20, 25]}
+    for family in ("S", "Q")]}
 
 
 def _validate_sweep(i: int, sw) -> None:
     where = f"sweeps[{i}]"
     if not isinstance(sw, dict):
         raise ConfigError(f"{where}: must be an object")
-    if "name" not in sw or not isinstance(sw["name"], str):
-        raise ConfigError(f"{where}.name: required string")
-    kind = sw.get("kind")
-    if kind not in _SWEEP_KINDS:
-        raise ConfigError(f"{where}.kind: must be one of {_SWEEP_KINDS}")
-    if kind == "project-sweep":
-        if sw.get("proj_kind") not in PROJECTION_KINDS:
-            raise ConfigError(f"{where}.proj_kind: must be one of "
-                              f"{PROJECTION_KINDS}")
-        for k in ("dim", "p_min", "p_max"):
-            if not isinstance(sw.get(k), int):
-                raise ConfigError(f"{where}.{k}: required integer")
-    if kind in ("fem-sine", "fem-lshape", "dg-sine"):
-        fams = ("Q", "S") if kind.startswith("fem") else ("Q", "P")
-        if sw.get("family") not in fams:
-            raise ConfigError(f"{where}.family: must be one of {fams}")
-        if not isinstance(sw.get("p_list"), list) or not sw["p_list"]:
-            raise ConfigError(f"{where}.p_list: required non-empty list")
+    name = sw.get("name")
+    if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+            or Path(name).name != name):
+        raise ConfigError(f"{where}.name: required plain file name")
+    if not isinstance(sw.get("kind"), str) or sw["kind"] not in KINDS:
+        raise ConfigError(f"{where}.kind: must be one of {tuple(KINDS)}")
+    fields = KINDS[sw["kind"]].fields
+    unknown = sorted(sw.keys() - fields.keys() - {"name", "kind"})
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: not a key of kind "
+                          f"{sw['kind']!r}")
+    for key, (required, ok, text) in fields.items():
+        if key not in sw:
+            if required:
+                raise ConfigError(f"{where}.{key}: required, {text}")
+        elif not ok(sw[key]):
+            raise ConfigError(f"{where}.{key}: must be {text}")
+    if sw["kind"] == "project-sweep" and sw["p_min"] > sw["p_max"]:
+        raise ConfigError(f"{where}.p_min: must not exceed p_max")
 
 
-def run_config(config, out_dir=".") -> dict:
-    """Validate and execute a sweep bundle; returns {name: records}.
-
-    The whole config is validated before anything runs, so a malformed config
-    produces no partial files.
-    """
+def _validated_sweeps(config) -> list[dict]:
+    """The sweeps of a config, every one checked before any of them runs."""
     if isinstance(config, (str, Path)):
         try:
             config = json.loads(Path(config).read_text())
@@ -317,56 +458,59 @@ def run_config(config, out_dir=".") -> dict:
         config = TABLE1_PRESET
     if "sweeps" not in config or not isinstance(config["sweeps"], list):
         raise ConfigError("sweeps: required list")
+    written = {}
     for i, sw in enumerate(config["sweeps"]):
         _validate_sweep(i, sw)
+        csv = Path(sw["name"]).with_suffix(".csv")
+        if csv in written:
+            raise ConfigError(f"sweeps[{i}].name: writes {csv} as "
+                              f"sweeps[{written[csv]}] does")
+        written[csv] = i
+    return config["sweeps"]
 
+
+def _lemma_records(sw: dict) -> list[ConvergenceRecord]:
+    """Lattice audits of the Gamma bound; M is stored in ``p``, m in ``dof``."""
+    dim, out = sw.get("dim", 2), []
+    for M in range(sw.get("M_max", 10) + 1):
+        for m in range(min(sw.get("m_max", 10), M) + 1):
+            rep = lemma_audit(dim, M, m)
+            out.append(ConvergenceRecord(
+                method="lemma_audit", p=M, dim=dim, dof=m,
+                errors={"lattice_max": rep.lattice_max, "phi": rep.phi_value},
+                extra={"holds": rep.holds, "argmax_xi": rep.argmax_xi,
+                       "argmax_rho": rep.argmax_rho}))
+    return out
+
+
+def _records(sw: dict, stop_below: Optional[float] = None) -> list[ConvergenceRecord]:
+    kind = KINDS[sw["kind"]]
+    if kind.solver is None:
+        return _lemma_records(sw)
+    method, dim, degrees, solve_one = kind.solver(sw)
+    records = sweep(Solver(method, dim, kind.error_keys, solve_one), degrees,
+                    stop_below)
+    return _with_p_rate(records) if sw["kind"].startswith("fem-") else records
+
+
+def run_sweep(sw: dict, stop_below: Optional[float] = None) -> list[ConvergenceRecord]:
+    """Validate one sweep in the config format and run it; writes nothing."""
+    _validated_sweeps({"sweeps": [sw]})
+    return _records(sw, stop_below)
+
+
+def run_config(config, out_dir=".") -> dict:
+    """Validate and execute a sweep bundle; returns {name: records}.
+
+    The whole config is validated before anything runs, so a malformed config
+    produces no partial files.
+    """
     results = {}
-    for sw in config["sweeps"]:
-        kind = sw["kind"]
+    for sw in _validated_sweeps(config):
         t0 = time.perf_counter()
-        meta = {"sweep": sw}
-        if kind == "project-sweep":
-            recs = project_sweep(sw["dim"], sw["proj_kind"],
-                                 sw.get("function", "sine"),
-                                 sw["p_min"], sw["p_max"],
-                                 margin=sw.get("margin", 20),
-                                 runge_a=sw.get("runge_a", 0.5))
-        elif kind == "fem-sine":
-            dim = sw.get("dim", 2)
-            recs = fem_records(fem.run_p_sweep(
-                "sine2d" if dim == 2 else "sine3d", sw["family"],
-                sw["p_list"], n=sw.get("n")))
-        elif kind == "fem-lshape":
-            sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
-            layers = sw.get("graded_layers")
-            meta["quadrature"] = {"graded_sigma": sigma,
-                                  "graded_layers": layers if layers is not None
-                                  else "max(p, 20)",
-                                  "error_rule_order": "max(2p, 12)"}
-            recs = fem_records(fem.run_p_sweep(
-                "lshape", sw["family"], sw["p_list"],
-                graded_layers=layers, graded_sigma=sigma))
-        elif kind == "dg-sine":
-            meta["dg_norm_definition"] = \
-                "sqrt(broken_h1^2 + sum_F sigma_F ||[u-u_h]||_F^2)"
-            recs = fem_records(dgfem.run_p_sweep(
-                sw.get("n", 8), sw["family"], sw["p_list"],
-                gamma=sw.get("gamma", 10.0)))
-        elif kind == "basis-count":
-            rows = basis_count_table(sw.get("dim", 2), sw.get("family", "Q"),
-                                     sw.get("p_max", 10))
-            recs = [ConvergenceRecord(method="basis_count", p=p,
-                                      dim=sw.get("dim", 2), dof=dof, errors={})
-                    for p, dof in rows]
-        else:
-            rows = lemma_audit_table(sw.get("dim", 2), sw.get("M_max", 10),
-                                     sw.get("m_max", 10))
-            recs = [ConvergenceRecord(
-                method="lemma_audit", p=row["M"], dim=sw.get("dim", 2),
-                dof=row["m"],
-                errors={"lattice_max": row["lattice_max"], "phi": row["phi"]},
-                extra={"holds": row["holds"]}) for row in rows]
-        meta["seconds"] = time.perf_counter() - t0
+        recs = _records(sw)
+        meta = {"sweep": sw, **KINDS[sw["kind"]].meta(sw),
+                "seconds": time.perf_counter() - t0}
         residuals = [r.extra["residual"] for r in recs if "residual" in r.extra]
         if residuals:
             meta["max_solver_residual"] = max(residuals)

@@ -16,11 +16,8 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "GradedRule",
-    "legendre_eval",
     "legendre_table",
-    "legendre_deriv_eval",
     "legendre_deriv_table",
-    "psi_eval",
     "psi_table",
     "gauss_rule",
     "graded_rule",
@@ -37,15 +34,6 @@ def legendre_table(nmax: int, x) -> np.ndarray:
     for n in range(2, nmax + 1):
         table[n] = ((2 * n - 1) * x * table[n - 1] - (n - 1) * table[n - 2]) / n
     return table
-
-
-def legendre_eval(n: int, x):
-    """Evaluate the Legendre polynomial L_n at x (scalar or array)."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    scalar = np.isscalar(x)
-    out = legendre_table(n, x)[n]
-    return float(out.reshape(-1)[0]) if scalar else out
 
 
 def legendre_deriv_table(nmax: int, k: int, x) -> np.ndarray:
@@ -66,18 +54,6 @@ def legendre_deriv_table(nmax: int, k: int, x) -> np.ndarray:
     return table
 
 
-def legendre_deriv_eval(n: int, k: int, x):
-    """Evaluate L_n^(k)(x); identically zero once k exceeds n."""
-    if n < 0 or k < 0:
-        raise ValueError("degree and derivative order must be non-negative")
-    scalar = np.isscalar(x)
-    if k > n:
-        out = np.zeros(np.shape(np.atleast_1d(x)))
-    else:
-        out = legendre_deriv_table(n, k, x)[n]
-    return float(out.reshape(-1)[0]) if scalar else out
-
-
 def psi_table(jmax: int, x) -> np.ndarray:
     """Table psi_j(x) for j = 0..jmax.
 
@@ -92,15 +68,6 @@ def psi_table(jmax: int, x) -> np.ndarray:
         for j in range(1, jmax + 1):
             table[j] = -(1.0 - x * x) * dtab[j] / (j * (j + 1))
     return table
-
-
-def psi_eval(j: int, x):
-    """Evaluate the Legendre antiderivative psi_j at x."""
-    if j < 0:
-        raise ValueError("index must be non-negative")
-    scalar = np.isscalar(x)
-    out = psi_table(j, x)[j]
-    return float(out.reshape(-1)[0]) if scalar else out
 
 
 @dataclass(frozen=True)

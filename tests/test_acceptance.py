@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from hpexp import dgfem, fem
+from hpexp import fem
 from hpexp.bounds import lemma_audit, phi, sharp_l2_ratio, stirling_envelope_check
 from hpexp.expansion import (differentiate, evaluate, l2_norm, named_function,
                              reference_expansion, weighted_seminorm)
-from hpexp.harness import ERROR_FLOOR, fem_records, fit_slope, project_sweep, ratio_report
+from hpexp.harness import ERROR_FLOOR, fit_slope, ratio_report, run_sweep
 from hpexp.orthopoly import gauss_rule, legendre_deriv_table, legendre_table
 from hpexp.projections import project_h1_q, project_h1_s, project_l2, projection_errors
 
@@ -39,11 +39,19 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _projection(dim, kind, function, p_max, margin=20):
+    return run_sweep({"name": f"proj_{kind}", "kind": "project-sweep",
+                      "proj_kind": kind, "dim": dim, "function": function,
+                      "p_min": 2, "p_max": p_max, "margin": margin})
+
+
 @pytest.fixture(scope="module")
 def lshape_sweeps():
     out = {}
     for fam in ("S", "Q"):
-        out[fam] = {r["p"]: r for r in fem.run_p_sweep("lshape", fam, TABLE_P)}
+        recs = run_sweep({"name": "lshape", "kind": "fem-lshape",
+                          "family": fam, "p_list": TABLE_P})
+        out[fam] = {r.p: r for r in recs}
     return out
 
 
@@ -52,30 +60,24 @@ def proj_sweeps():
     out = {}
     for d, pmax in ((2, 20), (3, 12)):
         for kind in ("l2q", "l2p"):
-            out[(d, kind)] = project_sweep(d, kind, "sine", 2, pmax)
+            out[(d, kind)] = _projection(d, kind, "sine", pmax)
     return out
 
 
 @pytest.fixture(scope="module")
 def fem_sine_sweeps():
-    out = {
-        (2, "Q"): fem_records(fem.run_p_sweep("sine2d", "Q", range(2, 13),
-                                              stop_below=ERROR_FLOOR)),
-        (2, "S"): fem_records(fem.run_p_sweep("sine2d", "S", range(2, 13),
-                                              stop_below=ERROR_FLOOR)),
-        (3, "Q"): fem_records(fem.run_p_sweep("sine3d", "Q", range(2, 13),
-                                              stop_below=ERROR_FLOOR)),
-        (3, "S"): fem_records(fem.run_p_sweep("sine3d", "S", range(2, 13),
-                                              stop_below=ERROR_FLOOR)),
-    }
-    return out
+    return {(d, fam): run_sweep({"name": "sine", "kind": "fem-sine", "dim": d,
+                                 "family": fam, "p_list": list(range(2, 13))},
+                                stop_below=ERROR_FLOOR)
+            for d in (2, 3) for fam in ("Q", "S")}
 
 
 @pytest.fixture(scope="module")
 def dg_sweeps():
     return {
-        "Q": fem_records(dgfem.run_p_sweep(8, "Q", range(2, 11))),
-        "P": fem_records(dgfem.run_p_sweep(8, "P", range(2, 13))),
+        fam: run_sweep({"name": "dg", "kind": "dg-sine", "n": 8, "family": fam,
+                        "p_list": list(range(2, p_max + 1))})
+        for fam, p_max in (("Q", 10), ("P", 12))
     }
 
 
@@ -86,10 +88,10 @@ def test_criterion_1_table1_lshape(lshape_sweeps):
     ok = True
     for p in TABLE_P[1:]:
         ts, trs, tq, trq, tratio = TABLE1[p]
-        es = lshape_sweeps["S"][p]["errors"]["h1_semi"]
-        eq = lshape_sweeps["Q"][p]["errors"]["h1_semi"]
-        rs = lshape_sweeps["S"][p].get("p_rate", float("nan"))
-        rq = lshape_sweeps["Q"][p].get("p_rate", float("nan"))
+        es = lshape_sweeps["S"][p].error("h1_semi")
+        eq = lshape_sweeps["Q"][p].error("h1_semi")
+        rs = lshape_sweeps["S"][p].extra.get("p_rate", float("nan"))
+        rq = lshape_sweeps["Q"][p].extra.get("p_rate", float("nan"))
         dev_es, dev_eq = abs(es - ts) / ts, abs(eq - tq) / tq
         dev_rs, dev_rq = abs(rs - trs), abs(rq - trq)
         dev_ratio = abs(es / eq - tratio)
@@ -113,8 +115,8 @@ def test_criterion_2_slope_ratio_2d(proj_sweeps):
     rep = ratio_report(fp, fq)
     # supporting cross-check: a fixed-rate analytic function realizes the
     # theoretical sqrt(2) gain at these degrees
-    runge = {k: fit_slope(project_sweep(2, k, "runge1d-tensor", 2, 20,
-                                        margin=30), error_key="l2")
+    runge = {k: fit_slope(_projection(2, k, "runge1d-tensor", 20, margin=30),
+                          error_key="l2")
              for k in ("l2q", "l2p")}
     runge_ratio = ratio_report(runge["l2p"], runge["l2q"])["ratio"]
     ok = 1.30 <= rep["ratio"] <= 1.45

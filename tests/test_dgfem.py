@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hpexp import dgfem
+from hpexp.harness import fit_slope, run_sweep
 from hpexp.indexsets import BasisSpec, dof_count
+
+
+def _dg_sweep(n, family, p_list, gamma=10.0):
+    return run_sweep({"name": "dg", "kind": "dg-sine", "n": n, "family": family,
+                      "p_list": p_list, "gamma": gamma})
 
 
 def _linear():
@@ -39,8 +45,8 @@ def test_system_symmetry():
 
 
 def test_dof_counts():
-    recs = dgfem.run_p_sweep(8, "P", [3])
-    assert recs[0]["dof"] == 64 * dof_count(BasisSpec(2, 3, "P")) == 640
+    recs = _dg_sweep(8, "P", [3])
+    assert recs[0].dof == 64 * dof_count(BasisSpec(2, 3, "P")) == 640
 
 
 def test_interpolant_errors_and_jumps():
@@ -55,9 +61,9 @@ def test_interpolant_errors_and_jumps():
 
 
 def test_dg_norm_dominates_broken_h1():
-    recs = dgfem.run_p_sweep(4, "Q", [2, 3, 4])
+    recs = _dg_sweep(4, "Q", [2, 3, 4])
     for r in recs:
-        assert r["errors"]["dg_norm"] >= r["errors"]["broken_h1"]
+        assert r.error("dg_norm") >= r.error("broken_h1")
 
 
 def test_consistency_residual_of_interpolant():
@@ -80,8 +86,8 @@ def test_consistency_residual_of_interpolant():
 
 
 def test_penalty_changes_converged_error_mildly():
-    base = dgfem.run_p_sweep(4, "Q", [8], gamma=10.0)[0]["errors"]["dg_norm"]
-    double = dgfem.run_p_sweep(4, "Q", [8], gamma=20.0)[0]["errors"]["dg_norm"]
+    base = _dg_sweep(4, "Q", [8], gamma=10.0)[0].error("dg_norm")
+    double = _dg_sweep(4, "Q", [8], gamma=20.0)[0].error("dg_norm")
     assert abs(double - base) / base < 0.2
 
 
@@ -91,13 +97,19 @@ def test_indefinite_with_tiny_penalty():
                                 lambda x, y: 0.0 * x, g)
     with pytest.raises(dgfem.IndefiniteSipError):
         dgfem.dg_solve(system)
+    # a sweep records the failure with its class, NaN errors and dof -1
+    rec, = _dg_sweep(2, "Q", [2], gamma=1e-6)
+    assert rec.extra["error_class"] == "IndefiniteSipError"
+    assert rec.extra["error_message"] and rec.dof == -1
+    assert set(rec.errors) == {"l2", "broken_h1", "dg_norm"}
+    assert all(np.isnan(v) for v in rec.errors.values())
 
 
 def test_sweep_records_and_l2_rate():
-    recs = dgfem.run_p_sweep(4, "Q", range(2, 8))
-    dg = [r["errors"]["dg_norm"] for r in recs]
-    l2 = [r["errors"]["l2"] for r in recs]
-    h1 = [r["errors"]["broken_h1"] for r in recs]
+    recs = _dg_sweep(4, "Q", list(range(2, 8)))
+    dg = [r.error("dg_norm") for r in recs]
+    l2 = [r.error("l2") for r in recs]
+    h1 = [r.error("broken_h1") for r in recs]
     # errors non-increasing in p (recorded; SIP constants vary mildly)
     drops = sum(1 for a, b in zip(dg, dg[1:]) if b <= a)
     assert drops >= len(dg) - 2
@@ -106,6 +118,5 @@ def test_sweep_records_and_l2_rate():
     slope_h1 = np.log(h1[0] / h1[-1])
     assert slope_l2 >= slope_h1 * 0.99
     # broken-H1 error decays exponentially in p
-    from hpexp.harness import fem_records, fit_slope
-    fit = fit_slope(fem_records(recs), abscissa="p", error_key="broken_h1")
+    fit = fit_slope(recs, abscissa="p", error_key="broken_h1")
     assert fit.r_squared >= 0.98

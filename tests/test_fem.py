@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hpexp import fem
+from hpexp import fem, harness
+from hpexp.harness import run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, serendipity_layout
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
@@ -135,9 +136,14 @@ def test_assemble_rejects_foreign_dofmap():
         fem.assemble_poisson(mesh_b, dm, lambda x, y: x, lambda x, y: 0 * x)
 
 
+def _fem_sweep(family, p_list, kind="fem-sine"):
+    return run_sweep({"name": "fem", "kind": kind, "family": family,
+                      "p_list": p_list})
+
+
 def test_sine_error_drops_with_p():
-    recs = fem.run_p_sweep("sine2d", "Q", [2, 3])
-    e2, e3 = (r["errors"]["h1_semi"] for r in recs)
+    recs = _fem_sweep("Q", [2, 3])
+    e2, e3 = (r.error("h1_semi") for r in recs)
     assert e2 / e3 > 5.0
 
 
@@ -314,7 +320,7 @@ def test_h1_error_graded_layer_doubling(lshape):
 
 
 def test_sine_error_matches_overkill_quadrature():
-    recs = fem.run_p_sweep("sine2d", "Q", [4])
+    recs = _fem_sweep("Q", [4])
     mesh = fem.mesh_uniform(2, 8, (0.0, 1.0))
     prob = fem.fem_problem("sine2d")
     dm = fem.build_dofmap(mesh, 4, "Q")
@@ -323,36 +329,43 @@ def test_sine_error_matches_overkill_quadrature():
     e_std = fem.h1_error(sol, prob.exact_gradient)
     e_over = fem.h1_error(sol, prob.exact_gradient, quad_order=3 * 4 + 6)
     assert e_std == pytest.approx(e_over, rel=1e-8)
-    assert e_std == pytest.approx(recs[0]["errors"]["h1_semi"], rel=1e-12)
+    assert e_std == pytest.approx(recs[0].error("h1_semi"), rel=1e-12)
 
 
 def test_s_error_dominates_q_and_costs_less():
-    recs_q = fem.run_p_sweep("sine2d", "Q", [3])
-    recs_s = fem.run_p_sweep("sine2d", "S", [3])
-    assert recs_s[0]["errors"]["h1_semi"] >= recs_q[0]["errors"]["h1_semi"]
-    assert recs_s[0]["dof"] < recs_q[0]["dof"]
+    recs_q = _fem_sweep("Q", [3])
+    recs_s = _fem_sweep("S", [3])
+    assert recs_s[0].error("h1_semi") >= recs_q[0].error("h1_semi")
+    assert recs_s[0].dof < recs_q[0].dof
 
 
 def test_sweep_continues_after_failure(lshape):
-    recs = fem.run_p_sweep("lshape", "S", [0, 2])
-    assert np.isnan(recs[0]["errors"]["h1_semi"])
-    assert "error_message" in recs[0]
-    assert np.isfinite(recs[1]["errors"]["h1_semi"])
+    # p = 0 never passes config validation; driven directly, the sweep
+    # records build_dofmap's ValueError and goes on
+    kind = harness.KINDS["fem-lshape"]
+    method, dim, _, solve_one = kind.solver({"kind": "fem-lshape",
+                                             "family": "S", "p_list": [0, 2]})
+    recs = harness.sweep(harness.Solver(method, dim, kind.error_keys,
+                                        solve_one), [0, 2])
+    assert np.isnan(recs[0].error("h1_semi")) and recs[0].dof == -1
+    assert recs[0].extra["error_class"] == "ValueError"
+    assert "error_message" in recs[0].extra
+    assert np.isfinite(recs[1].error("h1_semi"))
 
 
 def test_lshape_table_rows_small_p(lshape):
     """Fully resolved errors at the p=1 and S p=5 table rows; the systematic
     offset of the printed table beyond these is established in the ledger and
     exercised by the acceptance suite."""
-    recs_s = fem.run_p_sweep("lshape", "S", [1, 2, 3, 4, 5])
-    recs_q = fem.run_p_sweep("lshape", "Q", [1])
-    e1s = recs_s[0]["errors"]["h1_semi"]
-    e1q = recs_q[0]["errors"]["h1_semi"]
+    recs_s = _fem_sweep("S", [1, 2, 3, 4, 5], "fem-lshape")
+    recs_q = _fem_sweep("Q", [1], "fem-lshape")
+    e1s = recs_s[0].error("h1_semi")
+    e1q = recs_q[0].error("h1_semi")
     assert e1s == pytest.approx(e1q, rel=1e-12)       # S_1 = Q_1
     assert e1s == pytest.approx(2.09e-1, rel=0.02)
-    e5 = recs_s[4]["errors"]["h1_semi"]
+    e5 = recs_s[4].error("h1_semi")
     assert e5 == pytest.approx(6.93e-2, rel=0.02)
-    assert recs_s[4]["p_rate"] == pytest.approx(1.1703, abs=0.03)
+    assert recs_s[4].extra["p_rate"] == pytest.approx(1.1703, abs=0.03)
 
 
 @pytest.mark.parametrize("dim,p", [(2, 2), (2, 3), (2, 4), (2, 5),
@@ -388,8 +401,8 @@ def test_serendipity_space_spans_superlinear_monomials(dim, p):
 
 
 def test_lshape_rates_climb_toward_four_thirds(lshape):
-    recs = fem.run_p_sweep("lshape", "Q", [10, 12, 14, 16, 18, 20])
-    rates = [r["p_rate"] for r in recs[1:]]
+    recs = _fem_sweep("Q", [10, 12, 14, 16, 18, 20], "fem-lshape")
+    rates = [r.extra["p_rate"] for r in recs[1:]]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[-1] > 1.25
     assert all(r < 4.0 / 3.0 for r in rates)

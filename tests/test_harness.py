@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from hpexp import fem
+from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
-from hpexp.harness import (ConfigError, ConvergenceRecord, ERROR_FLOOR,
-                           basis_count_table, fit_slope, ratio_report,
-                           records_from_csv, records_to_csv, run_config)
+from hpexp.harness import (ConfigError, ConvergenceRecord, ERROR_FLOOR, Solver,
+                           _with_p_rate, fit_slope, ratio_report,
+                           records_from_csv, records_to_csv, run_config,
+                           run_sweep, sweep)
 
 
 def _rec(method, p, dim, dof, err):
@@ -103,9 +106,40 @@ def test_csv_round_trip_and_determinism():
 
 
 def test_basis_count_table():
-    rows = basis_count_table(3, "S", 6)
-    assert rows[0] == (1, 8)
-    assert rows[-1] == (6, 105)
+    recs = run_sweep({"name": "counts", "kind": "basis-count", "dim": 3,
+                      "family": "S", "p_max": 6})
+    assert (recs[0].p, recs[0].dof) == (1, 8)
+    assert (recs[-1].p, recs[-1].dof) == (6, 105)
+
+
+def test_sweep_records_failures_and_skips():
+    def solve_one(p):
+        if p == 3:
+            raise fem.RefinementError("stub")
+        return (p + 1) ** 2, {"h1_semi": float(p) ** -1.5}, {}
+
+    solver = Solver("fem_q", 2, ("h1_semi",), solve_one)
+    recs = _with_p_rate(sweep(solver, [1, 2, 3, 4, 5]))
+    failed = recs[2]
+    assert failed.dof == -1 and np.isnan(failed.error("h1_semi"))
+    assert failed.extra == {"error_class": "RefinementError",
+                            "error_message": "stub"}
+    # the rate needs two consecutive solved degrees: none across p = 3
+    assert ["p_rate" in r.extra for r in recs] == [False, True, False, False, True]
+    assert recs[4].extra["p_rate"] == pytest.approx(1.5, rel=1e-12)
+    # every degree after the first record below stop_below is skipped
+    recs = sweep(solver, [1, 2, 4], stop_below=0.5)
+    assert recs[2].dof == -1 and np.isnan(recs[2].error("h1_semi"))
+    assert recs[2].extra == {
+        "error_message": "skipped: error already below stop_below"}
+
+
+def test_sweep_propagates_unexpected_errors():
+    def solve_one(p):
+        raise TypeError("a bug, not a numerical failure")
+
+    with pytest.raises(TypeError):
+        sweep(Solver("m", 2, ("l2",), solve_one), [1, 2])
 
 
 def test_run_config_empty(tmp_path):
@@ -114,15 +148,57 @@ def test_run_config_empty(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_config_malformed_writes_nothing(tmp_path):
+_PROJ = {"name": "broken", "kind": "project-sweep", "proj_kind": "l2q",
+         "dim": 2, "p_min": 1, "p_max": 2}
+_FEM = {"name": "broken", "kind": "fem-sine", "family": "Q", "p_list": [1]}
+_DG = {"name": "broken", "kind": "dg-sine", "family": "Q", "p_list": [1]}
+_LSHAPE = {"name": "broken", "kind": "fem-lshape", "family": "S",
+           "p_list": [1]}
+_LEMMA = {"name": "broken", "kind": "lemma-audit", "dim": 2, "M_max": 2,
+          "m_max": 1}
+
+
+@pytest.mark.parametrize("broken", [
+    pytest.param(dict(_PROJ, proj_kind="nope"), id="proj_kind"),
+    pytest.param(dict(_PROJ, dim=7), id="proj_dim"),
+    pytest.param(dict(_PROJ, p_min=3), id="p_min_above_p_max"),
+    pytest.param(dict(_PROJ, margin=3), id="margin"),
+    pytest.param(dict(_PROJ, function="cosine"), id="function"),
+    pytest.param(dict(_PROJ, runge_a=0.0), id="runge_a"),
+    pytest.param(dict(_FEM, dim=5), id="fem_dim"),
+    pytest.param(dict(_FEM, n=0), id="fem_n"),
+    pytest.param(dict(_FEM, family="P"), id="fem_family"),
+    pytest.param(dict(_FEM, p_list=["x"]), id="p_list_str"),
+    pytest.param(dict(_FEM, p_list=[True]), id="p_list_bool"),
+    pytest.param(dict(_FEM, p_list=[0]), id="p_list_zero"),
+    pytest.param(dict(_FEM, p_list=[]), id="p_list_empty"),
+    pytest.param(dict(_FEM, gama=1.0), id="unknown_key"),
+    pytest.param(dict(_LSHAPE, graded_ratio=1.0), id="graded_ratio"),
+    pytest.param(dict(_LSHAPE, graded_layers=0), id="graded_layers"),
+    pytest.param(dict(_DG, gamma=-1), id="dg_gamma"),
+    pytest.param(dict(_DG, n=2.5), id="dg_n"),
+    pytest.param({"name": "broken", "kind": "basis-count", "dim": 4},
+                 id="basis_dim"),
+    pytest.param({"name": "broken", "kind": "basis-count", "family": "S",
+                  "p_max": 0}, id="basis_p_max"),
+    pytest.param(dict(_LEMMA, M_max=-3), id="lemma_M_max"),
+    pytest.param(dict(_LEMMA, M_max=LEMMA_AUDIT_CAP + 1), id="lemma_cap"),
+    pytest.param(dict(_LEMMA, m_max=-1), id="lemma_m_max"),
+    pytest.param(dict(_LEMMA, kind="lemma"), id="kind"),
+    pytest.param(dict(_LEMMA, name="ok"), id="name_twice"),
+    pytest.param(dict(_LEMMA, name="ok.v2"), id="name_same_files"),
+    pytest.param(dict(_LEMMA, name="../../escape"), id="name_escape"),
+    pytest.param(dict(_LEMMA, name=".."), id="name_dotdot"),
+    pytest.param(dict(_LEMMA, name=""), id="name_empty"),
+])
+def test_run_config_malformed_writes_nothing(tmp_path, broken):
     bad = {"sweeps": [
         {"name": "ok", "kind": "basis-count", "dim": 2, "family": "Q",
          "p_max": 3},
-        {"name": "broken", "kind": "project-sweep", "proj_kind": "nope",
-         "dim": 2, "p_min": 1, "p_max": 2},
+        broken,
     ]}
     with pytest.raises(ConfigError):
-        run_config(bad, out_dir=tmp_path)
+        run_config(bad, out_dir=tmp_path / "out" / "deep")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -174,6 +250,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--p-min", "2", "--gamma", "1e-6"])
     capsys.readouterr()
     assert code == 0  # sweep records the failure per p and continues
+    # the same validator as run_config: n = 0 is a config error
+    assert cli_main(["fem-sine", "--dim", "2", "--n", "0", "--family", "q",
+                     "--p-max", "2"]) == 1
 
 
 def test_cli_config_error(tmp_path):
@@ -214,6 +293,11 @@ def test_cli_fem_subcommands(tmp_path, capsys):
     recs = records_from_csv((tmp_path / "lsh.csv").read_text())
     assert [r.p for r in recs] == [1, 2]
     assert all(np.isfinite(r.errors["h1_semi"]) for r in recs)
+    # --out writes through the config runner: the meta of `hpexp run`
+    meta = json.loads((tmp_path / "lsh.meta.json").read_text())
+    assert meta["sweep"]["kind"] == "fem-lshape"
+    assert meta["quadrature"]["graded_sigma"] == 0.15
+    assert "max_solver_residual" in meta
 
 
 def test_cli_run_happy_path(tmp_path):

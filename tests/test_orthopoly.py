@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from hpexp.orthopoly import (gauss_rule, graded_rule, legendre_deriv_eval,
-                             legendre_eval, legendre_deriv_table,
-                             legendre_table, psi_eval, psi_table)
+from hpexp.orthopoly import (gauss_rule, graded_rule, legendre_deriv_table,
+                             legendre_table, psi_table)
 
 
 def test_legendre_point_values():
-    assert legendre_eval(0, 0.3) == 1.0
-    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-    assert legendre_eval(7, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert legendre_table(0, 0.3)[0, 0] == 1.0
+    assert legendre_table(2, 0.5)[2, 0] == pytest.approx(-0.125, abs=1e-15)
+    assert legendre_table(7, 1.0)[7, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_legendre_endpoint_is_one_for_all_degrees():
@@ -19,22 +18,23 @@ def test_legendre_endpoint_is_one_for_all_degrees():
 
 
 def test_first_derivative_values():
-    assert legendre_deriv_eval(2, 1, 0.5) == pytest.approx(1.5, abs=1e-14)
-    assert legendre_deriv_eval(3, 4, 0.1) == 0.0
+    assert legendre_deriv_table(2, 1, 0.5)[2, 0] == pytest.approx(1.5, abs=1e-14)
+    assert legendre_deriv_table(3, 4, 0.1)[3, 0] == 0.0
 
 
 def test_higher_derivative_against_finite_differences():
     # central difference of the first derivative as the independent check
     x, h = 0.25, 1e-6
-    fd = (legendre_deriv_eval(6, 1, x + h) - legendre_deriv_eval(6, 1, x - h)) / (2 * h)
-    assert legendre_deriv_eval(6, 2, x) == pytest.approx(fd, abs=1e-6 * abs(fd))
+    d1 = legendre_deriv_table(6, 1, [x - h, x + h])[6]
+    fd = (d1[1] - d1[0]) / (2 * h)
+    assert legendre_deriv_table(6, 2, x)[6, 0] == pytest.approx(fd, abs=1e-6 * abs(fd))
 
 
 def test_psi_values_and_endpoints():
-    assert psi_eval(0, 1.0) == pytest.approx(2.0, abs=1e-15)
-    assert psi_eval(1, -1.0) == pytest.approx(0.0, abs=1e-15)
-    assert psi_eval(1, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert psi_eval(1, 0.0) == pytest.approx(-0.5, abs=1e-15)
+    assert psi_table(0, 1.0)[0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert psi_table(1, -1.0)[1, 0] == pytest.approx(0.0, abs=1e-15)
+    assert psi_table(1, 1.0)[1, 0] == pytest.approx(0.0, abs=1e-15)
+    assert psi_table(1, 0.0)[1, 0] == pytest.approx(-0.5, abs=1e-15)
     ends = psi_table(15, np.array([-1.0, 1.0]))
     assert np.max(np.abs(ends[1:])) < 1e-13
 
@@ -46,7 +46,7 @@ def test_psi_matches_antiderivative(j):
         half = (x + 1.0) / 2.0
         nodes = -1.0 + half * (rule.nodes + 1.0)
         integral = half * np.dot(rule.weights, legendre_table(j, nodes)[j])
-        assert psi_eval(j, x) == pytest.approx(integral, abs=1e-12)
+        assert psi_table(j, x)[j, 0] == pytest.approx(integral, abs=1e-12)
 
 
 def test_gauss_small_rules():
