@@ -18,8 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .indexsets import BasisSpec, enumerate_modes
-from .orthopoly import gauss_rule, legendre_deriv_table, legendre_table
+from .indexsets import BasisSpec, enumerate_modes, flat_positions
+from .orthopoly import (apply_axes, element_grids, gauss_rule,
+                        legendre_deriv_table, legendre_table)
 
 __all__ = [
     "DgSpec",
@@ -79,21 +80,30 @@ class IndefiniteSipError(RuntimeError):
 
 def _k1_legendre(p: int) -> np.ndarray:
     """Exact 1D stiffness int L_i' L_j' = min(i,j)(min(i,j)+1) for i+j even."""
-    K = np.zeros((p + 1, p + 1))
-    for i in range(p + 1):
-        for j in range(p + 1):
-            if (i + j) % 2 == 0:
-                m = min(i, j)
-                K[i, j] = m * (m + 1)
-    return K
+    i, j = np.indices((p + 1, p + 1))
+    m = np.minimum(i, j)
+    return np.where((i + j) % 2 == 0, m * (m + 1), 0).astype(float)
+
+
+def _lower_corners(n: int, lo: float, h: float) -> np.ndarray:
+    """(n*n, 2) element lower corners; element (i, j) is row i * n + j."""
+    xs = lo + h * np.arange(n)
+    return np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _on_elements(f: Callable, lower: np.ndarray, a: float,
+                 nodes: np.ndarray) -> np.ndarray:
+    """f on the tensor grid of every element: (ne, q, q)."""
+    return np.broadcast_to(
+        np.asarray(f(*element_grids(lower, a, [nodes, nodes])), dtype=float),
+        (lower.shape[0], nodes.size, nodes.size))
 
 
 def _volume_stiffness(modes, p: int) -> np.ndarray:
     M1 = np.diag(2.0 / (2.0 * np.arange(p + 1) + 1.0))
     K1 = _k1_legendre(p)
-    full = (np.einsum("ab,cd->acbd", K1, M1)
-            + np.einsum("ab,cd->acbd", M1, K1)).reshape((p + 1) ** 2, (p + 1) ** 2)
-    flat = np.array([i * (p + 1) + j for i, j in modes])
+    full = np.kron(K1, M1) + np.kron(M1, K1)
+    flat = flat_positions(modes, p)
     return full[np.ix_(flat, flat)]
 
 
@@ -105,23 +115,11 @@ def _trace_tables(modes, p: int, nodes: np.ndarray):
     """
     L = legendre_table(p, nodes)
     ends = np.array([-1.0, 1.0])
-    Lend = legendre_table(p, ends)            # (p+1, 2)
-    dLend = legendre_deriv_table(p, 1, ends)
-    val = [[None, None] for _ in range(2)]
-    der = [[None, None] for _ in range(2)]
-    for axis in range(2):
-        for sidx, side in enumerate((-1.0, 1.0)):
-            v = np.empty((len(modes), nodes.size))
-            dv = np.empty((len(modes), nodes.size))
-            for k, m in enumerate(modes):
-                i_n = m[axis]             # index along the facet normal
-                i_t = m[1 - axis]         # index along the facet
-                e = 0 if side < 0 else 1
-                v[k] = Lend[i_n, e] * L[i_t]
-                dv[k] = dLend[i_n, e] * L[i_t]
-            val[axis][sidx] = v
-            der[axis][sidx] = dv
-    return val, der
+    M = np.array(modes)       # M[:, axis]: index along the facet normal
+    return tuple([[tab[M[:, axis], side][:, None] * L[M[:, 1 - axis]]
+                   for side in (0, 1)] for axis in (0, 1)]
+                 for tab in (legendre_table(p, ends),
+                             legendre_deriv_table(p, 1, ends)))
 
 
 def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
@@ -134,8 +132,7 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
     nm = len(modes)
     ne = n * n
-    lower = np.array([(lo + h * i, lo + h * j)
-                      for i in range(n) for j in range(n)])
+    lower = _lower_corners(n, lo, h)
 
     K_vol = _volume_stiffness(modes, p)
 
@@ -197,14 +194,9 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
 
     # volume load
     vrule = gauss_rule(p + 10)
-    Lq = legendre_table(p, vrule.nodes)
-    LW = Lq * vrule.weights
-    for e in range(ne):
-        coords = [lower[e][k] + a * (vrule.nodes + 1.0) for k in range(2)]
-        X, Y = np.meshgrid(*coords, indexing="ij", sparse=True)
-        fv = np.asarray(f(X, Y), dtype=float) * np.ones((vrule.nodes.size,) * 2)
-        proj = LW @ fv @ LW.T * a * a
-        rhs[e * nm:(e + 1) * nm] += np.array([proj[i, j] for i, j in modes])
+    LW = legendre_table(p, vrule.nodes) * vrule.weights
+    proj = apply_axes(_on_elements(f, lower, a, vrule.nodes), [LW, LW]) * a * a
+    rhs += proj.reshape(ne, -1)[:, flat_positions(modes, p)].ravel()
 
     A = sp.coo_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -251,18 +243,12 @@ def broken_interpolant(spec: DgSpec, n: int, f: Callable,
     a = h / 2.0
     p = spec.p
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
-    lower = np.array([(lo + h * i, lo + h * j)
-                      for i in range(n) for j in range(n)])
+    lower = _lower_corners(n, lo, h)
     rule = gauss_rule(p + 10)
     L = legendre_table(p, rule.nodes)
     proj = L * rule.weights * ((2 * np.arange(p + 1) + 1.0) / 2.0)[:, None]
-    coeffs = np.zeros((n * n, len(modes)))
-    for e in range(n * n):
-        coords = [lower[e][k] + a * (rule.nodes + 1.0) for k in range(2)]
-        X, Y = np.meshgrid(*coords, indexing="ij", sparse=True)
-        fv = np.asarray(f(X, Y), dtype=float) * np.ones((rule.nodes.size,) * 2)
-        C = proj @ fv @ proj.T
-        coeffs[e] = [C[i, j] for i, j in modes]
+    C = apply_axes(_on_elements(f, lower, a, rule.nodes), [proj, proj])
+    coeffs = C.reshape(n * n, -1)[:, flat_positions(modes, p)]
     return BrokenSolution(spec=spec, n=n, h=h, lower=lower, modes=modes,
                           coeffs=coeffs)
 
@@ -272,69 +258,49 @@ def dg_errors(sol: BrokenSolution, exact: Callable,
     """L2, broken-H1 and SIP-energy errors against a smooth exact solution."""
     p = sol.spec.p
     n, h, a = sol.n, sol.h, sol.h / 2.0
-    rule = gauss_rule(2 * p + 4)
-    L = legendre_table(p, rule.nodes)
-    dL = legendre_deriv_table(p, 1, rule.nodes)
-    nm = len(sol.modes)
-    flat = np.array([i * (p + 1) + j for i, j in sol.modes])
-    l2_sq = 0.0
-    h1_sq = 0.0
-    w2 = np.outer(rule.weights, rule.weights) * a * a
-    for e in range(n * n):
-        C = np.zeros(((p + 1), (p + 1)))
-        C.reshape(-1)[flat] = sol.coeffs[e]
-        coords = [sol.lower[e][k] + a * (rule.nodes + 1.0) for k in range(2)]
-        X, Y = np.meshgrid(*coords, indexing="ij", sparse=True)
-        ones = np.ones((rule.nodes.size,) * 2)
-        uex = np.asarray(exact(X, Y), dtype=float) * ones
-        gx, gy = exact_gradient(X, Y)
-        uh = L.T @ C @ L
-        uhx = (dL.T @ C @ L) / a
-        uhy = (L.T @ C @ dL) / a
-        l2_sq += np.sum(w2 * (uex - uh) ** 2)
-        h1_sq += np.sum(w2 * ((gx * ones - uhx) ** 2 + (gy * ones - uhy) ** 2))
+    C = np.zeros((n * n, (p + 1) ** 2))
+    C[:, flat_positions(sol.modes, p)] = sol.coeffs
+    C = C.reshape(n * n, p + 1, p + 1)
 
-    # facet jumps of (u - u_h); u is continuous so only u_h jumps interiorly
+    rule = gauss_rule(2 * p + 4)
+    L = legendre_table(p, rule.nodes).T
+    dL = legendre_deriv_table(p, 1, rule.nodes).T
+    w2 = np.outer(rule.weights, rule.weights) * a * a
+    uex = _on_elements(exact, sol.lower, a, rule.nodes)
+    gx, gy = exact_gradient(*element_grids(sol.lower, a, [rule.nodes] * 2))
+    l2_sq = np.sum(w2 * (uex - apply_axes(C, [L, L])) ** 2)
+    h1_sq = np.sum(w2 * ((gx - apply_axes(C, [dL, L]) / a) ** 2
+                         + (gy - apply_axes(C, [L, dL]) / a) ** 2))
+
+    # facet jumps of (u - u_h); u is continuous so only u_h jumps interiorly.
+    # trace[axis, side]: u_h on the low (0) or high (1) facet normal to axis,
+    # for element (i, j) at [i, j]
     frule = gauss_rule(p + 2)
-    Lf = legendre_table(p, frule.nodes)
-    Lend = legendre_table(p, np.array([-1.0, 1.0]))
+    Lf = legendre_table(p, frule.nodes).T
+    Lend = legendre_table(p, np.array([-1.0, 1.0])).T      # (2, p+1)
     sigma = sol.spec.gamma * max(p, 1) ** 2 / h
     wf = frule.weights * a
-    jump_sq = 0.0
-
-    def trace(e, axis, side):
-        C = np.zeros(((p + 1), (p + 1)))
-        C.reshape(-1)[flat] = sol.coeffs[e]
-        eidx = 0 if side < 0 else 1
-        if axis == 0:
-            return (Lend[:, eidx] @ C) @ Lf
-        return (C @ Lend[:, eidx]) @ Lf
-
-    eid = lambda i, j: i * n + j
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n:
-                jump_sq += sigma * np.sum(
-                    wf * (trace(eid(i, j), 0, +1) - trace(eid(i + 1, j), 0, -1)) ** 2)
-            if j + 1 < n:
-                jump_sq += sigma * np.sum(
-                    wf * (trace(eid(i, j), 1, +1) - trace(eid(i, j + 1), 1, -1)) ** 2)
-
-    def boundary_jump(e, axis, side, fixed_coord):
-        tang = sol.lower[e][1 - axis] + a * (frule.nodes + 1.0)
-        pts = (np.full_like(tang, fixed_coord), tang) if axis == 0 \
-            else (tang, np.full_like(tang, fixed_coord))
-        gv = np.asarray(exact(*pts), dtype=float) * np.ones_like(tang)
-        return sigma * np.sum(wf * (gv - trace(e, axis, side)) ** 2)
+    trace = {}
+    for axis in (0, 1):
+        for side in (0, 1):
+            normal, along = [None, None], [Lf, Lf]
+            normal[axis], along[axis] = Lend[side:side + 1], None
+            trace[axis, side] = apply_axes(apply_axes(C, normal),
+                                           along).reshape(n, n, -1)
+    jump_sq = (np.sum(wf * (trace[0, 1][:-1] - trace[0, 0][1:]) ** 2)
+               + np.sum(wf * (trace[1, 1][:, :-1] - trace[1, 0][:, 1:]) ** 2))
 
     lo, hi = sol.lower.min(), sol.lower.max() + h
-    for j in range(n):
-        jump_sq += boundary_jump(eid(0, j), 0, -1, lo)
-        jump_sq += boundary_jump(eid(n - 1, j), 0, +1, hi)
-    for i in range(n):
-        jump_sq += boundary_jump(eid(i, 0), 1, -1, lo)
-        jump_sq += boundary_jump(eid(i, n - 1), 1, +1, hi)
+    lower = sol.lower.reshape(n, n, 2)
+    for axis in (0, 1):
+        for side, fixed in ((0, lo), (1, hi)):
+            facet = (slice(None),) * axis + (-side,)    # the boundary row
+            tang = lower[facet][:, 1 - axis, None] + a * (frule.nodes + 1.0)
+            pts = [tang, tang]
+            pts[axis] = np.full_like(tang, fixed)
+            gv = np.asarray(exact(*pts), dtype=float)
+            jump_sq += np.sum(wf * (gv - trace[axis, side][facet]) ** 2)
 
     return {"l2": float(np.sqrt(l2_sq)),
             "broken_h1": float(np.sqrt(h1_sq)),
-            "dg_norm": float(np.sqrt(h1_sq + jump_sq))}
+            "dg_norm": float(np.sqrt(h1_sq + sigma * jump_sq))}

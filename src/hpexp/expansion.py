@@ -14,13 +14,12 @@ function oracle is expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammaln
 
-from .orthopoly import gauss_rule, legendre_table
+from .orthopoly import apply_axes, gauss_rule, legendre_table
 
 __all__ = [
     "CoeffTensor",
@@ -111,13 +110,10 @@ def expand(f: FunctionOracle, degrees, quad_order: int) -> CoeffTensor:
     rule = gauss_rule(quad_order)
     grids = np.meshgrid(*([rule.nodes] * f.dim), indexing="ij", sparse=True)
     values = np.asarray(f.f(*grids), dtype=float)
-    out = values
-    for axis, m in enumerate(degrees):
-        tab = legendre_table(m, rule.nodes)          # (m+1, q)
-        proj = tab * rule.weights * ((2 * np.arange(m + 1) + 1.0) / 2.0)[:, None]
-        out = np.tensordot(proj, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return CoeffTensor(coeffs=out)
+    # (m+1, q) per axis: weighted, normalized Legendre values
+    mats = [legendre_table(m, rule.nodes) * rule.weights
+            * ((2 * np.arange(m + 1) + 1.0) / 2.0)[:, None] for m in degrees]
+    return CoeffTensor(coeffs=apply_axes(values, mats))
 
 
 def _outer_band_fraction(coeffs: np.ndarray, band: int = 2) -> float:

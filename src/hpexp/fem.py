@@ -6,9 +6,14 @@ of bubble axes into vertex / edge / face / interior functions.  Family Q keeps
 every product; family S restricts face pairs to psi-index totals <= p-2 and 3D
 interior triples to <= p-3 (the serendipity layout).  All elements of a mesh
 are congruent, so one local stiffness matrix (and one interior Schur
-complement) is shared across elements; the global solve is a static
-condensation: interior modes eliminated elementwise, skeleton solved by a
-sparse direct factorization, interiors back-substituted.
+complement) is shared across elements, and the local-mode -> (entity, sign)
+table is derived once and gathered over the mesh's entity arrays.  The global
+solve is a static condensation: interior modes eliminated elementwise,
+skeleton solved by a sparse direct factorization, interiors back-substituted.
+
+Quadrature is element-batched: the load and the H1 error evaluate their
+integrands on the grids of all elements at once (one batch per per-axis rule
+tuple) and contract them with ``orthopoly.apply_axes``.
 
 The skeleton is factorized by SuperLU in symmetric mode (minimum-degree
 ordering on A^T + A, diagonal pivots only), so the factorization is
@@ -21,6 +26,7 @@ non-positive eigenvalues it has (``IndefiniteSystemError``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Callable, Optional
 
@@ -29,8 +35,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
-from .indexsets import serendipity_layout
-from .orthopoly import gauss_rule, graded_rule, legendre_table, psi_table
+from .indexsets import flat_positions, serendipity_layout
+from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
+                        legendre_table, psi_table)
 
 __all__ = [
     "Mesh",
@@ -248,12 +255,10 @@ class DofMap:
     cell_signs: np.ndarray          # (ne, nloc)
     interior_local: np.ndarray      # local indices of interior modes
     skeleton_local: np.ndarray
-    n_interior: int
     edge_offset: int
     face_offset: int
     interior_offset: int
     face_rank: dict
-    interior_rank: dict
     dirichlet_mask: np.ndarray      # bool (n_dof,) boundary dofs
 
 
@@ -283,8 +288,6 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
     modes, kinds = _local_modes(d, p, family)
     nloc = len(modes)
     ne = mesh.n_elements
-    nv, nedge = mesh.vertices.shape[0], mesh.edges.shape[0]
-    nface = mesh.faces.shape[0]
 
     if family == "S":
         layout = serendipity_layout(d, p)
@@ -298,71 +301,65 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
     n_face_modes = len(face_modes)
     n_int = len(interior_modes)
 
-    edge_offset = nv
-    face_offset = edge_offset + nedge * (p - 1)
-    interior_offset = face_offset + nface * n_face_modes
+    edge_offset = mesh.vertices.shape[0]
+    face_offset = edge_offset + mesh.edges.shape[0] * (p - 1)
+    interior_offset = face_offset + mesh.faces.shape[0] * n_face_modes
     n_dof = interior_offset + ne * n_int
 
-    edge_desc = mesh.edge_descriptors
-    edge_lookup = {}
-    for le, (axis, tbits) in enumerate(edge_desc):
-        edge_lookup[(axis, tuple(sorted(tbits.items())))] = le
-    face_lookup = {}
-    for lf, ((a, b), rem, bit) in enumerate(mesh.face_descriptors):
-        face_lookup[((a, b), rem, bit)] = lf
-
-    corner_bits = _corner_bits(d)
-    cell_dofs = np.zeros((ne, nloc), dtype=np.int64)
-    cell_signs = np.ones((ne, nloc))
-    for e in range(ne):
-        ev = mesh.elem_vertices[e]
-        for lm, m in enumerate(modes):
-            bub = [k for k in range(d) if m[k] >= 2]
-            if not bub:
-                c = sum(m[k] << k for k in range(d))
-                cell_dofs[e, lm] = ev[c]
-            elif len(bub) == 1:
-                axis = bub[0]
-                j = m[axis] - 1
-                tbits = tuple(sorted((k, m[k]) for k in range(d) if k != axis))
-                le = edge_lookup[(axis, tbits)]
-                eid = mesh.elem_edges[e, le]
-                bits0 = [m[k] if k != axis else 0 for k in range(d)]
-                bits1 = [m[k] if k != axis else 1 for k in range(d)]
-                v0 = ev[sum(b << k for k, b in enumerate(bits0))]
-                v1 = ev[sum(b << k for k, b in enumerate(bits1))]
-                cell_dofs[e, lm] = edge_offset + eid * (p - 1) + (j - 1)
-                if v0 > v1 and j % 2 == 0:
-                    cell_signs[e, lm] = -1.0   # odd-parity mode, reversed edge
-            elif len(bub) == 2 and d == 3:
-                a, b = bub
-                rem = ({0, 1, 2} - {a, b}).pop()
-                lf = face_lookup[((a, b), rem, m[rem])]
-                fid = mesh.elem_faces[e, lf]
-                rank = face_rank[(m[a] - 1, m[b] - 1)]
-                cell_dofs[e, lm] = face_offset + fid * n_face_modes + rank
-            else:
-                rank = interior_rank[tuple(m[k] - 1 for k in range(d))]
-                cell_dofs[e, lm] = interior_offset + e * n_int + rank
+    # per local mode, once: a column of the per-element entity table `ent`,
+    # and dof = base + stride * entity id + rank; edge modes of even j flip
+    # sign where the edge runs against the element's axis (corner c0 -> c1)
+    ent = np.hstack([mesh.elem_vertices, mesh.elem_edges,
+                     mesh.elem_faces.reshape(ne, -1), np.arange(ne)[:, None]])
+    n_vl, n_el = mesh.elem_vertices.shape[1], mesh.elem_edges.shape[1]
+    col, base, stride, rank, c0, c1 = np.zeros((6, nloc), dtype=np.int64)
+    flip = np.zeros(nloc, dtype=bool)
+    corner = lambda bits: sum(b << k for k, b in enumerate(bits))
+    for lm, m in enumerate(modes):
+        bub = [k for k in range(d) if m[k] >= 2]
+        if not bub:
+            col[lm], stride[lm] = corner(m), 1
+        elif len(bub) == 1:
+            axis = bub[0]
+            j = m[axis] - 1
+            tbits = {k: m[k] for k in range(d) if k != axis}
+            col[lm] = n_vl + mesh.edge_descriptors.index((axis, tbits))
+            base[lm], stride[lm], rank[lm] = edge_offset, p - 1, j - 1
+            c0[lm] = corner([0 if k == axis else m[k] for k in range(d)])
+            c1[lm] = corner([1 if k == axis else m[k] for k in range(d)])
+            flip[lm] = j % 2 == 0
+        elif len(bub) == 2 and d == 3:
+            a, b = bub
+            rem = 3 - a - b
+            col[lm] = n_vl + n_el + mesh.face_descriptors.index(((a, b), rem, m[rem]))
+            base[lm], stride[lm] = face_offset, n_face_modes
+            rank[lm] = face_rank[(m[a] - 1, m[b] - 1)]
+        else:
+            col[lm] = ent.shape[1] - 1
+            base[lm], stride[lm] = interior_offset, n_int
+            rank[lm] = interior_rank[tuple(m[k] - 1 for k in range(d))]
+    # C order, as the gather/scatter kernels and their BLAS calls expect
+    cell_dofs = np.ascontiguousarray(base + stride * ent[:, col] + rank)
+    cell_signs = np.ascontiguousarray(np.where(
+        flip & (ent[:, c0] > ent[:, c1]), -1.0, 1.0))
 
     interior_local = np.nonzero(kinds == 3)[0]
     skeleton_local = np.nonzero(kinds != 3)[0]
 
+    # each edge (face) owns a contiguous block of p - 1 (n_face_modes) dofs
     dirichlet = np.zeros(n_dof, dtype=bool)
-    dirichlet[:nv] = mesh.vertex_boundary
-    for eid in np.nonzero(mesh.edge_boundary)[0]:
-        dirichlet[edge_offset + eid * (p - 1):edge_offset + (eid + 1) * (p - 1)] = True
-    for fid in np.nonzero(mesh.face_boundary)[0]:
-        dirichlet[face_offset + fid * n_face_modes:
-                  face_offset + (fid + 1) * n_face_modes] = True
+    dirichlet[:edge_offset] = mesh.vertex_boundary
+    dirichlet[edge_offset:face_offset] = np.repeat(mesh.edge_boundary, p - 1)
+    dirichlet[face_offset:interior_offset] = np.repeat(mesh.face_boundary,
+                                                       n_face_modes)
 
     return DofMap(mesh=mesh, p=p, family=family, n_dof=n_dof,
                   local_modes=modes, local_kind=kinds, cell_dofs=cell_dofs,
                   cell_signs=cell_signs, interior_local=interior_local,
-                  skeleton_local=skeleton_local, n_interior=n_int,
+                  skeleton_local=skeleton_local,
                   edge_offset=edge_offset, face_offset=face_offset,
                   interior_offset=interior_offset, face_rank=face_rank,
-                  interior_rank=interior_rank, dirichlet_mask=dirichlet)
+                  dirichlet_mask=dirichlet)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +400,9 @@ def _local_matrices_1d(p: int):
 def local_stiffness(dim: int, p: int, h: float, modes) -> np.ndarray:
     """Shared local stiffness over the given local modes, physically scaled."""
     M1, K1 = _local_matrices_1d(p)
-    n = p + 1
-    mats = []
-    for k in range(dim):
-        factors = [K1 if j == k else M1 for j in range(dim)]
-        if dim == 2:
-            term = np.einsum("ab,cd->acbd", *factors)
-        else:
-            term = np.einsum("ab,cd,ef->acebdf", *factors)
-        mats.append(term.reshape(n ** dim, n ** dim))
-    full = sum(mats) * (0.5 * h) ** (dim - 2)
-    flat = np.array([np.ravel_multi_index(m, (n,) * dim) for m in modes])
+    full = sum(reduce(np.kron, [K1 if j == k else M1 for j in range(dim)])
+               for k in range(dim)) * (0.5 * h) ** (dim - 2)
+    flat = flat_positions(modes, p)
     return full[np.ix_(flat, flat)]
 
 
@@ -493,113 +482,72 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
 
     k_local = local_stiffness(d, p, mesh.h, dofmap.local_modes)
 
-    # load vector
-    n_quad = p + 10
-    rule = gauss_rule(n_quad)
-    B = basis1d_values(p, rule.nodes)
-    BW = B * rule.weights
-    n = p + 1
+    # load vector: f on the grids of all elements, one contraction per axis
+    rule = gauss_rule(p + 10)
+    BW = basis1d_values(p, rule.nodes) * rule.weights
+    grids = element_grids(mesh.elem_lower, a, [rule.nodes] * d)
+    vals = np.broadcast_to(np.asarray(f(*grids), dtype=float),
+                           (ne,) + (rule.nodes.size,) * d)
+    Floc = apply_axes(vals, [BW] * d).reshape(ne, -1)
+    Floc = Floc[:, flat_positions(dofmap.local_modes, p)] * a ** d
     load = np.zeros(dofmap.n_dof)
-    flat = np.array([np.ravel_multi_index(m, (n,) * d) for m in dofmap.local_modes])
-    for e in range(ne):
-        lo = mesh.elem_lower[e]
-        coords = [lo[k] + a * (rule.nodes + 1.0) for k in range(d)]
-        grids = np.meshgrid(*coords, indexing="ij", sparse=True)
-        vals = np.asarray(f(*grids), dtype=float) * np.ones((n_quad,) * d)
-        Floc = vals
-        for axis in range(d):
-            Floc = np.tensordot(BW, Floc, axes=([1], [axis]))
-            Floc = np.moveaxis(Floc, 0, axis)
-        Floc = Floc.reshape(-1)[flat] * a ** d
-        np.add.at(load, dofmap.cell_dofs[e], dofmap.cell_signs[e] * Floc)
+    np.add.at(load, dofmap.cell_dofs, dofmap.cell_signs * Floc)
 
-    # Dirichlet data
+    # Dirichlet data: boundary values of every dof, read at the boundary dofs
     dir_ids = np.nonzero(dofmap.dirichlet_mask)[0]
-    value_map = dict.fromkeys(dir_ids.tolist(), 0.0)
+    dvals = np.zeros(dofmap.n_dof)
     for vid in np.nonzero(mesh.vertex_boundary)[0]:
-        value_map[vid] = float(g(*mesh.vertices[vid]))
+        dvals[vid] = float(g(*mesh.vertices[vid]))
     if p >= 2:
         for eid in np.nonzero(mesh.edge_boundary)[0]:
             v0, v1 = mesh.edges[eid]
-            coeff = _project_edge_data(g, p, mesh.vertices[v0], mesh.vertices[v1],
-                                       value_map[v0], value_map[v1])
-            for j in range(1, p):
-                value_map[dofmap.edge_offset + eid * (p - 1) + (j - 1)] = coeff[j - 1]
-    if d == 3 and np.any(mesh.face_boundary):
-        _project_face_data(mesh, dofmap, g, value_map)
-    dir_vals = np.array([value_map[i] for i in dir_ids])
+            base = dofmap.edge_offset + eid * (p - 1)
+            dvals[base:base + p - 1] = _project_edge_data(
+                g, p, mesh.vertices[v0], mesh.vertices[v1], dvals[v0], dvals[v1])
+    if d == 3 and p >= 2 and dofmap.face_rank:
+        _project_face_data(mesh, dofmap, g, dvals)
 
     return AssembledSystem(dofmap=dofmap, k_local=k_local, load=load,
-                           dirichlet_dofs=dir_ids, dirichlet_values=dir_vals)
+                           dirichlet_dofs=dir_ids, dirichlet_values=dvals[dir_ids])
 
 
-def _project_face_data(mesh: Mesh, dofmap: DofMap, g, value_map: dict):
-    """3D face bubbles: L2-project g minus the vertex/edge lift, per face."""
-    p = dofmap.p
-    if p < 2 or not dofmap.face_rank:
-        return
+def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray):
+    """3D face bubbles: L2-project g minus the vertex/edge lift, per boundary
+    face; the faces in one local face slot form one batch."""
+    p, nfm = dofmap.p, len(dofmap.face_rank)
     rule = gauss_rule(p + 10)
     t = rule.nodes
-    Psi = psi_table(p - 1, t)[1:]               # (p-1, q)
-    lin = np.vstack([0.5 * (1 - t), 0.5 * (1 + t)])
-    Mb = (Psi * rule.weights) @ Psi.T
+    B = basis1d_values(p, t)                    # (1-t)/2, (1+t)/2, psi_1, ...
+    PsiW = B[2:] * rule.weights
     face_modes = sorted(dofmap.face_rank, key=dofmap.face_rank.get)
     keep = np.array([(j1 - 1) * (p - 1) + (j2 - 1) for j1, j2 in face_modes])
-    gram = np.kron(Mb, Mb)[np.ix_(keep, keep)]
-
-    # face -> (axes, element, bit) from any adjacent element
-    seen = set()
-    for e in range(mesh.n_elements):
-        for lf, ((aax, bax), rem, bit) in enumerate(mesh.face_descriptors):
-            fid = mesh.elem_faces[e, lf]
-            if not mesh.face_boundary[fid] or fid in seen:
-                continue
-            seen.add(fid)
-            lo = mesh.elem_lower[e]
-            half = 0.5 * mesh.h
-            fixed = lo[rem] + mesh.h * bit
-            coords_a = lo[aax] + half * (t + 1.0)
-            coords_b = lo[bax] + half * (t + 1.0)
-            A, Bc = np.meshgrid(coords_a, coords_b, indexing="ij")
-            pts = [None] * 3
-            pts[aax], pts[bax], pts[rem] = A, Bc, np.full_like(A, fixed)
-            vals = np.asarray(g(*pts), dtype=float)
-            # subtract bilinear vertex interpolant
-            corner_vals = np.empty((2, 2))
-            for ba, bb in product((0, 1), repeat=2):
-                bits = [0, 0, 0]
-                bits[aax], bits[bax], bits[rem] = ba, bb, bit
-                vid = mesh.elem_vertices[e, sum(x << k for k, x in enumerate(bits))]
-                corner_vals[ba, bb] = value_map[vid]
-            vals = vals - np.einsum("ab,aq,br->qr", corner_vals, lin, lin)
-            # subtract the four edge lifts
-            for axis_on_face, other, coords in (
-                    (aax, bax, 0), (bax, aax, 1)):
-                for bside in (0, 1):
-                    tb = {other: bside, rem: bit}
-                    le = None
-                    for cand, (ax2, t2) in enumerate(mesh.edge_descriptors):
-                        if ax2 == axis_on_face and t2 == tb:
-                            le = cand
-                            break
-                    eid = mesh.elem_edges[e, le]
-                    v0, v1 = mesh.edges[eid]
-                    lift = np.zeros(t.size)
-                    for j in range(1, p):
-                        cj = value_map.get(
-                            dofmap.edge_offset + eid * (p - 1) + (j - 1), 0.0)
-                        lift += cj * Psi[j - 1]
-                    blend = lin[bside]
-                    if coords == 0:
-                        vals -= lift[:, None] * blend[None, :]
-                    else:
-                        vals -= blend[:, None] * lift[None, :]
-            rhs_full = np.einsum("aq,br,qr->ab", Psi * rule.weights,
-                                 Psi * rule.weights, vals).reshape(-1)
-            coeff = np.linalg.solve(gram, rhs_full[keep])
-            base = dofmap.face_offset + fid * len(face_modes)
-            for r in range(len(face_modes)):
-                value_map[base + r] = coeff[r]
+    gram = np.kron(PsiW @ B[2:].T, PsiW @ B[2:].T)[np.ix_(keep, keep)]
+    for lf, ((fa, fb), rem, bit) in enumerate(mesh.face_descriptors):
+        elems = np.nonzero(mesh.face_boundary[mesh.elem_faces[:, lf]])[0]
+        # the lift's coefficients in the face's tensor basis B x B
+        lift = np.zeros((elems.size, p + 1, p + 1))
+        for ia, ib in product((0, 1), repeat=2):
+            bits = [0, 0, 0]
+            bits[fa], bits[fb], bits[rem] = ia, ib, bit
+            corner = sum(x << k for k, x in enumerate(bits))
+            lift[:, ia, ib] = dvals[mesh.elem_vertices[elems, corner]]
+        for side in (0, 1):
+            for axis, other, at in ((fa, fb, np.s_[:, 2:, side]),
+                                    (fb, fa, np.s_[:, side, 2:])):
+                le = mesh.edge_descriptors.index((axis, {other: side, rem: bit}))
+                eid = mesh.elem_edges[elems, le]
+                lift[at] = dvals[dofmap.edge_offset + eid[:, None] * (p - 1)
+                                 + np.arange(p - 1)]
+        nodes = [t, t, t]
+        nodes[rem] = np.array([2.0 * bit - 1.0])   # the face's own coordinate
+        grids = element_grids(mesh.elem_lower[elems], 0.5 * mesh.h, nodes)
+        vals = np.broadcast_to(np.asarray(g(*grids), dtype=float),
+                               np.broadcast_shapes(*(x.shape for x in grids)))
+        resid = vals.reshape(elems.size, t.size, t.size) - apply_axes(lift, [B.T, B.T])
+        rhs = apply_axes(resid, [PsiW, PsiW]).reshape(elems.size, -1)[:, keep]
+        fids = mesh.elem_faces[elems, lf]
+        dvals[dofmap.face_offset + fids[:, None] * nfm + np.arange(nfm)] = \
+            np.linalg.solve(gram, rhs.T).T
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +590,30 @@ def _factor_spd(A: sp.csc_matrix):
             f"skeleton not SPD: {n_nonpos} non-positive pivot(s) of "
             f"{A.shape[0]}")
     return lu
+
+
+def _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel: int):
+    """Sparse sum of the signed element Schur complements over the skeleton.
+
+    Chunked over the elements to bound peak memory; a function of its own so
+    that the last chunk's dense blocks and index arrays are freed before the
+    caller factorizes.
+    """
+    ne, nb = skel_dofs.shape
+    S_glob = None
+    chunk = max(1, int(2e7 // max(nb * nb, 1)))
+    for start in range(0, ne, chunk):
+        sl = slice(start, min(start + chunk, ne))
+        signs = skel_signs[sl]
+        data = np.einsum("ei,ej,ij->eij", signs, signs, S_loc)
+        rows = np.repeat(skel_dofs[sl], nb, axis=1)
+        cols = np.tile(skel_dofs[sl], (1, nb))
+        part = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(n_skel, n_skel)).tocsr()
+        S_glob = part if S_glob is None else S_glob + part
+    # no stored zeros, as after a sum of chunks: the ordering sees one pattern
+    S_glob.eliminate_zeros()
+    return S_glob
 
 
 @dataclass
@@ -688,18 +660,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
         corr = F_i @ X                               # (ne, nb)
         np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * corr).ravel())
 
-    # skeleton sparse assembly, chunked to bound peak memory
-    S_glob = sp.csr_matrix((n_skel, n_skel))
-    chunk = max(1, int(2e7 // max(nb * nb, 1)))
-    for start in range(0, ne, chunk):
-        sl = slice(start, min(start + chunk, ne))
-        signs = skel_signs[sl]
-        data = np.einsum("ei,ej,ij->eij", signs, signs, S_loc)
-        rows = np.repeat(skel_dofs[sl], nb, axis=1)
-        cols = np.tile(skel_dofs[sl], (1, nb))
-        S_glob = S_glob + sp.coo_matrix(
-            (data.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(n_skel, n_skel)).tocsr()
+    S_glob = _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel)
 
     fixed = system.dirichlet_dofs
     gvals = system.dirichlet_values
@@ -707,18 +668,26 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     free[fixed] = False
     free_ids = np.nonzero(free)[0]
 
-    A_ff = S_glob[free_ids][:, free_ids].tocsc()
-    b = rhs[free_ids] - S_glob[free_ids][:, fixed] @ gvals
+    # one row slice gives the free block and the Dirichlet coupling; both
+    # sparse copies are dropped before the factorization
+    S_free = S_glob[free_ids]
+    del S_glob
+    A_ff = S_free[:, free_ids].tocsc()
+    b = rhs[free_ids] - S_free[:, fixed] @ gvals
+    del S_free
     lu = _factor_spd(A_ff)
     u_free = lu.solve(b)
+
+    def back_substitute():
+        if ni:
+            Ub = skel_signs * u[skel_dofs]
+            u[dofmap.cell_dofs[:, il]] = cho_solve(
+                cho, (system.load[dofmap.cell_dofs[:, il]] - Ub @ Kib.T).T).T
 
     u = np.zeros(dofmap.n_dof)
     u[fixed] = gvals
     u[free_ids] = u_free
-    if ni:
-        Ub = skel_signs * u[skel_dofs]
-        u_i = cho_solve(cho, (system.load[dofmap.cell_dofs[:, il]] - Ub @ Kib.T).T).T
-        u[dofmap.cell_dofs[:, il]] = u_i
+    back_substitute()
 
     # residual check against the uncondensed operator, with refinement
     full_free = system.free_mask()
@@ -739,11 +708,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
             R_i = r[dofmap.cell_dofs[:, il]]
             np.add.at(r_sk, skel_dofs.ravel(), -(skel_signs * (R_i @ X)).ravel())
         u[free_ids] += lu.solve(r_sk[free_ids])
-        if ni:
-            Ub = skel_signs * u[skel_dofs]
-            u_i = cho_solve(cho, (system.load[dofmap.cell_dofs[:, il]]
-                                  - Ub @ Kib.T).T).T
-            u[dofmap.cell_dofs[:, il]] = u_i
+        back_substitute()
         r, rel = rel_residual()
     if not rel < RESIDUAL_BOUND:
         raise RefinementError(
@@ -756,74 +721,60 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
 # Error measurement
 
 
-def _element_rules(mesh: Mesh, e: int, p: int, graded_at,
-                   sigma: float, layers: int, order: int):
-    """Per-axis reference quadrature rules; graded toward a singular corner."""
-    lo = mesh.elem_lower[e]
-    hi = lo + mesh.h
-    rules = []
-    for k in range(mesh.dim):
-        if graded_at is not None and _touches(lo, hi, graded_at):
-            if abs(graded_at[k] - lo[k]) < 1e-12:
-                rules.append(graded_rule(sigma, layers, order, -1))
-                continue
-            if abs(graded_at[k] - hi[k]) < 1e-12:
-                rules.append(graded_rule(sigma, layers, order, +1))
-                continue
-        rules.append(gauss_rule(order))
-    return rules
+def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
+                   order: int):
+    """Elements grouped by their per-axis reference quadrature rules.
 
-
-def _touches(lo, hi, point) -> bool:
-    return bool(np.all((point >= lo - 1e-12) & (point <= hi + 1e-12))
-                and np.all((np.abs(point - lo) < 1e-12) | (np.abs(point - hi) < 1e-12)))
+    Plain Gauss on every axis, except for the elements that have
+    ``graded_at`` as a vertex: on each axis where the point lies at an end of
+    the element, the rule is graded toward that end.  Returns a list of
+    (element indices, per-axis rules).
+    """
+    lo = mesh.elem_lower
+    ends = np.zeros(lo.shape, dtype=int)
+    if graded_at is not None:
+        pt = np.asarray(graded_at, dtype=float)
+        at_lo = np.abs(pt - lo) < 1e-12
+        at_hi = np.abs(pt - (lo + mesh.h)) < 1e-12
+        vertex = np.all(at_lo | at_hi, axis=1)[:, None]
+        ends = np.where(vertex & at_lo, -1, np.where(vertex & at_hi, 1, 0))
+    keys, group = np.unique(ends, axis=0, return_inverse=True)
+    return [(np.nonzero(group.ravel() == g)[0],
+             [gauss_rule(order) if end == 0
+              else graded_rule(sigma, layers, order, int(end)) for end in key])
+            for g, key in enumerate(keys)]
 
 
 def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
              sigma: float = GRADED_SIGMA_DEFAULT, layers: Optional[int] = None,
              quad_order: Optional[int] = None) -> float:
     """Elementwise |u - u_h|_{H1}; elements touching ``graded_at`` use the
-    tensorized graded rule, the rest plain Gauss with 2p points (min 12)."""
+    tensorized graded rule, the rest plain Gauss with 2p points (min 12).
+
+    The elements sharing one per-axis rule tuple are integrated as one batch.
+    """
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
-    a = 0.5 * mesh.h
+    ne, a = mesh.n_elements, 0.5 * mesh.h
     order = quad_order if quad_order is not None else max(2 * p, 12)
     layers = layers if layers is not None else max(p, 20)
-    n = p + 1
+    coeffs = np.zeros((ne, (p + 1) ** d))
+    coeffs[:, flat_positions(dofmap.local_modes, p)] = \
+        dofmap.cell_signs * sol.values[dofmap.cell_dofs]
+    coeffs = coeffs.reshape((ne,) + (p + 1,) * d)
     total = 0.0
-    table_cache: dict = {}
-    for e in range(mesh.n_elements):
-        rules = _element_rules(mesh, e, p, graded_at, sigma, layers, order)
-        tabs = []
-        for rule in rules:
-            key = (id(type(rule)), rule.nodes.tobytes())
-            if key not in table_cache:
-                table_cache[key] = (basis1d_values(p, rule.nodes),
-                                    basis1d_derivs(p, rule.nodes))
-            tabs.append(table_cache[key])
-        coeffs = np.zeros((n,) * d)
-        vals = dofmap.cell_signs[e] * sol.values[dofmap.cell_dofs[e]]
-        for lm, m in enumerate(dofmap.local_modes):
-            coeffs[m] = vals[lm]
-        lo = mesh.elem_lower[e]
-        phys = [lo[k] + a * (rules[k].nodes + 1.0) for k in range(d)]
-        grids = np.meshgrid(*phys, indexing="ij", sparse=True)
-        gex = exact_gradient(*grids)
-        wgt = rules[0].weights
-        for k in range(1, d):
-            wgt = np.multiply.outer(wgt, rules[k].weights)
-        err_sq = np.zeros_like(wgt)
-        for k in range(d):
-            out = coeffs
-            for axis in range(d):
-                mat = tabs[axis][1] if axis == k else tabs[axis][0]
-                out = np.tensordot(mat.T, out, axes=([1], [axis]))
-                out = np.moveaxis(out, 0, axis)
-            gh = out / a
-            diff = gex[k] - gh
-            err_sq += diff * diff
-        total += float(np.sum(wgt * err_sq)) * a ** d
-    return float(np.sqrt(total))
+    for elems, rules in _element_rules(mesh, graded_at, sigma, layers, order):
+        vals = [basis1d_values(p, r.nodes).T for r in rules]
+        ders = [basis1d_derivs(p, r.nodes).T for r in rules]
+        gex = exact_gradient(*element_grids(mesh.elem_lower[elems], a,
+                                            [r.nodes for r in rules]))
+        # partial derivative k: the derivative table on axis k only
+        err_sq = sum((gex[k] - apply_axes(coeffs[elems], [
+            ders[j] if j == k else vals[j] for j in range(d)]) / a) ** 2
+            for k in range(d))
+        total += float(np.sum(reduce(np.multiply.outer,
+                                     [r.weights for r in rules]) * err_sq))
+    return float(np.sqrt(total * a ** d))
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +819,7 @@ def _lshape_gradient(x, y):
 def fem_problem(name: str, n: Optional[int] = None) -> FemProblem:
     """Built-in benchmark problems: sine2d, sine3d, lshape."""
     if name == "sine2d":
-        nn = n or 8
+        nn = 8 if n is None else n
 
         def src(x, y):
             return 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -880,7 +831,7 @@ def fem_problem(name: str, n: Optional[int] = None) -> FemProblem:
         return FemProblem(name, 2, lambda: mesh_uniform(2, nn, (0.0, 1.0)),
                           src, lambda x, y: 0.0 * x * y, grad, graded=False)
     if name == "sine3d":
-        nn = n or 4
+        nn = 4 if n is None else n
 
         def src3(x, y, z):
             return (3 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)

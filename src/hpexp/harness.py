@@ -322,13 +322,14 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
 
 
 def write_records(records, path_prefix, meta: Optional[dict] = None) -> None:
+    """Write PREFIX.csv and PREFIX.meta.json; a dotted prefix is kept whole."""
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    prefix.with_suffix(".csv").write_text(records_to_csv(records))
+    Path(f"{prefix}.csv").write_text(records_to_csv(records))
     payload = {"tool": "hpexp", "version": __version__}
     payload.update(meta or {})
-    prefix.with_suffix(".meta.json").write_text(json.dumps(payload, indent=2,
-                                                           default=str) + "\n")
+    Path(f"{prefix}.meta.json").write_text(json.dumps(payload, indent=2,
+                                                      default=str) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def _validated_sweeps(config) -> list[dict]:
     written = {}
     for i, sw in enumerate(config["sweeps"]):
         _validate_sweep(i, sw)
-        csv = Path(sw["name"]).with_suffix(".csv")
+        csv = f"{sw['name']}.csv"
         if csv in written:
             raise ConfigError(f"sweeps[{i}].name: writes {csv} as "
                               f"sweeps[{written[csv]}] does")

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
+import numpy as np
+
 __all__ = [
     "MultiIndex",
     "BasisSpec",
@@ -24,6 +26,7 @@ __all__ = [
     "serendipity_layout",
     "contains",
     "total_degree_indices",
+    "flat_positions",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -161,3 +164,8 @@ def contains(spec: BasisSpec, i: MultiIndex) -> bool:
         raise ValueError("3D serendipity membership is defined per entity, "
                          "not per monomial")
     return sum(i) <= p or i in ((p, 1), (1, p))
+
+
+def flat_positions(modes, p: int) -> np.ndarray:
+    """Positions of the index tuples ``modes`` in a flattened (p+1)^d tensor."""
+    return np.ravel_multi_index(np.array(modes).T, (p + 1,) * len(modes[0]))

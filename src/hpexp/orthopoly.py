@@ -4,6 +4,11 @@ Everything on this module works on the reference interval [-1, 1].  The
 antiderivative functions ``psi_j`` (with ``psi_j(x) = int_{-1}^x L_j``) are the
 building blocks of the hierarchical C0 bases used by the projection and FEM
 modules; ``psi_j`` vanishes at both endpoints for j >= 1.
+
+``apply_axes`` is the one sum-factorization kernel: every tensor-product
+quadrature, expansion and projection in the package goes through it, on one
+tensor or on a batch of element tensors whose physical quadrature grids
+``element_grids`` builds.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ __all__ = [
     "psi_table",
     "gauss_rule",
     "graded_rule",
+    "apply_axes",
+    "element_grids",
 ]
 
 
@@ -169,3 +176,42 @@ def graded_rule(sigma: float, layers: int, per_cell_order: int,
         pts = (1.0 - offsets)[::-1].copy()
     return GradedRule(base=gauss_rule(per_cell_order), breakpoints=pts,
                       ratio=sigma, layers=layers, marked_end=marked_end)
+
+
+def apply_axes(tensor, mats) -> np.ndarray:
+    """Sum factorization (Orszag 1980): apply ``mats[k]`` along the k-th of the
+    last ``len(mats)`` axes of ``tensor``.
+
+    ``tensor`` has shape ``batch + (n_1, ..., n_d)`` with d = len(mats); the
+    leading ``batch`` axes (typically one axis over elements) are carried
+    through untouched.  ``mats[k]`` is an (m_k, n_k) matrix, or ``None`` to
+    leave axis k alone.  The result has shape ``batch + (m_1, ..., m_d)`` and
+    equals the Kronecker product of the matrices applied to each flattened
+    batch entry.  The cost is one matrix product per axis, in axis order:
+    ``mats[k]`` times the (n_k, rest) unfolding of each batch entry, the same
+    product an unbatched call makes on that entry.
+    """
+    out = np.asarray(tensor)
+    b = out.ndim - len(mats)                 # number of batch axes
+    for k, mat in enumerate(mats):
+        if mat is None:
+            continue
+        x = np.moveaxis(out, b + k, b)       # batch, axis k, the other axes
+        y = mat @ x.reshape(x.shape[:b + 1] + (-1,))
+        out = np.moveaxis(y.reshape(x.shape[:b] + (mat.shape[0],)
+                                    + x.shape[b + 1:]), b, b + k)
+    return out
+
+
+def element_grids(lower, half: float, nodes) -> list[np.ndarray]:
+    """Physical quadrature coordinates of a batch of congruent boxes.
+
+    ``lower`` is (ne, d) lower corners, ``half`` the half edge length and
+    ``nodes[k]`` the reference nodes of axis k.  Entry k holds
+    ``lower[:, k] + half * (nodes[k] + 1)`` shaped to broadcast with the others
+    to the batched grid (ne, q_1, ..., q_d).
+    """
+    lower = np.asarray(lower, dtype=float)
+    ne, d = lower.shape
+    return [(lower[:, k, None] + half * (nodes[k] + 1.0)).reshape(
+        (ne,) + (1,) * k + (-1,) + (1,) * (d - 1 - k)) for k in range(d)]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import CoeffTensor, differentiate, l2_norm, weighted_seminorm
+from .orthopoly import apply_axes
 
 __all__ = [
     "ProjectionResult",
@@ -120,16 +121,14 @@ def h1_axis_matrix(p: int, m_src: int) -> np.ndarray:
     return _psi_to_legendre_matrix(p) @ _psi_rep_matrix(p, m_src)
 
 
-def _apply_axis(coeffs: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, coeffs, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _on_axes(d: int, axes, mat_of_axis) -> list:
+    """Per-axis matrices for ``apply_axes``: ``mat_of_axis(k)`` on ``axes``."""
+    return [mat_of_axis(k) if k in axes else None for k in range(d)]
 
 
 def _psi_rep(u: CoeffTensor, p: int, axes) -> np.ndarray:
-    rep = u.coeffs
-    for axis in axes:
-        rep = _apply_axis(rep, _psi_rep_matrix(p, u.degrees[axis]), axis)
-    return rep
+    return apply_axes(u.coeffs, _on_axes(
+        u.dim, axes, lambda k: _psi_rep_matrix(p, u.degrees[k])))
 
 
 def _serendipity_mask(shape, axes, p: int) -> np.ndarray:
@@ -153,10 +152,8 @@ def _serendipity_mask(shape, axes, p: int) -> np.ndarray:
 
 def _psi_rep_to_result(rep: np.ndarray, u: CoeffTensor, p: int, axes,
                        kind: str) -> ProjectionResult:
-    out = rep
     T = _psi_to_legendre_matrix(p)
-    for axis in axes:
-        out = _apply_axis(out, T, axis)
+    out = apply_axes(rep, _on_axes(u.dim, axes, lambda k: T))
     return ProjectionResult(
         projected=CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted),
         kind=kind, p=p)
@@ -194,9 +191,8 @@ def project_h1_p(u: CoeffTensor, p: int) -> ProjectionResult:
 
 def project_h1_partial(u: CoeffTensor, p: int, axes) -> CoeffTensor:
     """Apply the 1D H1 projections on a subset of axes only (others untouched)."""
-    out = u.coeffs
-    for axis in axes:
-        out = _apply_axis(out, h1_axis_matrix(p, u.degrees[axis]), axis)
+    out = apply_axes(u.coeffs, _on_axes(
+        u.dim, axes, lambda k: h1_axis_matrix(p, u.degrees[k])))
     return CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted)
 
 
@@ -210,11 +206,7 @@ def project_h1_s_pair(u: CoeffTensor, p: int, axes=(0, 1)) -> CoeffTensor:
         raise ValueError("pair projection needs exactly two axes")
     rep = _psi_rep(u, p, axes)
     rep = rep * _serendipity_mask(rep.shape, axes, p)
-    out = rep
-    T = _psi_to_legendre_matrix(p)
-    for axis in axes:
-        out = _apply_axis(out, T, axis)
-    return CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted)
+    return _psi_rep_to_result(rep, u, p, axes, "H1_S_pair").projected
 
 
 def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def test_mesh_uniform_counts():
     assert fem.mesh_uniform(3, 4, (0.0, 1.0)).n_elements == 64
     single = fem.mesh_uniform(2, 1, (-1.0, 1.0))
     assert single.n_elements == 1 and single.h == 2.0
+
+
+@pytest.mark.parametrize("name", ["sine2d", "sine3d"])
+def test_fem_problem_zero_elements_is_an_error(name):
+    # n = 0 must reach the mesh's check, not fall back to the default mesh
+    with pytest.raises(ValueError, match="n >= 1"):
+        fem.fem_problem(name, n=0).make_mesh()
+    assert fem.fem_problem(name).make_mesh().n_elements == 64
 
 
 def test_mesh_lshape_geometry(lshape):
@@ -72,6 +81,67 @@ def test_dofmap_counts():
     assert fem.build_dofmap(single, 3, "S").n_dof == dof_count(BasisSpec(2, 3, "S"))
 
 
+def _reference_cell_dofs(mesh, dm):
+    """The per-element, per-mode numbering loop, kept as the reference."""
+    d, p = mesh.dim, dm.p
+    interior = (serendipity_layout(d, p).interior_indices if dm.family == "S"
+                else list(product(range(1, p), repeat=d)))
+    interior_rank = {m: r for r, m in enumerate(interior)}
+    n_face = len(dm.face_rank)
+    corner = lambda bits: sum(b << k for k, b in enumerate(bits))
+    dofs = np.zeros(dm.cell_dofs.shape, dtype=np.int64)
+    signs = np.ones(dm.cell_dofs.shape)
+    for e in range(mesh.n_elements):
+        ev = mesh.elem_vertices[e]
+        for lm, m in enumerate(dm.local_modes):
+            bub = [k for k in range(d) if m[k] >= 2]
+            if not bub:
+                dofs[e, lm] = ev[corner(m)]
+            elif len(bub) == 1:
+                axis, j = bub[0], m[bub[0]] - 1
+                tb = {k: m[k] for k in range(d) if k != axis}
+                le = mesh.edge_descriptors.index((axis, tb))
+                dofs[e, lm] = (dm.edge_offset + mesh.elem_edges[e, le] * (p - 1)
+                               + j - 1)
+                v0 = ev[corner([0 if k == axis else m[k] for k in range(d)])]
+                v1 = ev[corner([1 if k == axis else m[k] for k in range(d)])]
+                if v0 > v1 and j % 2 == 0:
+                    signs[e, lm] = -1.0
+            elif len(bub) == 2 and d == 3:
+                a, b = bub
+                rem = 3 - a - b
+                lf = mesh.face_descriptors.index(((a, b), rem, m[rem]))
+                dofs[e, lm] = (dm.face_offset + mesh.elem_faces[e, lf] * n_face
+                               + dm.face_rank[(m[a] - 1, m[b] - 1)])
+            else:
+                dofs[e, lm] = (dm.interior_offset + e * len(interior_rank)
+                               + interior_rank[tuple(k - 1 for k in m)])
+    return dofs, signs
+
+
+def _relabeled(mesh, seed):
+    """The same mesh with its vertices numbered in random order, so that some
+    edges run against their elements' axes."""
+    perm = np.random.default_rng(seed).permutation(mesh.vertices.shape[0])
+    return replace(mesh, elem_vertices=perm[mesh.elem_vertices])
+
+
+@pytest.mark.parametrize("make, p, flips", [
+    (fem.mesh_lshape, 6, False),
+    (lambda: _relabeled(fem.mesh_uniform(2, 3, (0.0, 1.0)), 0), 5, True),
+    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 7, False),
+    (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 6, True),
+], ids=["lshape", "relabeled2d", "box3d", "relabeled3d"])
+@pytest.mark.parametrize("family", ["Q", "S"])
+def test_dofmap_gathers_match_per_element_loop(make, p, flips, family):
+    mesh = make()
+    dm = fem.build_dofmap(mesh, p, family)
+    dofs, signs = _reference_cell_dofs(mesh, dm)
+    assert np.array_equal(dm.cell_dofs, dofs)
+    assert np.array_equal(dm.cell_signs, signs)
+    assert bool(np.any(signs < 0)) == flips
+
+
 def test_dofmap_continuity_across_edge():
     """A global dof vector must restrict to the same trace from both elements
     sharing an edge (orientation/sign convention check)."""
@@ -113,6 +183,25 @@ def test_patch_test_trilinear_3d():
     sol = fem.condense_solve(system, dm)
     gv = g(*mesh.vertices.T)
     assert np.max(np.abs(sol.values - gv)) < 1e-11
+
+
+@pytest.mark.parametrize("family, p, g, f, grad", [
+    ("Q", 3, lambda x, y, z: x ** 3 * y ** 2 * z - 2 * x * y ** 3 + z ** 2 + 1,
+     lambda x, y, z: -(6 * x * y ** 2 * z + 2 * x ** 3 * z - 12 * x * y + 2),
+     lambda x, y, z: (3 * x ** 2 * y ** 2 * z - 2 * y ** 3,
+                      2 * x ** 3 * y * z - 6 * x * y ** 2, x ** 3 * y ** 2 + 2 * z)),
+    ("S", 4, lambda x, y, z: x ** 2 * y ** 2 + x * y * z - z ** 3,
+     lambda x, y, z: -(2 * y ** 2 + 2 * x ** 2 - 6 * z),
+     lambda x, y, z: (2 * x * y ** 2 + y * z, 2 * x ** 2 * y + x * z,
+                      x * y - 3 * z ** 2)),
+], ids=["Q3", "S4"])
+def test_patch_test_polynomial_3d(family, p, g, f, grad):
+    # u in the space: the vertex, edge and face Dirichlet data reproduce its
+    # trace exactly, so the discrete solution is u itself
+    mesh = fem.mesh_uniform(3, 2, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, p, family)
+    sol = fem.condense_solve(fem.assemble_poisson(mesh, dm, f, g), dm)
+    assert fem.h1_error(sol, grad) < 1e-12
 
 
 def test_assembly_symmetry():

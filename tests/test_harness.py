@@ -186,7 +186,6 @@ _LEMMA = {"name": "broken", "kind": "lemma-audit", "dim": 2, "M_max": 2,
     pytest.param(dict(_LEMMA, m_max=-1), id="lemma_m_max"),
     pytest.param(dict(_LEMMA, kind="lemma"), id="kind"),
     pytest.param(dict(_LEMMA, name="ok"), id="name_twice"),
-    pytest.param(dict(_LEMMA, name="ok.v2"), id="name_same_files"),
     pytest.param(dict(_LEMMA, name="../../escape"), id="name_escape"),
     pytest.param(dict(_LEMMA, name=".."), id="name_dotdot"),
     pytest.param(dict(_LEMMA, name=""), id="name_empty"),
@@ -298,6 +297,20 @@ def test_cli_fem_subcommands(tmp_path, capsys):
     assert meta["sweep"]["kind"] == "fem-lshape"
     assert meta["quadrature"]["graded_sigma"] == 0.15
     assert "max_solver_residual" in meta
+
+
+def test_dotted_out_prefix_is_kept_whole(tmp_path, capsys):
+    # a dotted name is a distinct file, not a suffix to replace
+    assert cli_main(["project-sweep", "--dim", "2", "--kind", "l2q", "--p-min",
+                     "1", "--p-max", "2", "--out", str(tmp_path / "results.v2")]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == \
+        ["results.v2.csv", "results.v2.meta.json"]
+    out = run_config({"sweeps": [
+        {"name": n, "kind": "basis-count", "p_max": 2} for n in ("r", "r.v2")]},
+        out_dir=tmp_path / "cfg")
+    assert set(out) == {"r", "r.v2"}
+    assert sorted(f.name for f in (tmp_path / "cfg").iterdir()) == \
+        ["r.csv", "r.meta.json", "r.v2.csv", "r.v2.meta.json"]
 
 
 def test_cli_run_happy_path(tmp_path):

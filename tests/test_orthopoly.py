@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from hpexp.orthopoly import (gauss_rule, graded_rule, legendre_deriv_table,
-                             legendre_table, psi_table)
+from hpexp.orthopoly import (apply_axes, gauss_rule, graded_rule,
+                             legendre_deriv_table, legendre_table, psi_table)
 
 
 def test_legendre_point_values():
@@ -177,3 +177,30 @@ def test_graded_rule_is_memoized_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)],
+                         ids=["single", "batch", "batch2"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("skip", [None, 0, -1], ids=["all", "first", "last"])
+def test_apply_axes_is_kronecker(batch, dim, skip):
+    rng = np.random.default_rng(dim + len(batch))
+    shape = (3, 4, 2)[:dim]
+    rows = (5, 2, 3)[:dim]
+    mats = [rng.standard_normal((m, n)) for m, n in zip(rows, shape)]
+    if skip is not None:
+        # None leaves that axis alone: the identity in the Kronecker product
+        mats[skip] = None
+    kron = np.ones((1, 1))
+    for mat, n in zip(mats, shape):
+        kron = np.kron(kron, np.eye(n) if mat is None else mat)
+    tensor = rng.standard_normal(batch + shape)
+    out = apply_axes(tensor, mats)
+    assert out.shape == batch + tuple(
+        n if mat is None else mat.shape[0] for mat, n in zip(mats, shape))
+    flat = tensor.reshape(batch + (-1,)) @ kron.T
+    assert np.allclose(out.reshape(batch + (-1,)), flat, rtol=1e-13, atol=1e-13)
+    if batch:
+        # batch entries are independent: the same bits as one at a time
+        first = apply_axes(tensor[(0,) * len(batch)], mats)
+        assert np.array_equal(out[(0,) * len(batch)], first)
