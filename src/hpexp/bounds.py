@@ -8,8 +8,8 @@ computed via log-Gamma differences so that degrees well past p = 30 stay in
 range.  The module also provides an exhaustive lattice audit of the
 constrained-maximization inequality behind the projection bounds (which is
 known to fail on mixed corner points; the audit reports rather than assumes),
-the sharp per-mode constant of the total-degree L2 bound, analytic-envelope
-fitting, and the exponential slope predictors b1/b2.
+the sharp per-mode constant of the total-degree L2 bound, and the right-hand
+sides of the projection error bounds.
 """
 
 from __future__ import annotations
@@ -22,19 +22,12 @@ from scipy.special import gammaln
 from .expansion import compositions
 
 __all__ = [
-    "AnalyticEnvelope",
-    "SlopePrediction",
     "LemmaAuditReport",
     "phi",
     "stirling_envelope_check",
     "lemma_audit",
     "sharp_l2_ratio",
-    "epsilon_min",
-    "f1",
-    "slope_predict",
     "bound_rhs",
-    "estimate_envelope",
-    "BOUND_KINDS",
 ]
 
 LEMMA_AUDIT_CAP = 40
@@ -114,6 +107,8 @@ def sharp_l2_ratio(d: int, p: int, s: int, shell_buffer: int = 6):
     """
     if not 0 <= s <= p + 1:
         raise ValueError("need 0 <= s <= p+1")
+    if shell_buffer < 0:
+        raise ValueError("need shell_buffer >= 0")
     alphas = compositions(s, d)
     best = -np.inf
     arg = None
@@ -130,51 +125,8 @@ def sharp_l2_ratio(d: int, p: int, s: int, shell_buffer: int = 6):
     return {"max_ratio": float(best), "argmax": arg}
 
 
-def epsilon_min(R: float) -> float:
-    """Minimizer of F1(R, epsilon) over (0, 1): 1/sqrt(1 + R^2)."""
-    if R <= 0:
-        raise ValueError("growth rate must be positive")
-    return 1.0 / np.sqrt(1.0 + R * R)
-
-
-def f1(R: float, eps: float) -> float:
-    """F1(R, eps) = (1-eps)^(1-eps)/(1+eps)^(1+eps) * (eps R)^(2 eps)."""
-    return ((1.0 - eps) ** (1.0 - eps) / (1.0 + eps) ** (1.0 + eps)
-            * (eps * R) ** (2.0 * eps))
-
-
-@dataclass(frozen=True)
-class SlopePrediction:
-    """Predicted exponential slopes: b2 = b1 - eps_min * log d."""
-
-    eps_min: float
-    f1_min: float
-    b1: float
-    b2: float
-
-
-def slope_predict(R: float, h: float, d: int) -> SlopePrediction:
-    """Slope predictors for the full (b1) and reduced-cardinality (b2) bases."""
-    if R <= 0 or not 0 < h <= 2:
-        raise ValueError("need R > 0 and 0 < h <= 2")
-    eps = epsilon_min(R)
-    fmin = (R / (np.sqrt(1.0 + R * R) + 1.0)) ** 2
-    b1 = 0.5 * abs(np.log(fmin)) + eps * abs(np.log(h))
-    b2 = b1 - eps * np.log(d)
-    return SlopePrediction(eps_min=eps, f1_min=fmin, b1=b1, b2=b2)
-
-
 # ---------------------------------------------------------------------------
 # Right-hand sides of the projection error bounds
-
-BOUND_KINDS = (
-    "l2_q", "l2_p",
-    "h1q_l2_2d", "h1q_h1_2d", "h1s_l2_2d", "h1s_h1_2d",
-    "h1q_l2_3d", "h1q_h1_3d", "h1s_l2_3d", "h1s_h1_3d",
-    "h1p_l2", "h1p_h1",
-    "qs_l2_2d", "qs_h1_2d", "t1_l2_3d", "t2_l2_3d", "t1_grad_3d", "t2_grad_3d",
-)
-
 
 def _need(seminorms: dict, keys) -> list[float]:
     missing = [k for k in keys if k not in seminorms]
@@ -289,34 +241,3 @@ def bound_rhs(kind: str, p: int, s: int, seminorms: dict, d: int = 2) -> float:
 
     raise ValueError(f"unknown bound kind {kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# Analytic envelope fitting
-
-
-@dataclass(frozen=True)
-class AnalyticEnvelope:
-    """Fitted growth model |u|_{H^s} ~= C_u * R^s * s! * |area|^(1/2)."""
-
-    c_u: float
-    r_growth: float
-
-
-def estimate_envelope(seminorms, area: float) -> AnalyticEnvelope:
-    """Least-squares fit of log|u|_{H^s} - log Gamma(s+1) - log sqrt(area) vs s.
-
-    ``seminorms`` is a sequence of (s, |u|_{H^s}) pairs with increasing s.
-    """
-    data = [(int(s), float(v)) for s, v in seminorms]
-    if len(data) < 3:
-        raise ValueError("need at least 3 seminorm samples")
-    svals = np.array([s for s, _ in data], dtype=float)
-    if not np.all(np.diff(svals) > 0):
-        raise ValueError("orders must be strictly increasing")
-    vals = np.array([v for _, v in data])
-    if np.any(vals <= 0.0):
-        raise ValueError("seminorms must be positive to fit the envelope")
-    y = np.log(vals) - gammaln(svals + 1.0) - 0.5 * np.log(area)
-    slope, intercept = np.polyfit(svals, y, 1)
-    return AnalyticEnvelope(c_u=float(np.exp(intercept)),
-                            r_growth=float(np.exp(slope)))

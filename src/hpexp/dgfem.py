@@ -12,6 +12,7 @@ sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -141,56 +142,54 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     sigma = spec.gamma * max(p, 1) ** 2 / h
     wfac = frule.weights * a                   # facet jacobian
 
-    rows, cols, data = [], [], []
+    # the distinct blocks: 0 volume; 1 + 4 axis + k facet pair, k = 2 row
+    # side + column side (minus 0, plus 1, the normal running from minus to
+    # plus); 9 + 2 axis + side boundary facet
+    blocks = [K_vol]
+    for axis in (0, 1):
+        sides = [(tval[axis][1], tder[axis][1] / a, 1.0),
+                 (tval[axis][0], tder[axis][0] / a, -1.0)]
+        for (Ta, Da, sa), (Tb, Db, sb) in product(sides, repeat=2):
+            blocks.append(sigma * sa * sb * (Ta * wfac) @ Tb.T
+                          - 0.5 * sb * (Da * wfac) @ Tb.T
+                          - 0.5 * sa * (Ta * wfac) @ Db.T)
+    E = np.arange(ne).reshape(n, n)        # element (i, j) at [i, j]
+    rhs = np.zeros((ne, nm))
+    for axis in (0, 1):
+        for side, fixed in ((0, lo), (1, hi)):
+            T = tval[axis][side]
+            D = tder[axis][side] * ((2 * side - 1.0) / a)    # outward derivative
+            blocks.append(sigma * (T * wfac) @ T.T - (D * wfac) @ T.T
+                          - (T * wfac) @ D.T)
+            # a batch of one matrix-vector product per facet (a single GEMM
+            # over the facets would round differently)
+            elems = np.take(E, -side, axis)
+            tang = lower[elems, 1 - axis][:, None] + a * (frule.nodes + 1.0)
+            pts = [tang, tang]
+            pts[axis] = np.full_like(tang, fixed)
+            gv = np.broadcast_to(np.asarray(g(*pts), dtype=float), tang.shape)
+            rhs[elems] += np.matmul(sigma * T - D, (wfac * gv)[..., None])[..., 0]
+    rhs = rhs.ravel()
 
-    def add_block(ea, eb, block):
-        rows.append(np.repeat(np.arange(nm) + ea * nm, nm))
-        cols.append(np.tile(np.arange(nm) + eb * nm, nm))
-        data.append(block.ravel())
-
-    for e in range(ne):
-        add_block(e, e, K_vol)
-
-    def facet_pair(eminus, eplus, axis):
-        # normal from minus to plus along +axis
-        Tm = tval[axis][1]
-        Tp = tval[axis][0]
-        Dm = tder[axis][1] / a
-        Dp = tder[axis][0] / a
-        for (ea, Ta, Da, sa) in ((eminus, Tm, Dm, 1.0), (eplus, Tp, Dp, -1.0)):
-            for (eb, Tb, Db, sb) in ((eminus, Tm, Dm, 1.0), (eplus, Tp, Dp, -1.0)):
-                block = (sigma * sa * sb * (Ta * wfac) @ Tb.T
-                         - 0.5 * sb * (Da * wfac) @ Tb.T
-                         - 0.5 * sa * (Ta * wfac) @ Db.T)
-                add_block(ea, eb, block)
-
-    rhs = np.zeros(ne * nm)
-
-    def facet_boundary(e, axis, side, fixed_coord):
-        sidx = 0 if side < 0 else 1
-        T = tval[axis][sidx]
-        D = tder[axis][sidx] * (side / a)     # outward normal derivative
-        block = sigma * (T * wfac) @ T.T - (D * wfac) @ T.T - (T * wfac) @ D.T
-        add_block(e, e, block)
-        tang = lower[e][1 - axis] + a * (frule.nodes + 1.0)
-        pts = (np.full_like(tang, fixed_coord), tang) if axis == 0 \
-            else (tang, np.full_like(tang, fixed_coord))
-        gv = np.asarray(g(*pts), dtype=float) * np.ones_like(tang)
-        rhs[e * nm:(e + 1) * nm] += (sigma * T - D) @ (wfac * gv)
-
-    eid = lambda i, j: i * n + j
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n:
-                facet_pair(eid(i, j), eid(i + 1, j), axis=0)
-            if j + 1 < n:
-                facet_pair(eid(i, j), eid(i, j + 1), axis=1)
-    for j in range(n):
-        facet_boundary(eid(0, j), 0, -1.0, lo)
-        facet_boundary(eid(n - 1, j), 0, +1.0, hi)
-    for i in range(n):
-        facet_boundary(eid(i, 0), 1, -1.0, lo)
-        facet_boundary(eid(i, n - 1), 1, +1.0, hi)
+    # (row element, column element, block) in COO order: the volume blocks;
+    # per element in row-major order the 4 pair blocks of its +x, then of its
+    # +y facet; the boundary facets per axis, low and high side interleaved.
+    # That order fixes the order in which each entry's terms are summed.
+    inner = np.stack([E // n < n - 1, E % n < n - 1], axis=-1)  # (i, j, axis)
+    ends = np.stack([np.stack([E, E], axis=-1), np.stack([E + n, E + 1], -1)],
+                    axis=-1)[inner]                          # (facet, minus/plus)
+    axis_of = np.nonzero(inner)[2]
+    bnd = [np.stack([np.take(E, 0, axis), np.take(E, -1, axis)], -1).ravel()
+           for axis in (0, 1)]
+    ea = np.concatenate([E.ravel(), ends[:, [0, 0, 1, 1]].ravel()] + bnd)
+    eb = np.concatenate([E.ravel(), ends[:, [0, 1, 0, 1]].ravel()] + bnd)
+    bid = np.concatenate([np.zeros(ne, dtype=np.int64),
+                          (1 + 4 * axis_of[:, None] + np.arange(4)).ravel()]
+                         + [np.tile([9 + 2 * axis, 10 + 2 * axis], n)
+                            for axis in (0, 1)])
+    rows = (ea[:, None] * nm + np.repeat(np.arange(nm), nm)).ravel()
+    cols = (eb[:, None] * nm + np.tile(np.arange(nm), nm)).ravel()
+    data = np.stack(blocks)[bid].ravel()
 
     # volume load
     vrule = gauss_rule(p + 10)
@@ -198,9 +197,7 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     proj = apply_axes(_on_elements(f, lower, a, vrule.nodes), [LW, LW]) * a * a
     rhs += proj.reshape(ne, -1)[:, flat_positions(modes, p)].ravel()
 
-    A = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ne * nm, ne * nm)).tocsr()
+    A = sp.coo_matrix((data, (rows, cols)), shape=(ne * nm, ne * nm)).tocsr()
     return DgSystem(spec=spec, n=n, h=h, lower=lower, modes=modes,
                     matrix=A, rhs=rhs)
 

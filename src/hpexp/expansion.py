@@ -30,7 +30,6 @@ __all__ = [
     "evaluate",
     "differentiate",
     "l2_norm",
-    "mode_energy_norm",
     "sobolev_seminorm",
     "weighted_seminorm",
     "compositions",
@@ -181,18 +180,6 @@ def l2_norm(u: CoeffTensor) -> float:
     """Parseval L2 norm: sqrt(sum a_i^2 prod 2/(2 i_k + 1))."""
     w = _weight_tensor(u.coeffs.shape)
     return float(np.sqrt(np.sum(u.coeffs * u.coeffs * w)))
-
-
-def mode_energy_norm(u: CoeffTensor, keep) -> float:
-    """Parseval norm restricted to the modes selected by ``keep``.
-
-    ``keep`` receives d integer index arrays (vectorized) and returns a boolean
-    mask; e.g. ``lambda i, j: i + j >= p + 1``.
-    """
-    grids = np.indices(u.coeffs.shape)
-    mask = np.asarray(keep(*grids), dtype=bool)
-    w = _weight_tensor(u.coeffs.shape)
-    return float(np.sqrt(np.sum((u.coeffs * u.coeffs * w)[mask])))
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -113,88 +113,78 @@ def _face_descriptors(d: int):
     return out
 
 
+def _first_appearance(keys: np.ndarray):
+    """Number the distinct rows of ``keys`` in order of first appearance.
+
+    Returns each row's number and, per number, the row's first position."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], first[order]
+
+
 def _build_mesh(dim: int, vertex_coords: np.ndarray, cells: list,
                 grid_shape, h: float,
                 singular_corner=None) -> Mesh:
     """Assemble entity tables from a vertex grid and a list of cell lattice
-    coordinates; vertices not referenced by any cell are compacted away."""
-    corner_bits = _corner_bits(dim)
-    nv_grid = vertex_coords.shape[0]
-    used = np.zeros(nv_grid, dtype=bool)
-    cell_vertex_grid = []
-    for cell in cells:
-        vids = []
-        for bits in corner_bits:
-            lattice = tuple(c + b for c, b in zip(cell, bits))
-            vids.append(np.ravel_multi_index(lattice, grid_shape))
-        cell_vertex_grid.append(vids)
-        used[vids] = True
-    remap = -np.ones(nv_grid, dtype=np.int64)
+    coordinates; vertices not referenced by any cell are compacted away.
+
+    Edges and faces are numbered by first appearance in element-major,
+    local-slot-minor order."""
+    bits = np.array(_corner_bits(dim), dtype=np.int64)          # (2^d, d)
+    lattice = np.asarray(cells, dtype=np.int64)[:, None, :] + bits
+    cell_vertex_grid = np.ravel_multi_index(tuple(np.moveaxis(lattice, -1, 0)),
+                                            grid_shape)
+    used = np.zeros(vertex_coords.shape[0], dtype=bool)
+    used[cell_vertex_grid] = True
+    remap = -np.ones(vertex_coords.shape[0], dtype=np.int64)
     remap[used] = np.arange(used.sum())
     vertices = vertex_coords[used]
-    elem_vertices = remap[np.asarray(cell_vertex_grid, dtype=np.int64)]
+    elem_vertices = remap[cell_vertex_grid]
     ne = elem_vertices.shape[0]
 
+    # local edge slot -> its two corners, the low one first along the axis
     edge_desc = _edge_descriptors(dim)
-    edge_ids: dict = {}
-    elem_edges = np.zeros((ne, len(edge_desc)), dtype=np.int64)
-    for e in range(ne):
-        for le, (axis, tbits) in enumerate(edge_desc):
-            bits0 = [0] * dim
-            for k, b in tbits.items():
-                bits0[k] = b
-            bits1 = bits0.copy()
-            bits0[axis], bits1[axis] = 0, 1
-            v0 = elem_vertices[e, sum(b << k for k, b in enumerate(bits0))]
-            v1 = elem_vertices[e, sum(b << k for k, b in enumerate(bits1))]
-            key = (min(v0, v1), max(v0, v1))
-            elem_edges[e, le] = edge_ids.setdefault(key, len(edge_ids))
-    edges = np.array(sorted(edge_ids, key=edge_ids.get), dtype=np.int64) \
-        if edge_ids else np.zeros((0, 2), dtype=np.int64)
+    low = [sum(bit << k for k, bit in tbits.items()) for _, tbits in edge_desc]
+    ends = np.array([[c, c | 1 << axis] for c, (axis, _) in zip(low, edge_desc)])
+    ev = np.sort(elem_vertices[:, ends], axis=-1).reshape(-1, 2)
+    rank, first = _first_appearance(ev)
+    elem_edges = rank.reshape(ne, -1)
+    edges = ev[first]
 
     face_desc = _face_descriptors(dim)
-    face_ids: dict = {}
-    elem_faces = np.zeros((ne, len(face_desc)), dtype=np.int64)
-    face_edge_lists: list = []
-    for e in range(ne):
-        for lf, ((a, b), rem, bit) in enumerate(face_desc):
-            vids = []
-            for ba, bb in product((0, 1), repeat=2):
-                bits = [0] * dim
-                bits[a], bits[b], bits[rem] = ba, bb, bit
-                vids.append(elem_vertices[e, sum(x << k for k, x in enumerate(bits))])
-            key = tuple(sorted(vids))
-            if key not in face_ids:
-                face_ids[key] = len(face_ids)
-                face_edge_lists.append(set())
-            fid = face_ids[key]
-            elem_faces[e, lf] = fid
-            for le, (axis, tbits) in enumerate(edge_desc):
-                if axis != rem and tbits.get(rem, None) == bit:
-                    face_edge_lists[fid].add(elem_edges[e, le])
-    faces = np.array(sorted(face_ids, key=face_ids.get), dtype=np.int64) \
-        if face_ids else np.zeros((0, 4), dtype=np.int64)
+    if face_desc:
+        quad = np.array([[ba << a | bb << b | bit << rem
+                          for ba, bb in product((0, 1), repeat=2)]
+                         for (a, b), rem, bit in face_desc])
+        fv = np.sort(elem_vertices[:, quad], axis=-1).reshape(-1, 4)
+        rank, first = _first_appearance(fv)
+        elem_faces = rank.reshape(ne, -1)
+        faces = fv[first]
+    else:
+        elem_faces = np.zeros((ne, 0), dtype=np.int64)
+        faces = np.zeros((0, 4), dtype=np.int64)
 
     # boundary entities: a facet shared by exactly one element is on the boundary
+    vertex_boundary = np.zeros(vertices.shape[0], dtype=bool)
     if dim == 2:
-        counts = np.bincount(elem_edges.ravel(), minlength=len(edge_ids))
-        edge_boundary = counts == 1
+        edge_boundary = np.bincount(elem_edges.ravel()) == 1
         face_boundary = np.zeros(0, dtype=bool)
-        vertex_boundary = np.zeros(vertices.shape[0], dtype=bool)
-        for eid in np.nonzero(edge_boundary)[0]:
-            vertex_boundary[edges[eid]] = True
+        vertex_boundary[edges[edge_boundary]] = True
     else:
-        counts = np.bincount(elem_faces.ravel(), minlength=len(face_ids))
-        face_boundary = counts == 1
-        edge_boundary = np.zeros(len(edge_ids), dtype=bool)
-        vertex_boundary = np.zeros(vertices.shape[0], dtype=bool)
-        for fid in np.nonzero(face_boundary)[0]:
-            for eid in face_edge_lists[fid]:
-                edge_boundary[eid] = True
-            vertex_boundary[faces[fid]] = True
+        face_boundary = np.bincount(elem_faces.ravel()) == 1
+        edge_boundary = np.zeros(edges.shape[0], dtype=bool)
+        for lf, (_, rem, bit) in enumerate(face_desc):
+            on = face_boundary[elem_faces[:, lf]]
+            slots = [le for le, (axis, tbits) in enumerate(edge_desc)
+                     if axis != rem and tbits[rem] == bit]
+            edge_boundary[elem_edges[on][:, slots]] = True
+        vertex_boundary[faces[face_boundary]] = True
 
-    elem_lower = np.array([vertices[ev[0]] for ev in elem_vertices])
-    return Mesh(dim=dim, vertices=vertices, elem_lower=elem_lower, h=h,
+    return Mesh(dim=dim, vertices=vertices,
+                elem_lower=vertices[elem_vertices[:, 0]], h=h,
                 elem_vertices=elem_vertices, edges=edges, elem_edges=elem_edges,
                 edge_descriptors=edge_desc, faces=faces, elem_faces=elem_faces,
                 face_descriptors=face_desc, vertex_boundary=vertex_boundary,
@@ -447,24 +437,6 @@ class AssembledSystem:
         return mask
 
 
-def _edge_bubble_gram(p: int) -> np.ndarray:
-    rule = gauss_rule(p + 10)
-    Psi = psi_table(p - 1, rule.nodes)[1:]
-    return (Psi * rule.weights) @ Psi.T
-
-
-def _project_edge_data(g, p: int, x0, x1, gv0, gv1) -> np.ndarray:
-    """L2-project g minus the linear interpolant onto the edge bubbles."""
-    rule = gauss_rule(p + 10)
-    t = rule.nodes
-    pts = 0.5 * (1 - t)[:, None] * x0 + 0.5 * (1 + t)[:, None] * x1
-    vals = g(*(pts[:, k] for k in range(pts.shape[1])))
-    resid = vals - (0.5 * (1 - t) * gv0 + 0.5 * (1 + t) * gv1)
-    Psi = psi_table(p - 1, t)[1:]
-    rhs = Psi @ (rule.weights * resid)
-    return np.linalg.solve(_edge_bubble_gram(p), rhs)
-
-
 def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
                      g: Callable) -> AssembledSystem:
     """Assemble stiffness/load and Dirichlet data for -Laplace(u) = f, u = g
@@ -496,14 +468,23 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
     # Dirichlet data: boundary values of every dof, read at the boundary dofs
     dir_ids = np.nonzero(dofmap.dirichlet_mask)[0]
     dvals = np.zeros(dofmap.n_dof)
-    for vid in np.nonzero(mesh.vertex_boundary)[0]:
-        dvals[vid] = float(g(*mesh.vertices[vid]))
+    vids = np.nonzero(mesh.vertex_boundary)[0]
+    dvals[vids] = g(*mesh.vertices[vids].T)
     if p >= 2:
-        for eid in np.nonzero(mesh.edge_boundary)[0]:
-            v0, v1 = mesh.edges[eid]
-            base = dofmap.edge_offset + eid * (p - 1)
-            dvals[base:base + p - 1] = _project_edge_data(
-                g, p, mesh.vertices[v0], mesh.vertices[v1], dvals[v0], dvals[v1])
+        # edge bubbles: L2-project g minus the linear interpolant, all
+        # boundary edges at once, each with its own matrix-vector product
+        # and solve (one GEMM over the edges changes the round-off)
+        t, w = rule.nodes, rule.weights
+        Psi = psi_table(p - 1, t)[1:]
+        eids = np.nonzero(mesh.edge_boundary)[0]
+        v0, v1 = mesh.edges[eids].T
+        pts = (0.5 * (1 - t)[:, None] * mesh.vertices[v0][:, None]
+               + 0.5 * (1 + t)[:, None] * mesh.vertices[v1][:, None])
+        resid = g(*np.moveaxis(pts, -1, 0)) - (0.5 * (1 - t) * dvals[v0][:, None]
+                                               + 0.5 * (1 + t) * dvals[v1][:, None])
+        rhs = np.matmul(Psi, (w * resid)[..., None])
+        dvals[dofmap.edge_offset + eids[:, None] * (p - 1) + np.arange(p - 1)] = \
+            np.linalg.solve((Psi * w) @ Psi.T, rhs)[..., 0]
     if d == 3 and p >= 2 and dofmap.face_rank:
         _project_face_data(mesh, dofmap, g, dvals)
 

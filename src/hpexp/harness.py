@@ -100,6 +100,8 @@ def fit_slope(records, abscissa: str = "dof_root", window: int = 2,
     falls below ``plateau_rel`` times the steepest segment seen are treated as
     the round-off plateau and dropped.
     """
+    if window < 1:
+        raise ValueError("the slope window needs at least 1 segment")
     recs = [r for r in records if np.isfinite(r.error(error_key))]
     for r in recs:
         if r.error(error_key) < 0:

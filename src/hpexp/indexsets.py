@@ -24,7 +24,6 @@ __all__ = [
     "enumerate_modes",
     "dof_count",
     "serendipity_layout",
-    "contains",
     "total_degree_indices",
     "flat_positions",
 ]
@@ -147,23 +146,6 @@ def serendipity_layout(dim: int, p: int) -> SerendipityLayout:
             face_count=6, face_mode_count=len(face), face_indices=face,
             interior_indices=interior)
     raise ValueError("dim must be 2 or 3")
-
-
-def contains(spec: BasisSpec, i: MultiIndex) -> bool:
-    """Membership of a monomial multi-index in the space."""
-    if len(i) != spec.dim:
-        raise ValueError("multi-index dimension mismatch")
-    if any(k < 0 for k in i):
-        raise ValueError("multi-index entries must be non-negative")
-    p = spec.p
-    if spec.family == "Q":
-        return max(i) <= p
-    if spec.family == "P":
-        return sum(i) <= p
-    if spec.dim != 2:
-        raise ValueError("3D serendipity membership is defined per entity, "
-                         "not per monomial")
-    return sum(i) <= p or i in ((p, 1), (1, p))
 
 
 def flat_positions(modes, p: int) -> np.ndarray:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from hpexp.bounds import (LEMMA_AUDIT_CAP, bound_rhs, epsilon_min,
-                          estimate_envelope, f1, lemma_audit, phi,
-                          sharp_l2_ratio, slope_predict, stirling_envelope_check)
-from hpexp.expansion import named_function, reference_expansion, sobolev_seminorm
+from hpexp.bounds import (LEMMA_AUDIT_CAP, bound_rhs, lemma_audit, phi,
+                          sharp_l2_ratio, stirling_envelope_check)
 
 
 def test_phi_values():
@@ -113,6 +111,12 @@ def test_sharp_ratio_examples():
         assert sharp_l2_ratio(d, p, 0, 3)["max_ratio"] == pytest.approx(1.0)
 
 
+def test_sharp_ratio_rejects_negative_buffer():
+    # an empty shell range would report max_ratio = -inf as a holding bound
+    with pytest.raises(ValueError):
+        sharp_l2_ratio(2, 1, 1, -1)
+
+
 def test_sharp_ratio_nonincreasing_in_buffer():
     for d in (2, 3):
         for p in (2, 6, 12):
@@ -146,31 +150,6 @@ def test_asymptotic_ordering_with_threshold():
                         holds_from = None
                 assert holds_from is not None and holds_from <= 40, \
                     (d, n, delta, holds_from)
-
-
-def test_epsilon_min_and_f1():
-    assert epsilon_min(1.0) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
-    assert epsilon_min(1e-6) == pytest.approx(1.0, rel=1e-9)
-    for R in (0.3, 1.0, 2.5):
-        closed = (R / (np.sqrt(1 + R * R) + 1.0)) ** 2
-        assert f1(R, epsilon_min(R)) == pytest.approx(closed, rel=1e-12)
-        # grid-search oracle for the minimizer
-        grid = np.arange(1e-4, 1.0, 1e-4)
-        vals = [f1(R, e) for e in grid]
-        assert min(vals) == pytest.approx(closed, abs=1e-6)
-
-
-def test_slope_predict():
-    pred = slope_predict(1.0, 1.0, 1)
-    assert pred.b2 == pytest.approx(pred.b1, rel=1e-14)
-    pred2 = slope_predict(1.0, 1.0, 2)
-    assert pred2.b1 == pytest.approx(np.log(np.sqrt(2.0) + 1.0), rel=1e-12)
-    assert pred2.b2 == pytest.approx(pred2.b1 - np.log(2.0) / np.sqrt(2.0),
-                                     rel=1e-12)
-    for d in (2, 3):
-        p = slope_predict(0.7, 0.5, d)
-        assert p.b2 < p.b1
-        assert p.b2 == pytest.approx(p.b1 - p.eps_min * np.log(d), rel=1e-14)
 
 
 def test_bound_rhs_l2_kinds():
@@ -207,34 +186,3 @@ def test_bound_rhs_h1p_delegates():
     assert bound_rhs("h1p_l2", 7, 2, semis, d=2) == pytest.approx(
         bound_rhs("h1s_l2_2d", 6, 2, semis, d=2), rel=1e-14)
 
-
-def test_estimate_envelope_exact_model():
-    C, R = 2.3, 1.7
-    data = [(s, C * R ** s * gamma(s + 1.0) * np.sqrt(4.0))
-            for s in range(1, 9)]
-    env = estimate_envelope(data, area=4.0)
-    assert env.c_u == pytest.approx(C, rel=1e-8)
-    assert env.r_growth == pytest.approx(R, rel=1e-8)
-
-
-def test_estimate_envelope_sine():
-    # |u|_{H^s} = pi^s sqrt(s+1) for the product sine: no factorial growth,
-    # so the factorial-normalized fit slope is negative and the fitted rate
-    # lands below 1 (recorded as experiment metadata, nothing consumes it)
-    u = reference_expansion(named_function("sine", 2), 10)
-    data = [(s, sobolev_seminorm(u, s)) for s in range(1, 9)]
-    for s, v in data:
-        # roundoff in the expanded coefficients is amplified ~n^s by differentiation
-        assert v == pytest.approx(np.pi ** s * np.sqrt(s + 1.0), rel=2e-4)
-    env = estimate_envelope(data, area=4.0)
-    assert 0.0 < env.r_growth < 1.0
-    assert env.r_growth == pytest.approx(0.7, abs=0.15)
-
-
-def test_estimate_envelope_rejects_degenerate():
-    with pytest.raises(ValueError):
-        estimate_envelope([(1, 1.0), (2, 2.0)], area=4.0)
-    with pytest.raises(ValueError):
-        estimate_envelope([(1, 0.0), (2, 0.0), (3, 0.0)], area=4.0)
-    with pytest.raises(ValueError):
-        estimate_envelope([(1, 1.0), (1, 2.0), (2, 3.0)], area=4.0)

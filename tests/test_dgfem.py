@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hpexp import dgfem
 from hpexp.harness import fit_slope, run_sweep
-from hpexp.indexsets import BasisSpec, dof_count
+from hpexp.indexsets import BasisSpec, dof_count, enumerate_modes
+from hpexp.orthopoly import gauss_rule
 
 
 def _dg_sweep(n, family, p_list, gamma=10.0):
@@ -42,6 +44,87 @@ def test_system_symmetry():
                                 lambda x, y: np.sin(x + y), lambda x, y: 0.0 * x)
     A = system.matrix
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
+
+
+def _reference_sip(n, spec, f, g):
+    """The per-facet assembly loop, kept as the reference: the COO triplets
+    of every block in loop order, and the rhs with the boundary data added
+    facet by facet before the volume load."""
+    p, h = spec.p, 1.0 / n
+    a = h / 2.0
+    modes = enumerate_modes(BasisSpec(2, p, spec.family))
+    nm = len(modes)
+    lower = dgfem._lower_corners(n, 0.0, h)
+    K_vol = dgfem._volume_stiffness(modes, p)
+    frule = gauss_rule(p + 2)
+    tval, tder = dgfem._trace_tables(modes, p, frule.nodes)
+    sigma = spec.gamma * max(p, 1) ** 2 / h
+    wfac = frule.weights * a
+    rows, cols, data = [], [], []
+    rhs = np.zeros(n * n * nm)
+
+    def add_block(ea, eb, block):
+        rows.append(np.repeat(np.arange(nm) + ea * nm, nm))
+        cols.append(np.tile(np.arange(nm) + eb * nm, nm))
+        data.append(block.ravel())
+
+    def facet_pair(eminus, eplus, axis):
+        Tm, Tp = tval[axis][1], tval[axis][0]
+        Dm, Dp = tder[axis][1] / a, tder[axis][0] / a
+        for (ea, Ta, Da, sa) in ((eminus, Tm, Dm, 1.0), (eplus, Tp, Dp, -1.0)):
+            for (eb, Tb, Db, sb) in ((eminus, Tm, Dm, 1.0), (eplus, Tp, Dp, -1.0)):
+                add_block(ea, eb, sigma * sa * sb * (Ta * wfac) @ Tb.T
+                          - 0.5 * sb * (Da * wfac) @ Tb.T
+                          - 0.5 * sa * (Ta * wfac) @ Db.T)
+
+    def facet_boundary(e, axis, side, fixed):
+        sidx = 0 if side < 0 else 1
+        T = tval[axis][sidx]
+        D = tder[axis][sidx] * (side / a)
+        add_block(e, e, sigma * (T * wfac) @ T.T - (D * wfac) @ T.T
+                  - (T * wfac) @ D.T)
+        tang = lower[e][1 - axis] + a * (frule.nodes + 1.0)
+        pts = (np.full_like(tang, fixed), tang) if axis == 0 \
+            else (tang, np.full_like(tang, fixed))
+        gv = np.asarray(g(*pts), dtype=float) * np.ones_like(tang)
+        rhs[e * nm:(e + 1) * nm] += (sigma * T - D) @ (wfac * gv)
+
+    for e in range(n * n):
+        add_block(e, e, K_vol)
+    for i in range(n):
+        for j in range(n):
+            if i + 1 < n:
+                facet_pair(i * n + j, (i + 1) * n + j, axis=0)
+            if j + 1 < n:
+                facet_pair(i * n + j, i * n + j + 1, axis=1)
+    for j in range(n):
+        facet_boundary(j, 0, -1.0, 0.0)
+        facet_boundary((n - 1) * n + j, 0, +1.0, 1.0)
+    for i in range(n):
+        facet_boundary(i * n, 1, -1.0, 0.0)
+        facet_boundary(i * n + n - 1, 1, +1.0, 1.0)
+    # the volume load alone: with g = 0 the boundary terms add zeros
+    rhs += dgfem.assemble_sip(n, spec, f, lambda x, y: 0.0 * x).rhs
+    A = sp.coo_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n * n * nm,) * 2).tocsr()
+    return A, rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family, p_list", [("Q", [1, 2, 5, 8]),
+                                            ("P", [1, 3, 6, 10])])
+def test_sip_gathers_match_per_facet_loop(family, p_list, n):
+    f = lambda x, y: np.sin(3.0 * x) * np.cos(y)
+    g = lambda x, y: np.exp(0.3 * x) * np.cos(1.7 * y + 0.1) + x ** (2 / 3)
+    for p in p_list:
+        spec = dgfem.DgSpec(family, p)
+        system = dgfem.assemble_sip(n, spec, f, g)
+        A, rhs = _reference_sip(n, spec, f, g)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(system.matrix, field),
+                                  getattr(A, field)), (p, field)
+        assert np.array_equal(system.rhs, rhs), p
 
 
 def test_dof_counts():

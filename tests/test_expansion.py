@@ -3,7 +3,7 @@ import pytest
 
 from hpexp.expansion import (CoeffTensor, InsufficientQuadratureError,
                              differentiate, evaluate, expand, l2_norm,
-                             mode_energy_norm, named_function,
+                             named_function,
                              reference_expansion, sobolev_seminorm,
                              weighted_seminorm)
 from hpexp.orthopoly import gauss_rule, legendre_table
@@ -69,30 +69,6 @@ def test_mixed_partials_commute():
     a = differentiate(differentiate(u, 0), 1)
     b = differentiate(differentiate(u, 1), 0)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
-
-
-def test_mode_energy_norm_cases():
-    c = np.zeros((6, 6))
-    c[4, 0] = 1.0
-    u = CoeffTensor(coeffs=c)
-    expect = np.sqrt((2.0 / 9.0) * 2.0)
-    assert mode_energy_norm(u, lambda i, j: np.ones_like(i, bool)) == \
-        pytest.approx(expect, abs=1e-14)
-    assert mode_energy_norm(u, lambda i, j: np.ones_like(i, bool)) == \
-        pytest.approx(l2_norm(u), abs=1e-14)
-
-
-def test_mode_energy_norm_against_bruteforce():
-    rng = np.random.default_rng(3)
-    p = 5
-    u = CoeffTensor(coeffs=rng.standard_normal((p + 4, p + 4)))
-    val = mode_energy_norm(u, lambda i, j: i + j >= p + 1)
-    brute = 0.0
-    for i in range(p + 4):
-        for j in range(p + 4):
-            if i + j >= p + 1:
-                brute += u.coeffs[i, j] ** 2 * (2.0 / (2 * i + 1)) * (2.0 / (2 * j + 1))
-    assert val == pytest.approx(np.sqrt(brute), rel=1e-13)
 
 
 def test_weighted_seminorm_cases():
@@ -161,6 +137,11 @@ def test_sobolev_seminorm_sine_second_order():
     # |u|_{H^2}^2 sums over the multi-indices (2,0), (1,1), (0,2)
     expect = np.sqrt(np.sum(W2 * (dxx ** 2 + dxy ** 2 + dyy ** 2)))
     assert sobolev_seminorm(u, 2) == pytest.approx(expect, rel=1e-8)
+    # every order: each of the s + 1 partials has L2 norm pi^s; roundoff in
+    # the expanded coefficients is amplified ~n^s by differentiation
+    for s in range(1, 9):
+        assert sobolev_seminorm(u, s) == pytest.approx(
+            np.pi ** s * np.sqrt(s + 1.0), rel=2e-4)
 
 
 def test_parseval_against_quadrature():

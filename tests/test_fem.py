@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, serendipity_layout
+from hpexp.orthopoly import gauss_rule, psi_table
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
 
@@ -72,6 +73,120 @@ def test_lshape_entity_census(lshape):
                 n_int = len(serendipity_layout(2, p).interior_indices)
             expect = len(verts) + len(edges) * (p - 1) + 12 * n_int
             assert dm.n_dof == expect
+
+
+def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
+                          singular_corner=None):
+    """The per-element entity numbering loop, kept as the reference."""
+    corner_bits = fem._corner_bits(dim)
+    used = np.zeros(vertex_coords.shape[0], dtype=bool)
+    cell_vertex_grid = []
+    for cell in cells:
+        vids = [np.ravel_multi_index(tuple(c + b for c, b in zip(cell, bits)),
+                                     grid_shape) for bits in corner_bits]
+        cell_vertex_grid.append(vids)
+        used[vids] = True
+    remap = -np.ones(vertex_coords.shape[0], dtype=np.int64)
+    remap[used] = np.arange(used.sum())
+    vertices = vertex_coords[used]
+    elem_vertices = remap[np.asarray(cell_vertex_grid, dtype=np.int64)]
+    ne = elem_vertices.shape[0]
+    corner = lambda bits: sum(b << k for k, b in enumerate(bits))
+
+    edge_desc = fem._edge_descriptors(dim)
+    edge_ids = {}
+    elem_edges = np.zeros((ne, len(edge_desc)), dtype=np.int64)
+    for e in range(ne):
+        for le, (axis, tbits) in enumerate(edge_desc):
+            bits0 = [tbits.get(k, 0) for k in range(dim)]
+            bits1 = bits0.copy()
+            bits0[axis], bits1[axis] = 0, 1
+            v0 = elem_vertices[e, corner(bits0)]
+            v1 = elem_vertices[e, corner(bits1)]
+            key = (min(v0, v1), max(v0, v1))
+            elem_edges[e, le] = edge_ids.setdefault(key, len(edge_ids))
+    edges = np.array(sorted(edge_ids, key=edge_ids.get), dtype=np.int64)
+
+    face_desc = fem._face_descriptors(dim)
+    face_ids = {}
+    elem_faces = np.zeros((ne, len(face_desc)), dtype=np.int64)
+    face_edge_lists = []
+    for e in range(ne):
+        for lf, ((a, b), rem, bit) in enumerate(face_desc):
+            vids = []
+            for ba, bb in product((0, 1), repeat=2):
+                bits = [0] * dim
+                bits[a], bits[b], bits[rem] = ba, bb, bit
+                vids.append(elem_vertices[e, corner(bits)])
+            key = tuple(sorted(vids))
+            if key not in face_ids:
+                face_ids[key] = len(face_ids)
+                face_edge_lists.append(set())
+            fid = face_ids[key]
+            elem_faces[e, lf] = fid
+            for le, (axis, tbits) in enumerate(edge_desc):
+                if axis != rem and tbits.get(rem, None) == bit:
+                    face_edge_lists[fid].add(elem_edges[e, le])
+    faces = np.array(sorted(face_ids, key=face_ids.get), dtype=np.int64) \
+        if face_ids else np.zeros((0, 4), dtype=np.int64)
+
+    vertex_boundary = np.zeros(vertices.shape[0], dtype=bool)
+    if dim == 2:
+        edge_boundary = np.bincount(elem_edges.ravel(),
+                                    minlength=len(edge_ids)) == 1
+        face_boundary = np.zeros(0, dtype=bool)
+        for eid in np.nonzero(edge_boundary)[0]:
+            vertex_boundary[edges[eid]] = True
+    else:
+        face_boundary = np.bincount(elem_faces.ravel(),
+                                    minlength=len(face_ids)) == 1
+        edge_boundary = np.zeros(len(edge_ids), dtype=bool)
+        for fid in np.nonzero(face_boundary)[0]:
+            for eid in face_edge_lists[fid]:
+                edge_boundary[eid] = True
+            vertex_boundary[faces[fid]] = True
+
+    elem_lower = np.array([vertices[ev[0]] for ev in elem_vertices])
+    return fem.Mesh(dim=dim, vertices=vertices, elem_lower=elem_lower, h=h,
+                    elem_vertices=elem_vertices, edges=edges,
+                    elem_edges=elem_edges, edge_descriptors=edge_desc,
+                    faces=faces, elem_faces=elem_faces,
+                    face_descriptors=face_desc,
+                    vertex_boundary=vertex_boundary,
+                    edge_boundary=edge_boundary, face_boundary=face_boundary,
+                    singular_corner=singular_corner)
+
+
+def _shuffled_box(dim, n, seed):
+    """A uniform box mesh whose cells are listed in random order."""
+    axes = [np.linspace(0.0, 1.0, n + 1)] * dim
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"),
+                      axis=-1).reshape(-1, dim)
+    cells = list(product(range(n), repeat=dim))
+    order = np.random.default_rng(seed).permutation(len(cells))
+    return fem._build_mesh(dim, coords, [cells[k] for k in order],
+                           (n + 1,) * dim, 1.0 / n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fem.mesh_uniform(2, 1), lambda: fem.mesh_uniform(2, 3),
+    lambda: fem.mesh_uniform(2, 8), lambda: fem.mesh_uniform(3, 1),
+    lambda: fem.mesh_uniform(3, 2), lambda: fem.mesh_uniform(3, 4),
+    fem.mesh_lshape, lambda: _shuffled_box(2, 4, 0),
+    lambda: _shuffled_box(3, 3, 1),
+], ids=["box2d_1", "box2d_3", "box2d_8", "box3d_1", "box3d_2", "box3d_4",
+        "lshape", "shuffled2d", "shuffled3d"])
+def test_mesh_gathers_match_per_element_loop(make, monkeypatch):
+    mesh = make()
+    monkeypatch.setattr(fem, "_build_mesh", _reference_build_mesh)
+    ref = make()
+    for field in fields(fem.Mesh):
+        got, want = getattr(mesh, field.name), getattr(ref, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
 
 
 def test_dofmap_counts():
@@ -202,6 +317,51 @@ def test_patch_test_polynomial_3d(family, p, g, f, grad):
     dm = fem.build_dofmap(mesh, p, family)
     sol = fem.condense_solve(fem.assemble_poisson(mesh, dm, f, g), dm)
     assert fem.h1_error(sol, grad) < 1e-12
+
+
+def _reference_dirichlet_values(mesh, dm, g):
+    """The per-vertex and per-edge boundary data loops, kept as the
+    reference; 3D face data is added by the shared face projection."""
+    p = dm.p
+    dvals = np.zeros(dm.n_dof)
+    for vid in np.nonzero(mesh.vertex_boundary)[0]:
+        dvals[vid] = float(g(*mesh.vertices[vid]))
+    if p >= 2:
+        rule = gauss_rule(p + 10)
+        t = rule.nodes
+        Psi = psi_table(p - 1, t)[1:]
+        gram = (Psi * rule.weights) @ Psi.T
+        for eid in np.nonzero(mesh.edge_boundary)[0]:
+            v0, v1 = mesh.edges[eid]
+            pts = (0.5 * (1 - t)[:, None] * mesh.vertices[v0]
+                   + 0.5 * (1 + t)[:, None] * mesh.vertices[v1])
+            vals = g(*(pts[:, k] for k in range(pts.shape[1])))
+            resid = vals - (0.5 * (1 - t) * dvals[v0] + 0.5 * (1 + t) * dvals[v1])
+            base = dm.edge_offset + eid * (p - 1)
+            dvals[base:base + p - 1] = np.linalg.solve(
+                gram, Psi @ (rule.weights * resid))
+    if mesh.dim == 3 and p >= 2 and dm.face_rank:
+        fem._project_face_data(mesh, dm, g, dvals)
+    return dvals[dm.dirichlet_mask]
+
+
+def _g3(x, y, z):
+    return np.sin(1.3 * x + 0.2) * np.exp(y) * np.cos(z - 0.4) + x ** (2 / 3)
+
+
+@pytest.mark.parametrize("make, g, p_list", [
+    (fem.mesh_lshape, fem._lshape_solution, [1, 2, 3, 5, 10, 25]),
+    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), _g3, [1, 2, 4, 7]),
+], ids=["lshape", "box3d"])
+@pytest.mark.parametrize("family", ["Q", "S"])
+def test_dirichlet_data_gathers_match_per_entity_loop(make, g, p_list, family):
+    mesh = make()
+    zero = lambda *x: 0.0 * x[0]
+    for p in p_list:
+        dm = fem.build_dofmap(mesh, p, family)
+        system = fem.assemble_poisson(mesh, dm, zero, g)
+        assert np.array_equal(system.dirichlet_values,
+                              _reference_dirichlet_values(mesh, dm, g)), p
 
 
 def test_assembly_symmetry():

@@ -73,6 +73,14 @@ def test_fit_slope_needs_enough_points():
         fit_slope(recs, abscissa="p", floor=ERROR_FLOOR)
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_fit_slope_rejects_empty_window(window):
+    # slopes[-0:] would average every segment instead of the last ones
+    recs = [_rec("m", p, 2, (p + 1) ** 2, np.exp(-2.0 * p)) for p in range(2, 8)]
+    with pytest.raises(ValueError):
+        fit_slope(recs, abscissa="p", window=window)
+
+
 def test_ratio_report():
     recs = [_rec("a", p, 2, (p + 1) ** 2, np.exp(-1.4 * (p + 1)))
             for p in range(2, 12)]
@@ -280,6 +288,18 @@ def test_cli_lemma_audit_and_sharp_ratio(capsys):
     assert cli_main(["sharp-ratio", "--dim", "2", "--p", "1", "--s", "1"]) == 0
     out = capsys.readouterr().out
     assert "max_ratio=2.5" in out and "holds=True" in out
+
+
+def test_cli_rejects_empty_slope_window_and_negative_buffer(tmp_path, capsys):
+    run_config({"sweeps": [{"name": "proj", "kind": "project-sweep",
+                            "proj_kind": "l2p", "dim": 2, "p_min": 0,
+                            "p_max": 8, "margin": 10}]}, out_dir=tmp_path)
+    for window in ("0", "-1"):
+        assert cli_main(["slope-fit", str(tmp_path / "proj.csv"),
+                         "--error-key", "l2", "--window", window]) == 1
+    assert cli_main(["sharp-ratio", "--dim", "2", "--p", "1", "--s", "1",
+                     "--buffer", "-1"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_fem_subcommands(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from hpexp.indexsets import (BasisSpec, contains, dof_count, enumerate_modes,
+from hpexp.indexsets import (BasisSpec, dof_count, enumerate_modes,
                              serendipity_layout)
 
 
@@ -29,8 +29,6 @@ def test_serendipity_2d_enumeration():
 def test_serendipity_3d_has_no_monomial_view():
     with pytest.raises(ValueError):
         enumerate_modes(BasisSpec(3, 4, "S"))
-    with pytest.raises(ValueError):
-        contains(BasisSpec(3, 4, "S"), (1, 1, 1))
 
 
 def test_dof_counts():
@@ -68,15 +66,6 @@ def test_layout_total_matches_dof_count():
     for d in (2, 3):
         for p in range(1, 16):
             assert serendipity_layout(d, p).total == dof_count(BasisSpec(d, p, "S"))
-
-
-def test_contains():
-    assert contains(BasisSpec(2, 3, "Q"), (3, 3))
-    assert not contains(BasisSpec(2, 3, "P"), (3, 1))
-    assert contains(BasisSpec(2, 5, "S"), (5, 1))
-    assert not contains(BasisSpec(2, 5, "S"), (5, 2))
-    with pytest.raises(ValueError):
-        contains(BasisSpec(2, 3, "Q"), (1, 2, 3))
 
 
 def test_family_ordering_invariant():
