@@ -1,15 +1,17 @@
 """Conforming FEM(Q)/FEM(S) Poisson solver on axis-aligned box meshes.
 
 The local basis is the hierarchical C0 tensor basis: per axis
-(1-x)/2, (1+x)/2, psi_1, ..., psi_{p-1}; products are classified by their set
-of bubble axes into vertex / edge / face / interior functions.  Family Q keeps
-every product; family S restricts face pairs to psi-index totals <= p-2 and 3D
-interior triples to <= p-3 (the serendipity layout).  All elements of a mesh
-are congruent, so one local stiffness matrix (and one interior Schur
-complement) is shared across elements, and the local-mode -> (entity, sign)
-table is derived once and gathered over the mesh's entity arrays.  The global
-solve is a static condensation: interior modes eliminated elementwise,
-skeleton solved by a sparse direct factorization, interiors back-substituted.
+(1-x)/2, (1+x)/2, psi_1, ..., psi_{p-1}, so a local mode is a slot tuple m
+(slot 0 or 1 a vertex function, slot m_k >= 2 the bubble psi_{m_k - 1}).  The
+mode lives on the box entity with code min(m, 2) per axis (2 a free axis),
+whose dimension j is its number of free axes.  Family Q keeps every slot
+tuple; family S keeps one iff its bubble slots sum to at most p
+(``indexsets.bubble_indices``).  All elements of a mesh are congruent, so one
+local stiffness matrix (and one interior Schur complement) is shared across
+elements, and the local-mode -> (entity, sign) table is derived once and
+gathered over the mesh's entity arrays.  The global solve is a static
+condensation: interior modes eliminated elementwise, skeleton solved by a
+sparse direct factorization, interiors back-substituted.
 
 Quadrature is element-batched: the load and the H1 error evaluate their
 integrands on the grids of all elements at once (one batch per per-axis rule
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
-from .indexsets import flat_positions, serendipity_layout
+from .indexsets import bubble_indices, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
                         legendre_table, psi_table)
 
@@ -74,11 +76,9 @@ class Mesh:
     h: float                        # element edge length (congruent cubes)
     elem_vertices: np.ndarray       # (ne, 2^d), corner c has bit k = offset on axis k
     edges: np.ndarray               # (nedge, 2) sorted vertex ids
-    elem_edges: np.ndarray          # (ne, n_local_edges)
-    edge_descriptors: list          # local edge -> (axis, transverse bits)
+    elem_edges: np.ndarray          # (ne, n_local_edges), slots in _entity_codes order
     faces: np.ndarray               # (nface, 4) sorted vertex ids (3D), else empty
-    elem_faces: np.ndarray          # (ne, 6) in 3D
-    face_descriptors: list          # local face -> (axis pair, remaining axis, bit)
+    elem_faces: np.ndarray          # (ne, 6) in 3D, slots in _entity_codes order
     vertex_boundary: np.ndarray     # bool (nv,)
     edge_boundary: np.ndarray       # bool (nedge,)
     face_boundary: np.ndarray       # bool (nface,)
@@ -93,24 +93,22 @@ def _corner_bits(d: int):
     return [tuple((c >> k) & 1 for k in range(d)) for c in range(2 ** d)]
 
 
-def _edge_descriptors(d: int):
-    out = []
-    for axis in range(d):
-        others = [k for k in range(d) if k != axis]
-        for bits in product((0, 1), repeat=d - 1):
-            out.append((axis, dict(zip(others, bits))))
-    return out
+def _corner(bits) -> int:
+    return sum(b << k for k, b in enumerate(bits))
 
 
-def _face_descriptors(d: int):
-    if d != 3:
-        return []
-    out = []
-    for a, b in combinations(range(3), 2):
-        rem = ({0, 1, 2} - {a, b}).pop()
-        for bit in (0, 1):
-            out.append(((a, b), rem, bit))
-    return out
+def _entity_codes(d: int, j: int):
+    """Codes of the j-dimensional entities of the reference box, in local
+    slot order: per axis 0 or 1 fixes that end and 2 leaves the axis free;
+    sorted by the free axes, then by the fixed bits."""
+    codes = [c for c in product((0, 1, 2), repeat=d) if c.count(2) == j]
+    return sorted(codes, key=lambda c: ([k for k in range(d) if c[k] == 2], c))
+
+
+def _code_corners(code):
+    """Corner numbers of the vertices of the entity ``code``."""
+    return [_corner(b) for b in product(*((0, 1) if x == 2 else (x,)
+                                          for x in code))]
 
 
 def _first_appearance(keys: np.ndarray):
@@ -145,50 +143,38 @@ def _build_mesh(dim: int, vertex_coords: np.ndarray, cells: list,
     elem_vertices = remap[cell_vertex_grid]
     ne = elem_vertices.shape[0]
 
-    # local edge slot -> its two corners, the low one first along the axis
-    edge_desc = _edge_descriptors(dim)
-    low = [sum(bit << k for k, bit in tbits.items()) for _, tbits in edge_desc]
-    ends = np.array([[c, c | 1 << axis] for c, (axis, _) in zip(low, edge_desc)])
-    ev = np.sort(elem_vertices[:, ends], axis=-1).reshape(-1, 2)
-    rank, first = _first_appearance(ev)
-    elem_edges = rank.reshape(ne, -1)
-    edges = ev[first]
-
-    face_desc = _face_descriptors(dim)
-    if face_desc:
-        quad = np.array([[ba << a | bb << b | bit << rem
-                          for ba, bb in product((0, 1), repeat=2)]
-                         for (a, b), rem, bit in face_desc])
-        fv = np.sort(elem_vertices[:, quad], axis=-1).reshape(-1, 4)
-        rank, first = _first_appearance(fv)
-        elem_faces = rank.reshape(ne, -1)
-        faces = fv[first]
-    else:
-        elem_faces = np.zeros((ne, 0), dtype=np.int64)
-        faces = np.zeros((0, 4), dtype=np.int64)
-
-    # boundary entities: a facet shared by exactly one element is on the boundary
-    vertex_boundary = np.zeros(vertices.shape[0], dtype=bool)
+    # per entity dimension j < dim: the ids of each element's j-entities, one
+    # column per local slot, and each entity's sorted vertex ids
+    codes = [_entity_codes(dim, j) for j in range(dim)]
+    elem_ent = [elem_vertices[:, [_corner(c) for c in codes[0]]]]
+    ent_vertices = [np.arange(vertices.shape[0])[:, None]]
+    for j in range(1, dim):
+        corners = [_code_corners(c) for c in codes[j]]
+        cv = np.sort(elem_vertices[:, corners], axis=-1).reshape(-1, 2 ** j)
+        rank, first = _first_appearance(cv)
+        elem_ent.append(rank.reshape(ne, -1))
+        ent_vertices.append(cv[first])
     if dim == 2:
-        edge_boundary = np.bincount(elem_edges.ravel()) == 1
-        face_boundary = np.zeros(0, dtype=bool)
-        vertex_boundary[edges[edge_boundary]] = True
-    else:
-        face_boundary = np.bincount(elem_faces.ravel()) == 1
-        edge_boundary = np.zeros(edges.shape[0], dtype=bool)
-        for lf, (_, rem, bit) in enumerate(face_desc):
-            on = face_boundary[elem_faces[:, lf]]
-            slots = [le for le, (axis, tbits) in enumerate(edge_desc)
-                     if axis != rem and tbits[rem] == bit]
-            edge_boundary[elem_edges[on][:, slots]] = True
-        vertex_boundary[faces[face_boundary]] = True
+        elem_ent.append(np.zeros((ne, 0), dtype=np.int64))
+        ent_vertices.append(np.zeros((0, 4), dtype=np.int64))
+
+    # a facet of one element is on the boundary, and so is every entity on it
+    f = dim - 1
+    boundary = [np.zeros(ev.shape[0], dtype=bool) for ev in ent_vertices]
+    boundary[f] = np.bincount(elem_ent[f].ravel()) == 1
+    for slot, facet in enumerate(codes[f]):
+        on = boundary[f][elem_ent[f][:, slot]]
+        for j in range(f):
+            slots = [s for s, c in enumerate(codes[j])
+                     if all(x in (2, y) for x, y in zip(facet, c))]
+            boundary[j][elem_ent[j][on][:, slots]] = True
 
     return Mesh(dim=dim, vertices=vertices,
                 elem_lower=vertices[elem_vertices[:, 0]], h=h,
-                elem_vertices=elem_vertices, edges=edges, elem_edges=elem_edges,
-                edge_descriptors=edge_desc, faces=faces, elem_faces=elem_faces,
-                face_descriptors=face_desc, vertex_boundary=vertex_boundary,
-                edge_boundary=edge_boundary, face_boundary=face_boundary,
+                elem_vertices=elem_vertices, edges=ent_vertices[1],
+                elem_edges=elem_ent[1], faces=ent_vertices[2],
+                elem_faces=elem_ent[2], vertex_boundary=boundary[0],
+                edge_boundary=boundary[1], face_boundary=boundary[2],
                 singular_corner=None if singular_corner is None
                 else np.asarray(singular_corner, dtype=float))
 
@@ -240,7 +226,6 @@ class DofMap:
     family: str
     n_dof: int
     local_modes: list               # list of tensor slot tuples
-    local_kind: np.ndarray          # 0 vertex, 1 edge, 2 face, 3 interior
     cell_dofs: np.ndarray           # (ne, nloc)
     cell_signs: np.ndarray          # (ne, nloc)
     interior_local: np.ndarray      # local indices of interior modes
@@ -248,107 +233,69 @@ class DofMap:
     edge_offset: int
     face_offset: int
     interior_offset: int
-    face_rank: dict
+    face_rank: dict                 # 3D face bubble psi indices -> rank
     dirichlet_mask: np.ndarray      # bool (n_dof,) boundary dofs
 
 
-def _local_modes(dim: int, p: int, family: str):
-    """Enumerate local tensor slots and classify by bubble axes."""
-    modes, kinds = [], []
-    for m in product(range(p + 1), repeat=dim):
-        bub = [k for k in range(dim) if m[k] >= 2]
-        js = [m[k] - 1 for k in bub]
-        if family == "S":
-            if len(bub) == 2 and sum(js) > p - 2 and dim == 3:
-                continue
-            if len(bub) == dim and sum(js) > p - dim:
-                continue
-        modes.append(m)
-        kinds.append(len(bub) if dim == 3 else (3 if len(bub) == 2 else len(bub)))
-    return modes, np.array(kinds)
-
-
 def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
-    """Hierarchical vertex/edge(/face)/interior numbering for family Q or S."""
+    """Hierarchical numbering for family Q or S: the dofs of the entities of
+    dimension j = 0..d follow each other, and each entity owns a contiguous
+    block of its ``bubble_indices``; the element itself is the d-entity."""
     if family not in ("Q", "S"):
         raise ValueError("conforming families are Q and S")
     if p < 1:
         raise ValueError("need p >= 1")
-    d = mesh.dim
-    modes, kinds = _local_modes(d, p, family)
-    nloc = len(modes)
-    ne = mesh.n_elements
+    d, ne = mesh.dim, mesh.n_elements
+    bubbles = [bubble_indices(j, p, family) for j in range(d + 1)]
+    ranks = [{b: r for r, b in enumerate(bs)} for bs in bubbles]
+    n_bubbles = np.array([len(bs) for bs in bubbles])
+    counts = [mesh.vertices.shape[0], mesh.edges.shape[0],
+              mesh.faces.shape[0]][:d] + [ne]
+    offsets = np.cumsum([0] + [n * len(bs) for n, bs in zip(counts, bubbles)])
 
-    if family == "S":
-        layout = serendipity_layout(d, p)
-        face_modes = list(layout.face_indices)
-        interior_modes = list(layout.interior_indices)
-    else:
-        face_modes = [(i, j) for i, j in product(range(1, p), repeat=2)] if d == 3 else []
-        interior_modes = [m for m in product(range(1, p), repeat=d)]
-    face_rank = {m: r for r, m in enumerate(face_modes)}
-    interior_rank = {m: r for r, m in enumerate(interior_modes)}
-    n_face_modes = len(face_modes)
-    n_int = len(interior_modes)
+    # per-element entity ids, one column per (dimension, local slot) code
+    vertex_cols = [_corner(c) for c in _entity_codes(d, 0)]
+    ent = np.hstack([mesh.elem_vertices[:, vertex_cols], mesh.elem_edges,
+                     mesh.elem_faces, np.arange(ne)[:, None]])
+    column = {c: s for s, c in enumerate(
+        c for j in range(d + 1) for c in _entity_codes(d, j))}
 
-    edge_offset = mesh.vertices.shape[0]
-    face_offset = edge_offset + mesh.edges.shape[0] * (p - 1)
-    interior_offset = face_offset + mesh.faces.shape[0] * n_face_modes
-    n_dof = interior_offset + ne * n_int
-
-    # per local mode, once: a column of the per-element entity table `ent`,
-    # and dof = base + stride * entity id + rank; edge modes of even j flip
-    # sign where the edge runs against the element's axis (corner c0 -> c1)
-    ent = np.hstack([mesh.elem_vertices, mesh.elem_edges,
-                     mesh.elem_faces.reshape(ne, -1), np.arange(ne)[:, None]])
-    n_vl, n_el = mesh.elem_vertices.shape[1], mesh.elem_edges.shape[1]
-    col, base, stride, rank, c0, c1 = np.zeros((6, nloc), dtype=np.int64)
-    flip = np.zeros(nloc, dtype=bool)
-    corner = lambda bits: sum(b << k for k, b in enumerate(bits))
-    for lm, m in enumerate(modes):
-        bub = [k for k in range(d) if m[k] >= 2]
-        if not bub:
-            col[lm], stride[lm] = corner(m), 1
-        elif len(bub) == 1:
-            axis = bub[0]
-            j = m[axis] - 1
-            tbits = {k: m[k] for k in range(d) if k != axis}
-            col[lm] = n_vl + mesh.edge_descriptors.index((axis, tbits))
-            base[lm], stride[lm], rank[lm] = edge_offset, p - 1, j - 1
-            c0[lm] = corner([0 if k == axis else m[k] for k in range(d)])
-            c1[lm] = corner([1 if k == axis else m[k] for k in range(d)])
-            flip[lm] = j % 2 == 0
-        elif len(bub) == 2 and d == 3:
-            a, b = bub
-            rem = 3 - a - b
-            col[lm] = n_vl + n_el + mesh.face_descriptors.index(((a, b), rem, m[rem]))
-            base[lm], stride[lm] = face_offset, n_face_modes
-            rank[lm] = face_rank[(m[a] - 1, m[b] - 1)]
-        else:
-            col[lm] = ent.shape[1] - 1
-            base[lm], stride[lm] = interior_offset, n_int
-            rank[lm] = interior_rank[tuple(m[k] - 1 for k in range(d))]
+    # per local mode, once: its entity column, dimension and bubble rank, and
+    # the corners (lo, hi) whose vertex order decides its sign
+    modes, rows = [], []
+    for m in product(range(p + 1), repeat=d):
+        code = tuple(min(x, 2) for x in m)
+        j = code.count(2)
+        r = ranks[j].get(tuple(x - 1 for x in m if x >= 2))
+        if r is None:
+            continue                    # an S-dropped bubble
+        # an edge mode of even psi index flips where the edge runs against
+        # the element's axis
+        flips = j == 1 and max(m) % 2 == 1
+        lo = _corner([x if x < 2 else 0 for x in m]) if flips else 0
+        hi = _corner([x if x < 2 else 1 for x in m]) if flips else 0
+        modes.append(m)
+        rows.append((column[code], j, r, lo, hi))
+    col, ent_dim, rank, lo, hi = np.array(rows, dtype=np.int64).T
     # C order, as the gather/scatter kernels and their BLAS calls expect
-    cell_dofs = np.ascontiguousarray(base + stride * ent[:, col] + rank)
-    cell_signs = np.ascontiguousarray(np.where(
-        flip & (ent[:, c0] > ent[:, c1]), -1.0, 1.0))
+    cell_dofs = np.ascontiguousarray(
+        offsets[ent_dim] + n_bubbles[ent_dim] * ent[:, col] + rank)
+    ev = mesh.elem_vertices
+    cell_signs = np.ascontiguousarray(np.where(ev[:, lo] > ev[:, hi], -1.0, 1.0))
 
-    interior_local = np.nonzero(kinds == 3)[0]
-    skeleton_local = np.nonzero(kinds != 3)[0]
+    boundary = [mesh.vertex_boundary, mesh.edge_boundary,
+                mesh.face_boundary][:d] + [np.zeros(ne, dtype=bool)]
+    dirichlet = np.concatenate([np.repeat(b, len(bs))
+                                for b, bs in zip(boundary, bubbles)])
 
-    # each edge (face) owns a contiguous block of p - 1 (n_face_modes) dofs
-    dirichlet = np.zeros(n_dof, dtype=bool)
-    dirichlet[:edge_offset] = mesh.vertex_boundary
-    dirichlet[edge_offset:face_offset] = np.repeat(mesh.edge_boundary, p - 1)
-    dirichlet[face_offset:interior_offset] = np.repeat(mesh.face_boundary,
-                                                       n_face_modes)
-
-    return DofMap(mesh=mesh, p=p, family=family, n_dof=n_dof,
-                  local_modes=modes, local_kind=kinds, cell_dofs=cell_dofs,
-                  cell_signs=cell_signs, interior_local=interior_local,
-                  skeleton_local=skeleton_local,
-                  edge_offset=edge_offset, face_offset=face_offset,
-                  interior_offset=interior_offset, face_rank=face_rank,
+    return DofMap(mesh=mesh, p=p, family=family, n_dof=int(offsets[-1]),
+                  local_modes=modes, cell_dofs=cell_dofs,
+                  cell_signs=cell_signs,
+                  interior_local=np.nonzero(ent_dim == d)[0],
+                  skeleton_local=np.nonzero(ent_dim < d)[0],
+                  edge_offset=int(offsets[1]), face_offset=int(offsets[2]),
+                  interior_offset=int(offsets[d]),
+                  face_rank=ranks[2] if d == 3 else {},
                   dirichlet_mask=dirichlet)
 
 
@@ -500,23 +447,26 @@ def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray):
     t = rule.nodes
     B = basis1d_values(p, t)                    # (1-t)/2, (1+t)/2, psi_1, ...
     PsiW = B[2:] * rule.weights
-    face_modes = sorted(dofmap.face_rank, key=dofmap.face_rank.get)
-    keep = np.array([(j1 - 1) * (p - 1) + (j2 - 1) for j1, j2 in face_modes])
+    keep = np.array([(j1 - 1) * (p - 1) + (j2 - 1)
+                     for j1, j2 in bubble_indices(2, p, dofmap.family)])
     gram = np.kron(PsiW @ B[2:].T, PsiW @ B[2:].T)[np.ix_(keep, keep)]
-    for lf, ((fa, fb), rem, bit) in enumerate(mesh.face_descriptors):
+    edge_slot = {c: s for s, c in enumerate(_entity_codes(3, 1))}
+    for lf, code in enumerate(_entity_codes(3, 2)):
+        fa, fb = (k for k in range(3) if code[k] == 2)
+        rem = 3 - fa - fb
+        bit = code[rem]
         elems = np.nonzero(mesh.face_boundary[mesh.elem_faces[:, lf]])[0]
         # the lift's coefficients in the face's tensor basis B x B
         lift = np.zeros((elems.size, p + 1, p + 1))
         for ia, ib in product((0, 1), repeat=2):
-            bits = [0, 0, 0]
-            bits[fa], bits[fb], bits[rem] = ia, ib, bit
-            corner = sum(x << k for k, x in enumerate(bits))
-            lift[:, ia, ib] = dvals[mesh.elem_vertices[elems, corner]]
+            bits = list(code)
+            bits[fa], bits[fb] = ia, ib
+            lift[:, ia, ib] = dvals[mesh.elem_vertices[elems, _corner(bits)]]
         for side in (0, 1):
-            for axis, other, at in ((fa, fb, np.s_[:, 2:, side]),
-                                    (fb, fa, np.s_[:, side, 2:])):
-                le = mesh.edge_descriptors.index((axis, {other: side, rem: bit}))
-                eid = mesh.elem_edges[elems, le]
+            for other, at in ((fb, np.s_[:, 2:, side]), (fa, np.s_[:, side, 2:])):
+                edge = list(code)
+                edge[other] = side
+                eid = mesh.elem_edges[elems, edge_slot[tuple(edge)]]
                 lift[at] = dvals[dofmap.edge_offset + eid[:, None] * (p - 1)
                                  + np.arange(p - 1)]
         nodes = [t, t, t]

@@ -102,6 +102,9 @@ def fit_slope(records, abscissa: str = "dof_root", window: int = 2,
     """
     if window < 1:
         raise ValueError("the slope window needs at least 1 segment")
+    if floor < 0:
+        # an error of exactly 0 would pass the floor and reach the log
+        raise ValueError("the error floor must be non-negative")
     recs = [r for r in records if np.isfinite(r.error(error_key))]
     for r in recs:
         if r.error(error_key) < 0:
@@ -305,6 +308,8 @@ def records_to_csv(records: list[ConvergenceRecord]) -> str:
 
 def records_from_csv(text: str) -> list[ConvergenceRecord]:
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines:
+        raise ValueError("the CSV is empty: no header line")
     header = lines[0].split(",")
     fixed = ("method", "p", "dim", "dof")
     error_keys = {k for kind in KINDS.values() for k in kind.error_keys}

@@ -1,12 +1,14 @@
 """Multi-index enumeration and degree-of-freedom counting for Q_p, P_p, S_p.
 
 The Q family is the full tensor-product space (each degree <= p), P the total
-degree space (|i| <= p) and S the serendipity space.  In 2D, S_p is the total
-degree space enlarged by the two monomials x1^p x2 and x1 x2^p, which in the
-hierarchical (vertex/edge/interior) decomposition means: full edge modes, and
-interior bubble modes psi_i1 psi_i2 restricted to i1 + i2 <= p - 2.  The 3D
-serendipity space is only represented through that entity decomposition
-(vertices, 12 edges, 6 faces, interior); it is not a monomial set.
+degree space (|i| <= p) and S the serendipity space: the monomials of
+superlinear degree <= p (the degree counting only the variables that enter
+nonlinearly).  In the hierarchical tensor basis (per axis, slot 0 or 1 a
+vertex function and slot m >= 2 the bubble psi_{m-1}) that is one rule: S_p
+keeps a slot tuple iff its bubble slots sum to at most p.  Per entity of
+dimension j, the bubble psi_{i_1}..psi_{i_j} is kept iff |i| <= p - j
+(``bubble_indices``).  In 2D, S_p is also the total degree space enlarged by
+x1^p x2 and x1 x2^p; the 3D serendipity space has no such monomial view here.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import numpy as np
 __all__ = [
     "MultiIndex",
     "BasisSpec",
-    "SerendipityLayout",
     "enumerate_modes",
     "dof_count",
-    "serendipity_layout",
+    "bubble_indices",
     "total_degree_indices",
     "flat_positions",
 ]
@@ -52,28 +53,6 @@ class BasisSpec:
             raise ValueError("serendipity family requires p >= 1")
 
 
-@dataclass(frozen=True)
-class SerendipityLayout:
-    """Per-entity mode counts and bubble index sets of the serendipity space."""
-
-    dim: int
-    p: int
-    vertex_count: int
-    edge_count: int
-    edge_mode_count: int
-    face_count: int
-    face_mode_count: int
-    face_indices: tuple[MultiIndex, ...]
-    interior_indices: tuple[MultiIndex, ...]
-
-    @property
-    def total(self) -> int:
-        return (self.vertex_count
-                + self.edge_count * self.edge_mode_count
-                + self.face_count * self.face_mode_count
-                + len(self.interior_indices))
-
-
 def _graded_lex_key(i: MultiIndex):
     return (sum(i), i)
 
@@ -90,8 +69,8 @@ def total_degree_indices(dim: int, degree: int,
 def enumerate_modes(spec: BasisSpec) -> list[MultiIndex]:
     """Monomial-degree index set of the space, in graded lexicographic order.
 
-    3D serendipity is rejected here: it is defined through the entity layout
-    (see serendipity_layout), not as a monomial set.
+    3D serendipity is rejected here: it is defined through its hierarchical
+    slot tuples (see bubble_indices), not as a monomial set.
     """
     d, p = spec.dim, spec.p
     if spec.family == "Q":
@@ -101,7 +80,7 @@ def enumerate_modes(spec: BasisSpec) -> list[MultiIndex]:
     else:
         if d != 2:
             raise ValueError("3D serendipity has no monomial index set; "
-                             "use serendipity_layout")
+                             "its modes are the slot tuples of bubble_indices")
         extra = {(p, 1), (1, p)}
         modes = list(set(total_degree_indices(2, p)) | extra)
     modes.sort(key=_graded_lex_key)
@@ -123,29 +102,19 @@ def dof_count(spec: BasisSpec) -> int:
     return 8 + edge + face + interior
 
 
-def serendipity_layout(dim: int, p: int) -> SerendipityLayout:
-    """Entity decomposition of S_p: vertex/edge/face counts and bubble sets.
+def bubble_indices(j: int, p: int, family: str) -> list[MultiIndex]:
+    """psi indices (i_1, .., i_j), each >= 1, of the bubble modes that family
+    Q or S puts on one j-dimensional entity, in rank order.
 
-    Bubble (boundary-vanishing) products psi_{i1}..psi_{ik} have polynomial
-    degree |i| + k, so total degree <= p means pair totals <= p - 2 on faces
-    and triple totals <= p - 3 in the 3D interior.
+    psi_i sits in slot i + 1, so the S rule (bubble slots sum to at most p)
+    keeps |i| <= p - j, in graded lexicographic order; Q keeps every
+    i_k <= p - 1, in product order.  A vertex (j = 0) has the one index ().
     """
-    if p < 1:
-        raise ValueError("serendipity layout requires p >= 1")
-    if dim == 2:
-        interior = tuple(i for i in total_degree_indices(2, p - 2, min_entry=1))
-        return SerendipityLayout(
-            dim=2, p=p, vertex_count=4, edge_count=4, edge_mode_count=p - 1,
-            face_count=0, face_mode_count=0, face_indices=(),
-            interior_indices=interior)
-    if dim == 3:
-        face = tuple(total_degree_indices(2, p - 2, min_entry=1))
-        interior = tuple(total_degree_indices(3, p - 3, min_entry=1))
-        return SerendipityLayout(
-            dim=3, p=p, vertex_count=8, edge_count=12, edge_mode_count=p - 1,
-            face_count=6, face_mode_count=len(face), face_indices=face,
-            interior_indices=interior)
-    raise ValueError("dim must be 2 or 3")
+    if family == "Q":
+        return list(product(range(1, p), repeat=j))
+    if family == "S":
+        return total_degree_indices(j, p - j, min_entry=1)
+    raise ValueError("bubble families are Q and S")
 
 
 def flat_positions(modes, p: int) -> np.ndarray:

@@ -8,9 +8,9 @@ the constructive way: along each axis apply the one-dimensional map
 which reproduces degree <= p polynomials and interpolates at -1.  Applying it
 on every axis gives the tensor H1 projection onto Q_p; its natural output is a
 "psi tensor" whose per-axis basis is (1, psi_0, psi_1, ..., psi_{p-1}).  The
-serendipity projection is the same tensor with the boundary-vanishing bubble
-blocks filtered by total degree (pair totals <= p-2 on 2D interiors and 3D
-faces, triple totals <= p-3 in the 3D interior), and the total-degree H1
+serendipity projection is the same tensor cut by the S rule: keep a slot tuple
+iff its bubble slots (slot m >= 2 is psi_{m-1}) sum to at most p, i.e. a
+product of k bubbles keeps psi-index totals <= p - k.  The total-degree H1
 projection delegates to serendipity at degree p+1-d.  Conversion back to plain
 Legendre coefficients uses psi_0 = L_0 + L_1 and
 psi_j = (L_{j+1} - L_{j-1}) / (2j+1).
@@ -132,22 +132,10 @@ def _psi_rep(u: CoeffTensor, p: int, axes) -> np.ndarray:
 
 
 def _serendipity_mask(shape, axes, p: int) -> np.ndarray:
-    """False where a bubble block exceeds its total-degree budget.
-
-    Slot m >= 2 on an active axis is the bubble psi_{m-1}; a block with k
-    active-bubble slots is dropped when the sum of its psi indices exceeds
-    the budget for k bubbles (pair budget p-2, triple budget p-3).
-    """
-    grids = np.indices(shape)
-    bubble = [grids[a] >= 2 for a in axes]
-    nbub = sum(b.astype(int) for b in bubble)
-    psi_total = sum(np.where(b, grids[a] - 1, 0) for a, b in zip(axes, bubble))
-    mask = np.ones(shape, dtype=bool)
-    if len(axes) >= 2:
-        mask &= ~((nbub == 2) & (psi_total > p - 2))
-    if len(axes) == 3:
-        mask &= ~((nbub == 3) & (psi_total > p - 3))
-    return mask
+    """The S rule on the active axes: keep a slot tuple iff its bubble slots
+    (slot m >= 2 is psi_{m-1}) sum to at most p."""
+    slots = np.indices(shape)[list(axes)]
+    return np.where(slots >= 2, slots, 0).sum(axis=0) <= p
 
 
 def _psi_rep_to_result(rep: np.ndarray, u: CoeffTensor, p: int, axes,

@@ -1,12 +1,13 @@
 from dataclasses import fields, replace
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
-from hpexp.indexsets import BasisSpec, dof_count, serendipity_layout
+from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
+                             total_degree_indices)
 from hpexp.orthopoly import gauss_rule, psi_table
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
@@ -70,9 +71,32 @@ def test_lshape_entity_census(lshape):
             if fam == "Q":
                 n_int = (p - 1) ** 2
             else:
-                n_int = len(serendipity_layout(2, p).interior_indices)
+                n_int = len(bubble_indices(2, p, "S"))
             expect = len(verts) + len(edges) * (p - 1) + 12 * n_int
             assert dm.n_dof == expect
+
+
+def _edge_descriptors(d):
+    """Local edge slot -> (axis, transverse bits), the reference slot order."""
+    out = []
+    for axis in range(d):
+        others = [k for k in range(d) if k != axis]
+        for bits in product((0, 1), repeat=d - 1):
+            out.append((axis, dict(zip(others, bits))))
+    return out
+
+
+def _face_descriptors(d):
+    """Local face slot -> (axis pair, remaining axis, bit), the reference
+    slot order."""
+    if d != 3:
+        return []
+    out = []
+    for a, b in combinations(range(3), 2):
+        rem = ({0, 1, 2} - {a, b}).pop()
+        for bit in (0, 1):
+            out.append(((a, b), rem, bit))
+    return out
 
 
 def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
@@ -93,7 +117,7 @@ def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
     ne = elem_vertices.shape[0]
     corner = lambda bits: sum(b << k for k, b in enumerate(bits))
 
-    edge_desc = fem._edge_descriptors(dim)
+    edge_desc = _edge_descriptors(dim)
     edge_ids = {}
     elem_edges = np.zeros((ne, len(edge_desc)), dtype=np.int64)
     for e in range(ne):
@@ -107,7 +131,7 @@ def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
             elem_edges[e, le] = edge_ids.setdefault(key, len(edge_ids))
     edges = np.array(sorted(edge_ids, key=edge_ids.get), dtype=np.int64)
 
-    face_desc = fem._face_descriptors(dim)
+    face_desc = _face_descriptors(dim)
     face_ids = {}
     elem_faces = np.zeros((ne, len(face_desc)), dtype=np.int64)
     face_edge_lists = []
@@ -149,9 +173,7 @@ def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
     elem_lower = np.array([vertices[ev[0]] for ev in elem_vertices])
     return fem.Mesh(dim=dim, vertices=vertices, elem_lower=elem_lower, h=h,
                     elem_vertices=elem_vertices, edges=edges,
-                    elem_edges=elem_edges, edge_descriptors=edge_desc,
-                    faces=faces, elem_faces=elem_faces,
-                    face_descriptors=face_desc,
+                    elem_edges=elem_edges, faces=faces, elem_faces=elem_faces,
                     vertex_boundary=vertex_boundary,
                     edge_boundary=edge_boundary, face_boundary=face_boundary,
                     singular_corner=singular_corner)
@@ -199,9 +221,10 @@ def test_dofmap_counts():
 def _reference_cell_dofs(mesh, dm):
     """The per-element, per-mode numbering loop, kept as the reference."""
     d, p = mesh.dim, dm.p
-    interior = (serendipity_layout(d, p).interior_indices if dm.family == "S"
+    interior = (total_degree_indices(d, p - d, min_entry=1) if dm.family == "S"
                 else list(product(range(1, p), repeat=d)))
     interior_rank = {m: r for r, m in enumerate(interior)}
+    edge_desc, face_desc = _edge_descriptors(d), _face_descriptors(d)
     n_face = len(dm.face_rank)
     corner = lambda bits: sum(b << k for k, b in enumerate(bits))
     dofs = np.zeros(dm.cell_dofs.shape, dtype=np.int64)
@@ -215,7 +238,7 @@ def _reference_cell_dofs(mesh, dm):
             elif len(bub) == 1:
                 axis, j = bub[0], m[bub[0]] - 1
                 tb = {k: m[k] for k in range(d) if k != axis}
-                le = mesh.edge_descriptors.index((axis, tb))
+                le = edge_desc.index((axis, tb))
                 dofs[e, lm] = (dm.edge_offset + mesh.elem_edges[e, le] * (p - 1)
                                + j - 1)
                 v0 = ev[corner([0 if k == axis else m[k] for k in range(d)])]
@@ -225,7 +248,7 @@ def _reference_cell_dofs(mesh, dm):
             elif len(bub) == 2 and d == 3:
                 a, b = bub
                 rem = 3 - a - b
-                lf = mesh.face_descriptors.index(((a, b), rem, m[rem]))
+                lf = face_desc.index(((a, b), rem, m[rem]))
                 dofs[e, lm] = (dm.face_offset + mesh.elem_faces[e, lf] * n_face
                                + dm.face_rank[(m[a] - 1, m[b] - 1)])
             else:
@@ -246,7 +269,14 @@ def _relabeled(mesh, seed):
     (lambda: _relabeled(fem.mesh_uniform(2, 3, (0.0, 1.0)), 0), 5, True),
     (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 7, False),
     (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 6, True),
-], ids=["lshape", "relabeled2d", "box3d", "relabeled3d"])
+    # p = 1 and 2: empty S face and interior bubble lists, no edge flip
+    (fem.mesh_lshape, 1, False),
+    (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 2, False),
+    # 3D S at p = 3 (no face or interior bubbles) and p = 5 (no interior)
+    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 3, False),
+    (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 5, True),
+], ids=["lshape", "relabeled2d", "box3d", "relabeled3d", "lshape_p1",
+        "relabeled3d_p2", "box3d_p3", "relabeled3d_p5"])
 @pytest.mark.parametrize("family", ["Q", "S"])
 def test_dofmap_gathers_match_per_element_loop(make, p, flips, family):
     mesh = make()

@@ -81,6 +81,24 @@ def test_fit_slope_rejects_empty_window(window):
         fit_slope(recs, abscissa="p", window=window)
 
 
+def _exact_zero_tail():
+    return [_rec("m", p, 2, (p + 1) ** 2, err)
+            for p, err in enumerate([1e-1, 1e-2, 1e-3, 1e-4, 0.0, 0.0], 2)]
+
+
+def test_fit_slope_rejects_negative_floor():
+    # with floor < 0 the exact zeros pass the floor and reach np.log
+    with pytest.raises(ValueError, match="floor"):
+        fit_slope(_exact_zero_tail(), abscissa="p", floor=-1.0)
+    assert fit_slope(_exact_zero_tail(), abscissa="p", floor=0.0).n_points == 4
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_records_from_csv_rejects_empty_text(text):
+    with pytest.raises(ValueError, match="empty"):
+        records_from_csv(text)
+
+
 def test_ratio_report():
     recs = [_rec("a", p, 2, (p + 1) ** 2, np.exp(-1.4 * (p + 1)))
             for p in range(2, 12)]
@@ -300,6 +318,18 @@ def test_cli_rejects_empty_slope_window_and_negative_buffer(tmp_path, capsys):
     assert cli_main(["sharp-ratio", "--dim", "2", "--p", "1", "--s", "1",
                      "--buffer", "-1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_cli_rejects_negative_floor_and_empty_csv(tmp_path, capsys):
+    csv = tmp_path / "zeros.csv"
+    csv.write_text(records_to_csv(_exact_zero_tail()))
+    assert cli_main(["slope-fit", str(csv), "--abscissa", "p",
+                     "--floor", "-1"]) == 1
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert cli_main(["slope-fit", str(empty)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage error") == 2
 
 
 def test_cli_fem_subcommands(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import pytest
 
-from hpexp.indexsets import (BasisSpec, dof_count, enumerate_modes,
-                             serendipity_layout)
+from hpexp import fem
+from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
+                             enumerate_modes)
+from hpexp.projections import _serendipity_mask
 
 
 def test_bilinear_enumeration():
@@ -51,21 +53,35 @@ def test_dof_count_matches_enumeration():
             assert dof_count(spec) == len(enumerate_modes(spec))
 
 
-def test_serendipity_layout_cases():
-    lay = serendipity_layout(2, 4)
-    assert lay.interior_indices == ((1, 1),)
-    assert serendipity_layout(2, 3).interior_indices == ()
-    lay6 = serendipity_layout(3, 6)
-    assert lay6.interior_indices == ((1, 1, 1),)
+def test_bubble_indices_cases():
+    assert bubble_indices(2, 4, "S") == [(1, 1)]
+    assert bubble_indices(2, 3, "S") == []
+    assert bubble_indices(3, 6, "S") == [(1, 1, 1)]
     # (p-2)(p-3)/2 = 6 modes per face at p = 6; 6*6 + 1 beyond the edges
-    assert lay6.face_mode_count == 6
-    assert lay6.face_count * lay6.face_mode_count + len(lay6.interior_indices) == 37
+    assert len(bubble_indices(2, 6, "S")) == 6
+    assert 6 * len(bubble_indices(2, 6, "S")) + len(bubble_indices(3, 6, "S")) == 37
+    # rank order: graded lexicographic for S, product order for Q
+    assert bubble_indices(2, 6, "S") == [(1, 1), (1, 2), (2, 1), (1, 3),
+                                         (2, 2), (3, 1)]
+    assert bubble_indices(2, 3, "Q") == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for family in ("Q", "S"):
+        assert bubble_indices(0, 5, family) == [()]
+        assert bubble_indices(1, 5, family) == [(1,), (2,), (3,), (4,)]
+        assert bubble_indices(1, 1, family) == []
+    with pytest.raises(ValueError):
+        bubble_indices(2, 4, "P")
 
 
-def test_layout_total_matches_dof_count():
-    for d in (2, 3):
-        for p in range(1, 16):
-            assert serendipity_layout(d, p).total == dof_count(BasisSpec(d, p, "S"))
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", range(1, 16))
+def test_serendipity_census(d, p):
+    # the closed form against the FEM dofmap of one element and the
+    # projections' mask, three codings of the S rule
+    n = dof_count(BasisSpec(d, p, "S"))
+    dm = fem.build_dofmap(fem.mesh_uniform(d, 1), p, "S")
+    assert dm.n_dof == n
+    assert len(dm.local_modes) == n
+    assert int(_serendipity_mask((p + 1,) * d, range(d), p).sum()) == n
 
 
 def test_family_ordering_invariant():
