@@ -10,6 +10,11 @@ constrained-maximization inequality behind the projection bounds (which is
 known to fail on mixed corner points; the audit reports rather than assumes),
 the sharp per-mode constant of the total-degree L2 bound, and the right-hand
 sides of the projection error bounds.
+
+The audit and the sharp ratio still visit every lattice point, as one gather
+from a table of log-Gamma differences over all compositions at once.  The
+per-axis terms are added left to right and the first maximum in enumeration
+order is kept, so the numbers and argmaxes are those of the scalar loops.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .expansion import compositions
+from .expansion import composition_array
 
 __all__ = [
     "LemmaAuditReport",
@@ -65,9 +70,18 @@ class LemmaAuditReport:
     holds: bool
 
 
-def _log_f(xi, rho) -> float:
-    return float(sum(gammaln(r - x + 1.0) - gammaln(r + x + 1.0)
-                     for x, r in zip(xi, rho)))
+def _lemma_table() -> np.ndarray:
+    """T[x, r] = log(Gamma(r - x + 1) / Gamma(r + x + 1)) for x <= r, -inf below."""
+    table = np.full((LEMMA_AUDIT_CAP + 1, LEMMA_AUDIT_CAP + 1), -np.inf)
+    x, r = np.triu_indices(LEMMA_AUDIT_CAP + 1)
+    table[x, r] = gammaln(r - x + 1.0) - gammaln(r + x + 1.0)
+    return table
+
+
+_LEMMA_TABLE = _lemma_table()
+# _LATTICE[d][t]: the compositions of t into d parts, t <= LEMMA_AUDIT_CAP
+_LATTICE = {d: [composition_array(t, d) for t in range(LEMMA_AUDIT_CAP + 1)]
+            for d in (1, 2, 3)}
 
 
 def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
@@ -83,20 +97,19 @@ def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
         raise ValueError("need 0 <= m <= M")
     if M > LEMMA_AUDIT_CAP:
         raise ValueError(f"budget exceeds exhaustive enumeration cap {LEMMA_AUDIT_CAP}")
-    best = -np.inf
-    arg = None
-    rhos = compositions(M, d)
-    for xi in compositions(m, d):
-        for rho in rhos:
-            if all(r >= x for x, r in zip(xi, rho)):
-                val = _log_f(xi, rho)
-                if val > best:
-                    best, arg = val, (xi, rho)
+    x, r = _LATTICE[d][m], _LATTICE[d][M]
+    # log F over every (xi, rho) pair, xi-major; a pair with rho_k < xi_k
+    # gathers -inf, and each xi has a valid rho since M >= m
+    val = _LEMMA_TABLE[x[:, 0]][:, r[:, 0]]
+    for k in range(1, d):
+        val = val + _LEMMA_TABLE[x[:, k]][:, r[:, k]]
+    i, j = np.unravel_index(np.argmax(val), val.shape)
     phi_value = phi(d, M, m)
-    lattice_max = float(np.exp(best))
+    lattice_max = float(np.exp(val[i, j]))
     return LemmaAuditReport(
         d=d, M=M, m=m, lattice_max=lattice_max,
-        argmax_xi=arg[0], argmax_rho=arg[1], phi_value=phi_value,
+        argmax_xi=tuple(x[i].tolist()), argmax_rho=tuple(r[j].tolist()),
+        phi_value=phi_value,
         holds=bool(lattice_max <= phi_value * (1.0 + 1e-12)))
 
 
@@ -105,24 +118,32 @@ def sharp_l2_ratio(d: int, p: int, s: int, shell_buffer: int = 6):
     L2 projection: max over |i| in [p+1, p+1+shell_buffer] of
     1 / sum_{|alpha|=s, alpha<=i} prod Gamma(i_k+alpha_k+1)/Gamma(i_k-alpha_k+1).
     """
+    if d not in (1, 2, 3):
+        raise ValueError("dimension must be 1, 2 or 3")
+    if p < 0:
+        raise ValueError("need p >= 0")
     if not 0 <= s <= p + 1:
         raise ValueError("need 0 <= s <= p+1")
     if shell_buffer < 0:
         raise ValueError("need shell_buffer >= 0")
-    alphas = compositions(s, d)
-    best = -np.inf
-    arg = None
-    for shell in range(p + 1, p + 2 + shell_buffer):
-        for i in compositions(shell, d):
-            denom = 0.0
-            for alpha in alphas:
-                if all(ik >= ak for ik, ak in zip(i, alpha)):
-                    denom += np.exp(sum(
-                        gammaln(ik + ak + 1.0) - gammaln(ik - ak + 1.0)
-                        for ik, ak in zip(i, alpha)))
-            if denom > 0.0 and 1.0 / denom > best:
-                best, arg = 1.0 / denom, i
-    return {"max_ratio": float(best), "argmax": arg}
+    top = p + 1 + shell_buffer
+    i = np.concatenate([composition_array(shell, d)
+                        for shell in range(p + 1, top + 1)])
+    # table[a, n] = log(Gamma(n + a + 1) / Gamma(n - a + 1)) for a <= n, -inf for a > n
+    table = np.full((s + 1, top + 1), -np.inf)
+    a, n = np.nonzero(np.arange(s + 1)[:, None] <= np.arange(top + 1))
+    table[a, n] = gammaln(n + a + 1.0) - gammaln(n - a + 1.0)
+    denom = np.zeros(len(i))
+    for alpha in composition_array(s, d):
+        t = table[alpha[0], i[:, 0]]
+        for k in range(1, d):
+            t = t + table[alpha[k], i[:, k]]
+        # exp(-inf) = 0 for an alpha not below i adds nothing; every |i| >= s
+        # has some alpha <= i with |alpha| = s, so each denominator is >= 1
+        denom = denom + np.exp(t)
+    ratio = 1.0 / denom
+    best = np.argmax(ratio)
+    return {"max_ratio": float(ratio[best]), "argmax": tuple(i[best].tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "l2_norm",
     "sobolev_seminorm",
     "weighted_seminorm",
+    "composition_array",
     "compositions",
     "named_function",
 ]
@@ -182,14 +183,25 @@ def l2_norm(u: CoeffTensor) -> float:
     return float(np.sqrt(np.sum(u.coeffs * u.coeffs * w)))
 
 
+def composition_array(total: int, parts: int) -> np.ndarray:
+    """All tuples of ``parts`` non-negative integers summing to ``total``, as
+    the rows of an integer array in lexicographic order."""
+    if parts < 1 or total < 0:
+        raise ValueError("need parts >= 1 and total >= 0")
+    heads = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total])
+    for _ in range(parts - 1):
+        # each row branches into heads 0..rest, in ascending order
+        counts = rest + 1
+        head = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        heads = np.column_stack([np.repeat(heads, counts, axis=0), head])
+        rest = np.repeat(rest, counts) - head
+    return np.column_stack([heads, rest])
+
+
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        out.extend((head,) + rest for rest in compositions(total - head, parts - 1))
-    return out
+    """The rows of ``composition_array`` as tuples of Python ints."""
+    return [tuple(c) for c in composition_array(total, parts).tolist()]
 
 
 def sobolev_seminorm(u: CoeffTensor, s: int) -> float:

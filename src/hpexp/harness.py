@@ -18,6 +18,8 @@ alongside.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from math import factorial
@@ -25,6 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+import scipy
 
 from . import __version__, dgfem, fem
 from .bounds import LEMMA_AUDIT_CAP, lemma_audit
@@ -328,12 +331,25 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
     return out
 
 
+def _environment() -> dict:
+    """Versions, CPU count and the BLAS thread variables that are set."""
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "threads": {k: os.environ[k] for k in threads if k in os.environ}}
+
+
 def write_records(records, path_prefix, meta: Optional[dict] = None) -> None:
-    """Write PREFIX.csv and PREFIX.meta.json; a dotted prefix is kept whole."""
+    """Write PREFIX.csv and PREFIX.meta.json; a dotted prefix is kept whole.
+
+    The environment goes into the meta only, so the CSV stays comparable
+    across machines.
+    """
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}.csv").write_text(records_to_csv(records))
-    payload = {"tool": "hpexp", "version": __version__}
+    payload = {"tool": "hpexp", "version": __version__,
+               "environment": _environment()}
     payload.update(meta or {})
     Path(f"{prefix}.meta.json").write_text(json.dumps(payload, indent=2,
                                                       default=str) + "\n")

@@ -1,9 +1,46 @@
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
 from hpexp.bounds import (LEMMA_AUDIT_CAP, bound_rhs, lemma_audit, phi,
                           sharp_l2_ratio, stirling_envelope_check)
+from hpexp.expansion import compositions
+
+
+def _lemma_audit_loop(d, M, m):
+    # the scalar loop the table gather replaced: (lattice_max, xi, rho)
+    def log_f(xi, rho):
+        return float(sum(gammaln(r - x + 1.0) - gammaln(r + x + 1.0)
+                         for x, r in zip(xi, rho)))
+
+    best = -np.inf
+    arg = None
+    rhos = compositions(M, d)
+    for xi in compositions(m, d):
+        for rho in rhos:
+            if all(r >= x for x, r in zip(xi, rho)):
+                val = log_f(xi, rho)
+                if val > best:
+                    best, arg = val, (xi, rho)
+    return float(np.exp(best)), arg[0], arg[1]
+
+
+def _sharp_l2_ratio_loop(d, p, s, shell_buffer):
+    # the scalar loop the table gather replaced
+    alphas = compositions(s, d)
+    best = -np.inf
+    arg = None
+    for shell in range(p + 1, p + 2 + shell_buffer):
+        for i in compositions(shell, d):
+            denom = 0.0
+            for alpha in alphas:
+                if all(ik >= ak for ik, ak in zip(i, alpha)):
+                    denom += np.exp(sum(
+                        gammaln(ik + ak + 1.0) - gammaln(ik - ak + 1.0)
+                        for ik, ak in zip(i, alpha)))
+            if denom > 0.0 and 1.0 / denom > best:
+                best, arg = 1.0 / denom, i
+    return {"max_ratio": float(best), "argmax": arg}
 
 
 def test_phi_values():
@@ -95,6 +132,25 @@ def test_lemma_audit_matches_bruteforce():
         assert rep.lattice_max == pytest.approx(brute(d, M, m), rel=1e-12)
 
 
+_LEMMA_CASES = sorted(
+    {(d, M, m) for d in (1, 2, 3) for M in (0, 1, 2, 7, 20) for m in (0, M)}
+    | {(2, 4, 2), (3, 6, 6), (3, 30, 10)}
+    | {(3, M, m) for M in range(13) for m in range(M + 1)})
+
+
+@pytest.mark.parametrize("d,M,m", _LEMMA_CASES)
+def test_lemma_audit_gather_matches_loop(d, M, m):
+    lattice_max, xi, rho = _lemma_audit_loop(d, M, m)
+    rep = lemma_audit(d, M, m)
+    phi_value = phi(d, M, m)
+    assert rep.lattice_max == lattice_max
+    assert rep.phi_value == phi_value
+    assert rep.holds == bool(lattice_max <= phi_value * (1.0 + 1e-12))
+    assert rep.argmax_xi == xi and rep.argmax_rho == rho
+    # plain ints: an np.int64 would print as np.int64(...) in CSVs and the CLI
+    assert all(type(v) is int for v in rep.argmax_xi + rep.argmax_rho)
+
+
 def test_lemma_audit_budget_cap():
     with pytest.raises(ValueError):
         lemma_audit(2, LEMMA_AUDIT_CAP + 1, 2)
@@ -115,6 +171,24 @@ def test_sharp_ratio_rejects_negative_buffer():
     # an empty shell range would report max_ratio = -inf as a holding bound
     with pytest.raises(ValueError):
         sharp_l2_ratio(2, 1, 1, -1)
+
+
+@pytest.mark.parametrize("d,p,s", [(0, 1, 1), (4, 1, 1), (2, -1, 0), (3, -2, 0)])
+def test_sharp_ratio_rejects_bad_dimension_and_degree(d, p, s):
+    with pytest.raises(ValueError):
+        sharp_l2_ratio(d, p, s)
+
+
+@pytest.mark.parametrize("buffer", [0, 3, 6])
+def test_sharp_ratio_gather_matches_loop(buffer):
+    # the criterion-6 grid, plus d = 1
+    for d in (1, 2, 3):
+        for p in range(1, 13):
+            for s in range(0, min(p + 1, 4) + 1):
+                res = sharp_l2_ratio(d, p, s, buffer)
+                ref = _sharp_l2_ratio_loop(d, p, s, buffer)
+                assert res == ref, (d, p, s)
+                assert all(type(v) is int for v in res["argmax"])
 
 
 def test_sharp_ratio_nonincreasing_in_buffer():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpexp.expansion import (CoeffTensor, InsufficientQuadratureError,
-                             differentiate, evaluate, expand, l2_norm,
+                             compositions, differentiate, evaluate, expand, l2_norm,
                              named_function,
                              reference_expansion, sobolev_seminorm,
                              weighted_seminorm)
@@ -164,3 +164,16 @@ def test_reference_expansion_tail_flag():
     rough = reference_expansion(_oracle(2, lambda x, y: np.abs(x) + 0 * y), 4,
                                 margin=6)
     assert not rough.tail_trusted
+
+
+def test_compositions_cases():
+    assert compositions(0, 1) == [(0,)]
+    assert compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert len(compositions(40, 3)) == 861
+
+
+@pytest.mark.parametrize("total,parts", [(3, 0), (0, 0), (2, -1), (-1, 1), (-1, 3)])
+def test_compositions_rejects_bad_input(total, parts):
+    # parts = 0 used to recurse until RecursionError, total = -1 gave [(-1,)]
+    with pytest.raises(ValueError):
+        compositions(total, parts)

@@ -1,7 +1,10 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from hpexp import fem
 from hpexp.bounds import LEMMA_AUDIT_CAP
@@ -9,7 +12,7 @@ from hpexp.cli import main as cli_main
 from hpexp.harness import (ConfigError, ConvergenceRecord, ERROR_FLOOR, Solver,
                            _with_p_rate, fit_slope, ratio_report,
                            records_from_csv, records_to_csv, run_config,
-                           run_sweep, sweep)
+                           run_sweep, sweep, write_records)
 
 
 def _rec(method, p, dim, dof, err):
@@ -246,6 +249,21 @@ def test_run_config_executes_and_writes(tmp_path):
     assert (tmp_path / "proj.csv").read_bytes() == first
 
 
+def test_meta_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    rec = ConvergenceRecord(method="m", p=1, dim=2, dof=4, errors={"l2": 0.5})
+    write_records([rec], tmp_path / "r")
+    env = json.loads((tmp_path / "r.meta.json").read_text())["environment"]
+    assert env == {"python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": scipy.__version__,
+                   "cpu_count": os.cpu_count(),
+                   "threads": {"OMP_NUM_THREADS": "3"}}
+    # the CSV carries no environment
+    assert (tmp_path / "r.csv").read_text() == records_to_csv([rec])
+
+
 def test_run_config_from_file_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -318,6 +336,13 @@ def test_cli_rejects_empty_slope_window_and_negative_buffer(tmp_path, capsys):
     assert cli_main(["sharp-ratio", "--dim", "2", "--p", "1", "--s", "1",
                      "--buffer", "-1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_cli_rejects_negative_degree(capsys):
+    # p = -1 used to print max_ratio=1 ... holds=True and exit 0
+    assert cli_main(["sharp-ratio", "--dim", "2", "--p", "-1", "--s", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error" in err
 
 
 def test_cli_rejects_negative_floor_and_empty_csv(tmp_path, capsys):
