@@ -11,18 +11,37 @@ local stiffness matrix (and one interior Schur complement) is shared across
 elements, and the local-mode -> (entity, sign) table is derived once and
 gathered over the mesh's entity arrays.  The global solve is a static
 condensation: interior modes eliminated elementwise, skeleton solved by a
-sparse direct factorization, interiors back-substituted.
+direct factorization that certifies its definiteness, interiors
+back-substituted.
 
 Quadrature is element-batched: the load and the H1 error evaluate their
 integrands on the grids of all elements at once (one batch per per-axis rule
 tuple) and contract them with ``orthopoly.apply_axes``.
 
-The skeleton is factorized by SuperLU in symmetric mode (minimum-degree
-ordering on A^T + A, diagonal pivots only), so the factorization is
-P A P^T = L U with U = D L^T.  By Sylvester's law of inertia the signs of
-diag(U) are the signs of the eigenvalues of A: the factorization itself
-certifies that the skeleton is positive definite, or names how many
-non-positive eigenvalues it has (``IndefiniteSystemError``).
+In 3D the skeleton is never assembled.  Its free dofs are ordered by nested
+dissection on the grid planes (George 1973): a region of whole cells is cut
+on its longest axis at the grid plane nearest the median of its dofs'
+entity centroids, the free dofs on that plane are the region's separator,
+and a one-cell region holds no skeleton dof.  The separators are eliminated
+in postorder as dense fronts (the multifrontal method, Duff & Reid 1983).
+Each front is assembled from the signed element Schur complements of the
+elements whose first eliminated free dof it holds, plus its children's
+update matrices, and is factorized by ``dpotrf``, ``dtrsm`` and ``dsyrk`` on
+lower triangles.  The inertia of the skeleton is the sum of the inertias of
+the pivot blocks (Haynsworth additivity): a block Cholesky rejects gets its
+count of non-positive eigenvalues from ``eigh`` and the elimination goes on,
+so ``IndefiniteSystemError`` names how many non-positive eigenvalues the
+skeleton has.
+
+In 2D the skeleton is assembled as a sparse matrix and factorized by
+SuperLU in symmetric mode (minimum-degree ordering on A^T + A, diagonal
+pivots only), so the factorization is P A P^T = L U with U = D L^T.  By
+Sylvester's law of inertia the signs of diag(U) are the signs of the
+eigenvalues of A, which gives the same certificate.  2D stays on SuperLU:
+its factorization is a few percent of a 2D sweep, and every other
+factorization tried (dense Cholesky, SuperLU in COLAMD or natural order,
+this multifrontal) moves the pinned sine2d Q p = 8 error on 4x4 cells
+(1.5e-10) by 3e-8 to 1.5e-7 relative, outside its 1e-10 pin.
 """
 
 from __future__ import annotations
@@ -35,7 +54,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .indexsets import bubble_indices, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
@@ -547,43 +568,228 @@ def _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel: int):
     return S_glob
 
 
+def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
+    """Nested dissection of the free skeleton dofs on the grid planes.
+
+    Each dof sits at its entity's centroid, in half-element units: twice the
+    cell index plus 0, 2 or 1 per axis where the entity holds the lower end,
+    the upper end or the whole axis of the cell.  A region (a box of whole
+    cells) is split on its longest axis at the grid plane nearest the median
+    of its dofs (the lower plane on a tie); the free dofs on that plane are
+    its separator.  A region no grid plane crosses is one cell, and holds no
+    skeleton dof.  Returns the separators in postorder, as arrays of
+    positions in ``free_ids``, and each separator's parent (-1 at the root).
+    """
+    mesh = dofmap.mesh
+    cell = np.rint((mesh.elem_lower - mesh.vertices.min(axis=0))
+                   / mesh.h).astype(np.int64)
+    bl = dofmap.skeleton_local
+    half = np.array([[(0, 2, 1)[min(x, 2)] for x in dofmap.local_modes[i]]
+                     for i in bl], dtype=np.int64)
+    coords = np.empty((dofmap.interior_offset, mesh.dim), dtype=np.int64)
+    coords[dofmap.cell_dofs[:, bl]] = 2 * cell[:, None, :] + half
+    coords = coords[free_ids]
+    seps, parent = [], []
+
+    def visit(idx, lo, hi):
+        if idx.size == 0:
+            return -1
+        a = int(np.argmax(hi - lo))
+        planes = np.arange(lo[a] + 2, hi[a], 2)
+        if planes.size == 0:
+            raise ValueError("free skeleton dofs left in a one-cell region")
+        c = coords[idx, a]
+        k = planes[np.argmin(np.abs(planes - np.median(c)))]
+        upper, lower = hi.copy(), lo.copy()
+        upper[a] = lower[a] = k
+        kids = (visit(idx[c < k], lo, upper), visit(idx[c > k], lower, hi))
+        seps.append(idx[c == k])
+        parent.append(-1)
+        for kid in kids:
+            if kid >= 0:
+                parent[kid] = len(seps) - 1
+        return len(seps) - 1
+
+    visit(np.arange(free_ids.size), np.zeros(mesh.dim, dtype=np.int64),
+          2 * (cell.max(axis=0) + 1))
+    return seps, np.array(parent, dtype=np.int64)
+
+
+class _Multifrontal:
+    """Cholesky factor of the free skeleton as a list of dense fronts.
+
+    ``perm`` lists the free positions in elimination order; each front is
+    (s, e, upd, L11, L21): its pivot ranks s:e, its update ranks, and its
+    factor blocks (L11 lower).  ``nnz`` counts the stored factor entries:
+    the lower triangles of the L11 and every entry of the L21.
+    """
+
+    def __init__(self, perm, fronts):
+        self.perm, self.fronts = perm, fronts
+        self.nnz = int(sum((e - s) * (e - s + 1) // 2 + (e - s) * upd.size
+                           for s, e, upd, _, _ in fronts))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = b[self.perm]
+        for s, e, upd, L11, L21 in self.fronts:
+            if e > s:
+                y[s:e] = dtrtrs(L11, y[s:e], lower=1)[0]
+                if upd.size:
+                    y[upd] -= L21 @ y[s:e]
+        for s, e, upd, L11, L21 in reversed(self.fronts):
+            if e > s:
+                rhs = y[s:e] - L21.T @ y[upd] if upd.size else y[s:e]
+                y[s:e] = dtrtrs(L11, rhs, lower=1, trans=1)[0]
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
+def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
+    """Nested-dissection multifrontal Cholesky of the free skeleton block.
+
+    The separators of ``_dissect_skeleton`` are eliminated in postorder.  An
+    element's signed Schur complement is added into the front of its first
+    eliminated free dof; its other free dofs lie on ancestor separators, so
+    they are among that front's update rows.  The children's update matrices
+    are added in, and the pivot block is factorized by ``dpotrf``, ``dtrsm``
+    and ``dsyrk`` on lower triangles.  Every front is indexed in elimination
+    order, so a child's lower triangle lands in its parent's.
+
+    The inertia of the block is the sum of the inertias of the pivot blocks
+    (Haynsworth additivity).  A pivot block ``dpotrf`` rejects gets its count
+    of non-positive eigenvalues from ``eigh``, and the elimination goes on
+    through V diag(1/w) V^T, so ``IndefiniteSystemError`` reports the total
+    count.  An exactly singular pivot block raises it at once.
+    """
+    seps, parent = _dissect_skeleton(dofmap, free_ids)
+    n, n_nodes = free_ids.size, len(seps)
+    sizes = np.array([s.size for s in seps], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    perm = np.concatenate(seps) if seps else np.zeros(0, dtype=np.int64)
+    rank = -np.ones(dofmap.interior_offset, dtype=np.int64)
+    rank[free_ids[perm]] = np.arange(n)
+    bl = dofmap.skeleton_local
+    ranks = rank[dofmap.cell_dofs[:, bl]]
+    signs = dofmap.cell_signs[:, bl]
+
+    # each element goes to the front of its first eliminated free dof
+    first = np.where(ranks >= 0, ranks, n).min(axis=1)
+    owned = np.nonzero(first < n)[0]
+    node_of = np.repeat(np.arange(n_nodes), sizes)[first[owned]]
+    order = np.argsort(node_of, kind="stable")
+    elements = np.split(owned[order], np.cumsum(
+        np.bincount(node_of, minlength=n_nodes))[:-1])
+
+    where = np.zeros(n, dtype=np.int64)      # rank -> row of the current front
+    pending, fronts = {}, []        # pending: parent -> children's updates
+    n_nonpos = 0
+    for node in range(n_nodes):
+        s, e = starts[node], ends[node]
+        R = ranks[elements[node]]
+        kids = pending.pop(node, [])
+        idx = np.unique(np.concatenate([np.arange(s, e), R[R >= 0]]
+                                       + [ids for ids, _ in kids]))
+        m, k = idx.size, e - s
+        where[idx] = np.arange(m)
+        free = R >= 0
+        pos = np.where(free, where[R], 0)
+        sg = np.where(free, signs[elements[node]], 0.0)
+        # F[i, j] is flat[i + m j]; the unique-index fast path of np.add.at
+        # beats fancy 2D indexing for the children's update matrices
+        F = np.zeros((m, m), order="F")
+        flat = F.reshape(-1, order="F")
+        np.add.at(flat, (pos[:, :, None] + m * pos[:, None, :]).ravel(),
+                  (sg[:, :, None] * S_loc * sg[:, None, :]).ravel())
+        for ids, U in kids:
+            loc = where[ids]
+            np.add.at(flat, (loc[:, None] + m * loc).ravel(order="F"),
+                      U.ravel(order="F"))
+        L11 = L21 = None
+        U = F[k:, k:]
+        if k:
+            L11, info = dpotrf(F[:k, :k], lower=1)
+            if info == 0:
+                if m > k:
+                    L21 = dtrsm(1.0, L11, F[k:, :k], side=1, lower=1,
+                                trans_a=1)
+                    U = dsyrk(-1.0, L21, beta=1.0, c=U, lower=1)
+            else:
+                w, V = eigh(F[:k, :k], lower=True, check_finite=False)
+                n_nonpos += int(np.count_nonzero(w <= 0.0))
+                if not np.all(np.abs(w) > 0.0):
+                    raise IndefiniteSystemError(
+                        f"skeleton not SPD: singular pivot block, at least "
+                        f"{n_nonpos} non-positive pivot(s) of {n}")
+                W = F[k:, :k] @ V
+                U = U - (W / w) @ W.T
+        fronts.append((s, e, idx[k:], L11, L21))
+        if parent[node] >= 0:
+            pending.setdefault(parent[node], []).append((idx[k:], U))
+    if n_nonpos:
+        raise IndefiniteSystemError(
+            f"skeleton not SPD: {n_nonpos} non-positive pivot(s) of {n}")
+    return _Multifrontal(perm, fronts)
+
+
+def _element_schur(k_local: np.ndarray, dofmap: DofMap):
+    """Static condensation of the shared local stiffness: the Cholesky
+    factor of its interior block, K_ib, X = K_ii^-1 K_ib and the element
+    Schur complement S_loc on the skeleton modes (the first three None
+    without interior modes)."""
+    il, bl = dofmap.interior_local, dofmap.skeleton_local
+    if not il.size:
+        return None, None, None, k_local[np.ix_(bl, bl)]
+    try:
+        cho = cho_factor(k_local[np.ix_(il, il)])
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteSystemError("interior block not SPD") from exc
+    Kib = k_local[np.ix_(il, bl)]
+    X = cho_solve(cho, Kib)                          # (ni, nb)
+    return cho, Kib, X, k_local[np.ix_(bl, bl)] - Kib.T @ X
+
+
 @dataclass
 class FemSolution:
+    """The solution with its diagnostics: the relative residual, the number
+    of free skeleton dofs and the number of stored skeleton factor entries."""
+
     dofmap: DofMap
     values: np.ndarray
     residual_norm: float
+    skeleton_free: int = 0
+    factor_nnz: int = 0
 
 
 def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     """Eliminate interior modes elementwise, solve the skeleton, back-substitute.
 
-    The free skeleton block is factorized in SuperLU's symmetric mode
-    (``_factor_spd``); its pivots certify positive definiteness by Sylvester's
-    law of inertia, and ``IndefiniteSystemError`` reports the number of
-    non-positive pivots otherwise.  The solution is then checked against the
-    uncondensed operator and refined through the same factorization, up to
-    ``REFINE_PASSES`` times; ``RefinementError`` is raised if the relative
-    residual is still at or above ``RESIDUAL_BOUND``.
+    In 3D the free skeleton block is never assembled: ``_factor_multifrontal``
+    orders it by nested dissection on the grid planes and factorizes it in
+    dense fronts assembled from the signed element Schur complements; the
+    Dirichlet coupling S[:, fixed] g is one gather per element.  A front
+    whose Cholesky fails gets its eigenvalue count from its pivot block, so
+    by Haynsworth additivity ``IndefiniteSystemError`` reports the number of
+    non-positive eigenvalues.  In 2D the skeleton is assembled as a sparse
+    matrix and factorized in SuperLU's symmetric mode (``_factor_spd``),
+    whose pivots certify positive definiteness by Sylvester's law of
+    inertia.  2D stays there because its factorization is a few percent of
+    a 2D sweep, and any other factorization tried moves the pinned sine2d Q
+    p = 8 error by more than its 1e-10 relative pin (see the module
+    docstring).
+
+    The solution is then checked against the uncondensed operator and
+    refined through the same factorization, up to ``REFINE_PASSES`` times;
+    ``RefinementError`` is raised if the relative residual is still at or
+    above ``RESIDUAL_BOUND``.
     """
-    mesh = dofmap.mesh
-    K = system.k_local
-    il, bl = dofmap.interior_local, dofmap.skeleton_local
-    ne = mesh.n_elements
-    ni, nb = il.size, bl.size
+    il = dofmap.interior_local
+    ni = il.size
+    cho, Kib, X, S_loc = _element_schur(system.k_local, dofmap)
 
-    if ni:
-        try:
-            cho = cho_factor(K[np.ix_(il, il)])
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteSystemError("interior block not SPD") from exc
-        Kib = K[np.ix_(il, bl)]
-        X = cho_solve(cho, Kib)                      # (ni, nb)
-        S_loc = K[np.ix_(bl, bl)] - Kib.T @ X
-    else:
-        S_loc = K[np.ix_(bl, bl)]
-
-    skel_dofs = dofmap.cell_dofs[:, bl]
-    skel_signs = dofmap.cell_signs[:, bl]
+    skel_dofs = dofmap.cell_dofs[:, dofmap.skeleton_local]
+    skel_signs = dofmap.cell_signs[:, dofmap.skeleton_local]
     n_skel = dofmap.interior_offset
     rhs = system.load[:n_skel].copy()
     if ni:
@@ -591,22 +797,29 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
         corr = F_i @ X                               # (ne, nb)
         np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * corr).ravel())
 
-    S_glob = _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel)
-
     fixed = system.dirichlet_dofs
     gvals = system.dirichlet_values
     free = np.ones(n_skel, dtype=bool)
     free[fixed] = False
     free_ids = np.nonzero(free)[0]
 
-    # one row slice gives the free block and the Dirichlet coupling; both
-    # sparse copies are dropped before the factorization
-    S_free = S_glob[free_ids]
-    del S_glob
-    A_ff = S_free[:, free_ids].tocsc()
-    b = rhs[free_ids] - S_free[:, fixed] @ gvals
-    del S_free
-    lu = _factor_spd(A_ff)
+    if dofmap.mesh.dim == 3:
+        g = np.zeros(n_skel)
+        g[fixed] = gvals
+        coupling = (skel_signs * g[skel_dofs]) @ S_loc.T
+        np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * coupling).ravel())
+        b = rhs[free_ids]
+        lu = _factor_multifrontal(S_loc, dofmap, free_ids)
+    else:
+        S_glob = _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel)
+        # one row slice gives the free block and the Dirichlet coupling;
+        # both sparse copies are dropped before the factorization
+        S_free = S_glob[free_ids]
+        del S_glob
+        A_ff = S_free[:, free_ids].tocsc()
+        b = rhs[free_ids] - S_free[:, fixed] @ gvals
+        del S_free
+        lu = _factor_spd(A_ff)
     u_free = lu.solve(b)
 
     def back_substitute():
@@ -645,7 +858,9 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
         raise RefinementError(
             f"relative residual {rel:.3e} after {REFINE_PASSES} refinement "
             f"passes (bound {RESIDUAL_BOUND:g})")
-    return FemSolution(dofmap=dofmap, values=u, residual_norm=float(rel))
+    # SuperLU's nnz counts the entries of its L and U
+    return FemSolution(dofmap=dofmap, values=u, residual_norm=float(rel),
+                       skeleton_free=int(free_ids.size), factor_nnz=int(lu.nnz))
 
 
 # ---------------------------------------------------------------------------

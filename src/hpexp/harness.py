@@ -225,7 +225,9 @@ def _fem_solver(sw: dict):
                            sigma=sigma,
                            layers=layers if layers is not None else max(p, 20))
         return (dofmap.n_dof, {"h1_semi": err},
-                {"residual": sol.residual_norm, "problem": prob.name})
+                {"residual": sol.residual_norm, "problem": prob.name,
+                 "skeleton_free": sol.skeleton_free,
+                 "factor_nnz": sol.factor_nnz})
 
     return f"fem_{family.lower()}", mesh.dim, sw["p_list"], solve_one
 

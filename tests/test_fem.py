@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
@@ -524,6 +525,164 @@ def test_refinement_failure_raises_named_error(monkeypatch):
         fem.condense_solve(system, dm)
     assert not isinstance(info.value, fem.IndefiniteSystemError)
     assert isinstance(info.value, RuntimeError)
+
+
+def _p1_system_3d(shift):
+    """Q1 system on a 4^3 mesh (27 free vertices, no interior modes),
+    k_local shifted by -shift*I as in ``_p1_system``."""
+    mesh = fem.mesh_uniform(3, 4, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, 1, "Q")
+    system = fem.assemble_poisson(mesh, dm, lambda x, y, z: 1.0 + 0 * x * y * z,
+                                  lambda x, y, z: 0.0 * x)
+    k = system.k_local - shift * np.eye(system.k_local.shape[0])
+    return dm, replace(system, k_local=k)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.05, 0.08, 0.1])
+def test_multifrontal_certificate_counts_nonpositive_eigenvalues(shift):
+    # 0, 1, 8 and 24 non-positive eigenvalues: Haynsworth additivity over
+    # the fronts must give eigvalsh's count
+    dm, system = _p1_system_3d(shift)
+    free = system.free_mask()
+    assert free.sum() == 27
+    eig = np.linalg.eigvalsh(_dense_operator(system)[np.ix_(free, free)])
+    n_neg = int(np.sum(eig <= 0.0))
+    assert np.min(np.abs(eig)) > 1e-3          # the count is well separated
+    if n_neg == 0:
+        fem.condense_solve(system, dm)
+        return
+    with pytest.raises(fem.IndefiniteSystemError,
+                       match=rf"\b{n_neg} non-positive pivot\(s\) of 27"):
+        fem.condense_solve(system, dm)
+
+
+def test_multifrontal_negated_skeleton_reports_every_pivot():
+    # every front's dpotrf fails, so every count comes from eigh
+    dm, system = _p1_system_3d(0.0)
+    system = replace(system, k_local=-system.k_local)
+    with pytest.raises(fem.IndefiniteSystemError,
+                       match=r"27 non-positive pivot\(s\) of 27"):
+        fem.condense_solve(system, dm)
+
+
+def test_multifrontal_singular_pivot_block_raises():
+    dm, system = _p1_system_3d(0.0)
+    system = replace(system, k_local=0.0 * system.k_local)
+    with pytest.raises(fem.IndefiniteSystemError,
+                       match=r"singular pivot block.* non-positive pivot"):
+        fem.condense_solve(system, dm)
+
+
+def test_multifrontal_refinement_failure_raises_named_error(monkeypatch):
+    mesh = fem.mesh_uniform(3, 2, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, 3, "Q")
+    prob = fem.fem_problem("sine3d")
+    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+    factor = fem._factor_multifrontal
+
+    class HalfSolve:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return 0.5 * self.lu.solve(b)
+
+    monkeypatch.setattr(fem, "_factor_multifrontal",
+                        lambda *args: HalfSolve(factor(*args)))
+    with pytest.raises(fem.RefinementError, match="relative residual") as info:
+        fem.condense_solve(system, dm)
+    assert not isinstance(info.value, fem.IndefiniteSystemError)
+
+
+def test_3d_solve_builds_no_global_sparse_skeleton(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 3D path reached the sparse skeleton")
+
+    monkeypatch.setattr(fem, "_assemble_skeleton", refuse)
+    monkeypatch.setattr(fem, "_factor_spd", refuse)
+    monkeypatch.setattr(fem.spla, "splu", refuse)
+    mesh = fem.mesh_uniform(3, 2, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, 3, "Q")
+    prob = fem.fem_problem("sine3d")
+    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+    assert fem.condense_solve(system, dm).residual_norm < 1e-12
+
+
+def _free_skeleton(dm, system):
+    free = np.ones(dm.interior_offset, dtype=bool)
+    free[system.dirichlet_dofs] = False
+    return np.nonzero(free)[0]
+
+
+@pytest.mark.parametrize("family", ["Q", "S"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multifrontal_matches_sparse_reference(family, n):
+    # n = 3 puts the bisection planes off-centre; n = 1 has no free skeleton
+    mesh = fem.mesh_uniform(3, n, (0.0, 1.0))
+    prob = fem.fem_problem("sine3d")
+    rng = np.random.default_rng(n)
+    for p in range(1, 6):
+        dm = fem.build_dofmap(mesh, p, family)
+        system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+        S_loc = fem._element_schur(system.k_local, dm)[3]
+        free_ids = _free_skeleton(dm, system)
+        lu = fem._factor_multifrontal(S_loc, dm, free_ids)
+        b = rng.standard_normal(free_ids.size)
+        x = lu.solve(b)
+        if n == 1:
+            assert free_ids.size == 0 and x.size == 0 and lu.nnz == 0
+            continue
+        bl = dm.skeleton_local
+        S = fem._assemble_skeleton(S_loc, dm.cell_dofs[:, bl],
+                                   dm.cell_signs[:, bl], dm.interior_offset)
+        ref = spla.spsolve(S[free_ids][:, free_ids].tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), p
+
+
+@pytest.mark.parametrize("family, p", [("Q", 3), ("S", 5)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dissection_keeps_each_element_on_one_root_path(family, p, n):
+    """Every free dof is on exactly one separator, and the separators an
+    element touches lie on one path to the root: no element has free dofs
+    in two sibling subtrees."""
+    mesh = fem.mesh_uniform(3, n, (0.0, 1.0))
+    dm = fem.build_dofmap(mesh, p, family)
+    system = fem.assemble_poisson(mesh, dm, lambda x, y, z: 0.0 * x,
+                                  lambda x, y, z: 0.0 * x)
+    free_ids = _free_skeleton(dm, system)
+    seps, parent = fem._dissect_skeleton(dm, free_ids)
+    assert np.array_equal(np.sort(np.concatenate(seps)),
+                          np.arange(free_ids.size))
+    assert list(parent).count(-1) == 1
+    assert all(parent[i] > i for i in range(len(seps)) if parent[i] >= 0)
+    node = -np.ones(dm.interior_offset, dtype=np.int64)
+    for i, sep in enumerate(seps):
+        node[free_ids[sep]] = i
+    for dofs in dm.cell_dofs[:, dm.skeleton_local]:
+        touched = set(node[dofs]) - {-1}
+        if not touched:
+            continue
+        path, i = set(), min(touched)      # postorder: the deepest first
+        while i >= 0:
+            path.add(i)
+            i = parent[i]
+        assert touched <= path
+
+
+def test_fem_records_carry_skeleton_counts():
+    for sw, free, nnz in (
+            ({"dim": 3, "n": 2, "p_list": [2]}, 19, 151),
+            ({"dim": 2, "n": 2, "p_list": [2]}, 5, None)):
+        rec, = run_sweep({"name": "fem", "kind": "fem-sine", "family": "Q",
+                          **sw})
+        assert rec.extra["skeleton_free"] == free
+        assert type(rec.extra["factor_nnz"]) is int
+        assert rec.extra["factor_nnz"] >= free
+        if nnz is not None:
+            assert rec.extra["factor_nnz"] == nnz
+        back, = harness.records_from_csv(harness.records_to_csv([rec]))
+        assert back.extra["skeleton_free"] == free
+        assert back.extra["factor_nnz"] == rec.extra["factor_nnz"]
 
 
 def test_single_element_harmonic_exactness():
