@@ -518,25 +518,38 @@ REFINE_PASSES = 3
 RESIDUAL_BOUND = 1e-9
 
 
+def _nonpositive_pivots(lu) -> Optional[int]:
+    """Inertia certificate of a SuperLU factorization of a symmetric A.
+
+    When the row and column permutations agree, every pivot was taken on the
+    diagonal and P A P^T = L U with unit lower L.  For symmetric A that makes
+    U = D L^T, so by Sylvester's law of inertia the number of non-positive
+    entries of diag(U) is the number of non-positive eigenvalues of A; that
+    number is returned.  ``None`` when a row pivot left the diagonal: then
+    the factorization certifies nothing.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() <= 0.0))
+
+
 def _factor_spd(A: sp.csc_matrix):
     """Symmetric-mode sparse LU of A with an inertia certificate.
 
-    With the same permutation on rows and columns and diagonal pivots only,
-    P A P^T = L U with unit lower L.  For symmetric A that makes U = D L^T,
-    so by Sylvester's law of inertia the number of non-positive entries of
-    diag(U) is the number of non-positive eigenvalues of A.  Raises
-    ``IndefiniteSystemError`` unless that number is zero.
+    Minimum-degree ordering on A^T + A and diagonal pivots only, so
+    ``_nonpositive_pivots`` counts the non-positive eigenvalues of A.
+    Raises ``IndefiniteSystemError`` unless that count is zero.
     """
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise IndefiniteSystemError("skeleton factorization failed") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
+    n_nonpos = _nonpositive_pivots(lu)
+    if n_nonpos is None:
         raise IndefiniteSystemError(
             "skeleton factorization left the diagonal (row and column "
             "permutations differ); no inertia certificate")
-    n_nonpos = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
     if n_nonpos:
         raise IndefiniteSystemError(
             f"skeleton not SPD: {n_nonpos} non-positive pivot(s) of "

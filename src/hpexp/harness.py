@@ -242,8 +242,10 @@ def _dg_solver(sw: dict):
     def solve_one(p):
         spec = dgfem.DgSpec(family=family, p=p, gamma=gamma)
         system = dgfem.assemble_sip(n, spec, f, exact)
-        errors = dgfem.dg_errors(dgfem.dg_solve(system), exact, exact_gradient)
-        return n * n * dof_count(BasisSpec(2, p, family)), errors, {}
+        sol = dgfem.dg_solve(system)
+        errors = dgfem.dg_errors(sol, exact, exact_gradient)
+        return (n * n * dof_count(BasisSpec(2, p, family)), errors,
+                {"residual": sol.residual_norm, "factor_nnz": sol.factor_nnz})
 
     return f"dg_{family.lower()}", 2, sw["p_list"], solve_one
 

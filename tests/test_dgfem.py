@@ -1,9 +1,14 @@
+import itertools
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from hpexp import dgfem
-from hpexp.harness import fit_slope, run_sweep
+from hpexp import dgfem, fem
+from hpexp.harness import fit_slope, run_config, run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, enumerate_modes
 from hpexp.orthopoly import gauss_rule
 
@@ -178,8 +183,13 @@ def test_indefinite_with_tiny_penalty():
     g, _ = _linear()
     system = dgfem.assemble_sip(3, dgfem.DgSpec("Q", 3, gamma=1e-4),
                                 lambda x, y: 0.0 * x, g)
-    with pytest.raises(dgfem.IndefiniteSipError):
+    with pytest.raises(dgfem.IndefiniteSipError) as info:
         dgfem.dg_solve(system)
+    # the pivot count is the number of negative eigenvalues
+    n_neg = int(np.count_nonzero(np.linalg.eigvalsh(system.matrix.toarray()) < 0))
+    assert n_neg > 0
+    assert f"{n_neg} non-positive pivot(s) of {system.matrix.shape[0]}" \
+        in str(info.value)
     # a sweep records the failure with its class, NaN errors and dof -1
     rec, = _dg_sweep(2, "Q", [2], gamma=1e-6)
     assert rec.extra["error_class"] == "IndefiniteSipError"
@@ -203,3 +213,104 @@ def test_sweep_records_and_l2_rate():
     # broken-H1 error decays exponentially in p
     fit = fit_slope(recs, abscissa="p", error_key="broken_h1")
     assert fit.r_squared >= 0.98
+
+
+_PIVOT_COUNT = re.compile(r"(\d+) non-positive pivot\(s\) of (\d+)")
+
+
+def test_definiteness_verdict_matches_dense_cholesky():
+    """dg_solve solves exactly the systems dense Cholesky accepts, and names
+    the number of non-positive eigenvalues of the others.  The grid reaches both
+    verdicts: from the COLAMD LU's own pivots, and from the symmetric-mode
+    factorization when a row pivot left the diagonal."""
+    f = lambda x, y: np.sin(3.0 * x) * np.cos(y)
+    g = lambda x, y: 1.0 + x - y
+    # (2, 1.0, P, 5) is SPD, but its COLAMD LU pivots off the diagonal
+    grid = list(itertools.product([1, 2, 3], [1e-6, 0.3, 1.0, 10.0], "QP",
+                                  [1, 3, 5])) + [(2, 1.0, "P", 5)]
+    paths = set()
+    for n, gamma, family, p in grid:
+        system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
+        A = system.matrix
+        lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
+        paths.add(fem._nonpositive_pivots(lu) is None)
+        eig = np.linalg.eigvalsh(A.toarray())
+        try:
+            np.linalg.cholesky(A.toarray())
+            spd = True
+        except np.linalg.LinAlgError:
+            spd = False
+        case = (n, gamma, family, p)
+        if spd:
+            sol = dgfem.dg_solve(system)
+            assert np.all(np.isfinite(sol.coeffs)), case
+            assert sol.residual_norm < 1e-8, case
+        else:
+            with pytest.raises(dgfem.IndefiniteSipError) as info:
+                dgfem.dg_solve(system)
+            count = _PIVOT_COUNT.search(str(info.value))
+            assert count, (case, str(info.value))
+            # an eigenvalue at round-off level may count either way
+            tol = 1e-10 * np.abs(eig).max()
+            assert np.count_nonzero(eig < -tol) <= int(count.group(1)) \
+                <= np.count_nonzero(eig <= tol), case
+            assert int(count.group(2)) == A.shape[0], case
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize("family, p", [("Q", 4), ("P", 6)])
+def test_solve_is_bitwise_the_spsolve_solution(family, p):
+    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
+    system = dgfem.assemble_sip(4, dgfem.DgSpec(family, p), f, exact)
+    reference = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    sol = dgfem.dg_solve(system)
+    assert np.array_equal(sol.coeffs.ravel(), reference)
+
+
+def test_asymmetric_system_raises():
+    g, _ = _linear()
+    base = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2), lambda x, y: 0.0 * x, g)
+    assert dgfem._asymmetry(base.matrix) < 1e-12
+    # one stored entry changed, then one entry outside the symmetric pattern
+    for i, j in ((0, 1), (0, base.matrix.shape[0] - 1)):
+        A = base.matrix.tolil()
+        A[i, j] += 1.0
+        base.matrix = A.tocsr()
+        with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
+            dgfem.dg_solve(base)
+        assert dgfem._asymmetry(base.matrix) == 1.0
+
+
+def test_nan_load_raises():
+    g, _ = _linear()
+    system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
+                                lambda x, y: 0.0 * x, g)
+    system.rhs[3] = np.nan
+    with pytest.raises(dgfem.IndefiniteSipError, match="residual"):
+        dgfem.dg_solve(system)
+
+
+def test_singular_matrix_raises():
+    g, _ = _linear()
+    system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
+                                lambda x, y: 0.0 * x, g)
+    keep = np.ones(system.matrix.shape[0])
+    keep[5] = 0.0
+    D = sp.diags(keep)
+    system.matrix = (D @ system.matrix @ D).tocsr()     # a zero row and column
+    with pytest.raises(dgfem.IndefiniteSipError):
+        dgfem.dg_solve(system)
+
+
+def test_records_carry_solver_diagnostics(tmp_path):
+    sw = {"name": "dg", "kind": "dg-sine", "n": 2, "family": "Q",
+          "p_list": [2, 3], "gamma": 10.0}
+    recs = run_config({"sweeps": [sw]}, tmp_path)["dg"]
+    for r in recs:
+        assert 0.0 <= r.extra["residual"] < 1e-8
+        assert r.extra["factor_nnz"] >= r.dof
+    meta = json.loads((tmp_path / "dg.meta.json").read_text())
+    assert meta["max_solver_residual"] == max(r.extra["residual"] for r in recs)
+    header = (tmp_path / "dg.csv").read_text().splitlines()[0].split(",")
+    assert {"residual", "factor_nnz"} <= set(header)
