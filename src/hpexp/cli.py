@@ -4,11 +4,12 @@ Subcommands: basis-count, project-sweep, lemma-audit, sharp-ratio,
 fem-lshape, fem-sine, dg-sine, slope-fit, run.  Each sweep subcommand (all
 but sharp-ratio, slope-fit and run) builds one sweep in the config format of
 ``hpexp run`` from its options, which carry the names of the config keys, and
-goes through the same validator and runner.  project-sweep and the FEM and DG
-sweeps print CSV to stdout, or with --out PREFIX the config runner writes
-PREFIX.csv and PREFIX.meta.json with the same meta fields as ``hpexp run``;
-basis-count and lemma-audit print their own tables.  Exit codes: 0 success,
-1 usage or config error, 2 numerical failure.
+goes through the same validator and runner; an option not given is left out
+of the sweep, so the kind's own default applies.  project-sweep and the FEM
+and DG sweeps print CSV to stdout, or with --out PREFIX the config runner
+writes PREFIX.csv and PREFIX.meta.json with the same meta fields as
+``hpexp run``; basis-count and lemma-audit print their own tables.  Exit
+codes: 0 success, 1 usage or config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fem, harness
+from . import harness
 from .bounds import phi, sharp_l2_ratio
 from .harness import (ConfigError, fit_slope, records_from_csv, records_to_csv,
                       run_config, run_sweep)
@@ -60,12 +61,11 @@ def _build_parser() -> _Parser:
     ps.add_argument("--dim", type=int, required=True, choices=(2, 3))
     ps.add_argument("--kind", dest="proj_kind", required=True,
                     choices=harness.PROJECTION_KINDS)
-    ps.add_argument("--function", default="sine",
-                    choices=("sine", "expsum", "runge1d-tensor"))
+    ps.add_argument("--function", choices=("sine", "expsum", "runge1d-tensor"))
     ps.add_argument("--p-min", type=int, required=True)
     ps.add_argument("--p-max", type=int, required=True)
-    ps.add_argument("--margin", type=int, default=20)
-    ps.add_argument("--runge-a", type=float, default=0.5)
+    ps.add_argument("--margin", type=int)
+    ps.add_argument("--runge-a", type=float)
 
     la = sub.add_parser("lemma-audit", help="lattice audit of the Gamma bound")
     la.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
@@ -83,8 +83,8 @@ def _build_parser() -> _Parser:
     fl.add_argument("--p-max", type=int, required=True)
     fl.add_argument("--p-list", type=str, default=None,
                     help="comma separated degrees (overrides --p-max)")
-    fl.add_argument("--graded-layers", type=int, default=None)
-    fl.add_argument("--graded-ratio", type=float, default=fem.GRADED_SIGMA_DEFAULT)
+    fl.add_argument("--graded-layers", type=int)
+    fl.add_argument("--graded-ratio", type=float)
 
     fs = sub.add_parser("fem-sine", help="sine Poisson benchmark")
     fs.add_argument("--dim", type=int, required=True, choices=(2, 3))
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     dg.add_argument("--family", required=True, choices=("p", "q"))
     dg.add_argument("--p-max", type=int, required=True)
     dg.add_argument("--p-min", type=int, default=1)
-    dg.add_argument("--gamma", type=float, default=10.0)
+    dg.add_argument("--gamma", type=float)
 
     for sweep_parser in (ps, fl, fs, dg):
         sweep_parser.add_argument("--out", default=None)

@@ -141,6 +141,8 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
                  domain=(0.0, 1.0)) -> DgSystem:
     """Assemble the SIP system on an n x n uniform square mesh."""
     n, p = mesh_n, spec.p
+    if n < 1:
+        raise ValueError("need n >= 1")
     lo, hi = float(domain[0]), float(domain[1])
     h = (hi - lo) / n
     a = h / 2.0
@@ -216,17 +218,17 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
                     matrix=A, rhs=rhs)
 
 
-def _asymmetry(A: sp.csr_matrix) -> float:
-    """max |A - A^T|.  The SIP pattern is symmetric, so the stored entries
-    of A and of A^T are compared directly.  The temporaries of the sparse
+def _asymmetry(A: sp.csr_matrix, A_csc: sp.csc_matrix) -> float:
+    """max |A - A^T|, given A in CSR and in CSC form: the CSC arrays of A are
+    the CSR arrays of A^T.  The SIP pattern is symmetric, so the stored
+    entries of both are compared directly.  The temporaries of the sparse
     difference A - A^T fragment the heap the LU is then built in: they
     raised the dg workload's peak RSS from 419 to 463 MB (2 cores, scipy
     1.17)."""
-    T = A.T.tocsr()
-    if (np.array_equal(A.indptr, T.indptr)
-            and np.array_equal(A.indices, T.indices)):
-        return float(np.abs(A.data - T.data).max(initial=0.0))
-    return float(abs(A - T).max())
+    if (np.array_equal(A.indptr, A_csc.indptr)
+            and np.array_equal(A.indices, A_csc.indices)):
+        return float(np.abs(A.data - A_csc.data).max(initial=0.0))
+    return float(abs(A - A_csc.T).max())
 
 
 def dg_solve(system: DgSystem) -> BrokenSolution:
@@ -243,13 +245,18 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     ``IndefiniteSipError``.
     """
     A = system.matrix
-    asym = _asymmetry(A)
-    if asym > 1e-10 * max(np.abs(A.data).max(initial=0.0), 1.0):
+    # one CSC copy serves the symmetry check and the LU; it is released
+    # before the pivots are read (held, it raised the dg workload's peak RSS
+    # from 421 to 465 MB)
+    A_csc = A.tocsc()
+    asym = _asymmetry(A, A_csc)
+    if not asym <= 1e-10 * max(np.abs(A.data).max(initial=0.0), 1.0):
         raise IndefiniteSipError(f"system not symmetric: {asym:.2e}")
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
+        lu = spla.splu(A_csc, permc_spec="COLAMD")
     except RuntimeError as exc:
         raise IndefiniteSipError(f"SIP matrix singular: {exc}") from exc
+    del A_csc
     n_nonpos = fem._nonpositive_pivots(lu)
     if n_nonpos is None:
         try:
@@ -276,6 +283,8 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
 def broken_interpolant(spec: DgSpec, n: int, f: Callable,
                        domain=(0.0, 1.0)) -> BrokenSolution:
     """Elementwise L2 projection of f onto the broken space (test oracle)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     lo, hi = float(domain[0]), float(domain[1])
     h = (hi - lo) / n
     a = h / 2.0

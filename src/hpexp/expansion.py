@@ -71,16 +71,18 @@ class CoeffTensor:
 
 @dataclass(frozen=True)
 class FunctionOracle:
-    """Point evaluator on the closed reference element, plus optional extras.
+    """A function of d coordinates, with the derivatives a solver needs.
 
-    ``f`` takes d broadcastable coordinate arrays.  ``gradient`` (optional)
-    returns the d partial derivatives, used by solvers for error measurement.
+    ``f`` takes d broadcastable coordinate arrays, anywhere in R^d, not only
+    on the reference element.  ``gradient`` returns the d partial
+    derivatives and ``source`` is -Laplace(u); both are set for the sine,
+    whose FEM and DG problems take u, grad u and -Laplace(u) from here.
     """
 
     dim: int
     f: Callable[..., np.ndarray]
     gradient: Optional[Callable[..., tuple[np.ndarray, ...]]] = None
-    name: str = ""
+    source: Optional[Callable[..., np.ndarray]] = None
 
 
 def _weight_vectors(shape) -> list[np.ndarray]:
@@ -261,26 +263,26 @@ def named_function(name: str, dim: int, runge_a: float = 0.5) -> FunctionOracle:
                 out = out * np.sin(np.pi * x)
             return out
 
-        def grad(*xs):
+        # the pinned solver errors fix the operand order: ((pi f_0) f_1) f_2
+        # with f_k the cosine factor, and ((d pi^2) s_0) s_1 for -Laplace(u)
+        def gradient(*xs):
             outs = []
             for k in range(dim):
-                g = np.ones(np.broadcast_shapes(*(np.shape(x) for x in xs)))
+                g = np.pi
                 for j, x in enumerate(xs):
-                    g = g * (np.pi * np.cos(np.pi * x) if j == k else np.sin(np.pi * x))
+                    g = g * (np.cos if j == k else np.sin)(np.pi * x)
                 outs.append(g)
             return tuple(outs)
 
-        return FunctionOracle(dim=dim, f=f, gradient=grad, name="sine")
+        def source(*xs):
+            out = dim * np.pi ** 2
+            for x in xs:
+                out = out * np.sin(np.pi * x)
+            return out
+
+        return FunctionOracle(dim=dim, f=f, gradient=gradient, source=source)
     if name == "expsum":
-        def f(*xs):
-            return np.exp(sum(xs))
-
-        def grad(*xs):
-            v = np.exp(sum(xs)) * np.ones(
-                np.broadcast_shapes(*(np.shape(x) for x in xs)))
-            return tuple(v for _ in range(dim))
-
-        return FunctionOracle(dim=dim, f=f, gradient=grad, name="expsum")
+        return FunctionOracle(dim=dim, f=lambda *xs: np.exp(sum(xs)))
     if name == "runge1d-tensor":
         def f(*xs):
             out = 1.0 / (1.0 + (xs[0] / runge_a) ** 2)
@@ -288,5 +290,5 @@ def named_function(name: str, dim: int, runge_a: float = 0.5) -> FunctionOracle:
                 out = out / (1.0 + (x / runge_a) ** 2)
             return out
 
-        return FunctionOracle(dim=dim, f=f, name="runge1d-tensor")
+        return FunctionOracle(dim=dim, f=f)
     raise ValueError(f"unknown function name {name!r}")

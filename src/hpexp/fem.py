@@ -58,6 +58,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from .expansion import named_function
 from .indexsets import bubble_indices, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
                         legendre_table, psi_table)
@@ -145,8 +146,7 @@ def _first_appearance(keys: np.ndarray):
 
 
 def _build_mesh(dim: int, vertex_coords: np.ndarray, cells: list,
-                grid_shape, h: float,
-                singular_corner=None) -> Mesh:
+                grid_shape, h: float) -> Mesh:
     """Assemble entity tables from a vertex grid and a list of cell lattice
     coordinates; vertices not referenced by any cell are compacted away.
 
@@ -195,9 +195,7 @@ def _build_mesh(dim: int, vertex_coords: np.ndarray, cells: list,
                 elem_vertices=elem_vertices, edges=ent_vertices[1],
                 elem_edges=elem_ent[1], faces=ent_vertices[2],
                 elem_faces=elem_ent[2], vertex_boundary=boundary[0],
-                edge_boundary=boundary[1], face_boundary=boundary[2],
-                singular_corner=None if singular_corner is None
-                else np.asarray(singular_corner, dtype=float))
+                edge_boundary=boundary[1], face_boundary=boundary[2])
 
 
 def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
@@ -937,7 +935,8 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
 
 
 # ---------------------------------------------------------------------------
-# Problems
+# Problems: the product sine comes from expansion.named_function, the one
+# definition FEM and DG share; the L-shape corner solution is written here.
 
 
 @dataclass(frozen=True)
@@ -975,36 +974,21 @@ def _lshape_gradient(x, y):
     return (ur * c - ut * s, ur * s + ut * c)
 
 
+def _zero(*xs):
+    return reduce(np.multiply, xs, 0.0)
+
+
 def fem_problem(name: str, n: Optional[int] = None) -> FemProblem:
-    """Built-in benchmark problems: sine2d, sine3d, lshape."""
-    if name == "sine2d":
-        nn = 8 if n is None else n
-
-        def src(x, y):
-            return 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-        def grad(x, y):
-            return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                    np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-
-        return FemProblem(name, 2, lambda: mesh_uniform(2, nn, (0.0, 1.0)),
-                          src, lambda x, y: 0.0 * x * y, grad, graded=False)
-    if name == "sine3d":
-        nn = 4 if n is None else n
-
-        def src3(x, y, z):
-            return (3 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-                    * np.sin(np.pi * z))
-
-        def grad3(x, y, z):
-            sx, sy, sz = np.sin(np.pi * x), np.sin(np.pi * y), np.sin(np.pi * z)
-            cx, cy, cz = np.cos(np.pi * x), np.cos(np.pi * y), np.cos(np.pi * z)
-            return (np.pi * cx * sy * sz, np.pi * sx * cy * sz, np.pi * sx * sy * cz)
-
-        return FemProblem(name, 3, lambda: mesh_uniform(3, nn, (0.0, 1.0)),
-                          src3, lambda x, y, z: 0.0 * x * y * z, grad3,
-                          graded=False)
+    """Built-in benchmark problems: sine2d and sine3d, whose source and exact
+    gradient come from ``expansion.named_function("sine", d)`` with exact
+    zeros as Dirichlet data, on 8^2 and 4^3 cells by default; lshape."""
+    if name in ("sine2d", "sine3d"):
+        dim = int(name[4])
+        nn = n if n is not None else 8 if dim == 2 else 4
+        u = named_function("sine", dim)
+        return FemProblem(name, dim, lambda: mesh_uniform(dim, nn, (0.0, 1.0)),
+                          u.source, _zero, u.gradient, graded=False)
     if name == "lshape":
-        return FemProblem(name, 2, mesh_lshape, lambda x, y: 0.0 * x * y,
+        return FemProblem(name, 2, mesh_lshape, _zero,
                           _lshape_solution, _lshape_gradient, graded=True)
     raise ValueError(f"unknown problem {name!r}")

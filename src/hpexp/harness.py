@@ -212,7 +212,6 @@ def _fem_solver(sw: dict):
     prob = fem.fem_problem("lshape" if sw["kind"] == "fem-lshape"
                            else f"sine{sw.get('dim', 2)}d", n=sw.get("n"))
     sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
-    layers = sw.get("graded_layers")
     mesh = prob.make_mesh()
     family = sw["family"]
 
@@ -222,8 +221,7 @@ def _fem_solver(sw: dict):
         sol = fem.condense_solve(system, dofmap)
         err = fem.h1_error(sol, prob.exact_gradient,
                            graded_at=mesh.singular_corner if prob.graded else None,
-                           sigma=sigma,
-                           layers=layers if layers is not None else max(p, 20))
+                           sigma=sigma, layers=sw.get("graded_layers"))
         return (dofmap.n_dof, {"h1_semi": err},
                 {"residual": sol.residual_norm, "problem": prob.name,
                  "skeleton_free": sol.skeleton_free,
@@ -234,16 +232,14 @@ def _fem_solver(sw: dict):
 
 def _dg_solver(sw: dict):
     n, family, gamma = sw.get("n", 8), sw["family"], sw.get("gamma", 10.0)
-    f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    exact_gradient = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                                   np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+    # u is the exact solution and the Dirichlet data
+    u = named_function("sine", 2)
 
     def solve_one(p):
         spec = dgfem.DgSpec(family=family, p=p, gamma=gamma)
-        system = dgfem.assemble_sip(n, spec, f, exact)
+        system = dgfem.assemble_sip(n, spec, u.source, u.f)
         sol = dgfem.dg_solve(system)
-        errors = dgfem.dg_errors(sol, exact, exact_gradient)
+        errors = dgfem.dg_errors(sol, u.f, u.gradient)
         return (n * n * dof_count(BasisSpec(2, p, family)), errors,
                 {"residual": sol.residual_norm, "factor_nnz": sol.factor_nnz})
 

@@ -271,7 +271,7 @@ def test_solve_is_bitwise_the_spsolve_solution(family, p):
 def test_asymmetric_system_raises():
     g, _ = _linear()
     base = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2), lambda x, y: 0.0 * x, g)
-    assert dgfem._asymmetry(base.matrix) < 1e-12
+    assert dgfem._asymmetry(base.matrix, base.matrix.tocsc()) < 1e-12
     # one stored entry changed, then one entry outside the symmetric pattern
     for i, j in ((0, 1), (0, base.matrix.shape[0] - 1)):
         A = base.matrix.tolil()
@@ -279,7 +279,26 @@ def test_asymmetric_system_raises():
         base.matrix = A.tocsr()
         with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
             dgfem.dg_solve(base)
-        assert dgfem._asymmetry(base.matrix) == 1.0
+        assert dgfem._asymmetry(base.matrix, base.matrix.tocsc()) == 1.0
+
+
+def test_nan_entry_fails_the_symmetry_check():
+    g, _ = _linear()
+    system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
+                                lambda x, y: 0.0 * x, g)
+    system.matrix.data[system.matrix.indptr[3]] = np.nan
+    with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
+        dgfem.dg_solve(system)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_mesh_size_below_one_raises(n):
+    spec = dgfem.DgSpec("Q", 2)
+    zero = lambda x, y: 0.0 * x
+    with pytest.raises(ValueError, match="need n >= 1"):
+        dgfem.assemble_sip(n, spec, zero, zero)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        dgfem.broken_interpolant(spec, n, zero)
 
 
 def test_nan_load_raises():

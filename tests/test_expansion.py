@@ -6,8 +6,9 @@ from hpexp.expansion import (CoeffTensor, InsufficientQuadratureError,
                              named_function,
                              reference_expansion, sobolev_seminorm,
                              weighted_seminorm)
-from hpexp.orthopoly import gauss_rule, legendre_table
 from hpexp.expansion import FunctionOracle
+from hpexp.fem import mesh_uniform
+from hpexp.orthopoly import element_grids, gauss_rule, graded_rule, legendre_table
 
 
 def _oracle(dim, f):
@@ -177,3 +178,52 @@ def test_compositions_rejects_bad_input(total, parts):
     # parts = 0 used to recurse until RecursionError, total = -1 gave [(-1,)]
     with pytest.raises(ValueError):
         compositions(total, parts)
+
+
+# The product sine as the FEM problems and the DG sweep wrote it before both
+# took it from named_function: the references of the bitwise contract (the
+# DG source and gradient were written as the 2D FEM ones).
+def _fem_src2(x, y):
+    return 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def _fem_grad2(x, y):
+    return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+
+
+def _fem_src3(x, y, z):
+    return (3 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+            * np.sin(np.pi * z))
+
+
+def _fem_grad3(x, y, z):
+    sx, sy, sz = np.sin(np.pi * x), np.sin(np.pi * y), np.sin(np.pi * z)
+    cx, cy, cz = np.cos(np.pi * x), np.cos(np.pi * y), np.cos(np.pi * z)
+    return (np.pi * cx * sy * sz, np.pi * sx * cy * sz, np.pi * sx * sy * cz)
+
+
+_dg_exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+_exact3 = lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
+
+_REFERENCES = {2: (_dg_exact, _fem_grad2, _fem_src2),
+               3: (_exact3, _fem_grad3, _fem_src3)}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("rule", ["gauss", "graded_low", "graded_high"])
+def test_sine_is_bitwise_the_solvers_old_expressions(dim, n, rule):
+    nodes = {"gauss": gauss_rule(9).nodes,
+             "graded_low": graded_rule(0.15, 8, 6, -1).nodes,
+             "graded_high": graded_rule(0.15, 8, 6, 1).nodes}[rule]
+    mesh = mesh_uniform(dim, n)
+    xs = element_grids(mesh.elem_lower, 0.5 * mesh.h, [nodes] * dim)
+    u = named_function("sine", dim)
+    exact, grad, src = _REFERENCES[dim]
+    assert np.array_equal(u.f(*xs), exact(*xs))
+    assert np.array_equal(u.source(*xs), src(*xs))
+    got, want = u.gradient(*xs), grad(*xs)
+    assert len(got) == dim
+    for k in range(dim):
+        assert got[k].shape == want[k].shape
+        assert np.array_equal(got[k], want[k]), k

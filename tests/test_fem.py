@@ -100,8 +100,7 @@ def _face_descriptors(d):
     return out
 
 
-def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
-                          singular_corner=None):
+def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h):
     """The per-element entity numbering loop, kept as the reference."""
     corner_bits = fem._corner_bits(dim)
     used = np.zeros(vertex_coords.shape[0], dtype=bool)
@@ -176,8 +175,7 @@ def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h,
                     elem_vertices=elem_vertices, edges=edges,
                     elem_edges=elem_edges, faces=faces, elem_faces=elem_faces,
                     vertex_boundary=vertex_boundary,
-                    edge_boundary=edge_boundary, face_boundary=face_boundary,
-                    singular_corner=singular_corner)
+                    edge_boundary=edge_boundary, face_boundary=face_boundary)
 
 
 def _shuffled_box(dim, n, seed):

@@ -397,3 +397,24 @@ def test_cli_run_happy_path(tmp_path):
     meta = json.loads((tmp_path / "fl.meta.json").read_text())
     assert meta["quadrature"]["graded_sigma"] == 0.15
     assert "max_solver_residual" in meta
+
+
+@pytest.mark.parametrize("argv,sweep", [
+    (["project-sweep", "--dim", "2", "--kind", "l2q", "--p-min", "1",
+      "--p-max", "2"],
+     {"kind": "project-sweep", "proj_kind": "l2q", "dim": 2, "p_min": 1,
+      "p_max": 2}),
+    (["dg-sine", "--n", "2", "--family", "q", "--p-max", "2"],
+     {"kind": "dg-sine", "n": 2, "family": "Q", "p_list": [1, 2]}),
+    (["fem-lshape", "--family", "q", "--p-max", "2"],
+     {"kind": "fem-lshape", "family": "Q", "p_list": [1, 2]}),
+], ids=["project-sweep", "dg-sine", "fem-lshape"])
+def test_cli_out_meta_lists_only_the_given_keys(argv, sweep, tmp_path):
+    # an option left out takes the kind's default, as a config key left out does
+    assert cli_main(argv + ["--out", str(tmp_path / "cli" / "s")]) == 0
+    run_config({"sweeps": [{"name": "s", **sweep}]}, tmp_path / "cfg")
+    metas = [json.loads((tmp_path / d / "s.meta.json").read_text())
+             for d in ("cli", "cfg")]
+    assert metas[0]["sweep"] == metas[1]["sweep"] == {"name": "s", **sweep}
+    assert ((tmp_path / "cli" / "s.csv").read_text()
+            == (tmp_path / "cfg" / "s.csv").read_text())
