@@ -76,6 +76,7 @@ __all__ = [
     "IndefiniteSystemError",
     "RefinementError",
     "h1_error",
+    "error_quadrature",
     "fem_problem",
     "FemProblem",
     "GRADED_SIGMA_DEFAULT",
@@ -902,19 +903,27 @@ def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
             for g, key in enumerate(keys)]
 
 
+def error_quadrature(p: int, layers: Optional[int] = None,
+                     quad_order: Optional[int] = None) -> tuple[int, int]:
+    """(graded layers, Gauss points per axis) of ``h1_error`` at degree p: the
+    values given, else ``max(p, 20)`` layers and ``max(2p, 12)`` points."""
+    return (layers if layers is not None else max(p, 20),
+            quad_order if quad_order is not None else max(2 * p, 12))
+
+
 def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
              sigma: float = GRADED_SIGMA_DEFAULT, layers: Optional[int] = None,
              quad_order: Optional[int] = None) -> float:
     """Elementwise |u - u_h|_{H1}; elements touching ``graded_at`` use the
-    tensorized graded rule, the rest plain Gauss with 2p points (min 12).
+    tensorized graded rule, the rest plain Gauss; ``error_quadrature`` gives
+    the default layers and points.
 
     The elements sharing one per-axis rule tuple are integrated as one batch.
     """
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
     ne, a = mesh.n_elements, 0.5 * mesh.h
-    order = quad_order if quad_order is not None else max(2 * p, 12)
-    layers = layers if layers is not None else max(p, 20)
+    layers, order = error_quadrature(p, layers, quad_order)
     coeffs = np.zeros((ne, (p + 1) ** d))
     coeffs[:, flat_positions(dofmap.local_modes, p)] = \
         dofmap.cell_signs * sol.values[dofmap.cell_dofs]

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy
 
-from . import __version__, dgfem, fem
+from . import __version__, blas, dgfem, fem
 from .bounds import LEMMA_AUDIT_CAP, lemma_audit
 from .expansion import named_function, reference_expansion
 from .indexsets import BasisSpec, dof_count
@@ -332,11 +332,15 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
 
 
 def _environment() -> dict:
-    """Versions, CPU count and the BLAS thread variables that are set."""
+    """Versions, CPU count, the BLAS thread variables that are set, and the
+    BLAS threads in use: per loaded OpenBLAS, the count it reports (``None``
+    with no known BLAS).  Importing ``hpexp`` sets that count to one, over
+    any ``OPENBLAS_NUM_THREADS`` listed with the variables."""
     threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-            "threads": {k: os.environ[k] for k in threads if k in os.environ}}
+            "threads": {k: os.environ[k] for k in threads if k in os.environ},
+            "blas_threads": blas.threads()}
 
 
 def write_records(records, path_prefix, meta: Optional[dict] = None) -> None:
@@ -398,11 +402,14 @@ class Kind(NamedTuple):
 
 
 def _lshape_meta(sw: dict) -> dict:
-    layers = sw.get("graded_layers")
+    """The error quadrature; layers and points per axis at each degree of
+    ``p_list``, in its order."""
+    rules = [fem.error_quadrature(p, sw.get("graded_layers"))
+             for p in sw["p_list"]]
     return {"quadrature": {
         "graded_sigma": sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT),
-        "graded_layers": layers if layers is not None else "max(p, 20)",
-        "error_rule_order": "max(2p, 12)"}}
+        "graded_layers": [layers for layers, _ in rules],
+        "error_rule_order": [order for _, order in rules]}}
 
 
 KINDS = {
@@ -442,6 +449,8 @@ TABLE1_PRESET = {"sweeps": [
     {"name": f"table1_fem_{family.lower()}", "kind": "fem-lshape",
      "family": family, "p_list": [1, 2, 3, 4, 5, 10, 15, 20, 25]}
     for family in ("S", "Q")]}
+PRESETS = {"table1": TABLE1_PRESET}
+ROOT_KEYS = ("sweeps", "preset")
 
 
 def _validate_sweep(i: int, sw) -> None:
@@ -470,7 +479,8 @@ def _validate_sweep(i: int, sw) -> None:
 
 
 def _validated_sweeps(config) -> list[dict]:
-    """The sweeps of a config, every one checked before any of them runs."""
+    """The sweeps of a config, the root and every sweep checked before any of
+    them runs."""
     if isinstance(config, (str, Path)):
         try:
             config = json.loads(Path(config).read_text())
@@ -478,8 +488,18 @@ def _validated_sweeps(config) -> list[dict]:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
-    if config.get("preset") == "table1":
-        config = TABLE1_PRESET
+    unknown = sorted(config.keys() - set(ROOT_KEYS))
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: not a root key, "
+                          f"which are {ROOT_KEYS}")
+    if "preset" in config:
+        preset = config["preset"]
+        if "sweeps" in config:
+            raise ConfigError("preset: replaces sweeps, give one of them")
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ConfigError(f"preset: unknown {preset!r}, "
+                              f"must be one of {tuple(PRESETS)}")
+        config = PRESETS[preset]
     if "sweeps" not in config or not isinstance(config["sweeps"], list):
         raise ConfigError("sweeps: required list")
     written = {}

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy
 
-from hpexp import fem
+from hpexp import blas, fem
 from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
 from hpexp.harness import (ConfigError, ConvergenceRecord, ERROR_FLOOR, Solver,
+                           TABLE1_PRESET, _lshape_meta, _validated_sweeps,
                            _with_p_rate, fit_slope, ratio_report,
                            records_from_csv, records_to_csv, run_config,
                            run_sweep, sweep, write_records)
@@ -259,7 +260,8 @@ def test_meta_records_environment(tmp_path, monkeypatch):
     assert env == {"python": platform.python_version(),
                    "numpy": np.__version__, "scipy": scipy.__version__,
                    "cpu_count": os.cpu_count(),
-                   "threads": {"OMP_NUM_THREADS": "3"}}
+                   "threads": {"OMP_NUM_THREADS": "3"},
+                   "blas_threads": blas.threads()}
     # the CSV carries no environment
     assert (tmp_path / "r.csv").read_text() == records_to_csv([rec])
 
@@ -269,6 +271,58 @@ def test_run_config_from_file_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         run_config(path, out_dir=tmp_path)
+
+
+_SWEEP = {"name": "c", "kind": "basis-count", "dim": 2, "p_max": 2}
+
+
+@pytest.mark.parametrize("config,message", [
+    pytest.param({"sweeps": [], "blas_thread": 2}, "blas_thread: not a root key",
+                 id="unknown_root_key"),
+    pytest.param({"preset": "table1", "sweeps": [_SWEEP]}, "preset: replaces",
+                 id="preset_and_sweeps"),
+    pytest.param({"preset": "table2"}, "'table2'", id="unknown_preset"),
+    pytest.param({"preset": None}, "None", id="preset_null"),
+    pytest.param({"preset": ["table1"]}, "preset", id="preset_list"),
+])
+def test_root_validation(config, message):
+    with pytest.raises(ConfigError, match=message):
+        _validated_sweeps(config)
+
+
+def test_root_validation_keeps_the_valid_forms():
+    assert _validated_sweeps({"sweeps": [_SWEEP]}) == [_SWEEP]
+    assert _validated_sweeps({"preset": "table1"}) == TABLE1_PRESET["sweeps"]
+
+
+@pytest.mark.parametrize("layers", [None, 7], ids=["default", "explicit"])
+def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
+                                                     layers):
+    # h1_error's own (layers, order) at each Table-1 degree, read where it
+    # builds the rules; assembly and solve are replaced by a zero solution
+    used = []
+
+    def element_rules(mesh, graded_at, sigma, layers, order):
+        used.append((layers, order))
+        return []
+
+    monkeypatch.setattr(fem, "_element_rules", element_rules)
+    monkeypatch.setattr(fem, "assemble_poisson", lambda *args: None)
+    monkeypatch.setattr(fem, "condense_solve", lambda system, dofmap:
+                        fem.FemSolution(dofmap, np.zeros(dofmap.n_dof), 0.0))
+    sw = dict(TABLE1_PRESET["sweeps"][1])
+    if layers is not None:
+        sw["graded_layers"] = layers
+    run_config({"sweeps": [sw]}, out_dir=tmp_path)
+    quad = json.loads((tmp_path / f"{sw['name']}.meta.json").read_text())[
+        "quadrature"]
+    assert quad == _lshape_meta(sw)["quadrature"]
+    assert used == list(zip(quad["graded_layers"], quad["error_rule_order"]))
+    assert len(used) == len(sw["p_list"]) == 9
+    if layers is None:
+        assert used[-1] == (25, 50) and used[0] == (20, 12)
+    else:
+        assert {n for n, _ in used} == {7}
 
 
 def test_table1_preset_validates():
