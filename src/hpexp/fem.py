@@ -904,11 +904,17 @@ def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
 
 
 def error_quadrature(p: int, layers: Optional[int] = None,
-                     quad_order: Optional[int] = None) -> tuple[int, int]:
+                     quad_order: Optional[int] = None,
+                     sigma: float = GRADED_SIGMA_DEFAULT) -> tuple[int, int]:
     """(graded layers, Gauss points per axis) of ``h1_error`` at degree p: the
-    values given, else ``max(p, 20)`` layers and ``max(2p, 12)`` points."""
-    return (layers if layers is not None else max(p, 20),
-            quad_order if quad_order is not None else max(2 * p, 12))
+    values given, else ``max(p, 20)`` layers and ``max(2p, 12)`` points.
+
+    The layer count is the one ``graded_rule`` keeps at ratio ``sigma``: it
+    clamps layers past floating-point resolution (to 14 at sigma = 0.15).
+    """
+    order = quad_order if quad_order is not None else max(2 * p, 12)
+    layers = layers if layers is not None else max(p, 20)
+    return graded_rule(sigma, layers, order).layers, order
 
 
 def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
@@ -923,7 +929,7 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
     ne, a = mesh.n_elements, 0.5 * mesh.h
-    layers, order = error_quadrature(p, layers, quad_order)
+    layers, order = error_quadrature(p, layers, quad_order, sigma)
     coeffs = np.zeros((ne, (p + 1) ** d))
     coeffs[:, flat_positions(dofmap.local_modes, p)] = \
         dofmap.cell_signs * sol.values[dofmap.cell_dofs]
@@ -959,28 +965,33 @@ class FemProblem:
     graded: bool
 
 
+def _lshape_angle(x, y):
+    """Polar angle in [0, 2 pi) of (x, y), as ``arctan2(y, x)`` moved up by
+    2 pi where negative, in one ``arctan2`` and no branch: the angle of the
+    reflected point -(x, y), plus pi.  ``y + 0.0`` turns -0.0 into +0.0, so the
+    positive x-axis keeps angle 0 rather than 2 pi."""
+    return np.arctan2(-(y + 0.0), -x) + np.pi
+
+
 def _lshape_solution(x, y):
-    r = np.hypot(x, y)
-    phi = np.arctan2(y, x)
-    phi = np.where(phi < 0, phi + 2 * np.pi, phi)
-    return r ** (2.0 / 3.0) * np.sin(2.0 * phi / 3.0)
+    return np.hypot(x, y) ** (2.0 / 3.0) * np.sin(
+        2.0 * _lshape_angle(x, y) / 3.0)
 
 
 def _lshape_gradient(x, y):
+    """grad(r^(2/3) sin(2 phi/3)) = (2/3) r^(-1/3) (-sin(phi/3), cos(phi/3)).
+
+    The negations and squares act on the broadcast axes ``element_grids``
+    gives, so the full grid sees one angle, one cube root and one sin/cos
+    pair.
+    """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    xb = np.broadcast_to(x, shape)
-    yb = np.broadcast_to(y, shape)
+    t = _lshape_angle(x, y) / 3.0
     # radius floor: quadrature nodes stay >= ~1e-13 from the corner, but a
     # node rounding exactly onto it must not blow up the integrand
-    r = np.maximum(np.hypot(xb, yb), 1e-20)
-    phi = np.arctan2(yb, xb)
-    phi = np.where(phi < 0, phi + 2 * np.pi, phi)
-    ur = (2.0 / 3.0) * r ** (-1.0 / 3.0) * np.sin(2.0 * phi / 3.0)
-    ut = (2.0 / 3.0) * r ** (-1.0 / 3.0) * np.cos(2.0 * phi / 3.0)
-    c, s = np.cos(phi), np.sin(phi)
-    return (ur * c - ut * s, ur * s + ut * c)
+    s = (2.0 / 3.0) / np.cbrt(np.maximum(np.sqrt(x * x + y * y), 1e-20))
+    return (-s * np.sin(t), s * np.cos(t))
 
 
 def _zero(*xs):

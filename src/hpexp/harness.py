@@ -404,10 +404,11 @@ class Kind(NamedTuple):
 def _lshape_meta(sw: dict) -> dict:
     """The error quadrature; layers and points per axis at each degree of
     ``p_list``, in its order."""
-    rules = [fem.error_quadrature(p, sw.get("graded_layers"))
+    sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
+    rules = [fem.error_quadrature(p, sw.get("graded_layers"), sigma=sigma)
              for p in sw["p_list"]]
     return {"quadrature": {
-        "graded_sigma": sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT),
+        "graded_sigma": sigma,
         "graded_layers": [layers for layers, _ in rules],
         "error_rule_order": [order for _, order in rules]}}
 

@@ -9,7 +9,7 @@ from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
                              total_degree_indices)
-from hpexp.orthopoly import gauss_rule, psi_table
+from hpexp.orthopoly import GradedRule, element_grids, gauss_rule, psi_table
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
 
@@ -744,15 +744,76 @@ def test_h1_error_interpolant_is_zero():
 
 
 def test_h1_error_graded_layer_doubling(lshape):
+    # graded_rule keeps 14 layers at sigma = 0.15, so 7 against 14 is the
+    # last doubling that changes the rule; more layers give the same error
     dm = fem.build_dofmap(lshape, 10, "Q")
     system = fem.assemble_poisson(lshape, dm, lambda x, y: 0.0 * x * y,
                                   fem._lshape_solution)
     sol = fem.condense_solve(system, dm)
-    e1 = fem.h1_error(sol, fem._lshape_gradient,
-                      graded_at=lshape.singular_corner, layers=10)
-    e2 = fem.h1_error(sol, fem._lshape_gradient,
-                      graded_at=lshape.singular_corner, layers=20)
-    assert abs(e1 - e2) / e2 < 1e-3
+    e = {n: fem.h1_error(sol, fem._lshape_gradient,
+                         graded_at=lshape.singular_corner, layers=n)
+         for n in (7, 14, 20, 40)}
+    assert abs(e[7] - e[14]) / e[14] < 1e-3
+    assert e[14] == e[20] == e[40]
+
+
+def _polar_lshape_gradient(x, y):
+    # the gradient through the polar chain rule, as a reference
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    r = np.maximum(np.hypot(x, y), 1e-20)
+    phi = np.arctan2(y, x)
+    phi = np.where(phi < 0, phi + 2 * np.pi, phi)
+    ur = (2.0 / 3.0) * r ** (-1.0 / 3.0) * np.sin(2.0 * phi / 3.0)
+    ut = (2.0 / 3.0) * r ** (-1.0 / 3.0) * np.cos(2.0 * phi / 3.0)
+    c, s = np.cos(phi), np.sin(phi)
+    return (ur * c - ut * s, ur * s + ut * c)
+
+
+def test_lshape_gradient_matches_polar_chain_rule_on_graded_nodes(lshape):
+    # the nodes h1_error integrates the three corner elements on at p = 25
+    layers, order = fem.error_quadrature(25)
+    groups = [(elems, rules) for elems, rules in fem._element_rules(
+        lshape, lshape.singular_corner, fem.GRADED_SIGMA_DEFAULT, layers,
+        order) if any(isinstance(r, GradedRule) for r in rules)]
+    assert sum(elems.size for elems, _ in groups) == 3
+    for elems, rules in groups:
+        grids = element_grids(lshape.elem_lower[elems], 0.5 * lshape.h,
+                              [r.nodes for r in rules])
+        ref = _polar_lshape_gradient(*grids)
+        got = fem._lshape_gradient(*grids)
+        size = np.hypot(*ref)
+        for k in range(2):
+            assert got[k].shape == ref[k].shape
+            assert np.all(np.abs(got[k] - ref[k]) <= 4e-15 * size)
+
+
+@pytest.mark.parametrize("x,y", [
+    (0.5, 0.3), (0.1, 0.9), (0.8, 0.02),          # x > 0, y > 0
+    (-0.4, 0.6), (-0.9, 0.1), (-0.05, 0.7),       # x < 0, y > 0
+    (-0.5, -0.5), (-0.2, -0.8), (-0.7, -0.03)])   # x < 0, y < 0
+def test_lshape_gradient_matches_central_differences(x, y):
+    h = 1e-6
+    u = fem._lshape_solution
+    fd = ((u(x + h, y) - u(x - h, y)) / (2 * h),
+          (u(x, y + h) - u(x, y - h)) / (2 * h))
+    got = fem._lshape_gradient(x, y)
+    for k in range(2):
+        assert got[k] == pytest.approx(fd[k], rel=1e-7, abs=1e-8)
+
+
+def test_lshape_angle_matches_the_branch_on_the_axes():
+    # the four axis rays and the origin, with each signed zero
+    z = (0.0, -0.0)
+    pts = [(1.0, s) for s in z] + [(s, 1.0) for s in z] + \
+        [(-1.0, s) for s in z] + [(s, -1.0) for s in z] + \
+        [(a, b) for a in z for b in z]
+    x, y = np.array(pts).T
+    phi = np.arctan2(y, x)
+    np.testing.assert_array_equal(fem._lshape_angle(x, y),
+                                  np.where(phi < 0, phi + 2 * np.pi, phi))
+    # the Dirichlet data is exactly zero on the positive x-axis
+    assert np.all(fem._lshape_solution(np.array([0.5, 0.5]),
+                                       np.array([0.0, -0.0])) == 0.0)
 
 
 def test_sine_error_matches_overkill_quadrature():

@@ -9,6 +9,7 @@ import scipy
 from hpexp import blas, fem
 from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
+from hpexp.orthopoly import graded_rule
 from hpexp.harness import (ConfigError, ConvergenceRecord, ERROR_FLOOR, Solver,
                            TABLE1_PRESET, _lshape_meta, _validated_sweeps,
                            _with_p_rate, fit_slope, ratio_report,
@@ -295,9 +296,13 @@ def test_root_validation_keeps_the_valid_forms():
     assert _validated_sweeps({"preset": "table1"}) == TABLE1_PRESET["sweeps"]
 
 
-@pytest.mark.parametrize("layers", [None, 7], ids=["default", "explicit"])
+@pytest.mark.parametrize("sigma,layers,kept", [
+    (None, None, {14}), (0.5, None, {20, 25}), (None, 7, {7}),
+    (None, 40, {14}), (0.5, 60, {39})],
+    ids=["default", "sigma0.5", "explicit", "explicit_clamped",
+         "sigma0.5_clamped"])
 def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
-                                                     layers):
+                                                     sigma, layers, kept):
     # h1_error's own (layers, order) at each Table-1 degree, read where it
     # builds the rules; assembly and solve are replaced by a zero solution
     used = []
@@ -311,6 +316,8 @@ def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
     monkeypatch.setattr(fem, "condense_solve", lambda system, dofmap:
                         fem.FemSolution(dofmap, np.zeros(dofmap.n_dof), 0.0))
     sw = dict(TABLE1_PRESET["sweeps"][1])
+    if sigma is not None:
+        sw["graded_ratio"] = sigma
     if layers is not None:
         sw["graded_layers"] = layers
     run_config({"sweeps": [sw]}, out_dir=tmp_path)
@@ -319,10 +326,15 @@ def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
     assert quad == _lshape_meta(sw)["quadrature"]
     assert used == list(zip(quad["graded_layers"], quad["error_rule_order"]))
     assert len(used) == len(sw["p_list"]) == 9
-    if layers is None:
-        assert used[-1] == (25, 50) and used[0] == (20, 12)
-    else:
-        assert {n for n, _ in used} == {7}
+    # the count graded_rule keeps, not the count asked for
+    ratio = sigma if sigma is not None else fem.GRADED_SIGMA_DEFAULT
+    assert quad["graded_layers"] == [
+        graded_rule(ratio, layers if layers is not None else max(p, 20),
+                    order).layers
+        for p, order in zip(sw["p_list"], quad["error_rule_order"])]
+    assert set(quad["graded_layers"]) == kept
+    assert quad["error_rule_order"][0] == 12
+    assert quad["error_rule_order"][-1] == 50
 
 
 def test_table1_preset_validates():
