@@ -18,11 +18,12 @@ Quadrature is element-batched: the load and the H1 error evaluate their
 integrands on the grids of all elements at once (one batch per per-axis rule
 tuple) and contract them with ``orthopoly.apply_axes``.
 
-In 3D the skeleton is never assembled.  Its free dofs are ordered by nested
-dissection on the grid planes (George 1973): a region of whole cells is cut
-on its longest axis at the grid plane nearest the median of its dofs'
-entity centroids, the free dofs on that plane are the region's separator,
-and a one-cell region holds no skeleton dof.  The separators are eliminated
+The skeleton is never assembled, in 2D or 3D.  Its free dofs are ordered by
+nested dissection on the grid planes, which are grid lines in 2D (George
+1973): a region of whole cells is cut on its longest axis at the grid plane
+nearest the median of its dofs' entity centroids, the free dofs on that
+plane are the region's separator, and a one-cell region (or one outside the
+L-shape) holds no free skeleton dof.  The separators are eliminated
 in postorder as dense fronts (the multifrontal method, Duff & Reid 1983).
 Each front is assembled from the signed element Schur complements of the
 elements whose first eliminated free dof it holds, plus its children's
@@ -32,16 +33,6 @@ the pivot blocks (Haynsworth additivity): a block Cholesky rejects gets its
 count of non-positive eigenvalues from ``eigh`` and the elimination goes on,
 so ``IndefiniteSystemError`` names how many non-positive eigenvalues the
 skeleton has.
-
-In 2D the skeleton is assembled as a sparse matrix and factorized by
-SuperLU in symmetric mode (minimum-degree ordering on A^T + A, diagonal
-pivots only), so the factorization is P A P^T = L U with U = D L^T.  By
-Sylvester's law of inertia the signs of diag(U) are the signs of the
-eigenvalues of A, which gives the same certificate.  2D stays on SuperLU:
-its factorization is a few percent of a 2D sweep, and every other
-factorization tried (dense Cholesky, SuperLU in COLAMD or natural order,
-this multifrontal) moves the pinned sine2d Q p = 8 error on 4x4 cells
-(1.5e-10) by 3e-8 to 1.5e-7 relative, outside its 1e-10 pin.
 """
 
 from __future__ import annotations
@@ -52,8 +43,6 @@ from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -517,69 +506,6 @@ REFINE_PASSES = 3
 RESIDUAL_BOUND = 1e-9
 
 
-def _nonpositive_pivots(lu) -> Optional[int]:
-    """Inertia certificate of a SuperLU factorization of a symmetric A.
-
-    When the row and column permutations agree, every pivot was taken on the
-    diagonal and P A P^T = L U with unit lower L.  For symmetric A that makes
-    U = D L^T, so by Sylvester's law of inertia the number of non-positive
-    entries of diag(U) is the number of non-positive eigenvalues of A; that
-    number is returned.  ``None`` when a row pivot left the diagonal: then
-    the factorization certifies nothing.
-    """
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() <= 0.0))
-
-
-def _factor_spd(A: sp.csc_matrix):
-    """Symmetric-mode sparse LU of A with an inertia certificate.
-
-    Minimum-degree ordering on A^T + A and diagonal pivots only, so
-    ``_nonpositive_pivots`` counts the non-positive eigenvalues of A.
-    Raises ``IndefiniteSystemError`` unless that count is zero.
-    """
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise IndefiniteSystemError("skeleton factorization failed") from exc
-    n_nonpos = _nonpositive_pivots(lu)
-    if n_nonpos is None:
-        raise IndefiniteSystemError(
-            "skeleton factorization left the diagonal (row and column "
-            "permutations differ); no inertia certificate")
-    if n_nonpos:
-        raise IndefiniteSystemError(
-            f"skeleton not SPD: {n_nonpos} non-positive pivot(s) of "
-            f"{A.shape[0]}")
-    return lu
-
-
-def _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel: int):
-    """Sparse sum of the signed element Schur complements over the skeleton.
-
-    Chunked over the elements to bound peak memory; a function of its own so
-    that the last chunk's dense blocks and index arrays are freed before the
-    caller factorizes.
-    """
-    ne, nb = skel_dofs.shape
-    S_glob = None
-    chunk = max(1, int(2e7 // max(nb * nb, 1)))
-    for start in range(0, ne, chunk):
-        sl = slice(start, min(start + chunk, ne))
-        signs = skel_signs[sl]
-        data = np.einsum("ei,ej,ij->eij", signs, signs, S_loc)
-        rows = np.repeat(skel_dofs[sl], nb, axis=1)
-        cols = np.tile(skel_dofs[sl], (1, nb))
-        part = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                             shape=(n_skel, n_skel)).tocsr()
-        S_glob = part if S_glob is None else S_glob + part
-    # no stored zeros, as after a sum of chunks: the ordering sees one pattern
-    S_glob.eliminate_zeros()
-    return S_glob
-
-
 def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
     """Nested dissection of the free skeleton dofs on the grid planes.
 
@@ -777,19 +703,13 @@ class FemSolution:
 def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     """Eliminate interior modes elementwise, solve the skeleton, back-substitute.
 
-    In 3D the free skeleton block is never assembled: ``_factor_multifrontal``
+    The free skeleton block is never assembled: ``_factor_multifrontal``
     orders it by nested dissection on the grid planes and factorizes it in
     dense fronts assembled from the signed element Schur complements; the
     Dirichlet coupling S[:, fixed] g is one gather per element.  A front
     whose Cholesky fails gets its eigenvalue count from its pivot block, so
     by Haynsworth additivity ``IndefiniteSystemError`` reports the number of
-    non-positive eigenvalues.  In 2D the skeleton is assembled as a sparse
-    matrix and factorized in SuperLU's symmetric mode (``_factor_spd``),
-    whose pivots certify positive definiteness by Sylvester's law of
-    inertia.  2D stays there because its factorization is a few percent of
-    a 2D sweep, and any other factorization tried moves the pinned sine2d Q
-    p = 8 error by more than its 1e-10 relative pin (see the module
-    docstring).
+    non-positive eigenvalues.
 
     The solution is then checked against the uncondensed operator and
     refined through the same factorization, up to ``REFINE_PASSES`` times;
@@ -815,24 +735,12 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     free[fixed] = False
     free_ids = np.nonzero(free)[0]
 
-    if dofmap.mesh.dim == 3:
-        g = np.zeros(n_skel)
-        g[fixed] = gvals
-        coupling = (skel_signs * g[skel_dofs]) @ S_loc.T
-        np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * coupling).ravel())
-        b = rhs[free_ids]
-        lu = _factor_multifrontal(S_loc, dofmap, free_ids)
-    else:
-        S_glob = _assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel)
-        # one row slice gives the free block and the Dirichlet coupling;
-        # both sparse copies are dropped before the factorization
-        S_free = S_glob[free_ids]
-        del S_glob
-        A_ff = S_free[:, free_ids].tocsc()
-        b = rhs[free_ids] - S_free[:, fixed] @ gvals
-        del S_free
-        lu = _factor_spd(A_ff)
-    u_free = lu.solve(b)
+    g = np.zeros(n_skel)
+    g[fixed] = gvals
+    coupling = (skel_signs * g[skel_dofs]) @ S_loc.T
+    np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * coupling).ravel())
+    lu = _factor_multifrontal(S_loc, dofmap, free_ids)
+    u_free = lu.solve(rhs[free_ids])
 
     def back_substitute():
         if ni:
@@ -870,7 +778,6 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
         raise RefinementError(
             f"relative residual {rel:.3e} after {REFINE_PASSES} refinement "
             f"passes (bound {RESIDUAL_BOUND:g})")
-    # SuperLU's nnz counts the entries of its L and U
     return FemSolution(dofmap=dofmap, values=u, residual_norm=float(rel),
                        skeleton_free=int(free_ids.size), factor_nnz=int(lu.nnz))
 

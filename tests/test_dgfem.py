@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hpexp import dgfem, fem
+from hpexp import dgfem
 from hpexp.harness import fit_slope, run_config, run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, enumerate_modes
 from hpexp.orthopoly import gauss_rule
@@ -233,7 +233,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
         A = system.matrix
         lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
-        paths.add(fem._nonpositive_pivots(lu) is None)
+        paths.add(dgfem._nonpositive_pivots(lu) is None)
         eig = np.linalg.eigvalsh(A.toarray())
         try:
             np.linalg.cholesky(A.toarray())
@@ -256,6 +256,12 @@ def test_definiteness_verdict_matches_dense_cholesky():
                 <= np.count_nonzero(eig <= tol), case
             assert int(count.group(2)) == A.shape[0], case
     assert paths == {True, False}
+
+
+def test_off_diagonal_pivot_has_no_certificate():
+    swap = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(dgfem.IndefiniteSipError, match="permutations differ"):
+        dgfem._factor_spd(swap)
 
 
 @pytest.mark.parametrize("family, p", [("Q", 4), ("P", 6)])

@@ -3,13 +3,13 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
                              total_degree_indices)
 from hpexp.orthopoly import GradedRule, element_grids, gauss_rule, psi_table
+from skeleton_reference import free_skeleton_matrix
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
 
@@ -498,33 +498,6 @@ def test_negated_skeleton_reports_every_pivot():
         fem.condense_solve(system, dm)
 
 
-def test_off_diagonal_pivot_has_no_certificate():
-    swap = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(fem.IndefiniteSystemError, match="permutations differ"):
-        fem._factor_spd(swap)
-
-
-def test_refinement_failure_raises_named_error(monkeypatch):
-    mesh = fem.mesh_uniform(2, 2, (0.0, 1.0))
-    dm = fem.build_dofmap(mesh, 3, "Q")
-    prob = fem.fem_problem("sine2d")
-    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
-    factor = fem._factor_spd
-
-    class HalfSolve:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
-            return 0.5 * self.lu.solve(b)
-
-    monkeypatch.setattr(fem, "_factor_spd", lambda A: HalfSolve(factor(A)))
-    with pytest.raises(fem.RefinementError, match="relative residual") as info:
-        fem.condense_solve(system, dm)
-    assert not isinstance(info.value, fem.IndefiniteSystemError)
-    assert isinstance(info.value, RuntimeError)
-
-
 def _p1_system_3d(shift):
     """Q1 system on a 4^3 mesh (27 free vertices, no interior modes),
     k_local shifted by -shift*I as in ``_p1_system``."""
@@ -571,10 +544,11 @@ def test_multifrontal_singular_pivot_block_raises():
         fem.condense_solve(system, dm)
 
 
-def test_multifrontal_refinement_failure_raises_named_error(monkeypatch):
-    mesh = fem.mesh_uniform(3, 2, (0.0, 1.0))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_multifrontal_refinement_failure_raises_named_error(dim, monkeypatch):
+    mesh = fem.mesh_uniform(dim, 2, (0.0, 1.0))
     dm = fem.build_dofmap(mesh, 3, "Q")
-    prob = fem.fem_problem("sine3d")
+    prob = fem.fem_problem(f"sine{dim}d")
     system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
     factor = fem._factor_multifrontal
 
@@ -590,20 +564,21 @@ def test_multifrontal_refinement_failure_raises_named_error(monkeypatch):
     with pytest.raises(fem.RefinementError, match="relative residual") as info:
         fem.condense_solve(system, dm)
     assert not isinstance(info.value, fem.IndefiniteSystemError)
+    assert isinstance(info.value, RuntimeError)
 
 
-def test_3d_solve_builds_no_global_sparse_skeleton(monkeypatch):
+def test_solve_never_calls_splu(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the 3D path reached the sparse skeleton")
+        raise AssertionError("the FEM solve reached a sparse LU")
 
-    monkeypatch.setattr(fem, "_assemble_skeleton", refuse)
-    monkeypatch.setattr(fem, "_factor_spd", refuse)
-    monkeypatch.setattr(fem.spla, "splu", refuse)
-    mesh = fem.mesh_uniform(3, 2, (0.0, 1.0))
-    dm = fem.build_dofmap(mesh, 3, "Q")
-    prob = fem.fem_problem("sine3d")
-    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
-    assert fem.condense_solve(system, dm).residual_norm < 1e-12
+    monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(spla, "spsolve", refuse)
+    for name, n, p in (("sine2d", 3, 4), ("lshape", None, 4), ("sine3d", 2, 3)):
+        prob = fem.fem_problem(name, n)
+        mesh = prob.make_mesh()
+        dm = fem.build_dofmap(mesh, p, "Q")
+        system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+        assert fem.condense_solve(system, dm).residual_norm < 1e-12, name
 
 
 def _free_skeleton(dm, system):
@@ -613,15 +588,18 @@ def _free_skeleton(dm, system):
 
 
 @pytest.mark.parametrize("family", ["Q", "S"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "lshape"])
 def test_multifrontal_matches_sparse_reference(family, n):
-    # n = 3 puts the bisection planes off-centre; n = 1 has no free skeleton
-    mesh = fem.mesh_uniform(3, n, (0.0, 1.0))
-    prob = fem.fem_problem("sine3d")
-    rng = np.random.default_rng(n)
-    for p in range(1, 6):
+    # the n^3 and n^2 meshes, or the L-shape: n = 3 puts the bisection planes
+    # off-centre, n = 1 has no free skeleton, the L-shape's bounding box
+    # holds a quarter without cells
+    meshes = ([fem.mesh_lshape()] if n == "lshape" else
+              [fem.mesh_uniform(d, n, (0.0, 1.0)) for d in (3, 2)])
+    rng = np.random.default_rng(0 if n == "lshape" else n)
+    zero = lambda *xs: 0.0 * xs[0]
+    for mesh, p in product(meshes, range(1, 6)):
         dm = fem.build_dofmap(mesh, p, family)
-        system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+        system = fem.assemble_poisson(mesh, dm, zero, zero)
         S_loc = fem._element_schur(system.k_local, dm)[3]
         free_ids = _free_skeleton(dm, system)
         lu = fem._factor_multifrontal(S_loc, dm, free_ids)
@@ -630,11 +608,9 @@ def test_multifrontal_matches_sparse_reference(family, n):
         if n == 1:
             assert free_ids.size == 0 and x.size == 0 and lu.nnz == 0
             continue
-        bl = dm.skeleton_local
-        S = fem._assemble_skeleton(S_loc, dm.cell_dofs[:, bl],
-                                   dm.cell_signs[:, bl], dm.interior_offset)
-        ref = spla.spsolve(S[free_ids][:, free_ids].tocsc(), b)
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), p
+        ref = spla.spsolve(free_skeleton_matrix(S_loc, dm, free_ids), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), \
+            (mesh.dim, p)
 
 
 @pytest.mark.parametrize("family, p", [("Q", 3), ("S", 5)])
@@ -668,16 +644,17 @@ def test_dissection_keeps_each_element_on_one_root_path(family, p, n):
 
 
 def test_fem_records_carry_skeleton_counts():
+    # 2D: a root separator of 3 dofs (the centre vertex and its two edges
+    # on the plane x = 1/2) over two 1-dof fronts with 3 update rows each,
+    # so 6 + 2 * (1 + 3) stored lower-triangle entries
     for sw, free, nnz in (
             ({"dim": 3, "n": 2, "p_list": [2]}, 19, 151),
-            ({"dim": 2, "n": 2, "p_list": [2]}, 5, None)):
+            ({"dim": 2, "n": 2, "p_list": [2]}, 5, 14)):
         rec, = run_sweep({"name": "fem", "kind": "fem-sine", "family": "Q",
                           **sw})
         assert rec.extra["skeleton_free"] == free
         assert type(rec.extra["factor_nnz"]) is int
-        assert rec.extra["factor_nnz"] >= free
-        if nnz is not None:
-            assert rec.extra["factor_nnz"] == nnz
+        assert rec.extra["factor_nnz"] == nnz
         back, = harness.records_from_csv(harness.records_to_csv([rec]))
         assert back.extra["skeleton_free"] == free
         assert back.extra["factor_nnz"] == rec.extra["factor_nnz"]

@@ -30,7 +30,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hpexp import fem
@@ -127,29 +126,13 @@ def test_net_catches_a_real_move():
 @contextmanager
 def _factorized_by(factor):
     """Route every FEM skeleton factorization through ``factor``, called as
-    ``fem._factor_multifrontal`` is.  The symmetric-mode SuperLU path of
-    ``fem._factor_spd`` gets the element Schur complement that
-    ``fem._element_schur`` last returned, and the free skeleton dofs of its
-    dofmap."""
-    saved = (fem._factor_multifrontal, fem._factor_spd, fem._element_schur)
-    schur = {}
-
-    def element_schur(k_local, dofmap):
-        out = saved[2](k_local, dofmap)
-        schur["last"] = out[3], dofmap
-        return out
-
-    def factor_spd(A):
-        S_loc, dofmap = schur["last"]
-        free = ~dofmap.dirichlet_mask[:dofmap.interior_offset]
-        return factor(S_loc, dofmap, np.nonzero(free)[0])
-
-    fem._factor_multifrontal, fem._factor_spd, fem._element_schur = \
-        factor, factor_spd, element_schur
+    ``fem._factor_multifrontal`` is."""
+    saved = fem._factor_multifrontal
+    fem._factor_multifrontal = factor
     try:
         yield
     finally:
-        fem._factor_multifrontal, fem._factor_spd, fem._element_schur = saved
+        fem._factor_multifrontal = saved
 
 
 def _resolution(sw: dict, records: list[dict]) -> list[dict]:
