@@ -80,9 +80,9 @@ def _build_parser() -> _Parser:
 
     fl = sub.add_parser("fem-lshape", help="L-shape corner benchmark")
     fl.add_argument("--family", required=True, choices=("q", "s"))
-    fl.add_argument("--p-max", type=int, required=True)
-    fl.add_argument("--p-list", type=str, default=None,
-                    help="comma separated degrees (overrides --p-max)")
+    degrees = fl.add_mutually_exclusive_group(required=True)
+    degrees.add_argument("--p-max", type=int, help="degrees 1..P_MAX")
+    degrees.add_argument("--p-list", type=str, help="comma separated degrees")
     fl.add_argument("--graded-layers", type=int)
     fl.add_argument("--graded-ratio", type=float)
 

@@ -428,8 +428,8 @@ def test_cli_fem_subcommands(tmp_path, capsys):
                      "--p-max", "2"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("method,p,dim,dof")
-    assert cli_main(["fem-lshape", "--family", "s", "--p-max", "2",
-                     "--p-list", "1,2", "--out", str(tmp_path / "lsh")]) == 0
+    assert cli_main(["fem-lshape", "--family", "s", "--p-list", "1,2",
+                     "--out", str(tmp_path / "lsh")]) == 0
     recs = records_from_csv((tmp_path / "lsh.csv").read_text())
     assert [r.p for r in recs] == [1, 2]
     assert all(np.isfinite(r.errors["h1_semi"]) for r in recs)
@@ -438,6 +438,17 @@ def test_cli_fem_subcommands(tmp_path, capsys):
     assert meta["sweep"]["kind"] == "fem-lshape"
     assert meta["quadrature"]["graded_sigma"] == 0.15
     assert "max_solver_residual" in meta
+
+
+def test_cli_fem_lshape_takes_p_max_or_p_list(capsys):
+    # --p-list alone runs its degrees; neither flag, or both, is a usage error
+    assert cli_main(["fem-lshape", "--family", "q", "--p-list", "1,25"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in rows] == [1, 25]
+    for flags in ([], ["--p-max", "2", "--p-list", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fem-lshape", "--family", "q"] + flags)
+        assert exc.value.code == 1
 
 
 def test_dotted_out_prefix_is_kept_whole(tmp_path, capsys):
