@@ -1,8 +1,8 @@
 """Reference factorizations of the FEM skeleton, for tests only.
 
 ``assemble_skeleton`` builds the global sparse skeleton from the signed
-element Schur complements, the way the 2D solve once did before every
-dimension went through the multifrontal.  ``FACTORIZATIONS`` holds three
+element Schur complements, which ``fem`` never does: it is the reference
+the multifrontal is checked against.  ``FACTORIZATIONS`` holds three
 backward-stable factorizations of the free skeleton block, each called as
 ``fem._factor_multifrontal`` is, ``(S_loc, dofmap, free_ids)``, and each
 returning an object with ``solve`` and ``nnz``.  The golden net measures its
