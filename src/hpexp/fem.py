@@ -851,15 +851,14 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
         # squares are summed and weighted in place: a graded corner grid is
         # 4.5 MB at p = 25, and each fresh buffer of that size is paged in
         # anew once the allocator has returned the last one to the system
-        err_sq = None
         for k in range(d):
             e = gex[k] - apply_axes(coeffs[elems], [
                 ders[j] if j == k else vals[j] for j in range(d)]) / a
             np.square(e, out=e)
-            if err_sq is None:
-                err_sq = e
-            else:
+            if k:
                 err_sq += e
+            else:
+                err_sq = e
         err_sq *= reduce(np.multiply.outer, [r.weights for r in rules])
         total += float(np.sum(err_sq))
     return float(np.sqrt(total * a ** d))
