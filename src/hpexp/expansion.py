@@ -2,7 +2,7 @@
 
 A function is represented by its Legendre coefficient tensor a_i, with
 a_i = prod_k (2 i_k + 1)/2 * int u(x) prod_k L_{i_k}(x_k) dx.  Differentiation,
-L2 norms, Sobolev seminorms and the weighted seminorms
+L2 norms, the H1 seminorm, Sobolev seminorms and the weighted seminorms
 
     |u|_{V^s}^2 = sum_{|alpha| = s} sum_{i >= alpha} a_i^2
                   prod_k 2/(2 i_k + 1) * Gamma(i_k + alpha_k + 1)/Gamma(i_k - alpha_k + 1)
@@ -30,6 +30,7 @@ __all__ = [
     "evaluate",
     "differentiate",
     "l2_norm",
+    "h1_seminorm",
     "sobolev_seminorm",
     "weighted_seminorm",
     "composition_array",
@@ -158,31 +159,65 @@ def evaluate(u: CoeffTensor, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """T_n = a_{n+1} + a_{n+3} + ... along ``axis``, for n = 0..m-1.
+
+    Each parity is one ``np.cumsum`` from the top of the axis, so every T_n is
+    summed in the order a running sum from n = m - 1 down would add it.
+    """
+    m = a.shape[axis] - 1
+    top = np.flip(a, axis)                   # top[k] = a[m - k]
+    out = np.empty(a.shape[:axis] + (m,) + a.shape[axis + 1:])
+    rev = np.flip(out, axis)                 # rev[k] = T_{m-1-k}
+    for parity in (0, 1):
+        sl = (slice(None),) * axis + (slice(parity, m, 2),)
+        np.cumsum(top[sl], axis=axis, out=rev[sl])
+    return out
+
+
 def differentiate(u: CoeffTensor, axis: int) -> CoeffTensor:
     """Exact derivative along one axis via the coefficient recurrence.
 
     If u = sum a_n L_n then u' = sum b_n L_n with
     b_n = (2n+1) * (a_{n+1} + a_{n+3} + ...); the degree drops by one.
     """
-    a = np.moveaxis(u.coeffs, axis, 0)
-    m = a.shape[0] - 1
+    a = u.coeffs
+    m = a.shape[axis] - 1
     if m == 0:
         b = np.zeros_like(a)
     else:
-        b = np.zeros((m,) + a.shape[1:])
-        tail = np.zeros((2,) + a.shape[1:])  # tail[parity] = running sum
-        for n in range(m - 1, -1, -1):
-            parity = (n + 1) % 2
-            tail[parity] = tail[parity] + a[n + 1]
-            b[n] = (2 * n + 1) * tail[parity]
-    return CoeffTensor(coeffs=np.moveaxis(b, 0, axis).copy(),
-                       tail_trusted=u.tail_trusted)
+        b = _tail_sums(a, axis) * (2.0 * np.arange(m) + 1.0).reshape(
+            (-1,) + (1,) * (a.ndim - 1 - axis))
+    return CoeffTensor(coeffs=b, tail_trusted=u.tail_trusted)
 
 
 def l2_norm(u: CoeffTensor) -> float:
     """Parseval L2 norm: sqrt(sum a_i^2 prod 2/(2 i_k + 1))."""
     w = _weight_tensor(u.coeffs.shape)
     return float(np.sqrt(np.sum(u.coeffs * u.coeffs * w)))
+
+
+def h1_seminorm(u: CoeffTensor) -> float:
+    """|u|_{H^1} = sqrt(sum_k ||d_k u||^2) from the tail sums of each axis.
+
+    d_k u has the coefficients (2n+1) T_n along axis k, with T_n the parity
+    tail sum of ``differentiate``, and ||L_n||^2 = 2/(2n+1), so
+    ||d_k u||^2 = sum_n 2(2n+1) T_n^2 weighted by 2/(2i+1) on every other
+    axis: one contraction of T^2 with 1 x n weight rows, no derivative or
+    weight tensor.
+    """
+    a = u.coeffs
+    rows = [w[None, :] for w in _weight_vectors(a.shape)]
+    total = 0.0
+    for axis, n in enumerate(a.shape):
+        if n == 1:
+            continue
+        t = _tail_sums(a, axis)
+        np.square(t, out=t)
+        mats = list(rows)
+        mats[axis] = (4.0 * np.arange(n - 1) + 2.0)[None, :]
+        total += float(apply_axes(t, mats).item())
+    return float(np.sqrt(total))
 
 
 def composition_array(total: int, parts: int) -> np.ndarray:

@@ -1,9 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from hpexp.expansion import (CoeffTensor, InsufficientQuadratureError,
-                             compositions, differentiate, evaluate, expand, l2_norm,
-                             named_function,
+                             compositions, differentiate, evaluate, expand,
+                             h1_seminorm, l2_norm, named_function,
                              reference_expansion, sobolev_seminorm,
                              weighted_seminorm)
 from hpexp.expansion import FunctionOracle
@@ -70,6 +72,60 @@ def test_mixed_partials_commute():
     a = differentiate(differentiate(u, 0), 1)
     b = differentiate(differentiate(u, 1), 0)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
+
+
+def _differentiate_loop(coeffs, axis):
+    """The per-degree running-sum loop ``differentiate`` replaced: the
+    reference of its bitwise contract."""
+    a = np.moveaxis(coeffs, axis, 0)
+    m = a.shape[0] - 1
+    if m == 0:
+        b = np.zeros_like(a)
+    else:
+        b = np.zeros((m,) + a.shape[1:])
+        tail = np.zeros((2,) + a.shape[1:])  # tail[parity] = running sum
+        for n in range(m - 1, -1, -1):
+            parity = (n + 1) % 2
+            tail[parity] = tail[parity] + a[n + 1]
+            b[n] = (2 * n + 1) * tail[parity]
+    return np.moveaxis(b, 0, axis).copy()
+
+
+# every shape of d = 1..3 whose axis lengths are drawn from 1, 2, 3 and 45
+_SHAPES = [shape for d in (1, 2, 3) for shape in product((1, 2, 3, 45), repeat=d)]
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=str)
+def test_differentiate_bitwise_equal_to_loop(shape):
+    c = np.random.default_rng(len(shape)).standard_normal(shape)
+    for axis in range(len(shape)):
+        new = differentiate(CoeffTensor(coeffs=c), axis).coeffs
+        old = _differentiate_loop(c, axis)
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=str)
+def test_h1_seminorm_matches_derivative_norms(shape):
+    u = CoeffTensor(coeffs=np.random.default_rng(3).standard_normal(shape))
+    expect = np.sqrt(sum(l2_norm(differentiate(u, k)) ** 2
+                         for k in range(u.dim)))
+    if max(shape) == 1:
+        assert h1_seminorm(u) == 0.0
+    else:
+        assert h1_seminorm(u) == pytest.approx(expect, rel=1e-14)
+
+
+def test_h1_seminorm_cases():
+    for shape in ((1,), (1, 1), (5, 4), (3, 3, 3)):
+        c = np.zeros(shape)
+        c[(0,) * len(shape)] = 2.5
+        assert h1_seminorm(CoeffTensor(coeffs=c)) == 0.0
+    # u = L_3(x) L_2(y): ||L_n'||^2 = n(n+1) and ||L_n||^2 = 2/(2n+1)
+    c = np.zeros((6, 4))
+    c[3, 2] = 1.0
+    assert h1_seminorm(CoeffTensor(coeffs=c)) == pytest.approx(
+        np.sqrt(12.0 * 2.0 / 5.0 + (2.0 / 7.0) * 6.0), rel=1e-15)
 
 
 def test_weighted_seminorm_cases():

@@ -9,7 +9,8 @@ from hpexp.projections import (audit_l2p_bound, audit_h1s_bounds,
                                h1_axis_matrix, project_h1_p,
                                project_h1_partial, project_h1_q, project_h1_s,
                                project_h1_s_pair, project_l2,
-                               projection_errors, _h1_seminorms)
+                               projection_errors, _deriv_coeff_matrix,
+                               _h1_seminorms)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +308,34 @@ def test_projection_errors_own_space(sine2d):
     inner = projection_errors(res.projected,
                               project_l2(res.projected, "Q", 8), margin=0)
     assert inner.l2 < 1e-10 and inner.h1_semi < 1e-10
+
+
+def test_projection_errors_l2_is_l2_norm_of_difference(sine2d):
+    for res in (project_l2(sine2d, "P", 9), project_h1_s(sine2d, 9)):
+        diff = sine2d.coeffs.copy()
+        diff[tuple(slice(0, n) for n in res.projected.coeffs.shape)] \
+            -= res.projected.coeffs
+        err = projection_errors(sine2d, res)
+        assert err.l2 == l2_norm(CoeffTensor(coeffs=diff))
+
+
+def _deriv_coeff_loop(p_rows, m_src):
+    """The double loop ``_deriv_coeff_matrix`` replaced (bitwise reference)."""
+    D = np.zeros((p_rows, m_src + 1))
+    for j in range(p_rows):
+        for i in range(j + 1, m_src + 1):
+            if (i - j) % 2 == 1:
+                D[j, i] = 2 * j + 1
+    return D
+
+
+def test_deriv_coeff_matrix_bitwise_equal_to_loop():
+    sizes = [(p_rows, m_src) for p_rows in range(9) for m_src in range(13)]
+    for p_rows, m_src in sizes + [(24, 54)]:
+        new = _deriv_coeff_matrix(p_rows, m_src)
+        old = _deriv_coeff_loop(p_rows, m_src)
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
 
 
 def test_projection_errors_requires_margin(sine2d):
