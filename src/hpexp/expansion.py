@@ -13,7 +13,7 @@ function oracle is expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,10 +53,16 @@ class CoeffTensor:
     ``coeffs[i1, ..., id]`` multiplies prod_k L_{i_k}; ``tail_trusted`` records
     whether the outermost coefficient band was verified negligible, so that
     truncation-based error measurements against this tensor are defensible.
+    ``cache`` holds data derived from ``coeffs`` by other modules (such as
+    the outer-shell error sums of ``projections.projection_errors``), built
+    on first use; ``coeffs`` is read-only, so it never goes stale, and every
+    tensor has its own.
     """
 
     coeffs: np.ndarray
     tail_trusted: bool = True
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.coeffs.flags.writeable = False

@@ -189,17 +189,19 @@ def apply_axes(tensor, mats) -> np.ndarray:
     equals the Kronecker product of the matrices applied to each flattened
     batch entry.  The cost is one matrix product per axis, in axis order:
     ``mats[k]`` times the (n_k, rest) unfolding of each batch entry, the same
-    product an unbatched call makes on that entry.
+    product an unbatched call makes on that entry.  Axis 0 is already in
+    place, so it is contracted without the two ``np.moveaxis`` views.
     """
     out = np.asarray(tensor)
     b = out.ndim - len(mats)                 # number of batch axes
     for k, mat in enumerate(mats):
         if mat is None:
             continue
-        x = np.moveaxis(out, b + k, b)       # batch, axis k, the other axes
-        y = mat @ x.reshape(x.shape[:b + 1] + (-1,))
-        out = np.moveaxis(y.reshape(x.shape[:b] + (mat.shape[0],)
-                                    + x.shape[b + 1:]), b, b + k)
+        # batch, axis k, the other axes
+        x = out if k == 0 else np.moveaxis(out, b + k, b)
+        y = (mat @ x.reshape(x.shape[:b + 1] + (-1,))).reshape(
+            x.shape[:b] + (mat.shape[0],) + x.shape[b + 1:])
+        out = y if k == 0 else np.moveaxis(y, b, b + k)
     return out
 
 

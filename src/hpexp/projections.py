@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import (CoeffTensor, differentiate, h1_seminorm, l2_norm,
+from .expansion import (CoeffTensor, _tail_sums, differentiate, l2_norm,
                         weighted_seminorm)
 from .orthopoly import apply_axes
 
@@ -208,9 +208,14 @@ def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,
     checks = 0
     for p in p_values:
         shape = (p + 7,) * d
+        outside = sum(np.indices(shape)) > p
         for sample in range(n_samples):
             u = CoeffTensor(coeffs=rng.standard_normal(shape))
-            err_sq = projection_errors(u, project_l2(u, "P", p), margin=0).l2 ** 2
+            # Pi_P keeps the coefficients on the simplex |i| <= p, so the
+            # error is the Parseval sum of the others; each tensor is used
+            # once, so projection_errors' per-tensor tables would not pay off
+            err_sq = l2_norm(CoeffTensor(
+                coeffs=np.where(outside, u.coeffs, 0.0))) ** 2
             for s in range(1, min(p + 1, 4) + 1):
                 checks += 1
                 rhs = phi(d, p + 1, s) * weighted_seminorm(u, s) ** 2
@@ -278,21 +283,121 @@ def _h1_seminorms(u: CoeffTensor, s: int, d: int) -> dict:
     return out
 
 
+def _outer_sums(e: np.ndarray, shift) -> np.ndarray:
+    """``out[q]`` = the sum of ``e`` over its entries of shell index >= q.
+
+    The shell index of entry i is max_k (i_k + shift_k).  The shells are
+    summed by one ``np.bincount`` and accumulated from the outermost inwards,
+    so ``out`` is non-increasing in q and its last entry is 0.
+    """
+    shell = np.zeros((1,) * e.ndim, dtype=np.intp)
+    for k, (n, c) in enumerate(zip(e.shape, shift)):
+        shell = np.maximum(shell, (np.arange(n) + c).reshape(
+            (-1,) + (1,) * (e.ndim - 1 - k)))
+    sums = np.bincount(shell.ravel(), weights=e.ravel())
+    out = np.zeros(len(sums) + 1)
+    out[:-1] = np.cumsum(sums[::-1])[::-1]
+    return out
+
+
+@dataclass(frozen=True)
+class _OuterTables:
+    """The parts of the error sums against a reference tensor ``a`` that lie
+    outside the low block [0, q)^d, where a projection leaves ``a`` alone.
+
+    ``l2[q]`` sums a^2 w, w = prod_k 2/(2 i_k + 1), over the entries outside
+    the block; ``h1[q]`` sums, over the axes k, (4n+2) T_n^2 w_other over the
+    terms of ||d_k a||^2 (``expansion.h1_seminorm``) whose tail sum T_n is
+    not changed by the block, those with n + 1 >= q or another index >= q.
+    ``weights[k]`` is the vector 2/(2i+1) of axis k.
+    """
+
+    l2: np.ndarray
+    h1: np.ndarray
+    weights: tuple
+
+
+def _build_outer_tables(a: np.ndarray) -> _OuterTables:
+    d = a.ndim
+    weights = tuple(2.0 / (2.0 * np.arange(n) + 1.0) for n in a.shape)
+
+    def weighted(e, mults):
+        for k, v in enumerate(mults):
+            e *= v.reshape((-1,) + (1,) * (d - 1 - k))
+        return e
+
+    l2 = _outer_sums(weighted(a * a, weights), (0,) * d)
+    h1 = np.zeros_like(l2)
+    for k, n in enumerate(a.shape):
+        if n == 1:
+            continue
+        t = _tail_sums(a, k)
+        mults = list(weights)
+        mults[k] = 4.0 * np.arange(n - 1) + 2.0
+        h1 += _outer_sums(weighted(t * t, mults),
+                          tuple(int(j == k) for j in range(d)))
+    return _OuterTables(l2=l2, h1=h1, weights=weights)
+
+
+def _outer_tables(u: CoeffTensor) -> _OuterTables:
+    """The outer-shell tables of ``u``, built on first use and kept in
+    ``u.cache``."""
+    tables = u.cache.get(_OuterTables)
+    if tables is None:
+        tables = u.cache[_OuterTables] = _build_outer_tables(u.coeffs)
+    return tables
+
+
+def _contract(t: np.ndarray, rows) -> float:
+    """sum_i t_i prod_k rows[k][i_k], one vector product per axis, last
+    axis first."""
+    for r in reversed(rows):
+        t = t @ r
+    return float(t)
+
+
 def projection_errors(u_ref: CoeffTensor, proj: ProjectionResult,
                       margin: int = 4) -> ErrorReport:
     """L2 and H1-seminorm error of a projection against the reference tensor.
 
-    Both norms are exact Parseval sums on the coefficient difference; the
-    reference must out-resolve the projection degree by ``margin``.  ``l2`` is
-    ``l2_norm`` of the difference tensor; ``h1_semi`` is ``h1_seminorm`` of
-    it, summed from the parity tail sums of each axis without building the
-    derivative tensors.
+    Both norms are exact Parseval sums on the coefficient difference a - P;
+    the reference must out-resolve the projection degree by ``margin``.  P
+    lives in the low block [0, q)^d, so each sum splits in two parts:
+
+    - outside the block the terms are those of ``a`` alone; their sums
+      depend on q only and are tabulated once per reference tensor, shell by
+      shell from the outermost inwards (``_OuterTables``, kept in
+      ``u_ref.cache``);
+    - inside the block they are summed afresh from b = a_B - P: b^2 w for
+      ``l2`` and, for ``h1_semi``, the terms (4n+2) T_n^2 w_other of
+      ``expansion.h1_seminorm`` whose parity tail sums T_n (n + 1 < q)
+      reach into the block.  Those T_n are taken along the lanes of a - P
+      through the block (b, then a beyond it), at O(N q^(d-1)) cost, so
+      each equals the one of the full difference tensor bit for bit.
+
+    Every term is non-negative, so the split cancels nothing; only the
+    grouping of the final sum differs from ``l2_norm``/``h1_seminorm`` of
+    a - P.  An L2 projection onto Q_p has b = 0, so its ``l2`` is the table
+    entry alone and exactly non-increasing in p.
     """
     if min(u_ref.degrees) < proj.p + margin:
         raise ValueError("reference tensor does not out-resolve the projection")
-    diff = u_ref.coeffs.copy()
-    sl = tuple(slice(0, n) for n in proj.projected.coeffs.shape)
-    diff[sl] -= proj.projected.coeffs
-    dt = CoeffTensor(coeffs=diff, tail_trusted=u_ref.tail_trusted)
-    return ErrorReport(l2=l2_norm(dt), h1_semi=h1_seminorm(dt),
+    tables = _outer_tables(u_ref)
+    P = proj.projected.coeffs
+    q = max(P.shape)
+    b = u_ref.coeffs[(slice(0, q),) * u_ref.dim].copy()
+    b[tuple(slice(0, n) for n in P.shape)] -= P
+    w = [v[:q] for v in tables.weights]
+    l2 = tables.l2[q] + _contract(b * b, w)
+    h1 = tables.h1[q]
+    for k in range(u_ref.dim):
+        # a - P on the lanes along axis k through the block: b, then a
+        beyond = u_ref.coeffs[tuple(slice(q, None) if j == k else slice(0, q)
+                                    for j in range(u_ref.dim))]
+        t = _tail_sums(np.concatenate([b, beyond], axis=k), k)
+        t = t[(slice(None),) * k + (slice(0, q - 1),)]
+        rows = list(w)
+        rows[k] = 4.0 * np.arange(q - 1) + 2.0
+        h1 += _contract(t * t, rows)
+    return ErrorReport(l2=float(np.sqrt(l2)), h1_semi=float(np.sqrt(h1)),
                        trusted=u_ref.tail_trusted)

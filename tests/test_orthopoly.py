@@ -204,3 +204,47 @@ def test_apply_axes_is_kronecker(batch, dim, skip):
         # batch entries are independent: the same bits as one at a time
         first = apply_axes(tensor[(0,) * len(batch)], mats)
         assert np.array_equal(out[(0,) * len(batch)], first)
+
+
+def _apply_axes_moveaxis_form(tensor, mats):
+    """``apply_axes`` as it was before axis 0 skipped ``np.moveaxis``
+    (bitwise reference)."""
+    out = np.asarray(tensor)
+    b = out.ndim - len(mats)
+    for k, mat in enumerate(mats):
+        if mat is None:
+            continue
+        x = np.moveaxis(out, b + k, b)
+        y = mat @ x.reshape(x.shape[:b + 1] + (-1,))
+        out = np.moveaxis(y.reshape(x.shape[:b] + (mat.shape[0],)
+                                    + x.shape[b + 1:]), b, b + k)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)],
+                         ids=["single", "batch", "batch2"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_apply_axes_bitwise_equal_to_moveaxis_form(layout, batch, dim):
+    # the FEM and DG pins rest on these products' rounding, so skipping the
+    # no-op moves must change no bit: square, wide, 1 x n row and None
+    # matrices, on contiguous, Fortran-ordered and strided tensors
+    rng = np.random.default_rng(7 * dim + len(batch))
+    shape = (23, 9, 17)[:dim]
+    tensor = rng.standard_normal(batch + tuple(2 * n for n in shape))
+    tensor = tensor[(slice(None),) * len(batch)
+                    + tuple(slice(None, None, 2) for _ in shape)]
+    if layout == "C":
+        tensor = np.ascontiguousarray(tensor)
+    elif layout == "F":
+        tensor = np.asfortranarray(tensor)
+    cases = [[rng.standard_normal((m, n)) for m, n in zip((31, 9, 1), shape)],
+             [rng.standard_normal((1, n)) for n in shape],
+             [None] + [rng.standard_normal((5, n)) for n in shape[1:]],
+             [rng.standard_normal((4, shape[0]))] + [None] * (dim - 1)]
+    for mats in cases:
+        new = apply_axes(tensor, mats)
+        old = _apply_axes_moveaxis_form(tensor, mats)
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert np.ascontiguousarray(new).tobytes() == \
+            np.ascontiguousarray(old).tobytes()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hpexp.bounds import bound_rhs
-from hpexp.expansion import (CoeffTensor, evaluate, l2_norm, named_function,
-                             reference_expansion)
+from hpexp.expansion import (CoeffTensor, evaluate, h1_seminorm, l2_norm,
+                             named_function, reference_expansion)
 from hpexp.orthopoly import gauss_rule, legendre_table, psi_table
 from hpexp.projections import (audit_l2p_bound, audit_h1s_bounds,
                                h1_axis_matrix, project_h1_p,
@@ -310,13 +310,139 @@ def test_projection_errors_own_space(sine2d):
     assert inner.l2 < 1e-10 and inner.h1_semi < 1e-10
 
 
-def test_projection_errors_l2_is_l2_norm_of_difference(sine2d):
-    for res in (project_l2(sine2d, "P", 9), project_h1_s(sine2d, 9)):
-        diff = sine2d.coeffs.copy()
-        diff[tuple(slice(0, n) for n in res.projected.coeffs.shape)] \
-            -= res.projected.coeffs
-        err = projection_errors(sine2d, res)
-        assert err.l2 == l2_norm(CoeffTensor(coeffs=diff))
+_KINDS = {"l2q": lambda u, p: project_l2(u, "Q", p),
+          "l2p": lambda u, p: project_l2(u, "P", p),
+          "h1q": project_h1_q, "h1s": project_h1_s, "h1p": project_h1_p}
+
+
+def _explicit_errors(u, res):
+    """``l2_norm`` and ``h1_seminorm`` of the full difference tensor."""
+    diff = u.coeffs.copy()
+    diff[tuple(slice(0, n) for n in res.projected.coeffs.shape)] \
+        -= res.projected.coeffs
+    dt = CoeffTensor(coeffs=diff)
+    return l2_norm(dt), h1_seminorm(dt)
+
+
+def _assert_errors_match(u, res, margin):
+    err = projection_errors(u, res, margin=margin)
+    l2, h1 = _explicit_errors(u, res)
+    assert abs(err.l2 - l2) <= 1e-14 * l2
+    assert abs(err.h1_semi - h1) <= 1e-14 * h1
+
+
+def test_projection_errors_l2_is_l2_norm_of_difference(sine2d, expsum3d):
+    # the outer-shell tables plus the low block give l2_norm and
+    # h1_seminorm of a - P to 1e-14 relative, for every kind at every degree
+    # of a 2D and a 3D sweep; near the top the margin is 0, and at p = N - 1
+    # the block is the whole tensor (q = N)
+    for kind, project in _KINDS.items():
+        for u in (sine2d, expsum3d):
+            n = u.coeffs.shape[0]
+            for p in range(n):
+                try:
+                    res = project(u, p)
+                except ValueError:
+                    continue
+                assert res.projected.coeffs.shape[0] == (
+                    p + 2 - u.dim if kind == "h1p" else p + 1)
+                _assert_errors_match(u, res, 4 if p + 4 < n else 0)
+            if kind != "h1p":
+                assert res.projected.coeffs.shape[0] == n
+    # q = 1: the block is the constant mode alone
+    for family in ("Q", "P"):
+        res = project_l2(expsum3d, family, 0)
+        assert res.projected.coeffs.shape == (1, 1, 1)
+        _assert_errors_match(expsum3d, res, 4)
+
+
+def test_block_tail_sums_bitwise_equal_to_full_difference(monkeypatch,
+                                                         expsum3d):
+    # the block's tail sums run along the lanes of a - P through the block,
+    # so they are the tail sums of the full difference tensor, bit for bit
+    import hpexp.projections as projections
+    from hpexp.expansion import _tail_sums
+    u = reference_expansion(named_function("runge1d-tensor", 2), 20, margin=6)
+    seen = []
+    monkeypatch.setattr(projections, "_tail_sums",
+                        lambda a, k: seen.append((k, _tail_sums(a, k)))
+                        or seen[-1][1])
+    for ref in (u, expsum3d):
+        d, n = ref.dim, ref.coeffs.shape[0]
+        for res in [project_l2(ref, "P", p) for p in (0, 1, 7, n - 2, n - 1)] \
+                + [project_h1_q(ref, p) for p in (1, 5, n - 1)] \
+                + [project_h1_s(ref, 6), project_h1_p(ref, 9)]:
+            projections.projection_errors(ref, res, margin=0)
+            q = res.projected.coeffs.shape[0]
+            diff = ref.coeffs.copy()
+            diff[(slice(0, q),) * d] -= res.projected.coeffs
+            block = [(k, t) for k, t in seen if t.shape == tuple(
+                n - 1 if j == k else q for j in range(d))]
+            assert len(block) == d
+            for k, t in block:
+                low = (slice(0, q),) * k + (slice(0, q - 1),)
+                full = _tail_sums(diff, k)[low + (slice(0, q),) * (d - 1 - k)]
+                assert np.ascontiguousarray(t[low]).tobytes() == full.tobytes()
+            seen.clear()
+
+
+def test_l2q_errors_exactly_non_increasing(sine2d, expsum3d):
+    # Pi_Q leaves b = 0 in the block, so l2 is the outer-shell table entry,
+    # a sum of non-negative shells from the outermost inwards
+    rng = np.random.default_rng(3)
+    noise = CoeffTensor(coeffs=rng.standard_normal((12, 12, 12)))
+    for u in (sine2d, expsum3d, noise):
+        errs = [projection_errors(u, project_l2(u, "Q", p), margin=0).l2
+                for p in range(u.coeffs.shape[0])]
+        assert errs[-1] == 0.0
+        assert all(b <= a for a, b in zip(errs, errs[1:]))
+
+
+def test_projection_sweep_builds_error_tables_once(monkeypatch):
+    import hpexp.projections as projections
+    from hpexp.harness import run_sweep
+    built = []
+    real = projections._build_outer_tables
+
+    def counting(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(projections, "_build_outer_tables", counting)
+    sweeps = [{"name": f"s{dim}{kind}", "kind": "project-sweep",
+               "proj_kind": kind, "dim": dim, "p_min": 6, "p_max": 9,
+               "margin": 6} for dim in (2, 3) for kind in ("h1s", "l2q")]
+    for sw in sweeps:
+        assert len(run_sweep(sw)) == 4
+    # one reference tensor per sweep, each tabulated once for its 4 degrees
+    assert len(built) == len(sweeps)
+    assert len({id(a) for a in built}) == len(sweeps)
+
+
+def test_references_of_one_shape_never_share_tables():
+    rng = np.random.default_rng(5)
+    u = CoeffTensor(coeffs=rng.standard_normal((14, 14, 14)))
+    v = CoeffTensor(coeffs=rng.standard_normal((14, 14, 14)))
+    w = CoeffTensor(coeffs=u.coeffs.copy())
+    for ref in (u, v, w, u, v):
+        for p in (3, 9):
+            _assert_errors_match(ref, project_h1_q(ref, p), 4)
+    tables = [ref.cache for ref in (u, v, w)]
+    assert all(len(c) == 1 for c in tables)
+    assert len({id(next(iter(c.values()))) for c in tables}) == 3
+
+
+def test_l2p_audit_builds_no_error_tables(monkeypatch):
+    # each random tensor is used once: the audit sums the Parseval tail
+    # outside the simplex directly
+    import hpexp.projections as projections
+
+    def refuse(a):
+        raise AssertionError("audit_l2p_bound built outer-shell tables")
+
+    monkeypatch.setattr(projections, "_build_outer_tables", refuse)
+    rep = audit_l2p_bound(3, p_values=(4,), n_samples=3, seed=2)
+    assert rep["checks"] == 3 * 4
 
 
 def _deriv_coeff_loop(p_rows, m_src):
