@@ -184,7 +184,7 @@ def bound_rhs(kind: str, p: int, s: int, seminorms: dict, d: int = 2) -> float:
                "h1p_h1": {2: "h1s_h1_2d", 3: "h1s_h1_3d"}}[kind][d]
         return bound_rhs(sub, p + 1 - d, s, seminorms, d=d)
 
-    if kind.endswith("2d") or kind in ("qs_l2_2d", "qs_h1_2d"):
+    if kind.endswith("2d"):
         if not 1 <= s <= p:
             raise ValueError("2D H1 bounds require 1 <= s <= p")
     if kind.endswith("3d"):

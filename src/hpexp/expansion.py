@@ -2,13 +2,15 @@
 
 A function is represented by its Legendre coefficient tensor a_i, with
 a_i = prod_k (2 i_k + 1)/2 * int u(x) prod_k L_{i_k}(x_k) dx.  Differentiation,
-L2 norms, the H1 seminorm, Sobolev seminorms and the weighted seminorms
+L2 norms, Sobolev seminorms and the weighted seminorms
 
     |u|_{V^s}^2 = sum_{|alpha| = s} sum_{i >= alpha} a_i^2
                   prod_k 2/(2 i_k + 1) * Gamma(i_k + alpha_k + 1)/Gamma(i_k - alpha_k + 1)
 
 are all exact operations in coefficient space; quadrature only enters when a
-function oracle is expanded.
+function oracle is expanded.  Every norm is a Parseval sum: one contraction
+of a^2 (or of squared tail sums) with per-axis weight rows, the Legendre
+weights ||L_i||^2 = 2/(2i+1) of ``_weight_vectors``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "evaluate",
     "differentiate",
     "l2_norm",
-    "h1_seminorm",
     "sobolev_seminorm",
     "weighted_seminorm",
     "composition_array",
@@ -53,10 +54,11 @@ class CoeffTensor:
     ``coeffs[i1, ..., id]`` multiplies prod_k L_{i_k}; ``tail_trusted`` records
     whether the outermost coefficient band was verified negligible, so that
     truncation-based error measurements against this tensor are defensible.
-    ``cache`` holds data derived from ``coeffs`` by other modules (such as
-    the outer-shell error sums of ``projections.projection_errors``), built
-    on first use; ``coeffs`` is read-only, so it never goes stale, and every
-    tensor has its own.
+    ``cache`` holds data derived from ``coeffs``: the outer-shell sums of
+    ``_OuterTables``, which ``reference_expansion`` builds for its trust
+    check and ``projections.projection_errors`` reads, or builds on first
+    use for any other tensor; ``coeffs`` is read-only, so it never goes
+    stale, and every tensor has its own.
     """
 
     coeffs: np.ndarray
@@ -93,15 +95,16 @@ class FunctionOracle:
 
 
 def _weight_vectors(shape) -> list[np.ndarray]:
+    """The Legendre weights ||L_i||^2 = 2/(2i+1) of each axis."""
     return [2.0 / (2.0 * np.arange(n) + 1.0) for n in shape]
 
 
-def _weight_tensor(shape) -> np.ndarray:
-    vecs = _weight_vectors(shape)
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.multiply.outer(out, v)
-    return out
+def _contract(t: np.ndarray, rows) -> float:
+    """sum_i t_i prod_k rows[k][i_k], one vector product per axis, last
+    axis first."""
+    for r in reversed(rows):
+        t = t @ r
+    return float(t)
 
 
 def expand(f: FunctionOracle, degrees, quad_order: int) -> CoeffTensor:
@@ -125,29 +128,27 @@ def expand(f: FunctionOracle, degrees, quad_order: int) -> CoeffTensor:
     return CoeffTensor(coeffs=apply_axes(values, mats))
 
 
-def _outer_band_fraction(coeffs: np.ndarray, band: int = 2) -> float:
-    """Energy fraction carried by the outermost coefficient band."""
-    w = _weight_tensor(coeffs.shape)
-    energy = coeffs * coeffs * w
-    total = energy.sum()
-    if total == 0.0:
-        return 0.0
-    inner = energy[tuple(slice(0, n - band) for n in coeffs.shape)].sum()
-    return float((total - inner) / total)
-
-
 def reference_expansion(f: FunctionOracle, p: int,
                         margin: int = DEFAULT_REFERENCE_MARGIN) -> CoeffTensor:
     """Overkill expansion used as the reference for degree-p error measurement.
 
     Uses degree p + margin in every direction and quad_order max degree + 10,
-    and flags the tensor untrusted unless the outermost band carries less than
-    1e-14 of the total energy.
+    and flags the tensor untrusted unless the outermost band, the entries
+    outside [0, m - 1)^d, carries less than 1e-14 of the total energy.  That
+    fraction is read from the outer-shell sums, which sum non-negative
+    terms only; they stay in the returned tensor's ``cache``.
     """
     m = p + margin
-    tensor = expand(f, (m,) * f.dim, m + 10)
-    trusted = _outer_band_fraction(tensor.coeffs) < TAIL_ENERGY_TOLERANCE
-    return CoeffTensor(coeffs=tensor.coeffs.copy(), tail_trusted=trusted)
+    # C order: sums over the tensor round by its layout, and every output
+    # against a reference was measured on this one
+    coeffs = expand(f, (m,) * f.dim, m + 10).coeffs.copy()
+    tables = _build_outer_tables(coeffs)
+    total = tables.l2[0]
+    trusted = bool(total == 0.0
+                   or tables.l2[max(m - 1, 0)] < TAIL_ENERGY_TOLERANCE * total)
+    out = CoeffTensor(coeffs=coeffs, tail_trusted=trusted)
+    out.cache[_OuterTables] = tables
+    return out
 
 
 def evaluate(u: CoeffTensor, points: np.ndarray) -> np.ndarray:
@@ -199,31 +200,81 @@ def differentiate(u: CoeffTensor, axis: int) -> CoeffTensor:
 
 def l2_norm(u: CoeffTensor) -> float:
     """Parseval L2 norm: sqrt(sum a_i^2 prod 2/(2 i_k + 1))."""
-    w = _weight_tensor(u.coeffs.shape)
-    return float(np.sqrt(np.sum(u.coeffs * u.coeffs * w)))
-
-
-def h1_seminorm(u: CoeffTensor) -> float:
-    """|u|_{H^1} = sqrt(sum_k ||d_k u||^2) from the tail sums of each axis.
-
-    d_k u has the coefficients (2n+1) T_n along axis k, with T_n the parity
-    tail sum of ``differentiate``, and ||L_n||^2 = 2/(2n+1), so
-    ||d_k u||^2 = sum_n 2(2n+1) T_n^2 weighted by 2/(2i+1) on every other
-    axis: one contraction of T^2 with 1 x n weight rows, no derivative or
-    weight tensor.
-    """
     a = u.coeffs
-    rows = [w[None, :] for w in _weight_vectors(a.shape)]
-    total = 0.0
-    for axis, n in enumerate(a.shape):
+    return float(np.sqrt(_contract(a * a, _weight_vectors(a.shape))))
+
+
+def _derivative(u: CoeffTensor, alpha) -> CoeffTensor:
+    """D^alpha u: ``alpha[k]`` derivatives along axis k, axis 0 first."""
+    for axis, k in enumerate(alpha):
+        for _ in range(k):
+            u = differentiate(u, axis)
+    return u
+
+
+def _outer_sums(e: np.ndarray, shift) -> np.ndarray:
+    """``out[q]`` = the sum of ``e`` over its entries of shell index >= q.
+
+    The shell index of entry i is max_k (i_k + shift_k).  The shells are
+    summed by one ``np.bincount`` and accumulated from the outermost inwards,
+    so ``out`` is non-increasing in q and its last entry is 0.
+    """
+    shell = np.zeros((1,) * e.ndim, dtype=np.intp)
+    for k, (n, c) in enumerate(zip(e.shape, shift)):
+        shell = np.maximum(shell, (np.arange(n) + c).reshape(
+            (-1,) + (1,) * (e.ndim - 1 - k)))
+    sums = np.bincount(shell.ravel(), weights=e.ravel())
+    out = np.zeros(len(sums) + 1)
+    out[:-1] = np.cumsum(sums[::-1])[::-1]
+    return out
+
+
+@dataclass(frozen=True)
+class _OuterTables:
+    """The parts of the Parseval sums of a tensor ``a`` that lie outside the
+    low block [0, q)^d, for every q.
+
+    ``l2[q]`` sums a^2 w, w = prod_k 2/(2 i_k + 1), over the entries outside
+    the block, so ``l2[0]`` is ||a||^2.  ``h1[q]`` sums, over the axes k, the
+    terms (4n+2) T_n^2 w_other of ||d_k a||^2 (d_k a has the coefficients
+    (2n+1) T_n, T_n the parity tail sum of ``differentiate``) whose T_n is
+    not changed by the block, those with n + 1 >= q or another index >= q;
+    ``h1[0]`` is |a|_{H^1}^2.
+    """
+
+    l2: np.ndarray
+    h1: np.ndarray
+
+
+def _build_outer_tables(a: np.ndarray) -> _OuterTables:
+    d = a.ndim
+    weights = _weight_vectors(a.shape)
+
+    def weighted(e, mults):
+        for k, v in enumerate(mults):
+            e *= v.reshape((-1,) + (1,) * (d - 1 - k))
+        return e
+
+    l2 = _outer_sums(weighted(a * a, weights), (0,) * d)
+    h1 = np.zeros_like(l2)
+    for k, n in enumerate(a.shape):
         if n == 1:
             continue
-        t = _tail_sums(a, axis)
-        np.square(t, out=t)
-        mats = list(rows)
-        mats[axis] = (4.0 * np.arange(n - 1) + 2.0)[None, :]
-        total += float(apply_axes(t, mats).item())
-    return float(np.sqrt(total))
+        t = _tail_sums(a, k)
+        mults = list(weights)
+        mults[k] = 4.0 * np.arange(n - 1) + 2.0
+        h1 += _outer_sums(weighted(t * t, mults),
+                          tuple(int(j == k) for j in range(d)))
+    return _OuterTables(l2=l2, h1=h1)
+
+
+def _outer_tables(u: CoeffTensor) -> _OuterTables:
+    """The outer-shell tables of ``u``, built on first use and kept in
+    ``u.cache``."""
+    tables = u.cache.get(_OuterTables)
+    if tables is None:
+        tables = u.cache[_OuterTables] = _build_outer_tables(u.coeffs)
+    return tables
 
 
 def composition_array(total: int, parts: int) -> np.ndarray:
@@ -253,41 +304,32 @@ def sobolev_seminorm(u: CoeffTensor, s: int) -> float:
         raise ValueError("order must be non-negative")
     if s == 0:
         return l2_norm(u)
-    total = 0.0
-    for alpha in compositions(s, u.dim):
-        v = u
-        for axis, k in enumerate(alpha):
-            for _ in range(k):
-                v = differentiate(v, axis)
-        total += l2_norm(v) ** 2
+    total = sum(l2_norm(_derivative(u, alpha)) ** 2
+                for alpha in compositions(s, u.dim))
     return float(np.sqrt(total))
 
 
-def _gamma_ratio_factors(m: int, alpha_k: int) -> np.ndarray:
-    """Vector over i = 0..m of 2/(2i+1) * Gamma(i+a+1)/Gamma(i-a+1), zero for i < a."""
-    i = np.arange(m + 1, dtype=float)
-    out = np.zeros(m + 1)
-    ok = i >= alpha_k
-    out[ok] = (2.0 / (2.0 * i[ok] + 1.0)
-               * np.exp(gammaln(i[ok] + alpha_k + 1.0) - gammaln(i[ok] - alpha_k + 1.0)))
-    return out
-
-
 def weighted_seminorm(u: CoeffTensor, s: int) -> float:
-    """Weighted Sobolev seminorm |u|_{V^s}, diagonal in the Legendre expansion."""
+    """Weighted Sobolev seminorm |u|_{V^s}, diagonal in the Legendre expansion.
+
+    One table G[k, i] = 2/(2i+1) Gamma(i+k+1)/Gamma(i-k+1) (zero for i < k)
+    serves every axis: composition alpha contributes the contraction of a^2
+    with the rows G[alpha_k] of its axes.
+    """
     if s < 0:
         raise ValueError("order must be non-negative")
     if s == 0:
         return l2_norm(u)
-    sq = u.coeffs * u.coeffs
-    total = 0.0
-    for alpha in compositions(s, u.dim):
-        term = sq
-        for axis, a_k in enumerate(alpha):
-            fac = _gamma_ratio_factors(u.coeffs.shape[axis] - 1, a_k)
-            term = term * fac.reshape([-1 if ax == axis else 1
-                                       for ax in range(u.dim)])
-        total += term.sum()
+    a = u.coeffs
+    w, = _weight_vectors((max(a.shape),))
+    i = np.arange(len(w), dtype=float)
+    k = np.arange(s + 1, dtype=float)[:, None]
+    ok = i >= k
+    G = np.where(ok, w * np.exp(gammaln(i + k + 1.0)
+                                - gammaln(np.where(ok, i - k, 0.0) + 1.0)), 0.0)
+    sq = a * a
+    total = sum(_contract(sq, [G[c, :n] for c, n in zip(alpha, a.shape)])
+                for alpha in composition_array(s, a.ndim).tolist())
     return float(np.sqrt(total))
 
 

@@ -385,8 +385,9 @@ def _choice(options: tuple, required: bool = False):
 
 
 _P_LIST = (True, lambda v: isinstance(v, list) and bool(v)
-           and all(type(p) is int and p >= 1 for p in v),
-           "a non-empty list of integers >= 1")
+           and all(type(p) is int and p >= 1 for p in v)
+           and all(a < b for a, b in zip(v, v[1:])),
+           "a non-empty, strictly increasing list of integers >= 1")
 
 
 class Kind(NamedTuple):

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import (CoeffTensor, _tail_sums, differentiate, l2_norm,
-                        weighted_seminorm)
+from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
+                        _tail_sums, _weight_vectors, l2_norm,
+                        sobolev_seminorm, weighted_seminorm)
 from .orthopoly import apply_axes
 
 __all__ = [
@@ -253,107 +254,22 @@ def audit_h1s_bounds(u_ref: CoeffTensor, p_values, norm: str = "l2") -> dict:
 
 def _h1_seminorms(u: CoeffTensor, s: int, d: int) -> dict:
     """Squared seminorm inputs demanded by the H1 bound formulas."""
-    def dn(axes_orders):
-        v = u
-        for axis, k in axes_orders:
-            for _ in range(k):
-                v = differentiate(v, axis)
-        return l2_norm(v) ** 2
-
-    mixed = u
-    for axis in range(d):
-        mixed = differentiate(mixed, axis)
-    out = {"d1_sp1_sq": dn([(0, s + 1)]), "d2_sp1_sq": dn([(1, s + 1)]),
-           "d1_d2s_sq": dn([(0, 1), (1, s)]), "d1s_d2_sq": dn([(0, s), (1, 1)])}
+    orders = {"d1_sp1_sq": (s + 1,), "d2_sp1_sq": (0, s + 1),
+              "d1_d2s_sq": (1, s), "d1s_d2_sq": (s, 1)}
+    if d == 3:
+        orders.update({"d3_sp1_sq": (0, 0, s + 1), "d1_d3s_sq": (1, 0, s),
+                       "d2_d3s_sq": (0, 1, s), "d3_d1s_sq": (s, 0, 1),
+                       "d2_d1s_sq": (s, 1), "d3_d2s_sq": (0, s, 1),
+                       "d1_d2_d3sm1_sq": (1, 1, s - 1)})
+    out = {key: l2_norm(_derivative(u, alpha)) ** 2
+           for key, alpha in orders.items()}
+    mixed = _derivative(u, (1,) * d)
     if d == 2:
         out["mixed_v_sm1_sq"] = weighted_seminorm(mixed, s - 1) ** 2
     else:
-        out.update({
-            "d3_sp1_sq": dn([(2, s + 1)]),
-            "d1_d3s_sq": dn([(0, 1), (2, s)]),
-            "d2_d3s_sq": dn([(1, 1), (2, s)]),
-            "d3_d1s_sq": dn([(0, s), (2, 1)]),
-            "d2_d1s_sq": dn([(0, s), (1, 1)]),
-            "d3_d2s_sq": dn([(1, s), (2, 1)]),
-            "d1_d2_d3sm1_sq": dn([(0, 1), (1, 1), (2, s - 1)]),
-            "triple_v_sm2_sq": weighted_seminorm(mixed, s - 2) ** 2,
-        })
-        from .expansion import sobolev_seminorm
+        out["triple_v_sm2_sq"] = weighted_seminorm(mixed, s - 2) ** 2
         out["h_sp1_seminorm_sq"] = sobolev_seminorm(u, s + 1) ** 2
     return out
-
-
-def _outer_sums(e: np.ndarray, shift) -> np.ndarray:
-    """``out[q]`` = the sum of ``e`` over its entries of shell index >= q.
-
-    The shell index of entry i is max_k (i_k + shift_k).  The shells are
-    summed by one ``np.bincount`` and accumulated from the outermost inwards,
-    so ``out`` is non-increasing in q and its last entry is 0.
-    """
-    shell = np.zeros((1,) * e.ndim, dtype=np.intp)
-    for k, (n, c) in enumerate(zip(e.shape, shift)):
-        shell = np.maximum(shell, (np.arange(n) + c).reshape(
-            (-1,) + (1,) * (e.ndim - 1 - k)))
-    sums = np.bincount(shell.ravel(), weights=e.ravel())
-    out = np.zeros(len(sums) + 1)
-    out[:-1] = np.cumsum(sums[::-1])[::-1]
-    return out
-
-
-@dataclass(frozen=True)
-class _OuterTables:
-    """The parts of the error sums against a reference tensor ``a`` that lie
-    outside the low block [0, q)^d, where a projection leaves ``a`` alone.
-
-    ``l2[q]`` sums a^2 w, w = prod_k 2/(2 i_k + 1), over the entries outside
-    the block; ``h1[q]`` sums, over the axes k, (4n+2) T_n^2 w_other over the
-    terms of ||d_k a||^2 (``expansion.h1_seminorm``) whose tail sum T_n is
-    not changed by the block, those with n + 1 >= q or another index >= q.
-    ``weights[k]`` is the vector 2/(2i+1) of axis k.
-    """
-
-    l2: np.ndarray
-    h1: np.ndarray
-    weights: tuple
-
-
-def _build_outer_tables(a: np.ndarray) -> _OuterTables:
-    d = a.ndim
-    weights = tuple(2.0 / (2.0 * np.arange(n) + 1.0) for n in a.shape)
-
-    def weighted(e, mults):
-        for k, v in enumerate(mults):
-            e *= v.reshape((-1,) + (1,) * (d - 1 - k))
-        return e
-
-    l2 = _outer_sums(weighted(a * a, weights), (0,) * d)
-    h1 = np.zeros_like(l2)
-    for k, n in enumerate(a.shape):
-        if n == 1:
-            continue
-        t = _tail_sums(a, k)
-        mults = list(weights)
-        mults[k] = 4.0 * np.arange(n - 1) + 2.0
-        h1 += _outer_sums(weighted(t * t, mults),
-                          tuple(int(j == k) for j in range(d)))
-    return _OuterTables(l2=l2, h1=h1, weights=weights)
-
-
-def _outer_tables(u: CoeffTensor) -> _OuterTables:
-    """The outer-shell tables of ``u``, built on first use and kept in
-    ``u.cache``."""
-    tables = u.cache.get(_OuterTables)
-    if tables is None:
-        tables = u.cache[_OuterTables] = _build_outer_tables(u.coeffs)
-    return tables
-
-
-def _contract(t: np.ndarray, rows) -> float:
-    """sum_i t_i prod_k rows[k][i_k], one vector product per axis, last
-    axis first."""
-    for r in reversed(rows):
-        t = t @ r
-    return float(t)
 
 
 def projection_errors(u_ref: CoeffTensor, proj: ProjectionResult,
@@ -365,20 +281,20 @@ def projection_errors(u_ref: CoeffTensor, proj: ProjectionResult,
     lives in the low block [0, q)^d, so each sum splits in two parts:
 
     - outside the block the terms are those of ``a`` alone; their sums
-      depend on q only and are tabulated once per reference tensor, shell by
-      shell from the outermost inwards (``_OuterTables``, kept in
-      ``u_ref.cache``);
+      depend on q only and are the outer-shell sums of ``a``
+      (``expansion._OuterTables``, kept in ``u_ref.cache``);
     - inside the block they are summed afresh from b = a_B - P: b^2 w for
       ``l2`` and, for ``h1_semi``, the terms (4n+2) T_n^2 w_other of
-      ``expansion.h1_seminorm`` whose parity tail sums T_n (n + 1 < q)
-      reach into the block.  Those T_n are taken along the lanes of a - P
-      through the block (b, then a beyond it), at O(N q^(d-1)) cost, so
-      each equals the one of the full difference tensor bit for bit.
+      ||d_k (a - P)||^2 whose parity tail sums T_n (n + 1 < q) reach into
+      the block.  Those T_n are taken along the lanes of a - P through the
+      block (b, then a beyond it), at O(N q^(d-1)) cost, so each equals the
+      one of the full difference tensor bit for bit.
 
     Every term is non-negative, so the split cancels nothing; only the
-    grouping of the final sum differs from ``l2_norm``/``h1_seminorm`` of
-    a - P.  An L2 projection onto Q_p has b = 0, so its ``l2`` is the table
-    entry alone and exactly non-increasing in p.
+    grouping of the final sum differs from ``l2_norm`` and
+    ``sobolev_seminorm(., 1)`` of a - P.  An L2 projection onto Q_p has
+    b = 0, so its ``l2`` is the table entry alone and exactly
+    non-increasing in p.
     """
     if min(u_ref.degrees) < proj.p + margin:
         raise ValueError("reference tensor does not out-resolve the projection")
@@ -387,7 +303,7 @@ def projection_errors(u_ref: CoeffTensor, proj: ProjectionResult,
     q = max(P.shape)
     b = u_ref.coeffs[(slice(0, q),) * u_ref.dim].copy()
     b[tuple(slice(0, n) for n in P.shape)] -= P
-    w = [v[:q] for v in tables.weights]
+    w = _weight_vectors((q,) * u_ref.dim)
     l2 = tables.l2[q] + _contract(b * b, w)
     h1 = tables.h1[q]
     for k in range(u_ref.dim):

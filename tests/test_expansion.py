@@ -3,12 +3,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from scipy.special import gammaln
+
 from hpexp.expansion import (CoeffTensor, InsufficientQuadratureError,
                              compositions, differentiate, evaluate, expand,
-                             h1_seminorm, l2_norm, named_function,
-                             reference_expansion, sobolev_seminorm,
-                             weighted_seminorm)
-from hpexp.expansion import FunctionOracle
+                             l2_norm, named_function, reference_expansion,
+                             sobolev_seminorm, weighted_seminorm)
+from hpexp.expansion import FunctionOracle, _OuterTables, _outer_tables
 from hpexp.fem import mesh_uniform
 from hpexp.orthopoly import element_grids, gauss_rule, graded_rule, legendre_table
 
@@ -107,25 +108,50 @@ def test_differentiate_bitwise_equal_to_loop(shape):
 
 @pytest.mark.parametrize("shape", _SHAPES, ids=str)
 def test_h1_seminorm_matches_derivative_norms(shape):
+    # the outer-shell sums at q = 0 are ||u||^2 and |u|_{H^1}^2, the latter
+    # from the tail sums of each axis, without a derivative tensor
     u = CoeffTensor(coeffs=np.random.default_rng(3).standard_normal(shape))
-    expect = np.sqrt(sum(l2_norm(differentiate(u, k)) ** 2
-                         for k in range(u.dim)))
+    tables = _outer_tables(u)
+    assert np.sqrt(tables.l2[0]) == pytest.approx(l2_norm(u), rel=1e-14)
+    h1 = sobolev_seminorm(u, 1)
     if max(shape) == 1:
-        assert h1_seminorm(u) == 0.0
+        assert tables.h1[0] == 0.0 and h1 == 0.0
     else:
-        assert h1_seminorm(u) == pytest.approx(expect, rel=1e-14)
+        assert np.sqrt(tables.h1[0]) == pytest.approx(h1, rel=1e-14)
 
 
-def test_h1_seminorm_cases():
-    for shape in ((1,), (1, 1), (5, 4), (3, 3, 3)):
-        c = np.zeros(shape)
-        c[(0,) * len(shape)] = 2.5
-        assert h1_seminorm(CoeffTensor(coeffs=c)) == 0.0
-    # u = L_3(x) L_2(y): ||L_n'||^2 = n(n+1) and ||L_n||^2 = 2/(2n+1)
-    c = np.zeros((6, 4))
-    c[3, 2] = 1.0
-    assert h1_seminorm(CoeffTensor(coeffs=c)) == pytest.approx(
-        np.sqrt(12.0 * 2.0 / 5.0 + (2.0 / 7.0) * 6.0), rel=1e-15)
+def _gamma_ratio_factors(m, alpha_k):
+    """2/(2i+1) Gamma(i+a+1)/Gamma(i-a+1) for i = 0..m, zero for i < a."""
+    i = np.arange(m + 1, dtype=float)
+    out = np.zeros(m + 1)
+    ok = i >= alpha_k
+    out[ok] = (2.0 / (2.0 * i[ok] + 1.0) * np.exp(
+        gammaln(i[ok] + alpha_k + 1.0) - gammaln(i[ok] - alpha_k + 1.0)))
+    return out
+
+
+def _weighted_seminorm_loop(coeffs, s):
+    """The per-composition broadcast loop ``weighted_seminorm`` replaced."""
+    sq = coeffs * coeffs
+    total = 0.0
+    for alpha in compositions(s, coeffs.ndim):
+        term = sq
+        for axis, a_k in enumerate(alpha):
+            fac = _gamma_ratio_factors(coeffs.shape[axis] - 1, a_k)
+            term = term * fac.reshape([-1 if ax == axis else 1
+                                       for ax in range(coeffs.ndim)])
+        total += term.sum()
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weighted_seminorm_matches_composition_loop(d):
+    rng = np.random.default_rng(d)
+    for shape in [(1,) * d, (2,) * d, (9,) * d, (13, 4, 7)[:d], (3, 19, 1)[:d]]:
+        u = CoeffTensor(coeffs=rng.standard_normal(shape))
+        for s in range(5):
+            old = _weighted_seminorm_loop(u.coeffs, s)
+            assert abs(weighted_seminorm(u, s) - old) <= 1e-14 * old, (shape, s)
 
 
 def test_weighted_seminorm_cases():
@@ -178,6 +204,15 @@ def test_sobolev_seminorm_cases():
     assert sobolev_seminorm(u, 1) == pytest.approx(2.0, rel=1e-14)
     const = CoeffTensor(coeffs=np.ones((1, 1)))
     assert sobolev_seminorm(const, 2) == 0.0
+    for shape in ((1,), (1, 1), (5, 4), (3, 3, 3)):
+        c = np.zeros(shape)
+        c[(0,) * len(shape)] = 2.5
+        assert sobolev_seminorm(CoeffTensor(coeffs=c), 1) == 0.0
+    # u = L_3(x) L_2(y): ||L_n'||^2 = n(n+1) and ||L_n||^2 = 2/(2n+1)
+    c = np.zeros((6, 4))
+    c[3, 2] = 1.0
+    assert sobolev_seminorm(CoeffTensor(coeffs=c), 1) == pytest.approx(
+        np.sqrt(12.0 * 2.0 / 5.0 + (2.0 / 7.0) * 6.0), rel=1e-15)
 
 
 def test_sobolev_seminorm_sine_second_order():
@@ -221,6 +256,26 @@ def test_reference_expansion_tail_flag():
     rough = reference_expansion(_oracle(2, lambda x, y: np.abs(x) + 0 * y), 4,
                                 margin=6)
     assert not rough.tail_trusted
+    zero = reference_expansion(_oracle(2, lambda x, y: 0 * x * y), 4)
+    assert zero.tail_trusted
+
+
+# (function, degree m = p + margin, verdict): the sine's outer band carries
+# 1.42e-14 of its energy at m = 13 and 14, just above the 1e-14 tolerance;
+# the Runge tensor's 2.1e-15 and 3.0e-16 at m = 36 and 38
+@pytest.mark.parametrize("name,m,trusted", [
+    ("sine", 13, False), ("sine", 14, False),
+    ("runge1d-tensor", 36, True), ("runge1d-tensor", 38, True)])
+def test_tail_trust_reads_the_outer_band_sum(name, m, trusted):
+    u = reference_expansion(named_function(name, 2), m - 10, margin=10)
+    tables = u.cache[_OuterTables]     # built by reference_expansion
+    a = u.coeffs
+    w = np.multiply.outer(*[2.0 / (2.0 * np.arange(n) + 1.0) for n in a.shape])
+    outside = np.max(np.indices(a.shape), axis=0) >= m - 1
+    direct = np.sum((a * a * w)[outside])
+    assert tables.l2[m - 1] >= 0.0
+    assert abs(tables.l2[m - 1] - direct) <= 1e-12 * direct
+    assert u.tail_trusted is trusted
 
 
 def test_compositions_cases():

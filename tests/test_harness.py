@@ -203,6 +203,7 @@ _LEMMA = {"name": "broken", "kind": "lemma-audit", "dim": 2, "M_max": 2,
     pytest.param(dict(_FEM, p_list=[True]), id="p_list_bool"),
     pytest.param(dict(_FEM, p_list=[0]), id="p_list_zero"),
     pytest.param(dict(_FEM, p_list=[]), id="p_list_empty"),
+    pytest.param(dict(_FEM, p_list=[2, 2]), id="p_list_repeated"),
     pytest.param(dict(_FEM, gama=1.0), id="unknown_key"),
     pytest.param(dict(_LSHAPE, graded_ratio=1.0), id="graded_ratio"),
     pytest.param(dict(_LSHAPE, graded_layers=0), id="graded_layers"),
@@ -449,6 +450,9 @@ def test_cli_fem_lshape_takes_p_max_or_p_list(capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["fem-lshape", "--family", "q"] + flags)
         assert exc.value.code == 1
+    # a repeated degree is a config error, caught before any solve
+    assert cli_main(["fem-lshape", "--family", "q", "--p-list", "2,2"]) == 1
+    assert "strictly increasing" in capsys.readouterr().err
 
 
 def test_dotted_out_prefix_is_kept_whole(tmp_path, capsys):

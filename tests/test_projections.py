@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hpexp.bounds import bound_rhs
-from hpexp.expansion import (CoeffTensor, evaluate, h1_seminorm, l2_norm,
-                             named_function, reference_expansion)
+from hpexp.expansion import (CoeffTensor, evaluate, l2_norm, named_function,
+                             reference_expansion, sobolev_seminorm)
 from hpexp.orthopoly import gauss_rule, legendre_table, psi_table
 from hpexp.projections import (audit_l2p_bound, audit_h1s_bounds,
                                h1_axis_matrix, project_h1_p,
@@ -316,12 +316,13 @@ _KINDS = {"l2q": lambda u, p: project_l2(u, "Q", p),
 
 
 def _explicit_errors(u, res):
-    """``l2_norm`` and ``h1_seminorm`` of the full difference tensor."""
+    """``l2_norm`` and ``sobolev_seminorm(., 1)`` of the full difference
+    tensor."""
     diff = u.coeffs.copy()
     diff[tuple(slice(0, n) for n in res.projected.coeffs.shape)] \
         -= res.projected.coeffs
     dt = CoeffTensor(coeffs=diff)
-    return l2_norm(dt), h1_seminorm(dt)
+    return l2_norm(dt), sobolev_seminorm(dt, 1)
 
 
 def _assert_errors_match(u, res, margin):
@@ -333,7 +334,7 @@ def _assert_errors_match(u, res, margin):
 
 def test_projection_errors_l2_is_l2_norm_of_difference(sine2d, expsum3d):
     # the outer-shell tables plus the low block give l2_norm and
-    # h1_seminorm of a - P to 1e-14 relative, for every kind at every degree
+    # sobolev_seminorm(., 1) of a - P to 1e-14 relative, for every kind at every degree
     # of a 2D and a 3D sweep; near the top the margin is 0, and at p = N - 1
     # the block is the whole tensor (q = N)
     for kind, project in _KINDS.items():
@@ -399,16 +400,16 @@ def test_l2q_errors_exactly_non_increasing(sine2d, expsum3d):
 
 
 def test_projection_sweep_builds_error_tables_once(monkeypatch):
-    import hpexp.projections as projections
+    import hpexp.expansion as expansion
     from hpexp.harness import run_sweep
     built = []
-    real = projections._build_outer_tables
+    real = expansion._build_outer_tables
 
     def counting(a):
         built.append(a)
         return real(a)
 
-    monkeypatch.setattr(projections, "_build_outer_tables", counting)
+    monkeypatch.setattr(expansion, "_build_outer_tables", counting)
     sweeps = [{"name": f"s{dim}{kind}", "kind": "project-sweep",
                "proj_kind": kind, "dim": dim, "p_min": 6, "p_max": 9,
                "margin": 6} for dim in (2, 3) for kind in ("h1s", "l2q")]
@@ -435,12 +436,12 @@ def test_references_of_one_shape_never_share_tables():
 def test_l2p_audit_builds_no_error_tables(monkeypatch):
     # each random tensor is used once: the audit sums the Parseval tail
     # outside the simplex directly
-    import hpexp.projections as projections
+    import hpexp.expansion as expansion
 
     def refuse(a):
         raise AssertionError("audit_l2p_bound built outer-shell tables")
 
-    monkeypatch.setattr(projections, "_build_outer_tables", refuse)
+    monkeypatch.setattr(expansion, "_build_outer_tables", refuse)
     rep = audit_l2p_bound(3, p_values=(4,), n_samples=3, seed=2)
     assert rep["checks"] == 3 * 4
 
