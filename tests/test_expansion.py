@@ -120,6 +120,23 @@ def test_h1_seminorm_matches_derivative_norms(shape):
         assert np.sqrt(tables.h1[0]) == pytest.approx(h1, rel=1e-14)
 
 
+def test_h1_seminorm_cases():
+    # the H1 seminorm through sobolev_seminorm(u, 1) and the shell sums' h1[0]
+    for shape in ((1,), (1, 1), (5, 4), (3, 3, 3)):
+        c = np.zeros(shape)
+        c[(0,) * len(shape)] = 2.5
+        u = CoeffTensor(coeffs=c)
+        assert sobolev_seminorm(u, 1) == 0.0
+        assert _outer_tables(u).h1[0] == 0.0
+    # u = L_3(x) L_2(y): ||L_n'||^2 = n(n+1) and ||L_n||^2 = 2/(2n+1)
+    c = np.zeros((6, 4))
+    c[3, 2] = 1.0
+    u = CoeffTensor(coeffs=c)
+    expect = np.sqrt(12.0 * 2.0 / 5.0 + (2.0 / 7.0) * 6.0)
+    assert sobolev_seminorm(u, 1) == pytest.approx(expect, rel=1e-15)
+    assert np.sqrt(_outer_tables(u).h1[0]) == pytest.approx(expect, rel=1e-15)
+
+
 def _gamma_ratio_factors(m, alpha_k):
     """2/(2i+1) Gamma(i+a+1)/Gamma(i-a+1) for i = 0..m, zero for i < a."""
     i = np.arange(m + 1, dtype=float)
@@ -204,15 +221,6 @@ def test_sobolev_seminorm_cases():
     assert sobolev_seminorm(u, 1) == pytest.approx(2.0, rel=1e-14)
     const = CoeffTensor(coeffs=np.ones((1, 1)))
     assert sobolev_seminorm(const, 2) == 0.0
-    for shape in ((1,), (1, 1), (5, 4), (3, 3, 3)):
-        c = np.zeros(shape)
-        c[(0,) * len(shape)] = 2.5
-        assert sobolev_seminorm(CoeffTensor(coeffs=c), 1) == 0.0
-    # u = L_3(x) L_2(y): ||L_n'||^2 = n(n+1) and ||L_n||^2 = 2/(2n+1)
-    c = np.zeros((6, 4))
-    c[3, 2] = 1.0
-    assert sobolev_seminorm(CoeffTensor(coeffs=c), 1) == pytest.approx(
-        np.sqrt(12.0 * 2.0 / 5.0 + (2.0 / 7.0) * 6.0), rel=1e-15)
 
 
 def test_sobolev_seminorm_sine_second_order():
