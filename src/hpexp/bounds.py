@@ -9,7 +9,8 @@ range.  The module also provides an exhaustive lattice audit of the
 constrained-maximization inequality behind the projection bounds (which is
 known to fail on mixed corner points; the audit reports rather than assumes),
 the sharp per-mode constant of the total-degree L2 bound, and the right-hand
-sides of the projection error bounds.
+sides of the projection error bounds; the serendipity H1 bounds are composed
+from the Q_p H1 bound and the truncation-difference bounds of their dimension.
 
 The audit and the sharp ratio still visit every lattice point, as one gather
 from a table of log-Gamma differences over all compositions at once.  The
@@ -164,7 +165,9 @@ def bound_rhs(kind: str, p: int, s: int, seminorms: dict, d: int = 2) -> float:
     Kinds: l2_q / l2_p for the L2 projections; h1q_*/h1s_* for the H1
     projections in 2D and 3D; h1p_* delegates to h1s at degree p+1-d; the
     qs_* / t*_* kinds are the individually quoted truncation-difference
-    bounds (with constants 36/72/24 in 2D, 216/504/36/84 in 3D).
+    bounds (with constants 36/12 in 2D, 216/504/36/84 in 3D).  Each h1s kind
+    is composed from the h1q kind and the truncation kinds of its dimension
+    by the triangle inequality, so its constants are those of its terms.
     """
     if kind == "l2_q":
         if not 0 <= s <= p + 1:
@@ -207,17 +210,11 @@ def bound_rhs(kind: str, p: int, s: int, seminorms: dict, d: int = 2) -> float:
         (vx,) = _need(seminorms, ["mixed_v_sm1_sq"])
         return 12.0 * phi(2, p, s) * vx
     if kind == "h1s_l2_2d":
-        a, b, c, vx = _need(seminorms,
-                            ["d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq", "mixed_v_sm1_sq"])
-        return (4.0 / (p * (p + 1)) * phi(1, p, s) * (a + 2.0 * b)
-                + 8.0 / (p * (p + 1)) ** 2 * phi(1, p, s - 1) * c
-                + 72.0 * phi(2, p + 1, s + 1) * vx)
+        return (2.0 * bound_rhs("h1q_l2_2d", p, s, seminorms)
+                + 2.0 * bound_rhs("qs_l2_2d", p, s, seminorms))
     if kind == "h1s_h1_2d":
-        a, b, c, e, vx = _need(seminorms, ["d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq",
-                                           "d1s_d2_sq", "mixed_v_sm1_sq"])
-        return (4.0 * phi(1, p, s) * (a + b)
-                + 16.0 / (p * (p + 1)) * phi(1, p, s - 1) * (e + c)
-                + 24.0 * phi(2, p, s) * vx)
+        return (2.0 * bound_rhs("h1q_h1_2d", p, s, seminorms)
+                + 2.0 * bound_rhs("qs_h1_2d", p, s, seminorms))
 
     if kind == "h1q_l2_3d":
         ax = _need(seminorms, ["d1_sp1_sq", "d2_sp1_sq", "d3_sp1_sq"])

@@ -10,9 +10,10 @@ tuple; family S keeps one iff its bubble slots sum to at most p
 local stiffness matrix (and one interior Schur complement) is shared across
 elements, and the local-mode -> (entity, sign) table is derived once and
 gathered over the mesh's entity arrays.  The global solve is a static
-condensation: interior modes eliminated elementwise, skeleton solved by a
-direct factorization that certifies its definiteness, interiors
-back-substituted.
+condensation run as one correction loop from the Dirichlet lift: each pass
+condenses the residual onto the skeleton (interior modes eliminated
+elementwise), solves it by a direct factorization that certifies its
+definiteness, and back-substitutes the interiors.
 
 Quadrature is element-batched: the load and the H1 error evaluate their
 integrands on the grids of all elements at once (one batch per per-axis rule
@@ -701,80 +702,60 @@ class FemSolution:
 
 
 def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
-    """Eliminate interior modes elementwise, solve the skeleton, back-substitute.
+    """Solve by static condensation as one correction loop.
+
+    The loop starts from the Dirichlet lift: the boundary data on the
+    boundary dofs, zero elsewhere.  Each pass condenses the residual of the
+    uncondensed operator onto the skeleton (interior modes eliminated
+    elementwise), solves the free skeleton block for the correction and
+    back-substitutes the interiors; the first pass is the solve, the later
+    ones are iterative refinement through the same factorization.  Each
+    iterate's residual and relative residual come from one product A u.
+    The loop stops once the relative residual is below ``RESIDUAL_BOUND``;
+    if it is still at or above it after ``REFINE_PASSES`` passes beyond the
+    first, ``RefinementError`` is raised.
 
     The free skeleton block is never assembled: ``_factor_multifrontal``
     orders it by nested dissection on the grid planes and factorizes it in
-    dense fronts assembled from the signed element Schur complements; the
-    Dirichlet coupling S[:, fixed] g is one gather per element.  A front
-    whose Cholesky fails gets its eigenvalue count from its pivot block, so
-    by Haynsworth additivity ``IndefiniteSystemError`` reports the number of
-    non-positive eigenvalues.
-
-    The solution is then checked against the uncondensed operator and
-    refined through the same factorization, up to ``REFINE_PASSES`` times;
-    ``RefinementError`` is raised if the relative residual is still at or
-    above ``RESIDUAL_BOUND``.
+    dense fronts assembled from the signed element Schur complements.  A
+    front whose Cholesky fails gets its eigenvalue count from its pivot
+    block, so by Haynsworth additivity ``IndefiniteSystemError`` reports the
+    number of non-positive eigenvalues.
     """
     il = dofmap.interior_local
-    ni = il.size
     cho, Kib, X, S_loc = _element_schur(system.k_local, dofmap)
-
     skel_dofs = dofmap.cell_dofs[:, dofmap.skeleton_local]
     skel_signs = dofmap.cell_signs[:, dofmap.skeleton_local]
     n_skel = dofmap.interior_offset
-    rhs = system.load[:n_skel].copy()
-    if ni:
-        F_i = system.load[dofmap.cell_dofs[:, il]]   # (ne, ni); interiors unshared
-        corr = F_i @ X                               # (ne, nb)
-        np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * corr).ravel())
-
-    fixed = system.dirichlet_dofs
-    gvals = system.dirichlet_values
-    free = np.ones(n_skel, dtype=bool)
-    free[fixed] = False
-    free_ids = np.nonzero(free)[0]
-
-    g = np.zeros(n_skel)
-    g[fixed] = gvals
-    coupling = (skel_signs * g[skel_dofs]) @ S_loc.T
-    np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * coupling).ravel())
+    full_free = system.free_mask()          # the boundary dofs are skeleton
+    free_ids = np.nonzero(full_free[:n_skel])[0]
     lu = _factor_multifrontal(S_loc, dofmap, free_ids)
-    u_free = lu.solve(rhs[free_ids])
 
-    def back_substitute():
-        if ni:
-            Ub = skel_signs * u[skel_dofs]
-            u[dofmap.cell_dofs[:, il]] = cho_solve(
-                cho, (system.load[dofmap.cell_dofs[:, il]] - Ub @ Kib.T).T).T
+    interiors = dofmap.cell_dofs[:, il]      # (ne, ni); interiors are unshared
+
+    def condense(r):
+        r_sk = r[:n_skel].copy()
+        if il.size:
+            np.add.at(r_sk, skel_dofs.ravel(),
+                      -(skel_signs * (r[interiors] @ X)).ravel())
+        return r_sk[free_ids]
 
     u = np.zeros(dofmap.n_dof)
-    u[fixed] = gvals
-    u[free_ids] = u_free
-    back_substitute()
-
-    # residual check against the uncondensed operator, with refinement
-    full_free = system.free_mask()
-
-    def rel_residual():
-        r = system.residual(u)
-        scale = max(np.linalg.norm(system.load),
-                    np.linalg.norm(system.matvec(u)), 1e-300)
-        return r, np.linalg.norm(r[full_free]) / scale
-
-    r, rel = rel_residual()
-    for _ in range(REFINE_PASSES):
+    u[system.dirichlet_dofs] = system.dirichlet_values
+    r = system.residual(u)
+    for _ in range(REFINE_PASSES + 1):
+        u[free_ids] += lu.solve(condense(r))
+        if il.size:
+            Ub = skel_signs * u[skel_dofs]
+            u[interiors] = cho_solve(
+                cho, (system.load[interiors] - Ub @ Kib.T).T).T
+        Au = system.matvec(u)
+        r = system.load - Au
+        rel = np.linalg.norm(r[full_free]) / max(
+            np.linalg.norm(system.load), np.linalg.norm(Au), 1e-300)
         if rel < RESIDUAL_BOUND:
             break
-        # one refinement pass through the same condensed factorization
-        r_sk = r[:n_skel].copy()
-        if ni:
-            R_i = r[dofmap.cell_dofs[:, il]]
-            np.add.at(r_sk, skel_dofs.ravel(), -(skel_signs * (R_i @ X)).ravel())
-        u[free_ids] += lu.solve(r_sk[free_ids])
-        back_substitute()
-        r, rel = rel_residual()
-    if not rel < RESIDUAL_BOUND:
+    else:
         raise RefinementError(
             f"relative residual {rel:.3e} after {REFINE_PASSES} refinement "
             f"passes (bound {RESIDUAL_BOUND:g})")

@@ -33,8 +33,8 @@ from . import __version__, blas, dgfem, fem
 from .bounds import LEMMA_AUDIT_CAP, lemma_audit
 from .expansion import named_function, reference_expansion
 from .indexsets import BasisSpec, dof_count
-from .projections import (project_h1_p, project_h1_q, project_h1_s, project_l2,
-                          projection_errors)
+from .projections import (InadmissibleDegreeError, project_h1_p, project_h1_q,
+                          project_h1_s, project_l2, projection_errors)
 
 __all__ = [
     "ConvergenceRecord",
@@ -148,10 +148,12 @@ def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
 # ---------------------------------------------------------------------------
 # Sweeps
 
-# The solvers' named numerical failures and a degree a projection or a space
-# does not admit; a sweep records them, and anything else is a bug.
+# The solvers' named numerical failures and a degree a projection does not
+# admit; a sweep records them, and anything else (a plain ValueError too) is
+# a bug.
 SWEEP_ERRORS = (fem.IndefiniteSystemError, fem.RefinementError,
-                dgfem.IndefiniteSipError, np.linalg.LinAlgError, ValueError)
+                dgfem.IndefiniteSipError, np.linalg.LinAlgError,
+                InadmissibleDegreeError)
 
 
 class Solver(NamedTuple):

@@ -13,21 +13,26 @@ iff its bubble slots (slot m >= 2 is psi_{m-1}) sum to at most p, i.e. a
 product of k bubbles keeps psi-index totals <= p - k.  The total-degree H1
 projection delegates to serendipity at degree p+1-d.  Conversion back to plain
 Legendre coefficients uses psi_0 = L_0 + L_1 and
-psi_j = (L_{j+1} - L_{j-1}) / (2j+1).
+psi_j = (L_{j+1} - L_{j-1}) / (2j+1).  Every H1 projection, on all axes or
+on some, is one routine: the per-axis maps to the psi slots and back are
+built once per (p, reference degree) and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .bounds import bound_rhs, phi
 from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
                         _tail_sums, _weight_vectors, l2_norm,
                         sobolev_seminorm, weighted_seminorm)
 from .orthopoly import apply_axes
 
 __all__ = [
+    "InadmissibleDegreeError",
     "ProjectionResult",
     "ErrorReport",
     "project_l2",
@@ -41,6 +46,10 @@ __all__ = [
     "audit_l2p_bound",
     "audit_h1s_bounds",
 ]
+
+
+class InadmissibleDegreeError(ValueError):
+    """The projection is not defined at the requested degree."""
 
 
 @dataclass(frozen=True)
@@ -76,31 +85,6 @@ def project_l2(u: CoeffTensor, family: str, p: int) -> ProjectionResult:
         kind=kind, p=p)
 
 
-def _deriv_coeff_matrix(p_rows: int, m_src: int) -> np.ndarray:
-    """D[j, i] = coefficient of L_j in (L_i)', rows j = 0..p_rows-1."""
-    j, i = np.indices((p_rows, m_src + 1))
-    return np.where((i > j) & ((i - j) % 2 == 1), 2.0 * j + 1.0, 0.0)
-
-
-def _restriction_row(m_src: int) -> np.ndarray:
-    """Values L_i(-1) = (-1)^i."""
-    return (-1.0) ** np.arange(m_src + 1)
-
-
-def _psi_rep_matrix(p: int, m_src: int) -> np.ndarray:
-    """Map Legendre coefficients to the psi-tensor slots of one axis.
-
-    Row 0 is the endpoint value at -1 (multiplies the constant function);
-    row 1+j is the L_j coefficient of the axis derivative (multiplies psi_j).
-    """
-    if m_src < p:
-        raise ValueError("reference degree is below the projection degree")
-    R = np.zeros((p + 1, m_src + 1))
-    R[0] = _restriction_row(m_src)
-    R[1:] = _deriv_coeff_matrix(p, m_src)
-    return R
-
-
 def _psi_to_legendre_matrix(p: int) -> np.ndarray:
     """Columns: Legendre coefficients of (1, psi_0, ..., psi_{p-1})."""
     T = np.zeros((p + 1, p + 1))
@@ -114,19 +98,31 @@ def _psi_to_legendre_matrix(p: int) -> np.ndarray:
     return T
 
 
+@lru_cache(maxsize=None)
+def _axis_maps(p: int, m_src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-dimensional H1 projection from degree m_src to degree p as
+    the read-only pair (R, T), shared by every caller.
+
+    R maps Legendre coefficients to the psi-tensor slots of one axis: row 0
+    is the endpoint value L_i(-1) = (-1)^i (it multiplies the constant
+    function), row 1+j the L_j coefficient of the derivative (it multiplies
+    psi_j); T = ``_psi_to_legendre_matrix(p)`` maps the slots back.
+    """
+    if not 1 <= p <= m_src:
+        raise ValueError("H1 projection needs 1 <= p <= reference degree")
+    j, i = np.indices((p, m_src + 1))
+    R = np.empty((p + 1, m_src + 1))
+    R[0] = (-1.0) ** np.arange(m_src + 1)
+    R[1:] = np.where((i > j) & ((i - j) % 2 == 1), 2.0 * j + 1.0, 0.0)
+    T = _psi_to_legendre_matrix(p)
+    R.flags.writeable = T.flags.writeable = False
+    return R, T
+
+
 def h1_axis_matrix(p: int, m_src: int) -> np.ndarray:
     """The one-dimensional H1 projection as a (p+1) x (m_src+1) matrix."""
-    return _psi_to_legendre_matrix(p) @ _psi_rep_matrix(p, m_src)
-
-
-def _on_axes(d: int, axes, mat_of_axis) -> list:
-    """Per-axis matrices for ``apply_axes``: ``mat_of_axis(k)`` on ``axes``."""
-    return [mat_of_axis(k) if k in axes else None for k in range(d)]
-
-
-def _psi_rep(u: CoeffTensor, p: int, axes) -> np.ndarray:
-    return apply_axes(u.coeffs, _on_axes(
-        u.dim, axes, lambda k: _psi_rep_matrix(p, u.degrees[k])))
+    R, T = _axis_maps(p, m_src)
+    return T @ R
 
 
 def _serendipity_mask(shape, axes, p: int) -> np.ndarray:
@@ -136,22 +132,25 @@ def _serendipity_mask(shape, axes, p: int) -> np.ndarray:
     return np.where(slots >= 2, slots, 0).sum(axis=0) <= p
 
 
-def _psi_rep_to_result(rep: np.ndarray, u: CoeffTensor, p: int, axes,
-                       kind: str) -> ProjectionResult:
-    T = _psi_to_legendre_matrix(p)
-    out = apply_axes(rep, _on_axes(u.dim, axes, lambda k: T))
-    return ProjectionResult(
-        projected=CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted),
-        kind=kind, p=p)
+def _project_h1(u: CoeffTensor, p: int, axes, serendipity: bool) -> CoeffTensor:
+    """The 1D H1 projections on ``axes`` (the other axes untouched): R on
+    each, the S rule on the psi tensor if ``serendipity``, then T on each."""
+    maps = [_axis_maps(p, u.degrees[k]) if k in axes else (None, None)
+            for k in range(u.dim)]
+    rep = apply_axes(u.coeffs, [R for R, _ in maps])
+    if serendipity:
+        rep = rep * _serendipity_mask(rep.shape, axes, p)
+    out = apply_axes(rep, [T for _, T in maps])
+    return CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted)
 
 
 def project_h1_q(u: CoeffTensor, p: int) -> ProjectionResult:
     """Tensor H1 projection onto Q_p; reproduces u at the (-1,..,-1)-corner
     lattice vertices and any member of Q_p."""
     if p < 1:
-        raise ValueError("H1 projection requires p >= 1")
-    axes = range(u.dim)
-    return _psi_rep_to_result(_psi_rep(u, p, axes), u, p, axes, "H1_Q")
+        raise InadmissibleDegreeError("H1 projection requires p >= 1")
+    return ProjectionResult(projected=_project_h1(u, p, range(u.dim), False),
+                            kind="H1_Q", p=p)
 
 
 def project_h1_s(u: CoeffTensor, p: int) -> ProjectionResult:
@@ -159,27 +158,25 @@ def project_h1_s(u: CoeffTensor, p: int) -> ProjectionResult:
     d = u.dim
     minimum = 4 if d == 2 else 6
     if p < minimum:
-        raise ValueError(f"serendipity H1 projection requires p >= {minimum} in {d}D")
-    axes = tuple(range(d))
-    rep = _psi_rep(u, p, axes)
-    rep = rep * _serendipity_mask(rep.shape, axes, p)
-    return _psi_rep_to_result(rep, u, p, axes, "H1_S")
+        raise InadmissibleDegreeError(
+            f"serendipity H1 projection requires p >= {minimum} in {d}D")
+    return ProjectionResult(projected=_project_h1(u, p, range(d), True),
+                            kind="H1_S", p=p)
 
 
 def project_h1_p(u: CoeffTensor, p: int) -> ProjectionResult:
     """Total-degree H1 projection, defined as serendipity at degree p+1-d."""
     d = u.dim
     if p < 3 * d - 1:
-        raise ValueError(f"total-degree H1 projection requires p >= {3 * d - 1}")
+        raise InadmissibleDegreeError(
+            f"total-degree H1 projection requires p >= {3 * d - 1}")
     res = project_h1_s(u, p + 1 - d)
     return ProjectionResult(projected=res.projected, kind="H1_P", p=p)
 
 
 def project_h1_partial(u: CoeffTensor, p: int, axes) -> CoeffTensor:
     """Apply the 1D H1 projections on a subset of axes only (others untouched)."""
-    out = apply_axes(u.coeffs, _on_axes(
-        u.dim, axes, lambda k: h1_axis_matrix(p, u.degrees[k])))
-    return CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted)
+    return _project_h1(u, p, axes, False)
 
 
 def project_h1_s_pair(u: CoeffTensor, p: int, axes=(0, 1)) -> CoeffTensor:
@@ -190,9 +187,7 @@ def project_h1_s_pair(u: CoeffTensor, p: int, axes=(0, 1)) -> CoeffTensor:
     """
     if len(axes) != 2:
         raise ValueError("pair projection needs exactly two axes")
-    rep = _psi_rep(u, p, axes)
-    rep = rep * _serendipity_mask(rep.shape, axes, p)
-    return _psi_rep_to_result(rep, u, p, axes, "H1_S_pair").projected
+    return _project_h1(u, p, axes, True)
 
 
 def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,
@@ -203,7 +198,6 @@ def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,
     so violations are reported, never assumed away; the trusted sufficient
     check is the per-mode grid bound (bounds.sharp_l2_ratio <= phi).
     """
-    from .bounds import phi
     rng = np.random.default_rng(seed)
     violations = []
     checks = 0
@@ -234,7 +228,6 @@ def audit_h1s_bounds(u_ref: CoeffTensor, p_values, norm: str = "l2") -> dict:
     The bounds carry an unquantified "p sufficiently large"; for a given
     reference function this measures the empirical threshold, per admissible s.
     """
-    from .bounds import bound_rhs
     d = u_ref.dim
     kind = {"l2": {2: "h1s_l2_2d", 3: "h1s_l2_3d"},
             "h1": {2: "h1s_h1_2d", 3: "h1s_h1_3d"}}[norm][d]

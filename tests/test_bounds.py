@@ -242,6 +242,30 @@ def test_bound_rhs_s_kinds_zero_input():
     assert bound_rhs("h1s_h1_2d", 6, 2, zeros, d=2) == 0.0
 
 
+def _h1s_2d_written_out(kind, p, s, a, b, c, e, vx):
+    """The 2D serendipity bounds with their constants written out (the
+    formulas the compositions replaced; bitwise reference)."""
+    if kind == "h1s_l2_2d":
+        return (4.0 / (p * (p + 1)) * phi(1, p, s) * (a + 2.0 * b)
+                + 8.0 / (p * (p + 1)) ** 2 * phi(1, p, s - 1) * c
+                + 72.0 * phi(2, p + 1, s + 1) * vx)
+    return (4.0 * phi(1, p, s) * (a + b)
+            + 16.0 / (p * (p + 1)) * phi(1, p, s - 1) * (e + c)
+            + 24.0 * phi(2, p, s) * vx)
+
+
+def test_h1s_2d_compositions_bitwise_equal_to_written_out_formulas():
+    rng = np.random.default_rng(5)
+    keys = ("d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq", "d1s_d2_sq", "mixed_v_sm1_sq")
+    for p in range(1, 60):
+        for s in range(1, p + 1):
+            vals = rng.random(5) * 10.0 ** rng.integers(-8, 8, 5)
+            semis = dict(zip(keys, vals))
+            for kind in ("h1s_l2_2d", "h1s_h1_2d"):
+                new = bound_rhs(kind, p, s, semis, d=2)
+                assert new == _h1s_2d_written_out(kind, p, s, *vals), (kind, p, s)
+
+
 def test_bound_rhs_missing_key_and_range():
     with pytest.raises(KeyError):
         bound_rhs("h1q_l2_2d", 5, 2, {"d1_sp1_sq": 1.0}, d=2)

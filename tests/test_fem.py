@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
@@ -567,6 +568,96 @@ def test_multifrontal_refinement_failure_raises_named_error(dim, monkeypatch):
     assert isinstance(info.value, RuntimeError)
 
 
+def _two_path_condense_solve(system, dm):
+    """The solve before it became one correction loop (reference): a first
+    solve whose right-hand side carries the Dirichlet coupling S_loc g as its
+    own term, then refinement passes that repeat the condensation."""
+    il = dm.interior_local
+    cho, Kib, X, S_loc = fem._element_schur(system.k_local, dm)
+    skel_dofs = dm.cell_dofs[:, dm.skeleton_local]
+    skel_signs = dm.cell_signs[:, dm.skeleton_local]
+    n_skel = dm.interior_offset
+    rhs = system.load[:n_skel].copy()
+    if il.size:
+        corr = system.load[dm.cell_dofs[:, il]] @ X
+        np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * corr).ravel())
+    fixed, gvals = system.dirichlet_dofs, system.dirichlet_values
+    free_ids = _free_skeleton(dm, system)
+    g = np.zeros(n_skel)
+    g[fixed] = gvals
+    coupling = (skel_signs * g[skel_dofs]) @ S_loc.T
+    np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * coupling).ravel())
+    lu = fem._factor_multifrontal(S_loc, dm, free_ids)
+    u = np.zeros(dm.n_dof)
+    u[fixed] = gvals
+    u[free_ids] = lu.solve(rhs[free_ids])
+
+    def back_substitute():
+        if il.size:
+            Ub = skel_signs * u[skel_dofs]
+            u[dm.cell_dofs[:, il]] = cho_solve(
+                cho, (system.load[dm.cell_dofs[:, il]] - Ub @ Kib.T).T).T
+
+    def rel_residual():
+        r = system.residual(u)
+        scale = max(np.linalg.norm(system.load),
+                    np.linalg.norm(system.matvec(u)), 1e-300)
+        return r, np.linalg.norm(r[system.free_mask()]) / scale
+
+    back_substitute()
+    r, rel = rel_residual()
+    for _ in range(fem.REFINE_PASSES):
+        if rel < fem.RESIDUAL_BOUND:
+            break
+        r_sk = r[:n_skel].copy()
+        if il.size:
+            R_i = r[dm.cell_dofs[:, il]]
+            np.add.at(r_sk, skel_dofs.ravel(), -(skel_signs * (R_i @ X)).ravel())
+        u[free_ids] += lu.solve(r_sk[free_ids])
+        back_substitute()
+        r, rel = rel_residual()
+    return u, rel
+
+
+def _solved(name, n, p, family):
+    prob = fem.fem_problem(name, n)
+    mesh = prob.make_mesh()
+    dm = fem.build_dofmap(mesh, p, family)
+    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+    return prob, mesh, dm, system, fem.condense_solve(system, dm)
+
+
+@pytest.mark.parametrize("family", ["Q", "S"])
+@pytest.mark.parametrize("name, n, p_list", [("sine2d", 4, (1, 2, 6)),
+                                             ("sine3d", 2, (2, 5))])
+def test_correction_loop_equals_two_path_solve_on_sine(name, n, p_list, family):
+    # the sine vanishes on the boundary, so the lift is zero, its residual
+    # is the load, and the first pass is the old first solve bit for bit
+    for p in p_list:
+        _, _, dm, system, sol = _solved(name, n, p, family)
+        u_ref, rel_ref = _two_path_condense_solve(system, dm)
+        assert np.array_equal(sol.values, u_ref), (name, p)
+        assert sol.residual_norm == rel_ref, (name, p)
+
+
+@pytest.mark.parametrize("family", ["Q", "S"])
+def test_correction_loop_matches_two_path_solve_on_lshape(family):
+    # the lift moves the Dirichlet coupling into the first residual, which
+    # reorders its round-off: u moves by up to 3e-14 relative over the table
+    # degrees, and h1_error by at most one unit in the last place (at Q 10
+    # and S 5, 10, 25; bitwise equal at the other table degrees)
+    for p in (2, 5, 10):
+        prob, mesh, dm, system, sol = _solved("lshape", None, p, family)
+        u_ref, _ = _two_path_condense_solve(system, dm)
+        assert np.linalg.norm(sol.values - u_ref) \
+            <= 1e-13 * np.linalg.norm(u_ref), p
+        err = fem.h1_error(sol, prob.exact_gradient,
+                           graded_at=mesh.singular_corner)
+        ref = fem.h1_error(replace(sol, values=u_ref), prob.exact_gradient,
+                           graded_at=mesh.singular_corner)
+        assert abs(err - ref) <= np.spacing(ref), p
+
+
 def test_solve_never_calls_splu(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the FEM solve reached a sparse LU")
@@ -814,15 +905,24 @@ def test_s_error_dominates_q_and_costs_less():
 
 
 def test_sweep_continues_after_failure(lshape):
-    # p = 0 never passes config validation; driven directly, the sweep
-    # records build_dofmap's ValueError and goes on
+    # p = 0 never passes config validation; driven directly, build_dofmap's
+    # ValueError is a caller's bug, not a failed degree, and propagates
     kind = harness.KINDS["fem-lshape"]
     method, dim, _, solve_one = kind.solver({"kind": "fem-lshape",
                                              "family": "S", "p_list": [0, 2]})
-    recs = harness.sweep(harness.Solver(method, dim, kind.error_keys,
-                                        solve_one), [0, 2])
+    solver = harness.Solver(method, dim, kind.error_keys, solve_one)
+    with pytest.raises(ValueError, match="p >= 1"):
+        harness.sweep(solver, [0, 2])
+
+    # a named solver failure is recorded, and the sweep goes on
+    def refine_fails_at_1(p):
+        if p == 1:
+            raise fem.RefinementError("stub")
+        return solve_one(p)
+
+    recs = harness.sweep(solver._replace(solve_one=refine_fails_at_1), [1, 2])
     assert np.isnan(recs[0].error("h1_semi")) and recs[0].dof == -1
-    assert recs[0].extra["error_class"] == "ValueError"
+    assert recs[0].extra["error_class"] == "RefinementError"
     assert "error_message" in recs[0].extra
     assert np.isfinite(recs[1].error("h1_semi"))
 

@@ -173,6 +173,27 @@ def test_sweep_propagates_unexpected_errors():
         sweep(Solver("m", 2, ("l2",), solve_one), [1, 2])
 
 
+def test_sweep_propagates_a_plain_value_error():
+    # a ValueError from a shape or broadcast bug is not a failed degree
+    def solve_one(p):
+        return 1, {"l2": float(np.ones(2) @ np.ones(3))}, {}
+
+    with pytest.raises(ValueError):
+        sweep(Solver("m", 2, ("l2",), solve_one), [1, 2])
+
+
+def test_h1s_sweep_records_the_inadmissible_degrees():
+    # the serendipity H1 projection starts at p = 4 in 2D
+    recs = run_sweep({"name": "s", "kind": "project-sweep", "proj_kind": "h1s",
+                      "dim": 2, "p_min": 0, "p_max": 6})
+    assert [r.p for r in recs] == list(range(7))
+    for r in recs[:4]:
+        assert r.dof == -1 and np.isnan(r.error("l2"))
+        assert r.extra["error_class"] == "InadmissibleDegreeError"
+    assert all(np.isfinite(r.error("l2")) and r.error("l2") > 0
+               for r in recs[4:])
+
+
 def test_run_config_empty(tmp_path):
     out = run_config({"sweeps": []}, out_dir=tmp_path)
     assert out == {}

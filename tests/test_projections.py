@@ -4,12 +4,13 @@ import pytest
 from hpexp.bounds import bound_rhs
 from hpexp.expansion import (CoeffTensor, evaluate, l2_norm, named_function,
                              reference_expansion, sobolev_seminorm)
+from hpexp.harness import run_sweep
 from hpexp.orthopoly import gauss_rule, legendre_table, psi_table
 from hpexp.projections import (audit_l2p_bound, audit_h1s_bounds,
                                h1_axis_matrix, project_h1_p,
                                project_h1_partial, project_h1_q, project_h1_s,
                                project_h1_s_pair, project_l2,
-                               projection_errors, _deriv_coeff_matrix,
+                               projection_errors, _axis_maps,
                                _h1_seminorms)
 
 
@@ -447,7 +448,8 @@ def test_l2p_audit_builds_no_error_tables(monkeypatch):
 
 
 def _deriv_coeff_loop(p_rows, m_src):
-    """The double loop ``_deriv_coeff_matrix`` replaced (bitwise reference)."""
+    """D[j, i] = coefficient of L_j in (L_i)' as a double loop (bitwise
+    reference for the derivative rows of ``_axis_maps``)."""
     D = np.zeros((p_rows, m_src + 1))
     for j in range(p_rows):
         for i in range(j + 1, m_src + 1):
@@ -457,12 +459,36 @@ def _deriv_coeff_loop(p_rows, m_src):
 
 
 def test_deriv_coeff_matrix_bitwise_equal_to_loop():
-    sizes = [(p_rows, m_src) for p_rows in range(9) for m_src in range(13)]
-    for p_rows, m_src in sizes + [(24, 54)]:
-        new = _deriv_coeff_matrix(p_rows, m_src)
-        old = _deriv_coeff_loop(p_rows, m_src)
+    # an H1 projection exists only for 1 <= p <= m
+    sizes = [(p, m) for p in range(1, 9) for m in range(p, 13)]
+    for p, m in sizes + [(24, 54)]:
+        new = _axis_maps(p, m)[0][1:]
+        old = _deriv_coeff_loop(p, m)
         assert new.shape == old.shape and new.dtype == old.dtype
         assert new.tobytes() == old.tobytes()
+    for p, m in ((0, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            _axis_maps(p, m)
+
+
+def test_proj_sweep_builds_each_axis_map_pair_once():
+    _axis_maps.cache_clear()
+    for kind in ("h1q", "h1s", "h1p"):
+        for dim, p_max in ((2, 12), (3, 8)):
+            run_sweep({"name": "s", "kind": "project-sweep", "proj_kind": kind,
+                       "dim": dim, "p_min": 0, "p_max": p_max})
+    info = _axis_maps.cache_info()
+    # (p, reference degree p_max + 20): h1q builds p = 1..p_max, and h1s
+    # and h1p only degrees h1q has built
+    assert info.misses == info.currsize == 12 + 8
+    assert info.hits > info.misses
+    R, T = _axis_maps(5, 28)
+    assert _axis_maps(5, 28)[0] is R
+    for mat in (R, T):
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+    assert np.array_equal(h1_axis_matrix(5, 28), T @ R)
 
 
 def test_projection_errors_requires_margin(sine2d):
