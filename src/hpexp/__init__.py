@@ -5,11 +5,19 @@ total-degree and serendipity spaces, the Gamma-ratio error-bound toolbox, and
 conforming/discontinuous Galerkin Poisson solvers for exponential-convergence
 experiments under p-refinement.
 
-Importing the package sets every loaded OpenBLAS to one thread (see
+Every OpenBLAS runs one thread from the import that loads it (see
 ``hpexp.blas``), in the whole process and over any ``OPENBLAS_NUM_THREADS``
 the environment sets: on a 2-core host a second OpenBLAS thread spins between
 calls, and the FEM benchmark sweeps took about 1.55x as long with it, also in
-stages that make no BLAS call.  Every meta.json records the count in use.
+stages that make no BLAS call.  Importing the package sets the copies loaded
+at that point, numpy's among them; ``fem`` and ``dgfem``, the only modules
+that import scipy, set scipy's copy as they load it.  Every meta.json records
+the count in use.
+
+The coefficient layers (``orthopoly``, ``indexsets``, ``expansion``,
+``projections``, ``bounds``) and ``harness`` import numpy alone; a sweep
+imports its solver module on first use, so a projection or lemma run never
+loads scipy.
 """
 
 from . import blas

@@ -1,11 +1,15 @@
 """OpenBLAS thread count of every loaded copy, through ctypes.
 
-numpy and scipy wheels each bundle their own OpenBLAS; both are imported
-first so that both are loaded.  ``threads()`` reads each copy's count and
-``set_threads(n)`` sets every copy to ``n``.  The copies are found by name
-among the files mapped into the process (``/proc/self/maps``); where that
-lists no known OpenBLAS, ``set_threads`` does nothing and ``threads()``
-reports ``None``.
+numpy and scipy wheels each bundle their own OpenBLAS.  numpy's copy loads
+with numpy; scipy's loads only with ``scipy.linalg``, which the coefficient
+layers never import, so each copy is set as it loads: ``import hpexp`` sets
+the copies loaded at that point, and ``fem`` and ``dgfem`` call
+``set_threads(1)`` again right after their scipy imports.  ``threads()``
+reads each copy's count and ``set_threads(n)`` sets every copy to ``n``.
+The copies are found by name among the files mapped into the process
+(``/proc/self/maps``), scanned afresh on each call so that a copy loaded
+later is found; where that lists no known OpenBLAS, ``set_threads`` does
+nothing and ``threads()`` reports ``None``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import os
 from functools import cache
 from typing import Optional
 
-import numpy.linalg  # noqa: F401  (loads numpy's OpenBLAS)
-import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+import numpy  # noqa: F401  (loads numpy's OpenBLAS)
 
 __all__ = ["set_threads", "threads"]
 
@@ -27,6 +30,22 @@ _SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_thread
 
 
 @cache
+def _bind(path: str) -> Optional[tuple]:
+    """(file basename, setter, getter) of the OpenBLAS at ``path``, or None
+    if it exports no known symbol pair or cannot be opened."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:             # e.g. a mapping of a file since deleted
+        return None
+    for set_name, get_name in _SYMBOLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return os.path.basename(path), setter, getter
+    return None
+
+
 def _libraries() -> tuple:
     """(file basename, setter, getter) of each loaded file named *openblas*
     that exports a known symbol pair."""
@@ -36,20 +55,7 @@ def _libraries() -> tuple:
                             if "openblas" in ln.rsplit("/", 1)[-1]})
     except OSError:
         return ()
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:         # e.g. a mapping of a file since deleted
-            continue
-        for set_name, get_name in _SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                found.append((os.path.basename(path), setter, getter))
-                break
-    return tuple(found)
+    return tuple(lib for lib in map(_bind, paths) if lib is not None)
 
 
 def threads() -> Optional[dict]:

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .expansion import composition_array
+from .orthopoly import log_gamma
 
 __all__ = [
     "LemmaAuditReport",
@@ -45,14 +45,15 @@ def phi(d: int, m: float, n: float) -> float:
         raise ValueError("dimension must be >= 1")
     if n > m or n < 0:
         raise ValueError("need 0 <= n <= m")
-    return float(np.exp(d * (gammaln((m - n) / d + 1.0) - gammaln((m + n) / d + 1.0))))
+    return float(np.exp(d * (log_gamma((m - n) / d + 1.0)
+                             - log_gamma((m + n) / d + 1.0))))
 
 
 def stirling_envelope_check(d: int, m: int, n: int) -> bool:
     """Check phi(d, m, n) <= (e/2)^(2n) * (d/m)^(2n) (the Stirling envelope)."""
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
-    lhs = d * (gammaln((m - n) / d + 1.0) - gammaln((m + n) / d + 1.0))
+    lhs = d * (log_gamma((m - n) / d + 1.0) - log_gamma((m + n) / d + 1.0))
     rhs = 2.0 * n * (1.0 - np.log(2.0) + np.log(d) - np.log(m))
     return bool(lhs <= rhs + 1e-12 * abs(rhs))
 
@@ -75,7 +76,7 @@ def _lemma_table() -> np.ndarray:
     """T[x, r] = log(Gamma(r - x + 1) / Gamma(r + x + 1)) for x <= r, -inf below."""
     table = np.full((LEMMA_AUDIT_CAP + 1, LEMMA_AUDIT_CAP + 1), -np.inf)
     x, r = np.triu_indices(LEMMA_AUDIT_CAP + 1)
-    table[x, r] = gammaln(r - x + 1.0) - gammaln(r + x + 1.0)
+    table[x, r] = log_gamma(r - x + 1.0) - log_gamma(r + x + 1.0)
     return table
 
 
@@ -133,7 +134,7 @@ def sharp_l2_ratio(d: int, p: int, s: int, shell_buffer: int = 6):
     # table[a, n] = log(Gamma(n + a + 1) / Gamma(n - a + 1)) for a <= n, -inf for a > n
     table = np.full((s + 1, top + 1), -np.inf)
     a, n = np.nonzero(np.arange(s + 1)[:, None] <= np.arange(top + 1))
-    table[a, n] = gammaln(n + a + 1.0) - gammaln(n - a + 1.0)
+    table[a, n] = log_gamma(n + a + 1.0) - log_gamma(n - a + 1.0)
     denom = np.zeros(len(i))
     for alpha in composition_array(s, d):
         t = table[alpha[0], i[:, 0]]

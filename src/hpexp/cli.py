@@ -9,7 +9,11 @@ of the sweep, so the kind's own default applies.  project-sweep and the FEM
 and DG sweeps print CSV to stdout, or with --out PREFIX the config runner
 writes PREFIX.csv and PREFIX.meta.json with the same meta fields as
 ``hpexp run``; basis-count and lemma-audit print their own tables.  Exit
-codes: 0 success, 1 usage or config error, 2 numerical failure.
+codes: 0 success, 1 usage or config error, 2 numerical failure.  A sweep's
+options are checked by the config validator before it runs, so any other
+error raised inside a sweep is a bug and propagates with its traceback;
+only sharp-ratio and slope-fit map their functions' ``ValueError`` and
+``KeyError`` to a usage error.
 """
 
 from __future__ import annotations
@@ -26,11 +30,25 @@ from .harness import (ConfigError, fit_slope, records_from_csv, records_to_csv,
                       run_config, run_sweep)
 
 
+# the subcommands whose functions validate their inputs themselves, with a
+# ValueError or KeyError; every other one goes through the config validator
+_VALIDATING = ("sharp-ratio", "slope-fit")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
+
+
+def _degrees(text: str) -> list[int]:
+    """The integers of a comma separated list; argparse reports a bad one."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma separated list of integers: {text!r}") from None
 
 
 def _sweep(args) -> dict:
@@ -40,8 +58,7 @@ def _sweep(args) -> dict:
     if "family" in sw:
         sw["family"] = sw["family"].upper()
     if "p_list" in fields:
-        sw["p_list"] = ([int(t) for t in args.p_list.split(",")]
-                        if getattr(args, "p_list", None)
+        sw["p_list"] = (args.p_list if getattr(args, "p_list", None)
                         else list(range(getattr(args, "p_min", 1), args.p_max + 1)))
     out = getattr(args, "out", None)
     return {"name": Path(out).name if out else args.command,
@@ -82,7 +99,8 @@ def _build_parser() -> _Parser:
     fl.add_argument("--family", required=True, choices=("q", "s"))
     degrees = fl.add_mutually_exclusive_group(required=True)
     degrees.add_argument("--p-max", type=int, help="degrees 1..P_MAX")
-    degrees.add_argument("--p-list", type=str, help="comma separated degrees")
+    degrees.add_argument("--p-list", type=_degrees,
+                         help="comma separated degrees")
     fl.add_argument("--graded-layers", type=int)
     fl.add_argument("--graded-ratio", type=float)
 
@@ -158,12 +176,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except (ValueError, KeyError) as exc:
+        # the sweeps are validated before they run, so there it is a bug
+        if args.command not in _VALIDATING:
+            raise
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 1
     return 0
 
 

@@ -27,9 +27,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import blas
+from .errors import IndefiniteSipError
 from .indexsets import BasisSpec, enumerate_modes, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule,
                         legendre_deriv_table, legendre_table)
+
+# scipy's OpenBLAS loads with the imports above, after ``import hpexp`` set
+# the copies loaded then: one thread for it too (see ``hpexp.blas``)
+blas.set_threads(1)
 
 __all__ = [
     "DgSpec",
@@ -85,10 +91,6 @@ class DgSystem:
     modes: list
     matrix: sp.csr_matrix
     rhs: np.ndarray
-
-
-class IndefiniteSipError(RuntimeError):
-    pass
 
 
 def _k1_legendre(p: int) -> np.ndarray:

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
-from .orthopoly import apply_axes, gauss_rule, legendre_table
+from .orthopoly import apply_axes, gauss_rule, legendre_table, log_gamma
 
 __all__ = [
     "CoeffTensor",
@@ -325,8 +324,8 @@ def weighted_seminorm(u: CoeffTensor, s: int) -> float:
     i = np.arange(len(w), dtype=float)
     k = np.arange(s + 1, dtype=float)[:, None]
     ok = i >= k
-    G = np.where(ok, w * np.exp(gammaln(i + k + 1.0)
-                                - gammaln(np.where(ok, i - k, 0.0) + 1.0)), 0.0)
+    G = np.where(ok, w * np.exp(log_gamma(i + k + 1.0)
+                                - log_gamma(np.where(ok, i - k, 0.0) + 1.0)), 0.0)
     sq = a * a
     total = sum(_contract(sq, [G[c, :n] for c, n in zip(alpha, a.shape)])
                 for alpha in composition_array(s, a.ndim).tolist())

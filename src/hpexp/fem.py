@@ -48,10 +48,16 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from . import blas
+from .errors import IndefiniteSystemError, RefinementError
 from .expansion import named_function
 from .indexsets import bubble_indices, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
                         legendre_table, psi_table)
+
+# scipy's OpenBLAS loads with the imports above, after ``import hpexp`` set
+# the copies loaded then: one thread for it too (see ``hpexp.blas``)
+blas.set_threads(1)
 
 __all__ = [
     "Mesh",
@@ -493,14 +499,6 @@ def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # Condensed solve
-
-
-class IndefiniteSystemError(RuntimeError):
-    """The condensed system is not symmetric positive definite."""
-
-
-class RefinementError(RuntimeError):
-    """Iterative refinement left the relative residual at or above its bound."""
 
 
 REFINE_PASSES = 3

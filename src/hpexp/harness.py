@@ -4,7 +4,9 @@
 meta and a solver ``solve_one(p) -> (dof, errors, extra)`` over the layers'
 stage functions.  ``sweep`` is the one loop over degrees; ``run_config``
 validates a whole config before running any sweep and writes the files;
-``run_sweep`` validates and runs one sweep and writes nothing.
+``run_sweep`` validates and runs one sweep and writes nothing.  The FEM and
+DG solvers are imported by their kinds' solvers when a sweep first runs, so
+the coefficient-space kinds never load them or scipy.
 
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
@@ -22,15 +24,16 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from math import factorial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy
 
-from . import __version__, blas, dgfem, fem
+from . import __version__, blas
 from .bounds import LEMMA_AUDIT_CAP, lemma_audit
+from .errors import IndefiniteSipError, IndefiniteSystemError, RefinementError
 from .expansion import named_function, reference_expansion
 from .indexsets import BasisSpec, dof_count
 from .projections import (InadmissibleDegreeError, project_h1_p, project_h1_q,
@@ -150,10 +153,10 @@ def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
 
 # The solvers' named numerical failures and a degree a projection does not
 # admit; a sweep records them, and anything else (a plain ValueError too) is
-# a bug.
-SWEEP_ERRORS = (fem.IndefiniteSystemError, fem.RefinementError,
-                dgfem.IndefiniteSipError, np.linalg.LinAlgError,
-                InadmissibleDegreeError)
+# a bug.  They live outside the solver modules, which a sweep imports only
+# when it runs a solver of theirs.
+SWEEP_ERRORS = (IndefiniteSystemError, RefinementError, IndefiniteSipError,
+                np.linalg.LinAlgError, InadmissibleDegreeError)
 
 
 class Solver(NamedTuple):
@@ -210,6 +213,7 @@ def _with_p_rate(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
 
 
 def _fem_solver(sw: dict):
+    from . import fem
     # graded_* and n are keys of one kind each, so the other gets the defaults
     prob = fem.fem_problem("lshape" if sw["kind"] == "fem-lshape"
                            else f"sine{sw.get('dim', 2)}d", n=sw.get("n"))
@@ -233,6 +237,7 @@ def _fem_solver(sw: dict):
 
 
 def _dg_solver(sw: dict):
+    from . import dgfem
     n, family, gamma = sw.get("n", 8), sw["family"], sw.get("gamma", 10.0)
     # u is the exact solution and the Dirichlet data
     u = named_function("sine", 2)
@@ -333,14 +338,22 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
     return out
 
 
+@cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read without importing scipy."""
+    from importlib.metadata import version
+    return version("scipy")
+
+
 def _environment() -> dict:
     """Versions, CPU count, the BLAS thread variables that are set, and the
     BLAS threads in use: per loaded OpenBLAS, the count it reports (``None``
-    with no known BLAS).  Importing ``hpexp`` sets that count to one, over
+    with no known BLAS); a run that loaded no solver lists numpy's copy
+    alone.  Each copy is set to one thread by the import that loads it, over
     any ``OPENBLAS_NUM_THREADS`` listed with the variables."""
     threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "scipy": _scipy_version(), "cpu_count": os.cpu_count(),
             "threads": {k: os.environ[k] for k in threads if k in os.environ},
             "blas_threads": blas.threads()}
 
@@ -407,6 +420,7 @@ class Kind(NamedTuple):
 def _lshape_meta(sw: dict) -> dict:
     """The error quadrature; layers and points per axis at each degree of
     ``p_list``, in its order."""
+    from . import fem
     sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
     rules = [fem.error_quadrature(p, sw.get("graded_layers"), sigma=sigma)
              for p in sw["p_list"]]

@@ -3,7 +3,9 @@
 Everything on this module works on the reference interval [-1, 1].  The
 antiderivative functions ``psi_j`` (with ``psi_j(x) = int_{-1}^x L_j``) are the
 building blocks of the hierarchical C0 bases used by the projection and FEM
-modules; ``psi_j`` vanishes at both endpoints for j >= 1.
+modules; ``psi_j`` vanishes at both endpoints for j >= 1.  ``log_gamma``
+is the one log-Gamma of the package: ``expansion`` and ``bounds`` form from
+it the Gamma ratios that weight derivative norms in the Legendre basis.
 
 ``apply_axes`` is the one sum-factorization kernel: every tensor-product
 quadrature, expansion and projection in the package goes through it, on one
@@ -13,6 +15,7 @@ tensor or on a batch of element tensors whose physical quadrature grids
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,6 +27,7 @@ __all__ = [
     "legendre_table",
     "legendre_deriv_table",
     "psi_table",
+    "log_gamma",
     "gauss_rule",
     "graded_rule",
     "apply_axes",
@@ -75,6 +79,20 @@ def psi_table(jmax: int, x) -> np.ndarray:
         for j in range(1, jmax + 1):
             table[j] = -(1.0 - x * x) * dtab[j] / (j * (j + 1))
     return table
+
+
+def log_gamma(x) -> np.ndarray:
+    """log Gamma(x) for each entry x > 0 of ``x``, by ``math.lgamma``.
+
+    The Gamma ratios Gamma(i+k+1)/Gamma(i-k+1) of the weighted norms
+    ||(1-x^2)^(k/2) L_i^(k)||^2 and of the bounds are formed as differences
+    of these logs.  Every table they fill holds a few thousand entries at
+    most, so a loop over the entries costs less than importing a vectorized
+    log-Gamma would.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)

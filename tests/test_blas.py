@@ -1,11 +1,12 @@
-"""The OpenBLAS thread policy: one thread from import, recorded in the meta."""
+"""The OpenBLAS thread policy: one thread for each copy from the import that
+loads it, recorded in the meta."""
 
 import json
 import os
 
 import pytest
 
-import hpexp  # noqa: F401  (applies the policy)
+import hpexp.fem  # noqa: F401  (applies the policy to numpy's and scipy's copy)
 from hpexp import blas
 from hpexp.harness import ConvergenceRecord, run_sweep, write_records
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hpexp import blas, fem
+from hpexp import blas, fem, harness
 from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
 from hpexp.orthopoly import graded_rule
@@ -384,6 +384,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     # the same validator as run_config: n = 0 is a config error
     assert cli_main(["fem-sine", "--dim", "2", "--n", "0", "--family", "q",
                      "--p-max", "2"]) == 1
+
+
+def test_cli_bug_inside_a_sweep_propagates(monkeypatch):
+    # the sweep is validated before it runs: a plain ValueError raised inside
+    # it is a bug, reported with its traceback rather than as a usage error
+    def broken(u, p):
+        raise ValueError("matmul: mismatch in its core dimension")
+
+    monkeypatch.setitem(harness._PROJECTIONS, "h1q", (broken, "Q"))
+    with pytest.raises(ValueError, match="matmul"):
+        cli_main(["project-sweep", "--dim", "2", "--kind", "h1q",
+                  "--p-min", "1", "--p-max", "2"])
+
+
+def test_cli_rejects_a_bad_degree_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fem-lshape", "--family", "q", "--p-list", "1,x"])
+    assert exc.value.code == 1
+    assert "--p-list" in capsys.readouterr().err
 
 
 def test_cli_config_error(tmp_path):

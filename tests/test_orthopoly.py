@@ -3,7 +3,8 @@ import pytest
 from scipy.special import gammaln
 
 from hpexp.orthopoly import (apply_axes, gauss_rule, graded_rule,
-                             legendre_deriv_table, legendre_table, psi_table)
+                             legendre_deriv_table, legendre_table, log_gamma,
+                             psi_table)
 
 
 def test_legendre_point_values():
@@ -77,6 +78,19 @@ def test_gauss_rule_invariants(n):
         assert abs(np.dot(r.weights, r.nodes ** (2 * n)) - exact) > 1e-14
     # nodes are the roots of L_n
     assert np.max(np.abs(legendre_table(n, r.nodes)[n])) < 1e-13
+
+
+def test_log_gamma_matches_scipy_gammaln():
+    # every argument the Gamma-ratio tables take: the integers of the lemma,
+    # sharp-ratio and weighted-seminorm tables, and the (m -+ n)/d + 1 of phi
+    x = np.concatenate([np.arange(1.0, 121.0)]
+                       + [np.arange(361) / d + 1.0 for d in (1, 2, 3)])
+    got, ref = log_gamma(x), gammaln(x)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # the shape of the argument is kept, a scalar gives a 0-d array
+    assert log_gamma(x.reshape(3, -1)).shape == (3, len(x) // 3)
+    assert log_gamma(4.0).shape == ()
+    assert log_gamma(4.0) == pytest.approx(np.log(6.0), rel=1e-15)
 
 
 def test_derivative_orthogonality_relation():
