@@ -100,6 +100,14 @@ def _k1_legendre(p: int) -> np.ndarray:
     return np.where((i + j) % 2 == 0, m * (m + 1), 0).astype(float)
 
 
+def _interval(domain) -> tuple[float, float]:
+    """The (lo, hi) of the square's axes, checked to run upward."""
+    lo, hi = float(domain[0]), float(domain[1])
+    if not lo < hi:
+        raise ValueError(f"domain {domain} must have lo < hi")
+    return lo, hi
+
+
 def _lower_corners(n: int, lo: float, h: float) -> np.ndarray:
     """(n*n, 2) element lower corners; element (i, j) is row i * n + j."""
     xs = lo + h * np.arange(n)
@@ -143,7 +151,7 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     n, p = mesh_n, spec.p
     if n < 1:
         raise ValueError("need n >= 1")
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = _interval(domain)
     h = (hi - lo) / n
     a = h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
@@ -324,7 +332,7 @@ def broken_interpolant(spec: DgSpec, n: int, f: Callable,
     """Elementwise L2 projection of f onto the broken space (test oracle)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = _interval(domain)
     h = (hi - lo) / n
     a = h / 2.0
     p = spec.p

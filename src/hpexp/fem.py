@@ -8,12 +8,22 @@ whose dimension j is its number of free axes.  Family Q keeps every slot
 tuple; family S keeps one iff its bubble slots sum to at most p
 (``indexsets.bubble_indices``).  All elements of a mesh are congruent, so one
 local stiffness matrix (and one interior Schur complement) is shared across
-elements, and the local-mode -> (entity, sign) table is derived once and
-gathered over the mesh's entity arrays.  The global solve is a static
-condensation run as one correction loop from the Dirichlet lift: each pass
-condenses the residual onto the skeleton (interior modes eliminated
-elementwise), solves it by a direct factorization that certifies its
-definiteness, and back-substitutes the interiors.
+elements.
+
+A mesh is a set of integer cells on one half-cell lattice: the entity of
+code c of cell i is the lattice point 2 i + (0, 2, 1)[c], its dimension is
+its number of odd coordinates, and it is on the boundary iff fewer than the
+2^(d-j) cells around a j-entity hold it.  The entities of each dimension are
+numbered in lattice order, so the dofs of all elements are one gather from
+a lattice array of first dofs.  An edge mode runs along +axis in every
+element that holds the edge, so the basis is conforming with no orientation
+signs.
+
+The global solve is a static condensation run as one correction loop from
+the Dirichlet lift: each pass condenses the residual onto the skeleton
+(interior modes eliminated elementwise), solves it by a direct
+factorization that certifies its definiteness, and back-substitutes the
+interiors.
 
 Quadrature is element-batched: the load and the H1 error evaluate their
 integrands on the grids of all elements at once (one batch per per-axis rule
@@ -22,11 +32,11 @@ tuple) and contract them with ``orthopoly.apply_axes``.
 The skeleton is never assembled, in 2D or 3D.  Its free dofs are ordered by
 nested dissection on the grid planes, which are grid lines in 2D (George
 1973): a region of whole cells is cut on its longest axis at the grid plane
-nearest the median of its dofs' entity centroids, the free dofs on that
+nearest the median of its dofs' lattice points, the free dofs on that
 plane are the region's separator, and a one-cell region (or one outside the
 L-shape) holds no free skeleton dof.  The separators are eliminated
 in postorder as dense fronts (the multifrontal method, Duff & Reid 1983).
-Each front is assembled from the signed element Schur complements of the
+Each front is assembled from the element Schur complements of the
 elements whose first eliminated free dof it holds, plus its children's
 update matrices, and is factorized by ``dpotrf``, ``dtrsm`` and ``dsyrk`` on
 lower triangles.  The inertia of the skeleton is the sum of the inertias of
@@ -87,146 +97,89 @@ GRADED_SIGMA_DEFAULT = 0.15
 
 @dataclass
 class Mesh:
-    """Conforming mesh of congruent axis-aligned boxes with entity numbering."""
+    """A union of congruent axis-aligned boxes on one half-cell lattice.
+
+    Cell i is the box ``origin + h * (cells[i] + [0, 1]^d)``, and lattice
+    point q the point ``origin + h * q / 2``.  The entity with local code c
+    of cell i (per axis 0 the lower end, 1 the upper end, 2 the whole axis)
+    is the lattice point ``2 cells[i] + (0, 2, 1)[c]``; its dimension is its
+    number of odd coordinates.
+    """
 
     dim: int
-    vertices: np.ndarray            # (nv, d)
-    elem_lower: np.ndarray          # (ne, d) lower corners
     h: float                        # element edge length (congruent cubes)
-    elem_vertices: np.ndarray       # (ne, 2^d), corner c has bit k = offset on axis k
-    edges: np.ndarray               # (nedge, 2) sorted vertex ids
-    elem_edges: np.ndarray          # (ne, n_local_edges), slots in _entity_codes order
-    faces: np.ndarray               # (nface, 4) sorted vertex ids (3D), else empty
-    elem_faces: np.ndarray          # (ne, 6) in 3D, slots in _entity_codes order
-    vertex_boundary: np.ndarray     # bool (nv,)
-    edge_boundary: np.ndarray       # bool (nedge,)
-    face_boundary: np.ndarray       # bool (nface,)
+    origin: np.ndarray              # (d,) coordinates of lattice point 0
+    cells: np.ndarray               # (ne, d) non-negative integer cell indices
     singular_corner: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.cells.min() < 0:
+            raise ValueError("cell indices must be non-negative")
 
     @property
     def n_elements(self) -> int:
-        return self.elem_lower.shape[0]
+        return self.cells.shape[0]
+
+    @property
+    def elem_lower(self) -> np.ndarray:
+        return self.origin + self.h * self.cells
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """Vertex coordinates in vertex-dof (lattice) order."""
+        return _coords(self, np.argwhere(_lattice(self)[0] == 0))
 
 
-def _corner_bits(d: int):
-    return [tuple((c >> k) & 1 for k in range(d)) for c in range(2 ** d)]
+_HALF = np.array([0, 2, 1])         # lattice offset of local code 0, 1, 2
 
 
-def _corner(bits) -> int:
-    return sum(b << k for k, b in enumerate(bits))
+def _at(points: np.ndarray):
+    """Index of lattice points (..., d) into a lattice array."""
+    return tuple(points[..., k] for k in range(points.shape[-1]))
 
 
-def _entity_codes(d: int, j: int):
-    """Codes of the j-dimensional entities of the reference box, in local
-    slot order: per axis 0 or 1 fixes that end and 2 leaves the axis free;
-    sorted by the free axes, then by the fixed bits."""
-    codes = [c for c in product((0, 1, 2), repeat=d) if c.count(2) == j]
-    return sorted(codes, key=lambda c: ([k for k in range(d) if c[k] == 2], c))
+def _coords(mesh: Mesh, vertices: np.ndarray) -> np.ndarray:
+    """Coordinates of vertex lattice points (..., d)."""
+    return mesh.origin + mesh.h * (vertices // 2)
 
 
-def _code_corners(code):
-    """Corner numbers of the vertices of the entity ``code``."""
-    return [_corner(b) for b in product(*((0, 1) if x == 2 else (x,)
-                                          for x in code))]
-
-
-def _first_appearance(keys: np.ndarray):
-    """Number the distinct rows of ``keys`` in order of first appearance.
-
-    Returns each row's number and, per number, the row's first position."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse.ravel()], first[order]
-
-
-def _build_mesh(dim: int, vertex_coords: np.ndarray, cells: list,
-                grid_shape, h: float) -> Mesh:
-    """Assemble entity tables from a vertex grid and a list of cell lattice
-    coordinates; vertices not referenced by any cell are compacted away.
-
-    Edges and faces are numbered by first appearance in element-major,
-    local-slot-minor order."""
-    bits = np.array(_corner_bits(dim), dtype=np.int64)          # (2^d, d)
-    lattice = np.asarray(cells, dtype=np.int64)[:, None, :] + bits
-    cell_vertex_grid = np.ravel_multi_index(tuple(np.moveaxis(lattice, -1, 0)),
-                                            grid_shape)
-    used = np.zeros(vertex_coords.shape[0], dtype=bool)
-    used[cell_vertex_grid] = True
-    remap = -np.ones(vertex_coords.shape[0], dtype=np.int64)
-    remap[used] = np.arange(used.sum())
-    vertices = vertex_coords[used]
-    elem_vertices = remap[cell_vertex_grid]
-    ne = elem_vertices.shape[0]
-
-    # per entity dimension j < dim: the ids of each element's j-entities, one
-    # column per local slot, and each entity's sorted vertex ids
-    codes = [_entity_codes(dim, j) for j in range(dim)]
-    elem_ent = [elem_vertices[:, [_corner(c) for c in codes[0]]]]
-    ent_vertices = [np.arange(vertices.shape[0])[:, None]]
-    for j in range(1, dim):
-        corners = [_code_corners(c) for c in codes[j]]
-        cv = np.sort(elem_vertices[:, corners], axis=-1).reshape(-1, 2 ** j)
-        rank, first = _first_appearance(cv)
-        elem_ent.append(rank.reshape(ne, -1))
-        ent_vertices.append(cv[first])
-    if dim == 2:
-        elem_ent.append(np.zeros((ne, 0), dtype=np.int64))
-        ent_vertices.append(np.zeros((0, 4), dtype=np.int64))
-
-    # a facet of one element is on the boundary, and so is every entity on it
-    f = dim - 1
-    boundary = [np.zeros(ev.shape[0], dtype=bool) for ev in ent_vertices]
-    boundary[f] = np.bincount(elem_ent[f].ravel()) == 1
-    for slot, facet in enumerate(codes[f]):
-        on = boundary[f][elem_ent[f][:, slot]]
-        for j in range(f):
-            slots = [s for s, c in enumerate(codes[j])
-                     if all(x in (2, y) for x, y in zip(facet, c))]
-            boundary[j][elem_ent[j][on][:, slots]] = True
-
-    return Mesh(dim=dim, vertices=vertices,
-                elem_lower=vertices[elem_vertices[:, 0]], h=h,
-                elem_vertices=elem_vertices, edges=ent_vertices[1],
-                elem_edges=elem_ent[1], faces=ent_vertices[2],
-                elem_faces=elem_ent[2], vertex_boundary=boundary[0],
-                edge_boundary=boundary[1], face_boundary=boundary[2])
+def _lattice(mesh: Mesh):
+    """Per point of the mesh's lattice: the dimension j of its entity (-1
+    where no cell holds it), and whether the entity is on the boundary,
+    that is held by fewer cells than the 2^(d-j) around it."""
+    d = mesh.dim
+    codes = np.array(list(product(range(3), repeat=d)))
+    held = np.zeros(2 * mesh.cells.max(axis=0) + 3, dtype=np.int64)
+    np.add.at(held, _at(2 * mesh.cells[:, None] + _HALF[codes]), 1)
+    odd = (np.indices(held.shape) % 2).sum(axis=0)
+    return np.where(held > 0, odd, -1), (held > 0) & (held < 2 ** (d - odd))
 
 
 def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
-    """n^d congruent elements on a cube given as (lo, hi) per axis or shared."""
+    """n^d congruent elements on a box given as (lo, hi) per axis or shared.
+
+    Every axis must run upward, and all axes must have one width up to the
+    rounding of their end points."""
     if n < 1:
         raise ValueError("need n >= 1")
     dom = np.asarray(domain, dtype=float)
     if dom.ndim == 1:
         dom = np.tile(dom, (dim, 1))
-    widths = (dom[:, 1] - dom[:, 0]) / n
-    if not np.allclose(widths, widths[0]):
-        raise ValueError("elements must be congruent cubes")
-    h = float(widths[0])
-    axes = [dom[k, 0] + widths[k] * np.arange(n + 1) for k in range(dim)]
-    grid_shape = (n + 1,) * dim
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    cells = list(product(range(n), repeat=dim))
-    return _build_mesh(dim, coords, cells, grid_shape, h)
+    if not np.all(dom[:, 1] > dom[:, 0]):
+        raise ValueError(f"domain {domain} must have lo < hi on every axis")
+    widths = dom[:, 1] - dom[:, 0]
+    if np.ptp(widths) > 4 * np.spacing(np.abs(dom).max()):
+        raise ValueError(f"domain {domain}: elements must be congruent cubes")
+    cells = np.array(list(product(range(n), repeat=dim)))
+    return Mesh(dim=dim, h=float(widths[0] / n), origin=dom[:, 0], cells=cells)
 
 
 def mesh_lshape() -> Mesh:
     """The 12-element L-shape (-1,1)^2 minus [0,1) x (-1,0], squares of side 1/2."""
-    axes = [np.linspace(-1.0, 1.0, 5)] * 2
-    grid_shape = (5, 5)
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    cells = []
-    for i, j in product(range(4), repeat=2):
-        cx, cy = -1 + 0.5 * i + 0.25, -1 + 0.5 * j + 0.25
-        if cx > 0 and cy < 0:
-            continue
-        cells.append((i, j))
-    mesh = _build_mesh(2, coords, cells, grid_shape, 0.5)
-    mesh.singular_corner = np.zeros(2)
-    return mesh
+    cells = np.array([c for c in product(range(4), repeat=2)
+                      if not (c[0] >= 2 and c[1] < 2)])
+    return Mesh(dim=2, h=0.5, origin=np.full(2, -1.0), cells=cells,
+                singular_corner=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +188,7 @@ def mesh_lshape() -> Mesh:
 
 @dataclass
 class DofMap:
-    """Global numbering of the hierarchical basis with orientation signs."""
+    """Global numbering of the hierarchical basis."""
 
     mesh: Mesh
     p: int
@@ -243,7 +196,6 @@ class DofMap:
     n_dof: int
     local_modes: list               # list of tensor slot tuples
     cell_dofs: np.ndarray           # (ne, nloc)
-    cell_signs: np.ndarray          # (ne, nloc)
     interior_local: np.ndarray      # local indices of interior modes
     skeleton_local: np.ndarray
     edge_offset: int
@@ -251,12 +203,15 @@ class DofMap:
     interior_offset: int
     face_rank: dict                 # 3D face bubble psi indices -> rank
     dirichlet_mask: np.ndarray      # bool (n_dof,) boundary dofs
+    first_dof: np.ndarray           # per lattice point, its entity's first dof
 
 
 def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
     """Hierarchical numbering for family Q or S: the dofs of the entities of
     dimension j = 0..d follow each other, and each entity owns a contiguous
-    block of its ``bubble_indices``; the element itself is the d-entity."""
+    block of its ``bubble_indices``.  The entities of one dimension below d
+    are numbered in lattice (C) order, the cells in element order.  A local
+    mode's dof is its entity's first dof plus its bubble rank."""
     if family not in ("Q", "S"):
         raise ValueError("conforming families are Q and S")
     if p < 1:
@@ -264,55 +219,36 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
     d, ne = mesh.dim, mesh.n_elements
     bubbles = [bubble_indices(j, p, family) for j in range(d + 1)]
     ranks = [{b: r for r, b in enumerate(bs)} for bs in bubbles]
-    n_bubbles = np.array([len(bs) for bs in bubbles])
-    counts = [mesh.vertices.shape[0], mesh.edges.shape[0],
-              mesh.faces.shape[0]][:d] + [ne]
+    dim_of, boundary = _lattice(mesh)
+    counts = [np.count_nonzero(dim_of == j) for j in range(d)] + [ne]
     offsets = np.cumsum([0] + [n * len(bs) for n, bs in zip(counts, bubbles)])
+    first = np.full(dim_of.shape, -1, dtype=np.int64)
+    for j in range(d):
+        first[dim_of == j] = offsets[j] + len(bubbles[j]) * np.arange(counts[j])
+    first[_at(2 * mesh.cells + 1)] = offsets[d] + len(bubbles[d]) * np.arange(ne)
 
-    # per-element entity ids, one column per (dimension, local slot) code
-    vertex_cols = [_corner(c) for c in _entity_codes(d, 0)]
-    ent = np.hstack([mesh.elem_vertices[:, vertex_cols], mesh.elem_edges,
-                     mesh.elem_faces, np.arange(ne)[:, None]])
-    column = {c: s for s, c in enumerate(
-        c for j in range(d + 1) for c in _entity_codes(d, j))}
-
-    # per local mode, once: its entity column, dimension and bubble rank, and
-    # the corners (lo, hi) whose vertex order decides its sign
-    modes, rows = [], []
+    # the local modes, each with its bubble rank within its entity
+    modes, rank = [], []
     for m in product(range(p + 1), repeat=d):
-        code = tuple(min(x, 2) for x in m)
-        j = code.count(2)
-        r = ranks[j].get(tuple(x - 1 for x in m if x >= 2))
-        if r is None:
-            continue                    # an S-dropped bubble
-        # an edge mode of even psi index flips where the edge runs against
-        # the element's axis
-        flips = j == 1 and max(m) % 2 == 1
-        lo = _corner([x if x < 2 else 0 for x in m]) if flips else 0
-        hi = _corner([x if x < 2 else 1 for x in m]) if flips else 0
-        modes.append(m)
-        rows.append((column[code], j, r, lo, hi))
-    col, ent_dim, rank, lo, hi = np.array(rows, dtype=np.int64).T
+        r = ranks[sum(x >= 2 for x in m)].get(tuple(x - 1 for x in m if x >= 2))
+        if r is not None:               # else an S-dropped bubble
+            modes.append(m)
+            rank.append(r)
+    half = _HALF[np.minimum(modes, 2)]
     # C order, as the gather/scatter kernels and their BLAS calls expect
     cell_dofs = np.ascontiguousarray(
-        offsets[ent_dim] + n_bubbles[ent_dim] * ent[:, col] + rank)
-    ev = mesh.elem_vertices
-    cell_signs = np.ascontiguousarray(np.where(ev[:, lo] > ev[:, hi], -1.0, 1.0))
-
-    boundary = [mesh.vertex_boundary, mesh.edge_boundary,
-                mesh.face_boundary][:d] + [np.zeros(ne, dtype=bool)]
-    dirichlet = np.concatenate([np.repeat(b, len(bs))
-                                for b, bs in zip(boundary, bubbles)])
-
+        first[_at(2 * mesh.cells[:, None] + half)] + np.array(rank))
+    dirichlet = np.concatenate([np.repeat(boundary[dim_of == j], len(bs))
+                                for j, bs in enumerate(bubbles)])
+    interior = (half % 2).sum(axis=1) == d
     return DofMap(mesh=mesh, p=p, family=family, n_dof=int(offsets[-1]),
                   local_modes=modes, cell_dofs=cell_dofs,
-                  cell_signs=cell_signs,
-                  interior_local=np.nonzero(ent_dim == d)[0],
-                  skeleton_local=np.nonzero(ent_dim < d)[0],
+                  interior_local=np.nonzero(interior)[0],
+                  skeleton_local=np.nonzero(~interior)[0],
                   edge_offset=int(offsets[1]), face_offset=int(offsets[2]),
                   interior_offset=int(offsets[d]),
                   face_rank=ranks[2] if d == 3 else {},
-                  dirichlet_mask=dirichlet)
+                  dirichlet_mask=dirichlet, first_dof=first)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +305,8 @@ class AssembledSystem:
 
     ``k_local`` is the (dense) local stiffness common to every element; the
     full sparse operator is realized through gather/scatter (``matvec``),
-    which is what the condensation, residual checks and energy evaluations
-    use.  ``load`` is the fully assembled global load vector.
+    which is what the condensation and the residual checks use.  ``load``
+    is the fully assembled global load vector.
     """
 
     dofmap: DofMap
@@ -381,23 +317,12 @@ class AssembledSystem:
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         dm = self.dofmap
-        U = dm.cell_signs * u[dm.cell_dofs]
-        W = U @ self.k_local.T
-        out = np.bincount(dm.cell_dofs.ravel(),
-                          weights=(dm.cell_signs * W).ravel(),
-                          minlength=dm.n_dof)
-        return out
-
-    def energy(self, u: np.ndarray) -> float:
-        return 0.5 * float(u @ self.matvec(u))
+        W = u[dm.cell_dofs] @ self.k_local.T
+        return np.bincount(dm.cell_dofs.ravel(), weights=W.ravel(),
+                           minlength=dm.n_dof)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.load - self.matvec(u)
-
-    def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.dofmap.n_dof, dtype=bool)
-        mask[self.dirichlet_dofs] = False
-        return mask
 
 
 def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
@@ -426,38 +351,45 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
     Floc = apply_axes(vals, [BW] * d).reshape(ne, -1)
     Floc = Floc[:, flat_positions(dofmap.local_modes, p)] * a ** d
     load = np.zeros(dofmap.n_dof)
-    np.add.at(load, dofmap.cell_dofs, dofmap.cell_signs * Floc)
+    np.add.at(load, dofmap.cell_dofs, Floc)
 
-    # Dirichlet data: boundary values of every dof, read at the boundary dofs
+    # Dirichlet data: boundary values of every dof, read at the boundary
+    # dofs; each boundary entity is found as a lattice point
     dir_ids = np.nonzero(dofmap.dirichlet_mask)[0]
     dvals = np.zeros(dofmap.n_dof)
-    vids = np.nonzero(mesh.vertex_boundary)[0]
-    dvals[vids] = g(*mesh.vertices[vids].T)
+    first = dofmap.first_dof
+    dim_of, boundary = _lattice(mesh)
+    q = np.argwhere(boundary & (dim_of == 0))
+    dvals[first[_at(q)]] = g(*_coords(mesh, q).T)
     if p >= 2:
         # edge bubbles: L2-project g minus the linear interpolant, all
         # boundary edges at once, each with its own matrix-vector product
-        # and solve (one GEMM over the edges changes the round-off)
+        # and solve (one GEMM over the edges changes the round-off); the
+        # edge q along axis a runs from vertex q - e_a to vertex q + e_a
         t, w = rule.nodes, rule.weights
         Psi = psi_table(p - 1, t)[1:]
-        eids = np.nonzero(mesh.edge_boundary)[0]
-        v0, v1 = mesh.edges[eids].T
-        pts = (0.5 * (1 - t)[:, None] * mesh.vertices[v0][:, None]
-               + 0.5 * (1 + t)[:, None] * mesh.vertices[v1][:, None])
-        resid = g(*np.moveaxis(pts, -1, 0)) - (0.5 * (1 - t) * dvals[v0][:, None]
-                                               + 0.5 * (1 + t) * dvals[v1][:, None])
+        q = np.argwhere(boundary & (dim_of == 1))
+        ends = (q - q % 2, q + q % 2)
+        x0, x1 = (_coords(mesh, v)[:, None] for v in ends)
+        g0, g1 = (dvals[first[_at(v)]][:, None] for v in ends)
+        pts = 0.5 * (1 - t)[:, None] * x0 + 0.5 * (1 + t)[:, None] * x1
+        resid = g(*np.moveaxis(pts, -1, 0)) - (0.5 * (1 - t) * g0
+                                               + 0.5 * (1 + t) * g1)
         rhs = np.matmul(Psi, (w * resid)[..., None])
-        dvals[dofmap.edge_offset + eids[:, None] * (p - 1) + np.arange(p - 1)] = \
+        dvals[first[_at(q)][:, None] + np.arange(p - 1)] = \
             np.linalg.solve((Psi * w) @ Psi.T, rhs)[..., 0]
     if d == 3 and p >= 2 and dofmap.face_rank:
-        _project_face_data(mesh, dofmap, g, dvals)
+        _project_face_data(mesh, dofmap, g, dvals, boundary)
 
     return AssembledSystem(dofmap=dofmap, k_local=k_local, load=load,
                            dirichlet_dofs=dir_ids, dirichlet_values=dvals[dir_ids])
 
 
-def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray):
+def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray,
+                       boundary: np.ndarray):
     """3D face bubbles: L2-project g minus the vertex/edge lift, per boundary
-    face; the faces in one local face slot form one batch."""
+    face; the faces in one local face slot form one batch, and each finds
+    its corners and edges as lattice points of its cell."""
     p, nfm = dofmap.p, len(dofmap.face_rank)
     rule = gauss_rule(p + 10)
     t = rule.nodes
@@ -466,34 +398,36 @@ def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray):
     keep = np.array([(j1 - 1) * (p - 1) + (j2 - 1)
                      for j1, j2 in bubble_indices(2, p, dofmap.family)])
     gram = np.kron(PsiW @ B[2:].T, PsiW @ B[2:].T)[np.ix_(keep, keep)]
-    edge_slot = {c: s for s, c in enumerate(_entity_codes(3, 1))}
-    for lf, code in enumerate(_entity_codes(3, 2)):
+    faces = [c for c in product((0, 1, 2), repeat=3) if c.count(2) == 2]
+    for code in faces:
         fa, fb = (k for k in range(3) if code[k] == 2)
         rem = 3 - fa - fb
-        bit = code[rem]
-        elems = np.nonzero(mesh.face_boundary[mesh.elem_faces[:, lf]])[0]
+        elems = np.nonzero(boundary[_at(2 * mesh.cells + _HALF[list(code)])])[0]
+        base = 2 * mesh.cells[elems]
+
+        def first(c):
+            """First dof of the local entity of code c of each element."""
+            return dofmap.first_dof[_at(base + _HALF[c])]
+
         # the lift's coefficients in the face's tensor basis B x B
         lift = np.zeros((elems.size, p + 1, p + 1))
         for ia, ib in product((0, 1), repeat=2):
             bits = list(code)
             bits[fa], bits[fb] = ia, ib
-            lift[:, ia, ib] = dvals[mesh.elem_vertices[elems, _corner(bits)]]
+            lift[:, ia, ib] = dvals[first(bits)]
         for side in (0, 1):
             for other, at in ((fb, np.s_[:, 2:, side]), (fa, np.s_[:, side, 2:])):
                 edge = list(code)
                 edge[other] = side
-                eid = mesh.elem_edges[elems, edge_slot[tuple(edge)]]
-                lift[at] = dvals[dofmap.edge_offset + eid[:, None] * (p - 1)
-                                 + np.arange(p - 1)]
+                lift[at] = dvals[first(edge)[:, None] + np.arange(p - 1)]
         nodes = [t, t, t]
-        nodes[rem] = np.array([2.0 * bit - 1.0])   # the face's own coordinate
+        nodes[rem] = np.array([2.0 * code[rem] - 1.0])  # the face's own coordinate
         grids = element_grids(mesh.elem_lower[elems], 0.5 * mesh.h, nodes)
         vals = np.broadcast_to(np.asarray(g(*grids), dtype=float),
                                np.broadcast_shapes(*(x.shape for x in grids)))
         resid = vals.reshape(elems.size, t.size, t.size) - apply_axes(lift, [B.T, B.T])
         rhs = apply_axes(resid, [PsiW, PsiW]).reshape(elems.size, -1)[:, keep]
-        fids = mesh.elem_faces[elems, lf]
-        dvals[dofmap.face_offset + fids[:, None] * nfm + np.arange(nfm)] = \
+        dvals[first(list(code))[:, None] + np.arange(nfm)] = \
             np.linalg.solve(gram, rhs.T).T
 
 
@@ -508,23 +442,19 @@ RESIDUAL_BOUND = 1e-9
 def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
     """Nested dissection of the free skeleton dofs on the grid planes.
 
-    Each dof sits at its entity's centroid, in half-element units: twice the
-    cell index plus 0, 2 or 1 per axis where the entity holds the lower end,
-    the upper end or the whole axis of the cell.  A region (a box of whole
+    Each dof sits at its entity's lattice point: twice the cell index plus
+    0, 2 or 1 per axis where the entity holds the lower end, the upper end
+    or the whole axis of the cell.  A region (a box of whole
     cells) is split on its longest axis at the grid plane nearest the median
     of its dofs (the lower plane on a tie); the free dofs on that plane are
     its separator.  A region no grid plane crosses is one cell, and holds no
     skeleton dof.  Returns the separators in postorder, as arrays of
     positions in ``free_ids``, and each separator's parent (-1 at the root).
     """
-    mesh = dofmap.mesh
-    cell = np.rint((mesh.elem_lower - mesh.vertices.min(axis=0))
-                   / mesh.h).astype(np.int64)
-    bl = dofmap.skeleton_local
-    half = np.array([[(0, 2, 1)[min(x, 2)] for x in dofmap.local_modes[i]]
-                     for i in bl], dtype=np.int64)
-    coords = np.empty((dofmap.interior_offset, mesh.dim), dtype=np.int64)
-    coords[dofmap.cell_dofs[:, bl]] = 2 * cell[:, None, :] + half
+    cells, bl = dofmap.mesh.cells, dofmap.skeleton_local
+    half = _HALF[np.minimum([dofmap.local_modes[i] for i in bl], 2)]
+    coords = np.empty((dofmap.interior_offset, cells.shape[1]), dtype=np.int64)
+    coords[dofmap.cell_dofs[:, bl]] = 2 * cells[:, None, :] + half
     coords = coords[free_ids]
     seps, parent = [], []
 
@@ -547,8 +477,8 @@ def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
                 parent[kid] = len(seps) - 1
         return len(seps) - 1
 
-    visit(np.arange(free_ids.size), np.zeros(mesh.dim, dtype=np.int64),
-          2 * (cell.max(axis=0) + 1))
+    visit(np.arange(free_ids.size), 2 * cells.min(axis=0),
+          2 * (cells.max(axis=0) + 1))
     return seps, np.array(parent, dtype=np.int64)
 
 
@@ -586,7 +516,7 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
     """Nested-dissection multifrontal Cholesky of the free skeleton block.
 
     The separators of ``_dissect_skeleton`` are eliminated in postorder.  An
-    element's signed Schur complement is added into the front of its first
+    element's Schur complement is added into the front of its first
     eliminated free dof; its other free dofs lie on ancestor separators, so
     they are among that front's update rows.  The children's update matrices
     are added in, and the pivot block is factorized by ``dpotrf``, ``dtrsm``
@@ -609,7 +539,6 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
     rank[free_ids[perm]] = np.arange(n)
     bl = dofmap.skeleton_local
     ranks = rank[dofmap.cell_dofs[:, bl]]
-    signs = dofmap.cell_signs[:, bl]
 
     # each element goes to the front of its first eliminated free dof
     first = np.where(ranks >= 0, ranks, n).min(axis=1)
@@ -632,13 +561,13 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
         where[idx] = np.arange(m)
         free = R >= 0
         pos = np.where(free, where[R], 0)
-        sg = np.where(free, signs[elements[node]], 0.0)
         # F[i, j] is flat[i + m j]; the unique-index fast path of np.add.at
         # beats fancy 2D indexing for the children's update matrices
         F = np.zeros((m, m), order="F")
         flat = F.reshape(-1, order="F")
         np.add.at(flat, (pos[:, :, None] + m * pos[:, None, :]).ravel(),
-                  (sg[:, :, None] * S_loc * sg[:, None, :]).ravel())
+                  np.where(free[:, :, None] & free[:, None, :], S_loc,
+                           0.0).ravel())
         for ids, U in kids:
             loc = where[ids]
             np.add.at(flat, (loc[:, None] + m * loc).ravel(order="F"),
@@ -715,7 +644,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
 
     The free skeleton block is never assembled: ``_factor_multifrontal``
     orders it by nested dissection on the grid planes and factorizes it in
-    dense fronts assembled from the signed element Schur complements.  A
+    dense fronts assembled from the element Schur complements.  A
     front whose Cholesky fails gets its eigenvalue count from its pivot
     block, so by Haynsworth additivity ``IndefiniteSystemError`` reports the
     number of non-positive eigenvalues.
@@ -723,9 +652,8 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     il = dofmap.interior_local
     cho, Kib, X, S_loc = _element_schur(system.k_local, dofmap)
     skel_dofs = dofmap.cell_dofs[:, dofmap.skeleton_local]
-    skel_signs = dofmap.cell_signs[:, dofmap.skeleton_local]
     n_skel = dofmap.interior_offset
-    full_free = system.free_mask()          # the boundary dofs are skeleton
+    full_free = ~dofmap.dirichlet_mask      # the boundary dofs are skeleton
     free_ids = np.nonzero(full_free[:n_skel])[0]
     lu = _factor_multifrontal(S_loc, dofmap, free_ids)
 
@@ -734,8 +662,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     def condense(r):
         r_sk = r[:n_skel].copy()
         if il.size:
-            np.add.at(r_sk, skel_dofs.ravel(),
-                      -(skel_signs * (r[interiors] @ X)).ravel())
+            np.add.at(r_sk, skel_dofs.ravel(), -(r[interiors] @ X).ravel())
         return r_sk[free_ids]
 
     u = np.zeros(dofmap.n_dof)
@@ -744,9 +671,8 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     for _ in range(REFINE_PASSES + 1):
         u[free_ids] += lu.solve(condense(r))
         if il.size:
-            Ub = skel_signs * u[skel_dofs]
             u[interiors] = cho_solve(
-                cho, (system.load[interiors] - Ub @ Kib.T).T).T
+                cho, (system.load[interiors] - u[skel_dofs] @ Kib.T).T).T
         Au = system.matvec(u)
         r = system.load - Au
         rel = np.linalg.norm(r[full_free]) / max(
@@ -818,7 +744,7 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
     layers, order = error_quadrature(p, layers, quad_order, sigma)
     coeffs = np.zeros((ne, (p + 1) ** d))
     coeffs[:, flat_positions(dofmap.local_modes, p)] = \
-        dofmap.cell_signs * sol.values[dofmap.cell_dofs]
+        sol.values[dofmap.cell_dofs]
     coeffs = coeffs.reshape((ne,) + (p + 1,) * d)
     total = 0.0
     for elems, rules in _element_rules(mesh, graded_at, sigma, layers, order):

@@ -107,9 +107,6 @@ class QuadratureRule:
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @lru_cache(maxsize=256)
 def gauss_rule(n: int) -> QuadratureRule:
@@ -165,9 +162,6 @@ class GradedRule:
         object.__setattr__(self, "weights", np.concatenate(ws))
         for arr in (self.nodes, self.weights, self.breakpoints):
             arr.flags.writeable = False
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 @lru_cache(maxsize=256)

@@ -1,7 +1,7 @@
 """Reference factorizations of the FEM skeleton, for tests only.
 
-``assemble_skeleton`` builds the global sparse skeleton from the signed
-element Schur complements, which ``fem`` never does: it is the reference
+``assemble_skeleton`` builds the global sparse skeleton from the element
+Schur complements, which ``fem`` never does: it is the reference
 the multifrontal is checked against.  ``FACTORIZATIONS`` holds three
 backward-stable factorizations of the free skeleton block, each called as
 ``fem._factor_multifrontal`` is, ``(S_loc, dofmap, free_ids)``, and each
@@ -17,16 +17,15 @@ from scipy.linalg import cho_factor, cho_solve
 from hpexp import fem
 
 
-def assemble_skeleton(S_loc, skel_dofs, skel_signs, n_skel: int):
-    """Sparse sum of the signed element Schur complements over the skeleton,
+def assemble_skeleton(S_loc, skel_dofs, n_skel: int):
+    """Sparse sum of the element Schur complements over the skeleton,
     chunked over the elements to bound peak memory."""
     ne, nb = skel_dofs.shape
     S_glob = None
     chunk = max(1, int(2e7 // max(nb * nb, 1)))
     for start in range(0, ne, chunk):
         sl = slice(start, min(start + chunk, ne))
-        signs = skel_signs[sl]
-        data = np.einsum("ei,ej,ij->eij", signs, signs, S_loc)
+        data = np.broadcast_to(S_loc, (sl.stop - start, nb, nb))
         rows = np.repeat(skel_dofs[sl], nb, axis=1)
         cols = np.tile(skel_dofs[sl], (1, nb))
         part = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
@@ -41,7 +40,7 @@ def free_skeleton_matrix(S_loc, dofmap, free_ids) -> sp.csc_matrix:
     """The assembled free block of the skeleton, in CSC form."""
     bl = dofmap.skeleton_local
     S = assemble_skeleton(S_loc, dofmap.cell_dofs[:, bl],
-                          dofmap.cell_signs[:, bl], dofmap.interior_offset)
+                          dofmap.interior_offset)
     return S[free_ids][:, free_ids].tocsc()
 
 

@@ -307,6 +307,18 @@ def test_mesh_size_below_one_raises(n):
         dgfem.broken_interpolant(spec, n, zero)
 
 
+@pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan)])
+def test_domain_not_running_upward_raises(domain):
+    # a reversed domain gives h < 0, and the solve then returned a wrong
+    # dg_norm with no error
+    spec = dgfem.DgSpec("Q", 2)
+    g, _ = _linear()
+    with pytest.raises(ValueError, match="lo < hi"):
+        dgfem.assemble_sip(2, spec, lambda x, y: 0.0 * x, g, domain=domain)
+    with pytest.raises(ValueError, match="lo < hi"):
+        dgfem.broken_interpolant(spec, 2, g, domain=domain)
+
+
 def test_nan_load_raises():
     g, _ = _linear()
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),

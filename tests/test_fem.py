@@ -1,5 +1,5 @@
-from dataclasses import fields, replace
-from itertools import combinations, product
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -33,6 +33,19 @@ def test_mesh_uniform_counts():
     assert fem.mesh_uniform(3, 4, (0.0, 1.0)).n_elements == 64
     single = fem.mesh_uniform(2, 1, (-1.0, 1.0))
     assert single.n_elements == 1 and single.h == 2.0
+    # widths 0.30000000000000004 and 0.3: equal up to their end points' rounding
+    assert fem.mesh_uniform(2, 3, ((0.1, 0.4), (0.2, 0.5))).n_elements == 9
+
+
+@pytest.mark.parametrize("domain, match", [
+    ((1.0, 0.0), "lo < hi"),
+    (((0.0, 1.0), (0.0, 1.0 + 1e-9)), "congruent"),
+], ids=["reversed", "unequal_widths"])
+def test_mesh_uniform_rejects_a_domain_of_no_congruent_cubes(domain, match):
+    # a reversed domain gave h < 0 and a misleading failure in the solve;
+    # unequal widths put the top vertex off the lattice of h
+    with pytest.raises(ValueError, match=match):
+        fem.mesh_uniform(2, 2, domain)
 
 
 @pytest.mark.parametrize("name", ["sine2d", "sine3d"])
@@ -46,10 +59,10 @@ def test_fem_problem_zero_elements_is_an_error(name):
 def test_mesh_lshape_geometry(lshape):
     assert lshape.n_elements == 12
     assert lshape.n_elements * lshape.h ** 2 == pytest.approx(3.0)
+    corners = lshape.h * np.array(list(product((0, 1), repeat=2)))
     at_origin = sum(
-        1 for e in range(12)
-        if np.any(np.all(np.abs(lshape.vertices[lshape.elem_vertices[e]]) < 1e-12,
-                         axis=1)))
+        1 for lo in lshape.elem_lower
+        if np.any(np.all(np.abs(lo + corners) < 1e-12, axis=1)))
     assert at_origin == 3
 
 
@@ -78,137 +91,68 @@ def test_lshape_entity_census(lshape):
             assert dm.n_dof == expect
 
 
-def _edge_descriptors(d):
-    """Local edge slot -> (axis, transverse bits), the reference slot order."""
-    out = []
-    for axis in range(d):
-        others = [k for k in range(d) if k != axis]
-        for bits in product((0, 1), repeat=d - 1):
-            out.append((axis, dict(zip(others, bits))))
-    return out
+def _reference_entities(mesh):
+    """The per-element entity loop, kept as the reference: every lattice
+    point of every cell, with its dimension and whether it is on the
+    boundary by the facet rule: every entity of a facet held by one cell is
+    on the boundary.  Returns {point: (dimension, on boundary)}."""
+    d = mesh.dim
+    held = {}
+    for cell in mesh.cells:
+        for code in product(range(3), repeat=d):
+            q = tuple(2 * int(i) + (0, 2, 1)[c] for i, c in zip(cell, code))
+            held[q] = held.get(q, 0) + 1
+    dims = {q: sum(x % 2 for x in q) for q in held}
+    boundary = set()
+    for q, n in held.items():
+        if dims[q] == d - 1 and n == 1:
+            free = [k for k in range(d) if q[k] % 2]
+            for step in product((-1, 0, 1), repeat=d - 1):
+                r = list(q)
+                for k, s in zip(free, step):
+                    r[k] += s
+                boundary.add(tuple(r))
+    return {q: (dims[q], q in boundary) for q in held}
 
 
-def _face_descriptors(d):
-    """Local face slot -> (axis pair, remaining axis, bit), the reference
-    slot order."""
-    if d != 3:
-        return []
-    out = []
-    for a, b in combinations(range(3), 2):
-        rem = ({0, 1, 2} - {a, b}).pop()
-        for bit in (0, 1):
-            out.append(((a, b), rem, bit))
-    return out
+def _coords(mesh, q):
+    return mesh.origin + mesh.h * (np.array(q) // 2)
 
 
-def _reference_build_mesh(dim, vertex_coords, cells, grid_shape, h):
-    """The per-element entity numbering loop, kept as the reference."""
-    corner_bits = fem._corner_bits(dim)
-    used = np.zeros(vertex_coords.shape[0], dtype=bool)
-    cell_vertex_grid = []
-    for cell in cells:
-        vids = [np.ravel_multi_index(tuple(c + b for c, b in zip(cell, bits)),
-                                     grid_shape) for bits in corner_bits]
-        cell_vertex_grid.append(vids)
-        used[vids] = True
-    remap = -np.ones(vertex_coords.shape[0], dtype=np.int64)
-    remap[used] = np.arange(used.sum())
-    vertices = vertex_coords[used]
-    elem_vertices = remap[np.asarray(cell_vertex_grid, dtype=np.int64)]
-    ne = elem_vertices.shape[0]
-    corner = lambda bits: sum(b << k for k, b in enumerate(bits))
-
-    edge_desc = _edge_descriptors(dim)
-    edge_ids = {}
-    elem_edges = np.zeros((ne, len(edge_desc)), dtype=np.int64)
-    for e in range(ne):
-        for le, (axis, tbits) in enumerate(edge_desc):
-            bits0 = [tbits.get(k, 0) for k in range(dim)]
-            bits1 = bits0.copy()
-            bits0[axis], bits1[axis] = 0, 1
-            v0 = elem_vertices[e, corner(bits0)]
-            v1 = elem_vertices[e, corner(bits1)]
-            key = (min(v0, v1), max(v0, v1))
-            elem_edges[e, le] = edge_ids.setdefault(key, len(edge_ids))
-    edges = np.array(sorted(edge_ids, key=edge_ids.get), dtype=np.int64)
-
-    face_desc = _face_descriptors(dim)
-    face_ids = {}
-    elem_faces = np.zeros((ne, len(face_desc)), dtype=np.int64)
-    face_edge_lists = []
-    for e in range(ne):
-        for lf, ((a, b), rem, bit) in enumerate(face_desc):
-            vids = []
-            for ba, bb in product((0, 1), repeat=2):
-                bits = [0] * dim
-                bits[a], bits[b], bits[rem] = ba, bb, bit
-                vids.append(elem_vertices[e, corner(bits)])
-            key = tuple(sorted(vids))
-            if key not in face_ids:
-                face_ids[key] = len(face_ids)
-                face_edge_lists.append(set())
-            fid = face_ids[key]
-            elem_faces[e, lf] = fid
-            for le, (axis, tbits) in enumerate(edge_desc):
-                if axis != rem and tbits.get(rem, None) == bit:
-                    face_edge_lists[fid].add(elem_edges[e, le])
-    faces = np.array(sorted(face_ids, key=face_ids.get), dtype=np.int64) \
-        if face_ids else np.zeros((0, 4), dtype=np.int64)
-
-    vertex_boundary = np.zeros(vertices.shape[0], dtype=bool)
-    if dim == 2:
-        edge_boundary = np.bincount(elem_edges.ravel(),
-                                    minlength=len(edge_ids)) == 1
-        face_boundary = np.zeros(0, dtype=bool)
-        for eid in np.nonzero(edge_boundary)[0]:
-            vertex_boundary[edges[eid]] = True
-    else:
-        face_boundary = np.bincount(elem_faces.ravel(),
-                                    minlength=len(face_ids)) == 1
-        edge_boundary = np.zeros(len(edge_ids), dtype=bool)
-        for fid in np.nonzero(face_boundary)[0]:
-            for eid in face_edge_lists[fid]:
-                edge_boundary[eid] = True
-            vertex_boundary[faces[fid]] = True
-
-    elem_lower = np.array([vertices[ev[0]] for ev in elem_vertices])
-    return fem.Mesh(dim=dim, vertices=vertices, elem_lower=elem_lower, h=h,
-                    elem_vertices=elem_vertices, edges=edges,
-                    elem_edges=elem_edges, faces=faces, elem_faces=elem_faces,
-                    vertex_boundary=vertex_boundary,
-                    edge_boundary=edge_boundary, face_boundary=face_boundary)
+def _shuffled(mesh, seed):
+    """The same mesh with its cells listed in random order."""
+    order = np.random.default_rng(seed).permutation(mesh.n_elements)
+    return replace(mesh, cells=mesh.cells[order])
 
 
-def _shuffled_box(dim, n, seed):
-    """A uniform box mesh whose cells are listed in random order."""
-    axes = [np.linspace(0.0, 1.0, n + 1)] * dim
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"),
-                      axis=-1).reshape(-1, dim)
-    cells = list(product(range(n), repeat=dim))
-    order = np.random.default_rng(seed).permutation(len(cells))
-    return fem._build_mesh(dim, coords, [cells[k] for k in order],
-                           (n + 1,) * dim, 1.0 / n)
+def _block_minus_corner():
+    """The 2 x 2 x 2 block of cubes without its upper corner cube: a
+    non-convex 3D domain with a re-entrant vertex and three re-entrant
+    edges."""
+    cells = [c for c in product(range(2), repeat=3) if c != (1, 1, 1)]
+    return fem.Mesh(dim=3, h=0.5, origin=np.zeros(3), cells=np.array(cells))
 
 
 @pytest.mark.parametrize("make", [
     lambda: fem.mesh_uniform(2, 1), lambda: fem.mesh_uniform(2, 3),
     lambda: fem.mesh_uniform(2, 8), lambda: fem.mesh_uniform(3, 1),
     lambda: fem.mesh_uniform(3, 2), lambda: fem.mesh_uniform(3, 4),
-    fem.mesh_lshape, lambda: _shuffled_box(2, 4, 0),
-    lambda: _shuffled_box(3, 3, 1),
+    fem.mesh_lshape, lambda: _shuffled(fem.mesh_uniform(2, 4), 0),
+    lambda: _shuffled(fem.mesh_uniform(3, 3), 1), _block_minus_corner,
 ], ids=["box2d_1", "box2d_3", "box2d_8", "box3d_1", "box3d_2", "box3d_4",
-        "lshape", "shuffled2d", "shuffled3d"])
-def test_mesh_gathers_match_per_element_loop(make, monkeypatch):
+        "lshape", "shuffled2d", "shuffled3d", "nonconvex3d"])
+def test_mesh_gathers_match_per_element_loop(make):
     mesh = make()
-    monkeypatch.setattr(fem, "_build_mesh", _reference_build_mesh)
-    ref = make()
-    for field in fields(fem.Mesh):
-        got, want = getattr(mesh, field.name), getattr(ref, field.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype, field.name
-            assert np.array_equal(got, want), field.name
-        else:
-            assert got == want, field.name
+    ref = _reference_entities(mesh)
+    dim_of, boundary = fem._lattice(mesh)
+    assert np.count_nonzero(dim_of >= 0) == len(ref)
+    for q, (j, on) in ref.items():
+        assert (dim_of[q], boundary[q]) == (j, on), q
+    vertices = sorted(q for q in ref if ref[q][0] == 0)
+    assert np.array_equal(mesh.vertices, [_coords(mesh, q) for q in vertices])
+    assert np.array_equal(mesh.elem_lower, [
+        [o + mesh.h * float(i) for o, i in zip(mesh.origin, cell)]
+        for cell in mesh.cells])
 
 
 def test_dofmap_counts():
@@ -218,78 +162,75 @@ def test_dofmap_counts():
     assert fem.build_dofmap(single, 3, "S").n_dof == dof_count(BasisSpec(2, 3, "S"))
 
 
+def _reference_first_dofs(mesh, dm):
+    """The entity numbering loop over lattice points, kept as the reference:
+    the entities of each dimension below d in lattice order, each owning a
+    contiguous block of dofs.  Returns each entity's first dof and the
+    Dirichlet mask of the skeleton dofs."""
+    ents = _reference_entities(mesh)
+    size = [1, dm.p - 1, len(dm.face_rank)]     # dofs per vertex, edge, face
+    offset = [0, dm.edge_offset, dm.face_offset]
+    first, mask = {}, np.zeros(dm.interior_offset, dtype=bool)
+    for j in range(mesh.dim):
+        for r, q in enumerate(sorted(q for q in ents if ents[q][0] == j)):
+            first[q] = offset[j] + r * size[j]
+            mask[first[q]:first[q] + size[j]] = ents[q][1]
+    return first, mask
+
+
 def _reference_cell_dofs(mesh, dm):
-    """The per-element, per-mode numbering loop, kept as the reference."""
+    """The per-element, per-mode numbering loop, kept as the reference: a
+    mode's dof is its entity's first dof plus its bubble rank, the cells'
+    own dofs following in element order."""
     d, p = mesh.dim, dm.p
     interior = (total_degree_indices(d, p - d, min_entry=1) if dm.family == "S"
                 else list(product(range(1, p), repeat=d)))
     interior_rank = {m: r for r, m in enumerate(interior)}
-    edge_desc, face_desc = _edge_descriptors(d), _face_descriptors(d)
-    n_face = len(dm.face_rank)
-    corner = lambda bits: sum(b << k for k, b in enumerate(bits))
+    first, _ = _reference_first_dofs(mesh, dm)
     dofs = np.zeros(dm.cell_dofs.shape, dtype=np.int64)
-    signs = np.ones(dm.cell_dofs.shape)
-    for e in range(mesh.n_elements):
-        ev = mesh.elem_vertices[e]
+    for e, cell in enumerate(mesh.cells):
         for lm, m in enumerate(dm.local_modes):
             bub = [k for k in range(d) if m[k] >= 2]
-            if not bub:
-                dofs[e, lm] = ev[corner(m)]
-            elif len(bub) == 1:
-                axis, j = bub[0], m[bub[0]] - 1
-                tb = {k: m[k] for k in range(d) if k != axis}
-                le = edge_desc.index((axis, tb))
-                dofs[e, lm] = (dm.edge_offset + mesh.elem_edges[e, le] * (p - 1)
-                               + j - 1)
-                v0 = ev[corner([0 if k == axis else m[k] for k in range(d)])]
-                v1 = ev[corner([1 if k == axis else m[k] for k in range(d)])]
-                if v0 > v1 and j % 2 == 0:
-                    signs[e, lm] = -1.0
-            elif len(bub) == 2 and d == 3:
-                a, b = bub
-                rem = 3 - a - b
-                lf = face_desc.index(((a, b), rem, m[rem]))
-                dofs[e, lm] = (dm.face_offset + mesh.elem_faces[e, lf] * n_face
-                               + dm.face_rank[(m[a] - 1, m[b] - 1)])
-            else:
+            q = tuple(2 * int(i) + (0, 2, 1)[min(x, 2)] for i, x in zip(cell, m))
+            if len(bub) == d:
                 dofs[e, lm] = (dm.interior_offset + e * len(interior_rank)
                                + interior_rank[tuple(k - 1 for k in m)])
-    return dofs, signs
+            elif len(bub) == 2:
+                dofs[e, lm] = first[q] + dm.face_rank[tuple(m[k] - 1 for k in bub)]
+            else:
+                dofs[e, lm] = first[q] + sum(m[k] - 2 for k in bub)
+    return dofs
 
 
-def _relabeled(mesh, seed):
-    """The same mesh with its vertices numbered in random order, so that some
-    edges run against their elements' axes."""
-    perm = np.random.default_rng(seed).permutation(mesh.vertices.shape[0])
-    return replace(mesh, elem_vertices=perm[mesh.elem_vertices])
-
-
-@pytest.mark.parametrize("make, p, flips", [
-    (fem.mesh_lshape, 6, False),
-    (lambda: _relabeled(fem.mesh_uniform(2, 3, (0.0, 1.0)), 0), 5, True),
-    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 7, False),
-    (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 6, True),
-    # p = 1 and 2: empty S face and interior bubble lists, no edge flip
-    (fem.mesh_lshape, 1, False),
-    (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 2, False),
+@pytest.mark.parametrize("make, p", [
+    (fem.mesh_lshape, 6),
+    (lambda: _shuffled(fem.mesh_uniform(2, 3, (0.0, 1.0)), 0), 5),
+    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 7),
+    (lambda: _shuffled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 6),
+    # p = 1 and 2: empty S face and interior bubble lists
+    (fem.mesh_lshape, 1),
+    (lambda: _shuffled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 2),
     # 3D S at p = 3 (no face or interior bubbles) and p = 5 (no interior)
-    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 3, False),
-    (lambda: _relabeled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 5, True),
+    (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), 3),
+    (lambda: _shuffled(fem.mesh_uniform(3, 2, (0.0, 1.0)), 1), 5),
+    (_block_minus_corner, 4),
 ], ids=["lshape", "relabeled2d", "box3d", "relabeled3d", "lshape_p1",
-        "relabeled3d_p2", "box3d_p3", "relabeled3d_p5"])
+        "relabeled3d_p2", "box3d_p3", "relabeled3d_p5", "nonconvex3d"])
 @pytest.mark.parametrize("family", ["Q", "S"])
-def test_dofmap_gathers_match_per_element_loop(make, p, flips, family):
+def test_dofmap_gathers_match_per_element_loop(make, p, family):
+    # the relabeled meshes list their cells in random order: the entity
+    # numbering must not depend on it
     mesh = make()
     dm = fem.build_dofmap(mesh, p, family)
-    dofs, signs = _reference_cell_dofs(mesh, dm)
-    assert np.array_equal(dm.cell_dofs, dofs)
-    assert np.array_equal(dm.cell_signs, signs)
-    assert bool(np.any(signs < 0)) == flips
+    assert np.array_equal(dm.cell_dofs, _reference_cell_dofs(mesh, dm))
+    _, mask = _reference_first_dofs(mesh, dm)
+    assert np.array_equal(dm.dirichlet_mask[:dm.interior_offset], mask)
+    assert not dm.dirichlet_mask[dm.interior_offset:].any()
 
 
 def test_dofmap_continuity_across_edge():
     """A global dof vector must restrict to the same trace from both elements
-    sharing an edge (orientation/sign convention check)."""
+    sharing an edge: every edge mode runs along +axis in both."""
     mesh = fem.mesh_uniform(2, 2, (0.0, 1.0))
     p = 5
     dm = fem.build_dofmap(mesh, p, "Q")
@@ -300,7 +241,7 @@ def test_dofmap_continuity_across_edge():
     vals = []
     for e in range(mesh.n_elements):
         coeffs = np.zeros((p + 1, p + 1))
-        loc = dm.cell_signs[e] * u[dm.cell_dofs[e]]
+        loc = u[dm.cell_dofs[e]]
         for lm, m in enumerate(dm.local_modes):
             coeffs[m] = loc[lm]
         vals.append(B.T @ coeffs @ B)
@@ -330,7 +271,7 @@ def test_patch_test_trilinear_3d():
     assert np.max(np.abs(sol.values - gv)) < 1e-11
 
 
-@pytest.mark.parametrize("family, p, g, f, grad", [
+_POLYNOMIALS_3D = [
     ("Q", 3, lambda x, y, z: x ** 3 * y ** 2 * z - 2 * x * y ** 3 + z ** 2 + 1,
      lambda x, y, z: -(6 * x * y ** 2 * z + 2 * x ** 3 * z - 12 * x * y + 2),
      lambda x, y, z: (3 * x ** 2 * y ** 2 * z - 2 * y ** 3,
@@ -339,7 +280,11 @@ def test_patch_test_trilinear_3d():
      lambda x, y, z: -(2 * y ** 2 + 2 * x ** 2 - 6 * z),
      lambda x, y, z: (2 * x * y ** 2 + y * z, 2 * x ** 2 * y + x * z,
                       x * y - 3 * z ** 2)),
-], ids=["Q3", "S4"])
+]
+
+
+@pytest.mark.parametrize("family, p, g, f, grad", _POLYNOMIALS_3D,
+                         ids=["Q3", "S4"])
 def test_patch_test_polynomial_3d(family, p, g, f, grad):
     # u in the space: the vertex, edge and face Dirichlet data reproduce its
     # trace exactly, so the discrete solution is u itself
@@ -349,29 +294,65 @@ def test_patch_test_polynomial_3d(family, p, g, f, grad):
     assert fem.h1_error(sol, grad) < 1e-12
 
 
+@pytest.mark.parametrize("family, p, g, f, grad", _POLYNOMIALS_3D,
+                         ids=["Q3", "S4"])
+def test_nonconvex_3d_block(family, p, g, f, grad):
+    """The 2 x 2 x 2 block minus one corner cube: the boundary flags follow
+    the facet rule, the dofs count the entities found by geometry, and a
+    polynomial of the space is reproduced."""
+    mesh = _block_minus_corner()
+    dim_of, boundary = fem._lattice(mesh)
+    for q, (j, on) in _reference_entities(mesh).items():
+        assert (dim_of[q], boundary[q]) == (j, on), q
+    # the re-entrant vertex (1/2, 1/2, 1/2) and an edge from it along the
+    # missing cube are on the boundary, the edge from it away from that
+    # cube is not
+    assert boundary[2, 2, 2] and boundary[3, 2, 2] and not boundary[1, 2, 2]
+    ents = [set() for _ in range(4)]
+    for lo in mesh.elem_lower:
+        for code in product((0, 1, 2), repeat=3):
+            ents[code.count(2)].add(frozenset(
+                tuple(np.round(lo + mesh.h * np.array(b), 9)) for b in
+                product(*((0, 1) if c == 2 else (c,) for c in code))))
+    assert [len(e) for e in ents] == [26, 51, 33, 7]
+    dm = fem.build_dofmap(mesh, p, family)
+    assert dm.n_dof == sum(len(e) * len(bubble_indices(j, p, family))
+                           for j, e in enumerate(ents))
+    sol = fem.condense_solve(fem.assemble_poisson(mesh, dm, f, g), dm)
+    assert sol.skeleton_free > 0
+    assert fem.h1_error(sol, grad) < 1e-12
+
+
 def _reference_dirichlet_values(mesh, dm, g):
-    """The per-vertex and per-edge boundary data loops, kept as the
-    reference; 3D face data is added by the shared face projection."""
+    """The per-vertex and per-edge boundary data loops over lattice points,
+    kept as the reference; 3D face data is added by the shared face
+    projection."""
     p = dm.p
+    ents = sorted(_reference_entities(mesh).items())
+    first, _ = _reference_first_dofs(mesh, dm)
     dvals = np.zeros(dm.n_dof)
-    for vid in np.nonzero(mesh.vertex_boundary)[0]:
-        dvals[vid] = float(g(*mesh.vertices[vid]))
+    for q, (j, on) in ents:
+        if j == 0 and on:
+            dvals[first[q]] = float(g(*_coords(mesh, q)))
     if p >= 2:
         rule = gauss_rule(p + 10)
         t = rule.nodes
         Psi = psi_table(p - 1, t)[1:]
         gram = (Psi * rule.weights) @ Psi.T
-        for eid in np.nonzero(mesh.edge_boundary)[0]:
-            v0, v1 = mesh.edges[eid]
-            pts = (0.5 * (1 - t)[:, None] * mesh.vertices[v0]
-                   + 0.5 * (1 + t)[:, None] * mesh.vertices[v1])
+        for q, (j, on) in ents:
+            if j != 1 or not on:
+                continue
+            step = np.array(q) % 2                  # the edge's axis
+            v0, v1 = tuple(q - step), tuple(q + step)
+            pts = (0.5 * (1 - t)[:, None] * _coords(mesh, v0)
+                   + 0.5 * (1 + t)[:, None] * _coords(mesh, v1))
             vals = g(*(pts[:, k] for k in range(pts.shape[1])))
-            resid = vals - (0.5 * (1 - t) * dvals[v0] + 0.5 * (1 + t) * dvals[v1])
-            base = dm.edge_offset + eid * (p - 1)
-            dvals[base:base + p - 1] = np.linalg.solve(
+            resid = vals - (0.5 * (1 - t) * dvals[first[v0]]
+                            + 0.5 * (1 + t) * dvals[first[v1]])
+            dvals[first[q]:first[q] + p - 1] = np.linalg.solve(
                 gram, Psi @ (rule.weights * resid))
     if mesh.dim == 3 and p >= 2 and dm.face_rank:
-        fem._project_face_data(mesh, dm, g, dvals)
+        fem._project_face_data(mesh, dm, g, dvals, fem._lattice(mesh)[1])
     return dvals[dm.dirichlet_mask]
 
 
@@ -436,7 +417,7 @@ def _dense_operator(system):
 def _dense_solve(system):
     """Independent dense solve of the full constrained system."""
     A = _dense_operator(system)
-    free = system.free_mask()
+    free = ~system.dofmap.dirichlet_mask
     u = np.zeros(system.dofmap.n_dof)
     u[system.dirichlet_dofs] = system.dirichlet_values
     rhs = system.load[free] - A[np.ix_(free, ~free)] @ u[~free]
@@ -478,7 +459,7 @@ def _p1_system(shift):
 @pytest.mark.parametrize("shift", [-0.5, 0.4, 0.7, 0.8])
 def test_skeleton_certificate_counts_nonpositive_eigenvalues(shift):
     dm, system = _p1_system(shift)
-    free = system.free_mask()
+    free = ~dm.dirichlet_mask
     eig = np.linalg.eigvalsh(_dense_operator(system)[np.ix_(free, free)])
     n_neg = int(np.sum(eig <= 0.0))
     assert np.min(np.abs(eig)) > 1e-3          # the count is well separated
@@ -493,7 +474,7 @@ def test_skeleton_certificate_counts_nonpositive_eigenvalues(shift):
 def test_negated_skeleton_reports_every_pivot():
     dm, system = _p1_system(0.0)
     system = replace(system, k_local=-system.k_local)
-    n_free = int(system.free_mask().sum())
+    n_free = int((~dm.dirichlet_mask).sum())
     with pytest.raises(fem.IndefiniteSystemError,
                        match=rf"{n_free} non-positive pivot\(s\) of {n_free}"):
         fem.condense_solve(system, dm)
@@ -515,7 +496,7 @@ def test_multifrontal_certificate_counts_nonpositive_eigenvalues(shift):
     # 0, 1, 8 and 24 non-positive eigenvalues: Haynsworth additivity over
     # the fronts must give eigvalsh's count
     dm, system = _p1_system_3d(shift)
-    free = system.free_mask()
+    free = ~dm.dirichlet_mask
     assert free.sum() == 27
     eig = np.linalg.eigvalsh(_dense_operator(system)[np.ix_(free, free)])
     n_neg = int(np.sum(eig <= 0.0))
@@ -575,18 +556,17 @@ def _two_path_condense_solve(system, dm):
     il = dm.interior_local
     cho, Kib, X, S_loc = fem._element_schur(system.k_local, dm)
     skel_dofs = dm.cell_dofs[:, dm.skeleton_local]
-    skel_signs = dm.cell_signs[:, dm.skeleton_local]
     n_skel = dm.interior_offset
     rhs = system.load[:n_skel].copy()
     if il.size:
         corr = system.load[dm.cell_dofs[:, il]] @ X
-        np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * corr).ravel())
+        np.add.at(rhs, skel_dofs.ravel(), -corr.ravel())
     fixed, gvals = system.dirichlet_dofs, system.dirichlet_values
     free_ids = _free_skeleton(dm, system)
     g = np.zeros(n_skel)
     g[fixed] = gvals
-    coupling = (skel_signs * g[skel_dofs]) @ S_loc.T
-    np.add.at(rhs, skel_dofs.ravel(), -(skel_signs * coupling).ravel())
+    coupling = g[skel_dofs] @ S_loc.T
+    np.add.at(rhs, skel_dofs.ravel(), -coupling.ravel())
     lu = fem._factor_multifrontal(S_loc, dm, free_ids)
     u = np.zeros(dm.n_dof)
     u[fixed] = gvals
@@ -594,15 +574,14 @@ def _two_path_condense_solve(system, dm):
 
     def back_substitute():
         if il.size:
-            Ub = skel_signs * u[skel_dofs]
             u[dm.cell_dofs[:, il]] = cho_solve(
-                cho, (system.load[dm.cell_dofs[:, il]] - Ub @ Kib.T).T).T
+                cho, (system.load[dm.cell_dofs[:, il]] - u[skel_dofs] @ Kib.T).T).T
 
     def rel_residual():
         r = system.residual(u)
         scale = max(np.linalg.norm(system.load),
                     np.linalg.norm(system.matvec(u)), 1e-300)
-        return r, np.linalg.norm(r[system.free_mask()]) / scale
+        return r, np.linalg.norm(r[~dm.dirichlet_mask]) / scale
 
     back_substitute()
     r, rel = rel_residual()
@@ -612,7 +591,7 @@ def _two_path_condense_solve(system, dm):
         r_sk = r[:n_skel].copy()
         if il.size:
             R_i = r[dm.cell_dofs[:, il]]
-            np.add.at(r_sk, skel_dofs.ravel(), -(skel_signs * (R_i @ X)).ravel())
+            np.add.at(r_sk, skel_dofs.ravel(), -(R_i @ X).ravel())
         u[free_ids] += lu.solve(r_sk[free_ids])
         back_substitute()
         r, rel = rel_residual()
@@ -770,7 +749,7 @@ def test_energy_monotone_in_p(lshape):
             system = fem.assemble_poisson(lshape, dm, lambda x, y: 0.0 * x * y,
                                           fem._lshape_solution)
             sol = fem.condense_solve(system, dm)
-            energies[fam].append(system.energy(sol.values))
+            energies[fam].append(0.5 * float(sol.values @ system.matvec(sol.values)))
     # nested Q spaces: discrete energy decreases toward the exact 0.5|u|^2
     for a, b in zip(energies["Q"], energies["Q"][1:]):
         assert b <= a * (1 + 1e-9)
@@ -784,7 +763,7 @@ def test_galerkin_orthogonality(lshape_q3):
     sol, system = lshape_q3
     assert sol.residual_norm < 1e-9
     r = system.residual(sol.values)
-    free = system.free_mask()
+    free = ~sol.dofmap.dirichlet_mask
     scale = max(np.max(np.abs(system.load)), np.max(np.abs(system.matvec(sol.values))))
     assert np.max(np.abs(r[free])) < 1e-9 * scale
 

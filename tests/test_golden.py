@@ -12,7 +12,9 @@ A FEM error's ``res`` is measured, never chosen: the largest |e - e_pin| when
 the sweep is rerun with its skeleton factorized by each of the three
 backward-stable factorizations of ``skeleton_reference.FACTORIZATIONS``
 (symmetric-mode SuperLU, the multifrontal, dense Cholesky).  It is the
-round-off of the factorization, which the pin must not resolve.
+round-off of the factorization, which the pin must not resolve.  The order
+of the dofs (``fem.build_dofmap`` numbers the entities in lattice order)
+moves the same round-off, as it orders the fronts' rows.
 
 Measure the resolution terms against the stored pins with
 
