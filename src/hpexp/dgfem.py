@@ -101,8 +101,12 @@ def _k1_legendre(p: int) -> np.ndarray:
 
 
 def _interval(domain) -> tuple[float, float]:
-    """The (lo, hi) of the square's axes, checked to run upward."""
-    lo, hi = float(domain[0]), float(domain[1])
+    """The (lo, hi) of the square's axes: one pair of reals, checked to run
+    upward."""
+    dom = np.asarray(domain)
+    if dom.shape != (2,) or dom.dtype.kind not in "iuf":
+        raise ValueError(f"domain {domain} must be one (lo, hi) pair of reals")
+    lo, hi = float(dom[0]), float(dom[1])
     if not lo < hi:
         raise ValueError(f"domain {domain} must have lo < hi")
     return lo, hi

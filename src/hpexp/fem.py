@@ -19,6 +19,11 @@ a lattice array of first dofs.  An edge mode runs along +axis in every
 element that holds the edge, so the basis is conforming with no orientation
 signs.
 
+The Dirichlet lift is built entity by entity in the same way: g at the
+boundary vertices, then on each boundary entity of dimension j = 1..d-1 the
+L2 projection of g minus the lift of its lower-dimensional entities onto its
+kept bubbles, one routine for every j, batched by the entity's free axes.
+
 The global solve is a static condensation run as one correction loop from
 the Dirichlet lift: each pass condenses the residual onto the skeleton
 (interior modes eliminated elementwise), solves it by a direct
@@ -113,8 +118,19 @@ class Mesh:
     singular_corner: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.cells.min() < 0:
+        cells, d = np.asarray(self.cells), self.dim
+        if (cells.ndim != 2 or cells.shape[1] != d or not cells.size
+                or not np.issubdtype(cells.dtype, np.integer)):
+            raise ValueError(f"cells must be integers of shape (ne, {d}), "
+                             f"ne >= 1, not {cells.dtype} {cells.shape}")
+        if np.shape(self.origin) != (d,):
+            raise ValueError(f"origin must have shape ({d},)")
+        if not self.h > 0:
+            raise ValueError(f"cell size h = {self.h} must be positive")
+        if cells.min() < 0:
             raise ValueError("cell indices must be non-negative")
+        if np.unique(cells, axis=0).shape[0] < cells.shape[0]:
+            raise ValueError("cells must be distinct")
 
     @property
     def n_elements(self) -> int:
@@ -156,15 +172,19 @@ def _lattice(mesh: Mesh):
 
 
 def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
-    """n^d congruent elements on a box given as (lo, hi) per axis or shared.
+    """n^d congruent elements on a box given as one shared (lo, hi) pair,
+    shape (2,), or one pair per axis, shape (dim, 2).
 
     Every axis must run upward, and all axes must have one width up to the
     rounding of their end points."""
     if n < 1:
         raise ValueError("need n >= 1")
     dom = np.asarray(domain, dtype=float)
-    if dom.ndim == 1:
+    if dom.shape == (2,):
         dom = np.tile(dom, (dim, 1))
+    if dom.shape != (dim, 2):
+        raise ValueError(f"domain {domain} must be one (lo, hi) pair or "
+                         f"{dim} of them")
     if not np.all(dom[:, 1] > dom[:, 0]):
         raise ValueError(f"domain {domain} must have lo < hi on every axis")
     widths = dom[:, 1] - dom[:, 0]
@@ -198,10 +218,7 @@ class DofMap:
     cell_dofs: np.ndarray           # (ne, nloc)
     interior_local: np.ndarray      # local indices of interior modes
     skeleton_local: np.ndarray
-    edge_offset: int
-    face_offset: int
-    interior_offset: int
-    face_rank: dict                 # 3D face bubble psi indices -> rank
+    interior_offset: int            # the first cell-interior dof
     dirichlet_mask: np.ndarray      # bool (n_dof,) boundary dofs
     first_dof: np.ndarray           # per lattice point, its entity's first dof
 
@@ -218,7 +235,6 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
         raise ValueError("need p >= 1")
     d, ne = mesh.dim, mesh.n_elements
     bubbles = [bubble_indices(j, p, family) for j in range(d + 1)]
-    ranks = [{b: r for r, b in enumerate(bs)} for bs in bubbles]
     dim_of, boundary = _lattice(mesh)
     counts = [np.count_nonzero(dim_of == j) for j in range(d)] + [ne]
     offsets = np.cumsum([0] + [n * len(bs) for n, bs in zip(counts, bubbles)])
@@ -227,17 +243,11 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
         first[dim_of == j] = offsets[j] + len(bubbles[j]) * np.arange(counts[j])
     first[_at(2 * mesh.cells + 1)] = offsets[d] + len(bubbles[d]) * np.arange(ne)
 
-    # the local modes, each with its bubble rank within its entity
-    modes, rank = [], []
-    for m in product(range(p + 1), repeat=d):
-        r = ranks[sum(x >= 2 for x in m)].get(tuple(x - 1 for x in m if x >= 2))
-        if r is not None:               # else an S-dropped bubble
-            modes.append(m)
-            rank.append(r)
+    modes, rank = _kept_modes(d, p, family)
     half = _HALF[np.minimum(modes, 2)]
     # C order, as the gather/scatter kernels and their BLAS calls expect
     cell_dofs = np.ascontiguousarray(
-        first[_at(2 * mesh.cells[:, None] + half)] + np.array(rank))
+        first[_at(2 * mesh.cells[:, None] + half)] + rank)
     dirichlet = np.concatenate([np.repeat(boundary[dim_of == j], len(bs))
                                 for j, bs in enumerate(bubbles)])
     interior = (half % 2).sum(axis=1) == d
@@ -245,10 +255,23 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
                   local_modes=modes, cell_dofs=cell_dofs,
                   interior_local=np.nonzero(interior)[0],
                   skeleton_local=np.nonzero(~interior)[0],
-                  edge_offset=int(offsets[1]), face_offset=int(offsets[2]),
                   interior_offset=int(offsets[d]),
-                  face_rank=ranks[2] if d == 3 else {},
                   dirichlet_mask=dirichlet, first_dof=first)
+
+
+def _kept_modes(j: int, p: int, family: str):
+    """The slot tuples family Q or S keeps in the tensor basis of a
+    j-dimensional box, in product order, and each one's bubble rank within
+    its entity (the entity with code min(m, 2) per axis)."""
+    ranks = [{b: r for r, b in enumerate(bubble_indices(i, p, family))}
+             for i in range(j + 1)]
+    modes, rank = [], []
+    for m in product(range(p + 1), repeat=j):
+        r = ranks[sum(x >= 2 for x in m)].get(tuple(x - 1 for x in m if x >= 2))
+        if r is not None:               # else an S-dropped bubble
+            modes.append(m)
+            rank.append(r)
+    return modes, np.array(rank, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +354,10 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
     on the whole boundary.
 
     Stiffness uses (p+1)-point tensor Gauss (exact for these integrands), the
-    load a (p+10)-point rule; boundary data is vertex interpolation plus
-    entity-wise L2 projection onto edge (and 3D face) bubbles.
+    load a (p+10)-point rule; boundary data is vertex interpolation plus, on
+    each boundary entity of dimension 1..d-1, the L2 projection (same rule)
+    of g minus the lift of its lower-dimensional entities onto its kept
+    bubbles (``_boundary_data``).
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")
@@ -353,82 +378,64 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
     load = np.zeros(dofmap.n_dof)
     np.add.at(load, dofmap.cell_dofs, Floc)
 
-    # Dirichlet data: boundary values of every dof, read at the boundary
-    # dofs; each boundary entity is found as a lattice point
+    dvals = _boundary_data(mesh, dofmap, g, rule)
     dir_ids = np.nonzero(dofmap.dirichlet_mask)[0]
-    dvals = np.zeros(dofmap.n_dof)
-    first = dofmap.first_dof
-    dim_of, boundary = _lattice(mesh)
-    q = np.argwhere(boundary & (dim_of == 0))
-    dvals[first[_at(q)]] = g(*_coords(mesh, q).T)
-    if p >= 2:
-        # edge bubbles: L2-project g minus the linear interpolant, all
-        # boundary edges at once, each with its own matrix-vector product
-        # and solve (one GEMM over the edges changes the round-off); the
-        # edge q along axis a runs from vertex q - e_a to vertex q + e_a
-        t, w = rule.nodes, rule.weights
-        Psi = psi_table(p - 1, t)[1:]
-        q = np.argwhere(boundary & (dim_of == 1))
-        ends = (q - q % 2, q + q % 2)
-        x0, x1 = (_coords(mesh, v)[:, None] for v in ends)
-        g0, g1 = (dvals[first[_at(v)]][:, None] for v in ends)
-        pts = 0.5 * (1 - t)[:, None] * x0 + 0.5 * (1 + t)[:, None] * x1
-        resid = g(*np.moveaxis(pts, -1, 0)) - (0.5 * (1 - t) * g0
-                                               + 0.5 * (1 + t) * g1)
-        rhs = np.matmul(Psi, (w * resid)[..., None])
-        dvals[first[_at(q)][:, None] + np.arange(p - 1)] = \
-            np.linalg.solve((Psi * w) @ Psi.T, rhs)[..., 0]
-    if d == 3 and p >= 2 and dofmap.face_rank:
-        _project_face_data(mesh, dofmap, g, dvals, boundary)
-
     return AssembledSystem(dofmap=dofmap, k_local=k_local, load=load,
                            dirichlet_dofs=dir_ids, dirichlet_values=dvals[dir_ids])
 
 
-def _project_face_data(mesh: Mesh, dofmap: DofMap, g, dvals: np.ndarray,
-                       boundary: np.ndarray):
-    """3D face bubbles: L2-project g minus the vertex/edge lift, per boundary
-    face; the faces in one local face slot form one batch, and each finds
-    its corners and edges as lattice points of its cell."""
-    p, nfm = dofmap.p, len(dofmap.face_rank)
-    rule = gauss_rule(p + 10)
-    t = rule.nodes
-    B = basis1d_values(p, t)                    # (1-t)/2, (1+t)/2, psi_1, ...
+def _boundary_data(mesh: Mesh, dofmap: DofMap, g: Callable, rule) -> np.ndarray:
+    """Dirichlet data of every dof, zero off the boundary.
+
+    The boundary vertices take g; then, for j = 1..d-1, each boundary
+    j-entity takes the L2 projection (by ``rule`` per free axis) of g minus
+    the lift of its lower-dimensional entities onto its kept bubbles.  The
+    free axes of the entity at lattice point q are its odd coordinates, and
+    the entities of one orientation form a batch.  On a free axis, slot 0, 1
+    or >= 2 of the entity's tensor basis reads the entity at q - e_k, at
+    q + e_k or q itself, with the bubble rank ``build_dofmap`` gives.  Each
+    entity's Gram system is solved on its own (a stacked solve), so its
+    values do not depend on the batch.
+    """
+    d, p, first = mesh.dim, dofmap.p, dofmap.first_dof
+    dim_of, boundary = _lattice(mesh)
+    dvals = np.zeros(dofmap.n_dof)
+    q = np.argwhere(boundary & (dim_of == 0))
+    dvals[first[_at(q)]] = g(*_coords(mesh, q).T)
+    B = basis1d_values(p, rule.nodes)       # (1-t)/2, (1+t)/2, psi_1, ...
     PsiW = B[2:] * rule.weights
-    keep = np.array([(j1 - 1) * (p - 1) + (j2 - 1)
-                     for j1, j2 in bubble_indices(2, p, dofmap.family)])
-    gram = np.kron(PsiW @ B[2:].T, PsiW @ B[2:].T)[np.ix_(keep, keep)]
-    faces = [c for c in product((0, 1, 2), repeat=3) if c.count(2) == 2]
-    for code in faces:
-        fa, fb = (k for k in range(3) if code[k] == 2)
-        rem = 3 - fa - fb
-        elems = np.nonzero(boundary[_at(2 * mesh.cells + _HALF[list(code)])])[0]
-        base = 2 * mesh.cells[elems]
-
-        def first(c):
-            """First dof of the local entity of code c of each element."""
-            return dofmap.first_dof[_at(base + _HALF[c])]
-
-        # the lift's coefficients in the face's tensor basis B x B
-        lift = np.zeros((elems.size, p + 1, p + 1))
-        for ia, ib in product((0, 1), repeat=2):
-            bits = list(code)
-            bits[fa], bits[fb] = ia, ib
-            lift[:, ia, ib] = dvals[first(bits)]
-        for side in (0, 1):
-            for other, at in ((fb, np.s_[:, 2:, side]), (fa, np.s_[:, side, 2:])):
-                edge = list(code)
-                edge[other] = side
-                lift[at] = dvals[first(edge)[:, None] + np.arange(p - 1)]
-        nodes = [t, t, t]
-        nodes[rem] = np.array([2.0 * code[rem] - 1.0])  # the face's own coordinate
-        grids = element_grids(mesh.elem_lower[elems], 0.5 * mesh.h, nodes)
-        vals = np.broadcast_to(np.asarray(g(*grids), dtype=float),
-                               np.broadcast_shapes(*(x.shape for x in grids)))
-        resid = vals.reshape(elems.size, t.size, t.size) - apply_axes(lift, [B.T, B.T])
-        rhs = apply_axes(resid, [PsiW, PsiW]).reshape(elems.size, -1)[:, keep]
-        dvals[first(list(code))[:, None] + np.arange(nfm)] = \
-            np.linalg.solve(gram, rhs.T).T
+    for j in range(1, d):
+        bubbles = bubble_indices(j, p, dofmap.family)
+        if not bubbles:
+            continue
+        keep = np.ravel_multi_index((np.array(bubbles) - 1).T, (p - 1,) * j)
+        gram = reduce(np.kron, [PsiW @ B[2:].T] * j)[np.ix_(keep, keep)]
+        modes, rank = _kept_modes(j, p, dofmap.family)
+        modes = np.array(modes)
+        lift_modes = modes.min(axis=1) < 2  # all but the entity's own bubbles
+        sub, rank = modes[lift_modes], rank[lift_modes]
+        shift = _HALF[np.minimum(sub, 2)] - 1       # -1, +1 or 0 per free axis
+        ents = np.argwhere(boundary & (dim_of == j))
+        axes, batch = np.unique(ents % 2, axis=0, return_inverse=True)
+        for b, free in enumerate(axes.astype(bool)):
+            q = ents[batch.ravel() == b]
+            n = q.shape[0]
+            step = np.zeros((sub.shape[0], d), dtype=np.int64)
+            step[:, free] = shift
+            lift = np.zeros((n, (p + 1) ** j))
+            lift[:, flat_positions(sub, p)] = \
+                dvals[first[_at(q[:, None] + step)] + rank]
+            nodes = [rule.nodes if f else np.array([-1.0]) for f in free]
+            vals = np.broadcast_to(
+                np.asarray(g(*element_grids(_coords(mesh, q), 0.5 * mesh.h,
+                                            nodes)), dtype=float),
+                (n,) + tuple(x.size for x in nodes))
+            resid = (vals.reshape((n,) + (rule.nodes.size,) * j)
+                     - apply_axes(lift.reshape((n,) + (p + 1,) * j), [B.T] * j))
+            rhs = apply_axes(resid, [PsiW] * j).reshape(n, -1)[:, keep]
+            dvals[first[_at(q)][:, None] + np.arange(len(bubbles))] = \
+                np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return dvals
 
 
 # ---------------------------------------------------------------------------

@@ -139,16 +139,14 @@ def gauss_rule(n: int) -> QuadratureRule:
 class GradedRule:
     """Composite Gauss rule on [-1, 1], geometrically refined toward one endpoint.
 
-    ``layers`` geometric splits produce ``layers + 1`` cells whose widths shrink
-    by the ratio toward ``marked_end``; the per-cell rule is ``base``.  The
-    flattened composite nodes/weights are exposed for tensorization.
+    ``layers`` geometric splits produce ``layers + 1`` cells between the
+    ``breakpoints``; the per-cell rule is ``base``.  The flattened composite
+    nodes/weights are exposed for tensorization.
     """
 
     base: QuadratureRule
     breakpoints: np.ndarray
-    ratio: float
     layers: int
-    marked_end: int
     nodes: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
 
@@ -187,7 +185,7 @@ def graded_rule(sigma: float, layers: int, per_cell_order: int,
     else:
         pts = (1.0 - offsets)[::-1].copy()
     return GradedRule(base=gauss_rule(per_cell_order), breakpoints=pts,
-                      ratio=sigma, layers=layers, marked_end=marked_end)
+                      layers=layers)
 
 
 def apply_axes(tensor, mats) -> np.ndarray:

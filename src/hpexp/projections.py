@@ -39,8 +39,6 @@ __all__ = [
     "project_h1_q",
     "project_h1_s",
     "project_h1_p",
-    "project_h1_partial",
-    "project_h1_s_pair",
     "projection_errors",
     "h1_axis_matrix",
     "audit_l2p_bound",
@@ -172,22 +170,6 @@ def project_h1_p(u: CoeffTensor, p: int) -> ProjectionResult:
             f"total-degree H1 projection requires p >= {3 * d - 1}")
     res = project_h1_s(u, p + 1 - d)
     return ProjectionResult(projected=res.projected, kind="H1_P", p=p)
-
-
-def project_h1_partial(u: CoeffTensor, p: int, axes) -> CoeffTensor:
-    """Apply the 1D H1 projections on a subset of axes only (others untouched)."""
-    return _project_h1(u, p, axes, False)
-
-
-def project_h1_s_pair(u: CoeffTensor, p: int, axes=(0, 1)) -> CoeffTensor:
-    """Serendipity projection in two of the variables, applied fiber-wise.
-
-    The remaining axes are passive: each of their Legendre slices is projected
-    with the 2D serendipity rule on ``axes``.
-    """
-    if len(axes) != 2:
-        raise ValueError("pair projection needs exactly two axes")
-    return _project_h1(u, p, axes, True)
 
 
 def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,

@@ -319,6 +319,20 @@ def test_domain_not_running_upward_raises(domain):
         dgfem.broken_interpolant(spec, 2, g, domain=domain)
 
 
+@pytest.mark.parametrize("domain", [
+    (0.0, 1.0, 5.0), [(0.0, 1.0), (0.0, 1.0)], (0.0,), ("0", "1"),
+], ids=["three_values", "per_axis", "one_value", "strings"])
+def test_domain_not_one_pair_raises(domain):
+    # a third value was dropped silently, and a per-axis domain died in
+    # float() with an unnamed TypeError
+    spec = dgfem.DgSpec("Q", 2)
+    g, _ = _linear()
+    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair of reals"):
+        dgfem.assemble_sip(2, spec, lambda x, y: 0.0 * x, g, domain=domain)
+    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair of reals"):
+        dgfem.broken_interpolant(spec, 2, g, domain=domain)
+
+
 def test_nan_load_raises():
     g, _ = _linear()
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),

@@ -1,5 +1,6 @@
 from dataclasses import replace
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
                              total_degree_indices)
-from hpexp.orthopoly import GradedRule, element_grids, gauss_rule, psi_table
+from hpexp.orthopoly import GradedRule, apply_axes, element_grids, gauss_rule
 from skeleton_reference import free_skeleton_matrix
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
@@ -40,12 +41,43 @@ def test_mesh_uniform_counts():
 @pytest.mark.parametrize("domain, match", [
     ((1.0, 0.0), "lo < hi"),
     (((0.0, 1.0), (0.0, 1.0 + 1e-9)), "congruent"),
-], ids=["reversed", "unequal_widths"])
+    ((0.0, 1.0, 5.0), "pair"),
+    (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), "pair"),
+    ((((0.0, 1.0), (0.0, 1.0)),), "pair"),
+], ids=["reversed", "unequal_widths", "three_values", "three_rows",
+        "extra_axis"])
 def test_mesh_uniform_rejects_a_domain_of_no_congruent_cubes(domain, match):
     # a reversed domain gave h < 0 and a misleading failure in the solve;
-    # unequal widths put the top vertex off the lattice of h
+    # unequal widths put the top vertex off the lattice of h; a third value
+    # was dropped silently, and a third row failed later in a broadcast
     with pytest.raises(ValueError, match=match):
         fem.mesh_uniform(2, 2, domain)
+
+
+@pytest.mark.parametrize("cells, origin, match", [
+    ([[0, 0], [1, 0], [1, 0]], (0.0, 0.0), "distinct"),
+    ([[0, 0, 0], [1, 0, 0]], (0.0, 0.0), "shape"),
+    ([[0], [1]], (0.0, 0.0), "shape"),
+    ([[0.0, 0.0], [1.0, 0.0]], (0.0, 0.0), "integers"),
+    (np.zeros((0, 2), dtype=int), (0.0, 0.0), "ne >= 1"),
+    ([[0, 0], [1, 0]], (0.0, 0.0, 0.0), "origin"),
+    ([[0, 0], [-1, 0]], (0.0, 0.0), "non-negative"),
+], ids=["duplicate", "wide_cells", "narrow_cells", "float_cells",
+        "no_cells", "wide_origin", "negative"])
+def test_mesh_rejects_malformed_cells(cells, origin, match):
+    # duplicate cells reached condense_solve and died there with "free
+    # skeleton dofs left in a one-cell region"; a width other than dim failed
+    # in build_dofmap with a broadcast error
+    with pytest.raises(ValueError, match=match):
+        fem.Mesh(dim=2, h=0.5, origin=np.array(origin), cells=np.array(cells))
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, np.nan])
+def test_mesh_rejects_a_cell_size_not_positive(h):
+    # h = 0 gave an all-zero "solution" with residual 0, and h < 0 solved
+    # on a mirrored mesh, both with no error
+    with pytest.raises(ValueError, match="positive"):
+        fem.Mesh(dim=2, h=h, origin=np.zeros(2), cells=np.array([[0, 0]]))
 
 
 @pytest.mark.parametrize("name", ["sine2d", "sine3d"])
@@ -165,16 +197,18 @@ def test_dofmap_counts():
 def _reference_first_dofs(mesh, dm):
     """The entity numbering loop over lattice points, kept as the reference:
     the entities of each dimension below d in lattice order, each owning a
-    contiguous block of dofs.  Returns each entity's first dof and the
-    Dirichlet mask of the skeleton dofs."""
+    contiguous block of its bubbles' dofs.  Returns each entity's first dof
+    and the Dirichlet mask of the skeleton dofs."""
     ents = _reference_entities(mesh)
-    size = [1, dm.p - 1, len(dm.face_rank)]     # dofs per vertex, edge, face
-    offset = [0, dm.edge_offset, dm.face_offset]
     first, mask = {}, np.zeros(dm.interior_offset, dtype=bool)
+    start = 0
     for j in range(mesh.dim):
-        for r, q in enumerate(sorted(q for q in ents if ents[q][0] == j)):
-            first[q] = offset[j] + r * size[j]
-            mask[first[q]:first[q] + size[j]] = ents[q][1]
+        size = len(bubble_indices(j, dm.p, dm.family))
+        for q in sorted(q for q in ents if ents[q][0] == j):
+            first[q] = start
+            mask[start:start + size] = ents[q][1]
+            start += size
+    assert start == dm.interior_offset
     return first, mask
 
 
@@ -186,6 +220,7 @@ def _reference_cell_dofs(mesh, dm):
     interior = (total_degree_indices(d, p - d, min_entry=1) if dm.family == "S"
                 else list(product(range(1, p), repeat=d)))
     interior_rank = {m: r for r, m in enumerate(interior)}
+    face_rank = {b: r for r, b in enumerate(bubble_indices(2, p, dm.family))}
     first, _ = _reference_first_dofs(mesh, dm)
     dofs = np.zeros(dm.cell_dofs.shape, dtype=np.int64)
     for e, cell in enumerate(mesh.cells):
@@ -196,7 +231,7 @@ def _reference_cell_dofs(mesh, dm):
                 dofs[e, lm] = (dm.interior_offset + e * len(interior_rank)
                                + interior_rank[tuple(k - 1 for k in m)])
             elif len(bub) == 2:
-                dofs[e, lm] = first[q] + dm.face_rank[tuple(m[k] - 1 for k in bub)]
+                dofs[e, lm] = first[q] + face_rank[tuple(m[k] - 1 for k in bub)]
             else:
                 dofs[e, lm] = first[q] + sum(m[k] - 2 for k in bub)
     return dofs
@@ -324,35 +359,110 @@ def test_nonconvex_3d_block(family, p, g, f, grad):
 
 
 def _reference_dirichlet_values(mesh, dm, g):
-    """The per-vertex and per-edge boundary data loops over lattice points,
-    kept as the reference; 3D face data is added by the shared face
-    projection."""
-    p = dm.p
+    """The per-entity boundary data loop over lattice points, kept as the
+    reference: g at each boundary vertex, then for j = 1..d-1 each boundary
+    j-entity on its own, in lattice order, with the arithmetic of the
+    batched routine: its lift read from its sub-entities' dofs one slot
+    tuple at a time, g minus the lift projected onto its kept bubbles."""
+    d, p = mesh.dim, dm.p
     ents = sorted(_reference_entities(mesh).items())
     first, _ = _reference_first_dofs(mesh, dm)
     dvals = np.zeros(dm.n_dof)
     for q, (j, on) in ents:
         if j == 0 and on:
             dvals[first[q]] = float(g(*_coords(mesh, q)))
-    if p >= 2:
-        rule = gauss_rule(p + 10)
-        t = rule.nodes
-        Psi = psi_table(p - 1, t)[1:]
-        gram = (Psi * rule.weights) @ Psi.T
-        for q, (j, on) in ents:
-            if j != 1 or not on:
+    rule = gauss_rule(p + 10)
+    B = fem.basis1d_values(p, rule.nodes)
+    PsiW = B[2:] * rule.weights
+    for j in range(1, d):
+        bubbles = bubble_indices(j, p, dm.family)
+        if not bubbles:
+            continue
+        keep = [np.ravel_multi_index(tuple(i - 1 for i in b), (p - 1,) * j)
+                for b in bubbles]
+        gram = reduce(np.kron, [PsiW @ B[2:].T] * j)[np.ix_(keep, keep)]
+        ranks = [{b: r for r, b in enumerate(bubble_indices(i, p, dm.family))}
+                 for i in range(j)]
+        for q, (jq, on) in ents:
+            if jq != j or not on:
                 continue
-            step = np.array(q) % 2                  # the edge's axis
-            v0, v1 = tuple(q - step), tuple(q + step)
-            pts = (0.5 * (1 - t)[:, None] * _coords(mesh, v0)
-                   + 0.5 * (1 + t)[:, None] * _coords(mesh, v1))
-            vals = g(*(pts[:, k] for k in range(pts.shape[1])))
-            resid = vals - (0.5 * (1 - t) * dvals[first[v0]]
-                            + 0.5 * (1 + t) * dvals[first[v1]])
-            dvals[first[q]:first[q] + p - 1] = np.linalg.solve(
-                gram, Psi @ (rule.weights * resid))
-    if mesh.dim == 3 and p >= 2 and dm.face_rank:
-        fem._project_face_data(mesh, dm, g, dvals, fem._lattice(mesh)[1])
+            free = [k for k in range(d) if q[k] % 2]
+            lift = np.zeros((1,) + (p + 1,) * j)
+            for slots in product(range(p + 1), repeat=j):
+                bub = tuple(x - 1 for x in slots if x >= 2)
+                if len(bub) == j or bub not in ranks[len(bub)]:
+                    continue            # the entity's own or a dropped bubble
+                sub = list(q)
+                for k, x in zip(free, slots):
+                    sub[k] += (-1, 1, 0)[min(x, 2)]
+                lift[(0,) + slots] = dvals[first[tuple(sub)]
+                                           + ranks[len(bub)][bub]]
+            nodes = [rule.nodes if k in free else np.array([-1.0])
+                     for k in range(d)]
+            vals = np.broadcast_to(np.asarray(g(*element_grids(
+                _coords(mesh, q)[None], 0.5 * mesh.h, nodes)), dtype=float),
+                (1,) + tuple(x.size for x in nodes))
+            resid = (vals.reshape((1,) + (rule.nodes.size,) * j)
+                     - apply_axes(lift, [B.T] * j))
+            rhs = apply_axes(resid, [PsiW] * j).reshape(1, -1)[:, keep]
+            dvals[first[q]:first[q] + len(bubbles)] = \
+                np.linalg.solve(gram, rhs[..., None])[0, :, 0]
+    return dvals[dm.dirichlet_mask]
+
+
+def _explicit_dirichlet_values(mesh, dm, g):
+    """Boundary data by explicit sums, as an independent check: on each
+    boundary entity, the lift of its sub-entities summed term by term at
+    every tensor quadrature point, the moments and the Gram matrix of its
+    kept bubbles summed over those points."""
+    d, p = mesh.dim, dm.p
+    ents = sorted(_reference_entities(mesh).items())
+    first, _ = _reference_first_dofs(mesh, dm)
+    dvals = np.zeros(dm.n_dof)
+    for q, (j, on) in ents:
+        if j == 0 and on:
+            dvals[first[q]] = float(g(*_coords(mesh, q)))
+    rule = gauss_rule(p + 10)
+    t = rule.nodes
+    B = fem.basis1d_values(p, t)
+    for j in range(1, d):
+        bubbles = bubble_indices(j, p, dm.family)
+        if not bubbles:
+            continue
+        points = np.array(list(product(range(t.size), repeat=j)))
+        w = rule.weights[points].prod(axis=1)
+
+        def phi(slots):
+            """The tensor basis function of ``slots`` at every point."""
+            return B[np.array(slots), points].prod(axis=1)
+
+        psi = np.array([phi([i + 1 for i in b]) for b in bubbles])
+        gram = np.array([[np.sum(w * a * b) for b in psi] for a in psi])
+        for q, (jq, on) in ents:
+            if jq != j or not on:
+                continue
+            free = [k for k in range(d) if q[k] % 2]
+            lift = np.zeros(len(points))
+            for i in range(j):          # the sub-entities of dimension i
+                for sub_free in combinations(range(j), i):
+                    for ends in product((0, 1), repeat=j - i):
+                        sub, fixed = list(q), [k for k in range(j)
+                                               if k not in sub_free]
+                        for k, e in zip(fixed, ends):
+                            sub[free[k]] += 2 * e - 1
+                        for r, b in enumerate(bubble_indices(i, p, dm.family)):
+                            slots = [0] * j
+                            for k, e in zip(fixed, ends):
+                                slots[k] = e
+                            for k, x in zip(sub_free, b):
+                                slots[k] = x + 1
+                            lift += dvals[first[tuple(sub)] + r] * phi(slots)
+            x = np.tile(_coords(mesh, q), (len(points), 1))
+            for n, k in enumerate(free):
+                x[:, k] += 0.5 * mesh.h * (t[points[:, n]] + 1.0)
+            resid = g(*x.T) - lift
+            rhs = np.array([np.sum(w * b * resid) for b in psi])
+            dvals[first[q]:first[q] + len(bubbles)] = np.linalg.solve(gram, rhs)
     return dvals[dm.dirichlet_mask]
 
 
@@ -360,10 +470,15 @@ def _g3(x, y, z):
     return np.sin(1.3 * x + 0.2) * np.exp(y) * np.cos(z - 0.4) + x ** (2 / 3)
 
 
-@pytest.mark.parametrize("make, g, p_list", [
+_DIRICHLET_CASES = pytest.mark.parametrize("make, g, p_list", [
     (fem.mesh_lshape, fem._lshape_solution, [1, 2, 3, 5, 10, 25]),
     (lambda: fem.mesh_uniform(3, 2, (0.0, 1.0)), _g3, [1, 2, 4, 7]),
-], ids=["lshape", "box3d"])
+    # its re-entrant edges read the re-entrant vertex in their lift
+    (_block_minus_corner, _g3, [1, 2, 4, 6]),
+], ids=["lshape", "box3d", "nonconvex3d"])
+
+
+@_DIRICHLET_CASES
 @pytest.mark.parametrize("family", ["Q", "S"])
 def test_dirichlet_data_gathers_match_per_entity_loop(make, g, p_list, family):
     mesh = make()
@@ -373,6 +488,18 @@ def test_dirichlet_data_gathers_match_per_entity_loop(make, g, p_list, family):
         system = fem.assemble_poisson(mesh, dm, zero, g)
         assert np.array_equal(system.dirichlet_values,
                               _reference_dirichlet_values(mesh, dm, g)), p
+
+
+@_DIRICHLET_CASES
+@pytest.mark.parametrize("family", ["Q", "S"])
+def test_dirichlet_data_matches_explicit_sums(make, g, p_list, family):
+    mesh = make()
+    zero = lambda *x: 0.0 * x[0]
+    for p in p_list:
+        dm = fem.build_dofmap(mesh, p, family)
+        got = fem.assemble_poisson(mesh, dm, zero, g).dirichlet_values
+        want = _explicit_dirichlet_values(mesh, dm, g)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), p
 
 
 def test_assembly_symmetry():

@@ -7,11 +7,9 @@ from hpexp.expansion import (CoeffTensor, evaluate, l2_norm, named_function,
 from hpexp.harness import run_sweep
 from hpexp.orthopoly import gauss_rule, legendre_table, psi_table
 from hpexp.projections import (audit_l2p_bound, audit_h1s_bounds,
-                               h1_axis_matrix, project_h1_p,
-                               project_h1_partial, project_h1_q, project_h1_s,
-                               project_h1_s_pair, project_l2,
-                               projection_errors, _axis_maps,
-                               _h1_seminorms)
+                               h1_axis_matrix, project_h1_p, project_h1_q,
+                               project_h1_s, project_l2, projection_errors,
+                               _axis_maps, _h1_seminorms, _project_h1)
 
 
 @pytest.fixture(scope="module")
@@ -272,8 +270,8 @@ def test_appendix_pair_identity(expsum3d):
     quadrature moments of exp(x1+x2+x3)."""
     p = 7
     u = expsum3d
-    lhs = project_h1_partial(u, p, (0, 1)).coeffs \
-        - project_h1_s_pair(u, p, (0, 1)).coeffs
+    lhs = _project_h1(u, p, (0, 1), False).coeffs \
+        - _project_h1(u, p, (0, 1), True).coeffs
 
     # independent construction by quadrature: psi-pair blocks with
     # pair totals >= p-1 built from a_{i1 i2 i3} and b_{i1 i2} moments
