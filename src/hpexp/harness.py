@@ -3,10 +3,11 @@
 ``KINDS`` maps each config ``kind`` to its keys, its records' error keys, its
 meta and a solver ``solve_one(p) -> (dof, errors, extra)`` over the layers'
 stage functions.  ``sweep`` is the one loop over degrees; ``run_config``
-validates a whole config before running any sweep and writes the files;
-``run_sweep`` validates and runs one sweep and writes nothing.  The FEM and
-DG solvers are imported by their kinds' solvers when a sweep first runs, so
-the coefficient-space kinds never load them or scipy.
+validates a whole config before running any sweep and writes the files, and
+its project-sweeps share each distinct reference expansion; ``run_sweep``
+validates and runs one sweep and writes nothing.  The FEM and DG solvers are
+imported by their kinds' solvers when a sweep first runs, so the
+coefficient-space kinds never load them or scipy.
 
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
@@ -34,7 +35,8 @@ import numpy as np
 from . import __version__, blas
 from .bounds import LEMMA_AUDIT_CAP, lemma_audit
 from .errors import IndefiniteSipError, IndefiniteSystemError, RefinementError
-from .expansion import named_function, reference_expansion
+from .expansion import (DEFAULT_REFERENCE_MARGIN, CoeffTensor,
+                        named_function, reference_expansion)
 from .indexsets import BasisSpec, dof_count
 from .projections import (InadmissibleDegreeError, project_h1_p, project_h1_q,
                           project_h1_s, project_l2, projection_errors)
@@ -212,7 +214,7 @@ def _with_p_rate(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
     return records
 
 
-def _fem_solver(sw: dict):
+def _fem_solver(sw: dict, references: Optional[dict] = None):
     from . import fem
     # graded_* and n are keys of one kind each, so the other gets the defaults
     prob = fem.fem_problem("lshape" if sw["kind"] == "fem-lshape"
@@ -236,7 +238,7 @@ def _fem_solver(sw: dict):
     return f"fem_{family.lower()}", mesh.dim, sw["p_list"], solve_one
 
 
-def _dg_solver(sw: dict):
+def _dg_solver(sw: dict, references: Optional[dict] = None):
     from . import dgfem
     n, family, gamma = sw.get("n", 8), sw["family"], sw.get("gamma", 10.0)
     # u is the exact solution and the Dirichlet data
@@ -264,13 +266,40 @@ _PROJECTIONS = {
 PROJECTION_KINDS = tuple(_PROJECTIONS)
 
 
-def _projection_solver(sw: dict):
+class _Reference(NamedTuple):
+    """A project-sweep's reference expansion and the sweep that built it."""
+
+    u: CoeffTensor
+    built_by: str
+
+
+def _reference_key(sw: dict) -> tuple:
+    """The effective (function, dim, runge_a, p_max, margin) of a
+    project-sweep, defaults filled in: sweeps with equal keys measure against
+    the same reference expansion."""
+    return (sw.get("function", "sine"), sw["dim"], sw.get("runge_a", 0.5),
+            sw["p_max"], sw.get("margin", DEFAULT_REFERENCE_MARGIN))
+
+
+def _reference(sw: dict, references: dict) -> _Reference:
+    """The sweep's reference from ``references``, a table keyed by
+    ``_reference_key``; on a miss it is built and entered there."""
+    key = _reference_key(sw)
+    if key not in references:
+        function, dim, runge_a, p_max, margin = key
+        oracle = named_function(function, dim, runge_a=runge_a)
+        references[key] = _Reference(
+            reference_expansion(oracle, p_max, margin=margin), sw["name"])
+    return references[key]
+
+
+def _projection_solver(sw: dict, references: Optional[dict] = None):
     """Projection errors on the reference element against one overkill
-    expansion of the named function, built once for the whole sweep."""
+    expansion of the named function, taken from ``references`` (built for
+    this sweep alone without one)."""
     dim, function = sw["dim"], sw.get("function", "sine")
     project, family = _PROJECTIONS[sw["proj_kind"]]
-    oracle = named_function(function, dim, runge_a=sw.get("runge_a", 0.5))
-    u = reference_expansion(oracle, sw["p_max"], margin=sw.get("margin", 20))
+    u = _reference(sw, {} if references is None else references).u
 
     def solve_one(p):
         res = project(u, p)
@@ -283,7 +312,7 @@ def _projection_solver(sw: dict):
             solve_one)
 
 
-def _basis_count_solver(sw: dict):
+def _basis_count_solver(sw: dict, references: Optional[dict] = None):
     dim, family = sw.get("dim", 2), sw.get("family", "Q")
     start = 1 if family == "S" else 0
     return ("basis_count", dim, range(start, sw.get("p_max", 10) + 1),
@@ -408,8 +437,10 @@ _P_LIST = (True, lambda v: isinstance(v, list) and bool(v)
 class Kind(NamedTuple):
     """One config ``kind``: key -> (required, check, description) for each
     key besides name and kind, the records' error keys, a solver mapping a
-    sweep to ``(method, dim, degrees, solve_one)`` (none for lemma-audit, whose
-    rows are indexed by two budgets), and the extra fields of the meta."""
+    sweep, and optionally the run's table of reference expansions (which only
+    the project-sweep reads, see ``_reference``), to ``(method, dim, degrees,
+    solve_one)`` (none for lemma-audit, whose rows are indexed by two
+    budgets), and the extra fields of the meta."""
 
     fields: dict
     error_keys: tuple = ()
@@ -494,6 +525,11 @@ def _validate_sweep(i: int, sw) -> None:
             raise ConfigError(f"{where}.{key}: must be {text}")
     if sw["kind"] == "project-sweep" and sw["p_min"] > sw["p_max"]:
         raise ConfigError(f"{where}.p_min: must not exceed p_max")
+    # the other functions have no width; a value they ignore would also
+    # split the reference key
+    if "runge_a" in sw and sw.get("function") != "runge1d-tensor":
+        raise ConfigError(f"{where}.runge_a: only for function "
+                          f"'runge1d-tensor'")
 
 
 def _validated_sweeps(config) -> list[dict]:
@@ -545,18 +581,20 @@ def _lemma_records(sw: dict) -> list[ConvergenceRecord]:
     return out
 
 
-def _records(sw: dict, stop_below: Optional[float] = None) -> list[ConvergenceRecord]:
+def _records(sw: dict, stop_below: Optional[float] = None,
+             references: Optional[dict] = None) -> list[ConvergenceRecord]:
     kind = KINDS[sw["kind"]]
     if kind.solver is None:
         return _lemma_records(sw)
-    method, dim, degrees, solve_one = kind.solver(sw)
+    method, dim, degrees, solve_one = kind.solver(sw, references)
     records = sweep(Solver(method, dim, kind.error_keys, solve_one), degrees,
                     stop_below)
     return _with_p_rate(records) if sw["kind"].startswith("fem-") else records
 
 
 def run_sweep(sw: dict, stop_below: Optional[float] = None) -> list[ConvergenceRecord]:
-    """Validate one sweep in the config format and run it; writes nothing."""
+    """Validate one sweep in the config format and run it; writes nothing.
+    A project-sweep builds its own reference expansion."""
     _validated_sweeps({"sweeps": [sw]})
     return _records(sw, stop_below)
 
@@ -565,14 +603,27 @@ def run_config(config, out_dir=".") -> dict:
     """Validate and execute a sweep bundle; returns {name: records}.
 
     The whole config is validated before anything runs, so a malformed config
-    produces no partial files.
+    produces no partial files.  Project-sweeps with equal ``_reference_key``
+    share one reference expansion, with its outer-shell tables: the first of
+    them builds it inside its ``seconds``, and it is dropped after the last,
+    so the run holds no reference that no later sweep reads.  Each
+    project-sweep meta records the reference's degree and builder.
     """
-    results = {}
-    for sw in _validated_sweeps(config):
+    sweeps = _validated_sweeps(config)
+    last_use = {_reference_key(sw): i for i, sw in enumerate(sweeps)
+                if sw["kind"] == "project-sweep"}
+    references, results = {}, {}
+    for i, sw in enumerate(sweeps):
         t0 = time.perf_counter()
-        recs = _records(sw)
+        recs = _records(sw, references=references)
         meta = {"sweep": sw, **KINDS[sw["kind"]].meta(sw),
                 "seconds": time.perf_counter() - t0}
+        if sw["kind"] == "project-sweep":
+            key = _reference_key(sw)
+            meta["reference"] = {"degree": references[key].u.degrees[0],
+                                 "built_by": references[key].built_by}
+            if last_use[key] == i:
+                del references[key]
         residuals = [r.extra["residual"] for r in recs if "residual" in r.extra]
         if residuals:
             meta["max_solver_residual"] = max(residuals)

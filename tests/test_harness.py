@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import weakref
 
 import numpy as np
 import pytest
@@ -216,7 +217,11 @@ _LEMMA = {"name": "broken", "kind": "lemma-audit", "dim": 2, "M_max": 2,
     pytest.param(dict(_PROJ, p_min=3), id="p_min_above_p_max"),
     pytest.param(dict(_PROJ, margin=3), id="margin"),
     pytest.param(dict(_PROJ, function="cosine"), id="function"),
-    pytest.param(dict(_PROJ, runge_a=0.0), id="runge_a"),
+    pytest.param(dict(_PROJ, function="runge1d-tensor", runge_a=0.0),
+                 id="runge_a"),
+    pytest.param(dict(_PROJ, runge_a=0.1), id="runge_a_of_sine"),
+    pytest.param(dict(_PROJ, function="expsum", runge_a=7.0),
+                 id="runge_a_of_expsum"),
     pytest.param(dict(_FEM, dim=5), id="fem_dim"),
     pytest.param(dict(_FEM, n=0), id="fem_n"),
     pytest.param(dict(_FEM, family="P"), id="fem_family"),
@@ -539,3 +544,95 @@ def test_cli_out_meta_lists_only_the_given_keys(argv, sweep, tmp_path):
     assert metas[0]["sweep"] == metas[1]["sweep"] == {"name": "s", **sweep}
     assert ((tmp_path / "cli" / "s.csv").read_text()
             == (tmp_path / "cfg" / "s.csv").read_text())
+
+
+# two project-sweeps' references are one exactly when their effective
+# (function, dim, runge_a, p_max, margin) are equal, defaults filled in
+_REF = {"kind": "project-sweep", "proj_kind": "l2q", "dim": 2, "p_min": 2,
+        "p_max": 5, "margin": 6}
+_RUNGE = dict(_REF, function="runge1d-tensor", runge_a=0.5)
+
+
+@pytest.mark.parametrize("a,b,shared", [
+    (_REF, dict(_REF, margin=7), False),
+    (_REF, dict(_REF, p_max=6), False),
+    (_REF, dict(_REF, function="expsum"), False),
+    (_REF, dict(_REF, dim=3), False),
+    (_RUNGE, dict(_RUNGE, runge_a=0.3), False),
+    (_REF, dict(_REF, proj_kind="h1q", p_min=1), True),
+    (_REF, dict(_REF, function="sine"), True),
+    (dict(_REF, margin=20), {k: v for k, v in _REF.items() if k != "margin"},
+     True),
+    (_RUNGE, {k: v for k, v in _RUNGE.items() if k != "runge_a"}, True),
+], ids=["margin", "p_max", "function", "dim", "runge_a", "proj_kind",
+        "default_function", "default_margin", "default_runge_a"])
+def test_run_config_shares_a_reference_only_between_equal_keys(
+        monkeypatch, tmp_path, a, b, shared):
+    built = []
+    real = harness.reference_expansion
+
+    def counting(f, p, margin):
+        built.append((p, margin))
+        return real(f, p, margin=margin)
+
+    monkeypatch.setattr(harness, "reference_expansion", counting)
+    run_config({"sweeps": [dict(a, name="a"), dict(b, name="b")]}, tmp_path)
+    assert len(built) == (1 if shared else 2)
+    # each meta names the reference's degree and the sweep that built it
+    metas = {n: json.loads((tmp_path / f"{n}.meta.json").read_text())
+             for n in ("a", "b")}
+    for name, sw in (("a", a), ("b", b)):
+        assert metas[name]["reference"] == {
+            "degree": sw["p_max"] + sw.get("margin", 20),
+            "built_by": "a" if shared else name}
+
+
+def test_run_config_drops_each_reference_after_its_last_use(monkeypatch,
+                                                             tmp_path):
+    # references A, B, C told apart by p_max, read in the order A A B A C: A
+    # stays alive while B is built, and both are dead when C is
+    refs, alive = {}, []
+    real = harness.reference_expansion
+
+    def tracked(f, p, margin):
+        alive.append({q: r() is not None for q, r in refs.items()})
+        u = real(f, p, margin=margin)
+        refs[p] = weakref.ref(u)
+        return u
+
+    monkeypatch.setattr(harness, "reference_expansion", tracked)
+    order = [(3, "l2q"), (3, "h1q"), (4, "l2q"), (3, "l2p"), (5, "l2q")]
+    run_config({"sweeps": [dict(_REF, name=f"s{i}", p_max=p, proj_kind=kind)
+                           for i, (p, kind) in enumerate(order)]}, tmp_path)
+    assert alive == [{}, {3: True}, {3: False, 4: False}]
+    assert all(r() is None for r in refs.values())
+
+
+def test_project_sweep_meta_records_its_reference(tmp_path):
+    run_config({"sweeps": [
+        dict(_REF, name="a"), dict(_REF, name="b", proj_kind="l2p"),
+        {"name": "c", "kind": "project-sweep", "proj_kind": "h1q", "dim": 2,
+         "p_min": 1, "p_max": 3},
+        {"name": "counts", "kind": "basis-count", "p_max": 2}]}, tmp_path)
+    metas = {n: json.loads((tmp_path / f"{n}.meta.json").read_text())
+             for n in ("a", "b", "c", "counts")}
+    assert metas["a"]["reference"] == {"degree": 11, "built_by": "a"}
+    assert metas["b"]["reference"] == {"degree": 11, "built_by": "a"}
+    assert metas["c"]["reference"] == {"degree": 23, "built_by": "c"}
+    assert "reference" not in metas["counts"]
+
+
+def test_cli_runge_a_needs_the_runge_function(tmp_path, capsys):
+    base = ["project-sweep", "--dim", "2", "--kind", "l2q", "--p-min", "1",
+            "--p-max", "3"]
+    bad = ["--out", str(tmp_path / "bad")]
+    assert cli_main(base + ["--function", "expsum", "--runge-a", "7"]) == 1
+    assert cli_main(base + ["--runge-a", "0.1"] + bad) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("runge_a: only for function") == 2
+    assert list(tmp_path.iterdir()) == []
+    assert cli_main(base + ["--function", "runge1d-tensor", "--runge-a", "0.3",
+                            "--out", str(tmp_path / "r")]) == 0
+    meta = json.loads((tmp_path / "r.meta.json").read_text())
+    assert meta["sweep"]["runge_a"] == 0.3
+    assert meta["reference"] == {"degree": 23, "built_by": "r"}

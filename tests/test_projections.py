@@ -419,6 +419,35 @@ def test_projection_sweep_builds_error_tables_once(monkeypatch):
     assert len({id(a) for a in built}) == len(sweeps)
 
 
+def _bits(records):
+    return [(r.method, r.p, r.dim, r.dof, r.extra,
+             {k: float(v).hex() for k, v in r.errors.items()})
+            for r in records]
+
+
+def test_config_of_projection_sweeps_builds_one_reference_per_dim(
+        monkeypatch, tmp_path):
+    # the four sweeps above in one config: the two kinds of a dim share its
+    # reference and tables, and every record is bitwise the one run_sweep gives
+    import hpexp.expansion as expansion
+    from hpexp.harness import run_config
+    sweeps = [{"name": f"s{dim}{kind}", "kind": "project-sweep",
+               "proj_kind": kind, "dim": dim, "p_min": 6, "p_max": 9,
+               "margin": 6} for dim in (2, 3) for kind in ("h1s", "l2q")]
+    alone = {sw["name"]: _bits(run_sweep(sw)) for sw in sweeps}
+    built = []
+    real = expansion._build_outer_tables
+
+    def counting(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(expansion, "_build_outer_tables", counting)
+    out = run_config({"sweeps": sweeps}, tmp_path)
+    assert [a.shape for a in built] == [(16, 16), (16, 16, 16)]
+    assert {name: _bits(recs) for name, recs in out.items()} == alone
+
+
 def test_references_of_one_shape_never_share_tables():
     rng = np.random.default_rng(5)
     u = CoeffTensor(coeffs=rng.standard_normal((14, 14, 14)))
