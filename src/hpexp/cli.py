@@ -51,12 +51,16 @@ def _degrees(text: str) -> list[int]:
             f"not a comma separated list of integers: {text!r}") from None
 
 
+def _add_family(parser, choices) -> None:
+    """--family, in either case, as one of the upper-case ``choices``."""
+    parser.add_argument("--family", required=True, type=str.upper,
+                        choices=choices)
+
+
 def _sweep(args) -> dict:
     """The config-format sweep of a subcommand; its options carry the key names."""
     fields = harness.KINDS[args.command].fields
     sw = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "family" in sw:
-        sw["family"] = sw["family"].upper()
     if "p_list" in fields:
         sw["p_list"] = (args.p_list if getattr(args, "p_list", None)
                         else list(range(getattr(args, "p_min", 1), args.p_max + 1)))
@@ -71,7 +75,7 @@ def _build_parser() -> _Parser:
 
     pc = sub.add_parser("basis-count", help="Dof table for one family")
     pc.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    pc.add_argument("--family", required=True, choices=("Q", "P", "S"))
+    _add_family(pc, ("Q", "P", "S"))
     pc.add_argument("--p-max", type=int, required=True)
 
     ps = sub.add_parser("project-sweep", help="projection error sweep")
@@ -96,7 +100,7 @@ def _build_parser() -> _Parser:
     sr.add_argument("--buffer", type=int, default=6)
 
     fl = sub.add_parser("fem-lshape", help="L-shape corner benchmark")
-    fl.add_argument("--family", required=True, choices=("q", "s"))
+    _add_family(fl, ("Q", "S"))
     degrees = fl.add_mutually_exclusive_group(required=True)
     degrees.add_argument("--p-max", type=int, help="degrees 1..P_MAX")
     degrees.add_argument("--p-list", type=_degrees,
@@ -107,13 +111,13 @@ def _build_parser() -> _Parser:
     fs = sub.add_parser("fem-sine", help="sine Poisson benchmark")
     fs.add_argument("--dim", type=int, required=True, choices=(2, 3))
     fs.add_argument("--n", type=int, required=True)
-    fs.add_argument("--family", required=True, choices=("q", "s"))
+    _add_family(fs, ("Q", "S"))
     fs.add_argument("--p-max", type=int, required=True)
     fs.add_argument("--p-min", type=int, default=1)
 
     dg = sub.add_parser("dg-sine", help="SIP DG sine benchmark")
     dg.add_argument("--n", type=int, required=True)
-    dg.add_argument("--family", required=True, choices=("p", "q"))
+    _add_family(dg, ("P", "Q"))
     dg.add_argument("--p-max", type=int, required=True)
     dg.add_argument("--p-min", type=int, default=1)
     dg.add_argument("--gamma", type=float)

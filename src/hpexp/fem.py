@@ -4,11 +4,11 @@ The local basis is the hierarchical C0 tensor basis: per axis
 (1-x)/2, (1+x)/2, psi_1, ..., psi_{p-1}, so a local mode is a slot tuple m
 (slot 0 or 1 a vertex function, slot m_k >= 2 the bubble psi_{m_k - 1}).  The
 mode lives on the box entity with code min(m, 2) per axis (2 a free axis),
-whose dimension j is its number of free axes.  Family Q keeps every slot
-tuple; family S keeps one iff its bubble slots sum to at most p
-(``indexsets.bubble_indices``).  All elements of a mesh are congruent, so one
-local stiffness matrix (and one interior Schur complement) is shared across
-elements.
+whose dimension j is its number of free axes.  ``indexsets.degree_mask``
+decides which slot tuples a family keeps (slot m >= 2 has degree m): Q keeps
+every one, S one iff its bubble slots sum to at most p.  All elements of a
+mesh are congruent, so one local stiffness matrix (and one interior Schur
+complement) is shared across elements.
 
 A mesh is a set of integer cells on one half-cell lattice: the entity of
 code c of cell i is the lattice point 2 i + (0, 2, 1)[c], its dimension is
@@ -66,7 +66,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from . import blas
 from .errors import IndefiniteSystemError, RefinementError
 from .expansion import named_function
-from .indexsets import bubble_indices, flat_positions
+from .indexsets import bubble_indices, degree_mask, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
                         legendre_table, psi_table)
 
@@ -261,16 +261,14 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
 
 def _kept_modes(j: int, p: int, family: str):
     """The slot tuples family Q or S keeps in the tensor basis of a
-    j-dimensional box, in product order, and each one's bubble rank within
-    its entity (the entity with code min(m, 2) per axis)."""
+    j-dimensional box (``degree_mask``), in product order, and each one's
+    bubble rank within its entity (the entity with code min(m, 2) per axis)."""
     ranks = [{b: r for r, b in enumerate(bubble_indices(i, p, family))}
              for i in range(j + 1)]
-    modes, rank = [], []
-    for m in product(range(p + 1), repeat=j):
-        r = ranks[sum(x >= 2 for x in m)].get(tuple(x - 1 for x in m if x >= 2))
-        if r is not None:               # else an S-dropped bubble
-            modes.append(m)
-            rank.append(r)
+    modes = [tuple(m) for m in
+             np.argwhere(degree_mask((p + 1,) * j, family, p)).tolist()]
+    rank = [ranks[sum(x >= 2 for x in m)][tuple(x - 1 for x in m if x >= 2)]
+            for m in modes]
     return modes, np.array(rank, dtype=np.int64)
 
 

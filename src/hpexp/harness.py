@@ -346,15 +346,18 @@ def records_to_csv(records: list[ConvergenceRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[ConvergenceRecord]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("the CSV is empty: no header line")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     fixed = ("method", "p", "dim", "dof")
     error_keys = {k for kind in KINDS.values() for k in kind.error_keys}
     out = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {n} has {len(cells)} cells, the header "
+                             f"has {len(header)}")
         row = dict(zip(header, cells))
         errors, extra = {}, {}
         for k in header:

@@ -1,20 +1,20 @@
 """Multi-index enumeration and degree-of-freedom counting for Q_p, P_p, S_p.
 
-The Q family is the full tensor-product space (each degree <= p), P the total
-degree space (|i| <= p) and S the serendipity space: the monomials of
-superlinear degree <= p (the degree counting only the variables that enter
-nonlinearly).  In the hierarchical tensor basis (per axis, slot 0 or 1 a
-vertex function and slot m >= 2 the bubble psi_{m-1}) that is one rule: S_p
-keeps a slot tuple iff its bubble slots sum to at most p.  Per entity of
-dimension j, the bubble psi_{i_1}..psi_{i_j} is kept iff |i| <= p - j
-(``bubble_indices``).  In 2D, S_p is also the total degree space enlarged by
-x1^p x2 and x1 x2^p; the 3D serendipity space has no such monomial view here.
+The three families differ only in which multi-indices of per-axis degrees
+they keep, and ``degree_mask`` is the one rule: Q keeps an index iff every
+entry is <= p, P iff the entries sum to <= p, and S (the serendipity space,
+Arnold & Awanou 2011) iff its superlinear degree, the sum of the entries
+>= 2, is <= p.  The rule is defined in every dimension.  It serves Legendre
+or monomial indices and the slot tuples of the hierarchical tensor basis
+alike: per axis, slot 0 or 1 is a linear vertex function and slot m >= 2
+the bubble psi_{m-1} of degree m.  Per entity of dimension j, the bubble
+psi_{i_1}..psi_{i_j} is kept with its slot tuple i + 1 (``bubble_indices``);
+for S that is |i| <= p - j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = [
     "enumerate_modes",
     "dof_count",
     "bubble_indices",
-    "total_degree_indices",
+    "degree_mask",
     "flat_positions",
 ]
 
@@ -57,32 +57,26 @@ def _graded_lex_key(i: MultiIndex):
     return (sum(i), i)
 
 
-def total_degree_indices(dim: int, degree: int,
-                         min_entry: int = 0) -> list[MultiIndex]:
-    """All multi-indices with entries >= min_entry and total <= degree."""
-    out = [i for i in product(range(min_entry, degree + 1), repeat=dim)
-           if sum(i) <= degree]
-    out.sort(key=_graded_lex_key)
-    return out
+def degree_mask(shape, family: str, p: int) -> np.ndarray:
+    """The indices family Q, P or S keeps at degree p, as a boolean array
+    over a tensor of the given shape whose index along each axis is that
+    axis's degree: Q keeps every entry <= p, P the entries summing to <= p,
+    S the entries >= 2 summing to <= p."""
+    degrees = np.indices(shape)
+    if family == "Q":
+        return (degrees <= p).all(axis=0)
+    if family == "P":
+        return degrees.sum(axis=0) <= p
+    if family == "S":
+        return np.where(degrees >= 2, degrees, 0).sum(axis=0) <= p
+    raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
 
 
 def enumerate_modes(spec: BasisSpec) -> list[MultiIndex]:
-    """Monomial-degree index set of the space, in graded lexicographic order.
-
-    3D serendipity is rejected here: it is defined through its hierarchical
-    slot tuples (see bubble_indices), not as a monomial set.
-    """
+    """Monomial-degree index set of the space, in graded lexicographic order."""
     d, p = spec.dim, spec.p
-    if spec.family == "Q":
-        modes = list(product(range(p + 1), repeat=d))
-    elif spec.family == "P":
-        modes = total_degree_indices(d, p)
-    else:
-        if d != 2:
-            raise ValueError("3D serendipity has no monomial index set; "
-                             "its modes are the slot tuples of bubble_indices")
-        extra = {(p, 1), (1, p)}
-        modes = list(set(total_degree_indices(2, p)) | extra)
+    kept = np.argwhere(degree_mask((p + 1,) * d, spec.family, p))
+    modes = [tuple(m) for m in kept.tolist()]
     modes.sort(key=_graded_lex_key)
     return modes
 
@@ -106,15 +100,17 @@ def bubble_indices(j: int, p: int, family: str) -> list[MultiIndex]:
     """psi indices (i_1, .., i_j), each >= 1, of the bubble modes that family
     Q or S puts on one j-dimensional entity, in rank order.
 
-    psi_i sits in slot i + 1, so the S rule (bubble slots sum to at most p)
-    keeps |i| <= p - j, in graded lexicographic order; Q keeps every
-    i_k <= p - 1, in product order.  A vertex (j = 0) has the one index ().
+    These are the kept slot tuples whose slots are all >= 2, each slot minus
+    one (psi_i sits in slot i + 1): in graded lexicographic order for S, in
+    product order for Q.  A vertex (j = 0) has the one index ().
     """
-    if family == "Q":
-        return list(product(range(1, p), repeat=j))
+    if family not in ("Q", "S"):
+        raise ValueError("bubble families are Q and S")
+    slots = np.argwhere(degree_mask((p + 1,) * j, family, p))
+    out = [tuple(m) for m in (slots[(slots >= 2).all(axis=1)] - 1).tolist()]
     if family == "S":
-        return total_degree_indices(j, p - j, min_entry=1)
-    raise ValueError("bubble families are Q and S")
+        out.sort(key=_graded_lex_key)
+    return out
 
 
 def flat_positions(modes, p: int) -> np.ndarray:

@@ -1,17 +1,19 @@
 """L2 and constructive H1 projections onto Q_p / P_p / S_p on (-1,1)^d.
 
-The L2 projections are coefficient truncations.  The H1 projections are built
+The L2 projections are coefficient truncations to the Legendre indices that
+``indexsets.degree_mask`` keeps for Q or P.  The H1 projections are built
 the constructive way: along each axis apply the one-dimensional map
 
     u  |->  u(-1) * 1  +  sum_{j=0}^{p-1} (coeff of L_j in u') * psi_j,
 
 which reproduces degree <= p polynomials and interpolates at -1.  Applying it
 on every axis gives the tensor H1 projection onto Q_p; its natural output is a
-"psi tensor" whose per-axis basis is (1, psi_0, psi_1, ..., psi_{p-1}).  The
-serendipity projection is the same tensor cut by the S rule: keep a slot tuple
-iff its bubble slots (slot m >= 2 is psi_{m-1}) sum to at most p, i.e. a
-product of k bubbles keeps psi-index totals <= p - k.  The total-degree H1
-projection delegates to serendipity at degree p+1-d.  Conversion back to plain
+"psi tensor" whose per-axis basis is (1, psi_0, psi_1, ..., psi_{p-1}), so
+slot m has degree m.  The serendipity projection is the same tensor cut by
+the S rule of ``indexsets.degree_mask``: keep a slot tuple iff its bubble
+slots (slot m >= 2 is psi_{m-1}) sum to at most p, i.e. a product of k
+bubbles keeps psi-index totals <= p - k.  The total-degree H1 projection
+delegates to serendipity at degree p+1-d.  Conversion back to plain
 Legendre coefficients uses psi_0 = L_0 + L_1 and
 psi_j = (L_{j+1} - L_{j-1}) / (2j+1).  Every H1 projection, on all axes or
 on some, is one routine: the per-axis maps to the psi slots and back are
@@ -29,6 +31,7 @@ from .bounds import bound_rhs, phi
 from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
                         _tail_sums, _weight_vectors, l2_norm,
                         sobolev_seminorm, weighted_seminorm)
+from .indexsets import degree_mask
 from .orthopoly import apply_axes
 
 __all__ = [
@@ -72,11 +75,8 @@ def project_l2(u: CoeffTensor, family: str, p: int) -> ProjectionResult:
         raise ValueError("L2 projection families are Q and P")
     if min(u.degrees) < p:
         raise ValueError("reference tensor degree budget is below p")
-    d = u.dim
-    out = u.coeffs[tuple(slice(0, p + 1) for _ in range(d))].copy()
-    if family == "P":
-        grids = np.indices(out.shape)
-        out[sum(grids) > p] = 0.0
+    out = u.coeffs[(slice(0, p + 1),) * u.dim]
+    out = np.where(degree_mask(out.shape, family, p), out, 0.0)
     kind = "L2_Q" if family == "Q" else "L2_P"
     return ProjectionResult(
         projected=CoeffTensor(coeffs=out, tail_trusted=u.tail_trusted),
@@ -123,21 +123,16 @@ def h1_axis_matrix(p: int, m_src: int) -> np.ndarray:
     return T @ R
 
 
-def _serendipity_mask(shape, axes, p: int) -> np.ndarray:
-    """The S rule on the active axes: keep a slot tuple iff its bubble slots
-    (slot m >= 2 is psi_{m-1}) sum to at most p."""
-    slots = np.indices(shape)[list(axes)]
-    return np.where(slots >= 2, slots, 0).sum(axis=0) <= p
-
-
 def _project_h1(u: CoeffTensor, p: int, axes, serendipity: bool) -> CoeffTensor:
     """The 1D H1 projections on ``axes`` (the other axes untouched): R on
-    each, the S rule on the psi tensor if ``serendipity``, then T on each."""
+    each, the S rule on the psi tensor if ``serendipity`` (the mask over the
+    active axes, broadcast over the others), then T on each."""
     maps = [_axis_maps(p, u.degrees[k]) if k in axes else (None, None)
             for k in range(u.dim)]
     rep = apply_axes(u.coeffs, [R for R, _ in maps])
     if serendipity:
-        rep = rep * _serendipity_mask(rep.shape, axes, p)
+        active = [n if k in axes else 1 for k, n in enumerate(rep.shape)]
+        rep = rep * degree_mask(active, "S", p)
     out = apply_axes(rep, [T for _, T in maps])
     return CoeffTensor(coeffs=out.copy(), tail_trusted=u.tail_trusted)
 
@@ -152,7 +147,7 @@ def project_h1_q(u: CoeffTensor, p: int) -> ProjectionResult:
 
 
 def project_h1_s(u: CoeffTensor, p: int) -> ProjectionResult:
-    """Serendipity H1 projection: bubble blocks filtered by total degree."""
+    """Serendipity H1 projection: the psi tensor cut by the S rule."""
     d = u.dim
     minimum = 4 if d == 2 else 6
     if p < minimum:
@@ -185,7 +180,7 @@ def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,
     checks = 0
     for p in p_values:
         shape = (p + 7,) * d
-        outside = sum(np.indices(shape)) > p
+        outside = ~degree_mask(shape, "P", p)
         for sample in range(n_samples):
             u = CoeffTensor(coeffs=rng.standard_normal(shape))
             # Pi_P keeps the coefficients on the simplex |i| <= p, so the

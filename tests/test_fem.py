@@ -8,8 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
-from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
-                             total_degree_indices)
+from hpexp.indexsets import BasisSpec, bubble_indices, dof_count
 from hpexp.orthopoly import GradedRule, apply_axes, element_grids, gauss_rule
 from skeleton_reference import free_skeleton_matrix
 
@@ -213,18 +212,23 @@ def _reference_first_dofs(mesh, dm):
 
 
 def _reference_cell_dofs(mesh, dm):
-    """The per-element, per-mode numbering loop, kept as the reference: a
-    mode's dof is its entity's first dof plus its bubble rank, the cells'
-    own dofs following in element order."""
+    """The per-element, per-mode numbering loop, kept as the reference: the
+    local modes are the slot tuples in product order (for S those whose
+    bubble slots sum to at most p), a mode's dof is its entity's first dof
+    plus its bubble rank, the cells' own dofs following in element order."""
     d, p = mesh.dim, dm.p
-    interior = (total_degree_indices(d, p - d, min_entry=1) if dm.family == "S"
-                else list(product(range(1, p), repeat=d)))
+    modes = [m for m in product(range(p + 1), repeat=d)
+             if dm.family == "Q" or sum(x for x in m if x >= 2) <= p]
+    interior = list(product(range(1, p), repeat=d))
+    if dm.family == "S":        # psi-index total <= p - d, graded lex
+        interior = sorted((i for i in interior if sum(i) <= p - d),
+                          key=lambda i: (sum(i), i))
     interior_rank = {m: r for r, m in enumerate(interior)}
     face_rank = {b: r for r, b in enumerate(bubble_indices(2, p, dm.family))}
     first, _ = _reference_first_dofs(mesh, dm)
-    dofs = np.zeros(dm.cell_dofs.shape, dtype=np.int64)
+    dofs = np.zeros((mesh.n_elements, len(modes)), dtype=np.int64)
     for e, cell in enumerate(mesh.cells):
-        for lm, m in enumerate(dm.local_modes):
+        for lm, m in enumerate(modes):
             bub = [k for k in range(d) if m[k] >= 2]
             q = tuple(2 * int(i) + (0, 2, 1)[min(x, 2)] for i, x in zip(cell, m))
             if len(bub) == d:

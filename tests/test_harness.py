@@ -427,6 +427,36 @@ def test_cli_slope_fit_pipeline(tmp_path, capsys):
     assert out.startswith("slope=")
 
 
+@pytest.mark.parametrize("row, cells", [("x,1,2,3", 4), ("x,1,2,3,0.5,9,9", 7)],
+                         ids=["short", "long"])
+def test_cli_slope_fit_rejects_a_row_of_the_wrong_width(tmp_path, capsys,
+                                                        row, cells):
+    # a short row used to print a bare KeyError, a long one lost its extra
+    # cells; the blank line counts, so the row is line 4 of the file
+    csv = tmp_path / "ragged.csv"
+    csv.write_text(f"method,p,dim,dof,l2\nx,0,2,1,0.5\n\n{row}\n")
+    assert cli_main(["slope-fit", str(csv), "--abscissa", "p"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: line 4 has {cells} cells, the header has 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis-count", "--dim", "3", "--p-max", "6"],
+    ["fem-sine", "--dim", "2", "--n", "2", "--p-max", "2"],
+    ["fem-lshape", "--p-list", "1,2"],
+    ["dg-sine", "--n", "2", "--p-max", "2"],
+], ids=lambda argv: argv[0])
+def test_cli_family_takes_either_case(capsys, argv):
+    family = {"basis-count": "s", "fem-sine": "s", "fem-lshape": "q",
+              "dg-sine": "p"}[argv[0]]
+    outs = []
+    for spelling in (family, family.upper()):
+        assert cli_main(argv + ["--family", spelling]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") > 1
+
+
 def test_cli_lemma_audit_and_sharp_ratio(capsys):
     assert cli_main(["lemma-audit", "--dim", "2", "--M-max", "4",
                      "--m-max", "2"]) == 0

@@ -1,9 +1,17 @@
+from functools import reduce
+from itertools import product
+
+import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from hpexp import fem
-from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
-                             enumerate_modes)
-from hpexp.projections import _serendipity_mask
+from hpexp.indexsets import (BasisSpec, bubble_indices, degree_mask,
+                             dof_count, enumerate_modes)
+
+
+def _superlinear_degree(m):
+    return sum(x for x in m if x >= 2)
 
 
 def test_bilinear_enumeration():
@@ -28,9 +36,27 @@ def test_serendipity_2d_enumeration():
         set(enumerate_modes(BasisSpec(2, 1, "Q")))
 
 
-def test_serendipity_3d_has_no_monomial_view():
+def test_serendipity_3d_enumeration():
+    # the S rule holds in every dimension: the 3D monomial set has the
+    # closed-form count, each index of superlinear degree <= p
+    for p in range(1, 31):
+        modes = enumerate_modes(BasisSpec(3, p, "S"))
+        assert len(modes) == dof_count(BasisSpec(3, p, "S"))
+        assert len(set(modes)) == len(modes)
+        assert all(_superlinear_degree(m) <= p for m in modes)
+        assert modes == sorted(modes, key=lambda m: (sum(m), m))
+
+
+def test_degree_mask_rules():
+    shape = (6, 5, 4)
+    for p in range(0, 7):
+        q, pp, s = (degree_mask(shape, family, p) for family in "QPS")
+        for m in product(*map(range, shape)):
+            assert q[m] == (max(m) <= p)
+            assert pp[m] == (sum(m) <= p)
+            assert s[m] == (_superlinear_degree(m) <= p)
     with pytest.raises(ValueError):
-        enumerate_modes(BasisSpec(3, 4, "S"))
+        degree_mask(shape, "X", 3)
 
 
 def test_dof_counts():
@@ -43,14 +69,13 @@ def test_dof_counts():
 
 
 def test_dof_count_matches_enumeration():
-    for p in range(0, 9):
-        for d in (2, 3):
-            for fam in ("Q", "P"):
-                spec = BasisSpec(d, p, fam)
-                assert dof_count(spec) == len(enumerate_modes(spec))
-        if p >= 1:
-            spec = BasisSpec(2, p, "S")
-            assert dof_count(spec) == len(enumerate_modes(spec))
+    # the closed forms every record calls, against the mask they shortcut
+    for d, p, fam in product((2, 3), range(9), ("Q", "P", "S")):
+        if fam == "S" and p == 0:
+            continue                    # S starts at p = 1
+        spec = BasisSpec(d, p, fam)
+        assert dof_count(spec) == len(enumerate_modes(spec))
+        assert dof_count(spec) == int(degree_mask((p + 1,) * d, fam, p).sum())
 
 
 def test_bubble_indices_cases():
@@ -75,13 +100,39 @@ def test_bubble_indices_cases():
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("p", range(1, 16))
 def test_serendipity_census(d, p):
-    # the closed form against the FEM dofmap of one element and the
-    # projections' mask, three codings of the S rule
+    # the closed form against the FEM dofmap of one element, which counts
+    # its entities' bubble sets, and against the mask itself
     n = dof_count(BasisSpec(d, p, "S"))
     dm = fem.build_dofmap(fem.mesh_uniform(d, 1), p, "S")
     assert dm.n_dof == n
     assert len(dm.local_modes) == n
-    assert int(_serendipity_mask((p + 1,) * d, range(d), p).sum()) == n
+    assert int(degree_mask((p + 1,) * d, "S", p).sum()) == n
+
+
+def _slot_monomials(p):
+    """Monomial coefficients of the 1D hierarchical basis, one row per slot:
+    (1-x)/2, (1+x)/2, then psi_j = int_{-1}^x L_j for j = 1..p-1."""
+    rows = np.zeros((p + 1, p + 1))
+    rows[0, :2] = 0.5, -0.5
+    rows[1, :2] = 0.5, 0.5
+    for j in range(1, p):
+        psi = legendre.legint(np.eye(j + 1)[j], lbnd=-1)
+        rows[j + 1, :j + 2] = legendre.leg2poly(psi)
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_serendipity_fem_modes_span_the_monomial_space(d, p):
+    # the slot products FEM(S) keeps span exactly the monomials of
+    # superlinear degree <= p: nothing outside the mask, all of it inside
+    rows = _slot_monomials(p)
+    dm = fem.build_dofmap(fem.mesh_uniform(d, 1), p, "S")
+    span = np.array([reduce(np.multiply.outer, rows[list(m)]).ravel()
+                     for m in dm.local_modes])
+    keep = degree_mask((p + 1,) * d, "S", p).ravel()
+    assert np.abs(span[:, ~keep]).max(initial=0.0) < 1e-12
+    assert np.linalg.matrix_rank(span[:, keep]) == keep.sum() == len(span)
 
 
 def test_family_ordering_invariant():
