@@ -1,18 +1,22 @@
 """Command line entry point: ``hpexp <subcommand>``.
 
-Subcommands: basis-count, project-sweep, lemma-audit, sharp-ratio,
-fem-lshape, fem-sine, dg-sine, slope-fit, run.  Each sweep subcommand (all
-but sharp-ratio, slope-fit and run) builds one sweep in the config format of
-``hpexp run`` from its options, which carry the names of the config keys, and
-goes through the same validator and runner; an option not given is left out
-of the sweep, so the kind's own default applies.  project-sweep and the FEM
-and DG sweeps print CSV to stdout, or with --out PREFIX the config runner
-writes PREFIX.csv and PREFIX.meta.json with the same meta fields as
-``hpexp run``; basis-count and lemma-audit print their own tables.  Exit
-codes: 0 success, 1 usage or config error, 2 numerical failure.  A sweep's
-options are checked by the config validator before it runs, so any other
-error raised inside a sweep is a bug and propagates with its traceback;
-only sharp-ratio and slope-fit map their functions' ``ValueError`` and
+Each config kind of ``harness.KINDS`` is a sweep subcommand of the same
+name, built from the kind's keys: key ``k`` is the option ``--k`` with its
+underscores as dashes, of the key's type and choices, and required exactly
+when the key is.  Three keys are spelled otherwise: ``proj_kind`` is
+``--kind``, ``--family`` takes either case, and ``p_list`` is ``--p-list``
+(comma separated) or else ``--p-max`` with ``--p-min`` (default 1).  A sweep
+subcommand builds one sweep in the config format of ``hpexp run`` and goes
+through the same validator and runner; an option not given is left out of
+the sweep, so the kind's own default applies.  With --out PREFIX the config
+runner writes PREFIX.csv and PREFIX.meta.json with the same meta fields as
+``hpexp run``; without it a sweep prints CSV to stdout, but basis-count and
+lemma-audit print their own tables (the lemma table names each row's
+argmax).  sharp-ratio, slope-fit and run are not config kinds.  Exit codes:
+0 success, 1 usage or config error, 2 numerical failure.  A sweep's options
+are checked by the config validator before it runs, so any other error
+raised inside a sweep is a bug and propagates with its traceback; only
+sharp-ratio and slope-fit map their functions' ``ValueError`` and
 ``KeyError`` to a usage error.
 """
 
@@ -42,88 +46,48 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _degrees(text: str) -> list[int]:
-    """The integers of a comma separated list; argparse reports a bad one."""
-    try:
-        return [int(t) for t in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma separated list of integers: {text!r}") from None
-
-
-def _add_family(parser, choices) -> None:
-    """--family, in either case, as one of the upper-case ``choices``."""
-    parser.add_argument("--family", required=True, type=str.upper,
-                        choices=choices)
+def _add_sweep(sub, command: str, kind: harness.Kind) -> None:
+    """The subcommand of one config kind: an option per key, and --out."""
+    sp = sub.add_parser(command, help=kind.help)
+    for k, key in kind.fields.items():
+        if k == "p_list":
+            degrees = sp.add_mutually_exclusive_group(required=key.required)
+            degrees.add_argument("--p-list", type=key.type,
+                                 help="comma separated degrees")
+            degrees.add_argument("--p-max", type=int,
+                                 help="degrees P_MIN..P_MAX")
+            sp.add_argument("--p-min", type=int, help="default 1")
+            continue
+        sp.add_argument("--kind" if k == "proj_kind" else
+                        "--" + k.replace("_", "-"), dest=k,
+                        required=key.required,
+                        type=str.upper if k == "family" else key.type,
+                        choices=key.choices, help=key.text)
+    sp.add_argument("--out", help="write PREFIX.csv and PREFIX.meta.json")
 
 
 def _sweep(args) -> dict:
     """The config-format sweep of a subcommand; its options carry the key names."""
     fields = harness.KINDS[args.command].fields
     sw = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "p_list" in fields:
-        sw["p_list"] = (args.p_list if getattr(args, "p_list", None)
-                        else list(range(getattr(args, "p_min", 1), args.p_max + 1)))
-    out = getattr(args, "out", None)
-    return {"name": Path(out).name if out else args.command,
+    if "p_list" in fields and args.p_list is None:
+        sw["p_list"] = list(range(1 if args.p_min is None else args.p_min,
+                                  args.p_max + 1))
+    return {"name": Path(args.out).name if args.out else args.command,
             "kind": args.command, **sw}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hpexp")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("basis-count", help="Dof table for one family")
-    pc.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    _add_family(pc, ("Q", "P", "S"))
-    pc.add_argument("--p-max", type=int, required=True)
-
-    ps = sub.add_parser("project-sweep", help="projection error sweep")
-    ps.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    ps.add_argument("--kind", dest="proj_kind", required=True,
-                    choices=harness.PROJECTION_KINDS)
-    ps.add_argument("--function", choices=("sine", "expsum", "runge1d-tensor"))
-    ps.add_argument("--p-min", type=int, required=True)
-    ps.add_argument("--p-max", type=int, required=True)
-    ps.add_argument("--margin", type=int)
-    ps.add_argument("--runge-a", type=float)
-
-    la = sub.add_parser("lemma-audit", help="lattice audit of the Gamma bound")
-    la.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
-    la.add_argument("--M-max", type=int, required=True)
-    la.add_argument("--m-max", type=int, required=True)
+    for command, kind in harness.KINDS.items():
+        _add_sweep(sub, command, kind)
 
     sr = sub.add_parser("sharp-ratio", help="worst per-mode L2(P) ratio")
     sr.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
     sr.add_argument("--p", type=int, required=True)
     sr.add_argument("--s", type=int, required=True)
     sr.add_argument("--buffer", type=int, default=6)
-
-    fl = sub.add_parser("fem-lshape", help="L-shape corner benchmark")
-    _add_family(fl, ("Q", "S"))
-    degrees = fl.add_mutually_exclusive_group(required=True)
-    degrees.add_argument("--p-max", type=int, help="degrees 1..P_MAX")
-    degrees.add_argument("--p-list", type=_degrees,
-                         help="comma separated degrees")
-    fl.add_argument("--graded-layers", type=int)
-    fl.add_argument("--graded-ratio", type=float)
-
-    fs = sub.add_parser("fem-sine", help="sine Poisson benchmark")
-    fs.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    fs.add_argument("--n", type=int, required=True)
-    _add_family(fs, ("Q", "S"))
-    fs.add_argument("--p-max", type=int, required=True)
-    fs.add_argument("--p-min", type=int, default=1)
-
-    dg = sub.add_parser("dg-sine", help="SIP DG sine benchmark")
-    dg.add_argument("--n", type=int, required=True)
-    _add_family(dg, ("P", "Q"))
-    dg.add_argument("--p-max", type=int, required=True)
-    dg.add_argument("--p-min", type=int, default=1)
-    dg.add_argument("--gamma", type=float)
-
-    for sweep_parser in (ps, fl, fs, dg):
-        sweep_parser.add_argument("--out", default=None)
 
     sf = sub.add_parser("slope-fit", help="fit slopes from a sweep CSV")
     sf.add_argument("csv", type=Path)
@@ -139,11 +103,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "p_list", None) is not None and args.p_min is not None:
+        parser.error("--p-min goes with --p-max, not --p-list")
     try:
         if args.command in harness.KINDS:
             sw = _sweep(args)
-            if getattr(args, "out", None):
+            if args.out:
                 run_config({"sweeps": [sw]}, out_dir=Path(args.out).parent)
             elif args.command == "basis-count":
                 sys.stdout.write("p,dof\n" + "".join(f"{r.p},{r.dof}\n"

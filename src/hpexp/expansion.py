@@ -34,7 +34,6 @@ __all__ = [
     "sobolev_seminorm",
     "weighted_seminorm",
     "composition_array",
-    "compositions",
     "named_function",
 ]
 
@@ -292,11 +291,6 @@ def composition_array(total: int, parts: int) -> np.ndarray:
     return np.column_stack([heads, rest])
 
 
-def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """The rows of ``composition_array`` as tuples of Python ints."""
-    return [tuple(c) for c in composition_array(total, parts).tolist()]
-
-
 def sobolev_seminorm(u: CoeffTensor, s: int) -> float:
     """|u|_{H^s} = sqrt(sum_{|alpha|=s} ||D^alpha u||^2), exact in coefficient space."""
     if s < 0:
@@ -304,7 +298,7 @@ def sobolev_seminorm(u: CoeffTensor, s: int) -> float:
     if s == 0:
         return l2_norm(u)
     total = sum(l2_norm(_derivative(u, alpha)) ** 2
-                for alpha in compositions(s, u.dim))
+                for alpha in composition_array(s, u.dim).tolist())
     return float(np.sqrt(total))
 
 

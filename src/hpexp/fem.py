@@ -221,6 +221,7 @@ class DofMap:
     interior_offset: int            # the first cell-interior dof
     dirichlet_mask: np.ndarray      # bool (n_dof,) boundary dofs
     first_dof: np.ndarray           # per lattice point, its entity's first dof
+    bubbles: list                   # bubble_indices(j, p, family), j = 0..d
 
 
 def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
@@ -243,7 +244,7 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
         first[dim_of == j] = offsets[j] + len(bubbles[j]) * np.arange(counts[j])
     first[_at(2 * mesh.cells + 1)] = offsets[d] + len(bubbles[d]) * np.arange(ne)
 
-    modes, rank = _kept_modes(d, p, family)
+    modes, rank = _kept_modes(bubbles, p, family)
     half = _HALF[np.minimum(modes, 2)]
     # C order, as the gather/scatter kernels and their BLAS calls expect
     cell_dofs = np.ascontiguousarray(
@@ -256,15 +257,16 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
                   interior_local=np.nonzero(interior)[0],
                   skeleton_local=np.nonzero(~interior)[0],
                   interior_offset=int(offsets[d]),
-                  dirichlet_mask=dirichlet, first_dof=first)
+                  dirichlet_mask=dirichlet, first_dof=first, bubbles=bubbles)
 
 
-def _kept_modes(j: int, p: int, family: str):
+def _kept_modes(bubbles, p: int, family: str):
     """The slot tuples family Q or S keeps in the tensor basis of a
     j-dimensional box (``degree_mask``), in product order, and each one's
-    bubble rank within its entity (the entity with code min(m, 2) per axis)."""
-    ranks = [{b: r for r, b in enumerate(bubble_indices(i, p, family))}
-             for i in range(j + 1)]
+    bubble rank within its entity (the entity with code min(m, 2) per axis).
+    ``bubbles[i]`` is ``bubble_indices(i, p, family)`` for i = 0..j."""
+    j = len(bubbles) - 1
+    ranks = [{b: r for r, b in enumerate(bs)} for bs in bubbles]
     modes = [tuple(m) for m in
              np.argwhere(degree_mask((p + 1,) * j, family, p)).tolist()]
     rank = [ranks[sum(x >= 2 for x in m)][tuple(x - 1 for x in m if x >= 2)]
@@ -403,12 +405,12 @@ def _boundary_data(mesh: Mesh, dofmap: DofMap, g: Callable, rule) -> np.ndarray:
     B = basis1d_values(p, rule.nodes)       # (1-t)/2, (1+t)/2, psi_1, ...
     PsiW = B[2:] * rule.weights
     for j in range(1, d):
-        bubbles = bubble_indices(j, p, dofmap.family)
+        bubbles = dofmap.bubbles[j]
         if not bubbles:
             continue
         keep = np.ravel_multi_index((np.array(bubbles) - 1).T, (p - 1,) * j)
         gram = reduce(np.kron, [PsiW @ B[2:].T] * j)[np.ix_(keep, keep)]
-        modes, rank = _kept_modes(j, p, dofmap.family)
+        modes, rank = _kept_modes(dofmap.bubbles[:j + 1], p, dofmap.family)
         modes = np.array(modes)
         lift_modes = modes.min(axis=1) < 2  # all but the entity's own bubbles
         sub, rank = modes[lift_modes], rank[lift_modes]
@@ -607,11 +609,10 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
 def _element_schur(k_local: np.ndarray, dofmap: DofMap):
     """Static condensation of the shared local stiffness: the Cholesky
     factor of its interior block, K_ib, X = K_ii^-1 K_ib and the element
-    Schur complement S_loc on the skeleton modes (the first three None
-    without interior modes)."""
+    Schur complement S_loc on the skeleton modes.  Without interior modes
+    (Q p = 1; S p <= 3 in 2D, p <= 5 in 3D) the block is 0 x 0 and
+    S_loc is K_bb."""
     il, bl = dofmap.interior_local, dofmap.skeleton_local
-    if not il.size:
-        return None, None, None, k_local[np.ix_(bl, bl)]
     try:
         cho = cho_factor(k_local[np.ix_(il, il)])
     except np.linalg.LinAlgError as exc:
@@ -666,8 +667,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
 
     def condense(r):
         r_sk = r[:n_skel].copy()
-        if il.size:
-            np.add.at(r_sk, skel_dofs.ravel(), -(r[interiors] @ X).ravel())
+        np.add.at(r_sk, skel_dofs.ravel(), -(r[interiors] @ X).ravel())
         return r_sk[free_ids]
 
     u = np.zeros(dofmap.n_dof)
@@ -675,9 +675,8 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     r = system.residual(u)
     for _ in range(REFINE_PASSES + 1):
         u[free_ids] += lu.solve(condense(r))
-        if il.size:
-            u[interiors] = cho_solve(
-                cho, (system.load[interiors] - u[skel_dofs] @ Kib.T).T).T
+        u[interiors] = cho_solve(
+            cho, (system.load[interiors] - u[skel_dofs] @ Kib.T).T).T
         Au = system.matvec(u)
         r = system.load - Au
         rel = np.linalg.norm(r[full_free]) / max(

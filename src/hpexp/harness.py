@@ -1,13 +1,14 @@
 """Experiment orchestration: sweeps, slope fits, ratio reports, CSV/JSON output.
 
-``KINDS`` maps each config ``kind`` to its keys, its records' error keys, its
-meta and a solver ``solve_one(p) -> (dof, errors, extra)`` over the layers'
-stage functions.  ``sweep`` is the one loop over degrees; ``run_config``
-validates a whole config before running any sweep and writes the files, and
-its project-sweeps share each distinct reference expansion; ``run_sweep``
-validates and runs one sweep and writes nothing.  The FEM and DG solvers are
-imported by their kinds' solvers when a sweep first runs, so the
-coefficient-space kinds never load them or scipy.
+``KINDS`` maps each config ``kind`` to its keys (the one declaration of
+each, read by the validator and by the CLI's sweep subcommands), its
+records' error keys, its meta and a solver ``solve_one(p) -> (dof, errors,
+extra)`` over the layers' stage functions.  ``sweep`` is the one loop over
+degrees; ``run_config`` validates a whole config before running any sweep
+and writes the files, and its project-sweeps share each distinct reference
+expansion; ``run_sweep`` validates and runs one sweep and writes nothing.
+The FEM and DG solvers are imported by their kinds' solvers when a sweep
+first runs, so the coefficient-space kinds never load them or scipy.
 
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
@@ -414,37 +415,58 @@ class ConfigError(ValueError):
     pass
 
 
-def _int(lo: int, hi: Optional[int] = None, required: bool = False):
+class Key(NamedTuple):
+    """One config key of a kind: whether a sweep must give it, its check
+    ``ok(value) -> bool`` and the text that describes a valid value, the
+    type a command-line value converts with, and the values the command line
+    offers (None when the check alone applies)."""
+
+    required: bool
+    ok: Callable
+    text: str
+    type: Callable
+    choices: Optional[tuple] = None
+
+
+def _int(lo: int, hi: Optional[int] = None, required: bool = False) -> Key:
     text = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
-    return (required, lambda v: type(v) is int and lo <= v
-            and (hi is None or v <= hi), text)
+    return Key(required, lambda v: type(v) is int and lo <= v
+               and (hi is None or v <= hi), text, int)
 
 
-def _number(lo: float, hi: float = float("inf")):
-    return (False, lambda v: isinstance(v, (int, float))
-            and not isinstance(v, bool) and lo < v < hi,
-            f"a number in ({lo}, {hi})")
+def _number(lo: float, hi: float = float("inf")) -> Key:
+    return Key(False, lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and lo < v < hi,
+               f"a number in ({lo}, {hi})", float)
 
 
-def _choice(options: tuple, required: bool = False):
-    return (required, lambda v: isinstance(v, str) and v in options,
-            f"one of {options}")
+def _choice(options: tuple, required: bool = False) -> Key:
+    return Key(required, lambda v: isinstance(v, str) and v in options,
+               f"one of {options}", str, options)
 
 
-_P_LIST = (True, lambda v: isinstance(v, list) and bool(v)
-           and all(type(p) is int and p >= 1 for p in v)
-           and all(a < b for a, b in zip(v, v[1:])),
-           "a non-empty, strictly increasing list of integers >= 1")
+def int_list(text: str) -> list[int]:
+    """The integers of a comma separated list: a p_list on the command line."""
+    return [int(t) for t in text.split(",")]
+
+
+_P_LIST = Key(True, lambda v: isinstance(v, list) and bool(v)
+              and all(type(p) is int and p >= 1 for p in v)
+              and all(a < b for a, b in zip(v, v[1:])),
+              "a non-empty, strictly increasing list of integers >= 1",
+              int_list)
 
 
 class Kind(NamedTuple):
-    """One config ``kind``: key -> (required, check, description) for each
-    key besides name and kind, the records' error keys, a solver mapping a
+    """One config ``kind``: a one-line description, a ``Key`` for each key
+    besides name and kind (the config validator and the CLI's subcommand of
+    the kind both read them), the records' error keys, a solver mapping a
     sweep, and optionally the run's table of reference expansions (which only
     the project-sweep reads, see ``_reference``), to ``(method, dim, degrees,
     solve_one)`` (none for lemma-audit, whose rows are indexed by two
     budgets), and the extra fields of the meta."""
 
+    help: str
     fields: dict
     error_keys: tuple = ()
     solver: Optional[Callable] = None
@@ -466,6 +488,7 @@ def _lshape_meta(sw: dict) -> dict:
 
 KINDS = {
     "project-sweep": Kind(
+        "projection error sweep",
         {"proj_kind": _choice(PROJECTION_KINDS, required=True),
          "dim": _int(2, 3, required=True),
          "p_min": _int(0, required=True), "p_max": _int(0, required=True),
@@ -474,24 +497,29 @@ KINDS = {
          "margin": _int(4), "runge_a": _number(0.0)},
         ("l2", "h1_semi"), _projection_solver),
     "fem-sine": Kind(
+        "sine Poisson benchmark",
         {"family": _choice(("Q", "S"), required=True), "p_list": _P_LIST,
          "dim": _int(2, 3), "n": _int(1)},
         ("h1_semi",), _fem_solver),
     "fem-lshape": Kind(
+        "L-shape corner benchmark",
         {"family": _choice(("Q", "S"), required=True), "p_list": _P_LIST,
          "graded_ratio": _number(0.0, 1.0), "graded_layers": _int(1)},
         ("h1_semi",), _fem_solver, _lshape_meta),
     "dg-sine": Kind(
+        "SIP DG sine benchmark",
         {"family": _choice(("Q", "P"), required=True), "p_list": _P_LIST,
          "n": _int(1), "gamma": _number(0.0)},
         ("l2", "broken_h1", "dg_norm"), _dg_solver,
         lambda sw: {"dg_norm_definition":
                     "sqrt(broken_h1^2 + sum_F sigma_F ||[u-u_h]||_F^2)"}),
     "basis-count": Kind(
+        "Dof table for one family",
         {"dim": _int(2, 3), "family": _choice(("Q", "P", "S")),
          "p_max": _int(1)},
         (), _basis_count_solver),
     "lemma-audit": Kind(
+        "lattice audit of the Gamma bound",
         {"dim": _int(1, 3), "M_max": _int(0, LEMMA_AUDIT_CAP),
          "m_max": _int(0)},
         ("lattice_max", "phi")),
@@ -520,12 +548,12 @@ def _validate_sweep(i: int, sw) -> None:
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]}: not a key of kind "
                           f"{sw['kind']!r}")
-    for key, (required, ok, text) in fields.items():
-        if key not in sw:
-            if required:
-                raise ConfigError(f"{where}.{key}: required, {text}")
-        elif not ok(sw[key]):
-            raise ConfigError(f"{where}.{key}: must be {text}")
+    for k, key in fields.items():
+        if k not in sw:
+            if key.required:
+                raise ConfigError(f"{where}.{k}: required, {key.text}")
+        elif not key.ok(sw[k]):
+            raise ConfigError(f"{where}.{k}: must be {key.text}")
     if sw["kind"] == "project-sweep" and sw["p_min"] > sw["p_max"]:
         raise ConfigError(f"{where}.p_min: must not exceed p_max")
     # the other functions have no width; a value they ignore would also

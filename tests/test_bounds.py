@@ -4,7 +4,7 @@ from scipy.special import gamma
 
 from hpexp.bounds import (LEMMA_AUDIT_CAP, bound_rhs, lemma_audit, phi,
                           sharp_l2_ratio, stirling_envelope_check)
-from hpexp.expansion import compositions
+from hpexp.expansion import composition_array
 from hpexp.orthopoly import log_gamma
 
 
@@ -17,23 +17,23 @@ def _lemma_audit_loop(d, M, m):
 
     best = -np.inf
     arg = None
-    rhos = compositions(M, d)
-    for xi in compositions(m, d):
+    rhos = composition_array(M, d).tolist()
+    for xi in composition_array(m, d).tolist():
         for rho in rhos:
             if all(r >= x for x, r in zip(xi, rho)):
                 val = log_f(xi, rho)
                 if val > best:
-                    best, arg = val, (xi, rho)
+                    best, arg = val, (tuple(xi), tuple(rho))
     return float(np.exp(best)), arg[0], arg[1]
 
 
 def _sharp_l2_ratio_loop(d, p, s, shell_buffer):
     # the scalar loop the table gather replaced, on the library's log-Gamma
-    alphas = compositions(s, d)
+    alphas = composition_array(s, d).tolist()
     best = -np.inf
     arg = None
     for shell in range(p + 1, p + 2 + shell_buffer):
-        for i in compositions(shell, d):
+        for i in composition_array(shell, d).tolist():
             denom = 0.0
             for alpha in alphas:
                 if all(ik >= ak for ik, ak in zip(i, alpha)):
@@ -41,7 +41,7 @@ def _sharp_l2_ratio_loop(d, p, s, shell_buffer):
                         log_gamma(ik + ak + 1.0) - log_gamma(ik - ak + 1.0)
                         for ik, ak in zip(i, alpha)))
             if denom > 0.0 and 1.0 / denom > best:
-                best, arg = 1.0 / denom, i
+                best, arg = 1.0 / denom, tuple(i)
     return {"max_ratio": float(best), "argmax": arg}
 
 

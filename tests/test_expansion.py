@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 from hpexp.expansion import (CoeffTensor, InsufficientQuadratureError,
-                             compositions, differentiate, evaluate, expand,
+                             composition_array, differentiate, evaluate, expand,
                              l2_norm, named_function, reference_expansion,
                              sobolev_seminorm, weighted_seminorm)
 from hpexp.expansion import FunctionOracle, _OuterTables, _outer_tables
@@ -151,7 +151,7 @@ def _weighted_seminorm_loop(coeffs, s):
     """The per-composition broadcast loop ``weighted_seminorm`` replaced."""
     sq = coeffs * coeffs
     total = 0.0
-    for alpha in compositions(s, coeffs.ndim):
+    for alpha in composition_array(s, coeffs.ndim).tolist():
         term = sq
         for axis, a_k in enumerate(alpha):
             fac = _gamma_ratio_factors(coeffs.shape[axis] - 1, a_k)
@@ -287,16 +287,16 @@ def test_tail_trust_reads_the_outer_band_sum(name, m, trusted):
 
 
 def test_compositions_cases():
-    assert compositions(0, 1) == [(0,)]
-    assert compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert len(compositions(40, 3)) == 861
+    assert composition_array(0, 1).tolist() == [[0]]
+    assert composition_array(2, 2).tolist() == [[0, 2], [1, 1], [2, 0]]
+    assert composition_array(40, 3).shape == (861, 3)
 
 
 @pytest.mark.parametrize("total,parts", [(3, 0), (0, 0), (2, -1), (-1, 1), (-1, 3)])
 def test_compositions_rejects_bad_input(total, parts):
     # parts = 0 used to recurse until RecursionError, total = -1 gave [(-1,)]
     with pytest.raises(ValueError):
-        compositions(total, parts)
+        composition_array(total, parts)
 
 
 # The product sine as the FEM problems and the DG sweep wrote it before both

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hpexp import blas, fem, harness
+from hpexp import blas, cli, fem, harness
 from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
 from hpexp.orthopoly import graded_rule
@@ -378,9 +379,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--p-max", "3"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "p,dof"
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["basis-count", "--dim", "9", "--family", "Q", "--p-max", "3"])
-    assert exc.value.code == 1
+    # the dim range is the config validator's: a config error, not argparse's
+    assert cli_main(["basis-count", "--dim", "9", "--family", "Q",
+                     "--p-max", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error: sweeps[0].dim" in err
     # numerical failure: SIP with a hopeless penalty
     code = cli_main(["dg-sine", "--n", "2", "--family", "q", "--p-max", "2",
                      "--p-min", "2", "--gamma", "1e-6"])
@@ -521,7 +524,9 @@ def test_cli_fem_lshape_takes_p_max_or_p_list(capsys):
     assert cli_main(["fem-lshape", "--family", "q", "--p-list", "1,25"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [int(r.split(",")[1]) for r in rows] == [1, 25]
-    for flags in ([], ["--p-max", "2", "--p-list", "1,2"]):
+    # --p-min goes with --p-max only
+    for flags in ([], ["--p-max", "2", "--p-list", "1,2"],
+                  ["--p-min", "2", "--p-list", "1,2"]):
         with pytest.raises(SystemExit) as exc:
             cli_main(["fem-lshape", "--family", "q"] + flags)
         assert exc.value.code == 1
@@ -564,7 +569,15 @@ def test_cli_run_happy_path(tmp_path):
      {"kind": "dg-sine", "n": 2, "family": "Q", "p_list": [1, 2]}),
     (["fem-lshape", "--family", "q", "--p-max", "2"],
      {"kind": "fem-lshape", "family": "Q", "p_list": [1, 2]}),
-], ids=["project-sweep", "dg-sine", "fem-lshape"])
+    (["basis-count", "--family", "q", "--p-max", "3"],
+     {"kind": "basis-count", "family": "Q", "p_max": 3}),
+    (["lemma-audit", "--dim", "2", "--M-max", "4", "--m-max", "2"],
+     {"kind": "lemma-audit", "dim": 2, "M_max": 4, "m_max": 2}),
+    # no --dim or --n: the kind's default 8^2 mesh
+    (["fem-sine", "--family", "q", "--p-max", "2"],
+     {"kind": "fem-sine", "family": "Q", "p_list": [1, 2]}),
+], ids=["project-sweep", "dg-sine", "fem-lshape", "basis-count", "lemma-audit",
+        "fem-sine"])
 def test_cli_out_meta_lists_only_the_given_keys(argv, sweep, tmp_path):
     # an option left out takes the kind's default, as a config key left out does
     assert cli_main(argv + ["--out", str(tmp_path / "cli" / "s")]) == 0
@@ -574,6 +587,31 @@ def test_cli_out_meta_lists_only_the_given_keys(argv, sweep, tmp_path):
     assert metas[0]["sweep"] == metas[1]["sweep"] == {"name": "s", **sweep}
     assert ((tmp_path / "cli" / "s.csv").read_text()
             == (tmp_path / "cfg" / "s.csv").read_text())
+
+
+def _subcommand(command: str) -> argparse.ArgumentParser:
+    actions = cli._build_parser()._actions
+    return next(a for a in actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+@pytest.mark.parametrize("command", harness.KINDS)
+def test_cli_sweep_options_are_the_kind_keys(command):
+    # one option per key, named by the key, required exactly when the key is;
+    # a p_list is --p-list or --p-max (a group required as the key is), with
+    # --p-min; and --out
+    fields = harness.KINDS[command].fields
+    parser = _subcommand(command)
+    options = {a.dest: a.required for a in parser._actions if a.dest != "help"}
+    keys = {k: key.required for k, key in fields.items() if k != "p_list"}
+    groups = [({a.dest for a in g._group_actions}, g.required)
+              for g in parser._mutually_exclusive_groups]
+    if "p_list" in fields:
+        keys.update(p_list=False, p_max=False, p_min=False)
+        assert groups == [({"p_list", "p_max"}, fields["p_list"].required)]
+    else:
+        assert groups == []
+    assert options == {**keys, "out": False}
 
 
 # two project-sweeps' references are one exactly when their effective
