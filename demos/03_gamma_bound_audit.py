@@ -13,12 +13,14 @@ projection bound actually needs:
    total-degree L2 bound - stays below phi(d, p+1, s) on the whole grid
    checked here, which is the sufficient condition the bound needs;
 
-3. the bound itself audited on random coefficient tensors reports zero
-   violations.
+3. that check covers every u, not only single modes: the V^s seminorm is
+   diagonal in the Legendre modes (a mode i has |u|^2_{V^s} = w_i D_s(i),
+   with D_s the sharp ratio's denominator), so error^2 / |u|^2_{V^s} of the
+   projection is at most the largest single-mode ratio, with equality on a
+   mode.
 """
 
 from hpexp.bounds import lemma_audit, phi, sharp_l2_ratio
-from hpexp.projections import audit_l2p_bound
 
 print("lattice audit (d=2):")
 for M, m in ((2, 2), (3, 2), (4, 2), (6, 3), (8, 4)):
@@ -32,11 +34,9 @@ worst = 0.0
 for d in (2, 3):
     for p in range(1, 13):
         for s in range(0, min(p + 1, 4) + 1):
-            r = sharp_l2_ratio(d, p, s, 6)["max_ratio"]
+            r = sharp_l2_ratio(d, p, s)["max_ratio"]
             worst = max(worst, r / phi(d, p + 1, s))
 print(f"  max ratio/phi over the grid: {worst:.6f} (<= 1 required)")
 
-print("\nrandom-tensor audit of the total-degree L2 bound:")
-for d in (2, 3):
-    rep = audit_l2p_bound(d, p_values=(4, 8), n_samples=100, seed=0)
-    print(f"  d={d}: {rep['checks']} checks, {rep['n_violations']} violations")
+print("\nthe seminorm is diagonal in the modes, so this maximum bounds "
+      "error^2/|u|^2_{V^s} for every u")

@@ -12,10 +12,12 @@ the sharp per-mode constant of the total-degree L2 bound, and the right-hand
 sides of the projection error bounds; the serendipity H1 bounds are composed
 from the Q_p H1 bound and the truncation-difference bounds of their dimension.
 
-The audit and the sharp ratio still visit every lattice point, as one gather
-from a table of log-Gamma differences over all compositions at once.  The
-per-axis terms are added left to right and the first maximum in enumeration
-order is kept, so the numbers and argmaxes are those of the scalar loops.
+The audit visits every lattice point, as one gather from a table of log-Gamma
+differences over all compositions at once.  The sharp ratio visits the first
+shell |i| = p + 1 only: its denominator is non-decreasing in each entry of i,
+so no later shell holds a larger ratio.  The per-axis terms are added left to
+right and the first maximum in enumeration order is kept, so the numbers and
+argmaxes are those of the scalar loops.
 """
 
 from __future__ import annotations
@@ -115,10 +117,14 @@ def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
         holds=bool(lattice_max <= phi_value * (1.0 + 1e-12)))
 
 
-def sharp_l2_ratio(d: int, p: int, s: int, shell_buffer: int = 6):
+def sharp_l2_ratio(d: int, p: int, s: int):
     """Worst single-mode ratio error^2 / |u|_{V^s}^2 for the total-degree
-    L2 projection: max over |i| in [p+1, p+1+shell_buffer] of
+    L2 projection: max over |i| > p of
     1 / sum_{|alpha|=s, alpha<=i} prod Gamma(i_k+alpha_k+1)/Gamma(i_k-alpha_k+1).
+
+    Only the shell |i| = p + 1 is visited: each Gamma ratio grows with i_k and
+    the set of alpha <= i only grows, so the denominator is non-decreasing in
+    each entry of i.
     """
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
@@ -126,14 +132,10 @@ def sharp_l2_ratio(d: int, p: int, s: int, shell_buffer: int = 6):
         raise ValueError("need p >= 0")
     if not 0 <= s <= p + 1:
         raise ValueError("need 0 <= s <= p+1")
-    if shell_buffer < 0:
-        raise ValueError("need shell_buffer >= 0")
-    top = p + 1 + shell_buffer
-    i = np.concatenate([composition_array(shell, d)
-                        for shell in range(p + 1, top + 1)])
+    i = composition_array(p + 1, d)
     # table[a, n] = log(Gamma(n + a + 1) / Gamma(n - a + 1)) for a <= n, -inf for a > n
-    table = np.full((s + 1, top + 1), -np.inf)
-    a, n = np.nonzero(np.arange(s + 1)[:, None] <= np.arange(top + 1))
+    table = np.full((s + 1, p + 2), -np.inf)
+    a, n = np.nonzero(np.arange(s + 1)[:, None] <= np.arange(p + 2))
     table[a, n] = log_gamma(n + a + 1.0) - log_gamma(n - a + 1.0)
     denom = np.zeros(len(i))
     for alpha in composition_array(s, d):

@@ -87,7 +87,6 @@ def _build_parser() -> _Parser:
     sr.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
     sr.add_argument("--p", type=int, required=True)
     sr.add_argument("--s", type=int, required=True)
-    sr.add_argument("--buffer", type=int, default=6)
 
     sf = sub.add_parser("slope-fit", help="fit slopes from a sweep CSV")
     sf.add_argument("csv", type=Path)
@@ -127,7 +126,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(records_to_csv(run_sweep(sw)))
         elif args.command == "sharp-ratio":
-            res = sharp_l2_ratio(args.dim, args.p, args.s, args.buffer)
+            res = sharp_l2_ratio(args.dim, args.p, args.s)
             bound = phi(args.dim, args.p + 1, args.s)
             sys.stdout.write(
                 f"d={args.dim} p={args.p} s={args.s}: max_ratio="

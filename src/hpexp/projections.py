@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import bound_rhs, phi
+from .bounds import bound_rhs
 from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
                         _tail_sums, _weight_vectors, l2_norm,
                         sobolev_seminorm, weighted_seminorm)
@@ -44,7 +44,6 @@ __all__ = [
     "project_h1_p",
     "projection_errors",
     "h1_axis_matrix",
-    "audit_l2p_bound",
     "audit_h1s_bounds",
 ]
 
@@ -165,38 +164,6 @@ def project_h1_p(u: CoeffTensor, p: int) -> ProjectionResult:
             f"total-degree H1 projection requires p >= {3 * d - 1}")
     res = project_h1_s(u, p + 1 - d)
     return ProjectionResult(projected=res.projected, kind="H1_P", p=p)
-
-
-def audit_l2p_bound(d: int, p_values=(4, 8, 12), n_samples: int = 200,
-                    seed: int = 0) -> dict:
-    """Audit error^2(Pi_P) <= phi(d, p+1, s) |u|_{V^s}^2 on random tensors.
-
-    The underlying lattice inequality is known to fail on mixed corner points,
-    so violations are reported, never assumed away; the trusted sufficient
-    check is the per-mode grid bound (bounds.sharp_l2_ratio <= phi).
-    """
-    rng = np.random.default_rng(seed)
-    violations = []
-    checks = 0
-    for p in p_values:
-        shape = (p + 7,) * d
-        outside = ~degree_mask(shape, "P", p)
-        for sample in range(n_samples):
-            u = CoeffTensor(coeffs=rng.standard_normal(shape))
-            # Pi_P keeps the coefficients on the simplex |i| <= p, so the
-            # error is the Parseval sum of the others; each tensor is used
-            # once, so projection_errors' per-tensor tables would not pay off
-            err_sq = l2_norm(CoeffTensor(
-                coeffs=np.where(outside, u.coeffs, 0.0))) ** 2
-            for s in range(1, min(p + 1, 4) + 1):
-                checks += 1
-                rhs = phi(d, p + 1, s) * weighted_seminorm(u, s) ** 2
-                if err_sq > rhs * (1.0 + 1e-12):
-                    violations.append({"d": d, "p": p, "s": s,
-                                       "sample": sample,
-                                       "lhs": err_sq, "rhs": rhs})
-    return {"d": d, "checks": checks, "n_violations": len(violations),
-            "violations": violations}
 
 
 def audit_h1s_bounds(u_ref: CoeffTensor, p_values, norm: str = "l2") -> dict:

@@ -263,10 +263,10 @@ def test_criterion_6_bound_audits():
     for d in (2, 3):
         for p in range(1, 13):
             for s in range(0, min(p + 1, 4) + 1):
-                r = sharp_l2_ratio(d, p, s, 6)["max_ratio"]
+                r = sharp_l2_ratio(d, p, s)["max_ratio"]
                 grid_ok &= r <= phi(d, p + 1, s) * (1 + 1e-12)
-    vals_ok = (abs(sharp_l2_ratio(2, 1, 1, 4)["max_ratio"] - 0.25) < 1e-13
-               and abs(sharp_l2_ratio(2, 9, 1, 6)["max_ratio"] - 1 / 60) < 1e-14)
+    vals_ok = (abs(sharp_l2_ratio(2, 1, 1)["max_ratio"] - 0.25) < 1e-13
+               and abs(sharp_l2_ratio(2, 9, 1)["max_ratio"] - 1 / 60) < 1e-14)
     stirling_ok = all(stirling_envelope_check(d, m, n)
                       for d in (1, 2, 3) for m in range(1, 31)
                       for n in range(1, m + 1))

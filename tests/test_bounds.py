@@ -27,19 +27,26 @@ def _lemma_audit_loop(d, M, m):
     return float(np.exp(best)), arg[0], arg[1]
 
 
-def _sharp_l2_ratio_loop(d, p, s, shell_buffer):
-    # the scalar loop the table gather replaced, on the library's log-Gamma
+def _sharp_denominator(i, alphas):
+    # D_s(i) = sum_{|alpha|=s, alpha<=i} prod Gamma(i_k+alpha_k+1)/Gamma(i_k-alpha_k+1)
+    denom = 0.0
+    for alpha in alphas:
+        if all(ik >= ak for ik, ak in zip(i, alpha)):
+            denom += np.exp(sum(
+                log_gamma(ik + ak + 1.0) - log_gamma(ik - ak + 1.0)
+                for ik, ak in zip(i, alpha)))
+    return denom
+
+
+def _sharp_l2_ratio_loop(d, p, s, n_shells):
+    # the scalar loop the table gather replaced, on the library's log-Gamma,
+    # over the shells |i| = p + 1, ..., p + n_shells
     alphas = composition_array(s, d).tolist()
     best = -np.inf
     arg = None
-    for shell in range(p + 1, p + 2 + shell_buffer):
+    for shell in range(p + 1, p + 1 + n_shells):
         for i in composition_array(shell, d).tolist():
-            denom = 0.0
-            for alpha in alphas:
-                if all(ik >= ak for ik, ak in zip(i, alpha)):
-                    denom += np.exp(sum(
-                        log_gamma(ik + ak + 1.0) - log_gamma(ik - ak + 1.0)
-                        for ik, ak in zip(i, alpha)))
+            denom = _sharp_denominator(i, alphas)
             if denom > 0.0 and 1.0 / denom > best:
                 best, arg = 1.0 / denom, tuple(i)
     return {"max_ratio": float(best), "argmax": arg}
@@ -159,20 +166,14 @@ def test_lemma_audit_budget_cap():
 
 
 def test_sharp_ratio_examples():
-    res = sharp_l2_ratio(2, 1, 1, 4)
+    res = sharp_l2_ratio(2, 1, 1)
     assert res["max_ratio"] == pytest.approx(0.25, rel=1e-13)
     assert res["argmax"] == (1, 1)
-    res = sharp_l2_ratio(2, 9, 1, 6)
+    res = sharp_l2_ratio(2, 9, 1)
     assert res["max_ratio"] == pytest.approx(1.0 / 60.0, rel=1e-13)
     assert res["argmax"] == (5, 5)
     for d, p in ((2, 3), (3, 5)):
-        assert sharp_l2_ratio(d, p, 0, 3)["max_ratio"] == pytest.approx(1.0)
-
-
-def test_sharp_ratio_rejects_negative_buffer():
-    # an empty shell range would report max_ratio = -inf as a holding bound
-    with pytest.raises(ValueError):
-        sharp_l2_ratio(2, 1, 1, -1)
+        assert sharp_l2_ratio(d, p, 0)["max_ratio"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("d,p,s", [(0, 1, 1), (4, 1, 1), (2, -1, 0), (3, -2, 0)])
@@ -181,25 +182,33 @@ def test_sharp_ratio_rejects_bad_dimension_and_degree(d, p, s):
         sharp_l2_ratio(d, p, s)
 
 
-@pytest.mark.parametrize("buffer", [0, 3, 6])
-def test_sharp_ratio_gather_matches_loop(buffer):
-    # the criterion-6 grid, plus d = 1
+@pytest.mark.parametrize("extra_shells", [0, 3, 6])
+def test_sharp_ratio_gather_matches_loop(extra_shells):
+    # the first shell against the loop over 1 + extra_shells shells: the first
+    # holds the maximum; the criterion-6 grid, plus d = 1
     for d in (1, 2, 3):
         for p in range(1, 13):
             for s in range(0, min(p + 1, 4) + 1):
-                res = sharp_l2_ratio(d, p, s, buffer)
-                ref = _sharp_l2_ratio_loop(d, p, s, buffer)
+                res = sharp_l2_ratio(d, p, s)
+                ref = _sharp_l2_ratio_loop(d, p, s, 1 + extra_shells)
                 assert res == ref, (d, p, s)
                 assert all(type(v) is int for v in res["argmax"])
 
 
-def test_sharp_ratio_nonincreasing_in_buffer():
+def test_sharp_ratio_denominator_nondecreasing_on_first_shell():
+    # D_s(i + e_k) >= D_s(i) for every |i| = p + 1 and every axis k, on the
+    # criterion-6 grid: why sharp_l2_ratio visits the first shell only
     for d in (2, 3):
-        for p in (2, 6, 12):
-            for s in (1, min(4, p + 1)):
-                vals = [sharp_l2_ratio(d, p, s, b)["max_ratio"]
-                        for b in range(0, 9, 2)]
-                assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+        for p in range(1, 13):
+            for s in range(0, min(p + 1, 4) + 1):
+                alphas = composition_array(s, d).tolist()
+                for i in composition_array(p + 1, d).tolist():
+                    denom = _sharp_denominator(i, alphas)
+                    for k in range(d):
+                        up = list(i)
+                        up[k] += 1
+                        assert _sharp_denominator(up, alphas) >= denom, \
+                            (d, p, s, i, k)
 
 
 def test_sharp_ratio_below_phi_on_grid():
@@ -207,7 +216,7 @@ def test_sharp_ratio_below_phi_on_grid():
     for d in (2, 3):
         for p in range(1, 13):
             for s in range(0, min(p + 1, 4) + 1):
-                res = sharp_l2_ratio(d, p, s, 6)
+                res = sharp_l2_ratio(d, p, s)
                 assert res["max_ratio"] <= phi(d, p + 1, s) * (1 + 1e-12)
 
 

@@ -471,15 +471,13 @@ def test_cli_lemma_audit_and_sharp_ratio(capsys):
     assert "max_ratio=2.5" in out and "holds=True" in out
 
 
-def test_cli_rejects_empty_slope_window_and_negative_buffer(tmp_path, capsys):
+def test_cli_rejects_empty_slope_window(tmp_path, capsys):
     run_config({"sweeps": [{"name": "proj", "kind": "project-sweep",
                             "proj_kind": "l2p", "dim": 2, "p_min": 0,
                             "p_max": 8, "margin": 10}]}, out_dir=tmp_path)
     for window in ("0", "-1"):
         assert cli_main(["slope-fit", str(tmp_path / "proj.csv"),
                          "--error-key", "l2", "--window", window]) == 1
-    assert cli_main(["sharp-ratio", "--dim", "2", "--p", "1", "--s", "1",
-                     "--buffer", "-1"]) == 1
     assert capsys.readouterr().out == ""
 
 

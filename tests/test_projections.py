@@ -6,10 +6,10 @@ from hpexp.expansion import (CoeffTensor, evaluate, l2_norm, named_function,
                              reference_expansion, sobolev_seminorm)
 from hpexp.harness import run_sweep
 from hpexp.orthopoly import gauss_rule, legendre_table, psi_table
-from hpexp.projections import (audit_l2p_bound, audit_h1s_bounds,
-                               h1_axis_matrix, project_h1_p, project_h1_q,
-                               project_h1_s, project_l2, projection_errors,
-                               _axis_maps, _h1_seminorms, _project_h1)
+from hpexp.projections import (audit_h1s_bounds, h1_axis_matrix, project_h1_p,
+                               project_h1_q, project_h1_s, project_l2,
+                               projection_errors, _axis_maps, _h1_seminorms,
+                               _project_h1)
 
 
 @pytest.fixture(scope="module")
@@ -461,19 +461,6 @@ def test_references_of_one_shape_never_share_tables():
     assert len({id(next(iter(c.values()))) for c in tables}) == 3
 
 
-def test_l2p_audit_builds_no_error_tables(monkeypatch):
-    # each random tensor is used once: the audit sums the Parseval tail
-    # outside the simplex directly
-    import hpexp.expansion as expansion
-
-    def refuse(a):
-        raise AssertionError("audit_l2p_bound built outer-shell tables")
-
-    monkeypatch.setattr(expansion, "_build_outer_tables", refuse)
-    rep = audit_l2p_bound(3, p_values=(4,), n_samples=3, seed=2)
-    assert rep["checks"] == 3 * 4
-
-
 def _deriv_coeff_loop(p_rows, m_src):
     """D[j, i] = coefficient of L_j in (L_i)' as a double loop (bitwise
     reference for the derivative rows of ``_axis_maps``)."""
@@ -522,18 +509,6 @@ def test_projection_errors_requires_margin(sine2d):
     # sine2d carries degree 36; p = 35 leaves less than the trusted margin
     with pytest.raises(ValueError):
         projection_errors(sine2d, project_l2(sine2d, "Q", 35), margin=4)
-
-
-def test_l2p_bound_audit_reports():
-    # full audit grid: 200 random tensors per degree, both dimensions,
-    # every admissible s up to 4; violations are reported, never swallowed
-    for d in (2, 3):
-        rep = audit_l2p_bound(d, p_values=(4, 8, 12), n_samples=200, seed=1)
-        assert rep["checks"] == 3 * 200 * 4
-        assert rep["n_violations"] == len(rep["violations"])
-        # the per-mode grid check (bounds tests) is the trusted sufficient
-        # condition; on these samples the bound held throughout
-        assert rep["n_violations"] == 0
 
 
 def test_h1s_bound_threshold_recorded(sine2d):
