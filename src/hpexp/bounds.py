@@ -8,9 +8,9 @@ computed via log-Gamma differences so that degrees well past p = 30 stay in
 range.  The module also provides an exhaustive lattice audit of the
 constrained-maximization inequality behind the projection bounds (which is
 known to fail on mixed corner points; the audit reports rather than assumes),
-the sharp per-mode constant of the total-degree L2 bound, and the right-hand
-sides of the projection error bounds; the serendipity H1 bounds are composed
-from the Q_p H1 bound and the truncation-difference bounds of their dimension.
+and the sharp per-mode constant of the total-degree L2 bound.  The right-hand
+side of the serendipity H1 bound, built from phi and derivative seminorms of
+the function, is ``projections.h1s_bound``.
 
 The audit visits every lattice point, as one gather from a table of log-Gamma
 differences over all compositions at once.  The sharp ratio visits the first
@@ -35,7 +35,6 @@ __all__ = [
     "stirling_envelope_check",
     "lemma_audit",
     "sharp_l2_ratio",
-    "bound_rhs",
 ]
 
 LEMMA_AUDIT_CAP = 40
@@ -148,117 +147,3 @@ def sharp_l2_ratio(d: int, p: int, s: int):
     ratio = 1.0 / denom
     best = np.argmax(ratio)
     return {"max_ratio": float(ratio[best]), "argmax": tuple(i[best].tolist())}
-
-
-# ---------------------------------------------------------------------------
-# Right-hand sides of the projection error bounds
-
-def _need(seminorms: dict, keys) -> list[float]:
-    missing = [k for k in keys if k not in seminorms]
-    if missing:
-        raise KeyError(f"missing seminorm keys: {missing}")
-    return [float(seminorms[k]) for k in keys]
-
-
-def bound_rhs(kind: str, p: int, s: int, seminorms: dict, d: int = 2) -> float:
-    """Evaluate the right-hand side of one of the squared error bounds.
-
-    Inputs are squared (semi)norm values keyed as documented per kind; the
-    returned value bounds the squared L2 (or H1-seminorm) projection error.
-    Kinds: l2_q / l2_p for the L2 projections; h1q_*/h1s_* for the H1
-    projections in 2D and 3D; h1p_* delegates to h1s at degree p+1-d; the
-    qs_* / t*_* kinds are the individually quoted truncation-difference
-    bounds (with constants 36/12 in 2D, 216/504/36/84 in 3D).  Each h1s kind
-    is composed from the h1q kind and the truncation kinds of its dimension
-    by the triangle inequality, so its constants are those of its terms.
-    """
-    if kind == "l2_q":
-        if not 0 <= s <= p + 1:
-            raise ValueError("need 0 <= s <= p+1")
-        (h,) = _need(seminorms, ["h_seminorm_sq"])
-        return phi(1, p + 1, s) * h
-    if kind == "l2_p":
-        if not 0 <= s <= p + 1:
-            raise ValueError("need 0 <= s <= p+1")
-        (v,) = _need(seminorms, ["v_seminorm_sq"])
-        return phi(d, p + 1, s) * v
-
-    if kind in ("h1p_l2", "h1p_h1"):
-        if p < 3 * d - 1:
-            raise ValueError("total-degree H1 bound requires p >= 3d-1")
-        sub = {"h1p_l2": {2: "h1s_l2_2d", 3: "h1s_l2_3d"},
-               "h1p_h1": {2: "h1s_h1_2d", 3: "h1s_h1_3d"}}[kind][d]
-        return bound_rhs(sub, p + 1 - d, s, seminorms, d=d)
-
-    if kind.endswith("2d"):
-        if not 1 <= s <= p:
-            raise ValueError("2D H1 bounds require 1 <= s <= p")
-    if kind.endswith("3d"):
-        if not 2 <= s <= p:
-            raise ValueError("3D H1 bounds require 2 <= s <= p")
-
-    if kind == "h1q_l2_2d":
-        a, b, c = _need(seminorms, ["d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq"])
-        return (2.0 / (p * (p + 1)) * phi(1, p, s) * (a + 2.0 * b)
-                + 4.0 / (p * (p + 1)) ** 2 * phi(1, p, s - 1) * c)
-    if kind == "h1q_h1_2d":
-        a, b, c, e = _need(seminorms,
-                           ["d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq", "d1s_d2_sq"])
-        return (2.0 * phi(1, p, s) * (a + b)
-                + 8.0 / (p * (p + 1)) * phi(1, p, s - 1) * (e + c))
-    if kind == "qs_l2_2d":
-        (vx,) = _need(seminorms, ["mixed_v_sm1_sq"])
-        return 36.0 * phi(2, p + 1, s + 1) * vx
-    if kind == "qs_h1_2d":
-        (vx,) = _need(seminorms, ["mixed_v_sm1_sq"])
-        return 12.0 * phi(2, p, s) * vx
-    if kind == "h1s_l2_2d":
-        return (2.0 * bound_rhs("h1q_l2_2d", p, s, seminorms)
-                + 2.0 * bound_rhs("qs_l2_2d", p, s, seminorms))
-    if kind == "h1s_h1_2d":
-        return (2.0 * bound_rhs("h1q_h1_2d", p, s, seminorms)
-                + 2.0 * bound_rhs("qs_h1_2d", p, s, seminorms))
-
-    if kind == "h1q_l2_3d":
-        ax = _need(seminorms, ["d1_sp1_sq", "d2_sp1_sq", "d3_sp1_sq"])
-        mixed = _need(seminorms, ["d1_d2s_sq", "d1_d3s_sq", "d2_d3s_sq"])
-        (triple,) = _need(seminorms, ["d1_d2_d3sm1_sq"])
-        return (8.0 / (p * (p + 1)) * phi(1, p, s) * sum(ax)
-                + 8.0 / (p * (p + 1)) ** 2 * phi(1, p, s - 1) * sum(mixed)
-                + 8.0 / (p * (p + 1)) ** 3 * phi(1, p, s - 2) * triple)
-    if kind == "h1q_h1_3d":
-        ax = _need(seminorms, ["d1_sp1_sq", "d2_sp1_sq", "d3_sp1_sq"])
-        mixed = _need(seminorms, ["d1_d2s_sq", "d2_d3s_sq", "d3_d1s_sq",
-                                  "d1_d3s_sq", "d2_d1s_sq", "d3_d2s_sq"])
-        (triple,) = _need(seminorms, ["d1_d2_d3sm1_sq"])
-        return (2.0 * phi(1, p, s) * sum(ax)
-                + 8.0 / (p * (p + 1)) * phi(1, p, s - 1) * sum(mixed)
-                + 8.0 / (p * (p + 1)) ** 2 * phi(1, p, s - 2) * 3.0 * triple)
-    if kind == "t1_l2_3d":
-        (v3,) = _need(seminorms, ["triple_v_sm2_sq"])
-        return 216.0 * phi(3, p + 1, s + 1) * v3
-    if kind == "t2_l2_3d":
-        (h,) = _need(seminorms, ["h_sp1_seminorm_sq"])
-        return 504.0 * phi(3, p + 1, s + 1) * h
-    if kind == "t1_grad_3d":
-        (v3,) = _need(seminorms, ["triple_v_sm2_sq"])
-        return 36.0 * phi(3, p, s) * v3
-    if kind == "t2_grad_3d":
-        (h,) = _need(seminorms, ["h_sp1_seminorm_sq"])
-        return 84.0 * phi(3, p, s) * h
-    if kind == "h1s_l2_3d":
-        # Triangle + term-splitting composition of the quoted pieces:
-        # ||u - pi_S u||^2 <= 2||u - pi_Q u||^2 + 2(T1 + T2 + T3 + T4)^2-type,
-        # with (sum of 4)^2 <= 4 * sum of squares and T2=T3=T4 bounds equal.
-        q = bound_rhs("h1q_l2_3d", p, s, seminorms, d=3)
-        t1 = bound_rhs("t1_l2_3d", p, s, seminorms, d=3)
-        t2 = bound_rhs("t2_l2_3d", p, s, seminorms, d=3)
-        return 2.0 * q + 8.0 * (t1 + 3.0 * t2)
-    if kind == "h1s_h1_3d":
-        q = bound_rhs("h1q_h1_3d", p, s, seminorms, d=3)
-        t1 = bound_rhs("t1_grad_3d", p, s, seminorms, d=3)
-        t2 = bound_rhs("t2_grad_3d", p, s, seminorms, d=3)
-        return 2.0 * q + 3.0 * 8.0 * (t1 + 3.0 * t2)
-
-    raise ValueError(f"unknown bound kind {kind!r}")
-

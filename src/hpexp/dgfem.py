@@ -62,8 +62,9 @@ class DgSpec:
             raise ValueError("DG families are P and Q")
         if self.p < 1:
             raise ValueError("need p >= 1")
-        if self.gamma <= 0:
-            raise ValueError("penalty factor must be positive")
+        # the chained comparison is False for NaN too
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("penalty factor must be finite and positive")
 
 
 @dataclass

@@ -18,6 +18,10 @@ Legendre coefficients uses psi_0 = L_0 + L_1 and
 psi_j = (L_{j+1} - L_{j-1}) / (2j+1).  Every H1 projection, on all axes or
 on some, is one routine: the per-axis maps to the psi slots and back are
 built once per (p, reference degree) and shared read-only.
+
+``h1s_bound`` is the right-hand side of the squared serendipity H1 error
+bound in 2D and 3D: twice the Q_p H1 bound plus the truncation terms, by the
+triangle inequality; ``audit_h1s_bounds`` measures from which degree it holds.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import bound_rhs
+from .bounds import phi
 from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
                         _tail_sums, _weight_vectors, l2_norm,
                         sobolev_seminorm, weighted_seminorm)
@@ -45,6 +49,7 @@ __all__ = [
     "projection_errors",
     "h1_axis_matrix",
     "audit_h1s_bounds",
+    "h1s_bound",
 ]
 
 
@@ -173,8 +178,6 @@ def audit_h1s_bounds(u_ref: CoeffTensor, p_values, norm: str = "l2") -> dict:
     reference function this measures the empirical threshold, per admissible s.
     """
     d = u_ref.dim
-    kind = {"l2": {2: "h1s_l2_2d", 3: "h1s_l2_3d"},
-            "h1": {2: "h1s_h1_2d", 3: "h1s_h1_3d"}}[norm][d]
     s = max(1, d - 1)     # smallest admissible order: 1 in 2D, 2 in 3D
     rows = []
     threshold = None
@@ -182,31 +185,66 @@ def audit_h1s_bounds(u_ref: CoeffTensor, p_values, norm: str = "l2") -> dict:
         res = project_h1_s(u_ref, p)
         err = projection_errors(u_ref, res)
         lhs = (err.l2 if norm == "l2" else err.h1_semi) ** 2
-        rows.append({"p": p, "lhs": lhs,
-                     "rhs": bound_rhs(kind, p, s, _h1_seminorms(u_ref, s, d), d=d)})
+        rows.append({"p": p, "lhs": lhs, "rhs": h1s_bound(u_ref, p, s, norm)})
         if threshold is None and lhs <= rows[-1]["rhs"]:
             threshold = p
-    return {"kind": kind, "s": s, "rows": rows, "smallest_p_holding": threshold}
+    return {"kind": f"h1s_{norm}_{d}d", "s": s, "rows": rows,
+            "smallest_p_holding": threshold}
 
 
-def _h1_seminorms(u: CoeffTensor, s: int, d: int) -> dict:
-    """Squared seminorm inputs demanded by the H1 bound formulas."""
-    orders = {"d1_sp1_sq": (s + 1,), "d2_sp1_sq": (0, s + 1),
-              "d1_d2s_sq": (1, s), "d1s_d2_sq": (s, 1)}
-    if d == 3:
-        orders.update({"d3_sp1_sq": (0, 0, s + 1), "d1_d3s_sq": (1, 0, s),
-                       "d2_d3s_sq": (0, 1, s), "d3_d1s_sq": (s, 0, 1),
-                       "d2_d1s_sq": (s, 1), "d3_d2s_sq": (0, s, 1),
-                       "d1_d2_d3sm1_sq": (1, 1, s - 1)})
-    out = {key: l2_norm(_derivative(u, alpha)) ** 2
-           for key, alpha in orders.items()}
-    mixed = _derivative(u, (1,) * d)
+def h1s_bound(u: CoeffTensor, p: int, s: int, norm: str) -> float:
+    """Right-hand side of the squared error bound of the serendipity H1
+    projection, in the L2 norm (``norm="l2"``) or the H1 seminorm (``"h1"``).
+
+    By the triangle inequality it is twice the Q_p H1 bound plus the
+    truncation terms of the dimension: in 2D twice one term (constant 36 for
+    L2, 12 for H1); in 3D the terms T1 and T2 = T3 = T4 (constants 216 and
+    504 for L2, 36 and 84 for H1), as 8 (T1 + 3 T2) for L2, the 8 from
+    (sum of 4)^2 <= 4 * sum of squares, and 24 (T1 + 3 T2) for H1.  The
+    inputs are squared L2 norms of derivatives D^alpha u, alpha[k]
+    derivatives along axis k, the weighted seminorm of the mixed derivative
+    D^(1,..,1) u and, in 3D, the H^(s+1) seminorm of u.  The operand order
+    is that of the quoted bounds, so the values are reproducible bit for bit.
+    """
+    d = u.dim
+    if norm not in ("l2", "h1"):
+        raise ValueError(f"unknown norm {norm!r}: the bounds are 'l2' and 'h1'")
+    if d not in (2, 3):
+        raise ValueError("the serendipity H1 bounds are stated in 2D and 3D")
+    if not d - 1 <= s <= p:
+        raise ValueError(f"{d}D H1 bounds require {d - 1} <= s <= p")
+
+    def sq(*alpha):
+        return l2_norm(_derivative(u, alpha)) ** 2
+
+    pp = p * (p + 1)
+    vx = weighted_seminorm(_derivative(u, (1,) * d), s + 1 - d) ** 2
     if d == 2:
-        out["mixed_v_sm1_sq"] = weighted_seminorm(mixed, s - 1) ** 2
-    else:
-        out["triple_v_sm2_sq"] = weighted_seminorm(mixed, s - 2) ** 2
-        out["h_sp1_seminorm_sq"] = sobolev_seminorm(u, s + 1) ** 2
-    return out
+        a, b, c = sq(s + 1), sq(0, s + 1), sq(1, s)
+        if norm == "l2":
+            q = (2.0 / pp * phi(1, p, s) * (a + 2.0 * b)
+                 + 4.0 / pp ** 2 * phi(1, p, s - 1) * c)
+            return 2.0 * q + 2.0 * (36.0 * phi(2, p + 1, s + 1) * vx)
+        q = (2.0 * phi(1, p, s) * (a + b)
+             + 8.0 / pp * phi(1, p, s - 1) * (sq(s, 1) + c))
+        return 2.0 * q + 2.0 * (12.0 * phi(2, p, s) * vx)
+    ax = sq(s + 1) + sq(0, s + 1) + sq(0, 0, s + 1)
+    triple = sq(1, 1, s - 1)
+    h = sobolev_seminorm(u, s + 1) ** 2
+    if norm == "l2":
+        mixed = sq(1, s) + sq(1, 0, s) + sq(0, 1, s)
+        q = (8.0 / pp * phi(1, p, s) * ax
+             + 8.0 / pp ** 2 * phi(1, p, s - 1) * mixed
+             + 8.0 / pp ** 3 * phi(1, p, s - 2) * triple)
+        t = phi(3, p + 1, s + 1)
+        return 2.0 * q + 8.0 * (216.0 * t * vx + 3.0 * (504.0 * t * h))
+    mixed = (sq(1, s) + sq(0, 1, s) + sq(s, 0, 1) + sq(1, 0, s) + sq(s, 1)
+             + sq(0, s, 1))
+    q = (2.0 * phi(1, p, s) * ax
+         + 8.0 / pp * phi(1, p, s - 1) * mixed
+         + 8.0 / pp ** 2 * phi(1, p, s - 2) * 3.0 * triple)
+    t = phi(3, p, s)
+    return 2.0 * q + 24.0 * (36.0 * t * vx + 3.0 * (84.0 * t * h))
 
 
 def projection_errors(u_ref: CoeffTensor, proj: ProjectionResult,

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from hpexp.bounds import (LEMMA_AUDIT_CAP, bound_rhs, lemma_audit, phi,
-                          sharp_l2_ratio, stirling_envelope_check)
-from hpexp.expansion import composition_array
+from hpexp.bounds import (LEMMA_AUDIT_CAP, lemma_audit, phi, sharp_l2_ratio,
+                          stirling_envelope_check)
+from hpexp.expansion import (CoeffTensor, _derivative, composition_array,
+                             l2_norm, named_function, reference_expansion,
+                             sobolev_seminorm, weighted_seminorm)
 from hpexp.orthopoly import log_gamma
+from hpexp.projections import audit_h1s_bounds, h1s_bound
 
 
 def _lemma_audit_loop(d, M, m):
@@ -58,6 +61,16 @@ def test_phi_values():
             assert phi(d, m, 0) == pytest.approx(1.0, rel=1e-14)
     assert phi(1, 3, 2) == pytest.approx(1.0 / 120.0, rel=1e-13)
     assert phi(2, 4, 2) == pytest.approx(1.0 / 36.0, rel=1e-13)
+
+
+def test_phi_l2_rhs_constants():
+    # the L2(Q) and L2(P) right-hand sides are phi(1, p+1, s) and
+    # phi(d, p+1, s) times the squared seminorm; s = 0 leaves the seminorm
+    assert phi(1, 8, 0) == pytest.approx(1.0, rel=1e-14)
+    # the L2(P) constant at d = 2, p = 4, s = 2
+    assert phi(2, 5, 2) == pytest.approx((gamma(2.5) / gamma(4.5)) ** 2,
+                                         rel=1e-12)
+    assert phi(2, 5, 2) == pytest.approx(0.013061, rel=1e-3)
 
 
 def test_phi_rejects_bad_arguments():
@@ -237,26 +250,21 @@ def test_asymptotic_ordering_with_threshold():
                     (d, n, delta, holds_from)
 
 
-def test_bound_rhs_l2_kinds():
-    # s = 0: phi_1(p+1, 0) = 1, bound reduces to the H^0 seminorm
-    assert bound_rhs("l2_q", 7, 0, {"h_seminorm_sq": 2.5}) == pytest.approx(2.5)
-    val = bound_rhs("l2_p", 4, 2, {"v_seminorm_sq": 1.0}, d=2)
-    expect = (gamma(2.5) / gamma(4.5)) ** 2
-    assert val == pytest.approx(expect, rel=1e-12)
-    assert val == pytest.approx(0.013061, rel=1e-3)
+def test_h1s_bound_zero_input():
+    for d, p, s in ((2, 6, 2), (3, 7, 2)):
+        zero = CoeffTensor(coeffs=np.zeros((p + 5,) * d))
+        for norm in ("l2", "h1"):
+            assert h1s_bound(zero, p, s, norm) == 0.0
 
 
-def test_bound_rhs_s_kinds_zero_input():
-    zeros = {k: 0.0 for k in ("d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq",
-                              "d1s_d2_sq", "mixed_v_sm1_sq")}
-    assert bound_rhs("h1s_l2_2d", 6, 2, zeros, d=2) == 0.0
-    assert bound_rhs("h1s_h1_2d", 6, 2, zeros, d=2) == 0.0
+def _sq(u, *alpha):
+    return l2_norm(_derivative(u, alpha)) ** 2
 
 
-def _h1s_2d_written_out(kind, p, s, a, b, c, e, vx):
+def _h1s_2d_written_out(norm, p, s, a, b, c, e, vx):
     """The 2D serendipity bounds with their constants written out (the
     formulas the compositions replaced; bitwise reference)."""
-    if kind == "h1s_l2_2d":
+    if norm == "l2":
         return (4.0 / (p * (p + 1)) * phi(1, p, s) * (a + 2.0 * b)
                 + 8.0 / (p * (p + 1)) ** 2 * phi(1, p, s - 1) * c
                 + 72.0 * phi(2, p + 1, s + 1) * vx)
@@ -265,33 +273,76 @@ def _h1s_2d_written_out(kind, p, s, a, b, c, e, vx):
             + 24.0 * phi(2, p, s) * vx)
 
 
-def test_h1s_2d_compositions_bitwise_equal_to_written_out_formulas():
+def _h1s_3d_written_out(norm, p, s, ax, mixed, triple, vx, h):
+    """The 3D serendipity bounds with their constants written out: twice
+    the Q_p bound, then 8 (L2) or 24 (H1) times T1 + 3 T2.  ``mixed`` is
+    the sum of the three (L2) or six (H1) mixed squared seminorms."""
+    pp = p * (p + 1)
+    if norm == "l2":
+        return (16.0 / pp * phi(1, p, s) * ax
+                + 16.0 / pp ** 2 * phi(1, p, s - 1) * mixed
+                + 16.0 / pp ** 3 * phi(1, p, s - 2) * triple
+                + (1728.0 * phi(3, p + 1, s + 1) * vx
+                   + 24.0 * (504.0 * phi(3, p + 1, s + 1) * h)))
+    return (4.0 * phi(1, p, s) * ax
+            + 16.0 / pp * phi(1, p, s - 1) * mixed
+            + 16.0 / pp ** 2 * phi(1, p, s - 2) * 3.0 * triple
+            + 24.0 * (36.0 * phi(3, p, s) * vx
+                      + 3.0 * (84.0 * phi(3, p, s) * h)))
+
+
+def _reference_tensors(d, p_max):
+    """The named functions' reference tensors, each symmetric in the axes,
+    and seeded random tensors decaying at a different rate along each axis:
+    their seminorms differ from axis to axis, so a derivative taken along
+    the wrong axis, or a changed operand order, changes the bits."""
     rng = np.random.default_rng(5)
-    keys = ("d1_sp1_sq", "d2_sp1_sq", "d1_d2s_sq", "d1s_d2_sq", "mixed_v_sm1_sq")
-    for p in range(1, 60):
-        for s in range(1, p + 1):
-            vals = rng.random(5) * 10.0 ** rng.integers(-8, 8, 5)
-            semis = dict(zip(keys, vals))
-            for kind in ("h1s_l2_2d", "h1s_h1_2d"):
-                new = bound_rhs(kind, p, s, semis, d=2)
-                assert new == _h1s_2d_written_out(kind, p, s, *vals), (kind, p, s)
+    out = {name: reference_expansion(named_function(name, d), p_max)
+           for name in ("sine", "expsum", "runge1d-tensor")}
+    i = np.indices((12,) * d)
+    for k in range(10):
+        rates = rng.uniform(0.3, 0.9, d).reshape((d,) + (1,) * d)
+        out[f"random{k}"] = CoeffTensor(coeffs=rng.standard_normal(i.shape[1:])
+                                        * np.prod(rates ** i, axis=0))
+    return out
 
 
-def test_bound_rhs_missing_key_and_range():
-    with pytest.raises(KeyError):
-        bound_rhs("h1q_l2_2d", 5, 2, {"d1_sp1_sq": 1.0}, d=2)
+def test_h1s_2d_compositions_bitwise_equal_to_written_out_formulas():
+    for name, u in _reference_tensors(2, 16).items():
+        for s in range(1, 5):
+            a, b = _sq(u, s + 1), _sq(u, 0, s + 1)
+            c, e = _sq(u, 1, s), _sq(u, s, 1)
+            vx = weighted_seminorm(_derivative(u, (1, 1)), s - 1) ** 2
+            for p in range(s, 30):
+                for norm in ("l2", "h1"):
+                    ref = _h1s_2d_written_out(norm, p, s, a, b, c, e, vx)
+                    assert h1s_bound(u, p, s, norm) == ref, (name, norm, p, s)
+
+
+def test_h1s_3d_compositions_bitwise_equal_to_written_out_formulas():
+    for name, u in _reference_tensors(3, 10).items():
+        for s in (2, 3):
+            ax = _sq(u, s + 1) + _sq(u, 0, s + 1) + _sq(u, 0, 0, s + 1)
+            mixed = {"l2": _sq(u, 1, s) + _sq(u, 1, 0, s) + _sq(u, 0, 1, s),
+                     "h1": (_sq(u, 1, s) + _sq(u, 0, 1, s) + _sq(u, s, 0, 1)
+                            + _sq(u, 1, 0, s) + _sq(u, s, 1) + _sq(u, 0, s, 1))}
+            triple = _sq(u, 1, 1, s - 1)
+            vx = weighted_seminorm(_derivative(u, (1, 1, 1)), s - 2) ** 2
+            h = sobolev_seminorm(u, s + 1) ** 2
+            for p in range(s, 13):
+                for norm in ("l2", "h1"):
+                    ref = _h1s_3d_written_out(norm, p, s, ax, mixed[norm],
+                                              triple, vx, h)
+                    assert h1s_bound(u, p, s, norm) == ref, (name, norm, p, s)
+
+
+def test_h1s_bound_rejects_unknown_norm_and_range():
+    u2 = reference_expansion(named_function("sine", 2), 8)
+    u3 = CoeffTensor(coeffs=np.ones((9, 9, 9)))
+    for u, p, s, norm in ((u2, 5, 0, "l2"), (u2, 5, 6, "h1"), (u3, 7, 1, "l2"),
+                          (u3, 7, 8, "h1"), (u2, 5, 2, "h2"), (u3, 7, 2, "L2"),
+                          (CoeffTensor(coeffs=np.ones(9)), 5, 1, "l2")):
+        with pytest.raises(ValueError):
+            h1s_bound(u, p, s, norm)
     with pytest.raises(ValueError):
-        bound_rhs("h1q_l2_2d", 5, 0, {"d1_sp1_sq": 1, "d2_sp1_sq": 1,
-                                      "d1_d2s_sq": 1}, d=2)
-    with pytest.raises(ValueError):
-        bound_rhs("h1p_l2", 4, 1, {}, d=2)
-    with pytest.raises(ValueError):
-        bound_rhs("no_such_kind", 4, 1, {}, d=2)
-
-
-def test_bound_rhs_h1p_delegates():
-    semis = {"d1_sp1_sq": 1.0, "d2_sp1_sq": 0.5, "d1_d2s_sq": 0.25,
-             "d1s_d2_sq": 0.25, "mixed_v_sm1_sq": 0.125}
-    assert bound_rhs("h1p_l2", 7, 2, semis, d=2) == pytest.approx(
-        bound_rhs("h1s_l2_2d", 6, 2, semis, d=2), rel=1e-14)
-
+        audit_h1s_bounds(u2, range(4, 6), norm="h2")

@@ -29,8 +29,9 @@ def test_spec_validation():
         dgfem.DgSpec("S", 2)
     with pytest.raises(ValueError):
         dgfem.DgSpec("Q", 0)
-    with pytest.raises(ValueError):
-        dgfem.DgSpec("Q", 2, gamma=0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dgfem.DgSpec("Q", 2, gamma=gamma)
 
 
 @pytest.mark.parametrize("family", ["Q", "P"])

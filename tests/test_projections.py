@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from hpexp.bounds import bound_rhs
-from hpexp.expansion import (CoeffTensor, evaluate, l2_norm, named_function,
-                             reference_expansion, sobolev_seminorm)
+from hpexp.bounds import phi
+from hpexp.expansion import (CoeffTensor, _derivative, evaluate, l2_norm,
+                             named_function, reference_expansion,
+                             sobolev_seminorm)
 from hpexp.harness import run_sweep
 from hpexp.orthopoly import gauss_rule, legendre_table, psi_table
 from hpexp.projections import (audit_h1s_bounds, h1_axis_matrix, project_h1_p,
                                project_h1_q, project_h1_s, project_l2,
-                               projection_errors, _axis_maps, _h1_seminorms,
-                               _project_h1)
+                               projection_errors, _axis_maps, _project_h1)
 
 
 @pytest.fixture(scope="module")
@@ -150,11 +150,35 @@ def test_h1q_vertex_reproduction(sine2d):
                          - f.f(pts[:, 0], pts[:, 1]))) < 1e-10
 
 
+def _sq(u, *alpha):
+    return l2_norm(_derivative(u, alpha)) ** 2
+
+
+def _h1q_bound(u, p, s, norm):
+    """The squared-error bound of the tensor H1 projection onto Q_p, 2D L2
+    and 3D L2/H1: the first term of ``h1s_bound``, written out."""
+    pp = p * (p + 1)
+    if u.dim == 2:
+        return (2.0 / pp * phi(1, p, s) * (_sq(u, s + 1) + 2.0 * _sq(u, 0, s + 1))
+                + 4.0 / pp ** 2 * phi(1, p, s - 1) * _sq(u, 1, s))
+    ax = _sq(u, s + 1) + _sq(u, 0, s + 1) + _sq(u, 0, 0, s + 1)
+    triple = _sq(u, 1, 1, s - 1)
+    if norm == "l2":
+        mixed = _sq(u, 1, s) + _sq(u, 1, 0, s) + _sq(u, 0, 1, s)
+        return (8.0 / pp * phi(1, p, s) * ax
+                + 8.0 / pp ** 2 * phi(1, p, s - 1) * mixed
+                + 8.0 / pp ** 3 * phi(1, p, s - 2) * triple)
+    mixed = sum(_sq(u, *a) for a in ((1, s), (0, 1, s), (s, 0, 1), (1, 0, s),
+                                     (s, 1), (0, s, 1)))
+    return (2.0 * phi(1, p, s) * ax
+            + 8.0 / pp * phi(1, p, s - 1) * mixed
+            + 8.0 / pp ** 2 * phi(1, p, s - 2) * 3.0 * triple)
+
+
 def test_h1q_l2_error_below_bound(sine2d):
     p, s = 8, 3
     err = projection_errors(sine2d, project_h1_q(sine2d, p))
-    rhs = bound_rhs("h1q_l2_2d", p, s, _h1_seminorms(sine2d, s, 2), d=2)
-    assert err.l2 ** 2 <= rhs
+    assert err.l2 ** 2 <= _h1q_bound(sine2d, p, s, "l2")
 
 
 def test_h1s_boundary_coincidence(sine2d):
@@ -520,9 +544,8 @@ def test_h1s_bound_threshold_recorded(sine2d):
 def test_h1q_3d_error_below_bound(expsum3d):
     p, s = 7, 2
     err = projection_errors(expsum3d, project_h1_q(expsum3d, p))
-    semis = _h1_seminorms(expsum3d, s, 3)
-    assert err.l2 ** 2 <= bound_rhs("h1q_l2_3d", p, s, semis, d=3)
-    assert err.h1_semi ** 2 <= bound_rhs("h1q_h1_3d", p, s, semis, d=3)
+    assert err.l2 ** 2 <= _h1q_bound(expsum3d, p, s, "l2")
+    assert err.h1_semi ** 2 <= _h1q_bound(expsum3d, p, s, "h1")
 
 
 def test_h1s_3d_bound_thresholds(expsum3d):
@@ -533,3 +556,18 @@ def test_h1s_3d_bound_thresholds(expsum3d):
         # the composite right-hand side dominates once it holds at all
         held = [row for row in rep["rows"] if row["p"] >= rep["smallest_p_holding"]]
         assert all(row["lhs"] <= row["rhs"] for row in held)
+
+
+@pytest.mark.parametrize("norm", ["l2", "h1"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_h1s_audit_on_sine(d, norm):
+    # the bound holds from the least admissible degree, 4 in 2D and 6 in 3D
+    p_min = 4 if d == 2 else 6
+    u = reference_expansion(named_function("sine", d), 12)
+    rep = audit_h1s_bounds(u, range(p_min, 13), norm=norm)
+    assert rep["kind"] == f"h1s_{norm}_{d}d" and rep["s"] == d - 1
+    assert rep["smallest_p_holding"] == p_min
+    assert [row["p"] for row in rep["rows"]] == list(range(p_min, 13))
+    for row in rep["rows"]:
+        assert all(np.isfinite(v) and v > 0 for v in (row["lhs"], row["rhs"]))
+        assert row["lhs"] <= row["rhs"], row
