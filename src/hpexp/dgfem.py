@@ -8,20 +8,20 @@ sigma_F = gamma p^2 / h_F, and Dirichlet data enters through the boundary
 facets.  The energy norm reported as dg_norm is
 sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2).
 
-The system is factorized once, by SuperLU with COLAMD ordering, and the
-same LU proves the matrix positive definite: when its pivots stayed on the
-diagonal, Sylvester's law of inertia reads the number of non-positive
-eigenvalues from the signs of diag(U) (``_nonpositive_pivots``).  Otherwise
-the verdict comes from the symmetric-mode factorization of ``_factor_spd``,
-which pivots on the diagonal only.  A penalty too small for coercivity
-raises ``IndefiniteSipError`` with that count.
+The system is factorized once, by SuperLU with COLAMD ordering and
+diagonal pivots, and the same LU proves the matrix positive definite:
+Sylvester's law of inertia reads the number of non-positive eigenvalues
+from the signs of diag(U), and a zero diagonal pivot, which no positive
+definite matrix has, shows as a row permutation that left the diagonal
+(``dg_solve``).  A penalty too small for coercivity raises
+``IndefiniteSipError`` with that count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,61 +244,20 @@ def _asymmetry(A: sp.csr_matrix, A_csc: sp.csc_matrix) -> float:
     return float(abs(A - A_csc.T).max())
 
 
-def _nonpositive_pivots(lu) -> Optional[int]:
-    """Inertia certificate of a SuperLU factorization of a symmetric A.
-
-    When the row and column permutations agree, every pivot was taken on the
-    diagonal and P A P^T = L U with unit lower L.  For symmetric A that makes
-    U = D L^T, so by Sylvester's law of inertia the number of non-positive
-    entries of diag(U) is the number of non-positive eigenvalues of A; that
-    number is returned.  ``None`` when a row pivot left the diagonal: then
-    the factorization certifies nothing.
-    """
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() <= 0.0))
-
-
-def _factor_spd(A: sp.csc_matrix):
-    """Symmetric-mode sparse LU of the SIP matrix A with an inertia
-    certificate.
-
-    Minimum-degree ordering on A^T + A and diagonal pivots only, so
-    ``_nonpositive_pivots`` counts the non-positive eigenvalues of A.
-    Raises ``IndefiniteSipError`` unless that count is zero.
-    """
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise IndefiniteSipError(
-            f"SIP matrix singular in the symmetric-mode factorization: "
-            f"{exc}") from exc
-    n_nonpos = _nonpositive_pivots(lu)
-    if n_nonpos is None:
-        raise IndefiniteSipError(
-            "symmetric-mode factorization of the SIP matrix left the "
-            "diagonal (row and column permutations differ); no inertia "
-            "certificate")
-    if n_nonpos:
-        raise IndefiniteSipError(
-            f"SIP matrix not positive definite by the symmetric-mode "
-            f"factorization: {n_nonpos} non-positive pivot(s) of "
-            f"{A.shape[0]}")
-    return lu
-
-
 def dg_solve(system: DgSystem) -> BrokenSolution:
     """One sparse LU solve whose pivots prove the SIP matrix definite.
 
-    SuperLU factorizes A with COLAMD ordering and partial pivoting, as
-    scipy's default sparse direct solve does.  When every pivot stayed on the
-    diagonal, Sylvester's law of inertia counts the non-positive eigenvalues
-    of the symmetric A from diag(U) (``_nonpositive_pivots``).  When a row
-    pivot left the diagonal, the verdict comes from the symmetric-mode
-    factorization of ``_factor_spd`` instead, and the solution still from
-    the COLAMD LU.  An asymmetric, indefinite or singular A (gamma too
-    small), or a relative residual that is not below 1e-8, raises
+    SuperLU factorizes A once, with COLAMD ordering and diagonal pivots: at
+    threshold 0 it takes the diagonal entry whenever that is non-zero, so the
+    row and column permutations differ only after an exactly zero diagonal
+    pivot.  Every earlier pivot was diagonal, so that zero is a diagonal entry
+    of a Schur complement of A, which no positive definite matrix has.
+    Otherwise P A P^T = L U with unit lower L; for symmetric A that makes
+    U = D L^T, so by Sylvester's law of inertia the number of non-positive
+    entries of diag(U) is the number of non-positive eigenvalues of A.  For
+    positive definite A elimination without pivoting is backward stable, and
+    the same LU gives the solution.  An asymmetric, indefinite or singular A
+    (gamma too small), or a relative residual that is not below 1e-8, raises
     ``IndefiniteSipError``.
     """
     A = system.matrix
@@ -310,14 +269,20 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     if not asym <= 1e-10 * max(np.abs(A.data).max(initial=0.0), 1.0):
         raise IndefiniteSipError(f"system not symmetric: {asym:.2e}")
     try:
-        lu = spla.splu(A_csc, permc_spec="COLAMD")
+        lu = spla.splu(A_csc, permc_spec="COLAMD", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise IndefiniteSipError(f"SIP matrix singular: {exc}") from exc
     del A_csc
-    n_nonpos = _nonpositive_pivots(lu)
-    if n_nonpos is None:
-        _factor_spd(A.tocsc())
-    elif n_nonpos:
+    off_diagonal = lu.perm_r != lu.perm_c
+    if off_diagonal.any():
+        # the first off-diagonal step is the earliest column whose own row
+        # was not its pivot
+        step = int(lu.perm_c[off_diagonal].min())
+        raise IndefiniteSipError(
+            f"SIP matrix not positive definite: zero diagonal pivot at "
+            f"elimination step {step} of {A.shape[0]}")
+    n_nonpos = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
+    if n_nonpos:
         raise IndefiniteSipError(
             f"SIP matrix not positive definite: {n_nonpos} non-positive "
             f"pivot(s) of {A.shape[0]}")

@@ -221,20 +221,18 @@ _PIVOT_COUNT = re.compile(r"(\d+) non-positive pivot\(s\) of (\d+)")
 
 def test_definiteness_verdict_matches_dense_cholesky():
     """dg_solve solves exactly the systems dense Cholesky accepts, and names
-    the number of non-positive eigenvalues of the others.  The grid reaches both
-    verdicts: from the COLAMD LU's own pivots, and from the symmetric-mode
-    factorization when a row pivot left the diagonal."""
+    the number of non-positive eigenvalues of the others.  Two of the SPD
+    systems are ones on which partial pivoting leaves the diagonal: the
+    diagonal-pivot LU solves them."""
     f = lambda x, y: np.sin(3.0 * x) * np.cos(y)
     g = lambda x, y: 1.0 + x - y
-    # (2, 1.0, P, 5) is SPD, but its COLAMD LU pivots off the diagonal
+    # (2, 1.0, P, 5) is SPD, but partial pivoting leaves its diagonal
     grid = list(itertools.product([1, 2, 3], [1e-6, 0.3, 1.0, 10.0], "QP",
                                   [1, 3, 5])) + [(2, 1.0, "P", 5)]
-    paths = set()
+    residuals = {}
     for n, gamma, family, p in grid:
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
         A = system.matrix
-        lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
-        paths.add(dgfem._nonpositive_pivots(lu) is None)
         eig = np.linalg.eigvalsh(A.toarray())
         try:
             np.linalg.cholesky(A.toarray())
@@ -246,6 +244,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
             sol = dgfem.dg_solve(system)
             assert np.all(np.isfinite(sol.coeffs)), case
             assert sol.residual_norm < 1e-8, case
+            residuals[case] = sol.residual_norm
         else:
             with pytest.raises(dgfem.IndefiniteSipError) as info:
                 dgfem.dg_solve(system)
@@ -256,20 +255,34 @@ def test_definiteness_verdict_matches_dense_cholesky():
             assert np.count_nonzero(eig < -tol) <= int(count.group(1)) \
                 <= np.count_nonzero(eig <= tol), case
             assert int(count.group(2)) == A.shape[0], case
-    assert paths == {True, False}
+    for case in [(2, 1.0, "P", 5), (3, 1.0, "P", 5)]:
+        n, gamma, family, p = case
+        system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
+        # scipy's default (partial-pivot) COLAMD LU leaves the diagonal here
+        lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
+        assert not np.array_equal(lu.perm_r, lu.perm_c), case
+        assert residuals[case] < 1e-8, case
 
 
-def test_off_diagonal_pivot_has_no_certificate():
-    swap = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(dgfem.IndefiniteSipError, match="permutations differ"):
-        dgfem._factor_spd(swap)
+def test_zero_diagonal_pivot_raises():
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    system = dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), n=1, h=1.0,
+                            lower=np.zeros((1, 2)), modes=[(0, 0), (1, 0)],
+                            matrix=swap, rhs=np.ones(2))
+    with pytest.raises(dgfem.IndefiniteSipError,
+                       match="zero diagonal pivot at elimination step 0 of 2"):
+        dgfem.dg_solve(system)
 
 
-@pytest.mark.parametrize("family, p", [("Q", 4), ("P", 6)])
-def test_solve_is_bitwise_the_spsolve_solution(family, p):
+@pytest.mark.parametrize("n, family, p", [
+    pytest.param(4, "Q", 4, id="Q-4"),
+    pytest.param(4, "P", 6, id="P-6"),
+    # the CI smoke system, at the dg workload's mesh size: 4096 dof
+    pytest.param(8, "Q", 7, id="Q-7-n8")])
+def test_solve_is_bitwise_the_spsolve_solution(n, family, p):
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
-    system = dgfem.assemble_sip(4, dgfem.DgSpec(family, p), f, exact)
+    system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), f, exact)
     reference = spla.spsolve(system.matrix.tocsc(), system.rhs)
     sol = dgfem.dg_solve(system)
     assert np.array_equal(sol.coeffs.ravel(), reference)
