@@ -44,11 +44,15 @@ in postorder as dense fronts (the multifrontal method, Duff & Reid 1983).
 Each front is assembled from the element Schur complements of the
 elements whose first eliminated free dof it holds, plus its children's
 update matrices, and is factorized by ``dpotrf``, ``dtrsm`` and ``dsyrk`` on
-lower triangles.  The inertia of the skeleton is the sum of the inertias of
-the pivot blocks (Haynsworth additivity): a block Cholesky rejects gets its
-count of non-positive eigenvalues from ``eigh`` and the elimination goes on,
-so ``IndefiniteSystemError`` names how many non-positive eigenvalues the
-skeleton has.
+lower triangles.  No factorization step reads an entry above the diagonal,
+so a front is filled on and below it only: one ``bincount`` adds the element
+Schur complements, and each child's update matrix goes in as block slices
+over the runs of consecutive rows it shares with its parent (Liu 1992 calls
+this step extend-add).  The inertia of the skeleton is the sum of the
+inertias of the pivot blocks (Haynsworth additivity): a block Cholesky
+rejects gets its count of non-positive eigenvalues from ``eigh`` and the
+elimination goes on, so ``IndefiniteSystemError`` names how many
+non-positive eigenvalues the skeleton has.
 """
 
 from __future__ import annotations
@@ -468,13 +472,18 @@ def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
     def visit(idx, lo, hi):
         if idx.size == 0:
             return -1
-        a = int(np.argmax(hi - lo))
-        planes = np.arange(lo[a] + 2, hi[a], 2)
-        if planes.size == 0:
+        width = [h - l for l, h in zip(lo, hi)]
+        a = width.index(max(width))
+        if width[a] <= 2:
             raise ValueError("free skeleton dofs left in a one-cell region")
         c = coords[idx, a]
-        k = planes[np.argmin(np.abs(planes - np.median(c)))]
-        upper, lower = hi.copy(), lo.copy()
+        # t = twice the median, an integer: the grid plane 2q nearest t / 2,
+        # the lower one on a tie, has q = round(t / 4) with halves rounded
+        # down, clamped to the planes lo + 2 .. hi - 2
+        mid = np.partition(c, [(c.size - 1) // 2, c.size // 2])
+        t = int(mid[(c.size - 1) // 2] + mid[c.size // 2])
+        k = 2 * min(max((t + 1) // 4, lo[a] // 2 + 1), hi[a] // 2 - 1)
+        upper, lower = list(hi), list(lo)
         upper[a] = lower[a] = k
         kids = (visit(idx[c < k], lo, upper), visit(idx[c > k], lower, hi))
         seps.append(idx[c == k])
@@ -484,8 +493,8 @@ def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
                 parent[kid] = len(seps) - 1
         return len(seps) - 1
 
-    visit(np.arange(free_ids.size), 2 * cells.min(axis=0),
-          2 * (cells.max(axis=0) + 1))
+    visit(np.arange(free_ids.size), (2 * cells.min(axis=0)).tolist(),
+          (2 * cells.max(axis=0) + 2).tolist())
     return seps, np.array(parent, dtype=np.int64)
 
 
@@ -530,6 +539,18 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
     and ``dsyrk`` on lower triangles.  Every front is indexed in elimination
     order, so a child's lower triangle lands in its parent's.
 
+    How a front is filled (``_front``, ``_extend_add``): ``dpotrf`` and
+    ``eigh`` read the lower triangle of the pivot block F11, ``dtrsm`` reads
+    F21 (wholly below the diagonal) and ``dsyrk`` the lower triangle of the
+    update block F22, so no entry above the diagonal is ever read.  The
+    front therefore has no F12: its buffer holds G = [F21 | F22] and F11,
+    one ``bincount`` adds the element Schur complements in element order,
+    and the children's update matrices follow in the order the children
+    were eliminated, as block slices on and below the diagonal.  Each lower
+    entry thus receives the same terms in the same order as a full
+    ``np.add.at`` assembly would give it, so the factors do not depend on how
+    the front is filled, bit for bit.
+
     The inertia of the block is the sum of the inertias of the pivot blocks
     (Haynsworth additivity).  A pivot block ``dpotrf`` rejects gets its count
     of non-positive eigenvalues from ``eigh``, and the elimination goes on
@@ -556,54 +577,132 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
         np.bincount(node_of, minlength=n_nodes))[:-1])
 
     where = np.zeros(n, dtype=np.int64)      # rank -> row of the current front
+    # S_loc once per element of the largest group: each front's bincount
+    # reads its weights from a prefix, with no copy per front
+    weights = np.tile(S_loc.ravel(), max(map(len, elements), default=0))
     pending, fronts = {}, []        # pending: parent -> children's updates
     n_nonpos = 0
     for node in range(n_nodes):
         s, e = starts[node], ends[node]
         R = ranks[elements[node]]
         kids = pending.pop(node, [])
-        idx = np.unique(np.concatenate([np.arange(s, e), R[R >= 0]]
-                                       + [ids for ids, _ in kids]))
+        # the front's ranks, sorted, repeats dropped (np.unique's overhead is
+        # 4x this on fronts this small)
+        idx = np.concatenate([np.arange(s, e), R[R >= 0]]
+                             + [ids for ids, _ in kids])
+        idx.sort()
+        keep = np.empty(idx.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+        idx = idx[keep]
         m, k = idx.size, e - s
         where[idx] = np.arange(m)
-        free = R >= 0
-        pos = np.where(free, where[R], 0)
-        # F[i, j] is flat[i + m j]; the unique-index fast path of np.add.at
-        # beats fancy 2D indexing for the children's update matrices
-        F = np.zeros((m, m), order="F")
-        flat = F.reshape(-1, order="F")
-        np.add.at(flat, (pos[:, :, None] + m * pos[:, None, :]).ravel(),
-                  np.where(free[:, :, None] & free[:, None, :], S_loc,
-                           0.0).ravel())
+        F11, G = _front(weights, where, R, m, k)
         for ids, U in kids:
-            loc = where[ids]
-            np.add.at(flat, (loc[:, None] + m * loc).ravel(order="F"),
-                      U.ravel(order="F"))
+            _extend_add(F11, G, U, where[ids])
+        kids = None                 # their buffers are spent: free them
         L11 = L21 = None
-        U = F[k:, k:]
+        U = G[:, k:]
         if k:
-            L11, info = dpotrf(F[:k, :k], lower=1)
+            L11, info = dpotrf(F11, lower=1)
             if info == 0:
                 if m > k:
-                    L21 = dtrsm(1.0, L11, F[k:, :k], side=1, lower=1,
+                    L21 = dtrsm(1.0, L11, G[:, :k], side=1, lower=1,
                                 trans_a=1)
-                    U = dsyrk(-1.0, L21, beta=1.0, c=U, lower=1)
+                    # in place if the parent comes next; an update that
+                    # waits for a sibling subtree goes to a copy, so the
+                    # buffer with this front's pivot columns is freed now
+                    U = dsyrk(-1.0, L21, beta=1.0, c=U, lower=1,
+                              overwrite_c=int(parent[node] == node + 1))
             else:
-                w, V = eigh(F[:k, :k], lower=True, check_finite=False)
+                w, V = eigh(F11, lower=True, check_finite=False)
                 n_nonpos += int(np.count_nonzero(w <= 0.0))
                 if not np.all(np.abs(w) > 0.0):
                     raise IndefiniteSystemError(
                         f"skeleton not SPD: singular pivot block, at least "
                         f"{n_nonpos} non-positive pivot(s) of {n}")
-                W = F[k:, :k] @ V
+                W = G[:, :k] @ V
                 U = U - (W / w) @ W.T
         fronts.append((s, e, idx[k:], L11, L21))
-        if parent[node] >= 0:
+        if parent[node] >= 0 and m > k:     # no update rows, nothing to pass
             pending.setdefault(parent[node], []).append((idx[k:], U))
     if n_nonpos:
         raise IndefiniteSystemError(
             f"skeleton not SPD: {n_nonpos} non-positive pivot(s) of {n}")
     return _Multifrontal(perm, fronts)
+
+
+def _front(weights, where, R, m: int, k: int):
+    """A front of m rows, k of them pivots, holding the sum of the element
+    Schur complements of its elements R (their ranks, -1 a Dirichlet dof):
+    entry (where[R[e, i]], where[R[e, j]]) takes S_loc[i, j] for each free
+    pair, element by element.  ``weights`` is S_loc raveled and repeated at
+    least once per element.
+
+    Returns the views F11 (k x k) and G = [F21 | F22] ((m - k) x m) of one
+    buffer: G, then F11, both F-order with one leading dimension
+    ld = max(m - k, k), so entry (r, c) is at row(r) + ld c, with
+    row(r) = r - k for an update row and base + r for a pivot row.  A pivot
+    row in an update column, an entry above the diagonal that no
+    factorization step reads, thus lands at or past the last bin, where the
+    pairs with a Dirichlet dof are sent too; ``np.minimum`` folds them into
+    that bin and it is dropped.  One ``bincount`` adds the pairs in input
+    order from 0.0.  For k <= m - k the update block F22 = G[:, k:] is
+    contiguous, so ``dsyrk`` can update it in place.
+    """
+    ld = max(m - k, k)
+    base = ld * m if m > k else 0           # where F11 starts
+    drop = base + ld * k
+    if R.size:
+        pos = where[R]
+        rows = np.where(pos < k, pos + base, pos - k)
+        cols = ld * pos
+        dirichlet = R < 0
+        rows[dirichlet] = cols[dirichlet] = drop
+        flat = rows[:, :, None] + cols[:, None, :]
+        np.minimum(flat, drop, out=flat)
+        buf = np.bincount(flat.ravel(), weights[:flat.size], drop + 1)
+    else:                   # bincount of no pairs would count in integers
+        buf = np.zeros(drop + 1)
+    G = buf[:ld * m].reshape((ld, m), order="F")[:m - k]
+    F11 = buf[base:drop].reshape((ld, k), order="F")[:k]
+    return F11, G
+
+
+def _extend_add(F11, G, U, loc):
+    """Add a child's update matrix U into the front (F11, G of ``_front``):
+    entry (loc[i], loc[j]) takes U[i, j], with ``loc`` increasing.
+
+    The rows of ``loc`` fall into maximal runs of consecutive front rows,
+    split where the update rows begin, and each pair of runs is one block
+    slice.  A pair (a, b) with a < b lies wholly above the diagonal and is
+    skipped: no factorization step reads an upper entry.  Where the blocks
+    average fewer than about 200 entries (as at low degree, where the runs
+    are short), two gathers cost less: F11 and G each take their part of U
+    through a row and a column index vector.  A slice costs about 3 us and a
+    gathered entry about 8 ns (2 cores, numpy 2.4).
+    """
+    k = F11.shape[0]
+    cut = [0] + (np.flatnonzero((loc[1:] - loc[:-1] != 1) | (loc[1:] == k))
+                 + 1).tolist()
+    runs = len(cut)
+    # about lc^2 / 2 entries over runs (runs + 1) / 2 blocks
+    if loc.size ** 2 < 200 * runs * (runs + 1):
+        kk = int(np.searchsorted(loc, k))
+        if kk:
+            piv = loc[:kk]
+            F11[piv[:, None], piv] += U[:kk, :kk]
+        G[(loc[kk:] - k)[:, None], loc] += U[kk:]
+        return
+    at = loc[cut].tolist()
+    target = [(F11, t) if t < k else (G, t - k) for t in at]
+    cut.append(loc.size)
+    for b in range(runs):
+        c0, c1, tc = cut[b], cut[b + 1], at[b]
+        for a in range(b, runs):
+            (T, tr), r0, r1 = target[a], cut[a], cut[a + 1]
+            block = T[tr:tr + r1 - r0, tc:tc + c1 - c0]
+            np.add(block, U[r0:r1, c0:c1], out=block)
 
 
 def _element_schur(k_local: np.ndarray, dofmap: DofMap):

@@ -228,7 +228,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
     g = lambda x, y: 1.0 + x - y
     # (2, 1.0, P, 5) is SPD, but partial pivoting leaves its diagonal
     grid = list(itertools.product([1, 2, 3], [1e-6, 0.3, 1.0, 10.0], "QP",
-                                  [1, 3, 5])) + [(2, 1.0, "P", 5)]
+                                  [1, 3, 5]))
     residuals = {}
     for n, gamma, family, p in grid:
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)

@@ -10,7 +10,8 @@ from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import BasisSpec, bubble_indices, dof_count
 from hpexp.orthopoly import GradedRule, apply_axes, element_grids, gauss_rule
-from skeleton_reference import free_skeleton_matrix
+import skeleton_reference
+from skeleton_reference import factor_multifrontal_add_at, free_skeleton_matrix
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
 
@@ -812,6 +813,96 @@ def test_multifrontal_matches_sparse_reference(family, n):
         ref = spla.spsolve(free_skeleton_matrix(S_loc, dm, free_ids), b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), \
             (mesh.dim, p)
+
+
+def _skeleton_block(name, n, p, family):
+    """S_loc, the dofmap and the free skeleton ids of a built-in problem."""
+    prob = fem.fem_problem(name, n)
+    mesh = prob.make_mesh()
+    dm = fem.build_dofmap(mesh, p, family)
+    system = fem.assemble_poisson(mesh, dm, prob.source, prob.dirichlet)
+    return (fem._element_schur(system.k_local, dm)[3], dm,
+            _free_skeleton(dm, system))
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("family", ["Q", "S"])
+@pytest.mark.parametrize("name, n, p", [
+    ("sine3d", 4, 2), ("sine3d", 4, 5), ("sine3d", 4, 8),
+    ("sine3d", 3, 4),           # off-centre bisection planes
+    ("sine2d", 8, 6), ("lshape", None, 5),
+    ("sine3d", 1, 3)])          # one cell: no free skeleton dof
+def test_fronts_bitwise_equal_to_add_at_reference(name, n, p, family):
+    # the block-slice and gather front fills must add the same terms in the
+    # same order as np.add.at did: ordering and factors equal bit for bit
+    args = _skeleton_block(name, n, p, family)
+    lu = fem._factor_multifrontal(*args)
+    ref = factor_multifrontal_add_at(*args)
+    assert _same_bits(lu.perm, ref.perm)
+    assert len(lu.fronts) == len(ref.fronts) and lu.nnz == ref.nnz
+    for front, want in zip(lu.fronts, ref.fronts):
+        assert front[:2] == want[:2]
+        assert all(_same_bits(a, b) for a, b in zip(front[2:], want[2:]))
+
+
+def test_eigh_fallback_bitwise_equal_to_add_at_reference(monkeypatch):
+    # S_loc - 3e-5 I: 11 of the 63 pivot blocks fail dpotrf, and the fronts
+    # above them take the eigh path's full update matrices.  Every LAPACK
+    # call must see the reference's blocks (a pivot block through its lower
+    # triangle, the only part read) and return its bits, and the reported
+    # count must be the reference's
+    S_loc, dm, free_ids = _skeleton_block("sine3d", 4, 4, "Q")
+    S_loc = S_loc - 3e-5 * np.eye(S_loc.shape[0])
+
+    def bits(x):
+        x = np.asarray(x)
+        return x.dtype.str, x.shape, x.tobytes()
+
+    calls, messages = {}, []
+    for module, factor in ((fem, fem._factor_multifrontal),
+                           (skeleton_reference, factor_multifrontal_add_at)):
+        log = calls[module] = []
+        for name in ("dpotrf", "dtrsm", "eigh"):
+            def record(*args, _f=getattr(module, name), _name=name, _log=log,
+                       **kwargs):
+                out = _f(*args, **kwargs)
+                block = args[2] if _name == "dtrsm" else np.tril(args[0])
+                _log.append((_name, bits(block)) + tuple(
+                    bits(x) for x in (out if isinstance(out, tuple) else [out])))
+                return out
+            monkeypatch.setattr(module, name, record)
+        with pytest.raises(fem.IndefiniteSystemError) as info:
+            factor(S_loc, dm, free_ids)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "17 non-positive pivot(s)" in messages[0]
+    assert [c[0] for c in calls[fem]].count("eigh") == 11
+    assert calls[fem] == calls[skeleton_reference]
+
+
+@pytest.mark.parametrize("family, p", [("Q", 1), ("Q", 3), ("S", 5)])
+def test_dissection_matches_median_reference(family, p):
+    # the cut plane from integer arithmetic on twice the median must be the
+    # one np.median and np.argmin pick, ties to the lower plane included
+    meshes = [fem.mesh_lshape()] + [fem.mesh_uniform(d, n, (0.0, 1.0))
+                                    for d in (2, 3) for n in range(1, 7)
+                                    if d == 2 or n <= 5]
+    zero = lambda *xs: 0.0 * xs[0]
+    for mesh in meshes:
+        dm = fem.build_dofmap(mesh, p, family)
+        free_ids = _free_skeleton(dm, fem.assemble_poisson(mesh, dm, zero, zero))
+        seps, parent = fem._dissect_skeleton(dm, free_ids)
+        want, want_parent = skeleton_reference.dissect_skeleton_median(
+            dm, free_ids)
+        assert np.array_equal(parent, want_parent), mesh.cells.max(axis=0)
+        assert len(seps) == len(want) and all(
+            np.array_equal(a, b) for a, b in zip(seps, want))
 
 
 @pytest.mark.parametrize("family, p", [("Q", 3), ("S", 5)])
