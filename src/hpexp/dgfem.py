@@ -8,13 +8,15 @@ sigma_F = gamma p^2 / h_F, and Dirichlet data enters through the boundary
 facets.  The energy norm reported as dg_norm is
 sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2).
 
-The system is factorized once, by SuperLU with COLAMD ordering and
-diagonal pivots, and the same LU proves the matrix positive definite:
-Sylvester's law of inertia reads the number of non-positive eigenvalues
-from the signs of diag(U), and a zero diagonal pivot, which no positive
-definite matrix has, shows as a row permutation that left the diagonal
-(``dg_solve``).  A penalty too small for coercivity raises
-``IndefiniteSipError`` with that count.
+``assemble_sip`` returns the matrix in element-block form, a
+``SipOperator``: the 14 distinct element blocks and the table that places
+them, expanded to CSR only inside ``dg_solve``.  The system is factorized
+once, by SuperLU with COLAMD ordering and diagonal pivots, and the same LU
+proves the matrix positive definite: Sylvester's law of inertia reads the
+number of non-positive eigenvalues from the signs of diag(U), and a zero
+diagonal pivot, which no positive definite matrix has, shows as a row
+permutation that left the diagonal (``dg_solve``).  A penalty too small
+for coercivity raises ``IndefiniteSipError`` with that count.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "BrokenSolution",
     "DgSystem",
     "IndefiniteSipError",
+    "SipOperator",
     "assemble_sip",
     "dg_solve",
     "dg_errors",
@@ -83,14 +86,76 @@ class BrokenSolution:
     factor_nnz: int = 0
 
 
+@dataclass(frozen=True)
+class SipOperator:
+    """The SIP matrix in element-block form.
+
+    ``blocks`` holds the distinct nm x nm element blocks, and each row of
+    ``terms`` (row element, column element, block id) adds one of them at
+    that block position.  The rows run in the COO order of the assembly,
+    which fixes the order in which each entry's terms are summed.
+    ``shape`` and ``nnz`` are those of the expansion ``tocsr`` builds:
+    every element pair that ``terms`` names stores its full nm x nm block.
+    """
+
+    blocks: np.ndarray          # (nb, nm, nm)
+    terms: np.ndarray           # (nt, 3): row element, column element, block
+    n_elements: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        size = self.n_elements * self.blocks.shape[1]
+        return size, size
+
+    @property
+    def nnz(self) -> int:
+        pairs = self.terms[:, 0] * self.n_elements + self.terms[:, 1]
+        return np.unique(pairs).size * self.blocks.shape[1] ** 2
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The CSR expansion, built one element block-row at a time.  Each
+        block-row's entries reach scipy in their global COO order, and scipy
+        sums the duplicates of each row apart from the others, so the arrays
+        are bit for bit those of one ``coo_matrix(...).tocsr()`` over every
+        term, without that conversion's global triplets."""
+        nm = self.blocks.shape[1]
+        size, nnz = self.shape[0], self.nnz
+        # scipy's index dtype rule for a conversion of this size
+        index = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max \
+            else np.int64
+        indptr = np.zeros(size + 1, dtype=index)
+        indices = np.empty(nnz, dtype=index)
+        data = np.empty(nnz)
+        local_rows = np.repeat(np.arange(nm), nm)
+        local_cols = np.tile(np.arange(nm), nm)
+        row_elem, col_elem, bid = self.terms.T
+        end = 0
+        for e in range(self.n_elements):
+            t = np.flatnonzero(row_elem == e)
+            block_row = sp.coo_matrix(
+                (self.blocks[bid[t]].ravel(),
+                 (np.tile(local_rows, t.size),
+                  (col_elem[t, None] * nm + local_cols).ravel())),
+                shape=(nm, size)).tocsr()
+            start, end = end, end + block_row.nnz
+            indptr[e * nm + 1:(e + 1) * nm + 1] = start + block_row.indptr[1:]
+            indices[start:end] = block_row.indices
+            data[start:end] = block_row.data
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+
 @dataclass
 class DgSystem:
+    """An assembled SIP system: the matrix as a ``SipOperator`` (or any
+    matrix with a ``tocsr`` method, such as a scipy CSR matrix), and the
+    load vector in element-major order."""
+
     spec: DgSpec
     n: int
     h: float
     lower: np.ndarray
     modes: list
-    matrix: sp.csr_matrix
+    matrix: SipOperator
     rhs: np.ndarray
 
 
@@ -216,9 +281,6 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
                           (1 + 4 * axis_of[:, None] + np.arange(4)).ravel()]
                          + [np.tile([9 + 2 * axis, 10 + 2 * axis], n)
                             for axis in (0, 1)])
-    rows = (ea[:, None] * nm + np.repeat(np.arange(nm), nm)).ravel()
-    cols = (eb[:, None] * nm + np.tile(np.arange(nm), nm)).ravel()
-    data = np.stack(blocks)[bid].ravel()
 
     # volume load
     vrule = gauss_rule(p + 10)
@@ -226,7 +288,8 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     proj = apply_axes(_on_elements(f, lower, a, vrule.nodes), [LW, LW]) * a * a
     rhs += proj.reshape(ne, -1)[:, flat_positions(modes, p)].ravel()
 
-    A = sp.coo_matrix((data, (rows, cols)), shape=(ne * nm, ne * nm)).tocsr()
+    A = SipOperator(blocks=np.stack(blocks),
+                    terms=np.stack([ea, eb, bid], axis=-1), n_elements=ne)
     return DgSystem(spec=spec, n=n, h=h, lower=lower, modes=modes,
                     matrix=A, rhs=rhs)
 
@@ -234,10 +297,10 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
 def _asymmetry(A: sp.csr_matrix, A_csc: sp.csc_matrix) -> float:
     """max |A - A^T|, given A in CSR and in CSC form: the CSC arrays of A are
     the CSR arrays of A^T.  The SIP pattern is symmetric, so the stored
-    entries of both are compared directly.  The temporaries of the sparse
-    difference A - A^T fragment the heap the LU is then built in: they
-    raised the dg workload's peak RSS from 419 to 463 MB (2 cores, scipy
-    1.17)."""
+    entries of both are compared directly, with one temporary the size of
+    ``A.data``.  The sparse difference A - A^T, kept for a pattern that is
+    not symmetric, builds several matrices of that size, and their
+    temporaries fragment the heap the LU is then built in."""
     if (np.array_equal(A.indptr, A_csc.indptr)
             and np.array_equal(A.indices, A_csc.indices)):
         return float(np.abs(A.data - A_csc.data).max(initial=0.0))
@@ -258,21 +321,26 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     positive definite A elimination without pivoting is backward stable, and
     the same LU gives the solution.  An asymmetric, indefinite or singular A
     (gamma too small), or a relative residual that is not below 1e-8, raises
-    ``IndefiniteSipError``.
+    ``IndefiniteSipError``, in that order of checks.
+
+    Release order: ``system.matrix`` is expanded to CSR, its CSC copy taken
+    and the symmetry checked; the CSR is dropped before the factorization,
+    and the CSC after the solve, whose residual is its matvec (bit for bit
+    the CSR one: both add each row's terms in column order).  Only then is
+    diag(U) read, because scipy's ``SuperLU.U`` builds and keeps copies of
+    both L and U, nearly as large as the LU itself.
     """
-    A = system.matrix
-    # one CSC copy serves the symmetry check and the LU; it is released
-    # before the pivots are read (held, it raised the dg workload's peak RSS
-    # from 421 to 465 MB)
+    A = system.matrix.tocsr()
     A_csc = A.tocsc()
     asym = _asymmetry(A, A_csc)
     if not asym <= 1e-10 * max(np.abs(A.data).max(initial=0.0), 1.0):
         raise IndefiniteSipError(f"system not symmetric: {asym:.2e}")
+    size = A.shape[0]
+    del A
     try:
         lu = spla.splu(A_csc, permc_spec="COLAMD", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise IndefiniteSipError(f"SIP matrix singular: {exc}") from exc
-    del A_csc
     off_diagonal = lu.perm_r != lu.perm_c
     if off_diagonal.any():
         # the first off-diagonal step is the earliest column whose own row
@@ -280,14 +348,16 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
         step = int(lu.perm_c[off_diagonal].min())
         raise IndefiniteSipError(
             f"SIP matrix not positive definite: zero diagonal pivot at "
-            f"elimination step {step} of {A.shape[0]}")
+            f"elimination step {step} of {size}")
+    u = lu.solve(system.rhs)
+    res = (np.linalg.norm(A_csc @ u - system.rhs)
+           / max(np.linalg.norm(system.rhs), 1e-300))
+    del A_csc
     n_nonpos = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
     if n_nonpos:
         raise IndefiniteSipError(
             f"SIP matrix not positive definite: {n_nonpos} non-positive "
-            f"pivot(s) of {A.shape[0]}")
-    u = lu.solve(system.rhs)
-    res = np.linalg.norm(A @ u - system.rhs) / max(np.linalg.norm(system.rhs), 1e-300)
+            f"pivot(s) of {size}")
     if not res < 1e-8:
         raise IndefiniteSipError(f"direct solve residual too large: {res:.2e}")
     nm = len(system.modes)

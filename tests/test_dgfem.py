@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_linear_consistency(family):
 def test_system_symmetry():
     system = dgfem.assemble_sip(4, dgfem.DgSpec("P", 3),
                                 lambda x, y: np.sin(x + y), lambda x, y: 0.0 * x)
-    A = system.matrix
+    A = system.matrix.tocsr()
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
 
 
@@ -127,10 +128,24 @@ def test_sip_gathers_match_per_facet_loop(family, p_list, n):
         spec = dgfem.DgSpec(family, p)
         system = dgfem.assemble_sip(n, spec, f, g)
         A, rhs = _reference_sip(n, spec, f, g)
+        expanded = system.matrix.tocsr()
         for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(system.matrix, field),
+            assert np.array_equal(getattr(expanded, field),
                                   getattr(A, field)), (p, field)
         assert np.array_equal(system.rhs, rhs), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("family", ["Q", "P"])
+def test_operator_shape_and_nnz_are_those_of_its_expansion(family, n):
+    # the traced benchmark counts dgfem.n_dof and dgfem.matrix_nnz from them
+    zero = lambda x, y: 0.0 * x
+    for p in (1, 2, 5, 10):
+        operator = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), zero,
+                                      zero).matrix
+        expanded = operator.tocsr()
+        assert operator.shape == expanded.shape, p
+        assert operator.nnz == expanded.nnz, p
 
 
 def test_dof_counts():
@@ -165,7 +180,7 @@ def test_consistency_residual_of_interpolant():
     spec = dgfem.DgSpec("Q", 4)
     system = dgfem.assemble_sip(4, spec, f, exact)
     interp = dgfem.broken_interpolant(spec, 4, exact)
-    resid = system.matrix @ interp.coeffs.ravel() - system.rhs
+    resid = system.matrix.tocsr() @ interp.coeffs.ravel() - system.rhs
     errs = dgfem.dg_errors(interp, exact, grad)
     assert np.linalg.norm(resid) / np.linalg.norm(system.rhs) \
         <= 25.0 * errs["dg_norm"]
@@ -187,7 +202,8 @@ def test_indefinite_with_tiny_penalty():
     with pytest.raises(dgfem.IndefiniteSipError) as info:
         dgfem.dg_solve(system)
     # the pivot count is the number of negative eigenvalues
-    n_neg = int(np.count_nonzero(np.linalg.eigvalsh(system.matrix.toarray()) < 0))
+    eig = np.linalg.eigvalsh(system.matrix.tocsr().toarray())
+    n_neg = int(np.count_nonzero(eig < 0))
     assert n_neg > 0
     assert f"{n_neg} non-positive pivot(s) of {system.matrix.shape[0]}" \
         in str(info.value)
@@ -232,7 +248,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
     residuals = {}
     for n, gamma, family, p in grid:
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
-        A = system.matrix
+        A = system.matrix.tocsr()
         eig = np.linalg.eigvalsh(A.toarray())
         try:
             np.linalg.cholesky(A.toarray())
@@ -259,7 +275,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
         n, gamma, family, p = case
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
         # scipy's default (partial-pivot) COLAMD LU leaves the diagonal here
-        lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
+        lu = spla.splu(system.matrix.tocsr().tocsc(), permc_spec="COLAMD")
         assert not np.array_equal(lu.perm_r, lu.perm_c), case
         assert residuals[case] < 1e-8, case
 
@@ -283,18 +299,57 @@ def test_solve_is_bitwise_the_spsolve_solution(n, family, p):
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), f, exact)
-    reference = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    reference = spla.spsolve(system.matrix.tocsr().tocsc(), system.rhs)
     sol = dgfem.dg_solve(system)
     assert np.array_equal(sol.coeffs.ravel(), reference)
+
+
+def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
+    """scipy's SuperLU.U builds copies of L and U, so dg_solve reads it only
+    once the expanded CSR and CSC are freed; the residual, taken with the CSC
+    matvec, is bit for bit the CSR matvec's."""
+    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
+    system = dgfem.assemble_sip(8, dgfem.DgSpec("Q", 7), f, exact)
+    expanded, alive_at_read = [], []
+    tocsr, splu = dgfem.SipOperator.tocsr, dgfem.spla.splu
+
+    def tracked_tocsr(operator):
+        A = tocsr(operator)
+        expanded.append(weakref.ref(A))
+        return A
+
+    class TrackedLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            if name == "U" and not alive_at_read:
+                alive_at_read.append([ref() is not None for ref in expanded])
+            return getattr(self._lu, name)
+
+    def tracked_splu(A_csc, **kwargs):
+        expanded.append(weakref.ref(A_csc))
+        return TrackedLU(splu(A_csc, **kwargs))
+
+    monkeypatch.setattr(dgfem.SipOperator, "tocsr", tracked_tocsr)
+    monkeypatch.setattr(dgfem.spla, "splu", tracked_splu)
+    sol = dgfem.dg_solve(system)
+    assert alive_at_read == [[False, False]]      # CSR, CSC
+    A = tocsr(system.matrix)
+    res = (np.linalg.norm(A @ sol.coeffs.ravel() - system.rhs)
+           / max(np.linalg.norm(system.rhs), 1e-300))
+    assert sol.residual_norm == res
 
 
 def test_asymmetric_system_raises():
     g, _ = _linear()
     base = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2), lambda x, y: 0.0 * x, g)
-    assert dgfem._asymmetry(base.matrix, base.matrix.tocsc()) < 1e-12
+    A = base.matrix.tocsr()
+    assert dgfem._asymmetry(A, A.tocsc()) < 1e-12
     # one stored entry changed, then one entry outside the symmetric pattern
     for i, j in ((0, 1), (0, base.matrix.shape[0] - 1)):
-        A = base.matrix.tolil()
+        A = base.matrix.tocsr().tolil()
         A[i, j] += 1.0
         base.matrix = A.tocsr()
         with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
@@ -306,7 +361,9 @@ def test_nan_entry_fails_the_symmetry_check():
     g, _ = _linear()
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
                                 lambda x, y: 0.0 * x, g)
-    system.matrix.data[system.matrix.indptr[3]] = np.nan
+    A = system.matrix.tocsr()
+    A.data[A.indptr[3]] = np.nan
+    system.matrix = A
     with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
         dgfem.dg_solve(system)
 
@@ -363,7 +420,7 @@ def test_singular_matrix_raises():
     keep = np.ones(system.matrix.shape[0])
     keep[5] = 0.0
     D = sp.diags(keep)
-    system.matrix = (D @ system.matrix @ D).tocsr()     # a zero row and column
+    system.matrix = (D @ system.matrix.tocsr() @ D).tocsr()     # a zero row and column
     with pytest.raises(dgfem.IndefiniteSipError):
         dgfem.dg_solve(system)
 
