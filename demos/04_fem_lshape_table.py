@@ -5,9 +5,10 @@ re-entrant corner, capping p-refinement at the doubled algebraic rate
 p^(-4/3).  FEM(S) and FEM(Q) share that rate; serendipity pays a roughly
 constant error factor while spending about half the degrees of freedom.
 
-Error integration uses tensorized geometrically-graded quadrature on the
-three elements touching the corner; the printed errors are converged in the
-grading depth (doubling the layer count moves them by < 0.1%).
+Error integration uses the geometric corner mesh on the three elements
+touching the corner (Gauss rules on boxes graded toward the corner point);
+the printed errors are converged in the grading depth (doubling the layer
+count moves them by < 0.1%).
 """
 
 from hpexp.harness import run_sweep

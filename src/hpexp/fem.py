@@ -796,12 +796,13 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
 
 def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
                    order: int):
-    """Elements grouped by their per-axis reference quadrature rules.
+    """Elements grouped by the quadrature ``h1_error`` integrates them with.
 
     Plain Gauss on every axis, except for the elements that have
-    ``graded_at`` as a vertex: on each axis where the point lies at an end of
-    the element, the rule is graded toward that end.  Returns a list of
-    (element indices, per-axis rules).
+    ``graded_at`` as a vertex: each is integrated on the corner pieces of
+    ``graded_rule`` toward that vertex.  Returns a list of (element indices,
+    per-axis nodes, per-axis weights): entry k is (order,) for plain Gauss
+    and (pieces, order) on the corner pieces.
     """
     lo = mesh.elem_lower
     ends = np.zeros(lo.shape, dtype=int)
@@ -812,10 +813,16 @@ def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
         vertex = np.all(at_lo | at_hi, axis=1)[:, None]
         ends = np.where(vertex & at_lo, -1, np.where(vertex & at_hi, 1, 0))
     keys, group = np.unique(ends, axis=0, return_inverse=True)
-    return [(np.nonzero(group.ravel() == g)[0],
-             [gauss_rule(order) if end == 0
-              else graded_rule(sigma, layers, order, int(end)) for end in key])
-            for g, key in enumerate(keys)]
+    out = []
+    for g, key in enumerate(keys):
+        if key.any():
+            rule = graded_rule(sigma, layers, order, tuple(key.tolist()))
+            nodes, weights = list(rule.nodes), list(rule.weights)
+        else:
+            rule = gauss_rule(order)
+            nodes, weights = [rule.nodes] * key.size, [rule.weights] * key.size
+        out.append((np.nonzero(group.ravel() == g)[0], nodes, weights))
+    return out
 
 
 def error_quadrature(p: int, layers: Optional[int] = None,
@@ -836,10 +843,13 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
              sigma: float = GRADED_SIGMA_DEFAULT, layers: Optional[int] = None,
              quad_order: Optional[int] = None) -> float:
     """Elementwise |u - u_h|_{H1}; elements touching ``graded_at`` use the
-    tensorized graded rule, the rest plain Gauss; ``error_quadrature`` gives
-    the default layers and points.
+    corner pieces of ``graded_rule``, the rest plain Gauss;
+    ``error_quadrature`` gives the default layers and points.
 
-    The elements sharing one per-axis rule tuple are integrated as one batch.
+    The elements sharing one rule are integrated as one batch.  On the corner
+    pieces every basis table is a stack of per-piece matrices, and the
+    coefficient tensors gain a piece axis of length 1, so each contraction of
+    ``apply_axes`` covers all pieces of the batch at once.
     """
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
@@ -850,24 +860,31 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
         sol.values[dofmap.cell_dofs]
     coeffs = coeffs.reshape((ne,) + (p + 1,) * d)
     total = 0.0
-    for elems, rules in _element_rules(mesh, graded_at, sigma, layers, order):
-        vals = [basis1d_values(p, r.nodes).T for r in rules]
-        ders = [basis1d_derivs(p, r.nodes).T for r in rules]
-        gex = exact_gradient(*element_grids(mesh.elem_lower[elems], a,
-                                            [r.nodes for r in rules]))
+    for elems, nodes, weights in _element_rules(mesh, graded_at, sigma,
+                                                layers, order):
+        pieces = nodes[0].shape[:-1]        # () for plain Gauss
+        vals = [basis1d_values(p, x.ravel()).T.reshape(x.shape + (p + 1,))
+                for x in nodes]
+        ders = [basis1d_derivs(p, x.ravel()).T.reshape(x.shape + (p + 1,))
+                for x in nodes]
+        c = coeffs[elems].reshape((elems.size,) + (1,) * len(pieces)
+                                  + (p + 1,) * d)
+        gex = exact_gradient(*element_grids(mesh.elem_lower[elems], a, nodes))
         # partial derivative k: the derivative table on axis k only.  The
-        # squares are summed and weighted in place: a graded corner grid is
-        # 4.5 MB at p = 25, and each fresh buffer of that size is paged in
-        # anew once the allocator has returned the last one to the system
+        # squares are summed and weighted in place, so each group's grid
+        # (107 500 points, 0.9 MB, on a corner element at p = 25) is held in
+        # as few buffers as possible
         for k in range(d):
-            e = gex[k] - apply_axes(coeffs[elems], [
+            e = gex[k] - apply_axes(c, [
                 ders[j] if j == k else vals[j] for j in range(d)]) / a
             np.square(e, out=e)
             if k:
                 err_sq += e
             else:
                 err_sq = e
-        err_sq *= reduce(np.multiply.outer, [r.weights for r in rules])
+        err_sq *= reduce(np.multiply, [
+            w.reshape(pieces + (1,) * k + (-1,) + (1,) * (d - 1 - k))
+            for k, w in enumerate(weights)])
         total += float(np.sum(err_sq))
     return float(np.sqrt(total * a ** d))
 
@@ -907,7 +924,7 @@ def _lshape_gradient(x, y):
     The negations and squares act on the broadcast axes ``element_grids``
     gives, so the full grid sees one angle, one cube root and one sin/cos
     pair.  Past the angle and the squared radius every full-grid step works
-    in place, in three buffers: a graded corner grid is 4.5 MB at p = 25.
+    in place, in three buffers: a corner element's grid is 0.9 MB at p = 25.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)

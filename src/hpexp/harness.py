@@ -39,6 +39,7 @@ from .errors import IndefiniteSipError, IndefiniteSystemError, RefinementError
 from .expansion import (DEFAULT_REFERENCE_MARGIN, CoeffTensor,
                         named_function, reference_expansion)
 from .indexsets import BasisSpec, dof_count
+from .orthopoly import graded_rule
 from .projections import (InadmissibleDegreeError, project_h1_p, project_h1_q,
                           project_h1_s, project_l2, projection_errors)
 
@@ -474,8 +475,8 @@ class Kind(NamedTuple):
 
 
 def _lshape_meta(sw: dict) -> dict:
-    """The error quadrature; layers and points per axis at each degree of
-    ``p_list``, in its order."""
+    """The error quadrature; layers, points per axis and points per corner
+    element at each degree of ``p_list``, in its order."""
     from . import fem
     sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
     rules = [fem.error_quadrature(p, sw.get("graded_layers"), sigma=sigma)
@@ -483,7 +484,10 @@ def _lshape_meta(sw: dict) -> dict:
     return {"quadrature": {
         "graded_sigma": sigma,
         "graded_layers": [layers for layers, _ in rules],
-        "error_rule_order": [order for _, order in rules]}}
+        "error_rule_order": [order for _, order in rules],
+        "corner_points": [
+            graded_rule(sigma, layers, order, (-1, -1)).nodes.shape[1]
+            * order ** 2 for layers, order in rules]}}
 
 
 KINDS = {

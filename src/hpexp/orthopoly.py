@@ -15,8 +15,9 @@ tensor or on a batch of element tensors whose physical quadrature grids
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -137,55 +138,67 @@ def gauss_rule(n: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class GradedRule:
-    """Composite Gauss rule on [-1, 1], geometrically refined toward one endpoint.
+    """Gauss rule on the geometric corner pieces of [-1, 1]^d (Schwab 1998,
+    ch. 4), graded toward the corner whose axis-k coordinate is ``corner[k]``.
 
-    ``layers`` geometric splits produce ``layers + 1`` cells between the
-    ``breakpoints``; the per-cell rule is ``base``.  The flattened composite
-    nodes/weights are exposed for tensorization.
+    Row k of ``breakpoints`` cuts axis k into ``layers + 1`` cells, ascending
+    from -1 to 1; counted from the corner, cell 0 is the thinnest and each
+    further cell is 1/sigma times wider.  The pieces tile the element: cell 0
+    on every axis is the innermost box, and layer i = 1..layers, the band
+    between the corner boxes of cells 0..i-1 and of cells 0..i, is 2^d - 1
+    boxes: for each non-empty set of axes, cell i on those axes and cells
+    0..i-1 on the others.  Every piece carries the tensor ``base`` rule;
+    ``nodes[k]`` and ``weights[k]``, of shape (pieces, order), are the axis-k
+    nodes and weights of every piece.  In one dimension the pieces are the
+    cells, and the rule is the composite graded rule.
     """
 
     base: QuadratureRule
     breakpoints: np.ndarray
     layers: int
-    nodes: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
+    nodes: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        xs, ws = [], []
-        for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:]):
-            half = 0.5 * (b - a)
-            xs.append(0.5 * (a + b) + half * self.base.nodes)
-            ws.append(half * self.base.weights)
-        object.__setattr__(self, "nodes", np.concatenate(xs))
-        object.__setattr__(self, "weights", np.concatenate(ws))
         for arr in (self.nodes, self.weights, self.breakpoints):
             arr.flags.writeable = False
 
 
 @lru_cache(maxsize=256)
 def graded_rule(sigma: float, layers: int, per_cell_order: int,
-                marked_end: int = -1) -> GradedRule:
-    """Composite rule with breakpoints at marked_end + 2*sigma^j, j = layers..1.
+                corner: tuple = (-1,)) -> GradedRule:
+    """Corner-piece rule in d = len(corner) dimensions whose cell boundaries
+    lie 2*sigma^j from the corner, j = layers..1, on every axis.
 
-    One layer with sigma = 1/2 is the plain per-cell rule on the two halves.
-    Layers beyond floating-point resolution (innermost width below ~2e-12,
-    where high-order nodes would round onto the marked endpoint) are clamped.
+    One layer with sigma = 1/2 in 1D is the plain per-cell rule on the two
+    halves.  Layers beyond floating-point resolution (innermost width below
+    ~2e-12, where high-order nodes would round onto the corner) are clamped.
     Memoized like ``gauss_rule``: equal arguments return the same read-only rule.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("grading ratio must lie in (0, 1)")
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    if marked_end not in (-1, 1):
-        raise ValueError("marked_end must be -1 or +1")
+    if not corner or any(c not in (-1, 1) for c in corner):
+        raise ValueError("corner entries must be -1 or +1")
+    d = len(corner)
     layers = min(layers, max(1, int(np.floor(np.log(1e-12) / np.log(sigma)))))
-    offsets = np.concatenate(([0.0], 2.0 * sigma ** np.arange(layers, 0, -1), [2.0]))
-    if marked_end == -1:
-        pts = -1.0 + offsets
-    else:
-        pts = (1.0 - offsets)[::-1].copy()
-    return GradedRule(base=gauss_rule(per_cell_order), breakpoints=pts,
-                      layers=layers)
+    # distance of each cell boundary from the corner, and its axis-k coordinate
+    dist = np.concatenate(([0.0], 2.0 * sigma ** np.arange(layers, 0, -1), [2.0]))
+    coord = np.array([c * (1.0 - dist) for c in corner])
+    # each piece's first and end cell on every axis, counted from the corner
+    spans = [((0, 1),) * d] + [
+        tuple((i, i + 1) if outer else (0, i) for outer in axes)
+        for i in range(1, layers + 1)
+        for axes in itertools.product((False, True), repeat=d) if any(axes)]
+    ends = np.take_along_axis(
+        coord[:, None, :], np.array(spans).transpose(1, 0, 2), axis=2)
+    lo, hi = ends.min(axis=2)[..., None], ends.max(axis=2)[..., None]
+    half = 0.5 * (hi - lo)
+    base = gauss_rule(per_cell_order)
+    return GradedRule(base=base, breakpoints=np.sort(coord, axis=1),
+                      layers=layers, nodes=0.5 * (lo + hi) + half * base.nodes,
+                      weights=half * base.weights)
 
 
 def apply_axes(tensor, mats) -> np.ndarray:
@@ -201,6 +214,10 @@ def apply_axes(tensor, mats) -> np.ndarray:
     ``mats[k]`` times the (n_k, rest) unfolding of each batch entry, the same
     product an unbatched call makes on that entry.  Axis 0 is already in
     place, so it is contracted without the two ``np.moveaxis`` views.
+
+    ``mats[k]`` may also be a stack of matrices, (..., m_k, n_k), whose
+    leading axes broadcast against the batch axes, as matmul broadcasts: the
+    pieces of a corner rule, one matrix per piece on a batch axis of length 1.
     """
     out = np.asarray(tensor)
     b = out.ndim - len(mats)                 # number of batch axes
@@ -209,8 +226,8 @@ def apply_axes(tensor, mats) -> np.ndarray:
             continue
         # batch, axis k, the other axes
         x = out if k == 0 else np.moveaxis(out, b + k, b)
-        y = (mat @ x.reshape(x.shape[:b + 1] + (-1,))).reshape(
-            x.shape[:b] + (mat.shape[0],) + x.shape[b + 1:])
+        y = mat @ x.reshape(x.shape[:b + 1] + (-1,))
+        y = y.reshape(y.shape[:b] + (mat.shape[-2],) + x.shape[b + 1:])
         out = y if k == 0 else np.moveaxis(y, b, b + k)
     return out
 
@@ -219,11 +236,14 @@ def element_grids(lower, half: float, nodes) -> list[np.ndarray]:
     """Physical quadrature coordinates of a batch of congruent boxes.
 
     ``lower`` is (ne, d) lower corners, ``half`` the half edge length and
-    ``nodes[k]`` the reference nodes of axis k.  Entry k holds
+    ``nodes[k]`` the reference nodes of axis k, (q_k,) or, for the pieces of
+    a corner rule, (pieces, q_k).  Entry k holds
     ``lower[:, k] + half * (nodes[k] + 1)`` shaped to broadcast with the others
-    to the batched grid (ne, q_1, ..., q_d).
+    to the batched grid (ne, q_1, ..., q_d), or (ne, pieces, q_1, ..., q_d).
     """
     lower = np.asarray(lower, dtype=float)
     ne, d = lower.shape
-    return [(lower[:, k, None] + half * (nodes[k] + 1.0)).reshape(
-        (ne,) + (1,) * k + (-1,) + (1,) * (d - 1 - k)) for k in range(d)]
+    return [(lower[:, k].reshape((ne,) + (1,) * np.ndim(x)) + half * (x + 1.0))
+            .reshape((ne,) + np.shape(x)[:-1] + (1,) * k + (-1,)
+                     + (1,) * (d - 1 - k))
+            for k, x in enumerate(nodes)]

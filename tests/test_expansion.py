@@ -333,8 +333,8 @@ _REFERENCES = {2: (_dg_exact, _fem_grad2, _fem_src2),
 @pytest.mark.parametrize("rule", ["gauss", "graded_low", "graded_high"])
 def test_sine_is_bitwise_the_solvers_old_expressions(dim, n, rule):
     nodes = {"gauss": gauss_rule(9).nodes,
-             "graded_low": graded_rule(0.15, 8, 6, -1).nodes,
-             "graded_high": graded_rule(0.15, 8, 6, 1).nodes}[rule]
+             "graded_low": graded_rule(0.15, 8, 6, (-1,)).nodes.ravel(),
+             "graded_high": graded_rule(0.15, 8, 6, (1,)).nodes.ravel()}[rule]
     mesh = mesh_uniform(dim, n)
     xs = element_grids(mesh.elem_lower, 0.5 * mesh.h, [nodes] * dim)
     u = named_function("sine", dim)

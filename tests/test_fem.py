@@ -9,8 +9,9 @@ from scipy.linalg import cho_solve
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import BasisSpec, bubble_indices, dof_count
-from hpexp.orthopoly import GradedRule, apply_axes, element_grids, gauss_rule
+from hpexp.orthopoly import apply_axes, element_grids, gauss_rule
 import skeleton_reference
+from graded_reference import h1_error_tensorized
 from skeleton_reference import factor_multifrontal_add_at, free_skeleton_matrix
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
@@ -1026,6 +1027,33 @@ def test_h1_error_graded_layer_doubling(lshape):
     assert e[14] == e[20] == e[40]
 
 
+@pytest.mark.parametrize("family", ["S", "Q"])
+def test_corner_pieces_match_the_tensorized_reference(lshape, family):
+    # the 18 Table-1 solutions: the corner-piece rule against the tensor
+    # product of composite graded rules that h1_error used before it
+    prob = fem.fem_problem("lshape")
+    for p in harness.TABLE1_PRESET["sweeps"][0]["p_list"]:
+        dm = fem.build_dofmap(lshape, p, family)
+        sol = fem.condense_solve(fem.assemble_poisson(
+            lshape, dm, prob.source, prob.dirichlet), dm)
+        got = fem.h1_error(sol, prob.exact_gradient,
+                           graded_at=lshape.singular_corner)
+        ref = h1_error_tensorized(sol, prob.exact_gradient,
+                                  graded_at=lshape.singular_corner)
+        assert abs(got - ref) <= 1e-13 * ref, p
+
+
+@pytest.mark.parametrize("family", ["S", "Q"])
+@pytest.mark.parametrize("name, n, p_list", [("sine2d", 8, (2, 6, 12)),
+                                             ("sine3d", 2, (2, 5, 8))])
+def test_plain_gauss_errors_are_bitwise_the_reference(name, n, p_list, family):
+    # no corner: every group runs the reference's arithmetic
+    for p in p_list:
+        prob, _, _, _, sol = _solved(name, n, p, family)
+        assert fem.h1_error(sol, prob.exact_gradient) \
+            == h1_error_tensorized(sol, prob.exact_gradient), p
+
+
 def _polar_lshape_gradient(x, y):
     # the gradient through the polar chain rule, as a reference
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
@@ -1039,15 +1067,15 @@ def _polar_lshape_gradient(x, y):
 
 
 def test_lshape_gradient_matches_polar_chain_rule_on_graded_nodes(lshape):
-    # the nodes h1_error integrates the three corner elements on at p = 25
+    # the nodes h1_error integrates the three corner elements on at p = 25:
+    # the corner pieces, whose per-axis nodes carry a piece axis
     layers, order = fem.error_quadrature(25)
-    groups = [(elems, rules) for elems, rules in fem._element_rules(
+    groups = [(elems, nodes) for elems, nodes, _ in fem._element_rules(
         lshape, lshape.singular_corner, fem.GRADED_SIGMA_DEFAULT, layers,
-        order) if any(isinstance(r, GradedRule) for r in rules)]
+        order) if nodes[0].ndim == 2]
     assert sum(elems.size for elems, _ in groups) == 3
-    for elems, rules in groups:
-        grids = element_grids(lshape.elem_lower[elems], 0.5 * lshape.h,
-                              [r.nodes for r in rules])
+    for elems, nodes in groups:
+        grids = element_grids(lshape.elem_lower[elems], 0.5 * lshape.h, nodes)
         ref = _polar_lshape_gradient(*grids)
         got = fem._lshape_gradient(*grids)
         size = np.hypot(*ref)

@@ -331,12 +331,18 @@ def test_root_validation_keeps_the_valid_forms():
          "sigma0.5_clamped"])
 def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
                                                      sigma, layers, kept):
-    # h1_error's own (layers, order) at each Table-1 degree, read where it
-    # builds the rules; assembly and solve are replaced by a zero solution
-    used = []
+    # h1_error's own (layers, order) at each Table-1 degree, and the points
+    # of each corner element's rule, read where it builds the rules;
+    # assembly and solve are replaced by a zero solution
+    used, corner = [], []
+    element_rules_used = fem._element_rules
 
     def element_rules(mesh, graded_at, sigma, layers, order):
         used.append((layers, order))
+        corner.append({nodes[0].shape[0] * np.prod([x.shape[1] for x in nodes])
+                       for _, nodes, _ in element_rules_used(
+                           mesh, graded_at, sigma, layers, order)
+                       if nodes[0].ndim == 2})
         return []
 
     monkeypatch.setattr(fem, "_element_rules", element_rules)
@@ -353,6 +359,10 @@ def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
         "quadrature"]
     assert quad == _lshape_meta(sw)["quadrature"]
     assert used == list(zip(quad["graded_layers"], quad["error_rule_order"]))
+    assert corner == [{points} for points in quad["corner_points"]]
+    if sigma is None and layers is None:
+        # 14 layers of 3 boxes and the innermost square, 50 x 50 points each
+        assert quad["corner_points"][-1] == 43 * 50 ** 2
     assert len(used) == len(sw["p_list"]) == 9
     # the count graded_rule keeps, not the count asked for
     ratio = sigma if sigma is not None else fem.GRADED_SIGMA_DEFAULT

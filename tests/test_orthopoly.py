@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -125,21 +128,23 @@ def test_psi_weighted_orthogonality():
 
 
 def test_graded_rule_one_layer_matches_two_half_rule():
-    g = graded_rule(0.5, 1, 2, -1)
+    g = graded_rule(0.5, 1, 2, (-1,))
     assert np.allclose(g.breakpoints, [-1.0, 0.0, 1.0])
     for c in ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 2.0, -1.0)):
         poly = np.polynomial.Polynomial(c)
         plain = gauss_rule(2).weights @ poly(gauss_rule(2).nodes)
-        assert g.weights @ poly(g.nodes) == pytest.approx(plain, abs=1e-12)
+        assert g.weights[0].ravel() @ poly(g.nodes[0].ravel()) \
+            == pytest.approx(plain, abs=1e-12)
 
 
 def test_graded_rule_resolves_endpoint_singularity():
-    g = graded_rule(0.15, 20, 16, -1)
+    g = graded_rule(0.15, 20, 16, (-1,))
     exact = 1.5 * 2.0 ** (2.0 / 3.0)
-    assert g.weights @ (1.0 + g.nodes) ** (-1.0 / 3.0) == pytest.approx(
-        exact, abs=1e-8)
-    mirrored = graded_rule(0.15, 20, 16, +1)
-    assert mirrored.weights @ (1.0 - mirrored.nodes) ** (-1.0 / 3.0) \
+    assert g.weights[0].ravel() @ (1.0 + g.nodes[0].ravel()) ** (-1.0 / 3.0) \
+        == pytest.approx(exact, abs=1e-8)
+    mirrored = graded_rule(0.15, 20, 16, (+1,))
+    assert mirrored.weights[0].ravel() @ (
+        1.0 - mirrored.nodes[0].ravel()) ** (-1.0 / 3.0) \
         == pytest.approx(exact, abs=1e-8)
 
 
@@ -147,10 +152,10 @@ def test_graded_rule_resolves_endpoint_singularity():
                          [(0.5, 1, 2, -1), (0.15, 20, 16, -1),
                           (0.3, 7, 4, 1), (0.45, 3, 6, 1)])
 def test_graded_rule_partition_invariants(sigma, layers, order, end):
-    g = graded_rule(sigma, layers, order, end)
+    g = graded_rule(sigma, layers, order, (end,))
     assert np.sum(g.weights) == pytest.approx(2.0, abs=1e-13)
-    assert np.all(np.diff(g.breakpoints) > 0)
-    w = np.diff(g.breakpoints)
+    assert np.all(np.diff(g.breakpoints[0]) > 0)
+    w = np.diff(g.breakpoints[0])
     w_in = w if end == -1 else w[::-1]     # index 0 = cell at the marked end
     assert np.all(np.diff(w_in) >= -1e-15)   # widths grow away from the end
     # geometric ratio 1/sigma between consecutive non-innermost cells (skip
@@ -163,9 +168,61 @@ def test_graded_rule_partition_invariants(sigma, layers, order, end):
 
 def test_graded_rule_rejects_bad_ratio():
     with pytest.raises(ValueError):
-        graded_rule(1.5, 3, 4, -1)
+        graded_rule(1.5, 3, 4, (-1,))
     with pytest.raises(ValueError):
-        graded_rule(0.0, 3, 4, -1)
+        graded_rule(0.0, 3, 4, (-1,))
+
+
+def test_graded_rule_rejects_bad_corner():
+    for corner in ((), (0,), (-1, 2)):
+        with pytest.raises(ValueError, match="corner"):
+            graded_rule(0.15, 3, 4, corner)
+
+
+def _piece_boxes(g):
+    """(axis, piece, lo/hi) bounds of each piece: the Gauss nodes are
+    symmetric about the midpoint and the weights sum to the width."""
+    mid = g.nodes.mean(axis=2)
+    half = 0.5 * g.weights.sum(axis=2)
+    return np.stack([mid - half, mid + half], axis=2)
+
+
+@pytest.mark.parametrize("sigma,layers,order", [
+    (0.15, 20, 3), (0.5, 1, 2), (0.3, 4, 4)])
+@pytest.mark.parametrize("corner", [(-1, -1), (1, -1), (-1, 1, 1), (1, 1, -1)])
+def test_corner_pieces_tile_the_element(sigma, layers, order, corner):
+    g = graded_rule(sigma, layers, order, corner)
+    d, n = len(corner), g.layers + 1
+    assert g.nodes.shape == g.weights.shape == (d, (2 ** d - 1) * g.layers + 1,
+                                                order)
+    # the product weights sum to the volume 2^d
+    vol = reduce(np.multiply, [
+        w.reshape(w.shape[:1] + (1,) * k + (-1,) + (1,) * (d - 1 - k))
+        for k, w in enumerate(g.weights)])
+    assert np.sum(vol) == pytest.approx(2.0 ** d, rel=1e-14)
+    # every piece is a box of whole cells, and every cell lies in one piece
+    boxes = _piece_boxes(g)
+    count = np.zeros((n,) * d, dtype=int)
+    for piece in range(boxes.shape[1]):
+        span = []
+        for k in range(d):
+            lo, hi = (np.argmin(np.abs(g.breakpoints[k] - x))
+                      for x in boxes[k, piece])
+            assert np.allclose(boxes[k, piece], g.breakpoints[k, [lo, hi]],
+                               rtol=0, atol=1e-15)
+            assert lo < hi
+            span.append(slice(lo, hi))
+        count[tuple(span)] += 1
+    assert np.all(count == 1)
+    # exact on every per-axis polynomial of degree <= 2 order - 1, here the
+    # monomials: int_{-1}^1 x^a = 2/(a+1) for even a, 0 for odd a
+    deg = np.arange(2 * order)
+    moments = np.where(deg % 2 == 0, 2.0 / (deg + 1), 0.0)
+    for a in product(deg, repeat=d):
+        # per piece, the product of its per-axis 1D sums
+        got = np.sum(np.prod([np.sum(g.weights[k] * g.nodes[k] ** a[k], axis=1)
+                              for k in range(d)], axis=0))
+        assert got == pytest.approx(np.prod(moments[list(a)]), abs=1e-14)
 
 
 def test_gauss_rule_is_memoized_and_read_only():
@@ -184,8 +241,8 @@ def test_gauss_rule_rejects_zero_nodes_on_every_call():
 
 
 def test_graded_rule_is_memoized_and_read_only():
-    g = graded_rule(0.15, 12, 6, -1)
-    assert graded_rule(0.15, 12, 6, -1) is g
+    g = graded_rule(0.15, 12, 6, (-1, 1))
+    assert graded_rule(0.15, 12, 6, (-1, 1)) is g
     assert g.base is gauss_rule(6)
     for arr in (g.nodes, g.weights, g.breakpoints):
         assert not arr.flags.writeable
@@ -218,6 +275,22 @@ def test_apply_axes_is_kronecker(batch, dim, skip):
         # batch entries are independent: the same bits as one at a time
         first = apply_axes(tensor[(0,) * len(batch)], mats)
         assert np.array_equal(out[(0,) * len(batch)], first)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_apply_axes_stacked_matrices_are_per_piece_products(dim):
+    # a stack of per-piece matrices on each axis, broadcast against a batch
+    # axis of length 1: entry (element, piece) is the unbatched call
+    rng = np.random.default_rng(dim)
+    shape, rows, pieces = (3, 4, 2)[:dim], (5, 2, 3)[:dim], 4
+    mats = [rng.standard_normal((pieces, m, n)) for m, n in zip(rows, shape)]
+    tensor = rng.standard_normal((2, 1) + shape)
+    out = apply_axes(tensor, mats)
+    assert out.shape == (2, pieces) + rows
+    for e in range(2):
+        for q in range(pieces):
+            one = apply_axes(tensor[e, 0], [m[q] for m in mats])
+            assert np.allclose(out[e, q], one, rtol=1e-14, atol=1e-14)
 
 
 def _apply_axes_moveaxis_form(tensor, mats):
