@@ -186,7 +186,8 @@ def graded_rule(sigma: float, layers: int, per_cell_order: int,
     # distance of each cell boundary from the corner, and its axis-k coordinate
     dist = np.concatenate(([0.0], 2.0 * sigma ** np.arange(layers, 0, -1), [2.0]))
     coord = np.array([c * (1.0 - dist) for c in corner])
-    # each piece's first and end cell on every axis, counted from the corner
+    # each piece's (first, last) cell boundary on every axis, counted from
+    # the corner: (i, i + 1) is cell i, (0, i) the cells 0..i-1
     spans = [((0, 1),) * d] + [
         tuple((i, i + 1) if outer else (0, i) for outer in axes)
         for i in range(1, layers + 1)
