@@ -10,14 +10,14 @@ Every OpenBLAS runs one thread from the import that loads it (see
 the environment sets: on a 2-core host a second OpenBLAS thread spins between
 calls, and the FEM benchmark sweeps took about 1.55x as long with it, also in
 stages that make no BLAS call.  Importing the package sets the copies loaded
-at that point, numpy's among them; ``fem`` and ``dgfem``, the only modules
-that import scipy, set scipy's copy as they load it.  Every meta.json records
-the count in use.
+at that point: numpy's, whose LAPACK ``fem`` calls through ``hpexp.lapack``.
+``dgfem``, the only module that imports scipy, sets scipy's copy as it loads
+it.  Every meta.json records the count in use.
 
 The coefficient layers (``orthopoly``, ``indexsets``, ``expansion``,
-``projections``, ``bounds``) and ``harness`` import numpy alone; a sweep
-imports its solver module on first use, so a projection or lemma run never
-loads scipy.
+``projections``, ``bounds``), ``harness`` and ``fem`` import numpy alone; a
+sweep imports its solver module on first use, so a projection, lemma or FEM
+run never loads scipy.
 """
 
 from . import blas

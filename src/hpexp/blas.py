@@ -1,14 +1,15 @@
 """OpenBLAS thread count of every loaded copy, through ctypes.
 
 numpy and scipy wheels each bundle their own OpenBLAS.  numpy's copy loads
-with numpy; scipy's loads only with ``scipy.linalg``, which the coefficient
-layers never import, so each copy is set as it loads: ``import hpexp`` sets
-the copies loaded at that point, and ``fem`` and ``dgfem`` call
-``set_threads(1)`` again right after their scipy imports.  ``threads()``
-reads each copy's count and ``set_threads(n)`` sets every copy to ``n``.
-The copies are found by name among the files mapped into the process
-(``/proc/self/maps``), scanned afresh on each call so that a copy loaded
-later is found; where that lists no known OpenBLAS, ``set_threads`` does
+with numpy, and ``fem`` calls its LAPACK through ``hpexp.lapack``; scipy's
+loads only with ``scipy.linalg``, which only ``dgfem`` imports, so each copy
+is set as it loads: ``import hpexp`` sets the copies loaded at that point,
+and ``dgfem`` calls ``set_threads(1)`` again right after its scipy imports.
+``threads()`` reads each copy's count and ``set_threads(n)`` sets every copy
+to ``n``.  The copies are found by name among the files mapped into the
+process (``/proc/self/maps``, ``_paths``), scanned afresh on each call so
+that a copy loaded later is found; ``hpexp.lapack`` finds numpy's copy by
+the same scan.  Where that lists no known OpenBLAS, ``set_threads`` does
 nothing and ``threads()`` reports ``None``.
 """
 
@@ -46,16 +47,21 @@ def _bind(path: str) -> Optional[tuple]:
     return None
 
 
+def _paths() -> list:
+    """The paths of the loaded files named *openblas*, sorted; none where
+    ``/proc/self/maps`` cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return sorted({ln.split(None, 5)[-1].strip() for ln in fh
+                           if "openblas" in ln.rsplit("/", 1)[-1]})
+    except OSError:
+        return []
+
+
 def _libraries() -> tuple:
     """(file basename, setter, getter) of each loaded file named *openblas*
     that exports a known symbol pair."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split(None, 5)[-1].strip() for ln in fh
-                            if "openblas" in ln.rsplit("/", 1)[-1]})
-    except OSError:
-        return ()
-    return tuple(lib for lib in map(_bind, paths) if lib is not None)
+    return tuple(lib for lib in map(_bind, _paths()) if lib is not None)
 
 
 def threads() -> Optional[dict]:

@@ -44,15 +44,16 @@ in postorder as dense fronts (the multifrontal method, Duff & Reid 1983).
 Each front is assembled from the element Schur complements of the
 elements whose first eliminated free dof it holds, plus its children's
 update matrices, and is factorized by ``dpotrf``, ``dtrsm`` and ``dsyrk`` on
-lower triangles.  No factorization step reads an entry above the diagonal,
-so a front is filled on and below it only: one ``bincount`` adds the element
-Schur complements, and each child's update matrix goes in as block slices
-over the runs of consecutive rows it shares with its parent (Liu 1992 calls
-this step extend-add).  The inertia of the skeleton is the sum of the
-inertias of the pivot blocks (Haynsworth additivity): a block Cholesky
-rejects gets its count of non-positive eigenvalues from ``eigh`` and the
-elimination goes on, so ``IndefiniteSystemError`` names how many
-non-positive eigenvalues the skeleton has.
+lower triangles, called in numpy's OpenBLAS through ``hpexp.lapack``.  No
+factorization step reads an entry above the diagonal, so a front is filled
+on and below it only: one ``bincount`` adds the element Schur complements,
+and each child's update matrix goes in as block slices over the runs of
+consecutive rows it shares with its parent (Liu 1992 calls this step
+extend-add).  The inertia of the skeleton is the sum of the inertias of the
+pivot blocks (Haynsworth additivity): a block Cholesky rejects gets its
+count of non-positive eigenvalues from numpy's ``eigh`` and the elimination
+goes on, so ``IndefiniteSystemError`` names how many non-positive
+eigenvalues the skeleton has.
 """
 
 from __future__ import annotations
@@ -63,20 +64,14 @@ from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.linalg.blas import dsyrk, dtrsm
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from numpy.linalg import eigh
 
-from . import blas
 from .errors import IndefiniteSystemError, RefinementError
 from .expansion import named_function
 from .indexsets import bubble_indices, degree_mask, flat_positions
+from .lapack import dpotrf, dpotrs, dsyrk, dtrsm, dtrtrs
 from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
                         legendre_table, psi_table)
-
-# scipy's OpenBLAS loads with the imports above, after ``import hpexp`` set
-# the copies loaded then: one thread for it too (see ``hpexp.blas``)
-blas.set_threads(1)
 
 __all__ = [
     "Mesh",
@@ -516,13 +511,14 @@ class _Multifrontal:
         y = b[self.perm]
         for s, e, upd, L11, L21 in self.fronts:
             if e > s:
-                y[s:e] = dtrtrs(L11, y[s:e], lower=1)[0]
+                dtrtrs(L11, y[s:e])
                 if upd.size:
                     y[upd] -= L21 @ y[s:e]
         for s, e, upd, L11, L21 in reversed(self.fronts):
             if e > s:
-                rhs = y[s:e] - L21.T @ y[upd] if upd.size else y[s:e]
-                y[s:e] = dtrtrs(L11, rhs, lower=1, trans=1)[0]
+                if upd.size:
+                    y[s:e] -= L21.T @ y[upd]
+                dtrtrs(L11, y[s:e], trans=True)
         x = np.empty_like(y)
         x[self.perm] = y
         return x
@@ -577,6 +573,7 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
         np.bincount(node_of, minlength=n_nodes))[:-1])
 
     where = np.zeros(n, dtype=np.int64)      # rank -> row of the current front
+    lower = np.tri(sizes.max(initial=0), dtype=bool)
     # S_loc once per element of the largest group: each front's bincount
     # reads its weights from a prefix, with no copy per front
     weights = np.tile(S_loc.ravel(), max(map(len, elements), default=0))
@@ -604,18 +601,22 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
         L11 = L21 = None
         U = G[:, k:]
         if k:
-            L11, info = dpotrf(F11, lower=1)
-            if info == 0:
+            # the factors are copies (L11's upper triangle zero), so the
+            # front's buffer is not kept for the solve
+            L11 = np.zeros((k, k), order="F")
+            np.copyto(L11, F11, where=lower[:k, :k])
+            if dpotrf(L11) == 0:
                 if m > k:
-                    L21 = dtrsm(1.0, L11, G[:, :k], side=1, lower=1,
-                                trans_a=1)
+                    L21 = np.array(G[:, :k], order="F")
+                    dtrsm(L11, L21)
                     # in place if the parent comes next; an update that
                     # waits for a sibling subtree goes to a copy, so the
                     # buffer with this front's pivot columns is freed now
-                    U = dsyrk(-1.0, L21, beta=1.0, c=U, lower=1,
-                              overwrite_c=int(parent[node] == node + 1))
+                    if parent[node] != node + 1:
+                        U = np.array(U, order="F")
+                    dsyrk(L21, U)
             else:
-                w, V = eigh(F11, lower=True, check_finite=False)
+                w, V = eigh(F11, UPLO="L")
                 n_nonpos += int(np.count_nonzero(w <= 0.0))
                 if not np.all(np.abs(w) > 0.0):
                     raise IndefiniteSystemError(
@@ -707,18 +708,19 @@ def _extend_add(F11, G, U, loc):
 
 def _element_schur(k_local: np.ndarray, dofmap: DofMap):
     """Static condensation of the shared local stiffness: the Cholesky
-    factor of its interior block, K_ib, X = K_ii^-1 K_ib and the element
-    Schur complement S_loc on the skeleton modes.  Without interior modes
+    factor U of its interior block (K_ii = U^T U, on and above the diagonal
+    of an F-ordered array), K_ib, X = K_ii^-1 K_ib and the element Schur
+    complement S_loc on the skeleton modes.  Without interior modes
     (Q p = 1; S p <= 3 in 2D, p <= 5 in 3D) the block is 0 x 0 and
     S_loc is K_bb."""
     il, bl = dofmap.interior_local, dofmap.skeleton_local
-    try:
-        cho = cho_factor(k_local[np.ix_(il, il)])
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteSystemError("interior block not SPD") from exc
+    U = np.asfortranarray(k_local[np.ix_(il, il)])
+    if dpotrf(U, lower=False):
+        raise IndefiniteSystemError("interior block not SPD")
     Kib = k_local[np.ix_(il, bl)]
-    X = cho_solve(cho, Kib)                          # (ni, nb)
-    return cho, Kib, X, k_local[np.ix_(bl, bl)] - Kib.T @ X
+    X = np.array(Kib, order="F")                     # (ni, nb)
+    dpotrs(U, X, lower=False)
+    return U, Kib, X, k_local[np.ix_(bl, bl)] - Kib.T @ X
 
 
 @dataclass
@@ -755,7 +757,7 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     number of non-positive eigenvalues.
     """
     il = dofmap.interior_local
-    cho, Kib, X, S_loc = _element_schur(system.k_local, dofmap)
+    U, Kib, X, S_loc = _element_schur(system.k_local, dofmap)
     skel_dofs = dofmap.cell_dofs[:, dofmap.skeleton_local]
     n_skel = dofmap.interior_offset
     full_free = ~dofmap.dirichlet_mask      # the boundary dofs are skeleton
@@ -774,8 +776,10 @@ def condense_solve(system: AssembledSystem, dofmap: DofMap) -> FemSolution:
     r = system.residual(u)
     for _ in range(REFINE_PASSES + 1):
         u[free_ids] += lu.solve(condense(r))
-        u[interiors] = cho_solve(
-            cho, (system.load[interiors] - u[skel_dofs] @ Kib.T).T).T
+        rhs = np.asfortranarray(
+            (system.load[interiors] - u[skel_dofs] @ Kib.T).T)
+        dpotrs(U, rhs, lower=False)
+        u[interiors] = rhs.T
         Au = system.matvec(u)
         r = system.load - Au
         rel = np.linalg.norm(r[full_free]) / max(

@@ -8,7 +8,8 @@ degrees; ``run_config`` validates a whole config before running any sweep
 and writes the files, and its project-sweeps share each distinct reference
 expansion; ``run_sweep`` validates and runs one sweep and writes nothing.
 The FEM and DG solvers are imported by their kinds' solvers when a sweep
-first runs, so the coefficient-space kinds never load them or scipy.
+first runs, so the coefficient-space kinds never load them; only the DG
+solver imports scipy.
 
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
@@ -382,7 +383,7 @@ def _scipy_version() -> str:
 def _environment() -> dict:
     """Versions, CPU count, the BLAS thread variables that are set, and the
     BLAS threads in use: per loaded OpenBLAS, the count it reports (``None``
-    with no known BLAS); a run that loaded no solver lists numpy's copy
+    with no known BLAS); a run that loaded no DG solver lists numpy's copy
     alone.  Each copy is set to one thread by the import that loads it, over
     any ``OPENBLAS_NUM_THREADS`` listed with the variables."""
     threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

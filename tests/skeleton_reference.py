@@ -13,17 +13,17 @@ fronts were filled by block slices: the separators placed by
 ``dissect_skeleton_median`` (the plane nearest ``np.median`` of the dofs'
 coordinates) and every front assembled by ``np.add.at`` over full index
 arrays.  Its ordering and factors are the ones ``fem._factor_multifrontal``
-must reproduce bit for bit.
+must reproduce bit for bit.  Its dense kernels are the ones ``fem`` calls:
+``hpexp.lapack``'s, from numpy's OpenBLAS, and numpy's ``eigh``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.linalg.blas import dsyrk, dtrsm
-from scipy.linalg.lapack import dpotrf
+from numpy.linalg import eigh
 
 from hpexp import fem
+from hpexp.lapack import dpotrf, dpotrs, dsyrk, dtrsm
 
 
 def assemble_skeleton(S_loc, skel_dofs, n_skel: int):
@@ -62,11 +62,15 @@ def superlu(S_loc, dofmap, free_ids):
 
 class _DenseCholesky:
     def __init__(self, A):
-        self.cho = cho_factor(A, lower=True)
+        self.L = np.array(A, order="F")
+        if dpotrf(self.L):
+            raise np.linalg.LinAlgError("not positive definite")
         self.nnz = A.shape[0] * (A.shape[0] + 1) // 2
 
     def solve(self, b):
-        return cho_solve(self.cho, b)
+        x = b.copy()
+        dpotrs(self.L, x)
+        return x
 
 
 def cholesky(S_loc, dofmap, free_ids):
@@ -158,14 +162,15 @@ def factor_multifrontal_add_at(S_loc, dofmap, free_ids):
         L11 = L21 = None
         U = F[k:, k:]
         if k:
-            L11, info = dpotrf(F[:k, :k], lower=1)
-            if info == 0:
+            L11 = np.array(np.tril(F[:k, :k]), order="F")
+            if dpotrf(L11) == 0:
                 if m > k:
-                    L21 = dtrsm(1.0, L11, F[k:, :k], side=1, lower=1,
-                                trans_a=1)
-                    U = dsyrk(-1.0, L21, beta=1.0, c=U, lower=1)
+                    L21 = np.array(F[k:, :k], order="F")
+                    dtrsm(L11, L21)
+                    U = np.array(U, order="F")
+                    dsyrk(L21, U)
             else:
-                w, V = eigh(F[:k, :k], lower=True, check_finite=False)
+                w, V = eigh(F[:k, :k], UPLO="L")
                 n_nonpos += int(np.count_nonzero(w <= 0.0))
                 if not np.all(np.abs(w) > 0.0):
                     raise fem.IndefiniteSystemError(

@@ -5,10 +5,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve
 from hpexp import fem, harness
 from hpexp.harness import run_sweep
 from hpexp.indexsets import BasisSpec, bubble_indices, dof_count
+from hpexp.lapack import dpotrs
 from hpexp.orthopoly import apply_axes, element_grids, gauss_rule
 import skeleton_reference
 from graded_reference import h1_error_tensorized
@@ -687,7 +687,7 @@ def _two_path_condense_solve(system, dm):
     solve whose right-hand side carries the Dirichlet coupling S_loc g as its
     own term, then refinement passes that repeat the condensation."""
     il = dm.interior_local
-    cho, Kib, X, S_loc = fem._element_schur(system.k_local, dm)
+    U, Kib, X, S_loc = fem._element_schur(system.k_local, dm)
     skel_dofs = dm.cell_dofs[:, dm.skeleton_local]
     n_skel = dm.interior_offset
     rhs = system.load[:n_skel].copy()
@@ -707,8 +707,10 @@ def _two_path_condense_solve(system, dm):
 
     def back_substitute():
         if il.size:
-            u[dm.cell_dofs[:, il]] = cho_solve(
-                cho, (system.load[dm.cell_dofs[:, il]] - u[skel_dofs] @ Kib.T).T).T
+            rhs = np.asfortranarray(
+                (system.load[dm.cell_dofs[:, il]] - u[skel_dofs] @ Kib.T).T)
+            dpotrs(U, rhs, lower=False)
+            u[dm.cell_dofs[:, il]] = rhs.T
 
     def rel_residual():
         r = system.residual(u)
@@ -768,6 +770,14 @@ def test_correction_loop_matches_two_path_solve_on_lshape(family):
         ref = fem.h1_error(replace(sol, values=u_ref), prob.exact_gradient,
                            graded_at=mesh.singular_corner)
         assert abs(err - ref) <= np.spacing(ref), p
+
+
+def test_interior_solve_takes_either_layout_of_its_right_hand_side():
+    # the interiors' right-hand side (ni, ne) comes out of numpy row-major
+    # at 3D Q p = 9 on 4^3 cells and column-major on the smaller systems
+    # above; the in-place interior solve must take it either way
+    *_, sol = _solved("sine3d", 4, 9, "Q")
+    assert sol.residual_norm < fem.RESIDUAL_BOUND
 
 
 def test_solve_never_calls_splu(monkeypatch):
@@ -857,13 +867,19 @@ def test_eigh_fallback_bitwise_equal_to_add_at_reference(monkeypatch):
     # above them take the eigh path's full update matrices.  Every LAPACK
     # call must see the reference's blocks (a pivot block through its lower
     # triangle, the only part read) and return its bits, and the reported
-    # count must be the reference's
+    # count must be the reference's.  dpotrf and dtrsm work in place, so the
+    # operands (the first through its lower triangle) are read before the
+    # call and again after it
     S_loc, dm, free_ids = _skeleton_block("sine3d", 4, 4, "Q")
     S_loc = S_loc - 3e-5 * np.eye(S_loc.shape[0])
 
     def bits(x):
-        x = np.asarray(x)
+        if not isinstance(x, np.ndarray):
+            return x
         return x.dtype.str, x.shape, x.tobytes()
+
+    def operands(args):
+        return [bits(np.tril(args[0]))] + [bits(a) for a in args[1:]]
 
     calls, messages = {}, []
     for module, factor in ((fem, fem._factor_multifrontal),
@@ -872,10 +888,10 @@ def test_eigh_fallback_bitwise_equal_to_add_at_reference(monkeypatch):
         for name in ("dpotrf", "dtrsm", "eigh"):
             def record(*args, _f=getattr(module, name), _name=name, _log=log,
                        **kwargs):
+                seen = operands(args)
                 out = _f(*args, **kwargs)
-                block = args[2] if _name == "dtrsm" else np.tril(args[0])
-                _log.append((_name, bits(block)) + tuple(
-                    bits(x) for x in (out if isinstance(out, tuple) else [out])))
+                _log.append((_name, *seen, *operands(args), *map(
+                    bits, out if isinstance(out, tuple) else [out])))
                 return out
             monkeypatch.setattr(module, name, record)
         with pytest.raises(fem.IndefiniteSystemError) as info:

@@ -1,5 +1,6 @@
-"""What a run imports: the coefficient layers load no scipy, a FEM sweep no
-DG solver, and every OpenBLAS a solver module loads runs one thread.
+"""What a run imports: the coefficient layers and the FEM solver load no
+scipy, a FEM sweep no DG solver, and every OpenBLAS a solver module loads
+runs one thread: numpy's alone for ``fem``, scipy's too for ``dgfem``.
 
 Each check runs in a fresh interpreter, since the test process already holds
 every module the other tests imported.
@@ -61,27 +62,39 @@ def test_projection_and_lemma_run_loads_no_scipy(tmp_path):
 
 
 def test_fem_run_loads_no_dg_solver(tmp_path):
-    config = {"sweeps": [{"name": "fem", "kind": "fem-sine", "family": "Q",
-                          "dim": 2, "n": 2, "p_list": [2]}]}
+    # fem binds numpy's LAPACK, so a 2D and a 3D sine run and an L-shape run
+    # load no scipy at all, and their metas name numpy's OpenBLAS alone
+    config = {"sweeps": [
+        {"name": "sine2d", "kind": "fem-sine", "family": "Q", "dim": 2,
+         "n": 2, "p_list": [2, 3]},
+        {"name": "sine3d", "kind": "fem-sine", "family": "S", "dim": 3,
+         "n": 2, "p_list": [2, 3]},
+        {"name": "lshape", "kind": "fem-lshape", "family": "Q",
+         "p_list": [2, 3]}]}
     code = ("import json, sys\n"
             "from hpexp.harness import run_config\n"
             "run_config(json.loads(sys.argv[1]), sys.argv[2])\n" + PRINT_MODULES)
     modules = _run(code, json.dumps(config), str(tmp_path))
     assert "hpexp.fem" in modules
-    assert "hpexp.dgfem" not in modules and "scipy.sparse" not in modules
+    assert "hpexp.dgfem" not in modules and _scipy(modules) == []
+    for name in ("sine2d", "sine3d", "lshape"):
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        found = meta["environment"]["blas_threads"]
+        assert list(found.values()) == [1], (name, found)
 
 
 @pytest.mark.parametrize("module", ["hpexp.fem", "hpexp.dgfem"])
 def test_solver_import_sets_every_openblas_to_one_thread(module):
-    # scipy's copy loads with the solver module, after ``import hpexp`` set
-    # numpy's; the environment asks both for two threads
+    # ``import hpexp`` sets numpy's copy; scipy's loads with ``dgfem`` and is
+    # set then; ``fem`` loads no other.  The environment asks for two threads
     found = _run(f"import {module}\n"
                  "import json; from hpexp import blas\n"
                  "print(json.dumps(blas.threads()))",
                  OPENBLAS_NUM_THREADS="2")
     if found is None:
         pytest.skip("no known OpenBLAS loaded")
-    assert len(found) == 2 and set(found.values()) == {1}, found
+    copies = {"hpexp.fem": 1, "hpexp.dgfem": 2}[module]
+    assert len(found) == copies and set(found.values()) == {1}, found
 
 
 def test_solvers_reexport_the_sweep_errors():
