@@ -10,7 +10,11 @@ sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2).
 
 ``assemble_sip`` returns the matrix in element-block form, a
 ``SipOperator``: the 14 distinct element blocks and the table that places
-them, expanded to CSR only inside ``dg_solve``.  The system is factorized
+them, expanded only inside ``dg_solve``, straight to the CSC arrays SuperLU
+reads.  Where several terms meet (the diagonal blocks), the expansion adds
+them in the order scipy's COO-to-CSR conversion did, bit for bit, because
+the dg workload's fitted P:Q ratio moves with that order (``SipOperator``);
+the condensed solver of ROADMAP item 2 deletes it.  The system is factorized
 once, by SuperLU with COLAMD ordering and diagonal pivots, and the same LU
 proves the matrix positive definite: Sylvester's law of inertia reads the
 number of non-positive eigenvalues from the signs of diag(U), and a zero
@@ -92,10 +96,19 @@ class SipOperator:
 
     ``blocks`` holds the distinct nm x nm element blocks, and each row of
     ``terms`` (row element, column element, block id) adds one of them at
-    that block position.  The rows run in the COO order of the assembly,
-    which fixes the order in which each entry's terms are summed.
-    ``shape`` and ``nnz`` are those of the expansion ``tocsr`` builds:
+    that block position.  The rows run in the COO order of the assembly.
+    ``shape`` and ``nnz`` are those of the expansion ``tocsc`` builds:
     every element pair that ``terms`` names stores its full nm x nm block.
+
+    An entry that several terms reach (the diagonal blocks: the volume and
+    four facet terms) is their sum in the order scipy's COO-to-CSR
+    conversion adds them: each row sorted by column with the unstable
+    ``std::sort``, then the neighbours of equal column added left to right.
+    That order is neither the COO order nor one order per block, and the
+    dg workload's fitted P:Q ratio moves with the order of these sums (its
+    top-degree errors are round-off), so the expansion keeps scipy's order
+    bit for bit until the DG solve leaves SuperLU (ROADMAP item 2), which
+    deletes it.
     """
 
     blocks: np.ndarray          # (nb, nm, nm)
@@ -112,42 +125,121 @@ class SipOperator:
         pairs = self.terms[:, 0] * self.n_elements + self.terms[:, 1]
         return np.unique(pairs).size * self.blocks.shape[1] ** 2
 
-    def tocsr(self) -> sp.csr_matrix:
-        """The CSR expansion, built one element block-row at a time.  Each
-        block-row's entries reach scipy in their global COO order, and scipy
-        sums the duplicates of each row apart from the others, so the arrays
-        are bit for bit those of one ``coo_matrix(...).tocsr()`` over every
-        term, without that conversion's global triplets."""
-        nm = self.blocks.shape[1]
-        size, nnz = self.shape[0], self.nnz
+    def _pairs(self):
+        """The stored element pairs in CSC order (column element, then row
+        element) as (rows, cols, value ids, values): pair k holds the
+        nm x nm block ``values[ids[k]]``.
+
+        A pair one term reaches holds that term's block.  Where several
+        terms meet, the order in which scipy adds them depends only on the
+        block-row's key pattern, the rank order of its terms' column
+        elements: std::sort compares keys and nothing else.  One template
+        row per pattern, with its keys and their positions as data, goes
+        through scipy's own sort, in one matrix, so that it sorts exactly
+        when a conversion of the whole operator would.  The sum then
+        depends on the pattern and the block-row's block ids alone, so each
+        distinct one is added once (at most 9 on a SIP mesh: interior,
+        edges and corners)."""
+        nm, ne = self.blocks.shape[1], self.n_elements
+        row_elem, col_elem, bid = self.terms.T
+        by_row = np.argsort(row_elem, kind="stable")
+        counts = np.bincount(row_elem, minlength=ne)
+        ends = np.cumsum(counts)
+        block_rows, patterns = [], {}
+        for start, end in zip(ends - counts, ends):
+            t = by_row[start:end]
+            cols, rank = np.unique(col_elem[t], return_inverse=True)
+            patterns.setdefault(rank.tobytes(), rank)
+            block_rows.append((cols, rank, bid[t]))
+        local = np.arange(nm)
+        keys = [(rank[:, None] * nm + local).ravel()
+                for rank in patterns.values()]
+        indptr = np.cumsum([0] + [k.size for k in keys])
+        keys = np.concatenate(keys)
+        template = sp.csr_matrix(
+            (np.arange(keys.size, dtype=float), keys, indptr),
+            shape=(len(patterns), keys.max() + 1))
+        template.sort_indices()
+        # per pattern and column rank: the summands' slots, (terms, nm)
+        orders = {}
+        for (pattern, rank), start, stop in zip(
+                patterns.items(), indptr[:-1], indptr[1:]):
+            slot = (template.data[start:stop].astype(np.int64) - start) // nm
+            counts = np.bincount(rank)
+            orders[pattern] = [run.reshape(nm, k).T for run, k in zip(
+                np.split(slot, np.cumsum(counts * nm)[:-1]), counts)]
+        values, row_ids = list(self.blocks), {}
+        rows, cols_of, ids = [], [], []
+        for e, (cols, rank, bids) in enumerate(block_rows):
+            signature = (rank.tobytes(), bids.tobytes())
+            if signature not in row_ids:
+                row_ids[signature] = []
+                for order in orders[signature[0]]:
+                    if order.shape[0] == 1:
+                        row_ids[signature].append(bids[order[0, 0]])
+                        continue
+                    summands = self.blocks[bids[order][:, None, :],
+                                           local[:, None], local]
+                    total = summands[0]
+                    for summand in summands[1:]:
+                        total += summand
+                    row_ids[signature].append(len(values))
+                    values.append(total)
+            rows.append(np.full(cols.size, e))
+            cols_of.append(cols)
+            ids.append(row_ids[signature])
+        rows, cols = np.concatenate(rows), np.concatenate(cols_of)
+        ids = np.concatenate(ids).astype(np.int64)
+        csc = np.lexsort((rows, cols))
+        return rows[csc], cols[csc], ids[csc], np.stack(values)
+
+    def tocsc(self) -> sp.csc_matrix:
+        """The CSC matrix SuperLU factors, written block by block, bit for
+        bit the arrays of scipy's COO-to-CSR conversion of every term
+        followed by its CSR-to-CSC one (int32 indices where those have
+        them).  Column element f stores its k pairs as one (nm, k, nm)
+        run: column, row element, row."""
+        nm, ne = self.blocks.shape[1], self.n_elements
+        rows, cols, ids, values = self._pairs()
+        size, nnz = ne * nm, rows.size * nm * nm
         # scipy's index dtype rule for a conversion of this size
         index = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max \
             else np.int64
+        per_col = np.bincount(cols, minlength=ne)
         indptr = np.zeros(size + 1, dtype=index)
+        indptr[1:] = np.cumsum(np.repeat(per_col * nm, nm))
         indices = np.empty(nnz, dtype=index)
         data = np.empty(nnz)
-        local_rows = np.repeat(np.arange(nm), nm)
-        local_cols = np.tile(np.arange(nm), nm)
-        row_elem, col_elem, bid = self.terms.T
-        end = 0
-        for e in range(self.n_elements):
-            t = np.flatnonzero(row_elem == e)
-            block_row = sp.coo_matrix(
-                (self.blocks[bid[t]].ravel(),
-                 (np.tile(local_rows, t.size),
-                  (col_elem[t, None] * nm + local_cols).ravel())),
-                shape=(nm, size)).tocsr()
-            start, end = end, end + block_row.nnz
-            indptr[e * nm + 1:(e + 1) * nm + 1] = start + block_row.indptr[1:]
-            indices[start:end] = block_row.indices
-            data[start:end] = block_row.data
-        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+        local = np.arange(nm)
+        for f, first in enumerate(np.cumsum(per_col) - per_col):
+            k = per_col[f]
+            pairs = slice(first, first + k)
+            run = slice(indptr[f * nm], indptr[(f + 1) * nm])
+            data[run].reshape(nm, k, nm)[...] = \
+                values[ids[pairs]].transpose(2, 0, 1)
+            indices[run].reshape(nm, k * nm)[...] = \
+                (rows[pairs, None] * nm + local).ravel()
+        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
+
+    def asymmetry(self) -> float:
+        """max |A - A^T| of the expansion A, pair by pair: each stored
+        pair's block against the transpose of its mirror pair's, or against
+        zero where the mirror stores nothing.  The difference depends on
+        the two value ids alone, so each combination is taken once; a NaN
+        entry makes the result NaN, wherever it comes in the order."""
+        rows, cols, ids, values = self._pairs()
+        key = cols * self.n_elements + rows        # ascending: CSC order
+        mirror = rows * self.n_elements + cols
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        partner = np.where(key[at] == mirror, ids[at], -1)
+        worst = [np.abs(values[a] - (values[b].T if b >= 0 else 0.0)).max()
+                 for a, b in np.unique(np.stack([ids, partner], -1), axis=0)]
+        return float(np.max(worst, initial=0.0))
 
 
 @dataclass
 class DgSystem:
-    """An assembled SIP system: the matrix as a ``SipOperator`` (or any
-    matrix with a ``tocsr`` method, such as a scipy CSR matrix), and the
+    """An assembled SIP system: the matrix as a ``SipOperator``, and the
     load vector in element-major order."""
 
     spec: DgSpec
@@ -294,19 +386,6 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
                     matrix=A, rhs=rhs)
 
 
-def _asymmetry(A: sp.csr_matrix, A_csc: sp.csc_matrix) -> float:
-    """max |A - A^T|, given A in CSR and in CSC form: the CSC arrays of A are
-    the CSR arrays of A^T.  The SIP pattern is symmetric, so the stored
-    entries of both are compared directly, with one temporary the size of
-    ``A.data``.  The sparse difference A - A^T, kept for a pattern that is
-    not symmetric, builds several matrices of that size, and their
-    temporaries fragment the heap the LU is then built in."""
-    if (np.array_equal(A.indptr, A_csc.indptr)
-            and np.array_equal(A.indices, A_csc.indices)):
-        return float(np.abs(A.data - A_csc.data).max(initial=0.0))
-    return float(abs(A - A_csc.T).max())
-
-
 def dg_solve(system: DgSystem) -> BrokenSolution:
     """One sparse LU solve whose pivots prove the SIP matrix definite.
 
@@ -323,20 +402,19 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     (gamma too small), or a relative residual that is not below 1e-8, raises
     ``IndefiniteSipError``, in that order of checks.
 
-    Release order: ``system.matrix`` is expanded to CSR, its CSC copy taken
-    and the symmetry checked; the CSR is dropped before the factorization,
-    and the CSC after the solve, whose residual is its matvec (bit for bit
-    the CSR one: both add each row's terms in column order).  Only then is
-    diag(U) read, because scipy's ``SuperLU.U`` builds and keeps copies of
-    both L and U, nearly as large as the LU itself.
+    The symmetry is checked on the element blocks (``SipOperator
+    .asymmetry``), and ``system.matrix`` is expanded once, to the CSC
+    arrays SuperLU factors (``SipOperator.tocsc``), whose sums of terms are
+    bit for bit those of scipy's COO-to-CSR conversion.  The CSC is dropped
+    after the solve, whose residual is its matvec.  Only then is diag(U)
+    read, because scipy's ``SuperLU.U`` builds and keeps copies of both L
+    and U, nearly as large as the LU itself.
     """
-    A = system.matrix.tocsr()
-    A_csc = A.tocsc()
-    asym = _asymmetry(A, A_csc)
-    if not asym <= 1e-10 * max(np.abs(A.data).max(initial=0.0), 1.0):
+    A_csc = system.matrix.tocsc()
+    asym = system.matrix.asymmetry()
+    if not asym <= 1e-10 * max(np.abs(A_csc.data).max(initial=0.0), 1.0):
         raise IndefiniteSipError(f"system not symmetric: {asym:.2e}")
-    size = A.shape[0]
-    del A
+    size = A_csc.shape[0]
     try:
         lu = spla.splu(A_csc, permc_spec="COLAMD", diag_pivot_thresh=0.0)
     except RuntimeError as exc:

@@ -49,14 +49,14 @@ def test_linear_consistency(family):
 def test_system_symmetry():
     system = dgfem.assemble_sip(4, dgfem.DgSpec("P", 3),
                                 lambda x, y: np.sin(x + y), lambda x, y: 0.0 * x)
-    A = system.matrix.tocsr()
+    A = system.matrix.tocsc()
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
 
 
 def _reference_sip(n, spec, f, g):
-    """The per-facet assembly loop, kept as the reference: the COO triplets
-    of every block in loop order, and the rhs with the boundary data added
-    facet by facet before the volume load."""
+    """The per-facet assembly loop, kept as the reference: the CSR matrix of
+    scipy's COO-to-CSR conversion of every block in loop order, and the rhs
+    with the boundary data added facet by facet before the volume load."""
     p, h = spec.p, 1.0 / n
     a = h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
@@ -118,9 +118,30 @@ def _reference_sip(n, spec, f, g):
     return A, rhs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("family, p_list", [("Q", [1, 2, 5, 8]),
-                                            ("P", [1, 3, 6, 10])])
+def _reference_asymmetry(A, A_csc):
+    """max |A - A^T| from A's CSR and CSC arrays, as dg_solve took it before
+    the block-level check: the CSC arrays of A are the CSR arrays of A^T."""
+    if (np.array_equal(A.indptr, A_csc.indptr)
+            and np.array_equal(A.indices, A_csc.indices)):
+        return float(np.abs(A.data - A_csc.data).max(initial=0.0))
+    return float(abs(A - A_csc.T).max())
+
+
+def _assert_bitwise_equal(expanded, reference, case):
+    for field in ("indptr", "indices"):
+        assert (getattr(expanded, field).dtype
+                == getattr(reference, field).dtype), (case, field)
+        assert np.array_equal(getattr(expanded, field),
+                              getattr(reference, field)), (case, field)
+    assert np.array_equal(expanded.data.view(np.int64),
+                          reference.data.view(np.int64)), (case, "data")
+
+
+# n = 3 is the smallest mesh with all 9 key patterns (interior, 4 edges and
+# 4 corners); n = 8 is the dg workload's mesh
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("family, p_list", [("Q", range(1, 11)),
+                                            ("P", range(1, 13))])
 def test_sip_gathers_match_per_facet_loop(family, p_list, n):
     f = lambda x, y: np.sin(3.0 * x) * np.cos(y)
     g = lambda x, y: np.exp(0.3 * x) * np.cos(1.7 * y + 0.1) + x ** (2 / 3)
@@ -128,10 +149,9 @@ def test_sip_gathers_match_per_facet_loop(family, p_list, n):
         spec = dgfem.DgSpec(family, p)
         system = dgfem.assemble_sip(n, spec, f, g)
         A, rhs = _reference_sip(n, spec, f, g)
-        expanded = system.matrix.tocsr()
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(expanded, field),
-                                  getattr(A, field)), (p, field)
+        A_csc = A.tocsc()
+        _assert_bitwise_equal(system.matrix.tocsc(), A_csc, p)
+        assert system.matrix.asymmetry() == _reference_asymmetry(A, A_csc), p
         assert np.array_equal(system.rhs, rhs), p
 
 
@@ -143,7 +163,7 @@ def test_operator_shape_and_nnz_are_those_of_its_expansion(family, n):
     for p in (1, 2, 5, 10):
         operator = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), zero,
                                       zero).matrix
-        expanded = operator.tocsr()
+        expanded = operator.tocsc()
         assert operator.shape == expanded.shape, p
         assert operator.nnz == expanded.nnz, p
 
@@ -180,7 +200,7 @@ def test_consistency_residual_of_interpolant():
     spec = dgfem.DgSpec("Q", 4)
     system = dgfem.assemble_sip(4, spec, f, exact)
     interp = dgfem.broken_interpolant(spec, 4, exact)
-    resid = system.matrix.tocsr() @ interp.coeffs.ravel() - system.rhs
+    resid = system.matrix.tocsc() @ interp.coeffs.ravel() - system.rhs
     errs = dgfem.dg_errors(interp, exact, grad)
     assert np.linalg.norm(resid) / np.linalg.norm(system.rhs) \
         <= 25.0 * errs["dg_norm"]
@@ -202,7 +222,7 @@ def test_indefinite_with_tiny_penalty():
     with pytest.raises(dgfem.IndefiniteSipError) as info:
         dgfem.dg_solve(system)
     # the pivot count is the number of negative eigenvalues
-    eig = np.linalg.eigvalsh(system.matrix.tocsr().toarray())
+    eig = np.linalg.eigvalsh(system.matrix.tocsc().toarray())
     n_neg = int(np.count_nonzero(eig < 0))
     assert n_neg > 0
     assert f"{n_neg} non-positive pivot(s) of {system.matrix.shape[0]}" \
@@ -248,7 +268,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
     residuals = {}
     for n, gamma, family, p in grid:
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
-        A = system.matrix.tocsr()
+        A = system.matrix.tocsc()
         eig = np.linalg.eigvalsh(A.toarray())
         try:
             np.linalg.cholesky(A.toarray())
@@ -275,15 +295,31 @@ def test_definiteness_verdict_matches_dense_cholesky():
         n, gamma, family, p = case
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
         # scipy's default (partial-pivot) COLAMD LU leaves the diagonal here
-        lu = spla.splu(system.matrix.tocsr().tocsc(), permc_spec="COLAMD")
+        lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
         assert not np.array_equal(lu.perm_r, lu.perm_c), case
         assert residuals[case] < 1e-8, case
 
 
+def _block_operator(A, nm):
+    """A SipOperator with one block per stored element pair of the scipy
+    matrix A, whose elements hold nm unknowns each."""
+    A = A.tocoo()
+    ne = A.shape[0] // nm
+    pairs = np.unique(A.row // nm * ne + A.col // nm)
+    rows, cols = np.divmod(pairs, ne)
+    blocks = A.toarray().reshape(ne, nm, ne, nm)[rows, :, cols, :]
+    return dgfem.SipOperator(
+        blocks=blocks, terms=np.stack([rows, cols, np.arange(pairs.size)], -1),
+        n_elements=ne)
+
+
 def test_zero_diagonal_pivot_raises():
-    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # two 1 x 1 element blocks, each the other's only neighbour
+    swap = dgfem.SipOperator(blocks=np.ones((1, 1, 1)),
+                             terms=np.array([[0, 1, 0], [1, 0, 0]]),
+                             n_elements=2)
     system = dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), n=1, h=1.0,
-                            lower=np.zeros((1, 2)), modes=[(0, 0), (1, 0)],
+                            lower=np.zeros((2, 2)), modes=[(0, 0)],
                             matrix=swap, rhs=np.ones(2))
     with pytest.raises(dgfem.IndefiniteSipError,
                        match="zero diagonal pivot at elimination step 0 of 2"):
@@ -299,23 +335,23 @@ def test_solve_is_bitwise_the_spsolve_solution(n, family, p):
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), f, exact)
-    reference = spla.spsolve(system.matrix.tocsr().tocsc(), system.rhs)
+    reference = spla.spsolve(system.matrix.tocsc(), system.rhs)
     sol = dgfem.dg_solve(system)
     assert np.array_equal(sol.coeffs.ravel(), reference)
 
 
 def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
     """scipy's SuperLU.U builds copies of L and U, so dg_solve reads it only
-    once the expanded CSR and CSC are freed; the residual, taken with the CSC
-    matvec, is bit for bit the CSR matvec's."""
+    once the expanded CSC is freed; the residual, taken with the CSC matvec,
+    is bit for bit the CSR matvec's."""
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(8, dgfem.DgSpec("Q", 7), f, exact)
     expanded, alive_at_read = [], []
-    tocsr, splu = dgfem.SipOperator.tocsr, dgfem.spla.splu
+    tocsc, splu = dgfem.SipOperator.tocsc, dgfem.spla.splu
 
-    def tracked_tocsr(operator):
-        A = tocsr(operator)
+    def tracked_tocsc(operator):
+        A = tocsc(operator)
         expanded.append(weakref.ref(A))
         return A
 
@@ -329,14 +365,13 @@ def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
             return getattr(self._lu, name)
 
     def tracked_splu(A_csc, **kwargs):
-        expanded.append(weakref.ref(A_csc))
         return TrackedLU(splu(A_csc, **kwargs))
 
-    monkeypatch.setattr(dgfem.SipOperator, "tocsr", tracked_tocsr)
+    monkeypatch.setattr(dgfem.SipOperator, "tocsc", tracked_tocsc)
     monkeypatch.setattr(dgfem.spla, "splu", tracked_splu)
     sol = dgfem.dg_solve(system)
-    assert alive_at_read == [[False, False]]      # CSR, CSC
-    A = tocsr(system.matrix)
+    assert alive_at_read == [[False]]      # the one CSC
+    A = sp.csr_matrix(tocsc(system.matrix))
     res = (np.linalg.norm(A @ sol.coeffs.ravel() - system.rhs)
            / max(np.linalg.norm(system.rhs), 1e-300))
     assert sol.residual_norm == res
@@ -345,27 +380,96 @@ def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
 def test_asymmetric_system_raises():
     g, _ = _linear()
     base = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2), lambda x, y: 0.0 * x, g)
-    A = base.matrix.tocsr()
-    assert dgfem._asymmetry(A, A.tocsc()) < 1e-12
+    nm = len(base.modes)
+    assert base.matrix.asymmetry() < 1e-12
     # one stored entry changed, then one entry outside the symmetric pattern
     for i, j in ((0, 1), (0, base.matrix.shape[0] - 1)):
-        A = base.matrix.tocsr().tolil()
+        A = base.matrix.tocsc().tolil()
         A[i, j] += 1.0
-        base.matrix = A.tocsr()
+        base.matrix = _block_operator(A, nm)
         with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
             dgfem.dg_solve(base)
-        assert dgfem._asymmetry(base.matrix, base.matrix.tocsc()) == 1.0
+        assert base.matrix.asymmetry() == 1.0
 
 
 def test_nan_entry_fails_the_symmetry_check():
     g, _ = _linear()
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
                                 lambda x, y: 0.0 * x, g)
-    A = system.matrix.tocsr()
+    A = sp.csr_matrix(system.matrix.tocsc())
     A.data[A.indptr[3]] = np.nan
-    system.matrix = A
+    system.matrix = _block_operator(A, len(system.modes))
     with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
         dgfem.dg_solve(system)
+
+
+def _hand_made_system(extra_terms=(), nan=False):
+    """3 elements of 4 unknowns: several terms on each diagonal pair and on
+    the pairs (0, 1) and (1, 0), the terms in shuffled order.  Each block-row
+    holds more than 16 keys, so scipy's sort runs the unstable introsort.
+    Symmetric and positive definite as it stands; ``extra_terms`` add
+    (row element, column element, block) terms, and ``nan`` adds a term
+    with a NaN entry to the last diagonal pair."""
+    rng = np.random.default_rng(7)
+    nm = 4
+    sym = [M + M.T for M in rng.standard_normal((3, nm, nm))
+           * np.array([1.0, 1e-7, 1e5])[:, None, None]]
+    off = list(rng.standard_normal((3, nm, nm)) * [[[1.0]], [[1e-9]], [[3.0]]])
+    nan_block = np.zeros((nm, nm))
+    nan_block[2, 3] = np.nan
+    blocks = np.stack(sym + off + [M.T for M in off]
+                      + [1e7 * np.eye(nm), nan_block])
+    terms = ([(e, e, b) for e in range(3) for b in (9, 0, 1, 2, 0, 1)]
+             + [(0, 1, b) for b in (3, 4, 5)] + [(1, 0, b) for b in (6, 7, 8)]
+             + list(extra_terms) + ([(2, 2, 10)] if nan else []))
+    terms = np.array(terms)[rng.permutation(len(terms))]
+    operator = dgfem.SipOperator(blocks=blocks, terms=terms, n_elements=3)
+    return dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), n=1, h=1.0,
+                          lower=np.zeros((3, 2)), modes=[(0, 0)] * nm,
+                          matrix=operator, rhs=np.ones(3 * nm))
+
+
+def _coo_reference(operator):
+    """The CSC of scipy's COO-to-CSR conversion of every term in table
+    order, converted on to CSC."""
+    nm = operator.blocks.shape[1]
+    rows, cols, bid = operator.terms.T
+    local_rows = np.repeat(np.arange(nm), nm)
+    local_cols = np.tile(np.arange(nm), nm)
+    return sp.coo_matrix(
+        (operator.blocks[bid].ravel(),
+         ((rows[:, None] * nm + local_rows).ravel(),
+          (cols[:, None] * nm + local_cols).ravel())),
+        shape=operator.shape).tocsr().tocsc()
+
+
+def test_hand_made_operator_is_bitwise_its_coo_conversion():
+    base = _hand_made_system()
+    scale = np.abs(base.matrix.tocsc().data).max()
+    assert base.matrix.asymmetry() < 1e-15 * scale
+    assert dgfem.dg_solve(base).residual_norm < 1e-8
+    # a pair with no transposed partner, and a NaN block
+    for system in (_hand_made_system(extra_terms=[(0, 2, 3)]),
+                   _hand_made_system(nan=True)):
+        with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
+            dgfem.dg_solve(system)
+    everything = _hand_made_system(extra_terms=[(0, 2, 3), (0, 2, 4)],
+                                   nan=True)
+    operator = everything.matrix
+    _assert_bitwise_equal(operator.tocsc(), _coo_reference(operator),
+                          "hand-made")
+    # np.max carries the NaN where Python's max(1.0, nan) would drop it:
+    # the unpartnered pair (0, 2) comes before the NaN diagonal (2, 2)
+    assert np.isnan(operator.asymmetry())
+    # the sums are scipy's and not the table's order: adding each pair's
+    # terms in table order gives other bits
+    nm = operator.blocks.shape[1]
+    table_order = np.zeros((3, nm, 3, nm))
+    for row, col, block in base.matrix.terms:
+        table_order[row, :, col, :] += base.matrix.blocks[block]
+    expanded = base.matrix.tocsc().toarray().reshape(3, nm, 3, nm)
+    assert not np.array_equal(expanded, table_order)
+    assert np.allclose(expanded, table_order, rtol=1e-12, atol=1e-6)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -420,7 +524,9 @@ def test_singular_matrix_raises():
     keep = np.ones(system.matrix.shape[0])
     keep[5] = 0.0
     D = sp.diags(keep)
-    system.matrix = (D @ system.matrix.tocsr() @ D).tocsr()     # a zero row and column
+    # a zero row and column
+    system.matrix = _block_operator(D @ system.matrix.tocsc() @ D,
+                                    len(system.modes))
     with pytest.raises(dgfem.IndefiniteSipError):
         dgfem.dg_solve(system)
 
