@@ -193,14 +193,15 @@ class SipOperator:
         csc = np.lexsort((rows, cols))
         return rows[csc], cols[csc], ids[csc], np.stack(values)
 
-    def tocsc(self) -> sp.csc_matrix:
+    def tocsc(self, pairs=None) -> sp.csc_matrix:
         """The CSC matrix SuperLU factors, written block by block, bit for
         bit the arrays of scipy's COO-to-CSR conversion of every term
         followed by its CSR-to-CSC one (int32 indices where those have
         them).  Column element f stores its k pairs as one (nm, k, nm)
-        run: column, row element, row."""
+        run: column, row element, row.  ``pairs`` is ``_pairs()``, built
+        here if not given."""
         nm, ne = self.blocks.shape[1], self.n_elements
-        rows, cols, ids, values = self._pairs()
+        rows, cols, ids, values = self._pairs() if pairs is None else pairs
         size, nnz = ne * nm, rows.size * nm * nm
         # scipy's index dtype rule for a conversion of this size
         index = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max \
@@ -221,13 +222,14 @@ class SipOperator:
                 (rows[pairs, None] * nm + local).ravel()
         return sp.csc_matrix((data, indices, indptr), shape=self.shape)
 
-    def asymmetry(self) -> float:
+    def asymmetry(self, pairs=None) -> float:
         """max |A - A^T| of the expansion A, pair by pair: each stored
         pair's block against the transpose of its mirror pair's, or against
         zero where the mirror stores nothing.  The difference depends on
         the two value ids alone, so each combination is taken once; a NaN
-        entry makes the result NaN, wherever it comes in the order."""
-        rows, cols, ids, values = self._pairs()
+        entry makes the result NaN, wherever it comes in the order.
+        ``pairs`` is ``_pairs()``, built here if not given."""
+        rows, cols, ids, values = self._pairs() if pairs is None else pairs
         key = cols * self.n_elements + rows        # ascending: CSC order
         mirror = rows * self.n_elements + cols
         at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
@@ -402,16 +404,20 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     (gamma too small), or a relative residual that is not below 1e-8, raises
     ``IndefiniteSipError``, in that order of checks.
 
-    The symmetry is checked on the element blocks (``SipOperator
-    .asymmetry``), and ``system.matrix`` is expanded once, to the CSC
-    arrays SuperLU factors (``SipOperator.tocsc``), whose sums of terms are
-    bit for bit those of scipy's COO-to-CSR conversion.  The CSC is dropped
-    after the solve, whose residual is its matvec.  Only then is diag(U)
-    read, because scipy's ``SuperLU.U`` builds and keeps copies of both L
-    and U, nearly as large as the LU itself.
+    The element pairs (``SipOperator._pairs``) are built once, for both
+    the symmetry check on the element blocks (``SipOperator.asymmetry``)
+    and the one expansion of ``system.matrix`` to the CSC arrays SuperLU
+    factors (``SipOperator.tocsc``), whose sums of terms are bit for bit
+    those of scipy's COO-to-CSR conversion; they are dropped before the
+    factorization.  The CSC is dropped after the solve, whose residual is
+    its matvec.  Only then is diag(U) read, because scipy's ``SuperLU.U``
+    builds and keeps copies of both L and U, nearly as large as the LU
+    itself.
     """
-    A_csc = system.matrix.tocsc()
-    asym = system.matrix.asymmetry()
+    pairs = system.matrix._pairs()
+    A_csc = system.matrix.tocsc(pairs)
+    asym = system.matrix.asymmetry(pairs)
+    del pairs
     if not asym <= 1e-10 * max(np.abs(A_csc.data).max(initial=0.0), 1.0):
         raise IndefiniteSipError(f"system not symmetric: {asym:.2e}")
     size = A_csc.shape[0]

@@ -39,8 +39,12 @@ nested dissection on the grid planes, which are grid lines in 2D (George
 1973): a region of whole cells is cut on its longest axis at the grid plane
 nearest the median of its dofs' lattice points, the free dofs on that
 plane are the region's separator, and a one-cell region (or one outside the
-L-shape) holds no free skeleton dof.  The separators are eliminated
-in postorder as dense fronts (the multifrontal method, Duff & Reid 1983).
+L-shape) holds no free skeleton dof.  A region of at most ``LEAF_DOFS``
+(128) free dofs is not cut: all of them are one leaf front, which spares
+the Python cost of many small fronts, each microseconds of dense work (the
+relaxed supernodes of Ashcraft & Grimes 1989).  The separators are
+eliminated in postorder as dense fronts (the multifrontal method, Duff &
+Reid 1983).
 Each front is assembled from the element Schur complements of the
 elements whose first eliminated free dof it holds, plus its children's
 update matrices, and is factorized by ``dpotrf``, ``dtrsm`` and ``dsyrk`` on
@@ -128,7 +132,8 @@ class Mesh:
             raise ValueError(f"cell size h = {self.h} must be positive")
         if cells.min() < 0:
             raise ValueError("cell indices must be non-negative")
-        if np.unique(cells, axis=0).shape[0] < cells.shape[0]:
+        distinct = _unique_rows(cells, cells.max(axis=0) + 1)[0]
+        if distinct.shape[0] < cells.shape[0]:
             raise ValueError("cells must be distinct")
 
     @property
@@ -146,6 +151,17 @@ class Mesh:
 
 
 _HALF = np.array([0, 2, 1])         # lattice offset of local code 0, 1, 2
+
+
+def _unique_rows(rows: np.ndarray, shape):
+    """``np.unique(rows, axis=0, return_inverse=True)`` for rows of
+    non-negative integers below ``shape``: the distinct rows in the same
+    lexicographic order, and each row's group.  It sorts one 1-D key (the
+    row's C-order rank in ``shape``), since the axis form imports
+    ``numpy.ma``, 9-21 ms on its first call in a fresh interpreter."""
+    keys, group = np.unique(np.ravel_multi_index(tuple(rows.T), shape),
+                            return_inverse=True)
+    return np.stack(np.unravel_index(keys, shape), axis=-1), group
 
 
 def _at(points: np.ndarray):
@@ -415,9 +431,9 @@ def _boundary_data(mesh: Mesh, dofmap: DofMap, g: Callable, rule) -> np.ndarray:
         sub, rank = modes[lift_modes], rank[lift_modes]
         shift = _HALF[np.minimum(sub, 2)] - 1       # -1, +1 or 0 per free axis
         ents = np.argwhere(boundary & (dim_of == j))
-        axes, batch = np.unique(ents % 2, axis=0, return_inverse=True)
+        axes, batch = _unique_rows(ents % 2, (2,) * d)
         for b, free in enumerate(axes.astype(bool)):
-            q = ents[batch.ravel() == b]
+            q = ents[batch == b]
             n = q.shape[0]
             step = np.zeros((sub.shape[0], d), dtype=np.int64)
             step[:, free] = shift
@@ -443,6 +459,10 @@ def _boundary_data(mesh: Mesh, dofmap: DofMap, g: Callable, rule) -> np.ndarray:
 
 REFINE_PASSES = 3
 RESIDUAL_BOUND = 1e-9
+# the largest region _dissect_skeleton keeps as one leaf front; of 32, 64,
+# 128 and 256, 128 gave the least factor time summed over the fem2d and the
+# fem3d benchmark systems
+LEAF_DOFS = 128
 
 
 def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
@@ -454,8 +474,11 @@ def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
     cells) is split on its longest axis at the grid plane nearest the median
     of its dofs (the lower plane on a tie); the free dofs on that plane are
     its separator.  A region no grid plane crosses is one cell, and holds no
-    skeleton dof.  Returns the separators in postorder, as arrays of
-    positions in ``free_ids``, and each separator's parent (-1 at the root).
+    skeleton dof.  A region of at most ``LEAF_DOFS`` free dofs is a leaf:
+    it is not cut, and all its free dofs, in free-position order, are one
+    separator with no children.  Returns the separators in postorder, as
+    arrays of positions in ``free_ids``, and each separator's parent (-1 at
+    the root).
     """
     cells, bl = dofmap.mesh.cells, dofmap.skeleton_local
     half = _HALF[np.minimum([dofmap.local_modes[i] for i in bl], 2)]
@@ -471,6 +494,10 @@ def _dissect_skeleton(dofmap: DofMap, free_ids: np.ndarray):
         a = width.index(max(width))
         if width[a] <= 2:
             raise ValueError("free skeleton dofs left in a one-cell region")
+        if idx.size <= LEAF_DOFS:
+            seps.append(idx)
+            parent.append(-1)
+            return len(seps) - 1
         c = coords[idx, a]
         # t = twice the median, an integer: the grid plane 2q nearest t / 2,
         # the lower one on a tie, has q = round(t / 4) with halves rounded
@@ -527,10 +554,13 @@ class _Multifrontal:
 def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
     """Nested-dissection multifrontal Cholesky of the free skeleton block.
 
-    The separators of ``_dissect_skeleton`` are eliminated in postorder.  An
-    element's Schur complement is added into the front of its first
-    eliminated free dof; its other free dofs lie on ancestor separators, so
-    they are among that front's update rows.  The children's update matrices
+    The separators of ``_dissect_skeleton`` are eliminated in postorder; a
+    leaf front, a whole uncut region of at most ``LEAF_DOFS`` dofs, goes
+    through the same fill, factorization and inertia count as any other
+    separator, with no children to add.  An element's Schur complement is
+    added into the front of its first eliminated free dof; its other free
+    dofs lie on ancestor separators, so they are among that front's update
+    rows.  The children's update matrices
     are added in, and the pivot block is factorized by ``dpotrf``, ``dtrsm``
     and ``dsyrk`` on lower triangles.  Every front is indexed in elimination
     order, so a child's lower triangle lands in its parent's.
@@ -816,16 +846,16 @@ def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
         at_hi = np.abs(pt - (lo + mesh.h)) < 1e-12
         vertex = np.all(at_lo | at_hi, axis=1)[:, None]
         ends = np.where(vertex & at_lo, -1, np.where(vertex & at_hi, 1, 0))
-    keys, group = np.unique(ends, axis=0, return_inverse=True)
+    keys, group = _unique_rows(ends + 1, (3,) * ends.shape[1])
     out = []
-    for g, key in enumerate(keys):
+    for g, key in enumerate(keys - 1):
         if key.any():
             rule = graded_rule(sigma, layers, order, tuple(key.tolist()))
             nodes, weights = list(rule.nodes), list(rule.weights)
         else:
             rule = gauss_rule(order)
             nodes, weights = [rule.nodes] * key.size, [rule.weights] * key.size
-        out.append((np.nonzero(group.ravel() == g)[0], nodes, weights))
+        out.append((np.nonzero(group == g)[0], nodes, weights))
     return out
 
 

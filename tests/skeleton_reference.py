@@ -81,7 +81,9 @@ def cholesky(S_loc, dofmap, free_ids):
 
 def dissect_skeleton_median(dofmap, free_ids):
     """``fem._dissect_skeleton`` with the cut plane found by ``np.median``
-    and ``np.argmin`` over the candidate planes."""
+    and ``np.argmin`` over the candidate planes.  It takes the same leaf
+    rule, read from ``fem.LEAF_DOFS`` at the call: a region of at most that
+    many free dofs is one separator of all of them, uncut."""
     cells, bl = dofmap.mesh.cells, dofmap.skeleton_local
     half = np.array([0, 2, 1])[np.minimum(
         [dofmap.local_modes[i] for i in bl], 2)]
@@ -97,6 +99,10 @@ def dissect_skeleton_median(dofmap, free_ids):
         planes = np.arange(lo[a] + 2, hi[a], 2)
         if planes.size == 0:
             raise ValueError("free skeleton dofs left in a one-cell region")
+        if idx.size <= fem.LEAF_DOFS:
+            seps.append(idx)
+            parent.append(-1)
+            return len(seps) - 1
         c = coords[idx, a]
         k = planes[np.argmin(np.abs(planes - np.median(c)))]
         upper, lower = hi.copy(), lo.copy()

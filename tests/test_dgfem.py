@@ -350,8 +350,8 @@ def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
     expanded, alive_at_read = [], []
     tocsc, splu = dgfem.SipOperator.tocsc, dgfem.spla.splu
 
-    def tracked_tocsc(operator):
-        A = tocsc(operator)
+    def tracked_tocsc(operator, *args):
+        A = tocsc(operator, *args)
         expanded.append(weakref.ref(A))
         return A
 
@@ -375,6 +375,32 @@ def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
     res = (np.linalg.norm(A @ sol.coeffs.ravel() - system.rhs)
            / max(np.linalg.norm(system.rhs), 1e-300))
     assert sol.residual_norm == res
+
+
+def test_solve_builds_the_element_pairs_once(monkeypatch):
+    """dg_solve builds SipOperator._pairs once, for both the symmetry check
+    and the expansion, and drops it before the factorization: its blocks
+    are not alive while SuperLU runs."""
+    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
+    system = dgfem.assemble_sip(3, dgfem.DgSpec("Q", 3), f, exact)
+    built, alive_at_splu = [], []
+    pairs, splu = dgfem.SipOperator._pairs, dgfem.spla.splu
+
+    def counted_pairs(operator):
+        out = pairs(operator)
+        built.append(weakref.ref(out[3]))
+        return out
+
+    def tracked_splu(A_csc, **kwargs):
+        alive_at_splu.append([ref() is not None for ref in built])
+        return splu(A_csc, **kwargs)
+
+    monkeypatch.setattr(dgfem.SipOperator, "_pairs", counted_pairs)
+    monkeypatch.setattr(dgfem.spla, "splu", tracked_splu)
+    sol = dgfem.dg_solve(system)
+    assert len(built) == 1 and alive_at_splu == [[False]]
+    assert sol.residual_norm < 1e-12
 
 
 def test_asymmetric_system_raises():

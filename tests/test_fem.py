@@ -73,6 +73,19 @@ def test_mesh_rejects_malformed_cells(cells, origin, match):
         fem.Mesh(dim=2, h=0.5, origin=np.array(origin), cells=np.array(cells))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2), (3, 3, 3), (5, 1, 4)])
+def test_unique_rows_match_the_axis_form(shape):
+    # the same groups in the same lexicographic order: h1_error sums its
+    # element groups in that order
+    rng = np.random.default_rng(len(shape))
+    for n in (1, 7, 40):
+        rows = rng.integers(0, shape, size=(n, len(shape)))
+        keys, group = fem._unique_rows(rows, shape)
+        want, want_group = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(keys, want)
+        assert np.array_equal(group, want_group.ravel())
+
+
 @pytest.mark.parametrize("h", [0.0, -0.5, np.nan])
 def test_mesh_rejects_a_cell_size_not_positive(h):
     # h = 0 gave an all-zero "solution" with residual 0, and h < 0 solved
@@ -843,33 +856,43 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
+# LEAF_DOFS 0 cuts every region down to single cells, as the dissection did
+# before leaf fronts: the deepest trees, with the most fronts and extend-adds
+LEAVES = [0, fem.LEAF_DOFS]
+
+
 @pytest.mark.parametrize("family", ["Q", "S"])
 @pytest.mark.parametrize("name, n, p", [
     ("sine3d", 4, 2), ("sine3d", 4, 5), ("sine3d", 4, 8),
     ("sine3d", 3, 4),           # off-centre bisection planes
     ("sine2d", 8, 6), ("lshape", None, 5),
     ("sine3d", 1, 3)])          # one cell: no free skeleton dof
-def test_fronts_bitwise_equal_to_add_at_reference(name, n, p, family):
+def test_fronts_bitwise_equal_to_add_at_reference(name, n, p, family,
+                                                  monkeypatch):
     # the block-slice and gather front fills must add the same terms in the
-    # same order as np.add.at did: ordering and factors equal bit for bit
+    # same order as np.add.at did: ordering and factors equal bit for bit,
+    # on the deepest trees and on the default's leaf fronts
     args = _skeleton_block(name, n, p, family)
-    lu = fem._factor_multifrontal(*args)
-    ref = factor_multifrontal_add_at(*args)
-    assert _same_bits(lu.perm, ref.perm)
-    assert len(lu.fronts) == len(ref.fronts) and lu.nnz == ref.nnz
-    for front, want in zip(lu.fronts, ref.fronts):
-        assert front[:2] == want[:2]
-        assert all(_same_bits(a, b) for a, b in zip(front[2:], want[2:]))
+    for leaf in LEAVES:
+        monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
+        lu = fem._factor_multifrontal(*args)
+        ref = factor_multifrontal_add_at(*args)
+        assert _same_bits(lu.perm, ref.perm), leaf
+        assert len(lu.fronts) == len(ref.fronts) and lu.nnz == ref.nnz, leaf
+        for front, want in zip(lu.fronts, ref.fronts):
+            assert front[:2] == want[:2], leaf
+            assert all(_same_bits(a, b) for a, b in zip(front[2:], want[2:]))
 
 
 def test_eigh_fallback_bitwise_equal_to_add_at_reference(monkeypatch):
-    # S_loc - 3e-5 I: 11 of the 63 pivot blocks fail dpotrf, and the fronts
-    # above them take the eigh path's full update matrices.  Every LAPACK
-    # call must see the reference's blocks (a pivot block through its lower
-    # triangle, the only part read) and return its bits, and the reported
-    # count must be the reference's.  dpotrf and dtrsm work in place, so the
-    # operands (the first through its lower triangle) are read before the
-    # call and again after it
+    # S_loc - 3e-5 I: 11 of the pivot blocks (of 63 at LEAF_DOFS 0, of 15 at
+    # the default) fail dpotrf, and the fronts above them take the eigh
+    # path's full update matrices.  Every LAPACK call must see the
+    # reference's blocks (a pivot block through its lower triangle, the only
+    # part read) and return its bits, and the reported count must be the
+    # reference's.  dpotrf and dtrsm work in place, so the operands (the
+    # first through its lower triangle) are read before the call and again
+    # after it
     S_loc, dm, free_ids = _skeleton_block("sine3d", 4, 4, "Q")
     S_loc = S_loc - 3e-5 * np.eye(S_loc.shape[0])
 
@@ -881,10 +904,8 @@ def test_eigh_fallback_bitwise_equal_to_add_at_reference(monkeypatch):
     def operands(args):
         return [bits(np.tril(args[0]))] + [bits(a) for a in args[1:]]
 
-    calls, messages = {}, []
-    for module, factor in ((fem, fem._factor_multifrontal),
-                           (skeleton_reference, factor_multifrontal_add_at)):
-        log = calls[module] = []
+    calls = {fem: [], skeleton_reference: []}
+    for module, log in calls.items():
         for name in ("dpotrf", "dtrsm", "eigh"):
             def record(*args, _f=getattr(module, name), _name=name, _log=log,
                        **kwargs):
@@ -894,37 +915,108 @@ def test_eigh_fallback_bitwise_equal_to_add_at_reference(monkeypatch):
                     bits, out if isinstance(out, tuple) else [out])))
                 return out
             monkeypatch.setattr(module, name, record)
-        with pytest.raises(fem.IndefiniteSystemError) as info:
-            factor(S_loc, dm, free_ids)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert "17 non-positive pivot(s)" in messages[0]
-    assert [c[0] for c in calls[fem]].count("eigh") == 11
-    assert calls[fem] == calls[skeleton_reference]
+    for leaf, n_fronts in zip(LEAVES, (63, 15)):
+        monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
+        messages = []
+        for factor in (fem._factor_multifrontal, factor_multifrontal_add_at):
+            with pytest.raises(fem.IndefiniteSystemError) as info:
+                factor(S_loc, dm, free_ids)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "17 non-positive pivot(s)" in messages[0]
+        names = [c[0] for c in calls[fem]]
+        assert names.count("eigh") == 11 and names.count("dpotrf") == n_fronts
+        assert calls[fem] == calls[skeleton_reference]
+        for log in calls.values():
+            log.clear()
+
+
+@pytest.mark.parametrize("name, n, p, shift", [("sine3d", 4, 4, 3e-5),
+                                               ("sine2d", 8, 4, 0.05)])
+def test_indefinite_count_does_not_depend_on_leaf_size(name, n, p, shift,
+                                                       monkeypatch):
+    # Haynsworth additivity: however the skeleton is cut into fronts, the
+    # non-positive pivots the fronts report add up to the non-positive
+    # eigenvalues of the assembled free skeleton
+    S_loc, dm, free_ids = _skeleton_block(name, n, p, "Q")
+    S_loc = S_loc - shift * np.eye(S_loc.shape[0])
+    eig = np.linalg.eigvalsh(free_skeleton_matrix(S_loc, dm, free_ids)
+                             .toarray())
+    n_neg = int(np.count_nonzero(eig <= 0.0))
+    assert n_neg > 1 and np.min(np.abs(eig)) > 1e-6
+    n_fronts = set()
+    for leaf in (0, 32, 64, fem.LEAF_DOFS, free_ids.size):
+        monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
+        n_fronts.add(len(fem._dissect_skeleton(dm, free_ids)[0]))
+        with pytest.raises(fem.IndefiniteSystemError,
+                           match=rf"\b{n_neg} non-positive pivot\(s\) of "
+                                 rf"{free_ids.size}$"):
+            fem._factor_multifrontal(S_loc, dm, free_ids)
+    assert len(n_fronts) >= 4 and 1 in n_fronts
+
+
+@pytest.mark.parametrize("leaf", [32, fem.LEAF_DOFS])
+@pytest.mark.parametrize("name, n, p, family", [
+    ("sine2d", 8, 2, "Q"), ("sine2d", 8, 12, "S"), ("lshape", None, 25, "Q"),
+    ("sine3d", 4, 3, "Q"), ("sine3d", 4, 8, "S")])
+def test_leaf_fronts_hold_at_most_leaf_dofs(name, n, p, family, leaf,
+                                            monkeypatch):
+    # a region is a separator's subtree: every region that was cut held
+    # more than LEAF_DOFS free dofs, and every leaf front is one uncut
+    # region of at most LEAF_DOFS, its dofs in free-position order
+    monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
+    _, dm, free_ids = _skeleton_block(name, n, p, family)
+    seps, parent = fem._dissect_skeleton(dm, free_ids)
+    region = np.array([s.size for s in seps])
+    for i in range(len(seps)):         # postorder: children before parents
+        if parent[i] >= 0:
+            region[parent[i]] += region[i]
+    has_kids = np.zeros(len(seps), dtype=bool)
+    has_kids[parent[parent >= 0]] = True
+    leaves = ~has_kids
+    assert np.all(region[has_kids] > leaf)
+    assert np.all(region[leaves] <= leaf)
+    assert all(np.all(np.diff(seps[i]) > 0) for i in np.flatnonzero(leaves))
+    assert region[-1] == free_ids.size and has_kids.any()
+
+
+@pytest.mark.parametrize("leaf", LEAVES + [10 ** 9])
+def test_one_cell_region_with_free_dofs_raises(leaf, monkeypatch):
+    # a one-cell region holds no free skeleton dof, so one that does (here
+    # every skeleton dof of a single cell taken as free) is an error, also
+    # where the region is small enough to be a leaf front
+    monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
+    dm = fem.build_dofmap(fem.mesh_uniform(2, 1), 2, "Q")
+    with pytest.raises(ValueError, match="one-cell region"):
+        fem._dissect_skeleton(dm, np.arange(dm.interior_offset))
 
 
 @pytest.mark.parametrize("family, p", [("Q", 1), ("Q", 3), ("S", 5)])
-def test_dissection_matches_median_reference(family, p):
+def test_dissection_matches_median_reference(family, p, monkeypatch):
     # the cut plane from integer arithmetic on twice the median must be the
-    # one np.median and np.argmin pick, ties to the lower plane included
+    # one np.median and np.argmin pick, ties to the lower plane included,
+    # and both must stop at the same leaf regions
     meshes = [fem.mesh_lshape()] + [fem.mesh_uniform(d, n, (0.0, 1.0))
                                     for d in (2, 3) for n in range(1, 7)
                                     if d == 2 or n <= 5]
     zero = lambda *xs: 0.0 * xs[0]
-    for mesh in meshes:
+    for mesh, leaf in product(meshes, LEAVES):
+        monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
         dm = fem.build_dofmap(mesh, p, family)
         free_ids = _free_skeleton(dm, fem.assemble_poisson(mesh, dm, zero, zero))
         seps, parent = fem._dissect_skeleton(dm, free_ids)
         want, want_parent = skeleton_reference.dissect_skeleton_median(
             dm, free_ids)
-        assert np.array_equal(parent, want_parent), mesh.cells.max(axis=0)
+        assert np.array_equal(parent, want_parent), (mesh.cells.max(axis=0),
+                                                     leaf)
         assert len(seps) == len(want) and all(
             np.array_equal(a, b) for a, b in zip(seps, want))
 
 
 @pytest.mark.parametrize("family, p", [("Q", 3), ("S", 5)])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_dissection_keeps_each_element_on_one_root_path(family, p, n):
+def test_dissection_keeps_each_element_on_one_root_path(family, p, n,
+                                                        monkeypatch):
     """Every free dof is on exactly one separator, and the separators an
     element touches lie on one path to the root: no element has free dofs
     in two sibling subtrees."""
@@ -933,32 +1025,36 @@ def test_dissection_keeps_each_element_on_one_root_path(family, p, n):
     system = fem.assemble_poisson(mesh, dm, lambda x, y, z: 0.0 * x,
                                   lambda x, y, z: 0.0 * x)
     free_ids = _free_skeleton(dm, system)
-    seps, parent = fem._dissect_skeleton(dm, free_ids)
-    assert np.array_equal(np.sort(np.concatenate(seps)),
-                          np.arange(free_ids.size))
-    assert list(parent).count(-1) == 1
-    assert all(parent[i] > i for i in range(len(seps)) if parent[i] >= 0)
-    node = -np.ones(dm.interior_offset, dtype=np.int64)
-    for i, sep in enumerate(seps):
-        node[free_ids[sep]] = i
-    for dofs in dm.cell_dofs[:, dm.skeleton_local]:
-        touched = set(node[dofs]) - {-1}
-        if not touched:
-            continue
-        path, i = set(), min(touched)      # postorder: the deepest first
-        while i >= 0:
-            path.add(i)
-            i = parent[i]
-        assert touched <= path
+    for leaf in LEAVES:
+        monkeypatch.setattr(fem, "LEAF_DOFS", leaf)
+        seps, parent = fem._dissect_skeleton(dm, free_ids)
+        assert np.array_equal(np.sort(np.concatenate(seps)),
+                              np.arange(free_ids.size))
+        assert list(parent).count(-1) == 1
+        assert all(parent[i] > i for i in range(len(seps)) if parent[i] >= 0)
+        node = -np.ones(dm.interior_offset, dtype=np.int64)
+        for i, sep in enumerate(seps):
+            node[free_ids[sep]] = i
+        for dofs in dm.cell_dofs[:, dm.skeleton_local]:
+            touched = set(node[dofs]) - {-1}
+            if not touched:
+                continue
+            path, i = set(), min(touched)      # postorder: the deepest first
+            while i >= 0:
+                path.add(i)
+                i = parent[i]
+            assert touched <= path
 
 
 def test_fem_records_carry_skeleton_counts():
-    # 2D: a root separator of 3 dofs (the centre vertex and its two edges
-    # on the plane x = 1/2) over two 1-dof fronts with 3 update rows each,
-    # so 6 + 2 * (1 + 3) stored lower-triangle entries
+    # both skeletons hold at most LEAF_DOFS free dofs, so each is one leaf
+    # front of n free dofs, which stores its lower triangle, n (n + 1) / 2
+    # entries: 19 * 20 / 2 = 190 in 3D, 5 * 6 / 2 = 15 in 2D (the centre
+    # vertex, the four edges around it)
+    assert fem.LEAF_DOFS >= 19
     for sw, free, nnz in (
-            ({"dim": 3, "n": 2, "p_list": [2]}, 19, 151),
-            ({"dim": 2, "n": 2, "p_list": [2]}, 5, 14)):
+            ({"dim": 3, "n": 2, "p_list": [2]}, 19, 190),
+            ({"dim": 2, "n": 2, "p_list": [2]}, 5, 15)):
         rec, = run_sweep({"name": "fem", "kind": "fem-sine", "family": "Q",
                           **sw})
         assert rec.extra["skeleton_free"] == free

@@ -1,6 +1,7 @@
 """What a run imports: the coefficient layers and the FEM solver load no
-scipy, a FEM sweep no DG solver, and every OpenBLAS a solver module loads
-runs one thread: numpy's alone for ``fem``, scipy's too for ``dgfem``.
+scipy, a FEM sweep no DG solver and no ``numpy.ma``, and every OpenBLAS a
+solver module loads runs one thread: numpy's alone for ``fem``, scipy's too
+for ``dgfem``.
 
 Each check runs in a fresh interpreter, since the test process already holds
 every module the other tests imported.
@@ -81,6 +82,24 @@ def test_fem_run_loads_no_dg_solver(tmp_path):
         meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
         found = meta["environment"]["blas_threads"]
         assert list(found.values()) == [1], (name, found)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fem-sine", "--dim", "2", "--n", "3", "--family", "s", "--p-max", "3"],
+    ["fem-sine", "--dim", "3", "--n", "2", "--family", "q", "--p-max", "2"],
+    ["fem-lshape", "--family", "q", "--p-list", "1,4"]],
+    ids=["sine2d", "sine3d", "lshape"])
+def test_fem_run_loads_no_numpy_ma(argv):
+    # np.unique(..., axis=0) imports numpy.ma, 9-21 ms of a FEM run's
+    # setup; the mesh, the boundary data and the error rules group their
+    # rows by 1-D keys instead
+    code = ("import contextlib, io, json, sys\n"
+            "from hpexp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([m for m in sys.modules\n"
+            "                  if m.split('.')[:2] == ['numpy', 'ma']]))")
+    assert _run(code, json.dumps(argv)) == []
 
 
 @pytest.mark.parametrize("module", ["hpexp.fem", "hpexp.dgfem"])
