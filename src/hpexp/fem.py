@@ -45,19 +45,19 @@ the Python cost of many small fronts, each microseconds of dense work (the
 relaxed supernodes of Ashcraft & Grimes 1989).  The separators are
 eliminated in postorder as dense fronts (the multifrontal method, Duff &
 Reid 1983).
-Each front is assembled from the element Schur complements of the
-elements whose first eliminated free dof it holds, plus its children's
-update matrices, and is factorized by ``dpotrf``, ``dtrsm`` and ``dsyrk`` on
-lower triangles, called in numpy's OpenBLAS through ``hpexp.lapack``.  No
-factorization step reads an entry above the diagonal, so a front is filled
-on and below it only: one ``bincount`` adds the element Schur complements,
-and each child's update matrix goes in as block slices over the runs of
-consecutive rows it shares with its parent (Liu 1992 calls this step
-extend-add).  The inertia of the skeleton is the sum of the inertias of the
-pivot blocks (Haynsworth additivity): a block Cholesky rejects gets its
-count of non-positive eigenvalues from numpy's ``eigh`` and the elimination
-goes on, so ``IndefiniteSystemError`` names how many non-positive
-eigenvalues the skeleton has.
+Each front is one square matrix, assembled from the element Schur
+complements of the elements whose first eliminated free dof it holds, plus
+its children's update matrices, and is factorized by ``dpotrf``, ``dtrsm``
+and ``dsyrk`` on lower triangles, called in numpy's OpenBLAS through
+``hpexp.lapack``.  One ``bincount`` adds the element Schur complements over
+the whole square, and each child's update matrix goes in as block slices
+over the runs of consecutive rows it shares with its parent, on and below
+the diagonal only (Liu 1992 calls this step extend-add): no factorization
+step reads an entry above the diagonal.  The inertia of the skeleton is the
+sum of the inertias of the pivot blocks (Haynsworth additivity): a block
+Cholesky rejects gets its count of non-positive eigenvalues from numpy's
+``eigh`` and the elimination goes on, so ``IndefiniteSystemError`` names how
+many non-positive eigenvalues the skeleton has.
 """
 
 from __future__ import annotations
@@ -565,17 +565,18 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
     and ``dsyrk`` on lower triangles.  Every front is indexed in elimination
     order, so a child's lower triangle lands in its parent's.
 
-    How a front is filled (``_front``, ``_extend_add``): ``dpotrf`` and
-    ``eigh`` read the lower triangle of the pivot block F11, ``dtrsm`` reads
-    F21 (wholly below the diagonal) and ``dsyrk`` the lower triangle of the
-    update block F22, so no entry above the diagonal is ever read.  The
-    front therefore has no F12: its buffer holds G = [F21 | F22] and F11,
-    one ``bincount`` adds the element Schur complements in element order,
-    and the children's update matrices follow in the order the children
-    were eliminated, as block slices on and below the diagonal.  Each lower
-    entry thus receives the same terms in the same order as a full
-    ``np.add.at`` assembly would give it, so the factors do not depend on how
-    the front is filled, bit for bit.
+    How a front is filled (``_front``, ``_extend_add``): a front F of m rows,
+    k of them pivots, is one F-ordered m x m matrix.  ``dpotrf`` and ``eigh``
+    read the lower triangle of the pivot block F[:k, :k], ``dtrsm`` reads
+    F[k:, :k] (wholly below the diagonal) and ``dsyrk`` the lower triangle
+    of the update block F[k:, k:], in place in F, so no entry above the
+    diagonal is ever read.  One ``bincount`` adds the element Schur
+    complements in element order over the whole square, and the children's
+    update matrices follow in the order the children were eliminated, as
+    block slices on and below the diagonal.  Each lower entry thus receives
+    the same terms in the same order as a full ``np.add.at`` assembly would
+    give it, so the factors do not depend on how the front is filled, bit
+    for bit.
 
     The inertia of the block is the sum of the inertias of the pivot blocks
     (Haynsworth additivity).  A pivot block ``dpotrf`` rejects gets its count
@@ -624,35 +625,35 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
         idx = idx[keep]
         m, k = idx.size, e - s
         where[idx] = np.arange(m)
-        F11, G = _front(weights, where, R, m, k)
+        F = _front(weights, where, R, m)
         for ids, U in kids:
-            _extend_add(F11, G, U, where[ids])
+            _extend_add(F, U, where[ids])
         kids = None                 # their buffers are spent: free them
         L11 = L21 = None
-        U = G[:, k:]
+        U = F[k:, k:]
         if k:
             # the factors are copies (L11's upper triangle zero), so the
-            # front's buffer is not kept for the solve
+            # front is not kept for the solve
             L11 = np.zeros((k, k), order="F")
-            np.copyto(L11, F11, where=lower[:k, :k])
+            np.copyto(L11, F[:k, :k], where=lower[:k, :k])
             if dpotrf(L11) == 0:
                 if m > k:
-                    L21 = np.array(G[:, :k], order="F")
+                    L21 = np.array(F[k:, :k], order="F")
                     dtrsm(L11, L21)
                     # in place if the parent comes next; an update that
                     # waits for a sibling subtree goes to a copy, so the
-                    # buffer with this front's pivot columns is freed now
+                    # front with its pivot columns is freed now
                     if parent[node] != node + 1:
                         U = np.array(U, order="F")
                     dsyrk(L21, U)
             else:
-                w, V = eigh(F11, UPLO="L")
+                w, V = eigh(F[:k, :k], UPLO="L")
                 n_nonpos += int(np.count_nonzero(w <= 0.0))
                 if not np.all(np.abs(w) > 0.0):
                     raise IndefiniteSystemError(
                         f"skeleton not SPD: singular pivot block, at least "
                         f"{n_nonpos} non-positive pivot(s) of {n}")
-                W = G[:, :k] @ V
+                W = F[k:, :k] @ V
                 U = U - (W / w) @ W.T
         fronts.append((s, e, idx[k:], L11, L21))
         if parent[node] >= 0 and m > k:     # no update rows, nothing to pass
@@ -663,76 +664,46 @@ def _factor_multifrontal(S_loc, dofmap: DofMap, free_ids: np.ndarray):
     return _Multifrontal(perm, fronts)
 
 
-def _front(weights, where, R, m: int, k: int):
-    """A front of m rows, k of them pivots, holding the sum of the element
-    Schur complements of its elements R (their ranks, -1 a Dirichlet dof):
-    entry (where[R[e, i]], where[R[e, j]]) takes S_loc[i, j] for each free
-    pair, element by element.  ``weights`` is S_loc raveled and repeated at
-    least once per element.
+def _front(weights, where, R, m: int):
+    """An m x m front, F-ordered, holding the sum of the element Schur
+    complements of its elements R (their ranks, -1 a Dirichlet dof): entry
+    (where[R[e, i]], where[R[e, j]]) takes S_loc[i, j] for each free pair,
+    element by element.  ``weights`` is S_loc raveled and repeated at least
+    once per element.
 
-    Returns the views F11 (k x k) and G = [F21 | F22] ((m - k) x m) of one
-    buffer: G, then F11, both F-order with one leading dimension
-    ld = max(m - k, k), so entry (r, c) is at row(r) + ld c, with
-    row(r) = r - k for an update row and base + r for a pivot row.  A pivot
-    row in an update column, an entry above the diagonal that no
-    factorization step reads, thus lands at or past the last bin, where the
-    pairs with a Dirichlet dof are sent too; ``np.minimum`` folds them into
-    that bin and it is dropped.  One ``bincount`` adds the pairs in input
-    order from 0.0.  For k <= m - k the update block F22 = G[:, k:] is
-    contiguous, so ``dsyrk`` can update it in place.
+    Entry (r, c) is bin r + m c of one ``bincount``, which adds the pairs in
+    input order from 0.0.  A pair with a Dirichlet dof is sent past the last
+    entry, and ``np.minimum`` folds all of them into one bin that is dropped.
     """
-    ld = max(m - k, k)
-    base = ld * m if m > k else 0           # where F11 starts
-    drop = base + ld * k
+    drop = m * m
     if R.size:
-        pos = where[R]
-        rows = np.where(pos < k, pos + base, pos - k)
-        cols = ld * pos
-        dirichlet = R < 0
-        rows[dirichlet] = cols[dirichlet] = drop
-        flat = rows[:, :, None] + cols[:, None, :]
+        pos = np.where(R < 0, drop, where[R])
+        flat = pos[:, :, None] + m * pos[:, None, :]
         np.minimum(flat, drop, out=flat)
         buf = np.bincount(flat.ravel(), weights[:flat.size], drop + 1)
     else:                   # bincount of no pairs would count in integers
         buf = np.zeros(drop + 1)
-    G = buf[:ld * m].reshape((ld, m), order="F")[:m - k]
-    F11 = buf[base:drop].reshape((ld, k), order="F")[:k]
-    return F11, G
+    return buf[:drop].reshape((m, m), order="F")
 
 
-def _extend_add(F11, G, U, loc):
-    """Add a child's update matrix U into the front (F11, G of ``_front``):
-    entry (loc[i], loc[j]) takes U[i, j], with ``loc`` increasing.
+def _extend_add(F, U, loc):
+    """Add a child's update matrix U into the front F on and below the
+    diagonal: entry (loc[i], loc[j]) takes U[i, j] for i >= j, with ``loc``
+    increasing.
 
-    The rows of ``loc`` fall into maximal runs of consecutive front rows,
-    split where the update rows begin, and each pair of runs is one block
-    slice.  A pair (a, b) with a < b lies wholly above the diagonal and is
-    skipped: no factorization step reads an upper entry.  Where the blocks
-    average fewer than about 200 entries (as at low degree, where the runs
-    are short), two gathers cost less: F11 and G each take their part of U
-    through a row and a column index vector.  A slice costs about 3 us and a
-    gathered entry about 8 ns (2 cores, numpy 2.4).
+    The rows of ``loc`` fall into maximal runs of consecutive front rows, and
+    each pair of runs is one block slice.  A pair (a, b) with a < b lies
+    wholly above the diagonal and is skipped: no factorization step reads an
+    upper entry.  A diagonal pair adds its whole block.
     """
-    k = F11.shape[0]
-    cut = [0] + (np.flatnonzero((loc[1:] - loc[:-1] != 1) | (loc[1:] == k))
-                 + 1).tolist()
-    runs = len(cut)
-    # about lc^2 / 2 entries over runs (runs + 1) / 2 blocks
-    if loc.size ** 2 < 200 * runs * (runs + 1):
-        kk = int(np.searchsorted(loc, k))
-        if kk:
-            piv = loc[:kk]
-            F11[piv[:, None], piv] += U[:kk, :kk]
-        G[(loc[kk:] - k)[:, None], loc] += U[kk:]
-        return
+    cut = [0] + (np.flatnonzero(loc[1:] - loc[:-1] != 1) + 1).tolist()
     at = loc[cut].tolist()
-    target = [(F11, t) if t < k else (G, t - k) for t in at]
     cut.append(loc.size)
-    for b in range(runs):
+    for b in range(len(at)):
         c0, c1, tc = cut[b], cut[b + 1], at[b]
-        for a in range(b, runs):
-            (T, tr), r0, r1 = target[a], cut[a], cut[a + 1]
-            block = T[tr:tr + r1 - r0, tc:tc + c1 - c0]
+        for a in range(b, len(at)):
+            r0, r1, tr = cut[a], cut[a + 1], at[a]
+            block = F[tr:tr + r1 - r0, tc:tc + c1 - c0]
             np.add(block, U[r0:r1, c0:c1], out=block)
 
 

@@ -207,12 +207,15 @@ def sweep(solver: Solver, p_list,
 
 
 def _with_p_rate(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
-    """FEM records: the algebraic rate from each solved degree to the next."""
+    """FEM records: the algebraic rate from each solved degree to the next.
+
+    A pair with an error at or below ``ERROR_FLOOR`` gets none: such an
+    error is solver round-off, and so would be its rate."""
     for a, b in zip(records, records[1:]):
         if "error_message" in a.extra or "error_message" in b.extra:
             continue
         ea, eb = a.error("h1_semi"), b.error("h1_semi")
-        if np.isfinite(ea) and eb > 0:
+        if np.isfinite(ea) and ea > ERROR_FLOOR and eb > ERROR_FLOOR:
             b.extra["p_rate"] = float(np.log(ea / eb) / np.log(b.p / a.p))
     return records
 

@@ -856,6 +856,55 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
+@pytest.mark.parametrize("n_elements", [0, 1, 7])
+def test_front_bitwise_equal_to_add_at_scatter(n_elements):
+    # the whole m x m square, both triangles, as np.add.at scatters every
+    # free pair element by element; a pair with a Dirichlet (-1) rank adds
+    # nowhere
+    rng = np.random.default_rng(n_elements)
+    n, m, nl = 40, 12, 6
+    idx = np.sort(rng.choice(n, m, replace=False))
+    where = np.zeros(n, dtype=np.int64)
+    where[idx] = np.arange(m)
+    S_loc = rng.standard_normal((nl, nl))
+    R = rng.choice(np.append(idx, -1), (n_elements, nl), replace=True)
+    R[:, 0] = -1
+    R[:1, 1:] = rng.choice(idx, nl - 1, replace=False)  # one with every pair
+    F = fem._front(np.tile(S_loc.ravel(), max(n_elements, 1)), where, R, m)
+    want = np.zeros((m, m))
+    pos, free = where[R], R >= 0
+    for e in range(n_elements):
+        rows = pos[e][free[e]]
+        np.add.at(want, (rows[:, None], rows), S_loc[np.ix_(free[e], free[e])])
+    assert F.shape == (m, m) and F.dtype == np.float64 and F.flags.f_contiguous
+    assert F.tobytes(order="F") == want.tobytes(order="F")
+
+
+@pytest.mark.parametrize("loc", [
+    [2, 3, 4, 5, 8],        # one run across the pivot/update boundary at k = 4
+    [0, 2, 5, 7, 9],        # runs of one row each
+    list(range(10)),        # one run over every row of the front
+    [1, 3, 4, 5, 6, 9]])
+def test_extend_add_bitwise_equal_to_add_at_scatter(loc):
+    # every pair (i, j) whose run of rows is at or below j's is added as
+    # np.add.at adds it; pairs in a run above lie above the diagonal and are
+    # skipped, so the lower triangle is a full scatter's
+    rng = np.random.default_rng(len(loc))
+    m, loc = 10, np.array(loc)
+    F = np.asfortranarray(rng.standard_normal((m, m)))
+    U = rng.standard_normal((loc.size, loc.size))
+    run = np.cumsum(np.diff(loc, prepend=-2) != 1)
+    i, j = np.nonzero(run[:, None] >= run[None, :])
+    want, full = F.copy(), F.copy()
+    np.add.at(want, (loc[i], loc[j]), U[i, j])
+    np.add.at(full, (loc[:, None], loc), U)
+    fem._extend_add(F, U, loc)
+    assert F.tobytes() == want.tobytes()
+    # the lower triangle holds all a factorization of k pivots reads:
+    # F[:k, :k] and F[k:, k:] through their lower triangles, and F[k:, :k]
+    assert np.tril(F).tobytes() == np.tril(full).tobytes()
+
+
 # LEAF_DOFS 0 cuts every region down to single cells, as the dissection did
 # before leaf fronts: the deepest trees, with the most fronts and extend-adds
 LEAVES = [0, fem.LEAF_DOFS]
@@ -869,8 +918,9 @@ LEAVES = [0, fem.LEAF_DOFS]
     ("sine3d", 1, 3)])          # one cell: no free skeleton dof
 def test_fronts_bitwise_equal_to_add_at_reference(name, n, p, family,
                                                   monkeypatch):
-    # the block-slice and gather front fills must add the same terms in the
-    # same order as np.add.at did: ordering and factors equal bit for bit,
+    # the square front's bincount and block-slice fills must add the same
+    # terms in the same order as np.add.at did: ordering and factors equal
+    # bit for bit,
     # on the deepest trees and on the default's leaf fronts
     args = _skeleton_block(name, n, p, family)
     for leaf in LEAVES:

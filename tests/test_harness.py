@@ -167,6 +167,23 @@ def test_sweep_records_failures_and_skips():
         "error_message": "skipped: error already below stop_below"}
 
 
+def test_p_rate_skips_errors_at_or_below_the_floor():
+    # a rate from round-off says nothing: a pair whose error, either one, is
+    # at or below ERROR_FLOOR gets no p_rate, also where the round-off rises
+    # back above the floor
+    errors = {1: 1e-6, 2: 1e-9, 3: ERROR_FLOOR, 4: 3e-15, 5: 2e-12,
+              6: 1.5e-12}
+    solver = Solver("fem_q", 2, ("h1_semi",),
+                    lambda p: ((p + 1) ** 2, {"h1_semi": errors[p]}, {}))
+    recs = _with_p_rate(sweep(solver, list(errors)))
+    assert ["p_rate" in r.extra for r in recs] == [False, True, False, False,
+                                                   False, True]
+    assert recs[1].extra["p_rate"] == pytest.approx(np.log(1e3) / np.log(2),
+                                                    rel=1e-12)
+    assert recs[5].extra["p_rate"] == pytest.approx(
+        np.log(2 / 1.5) / np.log(6 / 5), rel=1e-12)
+
+
 def test_sweep_propagates_unexpected_errors():
     def solve_one(p):
         raise TypeError("a bug, not a numerical failure")
