@@ -1,8 +1,9 @@
-"""Symmetric interior-penalty DG Poisson solver on uniform square meshes.
+"""Symmetric interior-penalty DG Poisson solver on a ``fem.Mesh``.
 
-Each element carries a modal Legendre basis restricted to the Q_p or P_p index
-set, so switching family is purely an index filter.  The bilinear form is the
-standard SIP one: volume grad-grad, facet terms
+FEM and DG share the mesh, whose cells' lattice positions name its facets
+(``_facets``).  Each element carries a modal Legendre basis restricted to
+the Q_p or P_p index set, so switching family is purely an index filter.
+The bilinear form is the standard SIP one: volume grad-grad, facet terms
 -({grad u}.n [v] + {grad v}.n [u]) + sigma_F [u][v] with the penalty
 sigma_F = gamma p^2 / h_F, and Dirichlet data enters through the boundary
 facets.  The energy norm reported as dg_norm is
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import blas
+from . import blas, fem
 from .errors import IndefiniteSipError
 from .indexsets import BasisSpec, enumerate_modes, flat_positions
 from .orthopoly import (apply_axes, element_grids, gauss_rule,
@@ -81,9 +82,7 @@ class BrokenSolution:
     solves nothing, has NaN and 0)."""
 
     spec: DgSpec
-    n: int
-    h: float
-    lower: np.ndarray           # (ne, 2) element lower corners
+    mesh: fem.Mesh
     modes: list
     coeffs: np.ndarray          # (ne, nmodes)
     residual_norm: float = float("nan")
@@ -245,9 +244,7 @@ class DgSystem:
     load vector in element-major order."""
 
     spec: DgSpec
-    n: int
-    h: float
-    lower: np.ndarray
+    mesh: fem.Mesh
     modes: list
     matrix: SipOperator
     rhs: np.ndarray
@@ -260,30 +257,56 @@ def _k1_legendre(p: int) -> np.ndarray:
     return np.where((i + j) % 2 == 0, m * (m + 1), 0).astype(float)
 
 
-def _interval(domain) -> tuple[float, float]:
-    """The (lo, hi) of the square's axes: one pair of reals, checked to run
-    upward."""
+def _square_mesh(n: int, domain) -> fem.Mesh:
+    """``fem.mesh_uniform(2, n, domain)`` for a domain that is one (lo, hi)
+    pair of reals, checked to run upward (``mesh_uniform`` also takes one
+    pair per axis, and strings)."""
     dom = np.asarray(domain)
     if dom.shape != (2,) or dom.dtype.kind not in "iuf":
         raise ValueError(f"domain {domain} must be one (lo, hi) pair of reals")
-    lo, hi = float(dom[0]), float(dom[1])
-    if not lo < hi:
+    if not dom[0] < dom[1]:
         raise ValueError(f"domain {domain} must have lo < hi")
-    return lo, hi
+    return fem.mesh_uniform(2, n, dom)
 
 
-def _lower_corners(n: int, lo: float, h: float) -> np.ndarray:
-    """(n*n, 2) element lower corners; element (i, j) is row i * n + j."""
-    xs = lo + h * np.arange(n)
-    return np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+def _facets(mesh: fem.Mesh):
+    """``inner`` (nf, 3), the interior facets as (minus cell, plus cell,
+    axis), the normal running from minus to plus, by minus cell and then
+    axis; ``boundary[axis][side]``, the cells whose facet normal to ``axis``
+    on the low (0) or high (1) side no other cell holds.  Both are read from
+    an array that maps each cell's lattice position to its index."""
+    cells = mesh.cells
+    index = np.full(cells.max(axis=0) + 3, -1)
+    index[fem._at(cells + 1)] = np.arange(mesh.n_elements)
+    step = np.eye(mesh.dim, dtype=np.int64)
+    # neighbour[cell, side, axis]: the cell across that facet, or -1
+    neighbour = index[fem._at(cells[:, None, None] + 1
+                              + np.stack([-step, step]))]
+    minus, axis = np.nonzero(neighbour[:, 1] >= 0)
+    boundary = [[np.flatnonzero(neighbour[:, side, k] < 0) for side in (0, 1)]
+                for k in range(mesh.dim)]
+    return np.stack([minus, neighbour[minus, 1, axis], axis], -1), boundary
 
 
-def _on_elements(f: Callable, lower: np.ndarray, a: float,
-                 nodes: np.ndarray) -> np.ndarray:
+def _on_boundary(g: Callable, mesh: fem.Mesh, cells: np.ndarray, axis: int,
+                 side: int, nodes: np.ndarray) -> np.ndarray:
+    """g at the facet nodes of the boundary facets of ``cells`` normal to
+    ``axis`` on ``side``: (cells, q).  Across the facet the coordinate is
+    origin + h * lattice index, as ``fem._coords`` reads a vertex, in the
+    assembly and in the errors alike."""
+    tang = (mesh.elem_lower[cells, 1 - axis, None]
+            + mesh.h / 2.0 * (nodes + 1.0))
+    across = mesh.origin[axis] + mesh.h * (mesh.cells[cells, axis] + side)
+    pts = [tang, tang]
+    pts[axis] = np.repeat(across[:, None], nodes.size, axis=1)
+    return np.broadcast_to(np.asarray(g(*pts), dtype=float), tang.shape)
+
+
+def _on_elements(f: Callable, mesh: fem.Mesh, nodes: np.ndarray) -> np.ndarray:
     """f on the tensor grid of every element: (ne, q, q)."""
-    return np.broadcast_to(
-        np.asarray(f(*element_grids(lower, a, [nodes, nodes])), dtype=float),
-        (lower.shape[0], nodes.size, nodes.size))
+    grids = element_grids(mesh.elem_lower, mesh.h / 2.0, [nodes, nodes])
+    return np.broadcast_to(np.asarray(f(*grids), dtype=float),
+                           (mesh.n_elements, nodes.size, nodes.size))
 
 
 def _volume_stiffness(modes, p: int) -> np.ndarray:
@@ -312,22 +335,17 @@ def _trace_tables(modes, p: int, nodes: np.ndarray):
 def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
                  domain=(0.0, 1.0)) -> DgSystem:
     """Assemble the SIP system on an n x n uniform square mesh."""
-    n, p = mesh_n, spec.p
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lo, hi = _interval(domain)
-    h = (hi - lo) / n
-    a = h / 2.0
+    mesh = _square_mesh(mesh_n, domain)
+    p, a = spec.p, mesh.h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
-    nm = len(modes)
-    ne = n * n
-    lower = _lower_corners(n, lo, h)
+    nm, ne = len(modes), mesh.n_elements
+    inner, boundary = _facets(mesh)
 
     K_vol = _volume_stiffness(modes, p)
 
     frule = gauss_rule(p + 2)
     tval, tder = _trace_tables(modes, p, frule.nodes)
-    sigma = spec.gamma * max(p, 1) ** 2 / h
+    sigma = spec.gamma * max(p, 1) ** 2 / mesh.h
     wfac = frule.weights * a                   # facet jacobian
 
     # the distinct blocks: 0 volume; 1 + 4 axis + k facet pair, k = 2 row
@@ -341,51 +359,41 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
             blocks.append(sigma * sa * sb * (Ta * wfac) @ Tb.T
                           - 0.5 * sb * (Da * wfac) @ Tb.T
                           - 0.5 * sa * (Ta * wfac) @ Db.T)
-    E = np.arange(ne).reshape(n, n)        # element (i, j) at [i, j]
     rhs = np.zeros((ne, nm))
-    for axis in (0, 1):
-        for side, fixed in ((0, lo), (1, hi)):
-            T = tval[axis][side]
-            D = tder[axis][side] * ((2 * side - 1.0) / a)    # outward derivative
-            blocks.append(sigma * (T * wfac) @ T.T - (D * wfac) @ T.T
-                          - (T * wfac) @ D.T)
-            # a batch of one matrix-vector product per facet (a single GEMM
-            # over the facets would round differently)
-            elems = np.take(E, -side, axis)
-            tang = lower[elems, 1 - axis][:, None] + a * (frule.nodes + 1.0)
-            pts = [tang, tang]
-            pts[axis] = np.full_like(tang, fixed)
-            gv = np.broadcast_to(np.asarray(g(*pts), dtype=float), tang.shape)
-            rhs[elems] += np.matmul(sigma * T - D, (wfac * gv)[..., None])[..., 0]
+    for axis, side in product((0, 1), repeat=2):
+        T = tval[axis][side]
+        D = tder[axis][side] * ((2 * side - 1.0) / a)    # outward derivative
+        blocks.append(sigma * (T * wfac) @ T.T - (D * wfac) @ T.T
+                      - (T * wfac) @ D.T)
+        # a batch of one matrix-vector product per facet (a single GEMM over
+        # the facets would round differently)
+        cells = boundary[axis][side]
+        gv = _on_boundary(g, mesh, cells, axis, side, frule.nodes)
+        rhs[cells] += np.matmul(sigma * T - D, (wfac * gv)[..., None])[..., 0]
     rhs = rhs.ravel()
 
     # (row element, column element, block) in COO order: the volume blocks;
-    # per element in row-major order the 4 pair blocks of its +x, then of its
-    # +y facet; the boundary facets per axis, low and high side interleaved.
-    # That order fixes the order in which each entry's terms are summed.
-    inner = np.stack([E // n < n - 1, E % n < n - 1], axis=-1)  # (i, j, axis)
-    ends = np.stack([np.stack([E, E], axis=-1), np.stack([E + n, E + 1], -1)],
-                    axis=-1)[inner]                          # (facet, minus/plus)
-    axis_of = np.nonzero(inner)[2]
-    bnd = [np.stack([np.take(E, 0, axis), np.take(E, -1, axis)], -1).ravel()
-           for axis in (0, 1)]
-    ea = np.concatenate([E.ravel(), ends[:, [0, 0, 1, 1]].ravel()] + bnd)
-    eb = np.concatenate([E.ravel(), ends[:, [0, 1, 0, 1]].ravel()] + bnd)
+    # per element in cell order the 4 pair blocks of its +x, then of its +y
+    # facet; the boundary facets per axis, low and high side interleaved
+    # (each run of cells along an axis has one low and one high end).  That
+    # order fixes the order in which each entry's terms are summed.
+    bnd = [np.stack(boundary[axis], -1).ravel() for axis in (0, 1)]
+    ea = np.concatenate([np.arange(ne), inner[:, [0, 0, 1, 1]].ravel()] + bnd)
+    eb = np.concatenate([np.arange(ne), inner[:, [0, 1, 0, 1]].ravel()] + bnd)
     bid = np.concatenate([np.zeros(ne, dtype=np.int64),
-                          (1 + 4 * axis_of[:, None] + np.arange(4)).ravel()]
-                         + [np.tile([9 + 2 * axis, 10 + 2 * axis], n)
-                            for axis in (0, 1)])
+                          (1 + 4 * inner[:, 2, None] + np.arange(4)).ravel()]
+                         + [np.tile([9 + 2 * axis, 10 + 2 * axis], b.size // 2)
+                            for axis, b in enumerate(bnd)])
 
     # volume load
     vrule = gauss_rule(p + 10)
     LW = legendre_table(p, vrule.nodes) * vrule.weights
-    proj = apply_axes(_on_elements(f, lower, a, vrule.nodes), [LW, LW]) * a * a
+    proj = apply_axes(_on_elements(f, mesh, vrule.nodes), [LW, LW]) * a * a
     rhs += proj.reshape(ne, -1)[:, flat_positions(modes, p)].ravel()
 
     A = SipOperator(blocks=np.stack(blocks),
                     terms=np.stack([ea, eb, bid], axis=-1), n_elements=ne)
-    return DgSystem(spec=spec, n=n, h=h, lower=lower, modes=modes,
-                    matrix=A, rhs=rhs)
+    return DgSystem(spec=spec, mesh=mesh, modes=modes, matrix=A, rhs=rhs)
 
 
 def dg_solve(system: DgSystem) -> BrokenSolution:
@@ -445,79 +453,71 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     if not res < 1e-8:
         raise IndefiniteSipError(f"direct solve residual too large: {res:.2e}")
     nm = len(system.modes)
-    return BrokenSolution(spec=system.spec, n=system.n, h=system.h,
-                          lower=system.lower, modes=system.modes,
-                          coeffs=u.reshape(-1, nm), residual_norm=float(res),
-                          factor_nnz=int(lu.nnz))
+    return BrokenSolution(spec=system.spec, mesh=system.mesh,
+                          modes=system.modes, coeffs=u.reshape(-1, nm),
+                          residual_norm=float(res), factor_nnz=int(lu.nnz))
 
 
 def broken_interpolant(spec: DgSpec, n: int, f: Callable,
                        domain=(0.0, 1.0)) -> BrokenSolution:
     """Elementwise L2 projection of f onto the broken space (test oracle)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lo, hi = _interval(domain)
-    h = (hi - lo) / n
-    a = h / 2.0
+    mesh = _square_mesh(n, domain)
     p = spec.p
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
-    lower = _lower_corners(n, lo, h)
     rule = gauss_rule(p + 10)
     L = legendre_table(p, rule.nodes)
     proj = L * rule.weights * ((2 * np.arange(p + 1) + 1.0) / 2.0)[:, None]
-    C = apply_axes(_on_elements(f, lower, a, rule.nodes), [proj, proj])
-    coeffs = C.reshape(n * n, -1)[:, flat_positions(modes, p)]
-    return BrokenSolution(spec=spec, n=n, h=h, lower=lower, modes=modes,
-                          coeffs=coeffs)
+    C = apply_axes(_on_elements(f, mesh, rule.nodes), [proj, proj])
+    coeffs = C.reshape(mesh.n_elements, -1)[:, flat_positions(modes, p)]
+    return BrokenSolution(spec=spec, mesh=mesh, modes=modes, coeffs=coeffs)
 
 
 def dg_errors(sol: BrokenSolution, exact: Callable,
               exact_gradient: Callable) -> dict:
     """L2, broken-H1 and SIP-energy errors against a smooth exact solution."""
-    p = sol.spec.p
-    n, h, a = sol.n, sol.h, sol.h / 2.0
-    C = np.zeros((n * n, (p + 1) ** 2))
+    p, mesh = sol.spec.p, sol.mesh
+    ne, a = mesh.n_elements, mesh.h / 2.0
+    C = np.zeros((ne, (p + 1) ** 2))
     C[:, flat_positions(sol.modes, p)] = sol.coeffs
-    C = C.reshape(n * n, p + 1, p + 1)
+    C = C.reshape(ne, p + 1, p + 1)
 
     rule = gauss_rule(2 * p + 4)
     L = legendre_table(p, rule.nodes).T
     dL = legendre_deriv_table(p, 1, rule.nodes).T
     w2 = np.outer(rule.weights, rule.weights) * a * a
-    uex = _on_elements(exact, sol.lower, a, rule.nodes)
-    gx, gy = exact_gradient(*element_grids(sol.lower, a, [rule.nodes] * 2))
+    uex = _on_elements(exact, mesh, rule.nodes)
+    gx, gy = exact_gradient(*element_grids(mesh.elem_lower, a,
+                                           [rule.nodes] * 2))
     l2_sq = np.sum(w2 * (uex - apply_axes(C, [L, L])) ** 2)
     h1_sq = np.sum(w2 * ((gx - apply_axes(C, [dL, L]) / a) ** 2
                          + (gy - apply_axes(C, [L, dL]) / a) ** 2))
 
     # facet jumps of (u - u_h); u is continuous so only u_h jumps interiorly.
-    # trace[axis, side]: u_h on the low (0) or high (1) facet normal to axis,
-    # for element (i, j) at [i, j]
+    # trace[axis, side]: u_h on each cell's low (0) or high (1) facet normal
+    # to axis
     frule = gauss_rule(p + 2)
     Lf = legendre_table(p, frule.nodes).T
     Lend = legendre_table(p, np.array([-1.0, 1.0])).T      # (2, p+1)
-    sigma = sol.spec.gamma * max(p, 1) ** 2 / h
+    sigma = sol.spec.gamma * max(p, 1) ** 2 / mesh.h
     wf = frule.weights * a
     trace = {}
-    for axis in (0, 1):
-        for side in (0, 1):
-            normal, along = [None, None], [Lf, Lf]
-            normal[axis], along[axis] = Lend[side:side + 1], None
-            trace[axis, side] = apply_axes(apply_axes(C, normal),
-                                           along).reshape(n, n, -1)
-    jump_sq = (np.sum(wf * (trace[0, 1][:-1] - trace[0, 0][1:]) ** 2)
-               + np.sum(wf * (trace[1, 1][:, :-1] - trace[1, 0][:, 1:]) ** 2))
-
-    lo, hi = sol.lower.min(), sol.lower.max() + h
-    lower = sol.lower.reshape(n, n, 2)
-    for axis in (0, 1):
-        for side, fixed in ((0, lo), (1, hi)):
-            facet = (slice(None),) * axis + (-side,)    # the boundary row
-            tang = lower[facet][:, 1 - axis, None] + a * (frule.nodes + 1.0)
-            pts = [tang, tang]
-            pts[axis] = np.full_like(tang, fixed)
-            gv = np.asarray(exact(*pts), dtype=float)
-            jump_sq += np.sum(wf * (gv - trace[axis, side][facet]) ** 2)
+    for axis, side in product((0, 1), repeat=2):
+        normal, along = [None, None], [Lf, Lf]
+        normal[axis], along[axis] = Lend[side:side + 1], None
+        trace[axis, side] = apply_axes(apply_axes(C, normal),
+                                       along).reshape(ne, -1)
+    # the facet classes, interior per axis and then boundary per (axis,
+    # side), as the values on the facets' two sides
+    inner, boundary = _facets(mesh)
+    minus, plus, normal = inner.T
+    classes = [(trace[k, 1][minus[normal == k]],
+                trace[k, 0][plus[normal == k]]) for k in (0, 1)]
+    classes += [(_on_boundary(exact, mesh, cells, k, side, frule.nodes),
+                 trace[k, side][cells])
+                for k in (0, 1) for side, cells in enumerate(boundary[k])]
+    jump_sq = 0.0
+    for outer, own in classes:
+        jump_sq += np.sum(wf * (outer - own) ** 2)
 
     return {"l2": float(np.sqrt(l2_sq)),
             "broken_h1": float(np.sqrt(h1_sq)),

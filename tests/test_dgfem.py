@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hpexp import dgfem
+from hpexp import dgfem, fem
 from hpexp.harness import fit_slope, run_config, run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, enumerate_modes
 from hpexp.orthopoly import gauss_rule
@@ -61,7 +61,7 @@ def _reference_sip(n, spec, f, g):
     a = h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
     nm = len(modes)
-    lower = dgfem._lower_corners(n, 0.0, h)
+    lower = fem.mesh_uniform(2, n).elem_lower
     K_vol = dgfem._volume_stiffness(modes, p)
     frule = gauss_rule(p + 2)
     tval, tder = dgfem._trace_tables(modes, p, frule.nodes)
@@ -153,6 +153,80 @@ def test_sip_gathers_match_per_facet_loop(family, p_list, n):
         _assert_bitwise_equal(system.matrix.tocsc(), A_csc, p)
         assert system.matrix.asymmetry() == _reference_asymmetry(A, A_csc), p
         assert np.array_equal(system.rhs, rhs), p
+
+
+def _reference_terms(n):
+    """The (row element, column element, block) table from the index
+    arithmetic of an (n, n) element array, as the assembly built it before
+    it read its facets from ``fem.Mesh``, kept as the reference."""
+    E = np.arange(n * n).reshape(n, n)
+    inner = np.stack([E // n < n - 1, E % n < n - 1], axis=-1)
+    ends = np.stack([np.stack([E, E], axis=-1), np.stack([E + n, E + 1], -1)],
+                    axis=-1)[inner]
+    axis_of = np.nonzero(inner)[2]
+    bnd = [np.stack([np.take(E, 0, axis), np.take(E, -1, axis)], -1).ravel()
+           for axis in (0, 1)]
+    ea = np.concatenate([E.ravel(), ends[:, [0, 0, 1, 1]].ravel()] + bnd)
+    eb = np.concatenate([E.ravel(), ends[:, [0, 1, 0, 1]].ravel()] + bnd)
+    bid = np.concatenate([np.zeros(n * n, dtype=np.int64),
+                          (1 + 4 * axis_of[:, None] + np.arange(4)).ravel()]
+                         + [np.tile([9 + 2 * axis, 10 + 2 * axis], n)
+                            for axis in (0, 1)])
+    return np.stack([ea, eb, bid], axis=-1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_term_table_from_the_mesh_equals_the_element_array_one(n):
+    zero = lambda x, y: 0.0 * x
+    terms = dgfem.assemble_sip(n, dgfem.DgSpec("Q", 1), zero, zero).matrix.terms
+    reference = _reference_terms(n)
+    assert terms.dtype == reference.dtype
+    assert np.array_equal(terms, reference)
+
+
+def test_lshape_facets():
+    mesh = fem.mesh_lshape()
+    inner, boundary = dgfem._facets(mesh)
+    minus, plus, axis = inner.T
+    # each interior facet joins two cells one step apart on its axis, and
+    # every such pair of cells is one facet
+    assert np.array_equal(mesh.cells[plus] - mesh.cells[minus],
+                          np.eye(2, dtype=int)[axis])
+    held = {tuple(c) for c in mesh.cells}
+    steps = [(c, k) for c in map(tuple, mesh.cells) for k in (0, 1)
+             if tuple(np.add(c, np.eye(2, dtype=int)[k])) in held]
+    assert len(steps) == len(inner) == 16
+    # a boundary facet has no cell across it, and every other facet has one
+    assert sum(cells.size for sides in boundary for cells in sides) == 16
+    for k in (0, 1):
+        for side, cells in enumerate(boundary[k]):
+            across = mesh.cells + (2 * side - 1) * np.eye(2, dtype=int)[k]
+            open_ = [tuple(c) not in held for c in across]
+            assert np.array_equal(cells, np.flatnonzero(open_)), (k, side)
+
+
+def test_assembly_and_errors_read_one_boundary_coordinate():
+    # on (0, 1) at n = 6, 5 h + h is one ulp below 6 h = 1, so a boundary
+    # taken as the last corner plus h would lie inside the assembly's
+    spec, seen = dgfem.DgSpec("Q", 2), {"assembly": [], "errors": []}
+
+    def recorded(key):
+        def u(x, y):
+            seen[key].append((np.array(x), np.array(y)))
+            return np.sin(np.pi * x) * np.sin(np.pi * y)
+        return u
+
+    zero = lambda x, y: 0.0 * x
+    dgfem.assemble_sip(6, spec, zero, recorded("assembly"))
+    dgfem.dg_errors(dgfem.broken_interpolant(spec, 6, zero),
+                    recorded("errors"), lambda x, y: (0.0 * x, 0.0 * y))
+    # the errors call the exact solution on the element grids first, then
+    # per (axis, side) on the boundary, as the assembly calls g
+    assembly, errors = seen["assembly"], seen["errors"][1:]
+    assert len(assembly) == len(errors) == 4
+    for (xa, ya), (xe, ye) in zip(assembly, errors):
+        assert np.array_equal(xa, xe) and np.array_equal(ya, ye)
+    assert np.all(assembly[1][0] == 1.0) and np.all(assembly[3][1] == 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -300,6 +374,12 @@ def test_definiteness_verdict_matches_dense_cholesky():
         assert residuals[case] < 1e-8, case
 
 
+def _row_mesh(ne):
+    """A mesh of ne unit cells in a row, for hand-built systems."""
+    cells = np.stack([np.zeros(ne, dtype=int), np.arange(ne)], axis=-1)
+    return fem.Mesh(dim=2, h=1.0, origin=np.zeros(2), cells=cells)
+
+
 def _block_operator(A, nm):
     """A SipOperator with one block per stored element pair of the scipy
     matrix A, whose elements hold nm unknowns each."""
@@ -318,9 +398,8 @@ def test_zero_diagonal_pivot_raises():
     swap = dgfem.SipOperator(blocks=np.ones((1, 1, 1)),
                              terms=np.array([[0, 1, 0], [1, 0, 0]]),
                              n_elements=2)
-    system = dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), n=1, h=1.0,
-                            lower=np.zeros((2, 2)), modes=[(0, 0)],
-                            matrix=swap, rhs=np.ones(2))
+    system = dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), mesh=_row_mesh(2),
+                            modes=[(0, 0)], matrix=swap, rhs=np.ones(2))
     with pytest.raises(dgfem.IndefiniteSipError,
                        match="zero diagonal pivot at elimination step 0 of 2"):
         dgfem.dg_solve(system)
@@ -450,9 +529,9 @@ def _hand_made_system(extra_terms=(), nan=False):
              + list(extra_terms) + ([(2, 2, 10)] if nan else []))
     terms = np.array(terms)[rng.permutation(len(terms))]
     operator = dgfem.SipOperator(blocks=blocks, terms=terms, n_elements=3)
-    return dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), n=1, h=1.0,
-                          lower=np.zeros((3, 2)), modes=[(0, 0)] * nm,
-                          matrix=operator, rhs=np.ones(3 * nm))
+    return dgfem.DgSystem(spec=dgfem.DgSpec("Q", 1), mesh=_row_mesh(3),
+                          modes=[(0, 0)] * nm, matrix=operator,
+                          rhs=np.ones(3 * nm))
 
 
 def _coo_reference(operator):
