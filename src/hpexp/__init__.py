@@ -14,10 +14,13 @@ at that point: numpy's, whose LAPACK ``fem`` calls through ``hpexp.lapack``.
 ``dgfem``, the only module that imports scipy, sets scipy's copy as it loads
 it.  Every meta.json records the count in use.
 
-The coefficient layers (``orthopoly``, ``indexsets``, ``expansion``,
-``projections``, ``bounds``), ``harness`` and ``fem`` import numpy alone; a
-sweep imports its solver module on first use, so a projection, lemma or FEM
-run never loads scipy.
+The coefficient layers (``orthopoly``, ``indexsets``, ``functions``,
+``expansion``, ``projections``, ``bounds``), ``mesh``, ``harness`` and
+``fem`` import numpy alone.  ``harness`` imports the layers of each kind
+when a sweep of it first runs, so a fresh run loads and compiles only what
+it runs: a projection, lemma or FEM run never loads scipy, a FEM run no
+coefficient layer beyond ``orthopoly``, ``indexsets`` and ``functions``,
+and a DG run no ``fem`` (it runs on ``mesh``).
 """
 
 from . import blas

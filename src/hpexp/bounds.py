@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import composition_array
+from .indexsets import LEMMA_AUDIT_CAP
 from .orthopoly import log_gamma
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "lemma_audit",
     "sharp_l2_ratio",
 ]
-
-LEMMA_AUDIT_CAP = 40
 
 
 def phi(d: int, m: float, n: float) -> float:

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .bounds import phi, sharp_l2_ratio
 from .harness import (ConfigError, fit_slope, records_from_csv, records_to_csv,
                       run_config, run_sweep)
 
@@ -126,6 +125,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(records_to_csv(run_sweep(sw)))
         elif args.command == "sharp-ratio":
+            from .bounds import phi, sharp_l2_ratio
             res = sharp_l2_ratio(args.dim, args.p, args.s)
             bound = phi(args.dim, args.p + 1, args.s)
             sys.stdout.write(

@@ -1,8 +1,9 @@
-"""Symmetric interior-penalty DG Poisson solver on a ``fem.Mesh``.
+"""Symmetric interior-penalty DG Poisson solver on a ``mesh.Mesh``.
 
-FEM and DG share the mesh, whose cells' lattice positions name its facets
-(``_facets``).  Each element carries a modal Legendre basis restricted to
-the Q_p or P_p index set, so switching family is purely an index filter.
+FEM and DG share the mesh of ``hpexp.mesh``, whose cells' lattice positions
+name its facets (``_facets``); a DG run imports no FEM solver.  Each element
+carries a modal Legendre basis restricted to the Q_p or P_p index set, so
+switching family is purely an index filter.
 The bilinear form is the standard SIP one: volume grad-grad, facet terms
 -({grad u}.n [v] + {grad v}.n [u]) + sigma_F [u][v] with the penalty
 sigma_F = gamma p^2 / h_F, and Dirichlet data enters through the boundary
@@ -34,9 +35,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import blas, fem
+from . import blas
 from .errors import IndefiniteSipError
 from .indexsets import BasisSpec, enumerate_modes, flat_positions
+from .mesh import Mesh, _at, mesh_uniform
 from .orthopoly import (apply_axes, element_grids, gauss_rule,
                         legendre_deriv_table, legendre_table)
 
@@ -82,7 +84,7 @@ class BrokenSolution:
     solves nothing, has NaN and 0)."""
 
     spec: DgSpec
-    mesh: fem.Mesh
+    mesh: Mesh
     modes: list
     coeffs: np.ndarray          # (ne, nmodes)
     residual_norm: float = float("nan")
@@ -244,7 +246,7 @@ class DgSystem:
     load vector in element-major order."""
 
     spec: DgSpec
-    mesh: fem.Mesh
+    mesh: Mesh
     modes: list
     matrix: SipOperator
     rhs: np.ndarray
@@ -257,19 +259,19 @@ def _k1_legendre(p: int) -> np.ndarray:
     return np.where((i + j) % 2 == 0, m * (m + 1), 0).astype(float)
 
 
-def _square_mesh(n: int, domain) -> fem.Mesh:
-    """``fem.mesh_uniform(2, n, domain)`` for a domain that is one (lo, hi)
-    pair of reals, checked to run upward (``mesh_uniform`` also takes one
-    pair per axis, and strings)."""
+def _square_mesh(n: int, domain) -> Mesh:
+    """``mesh_uniform(2, n, domain)`` for a domain that is one (lo, hi) pair
+    of reals, checked to run upward (``mesh_uniform`` also takes one pair
+    per axis, and strings)."""
     dom = np.asarray(domain)
     if dom.shape != (2,) or dom.dtype.kind not in "iuf":
         raise ValueError(f"domain {domain} must be one (lo, hi) pair of reals")
     if not dom[0] < dom[1]:
         raise ValueError(f"domain {domain} must have lo < hi")
-    return fem.mesh_uniform(2, n, dom)
+    return mesh_uniform(2, n, dom)
 
 
-def _facets(mesh: fem.Mesh):
+def _facets(mesh: Mesh):
     """``inner`` (nf, 3), the interior facets as (minus cell, plus cell,
     axis), the normal running from minus to plus, by minus cell and then
     axis; ``boundary[axis][side]``, the cells whose facet normal to ``axis``
@@ -277,22 +279,21 @@ def _facets(mesh: fem.Mesh):
     an array that maps each cell's lattice position to its index."""
     cells = mesh.cells
     index = np.full(cells.max(axis=0) + 3, -1)
-    index[fem._at(cells + 1)] = np.arange(mesh.n_elements)
+    index[_at(cells + 1)] = np.arange(mesh.n_elements)
     step = np.eye(mesh.dim, dtype=np.int64)
     # neighbour[cell, side, axis]: the cell across that facet, or -1
-    neighbour = index[fem._at(cells[:, None, None] + 1
-                              + np.stack([-step, step]))]
+    neighbour = index[_at(cells[:, None, None] + 1 + np.stack([-step, step]))]
     minus, axis = np.nonzero(neighbour[:, 1] >= 0)
     boundary = [[np.flatnonzero(neighbour[:, side, k] < 0) for side in (0, 1)]
                 for k in range(mesh.dim)]
     return np.stack([minus, neighbour[minus, 1, axis], axis], -1), boundary
 
 
-def _on_boundary(g: Callable, mesh: fem.Mesh, cells: np.ndarray, axis: int,
+def _on_boundary(g: Callable, mesh: Mesh, cells: np.ndarray, axis: int,
                  side: int, nodes: np.ndarray) -> np.ndarray:
     """g at the facet nodes of the boundary facets of ``cells`` normal to
     ``axis`` on ``side``: (cells, q).  Across the facet the coordinate is
-    origin + h * lattice index, as ``fem._coords`` reads a vertex, in the
+    origin + h * lattice index, as ``mesh._coords`` reads a vertex, in the
     assembly and in the errors alike."""
     tang = (mesh.elem_lower[cells, 1 - axis, None]
             + mesh.h / 2.0 * (nodes + 1.0))
@@ -302,7 +303,7 @@ def _on_boundary(g: Callable, mesh: fem.Mesh, cells: np.ndarray, axis: int,
     return np.broadcast_to(np.asarray(g(*pts), dtype=float), tang.shape)
 
 
-def _on_elements(f: Callable, mesh: fem.Mesh, nodes: np.ndarray) -> np.ndarray:
+def _on_elements(f: Callable, mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
     """f on the tensor grid of every element: (ne, q, q)."""
     grids = element_grids(mesh.elem_lower, mesh.h / 2.0, [nodes, nodes])
     return np.broadcast_to(np.asarray(f(*grids), dtype=float),

@@ -10,16 +10,17 @@ L2 norms, Sobolev seminorms and the weighted seminorms
 are all exact operations in coefficient space; quadrature only enters when a
 function oracle is expanded.  Every norm is a Parseval sum: one contraction
 of a^2 (or of squared tail sums) with per-axis weight rows, the Legendre
-weights ||L_i||^2 = 2/(2i+1) of ``_weight_vectors``.
+weights ||L_i||^2 = 2/(2i+1) of ``_weight_vectors``.  The function oracles
+and the built-in test functions live in ``functions`` and are re-exported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
+from .functions import FunctionOracle, named_function
 from .orthopoly import apply_axes, gauss_rule, legendre_table, log_gamma
 
 __all__ = [
@@ -74,22 +75,6 @@ class CoeffTensor:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(n - 1 for n in self.coeffs.shape)
-
-
-@dataclass(frozen=True)
-class FunctionOracle:
-    """A function of d coordinates, with the derivatives a solver needs.
-
-    ``f`` takes d broadcastable coordinate arrays, anywhere in R^d, not only
-    on the reference element.  ``gradient`` returns the d partial
-    derivatives and ``source`` is -Laplace(u); both are set for the sine,
-    whose FEM and DG problems take u, grad u and -Laplace(u) from here.
-    """
-
-    dim: int
-    f: Callable[..., np.ndarray]
-    gradient: Optional[Callable[..., tuple[np.ndarray, ...]]] = None
-    source: Optional[Callable[..., np.ndarray]] = None
 
 
 def _weight_vectors(shape) -> list[np.ndarray]:
@@ -324,47 +309,3 @@ def weighted_seminorm(u: CoeffTensor, s: int) -> float:
     total = sum(_contract(sq, [G[c, :n] for c, n in zip(alpha, a.shape)])
                 for alpha in composition_array(s, a.ndim).tolist())
     return float(np.sqrt(total))
-
-
-# ---------------------------------------------------------------------------
-# Built-in test functions
-
-
-def named_function(name: str, dim: int, runge_a: float = 0.5) -> FunctionOracle:
-    """Built-in analytic test functions: 'sine', 'expsum', 'runge1d-tensor'."""
-    if name == "sine":
-        def f(*xs):
-            out = np.sin(np.pi * xs[0])
-            for x in xs[1:]:
-                out = out * np.sin(np.pi * x)
-            return out
-
-        # the pinned solver errors fix the operand order: ((pi f_0) f_1) f_2
-        # with f_k the cosine factor, and ((d pi^2) s_0) s_1 for -Laplace(u)
-        def gradient(*xs):
-            outs = []
-            for k in range(dim):
-                g = np.pi
-                for j, x in enumerate(xs):
-                    g = g * (np.cos if j == k else np.sin)(np.pi * x)
-                outs.append(g)
-            return tuple(outs)
-
-        def source(*xs):
-            out = dim * np.pi ** 2
-            for x in xs:
-                out = out * np.sin(np.pi * x)
-            return out
-
-        return FunctionOracle(dim=dim, f=f, gradient=gradient, source=source)
-    if name == "expsum":
-        return FunctionOracle(dim=dim, f=lambda *xs: np.exp(sum(xs)))
-    if name == "runge1d-tensor":
-        def f(*xs):
-            out = 1.0 / (1.0 + (xs[0] / runge_a) ** 2)
-            for x in xs[1:]:
-                out = out / (1.0 + (x / runge_a) ** 2)
-            return out
-
-        return FunctionOracle(dim=dim, f=f)
-    raise ValueError(f"unknown function name {name!r}")

@@ -7,9 +7,11 @@ extra)`` over the layers' stage functions.  ``sweep`` is the one loop over
 degrees; ``run_config`` validates a whole config before running any sweep
 and writes the files, and its project-sweeps share each distinct reference
 expansion; ``run_sweep`` validates and runs one sweep and writes nothing.
-The FEM and DG solvers are imported by their kinds' solvers when a sweep
-first runs, so the coefficient-space kinds never load them; only the DG
-solver imports scipy.
+Each kind's solver imports the layers it runs when a sweep of it first
+runs: ``fem``, ``dgfem`` (which alone imports scipy), ``expansion`` with
+``projections``, or ``bounds``.  So a fresh interpreter loads and compiles
+only the layers its sweeps use, and the meta reads scipy's version from its
+installed metadata file without importing scipy or ``importlib.metadata``.
 
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
@@ -22,6 +24,7 @@ alongside.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import platform
@@ -30,19 +33,18 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, blas
-from .bounds import LEMMA_AUDIT_CAP, lemma_audit
-from .errors import IndefiniteSipError, IndefiniteSystemError, RefinementError
-from .expansion import (DEFAULT_REFERENCE_MARGIN, CoeffTensor,
-                        named_function, reference_expansion)
-from .indexsets import BasisSpec, dof_count
-from .orthopoly import graded_rule
-from .projections import (InadmissibleDegreeError, project_h1_p, project_h1_q,
-                          project_h1_s, project_l2, projection_errors)
+from .errors import (InadmissibleDegreeError, IndefiniteSipError,
+                     IndefiniteSystemError, RefinementError)
+from .functions import named_function
+from .indexsets import LEMMA_AUDIT_CAP, BasisSpec, dof_count
+
+if TYPE_CHECKING:
+    from .expansion import CoeffTensor
 
 __all__ = [
     "ConvergenceRecord",
@@ -145,6 +147,9 @@ def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
     """Slope ratio a/b with the ideal (d!)^(1/d) target for Dof-root fits."""
     if fit_a.abscissa != fit_b.abscissa:
         raise ValueError("cannot compare fits on different abscissae")
+    if fit_a.dim != fit_b.dim:
+        # the ideal (d!)^(1/d) is that of one dimension
+        raise ValueError("cannot compare fits of different dimensions")
     ratio = fit_a.slope / fit_b.slope
     ideal = factorial(fit_a.dim) ** (1.0 / fit_a.dim) \
         if fit_a.abscissa == "dof_root" else 1.0
@@ -158,8 +163,8 @@ def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
 
 # The solvers' named numerical failures and a degree a projection does not
 # admit; a sweep records them, and anything else (a plain ValueError too) is
-# a bug.  They live outside the solver modules, which a sweep imports only
-# when it runs a solver of theirs.
+# a bug.  They live in ``errors``, outside the solver and projection
+# modules, which a sweep imports only when it runs a solver of theirs.
 SWEEP_ERRORS = (IndefiniteSystemError, RefinementError, IndefiniteSipError,
                 np.linalg.LinAlgError, InadmissibleDegreeError)
 
@@ -261,13 +266,19 @@ def _dg_solver(sw: dict, references: Optional[dict] = None):
     return f"dg_{family.lower()}", 2, sw["p_list"], solve_one
 
 
-# projection kind -> (projection, family of its Dof count)
+def _projections():
+    from . import projections
+    return projections
+
+
+# projection kind -> (projection, family of its Dof count); ``projections``
+# is imported on the first call
 _PROJECTIONS = {
-    "l2q": (lambda u, p: project_l2(u, "Q", p), "Q"),
-    "l2p": (lambda u, p: project_l2(u, "P", p), "P"),
-    "h1q": (project_h1_q, "Q"),
-    "h1s": (project_h1_s, "S"),
-    "h1p": (project_h1_p, "P"),
+    "l2q": (lambda u, p: _projections().project_l2(u, "Q", p), "Q"),
+    "l2p": (lambda u, p: _projections().project_l2(u, "P", p), "P"),
+    "h1q": (lambda u, p: _projections().project_h1_q(u, p), "Q"),
+    "h1s": (lambda u, p: _projections().project_h1_s(u, p), "S"),
+    "h1p": (lambda u, p: _projections().project_h1_p(u, p), "P"),
 }
 PROJECTION_KINDS = tuple(_PROJECTIONS)
 
@@ -283,6 +294,7 @@ def _reference_key(sw: dict) -> tuple:
     """The effective (function, dim, runge_a, p_max, margin) of a
     project-sweep, defaults filled in: sweeps with equal keys measure against
     the same reference expansion."""
+    from .expansion import DEFAULT_REFERENCE_MARGIN
     return (sw.get("function", "sine"), sw["dim"], sw.get("runge_a", 0.5),
             sw["p_max"], sw.get("margin", DEFAULT_REFERENCE_MARGIN))
 
@@ -290,12 +302,14 @@ def _reference_key(sw: dict) -> tuple:
 def _reference(sw: dict, references: dict) -> _Reference:
     """The sweep's reference from ``references``, a table keyed by
     ``_reference_key``; on a miss it is built and entered there."""
+    from . import expansion
     key = _reference_key(sw)
     if key not in references:
         function, dim, runge_a, p_max, margin = key
         oracle = named_function(function, dim, runge_a=runge_a)
         references[key] = _Reference(
-            reference_expansion(oracle, p_max, margin=margin), sw["name"])
+            expansion.reference_expansion(oracle, p_max, margin=margin),
+            sw["name"])
     return references[key]
 
 
@@ -303,6 +317,7 @@ def _projection_solver(sw: dict, references: Optional[dict] = None):
     """Projection errors on the reference element against one overkill
     expansion of the named function, taken from ``references`` (built for
     this sweep alone without one)."""
+    from .projections import projection_errors
     dim, function = sw["dim"], sw.get("function", "sine")
     project, family = _PROJECTIONS[sw["proj_kind"]]
     u = _reference(sw, {} if references is None else references).u
@@ -378,7 +393,18 @@ def records_from_csv(text: str) -> list[ConvergenceRecord]:
 
 @cache
 def _scipy_version() -> str:
-    """The installed scipy's version, read without importing scipy."""
+    """The installed scipy's version, read without importing scipy: the
+    ``Version:`` line of the ``scipy-*.dist-info/METADATA`` beside the
+    package.  ``importlib.metadata`` takes about 60 ms in a fresh
+    interpreter (its imports and a scan of every ``sys.path`` entry), and
+    is asked only where no such file is found."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin:
+        site = Path(spec.origin).parent.parent
+        for meta in sorted(site.glob("scipy-*.dist-info/METADATA")):
+            for line in meta.read_text(encoding="utf-8").splitlines():
+                if line.startswith("Version:"):
+                    return line.split(":", 1)[1].strip()
     from importlib.metadata import version
     return version("scipy")
 
@@ -482,6 +508,7 @@ def _lshape_meta(sw: dict) -> dict:
     """The error quadrature; layers, points per axis and points per corner
     element at each degree of ``p_list``, in its order."""
     from . import fem
+    from .orthopoly import graded_rule
     sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
     rules = [fem.error_quadrature(p, sw.get("graded_layers"), sigma=sigma)
              for p in sw["p_list"]]
@@ -608,6 +635,7 @@ def _validated_sweeps(config) -> list[dict]:
 
 def _lemma_records(sw: dict) -> list[ConvergenceRecord]:
     """Lattice audits of the Gamma bound; M is stored in ``p``, m in ``dof``."""
+    from .bounds import lemma_audit
     dim, out = sw.get("dim", 2), []
     for M in range(sw.get("M_max", 10) + 1):
         for m in range(min(sw.get("m_max", 10), M) + 1):

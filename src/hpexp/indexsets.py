@@ -31,6 +31,11 @@ __all__ = [
 
 MultiIndex = tuple[int, ...]
 
+# the largest budget M whose lattice ``bounds.lemma_audit`` enumerates
+# exhaustively; kept here, so that the config validator reads it without
+# loading ``bounds``, which re-exports it
+LEMMA_AUDIT_CAP = 40
+
 _FAMILIES = ("Q", "P", "S")
 
 

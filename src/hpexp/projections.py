@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import phi
+from .errors import InadmissibleDegreeError
 from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
                         _tail_sums, _weight_vectors, l2_norm,
                         sobolev_seminorm, weighted_seminorm)
@@ -51,10 +52,6 @@ __all__ = [
     "audit_h1s_bounds",
     "h1s_bound",
 ]
-
-
-class InadmissibleDegreeError(ValueError):
-    """The projection is not defined at the requested degree."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hpexp import dgfem, fem
 from hpexp.harness import fit_slope, run_config, run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, enumerate_modes
-from hpexp.orthopoly import gauss_rule
+from hpexp.orthopoly import gauss_rule, legendre_table
 
 
 def _dg_sweep(n, family, p_list, gamma=10.0):
@@ -56,7 +56,10 @@ def test_system_symmetry():
 def _reference_sip(n, spec, f, g):
     """The per-facet assembly loop, kept as the reference: the CSR matrix of
     scipy's COO-to-CSR conversion of every block in loop order, and the rhs
-    with the boundary data added facet by facet before the volume load."""
+    with the boundary data added facet by facet before the volume load,
+    which is computed element by element here: f at each element's own
+    Gauss points, contracted with the Legendre table on each axis and read
+    at the family's modes."""
     p, h = spec.p, 1.0 / n
     a = h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
@@ -110,8 +113,15 @@ def _reference_sip(n, spec, f, g):
     for i in range(n):
         facet_boundary(i * n, 1, -1.0, 0.0)
         facet_boundary(i * n + n - 1, 1, +1.0, 1.0)
-    # the volume load alone: with g = 0 the boundary terms add zeros
-    rhs += dgfem.assemble_sip(n, spec, f, lambda x, y: 0.0 * x).rhs
+    vrule = gauss_rule(p + 10)
+    LW = legendre_table(p, vrule.nodes) * vrule.weights
+    for e in range(n * n):
+        x, y = lower[e][:, None] + a * (vrule.nodes + 1.0)
+        F = np.broadcast_to(np.asarray(f(x[:, None], y[None, :]), dtype=float),
+                            (vrule.nodes.size,) * 2)
+        # c[i, j] = sum_k,l L_i(x_k) w_k L_j(y_l) w_l f(x_k, y_l), axis 0 first
+        c = (LW @ (LW @ F).T).T * a * a
+        rhs[e * nm:(e + 1) * nm] += [c[i, j] for i, j in modes]
     A = sp.coo_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n * n * nm,) * 2).tocsr()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hpexp import blas, cli, fem, harness
+from hpexp import blas, cli, expansion, fem, harness
 from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
 from hpexp.orthopoly import graded_rule
@@ -118,8 +118,12 @@ def test_ratio_report():
     rep3 = ratio_report(fit_slope(recs3), fit_slope(recs3))
     assert rep3["ideal"] == pytest.approx(6.0 ** (1.0 / 3.0), rel=1e-12)
     fit_p = fit_slope(recs, abscissa="p")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="abscissae"):
         ratio_report(fit, fit_p)
+    # the ideal is that of one dimension: a 2D fit against a 3D one has none
+    for a, b in ((fit, fit_slope(recs3)), (fit_slope(recs3), fit)):
+        with pytest.raises(ValueError, match="dimensions"):
+            ratio_report(a, b)
 
 
 def test_csv_round_trip_and_determinism():
@@ -662,13 +666,13 @@ _RUNGE = dict(_REF, function="runge1d-tensor", runge_a=0.5)
 def test_run_config_shares_a_reference_only_between_equal_keys(
         monkeypatch, tmp_path, a, b, shared):
     built = []
-    real = harness.reference_expansion
+    real = expansion.reference_expansion
 
     def counting(f, p, margin):
         built.append((p, margin))
         return real(f, p, margin=margin)
 
-    monkeypatch.setattr(harness, "reference_expansion", counting)
+    monkeypatch.setattr(expansion, "reference_expansion", counting)
     run_config({"sweeps": [dict(a, name="a"), dict(b, name="b")]}, tmp_path)
     assert len(built) == (1 if shared else 2)
     # each meta names the reference's degree and the sweep that built it
@@ -685,7 +689,7 @@ def test_run_config_drops_each_reference_after_its_last_use(monkeypatch,
     # references A, B, C told apart by p_max, read in the order A A B A C: A
     # stays alive while B is built, and both are dead when C is
     refs, alive = {}, []
-    real = harness.reference_expansion
+    real = expansion.reference_expansion
 
     def tracked(f, p, margin):
         alive.append({q: r() is not None for q, r in refs.items()})
@@ -693,7 +697,7 @@ def test_run_config_drops_each_reference_after_its_last_use(monkeypatch,
         refs[p] = weakref.ref(u)
         return u
 
-    monkeypatch.setattr(harness, "reference_expansion", tracked)
+    monkeypatch.setattr(expansion, "reference_expansion", tracked)
     order = [(3, "l2q"), (3, "h1q"), (4, "l2q"), (3, "l2p"), (5, "l2q")]
     run_config({"sweeps": [dict(_REF, name=f"s{i}", p_max=p, proj_kind=kind)
                            for i, (p, kind) in enumerate(order)]}, tmp_path)

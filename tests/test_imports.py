@@ -1,5 +1,6 @@
 """What a run imports: the coefficient layers and the FEM solver load no
-scipy, a FEM sweep no DG solver and no ``numpy.ma``, and every OpenBLAS a
+scipy, a FEM sweep no DG solver, no ``numpy.ma``, no coefficient layer and
+no ``importlib.metadata``, a DG sweep no FEM solver, and every OpenBLAS a
 solver module loads runs one thread: numpy's alone for ``fem``, scipy's too
 for ``dgfem``.
 
@@ -11,12 +12,14 @@ import json
 import os
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import pytest
 
 import hpexp
-from hpexp import dgfem, errors, fem, harness
+from hpexp import (bounds, dgfem, errors, expansion, fem, functions, harness,
+                   indexsets, mesh, projections)
 
 SRC = Path(hpexp.__file__).resolve().parent.parent
 
@@ -39,6 +42,16 @@ def _run(code: str, *args: str, **env: str):
 
 def _scipy(modules):
     return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+# the modules a FEM run has no use for: the coefficient layers, and the
+# package metadata reader (about 60 ms of a fresh run's setup)
+NOT_IN_A_FEM_RUN = ("importlib.metadata", "hpexp.projections", "hpexp.bounds",
+                    "hpexp.expansion")
+
+# the last line a run prints: which of these modules it has loaded
+PRINT_LOADED = ("print(json.dumps(sorted(m for m in sys.modules if m in "
+                "json.loads(sys.argv[-1]))))")
 
 
 def test_harness_import_loads_no_scipy():
@@ -102,6 +115,74 @@ def test_fem_run_loads_no_numpy_ma(argv):
     assert _run(code, json.dumps(argv)) == []
 
 
+def test_fem_run_loads_no_coefficient_layer(tmp_path):
+    # a fem-sine 2D, a fem-sine 3D and a fem-lshape run, whose metas still
+    # name the installed scipy's version
+    config = {"sweeps": [
+        {"name": "sine2d", "kind": "fem-sine", "family": "Q", "dim": 2,
+         "n": 2, "p_list": [2, 3]},
+        {"name": "sine3d", "kind": "fem-sine", "family": "S", "dim": 3,
+         "n": 2, "p_list": [2, 3]},
+        {"name": "lshape", "kind": "fem-lshape", "family": "Q",
+         "p_list": [2, 3]}]}
+    code = ("import json, sys\n"
+            "from hpexp.harness import run_config\n"
+            "run_config(json.loads(sys.argv[1]), sys.argv[2])\n" + PRINT_LOADED)
+    assert _run(code, json.dumps(config), str(tmp_path),
+                json.dumps(NOT_IN_A_FEM_RUN)) == []
+    for name in ("sine2d", "sine3d", "lshape"):
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert meta["environment"]["scipy"] == version("scipy"), name
+
+
+def test_scipy_version_without_a_dist_info_file(monkeypatch):
+    # where no scipy-*.dist-info is found beside the package, the version
+    # comes from importlib.metadata, as it always did
+    monkeypatch.setattr(harness.importlib.util, "find_spec", lambda name: None)
+    harness._scipy_version.cache_clear()
+    try:
+        assert harness._scipy_version() == version("scipy")
+    finally:
+        harness._scipy_version.cache_clear()
+
+
+def test_dg_run_loads_no_fem_solver(tmp_path):
+    # DG runs on the mesh of ``hpexp.mesh``, not on ``fem``'s import
+    config = {"sweeps": [{"name": "dg", "kind": "dg-sine", "family": "P",
+                          "n": 2, "p_list": [2, 3]}]}
+    code = ("import json, sys\n"
+            "from hpexp.harness import run_config\n"
+            "run_config(json.loads(sys.argv[1]), sys.argv[2])\n" + PRINT_LOADED)
+    loaded = _run(code, json.dumps(config), str(tmp_path),
+                  json.dumps(["hpexp.fem", "hpexp.lapack", "hpexp.mesh"]))
+    assert loaded == ["hpexp.mesh"]
+    meta = json.loads((tmp_path / "dg.meta.json").read_text())
+    assert meta["environment"]["scipy"] == version("scipy")
+
+
+def test_cli_fem_sweep_loads_no_coefficient_layer():
+    # the CLI imports ``bounds`` for sharp-ratio alone
+    code = ("import contextlib, io, json, sys\n"
+            "from hpexp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(json.loads(sys.argv[1]))\n" + PRINT_LOADED)
+    argv = ["fem-sine", "--dim", "2", "--n", "2", "--family", "q",
+            "--p-max", "2"]
+    assert _run(code, json.dumps(argv), json.dumps(NOT_IN_A_FEM_RUN)) == []
+
+
+def test_moved_names_are_reexported_from_their_old_modules():
+    for name in ("Mesh", "mesh_uniform", "mesh_lshape", "_at", "_coords",
+                 "_lattice", "_unique_rows", "_HALF"):
+        assert getattr(fem, name) is getattr(mesh, name), name
+    assert expansion.FunctionOracle is functions.FunctionOracle
+    assert expansion.named_function is functions.named_function
+    assert (projections.InadmissibleDegreeError
+            is errors.InadmissibleDegreeError)
+    assert bounds.LEMMA_AUDIT_CAP == indexsets.LEMMA_AUDIT_CAP == 40
+    assert harness.PROJECTION_KINDS == ("l2q", "l2p", "h1q", "h1s", "h1p")
+
+
 @pytest.mark.parametrize("module", ["hpexp.fem", "hpexp.dgfem"])
 def test_solver_import_sets_every_openblas_to_one_thread(module):
     # ``import hpexp`` sets numpy's copy; scipy's loads with ``dgfem`` and is
@@ -121,5 +202,5 @@ def test_solvers_reexport_the_sweep_errors():
     assert fem.RefinementError is errors.RefinementError
     assert dgfem.IndefiniteSipError is errors.IndefiniteSipError
     for exc in (fem.IndefiniteSystemError, fem.RefinementError,
-                dgfem.IndefiniteSipError):
+                dgfem.IndefiniteSipError, projections.InadmissibleDegreeError):
         assert exc in harness.SWEEP_ERRORS
