@@ -13,7 +13,9 @@ side of the serendipity H1 bound, built from phi and derivative seminorms of
 the function, is ``projections.h1s_bound``.
 
 The audit visits every lattice point, as one gather from a table of log-Gamma
-differences over all compositions at once.  The sharp ratio visits the first
+differences over all compositions at once.  The table and the composition
+lattices are built on the first audit, not at import, since ``projections``
+imports this module for ``phi`` alone.  The sharp ratio visits the first
 shell |i| = p + 1 only: its denominator is non-decreasing in each entry of i,
 so no later shell holds a larger ratio.  The per-axis terms are added left to
 right and the first maximum in enumeration order is kept, so the numbers and
@@ -23,6 +25,7 @@ argmaxes are those of the scalar loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -72,6 +75,7 @@ class LemmaAuditReport:
     holds: bool
 
 
+@cache
 def _lemma_table() -> np.ndarray:
     """T[x, r] = log(Gamma(r - x + 1) / Gamma(r + x + 1)) for x <= r, -inf below."""
     table = np.full((LEMMA_AUDIT_CAP + 1, LEMMA_AUDIT_CAP + 1), -np.inf)
@@ -80,10 +84,8 @@ def _lemma_table() -> np.ndarray:
     return table
 
 
-_LEMMA_TABLE = _lemma_table()
-# _LATTICE[d][t]: the compositions of t into d parts, t <= LEMMA_AUDIT_CAP
-_LATTICE = {d: [composition_array(t, d) for t in range(LEMMA_AUDIT_CAP + 1)]
-            for d in (1, 2, 3)}
+# _lattice(t, d): the compositions of t into d parts, t <= LEMMA_AUDIT_CAP
+_lattice = cache(composition_array)
 
 
 def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
@@ -99,12 +101,12 @@ def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
         raise ValueError("need 0 <= m <= M")
     if M > LEMMA_AUDIT_CAP:
         raise ValueError(f"budget exceeds exhaustive enumeration cap {LEMMA_AUDIT_CAP}")
-    x, r = _LATTICE[d][m], _LATTICE[d][M]
+    x, r, table = _lattice(m, d), _lattice(M, d), _lemma_table()
     # log F over every (xi, rho) pair, xi-major; a pair with rho_k < xi_k
     # gathers -inf, and each xi has a valid rho since M >= m
-    val = _LEMMA_TABLE[x[:, 0]][:, r[:, 0]]
+    val = table[x[:, 0]][:, r[:, 0]]
     for k in range(1, d):
-        val = val + _LEMMA_TABLE[x[:, k]][:, r[:, k]]
+        val = val + table[x[:, k]][:, r[:, k]]
     i, j = np.unravel_index(np.argmax(val), val.shape)
     phi_value = phi(d, M, m)
     lattice_max = float(np.exp(val[i, j]))

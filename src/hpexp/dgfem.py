@@ -8,7 +8,16 @@ The bilinear form is the standard SIP one: volume grad-grad, facet terms
 -({grad u}.n [v] + {grad v}.n [u]) + sigma_F [u][v] with the penalty
 sigma_F = gamma p^2 / h_F, and Dirichlet data enters through the boundary
 facets.  The energy norm reported as dg_norm is
-sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2).
+sqrt(broken_H1^2 + sum_F sigma_F ||[u - u_h]||_F^2); the matrix and the norm
+take the facet rule and sigma_F from one helper, ``_facet_rule``.
+
+The element kernels are FEM's, from ``orthopoly``.  ``grid_values``
+evaluates the volume load, the broken interpolant, the errors and the
+boundary data; a boundary facet is evaluated from the corner that
+``mesh._coords`` gives its lattice vertex, with node -1 on the normal axis,
+as ``fem`` reads a boundary entity.  The volume block is ``kron_laplacian``
+of the exact 1D Legendre mass and stiffness, and the broken-H1 error is
+``gradient_error_sq``.
 
 ``assemble_sip`` returns the matrix in element-block form, a
 ``SipOperator``: the 14 distinct element blocks and the table that places
@@ -38,8 +47,9 @@ import scipy.sparse.linalg as spla
 from . import blas
 from .errors import IndefiniteSipError
 from .indexsets import BasisSpec, enumerate_modes, flat_positions
-from .mesh import Mesh, _at, mesh_uniform
+from .mesh import Mesh, _at, _coords, mesh_uniform
 from .orthopoly import (apply_axes, element_grids, gauss_rule,
+                        gradient_error_sq, grid_values, kron_laplacian,
                         legendre_deriv_table, legendre_table)
 
 # scipy's OpenBLAS loads with the imports above, after ``import hpexp`` set
@@ -261,14 +271,12 @@ def _k1_legendre(p: int) -> np.ndarray:
 
 def _square_mesh(n: int, domain) -> Mesh:
     """``mesh_uniform(2, n, domain)`` for a domain that is one (lo, hi) pair
-    of reals, checked to run upward (``mesh_uniform`` also takes one pair
-    per axis, and strings)."""
+    of reals (``mesh_uniform`` also takes one pair per axis, and checks the
+    ends' order and finiteness)."""
     dom = np.asarray(domain)
     if dom.shape != (2,) or dom.dtype.kind not in "iuf":
         raise ValueError(f"domain {domain} must be one (lo, hi) pair of reals")
-    if not dom[0] < dom[1]:
-        raise ValueError(f"domain {domain} must have lo < hi")
-    return mesh_uniform(2, n, dom)
+    return mesh_uniform(2, n, domain)
 
 
 def _facets(mesh: Mesh):
@@ -292,30 +300,23 @@ def _facets(mesh: Mesh):
 def _on_boundary(g: Callable, mesh: Mesh, cells: np.ndarray, axis: int,
                  side: int, nodes: np.ndarray) -> np.ndarray:
     """g at the facet nodes of the boundary facets of ``cells`` normal to
-    ``axis`` on ``side``: (cells, q).  Across the facet the coordinate is
-    origin + h * lattice index, as ``mesh._coords`` reads a vertex, in the
-    assembly and in the errors alike."""
-    tang = (mesh.elem_lower[cells, 1 - axis, None]
-            + mesh.h / 2.0 * (nodes + 1.0))
-    across = mesh.origin[axis] + mesh.h * (mesh.cells[cells, axis] + side)
-    pts = [tang, tang]
-    pts[axis] = np.repeat(across[:, None], nodes.size, axis=1)
-    return np.broadcast_to(np.asarray(g(*pts), dtype=float), tang.shape)
+    ``axis`` on ``side``: (cells, q).  A facet's corner is ``mesh._coords``
+    of its lattice vertex, with node -1 on the normal axis, as
+    ``fem._boundary_data`` reads a boundary entity, in the assembly and in
+    the errors alike."""
+    vertex = 2 * (mesh.cells[cells] + side * (np.arange(mesh.dim) == axis))
+    grid = [np.array([-1.0]) if k == axis else nodes for k in range(mesh.dim)]
+    return grid_values(g, _coords(mesh, vertex), mesh.h / 2.0,
+                       grid).reshape(cells.size, -1)
 
 
-def _on_elements(f: Callable, mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
-    """f on the tensor grid of every element: (ne, q, q)."""
-    grids = element_grids(mesh.elem_lower, mesh.h / 2.0, [nodes, nodes])
-    return np.broadcast_to(np.asarray(f(*grids), dtype=float),
-                           (mesh.n_elements, nodes.size, nodes.size))
-
-
-def _volume_stiffness(modes, p: int) -> np.ndarray:
-    M1 = np.diag(2.0 / (2.0 * np.arange(p + 1) + 1.0))
-    K1 = _k1_legendre(p)
-    full = np.kron(K1, M1) + np.kron(M1, K1)
-    flat = flat_positions(modes, p)
-    return full[np.ix_(flat, flat)]
+def _facet_rule(spec: DgSpec, mesh: Mesh):
+    """The facet Gauss rule, its weights times the facet jacobian h/2, and
+    the penalty sigma_F = gamma p^2 / h_F: one copy for the matrix and for
+    the norm that measures it."""
+    rule = gauss_rule(spec.p + 2)
+    sigma = spec.gamma * spec.p ** 2 / mesh.h
+    return rule, rule.weights * (mesh.h / 2.0), sigma
 
 
 def _trace_tables(modes, p: int, nodes: np.ndarray):
@@ -341,13 +342,12 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
     nm, ne = len(modes), mesh.n_elements
     inner, boundary = _facets(mesh)
+    flat = flat_positions(modes, p)
+    M1 = np.diag(2.0 / (2.0 * np.arange(p + 1) + 1.0))
+    K_vol = kron_laplacian(M1, _k1_legendre(p), 2)[np.ix_(flat, flat)]
 
-    K_vol = _volume_stiffness(modes, p)
-
-    frule = gauss_rule(p + 2)
+    frule, wfac, sigma = _facet_rule(spec, mesh)
     tval, tder = _trace_tables(modes, p, frule.nodes)
-    sigma = spec.gamma * max(p, 1) ** 2 / mesh.h
-    wfac = frule.weights * a                   # facet jacobian
 
     # the distinct blocks: 0 volume; 1 + 4 axis + k facet pair, k = 2 row
     # side + column side (minus 0, plus 1, the normal running from minus to
@@ -389,8 +389,9 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     # volume load
     vrule = gauss_rule(p + 10)
     LW = legendre_table(p, vrule.nodes) * vrule.weights
-    proj = apply_axes(_on_elements(f, mesh, vrule.nodes), [LW, LW]) * a * a
-    rhs += proj.reshape(ne, -1)[:, flat_positions(modes, p)].ravel()
+    proj = apply_axes(grid_values(f, mesh.elem_lower, a, [vrule.nodes] * 2),
+                      [LW, LW]) * a * a
+    rhs += proj.reshape(ne, -1)[:, flat].ravel()
 
     A = SipOperator(blocks=np.stack(blocks),
                     terms=np.stack([ea, eb, bid], axis=-1), n_elements=ne)
@@ -468,7 +469,8 @@ def broken_interpolant(spec: DgSpec, n: int, f: Callable,
     rule = gauss_rule(p + 10)
     L = legendre_table(p, rule.nodes)
     proj = L * rule.weights * ((2 * np.arange(p + 1) + 1.0) / 2.0)[:, None]
-    C = apply_axes(_on_elements(f, mesh, rule.nodes), [proj, proj])
+    C = apply_axes(grid_values(f, mesh.elem_lower, mesh.h / 2.0,
+                               [rule.nodes] * 2), [proj, proj])
     coeffs = C.reshape(mesh.n_elements, -1)[:, flat_positions(modes, p)]
     return BrokenSolution(spec=spec, mesh=mesh, modes=modes, coeffs=coeffs)
 
@@ -486,21 +488,18 @@ def dg_errors(sol: BrokenSolution, exact: Callable,
     L = legendre_table(p, rule.nodes).T
     dL = legendre_deriv_table(p, 1, rule.nodes).T
     w2 = np.outer(rule.weights, rule.weights) * a * a
-    uex = _on_elements(exact, mesh, rule.nodes)
-    gx, gy = exact_gradient(*element_grids(mesh.elem_lower, a,
-                                           [rule.nodes] * 2))
+    grid = (mesh.elem_lower, a, [rule.nodes] * 2)
+    uex = grid_values(exact, *grid)
     l2_sq = np.sum(w2 * (uex - apply_axes(C, [L, L])) ** 2)
-    h1_sq = np.sum(w2 * ((gx - apply_axes(C, [dL, L]) / a) ** 2
-                         + (gy - apply_axes(C, [L, dL]) / a) ** 2))
+    h1_sq = np.sum(w2 * gradient_error_sq(
+        C, [L, L], [dL, dL], exact_gradient(*element_grids(*grid)), a))
 
     # facet jumps of (u - u_h); u is continuous so only u_h jumps interiorly.
     # trace[axis, side]: u_h on each cell's low (0) or high (1) facet normal
     # to axis
-    frule = gauss_rule(p + 2)
+    frule, wf, sigma = _facet_rule(sol.spec, mesh)
     Lf = legendre_table(p, frule.nodes).T
     Lend = legendre_table(p, np.array([-1.0, 1.0])).T      # (2, p+1)
-    sigma = sol.spec.gamma * max(p, 1) ** 2 / mesh.h
-    wf = frule.weights * a
     trace = {}
     for axis, side in product((0, 1), repeat=2):
         normal, along = [None, None], [Lf, Lf]

@@ -28,9 +28,13 @@ the Dirichlet lift: each pass condenses the residual onto the skeleton
 factorization that certifies its definiteness, and back-substitutes the
 interiors.
 
-Quadrature is element-batched: the load and the H1 error evaluate their
-integrands on the grids of all elements at once (one batch per per-axis rule
-tuple) and contract them with ``orthopoly.apply_axes``.
+Quadrature is element-batched: the load, the Dirichlet data and the H1
+error evaluate their integrands on the grids of all elements at once (one
+batch per per-axis rule tuple) and contract them with
+``orthopoly.apply_axes``.  The element-batch kernels are ``orthopoly``'s,
+shared with ``dgfem``: ``grid_values`` for the load and the boundary data,
+``kron_laplacian`` for the local stiffness and ``gradient_error_sq`` for
+the pointwise H1 error.
 
 The skeleton is never assembled, in 2D or 3D.  Its free dofs are ordered by
 nested dissection on the grid planes, which are grid lines in 2D (George
@@ -73,8 +77,9 @@ from .indexsets import bubble_indices, degree_mask, flat_positions
 from .lapack import dpotrf, dpotrs, dsyrk, dtrsm, dtrtrs
 from .mesh import (_HALF, Mesh, _at, _coords, _lattice, _unique_rows,
                    mesh_lshape, mesh_uniform)
-from .orthopoly import (apply_axes, element_grids, gauss_rule, graded_rule,
-                        legendre_table, psi_table)
+from .orthopoly import (apply_axes, element_grids, gauss_rule,
+                        gradient_error_sq, graded_rule, grid_values,
+                        kron_laplacian, legendre_table, psi_table)
 
 __all__ = [
     "Mesh",
@@ -207,9 +212,7 @@ def _local_matrices_1d(p: int):
 
 def local_stiffness(dim: int, p: int, h: float, modes) -> np.ndarray:
     """Shared local stiffness over the given local modes, physically scaled."""
-    M1, K1 = _local_matrices_1d(p)
-    full = sum(reduce(np.kron, [K1 if j == k else M1 for j in range(dim)])
-               for k in range(dim)) * (0.5 * h) ** (dim - 2)
+    full = kron_laplacian(*_local_matrices_1d(p), dim) * (0.5 * h) ** (dim - 2)
     flat = flat_positions(modes, p)
     return full[np.ix_(flat, flat)]
 
@@ -266,9 +269,7 @@ def assemble_poisson(mesh: Mesh, dofmap: DofMap, f: Callable,
     # load vector: f on the grids of all elements, one contraction per axis
     rule = gauss_rule(p + 10)
     BW = basis1d_values(p, rule.nodes) * rule.weights
-    grids = element_grids(mesh.elem_lower, a, [rule.nodes] * d)
-    vals = np.broadcast_to(np.asarray(f(*grids), dtype=float),
-                           (ne,) + (rule.nodes.size,) * d)
+    vals = grid_values(f, mesh.elem_lower, a, [rule.nodes] * d)
     Floc = apply_axes(vals, [BW] * d).reshape(ne, -1)
     Floc = Floc[:, flat_positions(dofmap.local_modes, p)] * a ** d
     load = np.zeros(dofmap.n_dof)
@@ -322,10 +323,7 @@ def _boundary_data(mesh: Mesh, dofmap: DofMap, g: Callable, rule) -> np.ndarray:
             lift[:, flat_positions(sub, p)] = \
                 dvals[first[_at(q[:, None] + step)] + rank]
             nodes = [rule.nodes if f else np.array([-1.0]) for f in free]
-            vals = np.broadcast_to(
-                np.asarray(g(*element_grids(_coords(mesh, q), 0.5 * mesh.h,
-                                            nodes)), dtype=float),
-                (n,) + tuple(x.size for x in nodes))
+            vals = grid_values(g, _coords(mesh, q), 0.5 * mesh.h, nodes)
             resid = (vals.reshape((n,) + (rule.nodes.size,) * j)
                      - apply_axes(lift.reshape((n,) + (p + 1,) * j), [B.T] * j))
             rhs = apply_axes(resid, [PsiW] * j).reshape(n, -1)[:, keep]
@@ -756,18 +754,8 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
         c = coeffs[elems].reshape((elems.size,) + (1,) * len(pieces)
                                   + (p + 1,) * d)
         gex = exact_gradient(*element_grids(mesh.elem_lower[elems], a, nodes))
-        # partial derivative k: the derivative table on axis k only.  The
-        # squares are summed and weighted in place, so each group's grid
-        # (107 500 points, 0.9 MB, on a corner element at p = 25) is held in
-        # as few buffers as possible
-        for k in range(d):
-            e = gex[k] - apply_axes(c, [
-                ders[j] if j == k else vals[j] for j in range(d)]) / a
-            np.square(e, out=e)
-            if k:
-                err_sq += e
-            else:
-                err_sq = e
+        # weighted in place, as the squares are summed
+        err_sq = gradient_error_sq(c, vals, ders, gex, a)
         err_sq *= reduce(np.multiply, [
             w.reshape(pieces + (1,) * k + (-1,) + (1,) * (d - 1 - k))
             for k, w in enumerate(weights)])

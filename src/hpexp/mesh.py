@@ -107,18 +107,25 @@ def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
     """n^d congruent elements on a box given as one shared (lo, hi) pair,
     shape (2,), or one pair per axis, shape (dim, 2).
 
-    Every axis must run upward, and all axes must have one width up to the
-    rounding of their end points."""
+    The ends must be finite real numbers (not strings or booleans), every
+    axis must run upward, and all axes must have one width up to the
+    rounding of their end points.  All of it is checked before h is
+    computed, so a bad domain raises here rather than turning h and every
+    coordinate downstream into inf or NaN."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if np.asarray(domain).dtype.kind not in "iuf":
+        raise ValueError(f"domain {domain} must hold real numbers")
     dom = np.asarray(domain, dtype=float)
     if dom.shape == (2,):
         dom = np.tile(dom, (dim, 1))
     if dom.shape != (dim, 2):
         raise ValueError(f"domain {domain} must be one (lo, hi) pair or "
                          f"{dim} of them")
-    if not np.all(dom[:, 1] > dom[:, 0]):
-        raise ValueError(f"domain {domain} must have lo < hi on every axis")
+    # the comparison is False for NaN too
+    if not (np.all(dom[:, 1] > dom[:, 0]) and np.isfinite(dom).all()):
+        raise ValueError(f"domain {domain} must have finite ends and lo < hi "
+                         f"on every axis")
     widths = dom[:, 1] - dom[:, 0]
     if np.ptp(widths) > 4 * np.spacing(np.abs(dom).max()):
         raise ValueError(f"domain {domain}: elements must be congruent cubes")

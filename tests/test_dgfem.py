@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hpexp import dgfem, fem
 from hpexp.harness import fit_slope, run_config, run_sweep
 from hpexp.indexsets import BasisSpec, dof_count, enumerate_modes
-from hpexp.orthopoly import gauss_rule, legendre_table
+from hpexp.orthopoly import gauss_rule, legendre_deriv_table, legendre_table
 
 
 def _dg_sweep(n, family, p_list, gamma=10.0):
@@ -59,16 +59,36 @@ def _reference_sip(n, spec, f, g):
     with the boundary data added facet by facet before the volume load,
     which is computed element by element here: f at each element's own
     Gauss points, contracted with the Legendre table on each axis and read
-    at the family's modes."""
+    at the family's modes.  It takes no kernel from ``dgfem``: the volume
+    block K1 x M1 + M1 x K1 of the exact 1D Legendre matrices, the per-mode
+    traces of L_i(x) L_j(y) on each facet, and the penalty gamma p^2 / h
+    are all formed here, so a fault in one of the assembly's own kernels
+    cannot move the reference with it."""
     p, h = spec.p, 1.0 / n
     a = h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
     nm = len(modes)
     lower = fem.mesh_uniform(2, n).elem_lower
-    K_vol = dgfem._volume_stiffness(modes, p)
+    # int L_i L_j = 2 / (2i + 1) on the diagonal; int L_i' L_j' =
+    # min(i, j) (min(i, j) + 1) where i + j is even, else 0
+    M1 = np.diag([2.0 / (2 * i + 1) for i in range(p + 1)])
+    K1 = np.zeros((p + 1, p + 1))
+    for i, j in itertools.product(range(p + 1), repeat=2):
+        if (i + j) % 2 == 0:
+            K1[i, j] = min(i, j) * (min(i, j) + 1)
+    at = [i * (p + 1) + j for i, j in modes]
+    K_vol = (np.kron(K1, M1) + np.kron(M1, K1))[np.ix_(at, at)]
     frule = gauss_rule(p + 2)
-    tval, tder = dgfem._trace_tables(modes, p, frule.nodes)
-    sigma = spec.gamma * max(p, 1) ** 2 / h
+    # tval[axis][side][mode]: the mode on the facet normal to axis at its
+    # low (0) or high (1) end, and tder its derivative along the axis
+    L = legendre_table(p, frule.nodes)
+    ends = np.array([-1.0, 1.0])
+    tval, tder = ([[np.array([tab[m[axis], side] * L[m[1 - axis]]
+                              for m in modes]) for side in (0, 1)]
+                   for axis in (0, 1)]
+                  for tab in (legendre_table(p, ends),
+                              legendre_deriv_table(p, 1, ends)))
+    sigma = spec.gamma * p ** 2 / h
     wfac = frule.weights * a
     rows, cols, data = [], [], []
     rhs = np.zeros(n * n * nm)
@@ -237,6 +257,37 @@ def test_assembly_and_errors_read_one_boundary_coordinate():
     for (xa, ya), (xe, ye) in zip(assembly, errors):
         assert np.array_equal(xa, xe) and np.array_equal(ya, ye)
     assert np.all(assembly[1][0] == 1.0) and np.all(assembly[3][1] == 1.0)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: fem.mesh_uniform(2, 6),
+                                       fem.mesh_lshape],
+                         ids=["uniform6", "lshape"])
+def test_boundary_points_lie_at_the_facet_vertex_coordinate(make_mesh):
+    # every boundary point DG evaluates (the assembly's g and the errors'
+    # exact solution both go through _on_boundary) lies, on the facet's
+    # normal axis, at mesh._coords of the facet's lower lattice vertex, bit
+    # for bit, and along the facet at its cell's Gauss points
+    mesh, nodes = make_mesh(), gauss_rule(5).nodes
+    _, boundary = dgfem._facets(mesh)
+    for axis, side in itertools.product((0, 1), repeat=2):
+        cells, seen = boundary[axis][side], []
+
+        def g(*xs):
+            seen.append([np.broadcast_to(x, np.broadcast_shapes(
+                *map(np.shape, xs))).reshape(cells.size, -1) for x in xs])
+            return 0.0 * xs[0]
+
+        dgfem._on_boundary(g, mesh, cells, axis, side, nodes)
+        vertex = 2 * (mesh.cells[cells] + side * np.eye(2, dtype=int)[axis])
+        across = fem._coords(mesh, vertex)[:, axis, None]
+        normal, along = seen[0][axis], seen[0][1 - axis]
+        assert normal.shape == (cells.size, nodes.size), (axis, side)
+        assert np.array_equal(normal.view(np.int64),
+                              np.broadcast_to(across, normal.shape)
+                              .view(np.int64)), (axis, side)
+        tang = (mesh.elem_lower[cells, 1 - axis, None]
+                + mesh.h / 2 * (nodes + 1))
+        assert np.array_equal(along, tang), (axis, side)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -597,10 +648,13 @@ def test_mesh_size_below_one_raises(n):
         dgfem.broken_interpolant(spec, n, zero)
 
 
-@pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan)])
+@pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan),
+                                    (0.0, np.inf), (-np.inf, 1.0)])
 def test_domain_not_running_upward_raises(domain):
     # a reversed domain gives h < 0, and the solve then returned a wrong
-    # dg_norm with no error
+    # dg_norm with no error; an infinite end gave h = inf and a NaN matrix
+    # with RuntimeWarnings alone (mesh_uniform names both faults at once:
+    # "finite ends and lo < hi")
     spec = dgfem.DgSpec("Q", 2)
     g, _ = _linear()
     with pytest.raises(ValueError, match="lo < hi"):

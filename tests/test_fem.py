@@ -45,12 +45,18 @@ def test_mesh_uniform_counts():
     ((0.0, 1.0, 5.0), "pair"),
     (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), "pair"),
     ((((0.0, 1.0), (0.0, 1.0)),), "pair"),
+    ((0.0, np.inf), "finite"),
+    (((0.0, 1.0), (-np.inf, 0.0)), "finite"),
+    (("0", "1"), "real numbers"),
+    ((False, True), "real numbers"),
 ], ids=["reversed", "unequal_widths", "three_values", "three_rows",
-        "extra_axis"])
+        "extra_axis", "infinite_end", "infinite_axis", "strings", "booleans"])
 def test_mesh_uniform_rejects_a_domain_of_no_congruent_cubes(domain, match):
     # a reversed domain gave h < 0 and a misleading failure in the solve;
     # unequal widths put the top vertex off the lattice of h; a third value
-    # was dropped silently, and a third row failed later in a broadcast
+    # was dropped silently, and a third row failed later in a broadcast; an
+    # infinite end gave h = inf and NaN coordinates, and strings and
+    # booleans were read as the numbers they convert to
     with pytest.raises(ValueError, match=match):
         fem.mesh_uniform(2, 2, domain)
 
@@ -532,6 +538,22 @@ def test_assembly_symmetry():
         u, v = rng.standard_normal((2, dm.n_dof))
         assert u @ system.matvec(v) == pytest.approx(v @ system.matvec(u),
                                                      rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["Q", "S"])
+def test_local_stiffness_3d_is_the_explicit_kronecker_sum(family):
+    # the tensor stiffness comes from orthopoly.kron_laplacian; in 3D it is
+    # K1 x M1 x M1 + M1 x K1 x M1 + M1 x M1 x K1 times h / 2, bit for bit
+    h = 0.25
+    for p in range(1, 7):
+        modes = fem.build_dofmap(fem.mesh_uniform(3, 1), p, family).local_modes
+        M1, K1 = fem._local_matrices_1d(p)
+        full = (np.kron(np.kron(K1, M1), M1) + np.kron(np.kron(M1, K1), M1)
+                + np.kron(np.kron(M1, M1), K1)) * (0.5 * h)
+        at = [(m[0] * (p + 1) + m[1]) * (p + 1) + m[2] for m in modes]
+        want = full[np.ix_(at, at)]
+        got = fem.local_stiffness(3, p, h, modes)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), p
 
 
 def test_assemble_rejects_foreign_dofmap():

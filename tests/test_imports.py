@@ -135,6 +135,27 @@ def test_fem_run_loads_no_coefficient_layer(tmp_path):
         assert meta["environment"]["scipy"] == version("scipy"), name
 
 
+def test_projections_import_builds_no_lemma_table():
+    # ``projections`` imports ``bounds`` for ``phi``; the lemma audit's
+    # log-Gamma table and composition lattices are built by the first
+    # audit, not at import (4.5 ms of the import once).  Both builders are
+    # counted from before ``bounds`` binds them
+    code = ("import json\n"
+            "from hpexp import expansion, orthopoly\n"
+            "calls = []\n"
+            "def counted(name, fn):\n"
+            "    def wrapper(*args):\n"
+            "        calls.append(name)\n"
+            "        return fn(*args)\n"
+            "    return wrapper\n"
+            "orthopoly.log_gamma = counted('log_gamma', orthopoly.log_gamma)\n"
+            "expansion.composition_array = counted(\n"
+            "    'composition_array', expansion.composition_array)\n"
+            "import hpexp.projections\n"
+            "print(json.dumps(sorted(set(calls))))")
+    assert _run(code) == []
+
+
 def test_scipy_version_without_a_dist_info_file(monkeypatch):
     # where no scipy-*.dist-info is found beside the package, the version
     # comes from importlib.metadata, as it always did

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from hpexp.orthopoly import (apply_axes, gauss_rule, graded_rule,
+from hpexp.orthopoly import (apply_axes, gauss_rule, gradient_error_sq,
+                             graded_rule, grid_values, kron_laplacian,
                              legendre_deriv_table, legendre_table, log_gamma,
                              psi_table)
 
@@ -335,3 +336,84 @@ def test_apply_axes_bitwise_equal_to_moveaxis_form(layout, batch, dim):
         assert new.shape == old.shape and new.dtype == old.dtype
         assert np.ascontiguousarray(new).tobytes() == \
             np.ascontiguousarray(old).tobytes()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+# what data functions return on a batch of grids: a constant, an array of
+# lower rank that broadcasts (it reads the last axis only), and the full grid
+_GRID_DATA = {
+    "scalar": lambda *xs: 2.5,
+    "lower_rank": lambda *xs: np.cos(3.0 * xs[-1]),
+    "full": lambda *xs: np.exp(xs[0]) * np.sin(xs[1]) + xs[-1] ** 2,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("data", list(_GRID_DATA))
+def test_grid_values_is_a_per_box_loop(dim, data):
+    f = _GRID_DATA[data]
+    rng = np.random.default_rng(dim)
+    lower, half = rng.uniform(-1.0, 1.0, (4, dim)), 0.375
+    nodes = [gauss_rule(3 + k).nodes for k in range(dim)]
+    out = grid_values(f, lower, half, nodes)
+    assert out.shape == (4,) + tuple(x.size for x in nodes)
+    assert out.dtype == float
+    for e in range(lower.shape[0]):
+        axes = [lower[e, k] + half * (x + 1.0) for k, x in enumerate(nodes)]
+        box = np.meshgrid(*axes, indexing="ij")
+        ref = np.broadcast_to(np.asarray(f(*box), dtype=float), box[0].shape)
+        assert np.array_equal(_bits(out[e]), _bits(ref)), e
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_values_node_minus_one_is_the_box_corner(dim):
+    # node -1 on a fixed axis puts every point on the face through the
+    # corner, at the corner's coordinate bit for bit: DG's boundary facets
+    # and FEM's boundary entities read their data there
+    rng = np.random.default_rng(5)
+    lower = rng.uniform(-1.0, 1.0, (6, dim)) / 3.0
+    for axis in range(dim):
+        nodes = [gauss_rule(4).nodes] * dim
+        nodes[axis] = np.array([-1.0])
+        on_axis = grid_values(lambda *xs: xs[axis], lower, 0.1, nodes)
+        want = np.broadcast_to(
+            lower[:, axis].reshape((-1,) + (1,) * dim), on_axis.shape)
+        assert np.array_equal(_bits(on_axis), _bits(want)), axis
+
+
+def test_kron_laplacian_is_the_explicit_2d_sum():
+    rng = np.random.default_rng(11)
+    p = 6
+    # a generic pair, and the Legendre pair of the DG volume block:
+    # M1 = diag 2 / (2i + 1), K1[i, j] = min(i, j)(min(i, j) + 1), i + j even
+    i, j = np.indices((p + 1, p + 1))
+    m = np.minimum(i, j)
+    legendre = (np.diag(2.0 / (2.0 * np.arange(p + 1) + 1.0)),
+                np.where((i + j) % 2 == 0, m * (m + 1.0), 0.0))
+    for M1, K1 in [tuple(rng.standard_normal((2, 5, 5))), legendre]:
+        explicit = np.kron(K1, M1) + np.kron(M1, K1)
+        assert np.array_equal(_bits(kron_laplacian(M1, K1, 2)),
+                              _bits(explicit))
+
+
+@pytest.mark.parametrize("pieces", [(), (3,)], ids=["gauss", "pieces"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gradient_error_sq_is_the_sum_of_squared_partials(dim, pieces):
+    rng = np.random.default_rng(dim + len(pieces))
+    n, q, half = 4, 5, 0.25
+    vals = [rng.standard_normal(pieces + (q, n)) for _ in range(dim)]
+    ders = [rng.standard_normal(pieces + (q, n)) for _ in range(dim)]
+    coeffs = rng.standard_normal((2,) + (1,) * len(pieces) + (n,) * dim)
+    grid = (2,) + pieces + (q,) * dim
+    gradient = [rng.standard_normal(grid) for _ in range(dim)]
+    out = gradient_error_sq(coeffs, vals, ders, gradient, half)
+    ref = 0.0
+    for k in range(dim):
+        d_k = apply_axes(coeffs, [ders[j] if j == k else vals[j]
+                                  for j in range(dim)]) / half
+        ref = ref + (gradient[k] - d_k) ** 2
+    assert out.shape == grid
+    assert np.array_equal(_bits(out), _bits(ref))
