@@ -17,21 +17,27 @@ boundary data; a boundary facet is evaluated from the corner that
 ``mesh._coords`` gives its lattice vertex, with node -1 on the normal axis,
 as ``fem`` reads a boundary entity.  The volume block is ``kron_laplacian``
 of the exact 1D Legendre mass and stiffness, and the broken-H1 error is
-``gradient_error_sq``.
+``gradient_error_sq``.  Facet traces come from one kernel, ``_traces``: the
+norm applies it to the solution's coefficients, the assembly to one-hot
+coefficients of its modes, once with the end values and once with the end
+slopes.
 
 ``assemble_sip`` returns the matrix in element-block form, a
-``SipOperator``: the 14 distinct element blocks and the table that places
-them, expanded only inside ``dg_solve``, straight to the CSC arrays SuperLU
-reads.  Where several terms meet (the diagonal blocks), the expansion adds
-them in the order scipy's COO-to-CSR conversion did, bit for bit, because
-the dg workload's fitted P:Q ratio moves with that order (``SipOperator``);
-the condensed solver of ROADMAP item 2 deletes it.  The system is factorized
-once, by SuperLU with COLAMD ordering and diagonal pivots, and the same LU
-proves the matrix positive definite: Sylvester's law of inertia reads the
-number of non-positive eigenvalues from the signs of diag(U), and a zero
-diagonal pivot, which no positive definite matrix has, shows as a row
-permutation that left the diagonal (``dg_solve``).  A penalty too small
-for coercivity raises ``IndefiniteSipError`` with that count.
+``SipOperator``: the 13 distinct element blocks (volume, 8 facet pairs, 4
+boundary facets) and the table that places them, expanded only inside
+``dg_solve``, straight to the CSC arrays SuperLU reads.  Where several
+terms meet (the diagonal blocks), the expansion adds them in the order
+scipy's COO-to-CSR conversion did, bit for bit, because the dg workload's
+fitted P:Q ratio moves with that order: one scipy sort per distinct
+block-row, then the runs of equal keys added left to right
+(``SipOperator._pairs``); the condensed solver of ROADMAP item 2 deletes
+it.  The system is factorized once, by SuperLU with COLAMD ordering and
+diagonal pivots, and the same LU proves the matrix positive definite:
+Sylvester's law of inertia reads the number of non-positive eigenvalues
+from the signs of diag(U), and a zero diagonal pivot, which no positive
+definite matrix has, shows as a row permutation that left the diagonal
+(``dg_solve``).  A penalty too small for coercivity raises
+``IndefiniteSipError`` with that count.
 """
 
 from __future__ import annotations
@@ -113,13 +119,13 @@ class SipOperator:
 
     An entry that several terms reach (the diagonal blocks: the volume and
     four facet terms) is their sum in the order scipy's COO-to-CSR
-    conversion adds them: each row sorted by column with the unstable
-    ``std::sort``, then the neighbours of equal column added left to right.
-    That order is neither the COO order nor one order per block, and the
-    dg workload's fitted P:Q ratio moves with the order of these sums (its
-    top-degree errors are round-off), so the expansion keeps scipy's order
-    bit for bit until the DG solve leaves SuperLU (ROADMAP item 2), which
-    deletes it.
+    conversion adds them: every row sorted by column with the unstable
+    ``std::sort`` (or none, when no row has a descent), then the neighbours
+    of equal column added left to right.  That order is neither the COO
+    order nor one order per block, and the dg workload's fitted P:Q ratio
+    moves with the order of these sums (its top-degree errors are
+    round-off), so the expansion keeps scipy's order bit for bit until the
+    DG solve leaves SuperLU (ROADMAP item 2), which deletes it.
     """
 
     blocks: np.ndarray          # (nb, nm, nm)
@@ -141,66 +147,59 @@ class SipOperator:
         element) as (rows, cols, value ids, values): pair k holds the
         nm x nm block ``values[ids[k]]``.
 
-        A pair one term reaches holds that term's block.  Where several
-        terms meet, the order in which scipy adds them depends only on the
-        block-row's key pattern, the rank order of its terms' column
-        elements: std::sort compares keys and nothing else.  One template
-        row per pattern, with its keys and their positions as data, goes
-        through scipy's own sort, in one matrix, so that it sorts exactly
-        when a conversion of the whole operator would.  The sum then
-        depends on the pattern and the block-row's block ids alone, so each
-        distinct one is added once (at most 9 on a SIP mesh: interior,
-        edges and corners)."""
+        One pass over the block-rows.  A block-row's sums depend only on
+        its signature, the rank order of its terms' column elements and
+        their block ids: std::sort compares keys and nothing else, and
+        every row of a block-row has the same keys.  At the first
+        block-row of each signature its keys, with their positions as
+        data, go through scipy's own ``sort_indices`` once (at most 9
+        signatures on a SIP mesh: interior, edges and corners), sorted
+        exactly when a conversion of the whole operator sorts; the runs of
+        equal keys are then added left to right, as ``csr_sum_duplicates``
+        adds them, for all nm rows at once, and each column rank of the
+        signature gets its own value id."""
         nm, ne = self.blocks.shape[1], self.n_elements
         row_elem, col_elem, bid = self.terms.T
         by_row = np.argsort(row_elem, kind="stable")
         counts = np.bincount(row_elem, minlength=ne)
         ends = np.cumsum(counts)
-        block_rows, patterns = [], {}
-        for start, end in zip(ends - counts, ends):
+        # scipy sorts every row, or none when no row has a descent (a
+        # term's first key below the previous term's last)
+        first_key = col_elem[by_row] * nm
+        descent = np.any((np.diff(row_elem[by_row]) == 0)
+                         & (first_key[1:] < first_key[:-1] + nm - 1))
+        local = np.arange(nm)
+        values, row_ids = [], {}
+        rows, cols_of, ids = [], [], []
+        for e, (start, end) in enumerate(zip(ends - counts, ends)):
             t = by_row[start:end]
             cols, rank = np.unique(col_elem[t], return_inverse=True)
-            patterns.setdefault(rank.tobytes(), rank)
-            block_rows.append((cols, rank, bid[t]))
-        local = np.arange(nm)
-        keys = [(rank[:, None] * nm + local).ravel()
-                for rank in patterns.values()]
-        indptr = np.cumsum([0] + [k.size for k in keys])
-        keys = np.concatenate(keys)
-        template = sp.csr_matrix(
-            (np.arange(keys.size, dtype=float), keys, indptr),
-            shape=(len(patterns), keys.max() + 1))
-        template.sort_indices()
-        # per pattern and column rank: the summands' slots, (terms, nm)
-        orders = {}
-        for (pattern, rank), start, stop in zip(
-                patterns.items(), indptr[:-1], indptr[1:]):
-            slot = (template.data[start:stop].astype(np.int64) - start) // nm
-            counts = np.bincount(rank)
-            orders[pattern] = [run.reshape(nm, k).T for run, k in zip(
-                np.split(slot, np.cumsum(counts * nm)[:-1]), counts)]
-        values, row_ids = list(self.blocks), {}
-        rows, cols_of, ids = [], [], []
-        for e, (cols, rank, bids) in enumerate(block_rows):
-            signature = (rank.tobytes(), bids.tobytes())
+            signature = (rank.tobytes(), bid[t].tobytes())
             if signature not in row_ids:
-                row_ids[signature] = []
-                for order in orders[signature[0]]:
-                    if order.shape[0] == 1:
-                        row_ids[signature].append(bids[order[0, 0]])
-                        continue
-                    summands = self.blocks[bids[order][:, None, :],
-                                           local[:, None], local]
-                    total = summands[0]
-                    for summand in summands[1:]:
-                        total += summand
-                    row_ids[signature].append(len(values))
-                    values.append(total)
+                keys = (rank[:, None] * nm + local).ravel()
+                row = sp.csr_matrix((np.arange(keys.size), keys,
+                                     [0, keys.size]), shape=(1, keys.size))
+                row.has_sorted_indices = not descent
+                row.sort_indices()
+                # sorted position q holds key (column rank r, column j) of
+                # the term with block block[q]; the run of key (r, j), one
+                # entry per term of rank r, adds column j of those blocks
+                block, column = bid[t][row.data // nm], row.indices % nm
+                length = np.repeat(np.bincount(rank), nm)
+                first = np.cumsum(length) - length
+                total = self.blocks[block[first], :, column[first]]
+                for k in range(1, length.max(initial=0)):
+                    more = length > k
+                    at = first[more] + k
+                    total[more] += self.blocks[block[at], :, column[at]]
+                row_ids[signature] = len(values) + np.arange(cols.size)
+                values.extend(total.reshape(cols.size, nm, nm)
+                              .transpose(0, 2, 1))
             rows.append(np.full(cols.size, e))
             cols_of.append(cols)
             ids.append(row_ids[signature])
         rows, cols = np.concatenate(rows), np.concatenate(cols_of)
-        ids = np.concatenate(ids).astype(np.int64)
+        ids = np.concatenate(ids)
         csc = np.lexsort((rows, cols))
         return rows[csc], cols[csc], ids[csc], np.stack(values)
 
@@ -319,19 +318,25 @@ def _facet_rule(spec: DgSpec, mesh: Mesh):
     return rule, rule.weights * (mesh.h / 2.0), sigma
 
 
-def _trace_tables(modes, p: int, nodes: np.ndarray):
-    """Per (axis, side): trace values and reference normal-slope of every mode.
+def _tensors(coeffs: np.ndarray, flat: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients (batch, modes) on the modes at ``flat`` as tensors
+    (batch, p+1, p+1), zero off the family's index set."""
+    C = np.zeros((coeffs.shape[0], (p + 1) ** 2))
+    C[:, flat] = coeffs
+    return C.reshape(-1, p + 1, p + 1)
 
-    Returns val[axis][side][mode, q] and der[axis][side][mode, q] with the
-    derivative taken along the axis (outward sign applied by the caller).
-    """
-    L = legendre_table(p, nodes)
-    ends = np.array([-1.0, 1.0])
-    M = np.array(modes)       # M[:, axis]: index along the facet normal
-    return tuple([[tab[M[:, axis], side][:, None] * L[M[:, 1 - axis]]
-                   for side in (0, 1)] for axis in (0, 1)]
-                 for tab in (legendre_table(p, ends),
-                             legendre_deriv_table(p, 1, ends)))
+
+def _traces(C: np.ndarray, along: np.ndarray, ends: np.ndarray, axis: int,
+            side: int) -> np.ndarray:
+    """Facet traces of a batch of coefficient tensors C (batch, p+1, p+1):
+    the normal axis ``axis`` contracted first, with row ``side`` (0 low, 1
+    high end) of the (2, p+1) end table ``ends`` (values or slopes at -1
+    and +1), then the facet's own axis with the (q, p+1) table ``along``.
+    Returns (batch, q).  The assembly passes one-hot tensors of its modes,
+    the norm the solution's coefficients."""
+    normal, tangent = [None, None], [along, along]
+    normal[axis], tangent[axis] = ends[side:side + 1], None
+    return apply_axes(apply_axes(C, normal), tangent).reshape(C.shape[0], -1)
 
 
 def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
@@ -347,7 +352,14 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     K_vol = kron_laplacian(M1, _k1_legendre(p), 2)[np.ix_(flat, flat)]
 
     frule, wfac, sigma = _facet_rule(spec, mesh)
-    tval, tder = _trace_tables(modes, p, frule.nodes)
+    # tval[axis][side], tder[axis][side]: (modes, q), each mode's trace on
+    # the facet and its reference slope along the axis, unsigned
+    one_hot = _tensors(np.eye(nm), flat, p)
+    along, ends = legendre_table(p, frule.nodes).T, np.array([-1.0, 1.0])
+    tval, tder = ([[_traces(one_hot, along, tab, axis, side) for side in (0, 1)]
+                   for axis in (0, 1)]
+                  for tab in (legendre_table(p, ends).T,
+                              legendre_deriv_table(p, 1, ends).T))
 
     # the distinct blocks: 0 volume; 1 + 4 axis + k facet pair, k = 2 row
     # side + column side (minus 0, plus 1, the normal running from minus to
@@ -417,12 +429,12 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     The element pairs (``SipOperator._pairs``) are built once, for both
     the symmetry check on the element blocks (``SipOperator.asymmetry``)
     and the one expansion of ``system.matrix`` to the CSC arrays SuperLU
-    factors (``SipOperator.tocsc``), whose sums of terms are bit for bit
-    those of scipy's COO-to-CSR conversion; they are dropped before the
-    factorization.  The CSC is dropped after the solve, whose residual is
-    its matvec.  Only then is diag(U) read, because scipy's ``SuperLU.U``
-    builds and keeps copies of both L and U, nearly as large as the LU
-    itself.
+    factors (``SipOperator.tocsc``), whose sums of terms, one scipy sort
+    per block-row signature, are bit for bit those of scipy's COO-to-CSR
+    conversion; they are dropped before the factorization.  The CSC is
+    dropped after the solve, whose residual is its matvec.  Only then is
+    diag(U) read, because scipy's ``SuperLU.U`` builds and keeps copies of
+    both L and U, nearly as large as the LU itself.
     """
     pairs = system.matrix._pairs()
     A_csc = system.matrix.tocsc(pairs)
@@ -479,10 +491,8 @@ def dg_errors(sol: BrokenSolution, exact: Callable,
               exact_gradient: Callable) -> dict:
     """L2, broken-H1 and SIP-energy errors against a smooth exact solution."""
     p, mesh = sol.spec.p, sol.mesh
-    ne, a = mesh.n_elements, mesh.h / 2.0
-    C = np.zeros((ne, (p + 1) ** 2))
-    C[:, flat_positions(sol.modes, p)] = sol.coeffs
-    C = C.reshape(ne, p + 1, p + 1)
+    a = mesh.h / 2.0
+    C = _tensors(sol.coeffs, flat_positions(sol.modes, p), p)
 
     rule = gauss_rule(2 * p + 4)
     L = legendre_table(p, rule.nodes).T
@@ -498,14 +508,10 @@ def dg_errors(sol: BrokenSolution, exact: Callable,
     # trace[axis, side]: u_h on each cell's low (0) or high (1) facet normal
     # to axis
     frule, wf, sigma = _facet_rule(sol.spec, mesh)
-    Lf = legendre_table(p, frule.nodes).T
-    Lend = legendre_table(p, np.array([-1.0, 1.0])).T      # (2, p+1)
-    trace = {}
-    for axis, side in product((0, 1), repeat=2):
-        normal, along = [None, None], [Lf, Lf]
-        normal[axis], along[axis] = Lend[side:side + 1], None
-        trace[axis, side] = apply_axes(apply_axes(C, normal),
-                                       along).reshape(ne, -1)
+    along = legendre_table(p, frule.nodes).T
+    ends = legendre_table(p, np.array([-1.0, 1.0])).T
+    trace = {(axis, side): _traces(C, along, ends, axis, side)
+             for axis, side in product((0, 1), repeat=2)}
     # the facet classes, interior per axis and then boundary per (axis,
     # side), as the values on the facets' two sides
     inner, boundary = _facets(mesh)

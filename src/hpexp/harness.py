@@ -65,6 +65,9 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-12
+# a trailing segment of a fit whose slope is below this share of the
+# steepest segment is the round-off plateau (``fit_slope``)
+PLATEAU_REL = 0.2
 
 
 @dataclass(frozen=True)
@@ -105,13 +108,12 @@ def _abscissa_values(records, abscissa: str) -> np.ndarray:
 
 
 def fit_slope(records, abscissa: str = "dof_root", window: int = 2,
-              error_key: str = "l2", floor: float = ERROR_FLOOR,
-              plateau_rel: float = 0.2) -> SlopeFit:
+              error_key: str = "l2", floor: float = ERROR_FLOOR) -> SlopeFit:
     """Windowed + least-squares slope of log(error) against the abscissa.
 
     Records with error <= floor are excluded; trailing segments whose slope
-    falls below ``plateau_rel`` times the steepest segment seen are treated as
-    the round-off plateau and dropped.
+    falls below ``PLATEAU_REL`` times the steepest segment seen are treated
+    as the round-off plateau and dropped.
     """
     if window < 1:
         raise ValueError("the slope window needs at least 1 segment")
@@ -128,7 +130,7 @@ def fit_slope(records, abscissa: str = "dof_root", window: int = 2,
     x = _abscissa_values(recs, abscissa)
     y = np.log([r.error(error_key) for r in recs])
     slopes = -(np.diff(y) / np.diff(x))
-    while slopes.size > window and slopes[-1] < plateau_rel * slopes.max():
+    while slopes.size > window and slopes[-1] < PLATEAU_REL * slopes.max():
         slopes = slopes[:-1]
         x, y = x[:-1], y[:-1]
     win_slope = float(np.mean(slopes[-window:]))
@@ -260,7 +262,7 @@ def _dg_solver(sw: dict, references: Optional[dict] = None):
         system = dgfem.assemble_sip(n, spec, u.source, u.f)
         sol = dgfem.dg_solve(system)
         errors = dgfem.dg_errors(sol, u.f, u.gradient)
-        return (n * n * dof_count(BasisSpec(2, p, family)), errors,
+        return (sol.coeffs.size, errors,
                 {"residual": sol.residual_norm, "factor_nnz": sol.factor_nnz})
 
     return f"dg_{family.lower()}", 2, sw["p_list"], solve_one

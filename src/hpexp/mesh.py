@@ -45,8 +45,15 @@ class Mesh:
                              f"ne >= 1, not {cells.dtype} {cells.shape}")
         if np.shape(self.origin) != (d,):
             raise ValueError(f"origin must have shape ({d},)")
-        if not self.h > 0:
-            raise ValueError(f"cell size h = {self.h} must be positive")
+        # real numbers, not strings or booleans; the chained comparison is
+        # False for NaN too
+        origin = np.asarray(self.origin)
+        if origin.dtype.kind not in "iuf" or not np.isfinite(origin).all():
+            raise ValueError(f"origin {self.origin} must hold finite reals")
+        h = np.asarray(self.h)
+        if h.shape or h.dtype.kind not in "iuf" or not 0 < h < np.inf:
+            raise ValueError(f"cell size h = {self.h} must be a finite "
+                             f"positive real")
         if cells.min() < 0:
             raise ValueError("cell indices must be non-negative")
         distinct = _unique_rows(cells, cells.max(axis=0) + 1)[0]

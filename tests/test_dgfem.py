@@ -185,6 +185,52 @@ def test_sip_gathers_match_per_facet_loop(family, p_list, n):
         assert np.array_equal(system.rhs, rhs), p
 
 
+@pytest.mark.parametrize("family", ["Q", "P"])
+def test_traces_of_one_hot_modes_are_the_per_mode_products(family):
+    # the facet-trace kernel on one-hot coefficient tensors gives, bit for
+    # bit, L_{m_a}(+-1) L_{m_t}(x_q) and L'_{m_a}(+-1) L_{m_t}(x_q), m_a the
+    # mode's index on the normal axis and m_t the one along the facet; only
+    # an exact zero may differ in sign (-1 * L_1(0) is -0.0, a sum of
+    # products +0.0), which adds nothing to a sum with a non-zero term
+    ends = np.array([-1.0, 1.0])
+    for p in range(1, 13):
+        modes = enumerate_modes(BasisSpec(2, p, family))
+        nodes = gauss_rule(p + 2).nodes
+        one_hot = np.zeros((len(modes), p + 1, p + 1))
+        for k, (i, j) in enumerate(modes):
+            one_hot[k, i, j] = 1.0
+        L = legendre_table(p, nodes)
+        for tab in (legendre_table(p, ends), legendre_deriv_table(p, 1, ends)):
+            for axis, side in itertools.product((0, 1), repeat=2):
+                want = np.array([tab[m[axis], side] * L[m[1 - axis]]
+                                 for m in modes])
+                got = dgfem._traces(one_hot, L.T, tab.T, axis, side)
+                assert np.array_equal(got, want), (p, axis, side)
+                assert np.array_equal(got.view(np.int64)[want != 0],
+                                      want.view(np.int64)[want != 0])
+
+
+@pytest.mark.parametrize("n, signatures", [(1, 1), (2, 4), (3, 9), (8, 9)])
+def test_pairs_sorts_once_per_block_row_signature(monkeypatch, n,
+                                                  signatures):
+    # one scipy sort per distinct block-row (interior, edges and corners),
+    # not one per block-row nor one per row of the matrix
+    zero = lambda x, y: 0.0 * x
+    sort_indices, calls = sp.csr_matrix.sort_indices, []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return sort_indices(matrix)
+
+    monkeypatch.setattr(sp.csr_matrix, "sort_indices", counted)
+    for family, p in (("Q", 1), ("P", 4)):
+        calls.clear()
+        dgfem.assemble_sip(n, dgfem.DgSpec(family, p), zero, zero).matrix \
+            ._pairs()
+        assert len(calls) == signatures, (family, p)
+        assert all(rows == 1 for rows, _ in calls), (family, p)
+
+
 def _reference_terms(n):
     """The (row element, column element, block) table from the index
     arithmetic of an (n, n) element array, as the assembly built it before
@@ -636,6 +682,29 @@ def test_hand_made_operator_is_bitwise_its_coo_conversion():
     expanded = base.matrix.tocsc().toarray().reshape(3, nm, 3, nm)
     assert not np.array_equal(expanded, table_order)
     assert np.allclose(expanded, table_order, rtol=1e-12, atol=1e-6)
+
+
+@pytest.mark.parametrize("descent", [True, False],
+                         ids=["other_row_unsorted", "all_rows_sorted"])
+def test_sorted_block_row_sums_as_the_coo_conversion(descent):
+    # scipy's conversion sorts every row once one row has a descent, and
+    # its introsort reorders equal keys of a row of more than 16 that was
+    # already in order; it sorts no row when none has a descent.  Element
+    # 0's row here is 20 terms on column 0, then 20 on column 1 (1 x 1
+    # blocks: keys in order, each repeated), element 1's row has a descent
+    # or none
+    rng = np.random.default_rng(3)
+    blocks = (rng.standard_normal((45, 1, 1))
+              * np.logspace(-8, 8, 45)[:, None, None])
+    terms = ([(0, 0, b) for b in range(20)]
+             + [(0, 1, b) for b in range(20, 40)]
+             + [(1, 1, 40), (1, 0, 41), (1, 1, 42), (1, 0, 43)])
+    if not descent:
+        terms[-3:] = [(1, 1, 41), (1, 1, 42), (1, 1, 43)]
+    operator = dgfem.SipOperator(blocks=blocks, terms=np.array(terms),
+                                 n_elements=2)
+    _assert_bitwise_equal(operator.tocsc(), _coo_reference(operator),
+                          descent)
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -69,12 +69,19 @@ def test_mesh_uniform_rejects_a_domain_of_no_congruent_cubes(domain, match):
     (np.zeros((0, 2), dtype=int), (0.0, 0.0), "ne >= 1"),
     ([[0, 0], [1, 0]], (0.0, 0.0, 0.0), "origin"),
     ([[0, 0], [-1, 0]], (0.0, 0.0), "non-negative"),
+    ([[0, 0], [1, 0]], (np.nan, 0.0), "origin"),
+    ([[0, 0], [1, 0]], (np.inf, 0.0), "origin"),
+    ([[0, 0], [1, 0]], ("0", "1"), "origin"),
+    ([[0, 0], [1, 0]], (True, False), "origin"),
 ], ids=["duplicate", "wide_cells", "narrow_cells", "float_cells",
-        "no_cells", "wide_origin", "negative"])
+        "no_cells", "wide_origin", "negative", "nan_origin",
+        "infinite_origin", "string_origin", "boolean_origin"])
 def test_mesh_rejects_malformed_cells(cells, origin, match):
     # duplicate cells reached condense_solve and died there with "free
     # skeleton dofs left in a one-cell region"; a width other than dim failed
-    # in build_dofmap with a broadcast error
+    # in build_dofmap with a broadcast error; a NaN or infinite origin gave
+    # NaN or infinite corners with no error, and a string origin failed
+    # later with a UFuncTypeError
     with pytest.raises(ValueError, match=match):
         fem.Mesh(dim=2, h=0.5, origin=np.array(origin), cells=np.array(cells))
 
@@ -92,10 +99,12 @@ def test_unique_rows_match_the_axis_form(shape):
         assert np.array_equal(group, want_group.ravel())
 
 
-@pytest.mark.parametrize("h", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf, True, "0.5"])
 def test_mesh_rejects_a_cell_size_not_positive(h):
     # h = 0 gave an all-zero "solution" with residual 0, and h < 0 solved
-    # on a mirrored mesh, both with no error
+    # on a mirrored mesh, both with no error; h = inf gave NaN corners with
+    # a RuntimeWarning alone, h = True was read as 1, and a string failed
+    # in the comparison with a TypeError
     with pytest.raises(ValueError, match="positive"):
         fem.Mesh(dim=2, h=h, origin=np.zeros(2), cells=np.array([[0, 0]]))
 
