@@ -36,24 +36,32 @@ diagonal pivots, and the same LU proves the matrix positive definite:
 Sylvester's law of inertia reads the number of non-positive eigenvalues
 from the signs of diag(U), and a zero diagonal pivot, which no positive
 definite matrix has, shows as a row permutation that left the diagonal
-(``dg_solve``).  A penalty too small for coercivity raises
-``IndefiniteSipError`` with that count.
+(``dg_solve``).  The pivots are read in place, where SuperLU stores them,
+in the diagonal blocks of L's supernodes (``_pivots``): scipy's
+``SuperLU.U`` would build copies of both L and U for them, as large as the
+LU itself.  The checks run in this order: symmetry, the factorization, a
+zero diagonal pivot, the non-positive pivots, and then, once the matrix is
+proven definite, the solve and its residual.  A penalty too small for
+coercivity raises ``IndefiniteSipError`` with the count of non-positive
+pivots.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import blas
 from .errors import IndefiniteSipError
 from .indexsets import BasisSpec, enumerate_modes, flat_positions
-from .mesh import Mesh, _at, _coords, mesh_uniform
+from .mesh import Mesh, _at, _coords, _integer, mesh_uniform
 from .orthopoly import (apply_axes, element_grids, gauss_rule,
                         gradient_error_sq, grid_values, kron_laplacian,
                         legendre_deriv_table, legendre_table)
@@ -86,6 +94,7 @@ class DgSpec:
     def __post_init__(self):
         if self.family not in ("P", "Q"):
             raise ValueError("DG families are P and Q")
+        _integer("p", self.p)
         if self.p < 1:
             raise ValueError("need p >= 1")
         # the chained comparison is False for NaN too
@@ -410,6 +419,89 @@ def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
     return DgSystem(spec=spec, mesh=mesh, modes=modes, matrix=A, rhs=rhs)
 
 
+class _SuperMatrix(ctypes.Structure):
+    """SuperLU's ``SuperMatrix``: the storage, number and shape tags, the
+    shape, and the store the tags name."""
+
+    _fields_ = ([(name, ctypes.c_int)
+                 for name in ("Stype", "Dtype", "Mtype", "nrow", "ncol")]
+                + [("Store", ctypes.c_void_p)])
+
+
+class _Factors(ctypes.Structure):
+    """The head of scipy's ``SuperLU`` object: the object header, then
+    ``npy_intp m, n`` and the factors L and U."""
+
+    _fields_ = [("head", ctypes.c_char * object.__basicsize__),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix)]
+
+
+class _Supernodes(ctypes.Structure):
+    """SuperLU's ``SCformat``, the supernodal store of L."""
+
+    _fields_ = ([("nnz", ctypes.c_int), ("nsuper", ctypes.c_int)]
+                + [(name, ctypes.c_void_p)
+                   for name in ("nzval", "nzval_colptr", "rowind",
+                                "rowind_colptr", "col_to_sup", "sup_to_col")])
+
+
+# the (Stype, Dtype, Mtype) tags of L, (SLU_SC, SLU_D, SLU_TRLU), and of U,
+# (SLU_NC, SLU_D, SLU_TRU): supernodal and column-compressed, double
+_L_TAGS, _U_TAGS = (3, 1, 1), (0, 1, 4)
+
+
+def _in_place(address, ctype, count: int) -> np.ndarray:
+    """The ``count`` values of C type ``ctype`` at ``address``, as an array
+    over that memory (no copy)."""
+    return np.frombuffer((ctype * count).from_address(address),
+                         dtype=np.dtype(ctype))
+
+
+def _pivots(lu: spla.SuperLU) -> np.ndarray:
+    """diag(U) of scipy's SuperLU factorization ``lu``, read where SuperLU
+    stores it: pivot j is the diagonal entry of column j in the diagonal
+    block of its supernode of L, ``nzval[nzval_colptr[j] + j - f]`` with f
+    the supernode's first column.  The diagonal of scipy's ``SuperLU.U``
+    holds the same values, but that attribute builds and keeps CSC copies
+    of both L and U.
+
+    The layout is scipy 1.17.1's.  Before any pointer is followed, the
+    object's type and size, its shape and the tags and shapes of L and U
+    are checked; after, that the stores hold ``lu.nnz`` entries and that
+    every pivot's row subscript is its column.  A mismatch raises
+    ``RuntimeError``."""
+    def mismatch(what: str) -> RuntimeError:
+        return RuntimeError(
+            f"dgfem._pivots reads SuperLU's factors in place as scipy 1.17.1 "
+            f"lays them out; under scipy {scipy.__version__}, {what}")
+
+    if (type(lu) is not spla.SuperLU
+            or type(lu).__basicsize__ < ctypes.sizeof(_Factors)):
+        raise mismatch(f"it got a {type(lu).__name__}, not scipy's SuperLU "
+                       f"object, or that object is smaller")
+    head, n = _Factors.from_address(id(lu)), lu.shape[1]
+    tags = [(m.Stype, m.Dtype, m.Mtype) for m in (head.L, head.U)]
+    if ((head.m, head.n) != lu.shape or tags != [_L_TAGS, _U_TAGS]
+            or {head.L.nrow, head.L.ncol, head.U.nrow, head.U.ncol} != {n}):
+        raise mismatch(f"the object's shape {(head.m, head.n)} and factor "
+                       f"tags {tags} differ from {lu.shape} and "
+                       f"{[_L_TAGS, _U_TAGS]}")
+    L = _Supernodes.from_address(head.L.Store)
+    if L.nnz + ctypes.c_int.from_address(head.U.Store).value != lu.nnz:
+        raise mismatch("the factors' entries do not add up to lu.nnz")
+    colptr, row_colptr = (_in_place(ptr, ctypes.c_int, n + 1)
+                          for ptr in (L.nzval_colptr, L.rowind_colptr))
+    first = _in_place(L.sup_to_col, ctypes.c_int, L.nsuper + 2)[
+        _in_place(L.col_to_sup, ctypes.c_int, n)]
+    j = np.arange(n)
+    rows = _in_place(L.rowind, ctypes.c_int, row_colptr[n])
+    if not np.array_equal(rows[row_colptr[first] + j - first], j):
+        raise mismatch("a pivot's row subscript is not its column")
+    at = colptr[:-1] + j - first
+    return _in_place(L.nzval, ctypes.c_double, colptr[n])[at]
+
+
 def dg_solve(system: DgSystem) -> BrokenSolution:
     """One sparse LU solve whose pivots prove the SIP matrix definite.
 
@@ -424,17 +516,19 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     positive definite A elimination without pivoting is backward stable, and
     the same LU gives the solution.  An asymmetric, indefinite or singular A
     (gamma too small), or a relative residual that is not below 1e-8, raises
-    ``IndefiniteSipError``, in that order of checks.
+    ``IndefiniteSipError``, in that order of checks: asymmetry, a
+    factorization that fails, a zero diagonal pivot, non-positive pivots,
+    and only then the solve and its residual, so an indefinite system raises
+    before it is solved.  diag(U) is read in place (``_pivots``), with no
+    copy of L or U.
 
     The element pairs (``SipOperator._pairs``) are built once, for both
     the symmetry check on the element blocks (``SipOperator.asymmetry``)
     and the one expansion of ``system.matrix`` to the CSC arrays SuperLU
     factors (``SipOperator.tocsc``), whose sums of terms, one scipy sort
     per block-row signature, are bit for bit those of scipy's COO-to-CSR
-    conversion; they are dropped before the factorization.  The CSC is
-    dropped after the solve, whose residual is its matvec.  Only then is
-    diag(U) read, because scipy's ``SuperLU.U`` builds and keeps copies of
-    both L and U, nearly as large as the LU itself.
+    conversion; they are dropped before the factorization.  The residual
+    is the CSC's matvec.
     """
     pairs = system.matrix._pairs()
     A_csc = system.matrix.tocsc(pairs)
@@ -455,15 +549,14 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
         raise IndefiniteSipError(
             f"SIP matrix not positive definite: zero diagonal pivot at "
             f"elimination step {step} of {size}")
-    u = lu.solve(system.rhs)
-    res = (np.linalg.norm(A_csc @ u - system.rhs)
-           / max(np.linalg.norm(system.rhs), 1e-300))
-    del A_csc
-    n_nonpos = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
+    n_nonpos = int(np.count_nonzero(_pivots(lu) <= 0.0))
     if n_nonpos:
         raise IndefiniteSipError(
             f"SIP matrix not positive definite: {n_nonpos} non-positive "
             f"pivot(s) of {size}")
+    u = lu.solve(system.rhs)
+    res = (np.linalg.norm(A_csc @ u - system.rhs)
+           / max(np.linalg.norm(system.rhs), 1e-300))
     if not res < 1e-8:
         raise IndefiniteSipError(f"direct solve residual too large: {res:.2e}")
     nm = len(system.modes)

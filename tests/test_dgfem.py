@@ -1,10 +1,12 @@
 import itertools
 import json
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,6 +32,12 @@ def test_spec_validation():
         dgfem.DgSpec("S", 2)
     with pytest.raises(ValueError):
         dgfem.DgSpec("Q", 0)
+    # True solved as p = 1, and 2.5 failed inside assemble_sip with an
+    # unnamed TypeError
+    for p in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            dgfem.DgSpec("Q", p)
+    assert dgfem.DgSpec("Q", np.int64(2)).p == 2
     for gamma in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             dgfem.DgSpec("Q", 2, gamma=gamma)
@@ -457,6 +465,13 @@ def test_definiteness_verdict_matches_dense_cholesky():
         except np.linalg.LinAlgError:
             spd = False
         case = (n, gamma, family, p)
+        try:
+            lu = spla.splu(A, permc_spec="COLAMD", diag_pivot_thresh=0.0)
+        except RuntimeError:
+            lu = None
+        if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+            # the pivots read in place are scipy's diag(U), bit for bit
+            assert np.array_equal(dgfem._pivots(lu), lu.U.diagonal()), case
         if spd:
             sol = dgfem.dg_solve(system)
             assert np.all(np.isfinite(sol.coeffs)), case
@@ -526,41 +541,53 @@ def test_solve_is_bitwise_the_spsolve_solution(n, family, p):
     assert np.array_equal(sol.coeffs.ravel(), reference)
 
 
-def test_expanded_matrices_are_freed_before_the_pivot_read(monkeypatch):
-    """scipy's SuperLU.U builds copies of L and U, so dg_solve reads it only
-    once the expanded CSC is freed; the residual, taken with the CSC matvec,
-    is bit for bit the CSR matvec's."""
+def test_pivot_read_copies_no_factor():
+    """dg_solve reads diag(U) in place: on the CI smoke system (4096 dof)
+    ``_pivots`` traces well below 1 MB, where scipy's ``SuperLU.U`` builds
+    copies of L and U (about 37 MB traced).  The residual, taken with the
+    CSC matvec, is bit for bit the CSR matvec's."""
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(8, dgfem.DgSpec("Q", 7), f, exact)
-    expanded, alive_at_read = [], []
-    tocsc, splu = dgfem.SipOperator.tocsc, dgfem.spla.splu
-
-    def tracked_tocsc(operator, *args):
-        A = tocsc(operator, *args)
-        expanded.append(weakref.ref(A))
-        return A
-
-    class TrackedLU:
-        def __init__(self, lu):
-            self._lu = lu
-
-        def __getattr__(self, name):
-            if name == "U" and not alive_at_read:
-                alive_at_read.append([ref() is not None for ref in expanded])
-            return getattr(self._lu, name)
-
-    def tracked_splu(A_csc, **kwargs):
-        return TrackedLU(splu(A_csc, **kwargs))
-
-    monkeypatch.setattr(dgfem.SipOperator, "tocsc", tracked_tocsc)
-    monkeypatch.setattr(dgfem.spla, "splu", tracked_splu)
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD",
+                   diag_pivot_thresh=0.0)
+    traced = []
+    for read in (dgfem._pivots, lambda lu: lu.U.diagonal()):
+        tracemalloc.start()
+        try:
+            read(lu)
+            traced.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert traced[0] < 2 ** 20 < 10 * 2 ** 20 < traced[1], traced
     sol = dgfem.dg_solve(system)
-    assert alive_at_read == [[False]]      # the one CSC
-    A = sp.csr_matrix(tocsc(system.matrix))
+    A = sp.csr_matrix(system.matrix.tocsc())
     res = (np.linalg.norm(A @ sol.coeffs.ravel() - system.rhs)
            / max(np.linalg.norm(system.rhs), 1e-300))
     assert sol.residual_norm == res
+
+
+def test_pivots_of_another_object_raise_before_any_read(monkeypatch):
+    """``_pivots`` checks that it holds scipy's SuperLU object before it
+    reads the object's memory: a wrapper, which forwards every attribute,
+    raises a RuntimeError naming scipy's version."""
+    system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
+                                lambda x, y: 0.0 * x, lambda x, y: 0.0 * y)
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD",
+                   diag_pivot_thresh=0.0)
+
+    class Wrapper:
+        def __getattr__(self, name):
+            return getattr(lu, name)
+
+    def no_read(address):
+        raise AssertionError(f"read memory at {address:#x}")
+
+    monkeypatch.setattr(dgfem._Factors, "from_address", no_read)
+    for other in (Wrapper(), system.matrix.tocsc(), None):
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"scipy {scipy.__version__}")):
+            dgfem._pivots(other)
 
 
 def test_solve_builds_the_element_pairs_once(monkeypatch):

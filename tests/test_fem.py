@@ -37,6 +37,22 @@ def test_mesh_uniform_counts():
     assert single.n_elements == 1 and single.h == 2.0
     # widths 0.30000000000000004 and 0.3: equal up to their end points' rounding
     assert fem.mesh_uniform(2, 3, ((0.1, 0.4), (0.2, 0.5))).n_elements == 9
+    assert fem.mesh_uniform(np.int64(2), np.int64(3)).n_elements == 9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fem.mesh_uniform(2, True),
+    lambda: fem.mesh_uniform(2, 2.5),
+    lambda: fem.mesh_uniform(True, 2),
+    lambda: fem.mesh_uniform(2.0, 2),
+    lambda: fem.Mesh(dim=True, h=0.5, origin=np.zeros(1),
+                     cells=np.array([[0], [1]])),
+], ids=["n_boolean", "n_fraction", "dim_boolean", "dim_float", "mesh_dim"])
+def test_sizes_must_be_integers(make):
+    # a boolean was read as 1 (a one-cell or a 1D mesh), and 2.5 or 2.0
+    # failed late with an unnamed TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
 
 
 @pytest.mark.parametrize("domain, match", [
