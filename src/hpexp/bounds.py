@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .expansion import composition_array
-from .indexsets import LEMMA_AUDIT_CAP
+from .indexsets import LEMMA_AUDIT_CAP, _integer
 from .orthopoly import log_gamma
 
 __all__ = [
@@ -95,6 +95,7 @@ def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
     The enumeration is exhaustive (no pruning); budgets beyond the cap are
     refused rather than sampled.
     """
+    _integer(d=d, M=M, m=m)
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if not 0 <= m <= M:
@@ -126,6 +127,7 @@ def sharp_l2_ratio(d: int, p: int, s: int):
     the set of alpha <= i only grows, so the denominator is non-decreasing in
     each entry of i.
     """
+    _integer(d=d, p=p, s=s)
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if p < 0:

@@ -12,12 +12,13 @@ the sweep, so the kind's own default applies.  With --out PREFIX the config
 runner writes PREFIX.csv and PREFIX.meta.json with the same meta fields as
 ``hpexp run``; without it a sweep prints CSV to stdout, but basis-count and
 lemma-audit print their own tables (the lemma table names each row's
-argmax).  sharp-ratio, slope-fit and run are not config kinds.  Exit codes:
-0 success, 1 usage or config error, 2 numerical failure.  A sweep's options
-are checked by the config validator before it runs, so any other error
-raised inside a sweep is a bug and propagates with its traceback; only
-sharp-ratio and slope-fit map their functions' ``ValueError`` and
-``KeyError`` to a usage error.
+argmax).  sharp-ratio, slope-fit and run are not config kinds; slope-fit
+takes the abscissa and the error key, and fits with ``harness``'s fixed
+window and error floor.  Exit codes: 0 success, 1 usage or config error,
+2 numerical failure.  A sweep's options are checked by the config validator
+before it runs, so any other error raised inside a sweep is a bug and
+propagates with its traceback; only sharp-ratio and slope-fit map their
+functions' ``ValueError`` and ``KeyError`` to a usage error.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ def _build_parser() -> _Parser:
     sf.add_argument("csv", type=Path)
     sf.add_argument("--abscissa", default="dof_root", choices=("p", "dof_root"))
     sf.add_argument("--error-key", default="l2")
-    sf.add_argument("--window", type=int, default=2)
-    sf.add_argument("--floor", type=float, default=harness.ERROR_FLOOR)
 
     rn = sub.add_parser("run", help="execute a JSON sweep config")
     rn.add_argument("config", type=Path)
@@ -135,8 +134,8 @@ def main(argv=None) -> int:
                 f"holds={res['max_ratio'] <= bound * (1 + 1e-12)}\n")
         elif args.command == "slope-fit":
             recs = records_from_csv(args.csv.read_text())
-            fit = fit_slope(recs, abscissa=args.abscissa, window=args.window,
-                            error_key=args.error_key, floor=args.floor)
+            fit = fit_slope(recs, abscissa=args.abscissa,
+                            error_key=args.error_key)
             sys.stdout.write(
                 f"slope={fit.slope:.14e} lsq_slope={fit.lsq_slope:.14e} "
                 f"r2={fit.r_squared:.6f} points={fit.n_points} "

@@ -60,8 +60,8 @@ import scipy.sparse.linalg as spla
 
 from . import blas
 from .errors import IndefiniteSipError
-from .indexsets import BasisSpec, enumerate_modes, flat_positions
-from .mesh import Mesh, _at, _coords, _integer, mesh_uniform
+from .indexsets import BasisSpec, _integer, enumerate_modes, flat_positions
+from .mesh import Mesh, _at, _coords, mesh_uniform
 from .orthopoly import (apply_axes, element_grids, gauss_rule,
                         gradient_error_sq, grid_values, kron_laplacian,
                         legendre_deriv_table, legendre_table)
@@ -94,7 +94,7 @@ class DgSpec:
     def __post_init__(self):
         if self.family not in ("P", "Q"):
             raise ValueError("DG families are P and Q")
-        _integer("p", self.p)
+        _integer(p=self.p)
         if self.p < 1:
             raise ValueError("need p >= 1")
         # the chained comparison is False for NaN too

@@ -73,7 +73,7 @@ from numpy.linalg import eigh
 
 from .errors import IndefiniteSystemError, RefinementError
 from .functions import named_function
-from .indexsets import bubble_indices, degree_mask, flat_positions
+from .indexsets import _integer, bubble_indices, degree_mask, flat_positions
 from .lapack import dpotrf, dpotrs, dsyrk, dtrsm, dtrtrs
 from .mesh import (_HALF, Mesh, _at, _coords, _lattice, _unique_rows,
                    mesh_lshape, mesh_uniform)
@@ -133,6 +133,7 @@ def build_dofmap(mesh: Mesh, p: int, family: str) -> DofMap:
     mode's dof is its entity's first dof plus its bubble rank."""
     if family not in ("Q", "S"):
         raise ValueError("conforming families are Q and S")
+    _integer(p=p)
     if p < 1:
         raise ValueError("need p >= 1")
     d, ne = mesh.dim, mesh.n_elements
@@ -770,8 +771,10 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
 
 @dataclass(frozen=True)
 class FemProblem:
-    name: str
-    dim: int
+    """A Poisson benchmark: its mesh, source, Dirichlet data and exact
+    gradient, and whether the error quadrature grades toward the mesh's
+    singular corner."""
+
     make_mesh: Callable[..., Mesh]
     source: Callable
     dirichlet: Callable
@@ -831,9 +834,9 @@ def fem_problem(name: str, n: Optional[int] = None) -> FemProblem:
         dim = int(name[4])
         nn = n if n is not None else 8 if dim == 2 else 4
         u = named_function("sine", dim)
-        return FemProblem(name, dim, lambda: mesh_uniform(dim, nn, (0.0, 1.0)),
+        return FemProblem(lambda: mesh_uniform(dim, nn, (0.0, 1.0)),
                           u.source, _zero, u.gradient, graded=False)
     if name == "lshape":
-        return FemProblem(name, 2, mesh_lshape, _zero,
-                          _lshape_solution, _lshape_gradient, graded=True)
+        return FemProblem(mesh_lshape, _zero, _lshape_solution,
+                          _lshape_gradient, graded=True)
     raise ValueError(f"unknown problem {name!r}")

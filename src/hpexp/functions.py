@@ -1,5 +1,5 @@
 """The analytic test functions of the sweeps, in a module that imports numpy
-alone.
+and ``indexsets`` alone.
 
 A ``FunctionOracle`` is a function of d coordinates with the derivatives a
 solver needs; ``named_function`` builds the built-in ones.  ``expansion``
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .indexsets import _integer
 
 __all__ = ["FunctionOracle", "named_function"]
 
@@ -35,7 +37,16 @@ class FunctionOracle:
 
 
 def named_function(name: str, dim: int, runge_a: float = 0.5) -> FunctionOracle:
-    """Built-in analytic test functions: 'sine', 'expsum', 'runge1d-tensor'."""
+    """Built-in analytic test functions: 'sine', 'expsum', 'runge1d-tensor'
+    of dim >= 1 coordinates; ``runge_a``, a finite positive real, is the
+    Runge function's width."""
+    _integer(dim=dim)
+    a = np.asarray(runge_a)
+    # runge_a must be a real number, not a string or a boolean; the chained
+    # comparison is False for NaN too
+    if dim < 1 or a.shape or a.dtype.kind not in "iuf" or not 0 < a < np.inf:
+        raise ValueError(f"need dim >= 1 and a finite runge_a > 0, not "
+                         f"dim = {dim}, runge_a = {runge_a!r}")
     if name == "sine":
         def f(*xs):
             out = np.sin(np.pi * xs[0])

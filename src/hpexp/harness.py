@@ -1,8 +1,9 @@
 """Experiment orchestration: sweeps, slope fits, ratio reports, CSV/JSON output.
 
 ``KINDS`` maps each config ``kind`` to its keys (the one declaration of
-each, read by the validator and by the CLI's sweep subcommands), its
-records' error keys, its meta and a solver ``solve_one(p) -> (dof, errors,
+each, read by the validator and by the CLI's sweep subcommands; a key is
+declared only where a workload, an acceptance criterion or a demo sets it),
+its records' error keys, its meta and a solver ``solve_one(p) -> (dof, errors,
 extra)`` over the layers' stage functions.  ``sweep`` is the one loop over
 degrees; ``run_config`` validates a whole config before running any sweep
 and writes the files, and its project-sweeps share each distinct reference
@@ -15,11 +16,12 @@ installed metadata file without importing scipy or ``importlib.metadata``.
 
 Slopes of exponential convergence curves are measured on log(error) against
 either p or Dof^(1/d).  The headline ``slope`` follows the windowed
-convention: the average of the last two segment slopes of the convergence
-line, after excluding the round-off plateau (errors at the 1e-12 floor, plus
-trailing segments whose slope collapses relative to the curve's own scale).
-A full least-squares slope and its r^2 over the same window are reported
-alongside.
+convention: the average of the last ``SLOPE_WINDOW`` = 2 segment slopes of
+the convergence line, after excluding the round-off plateau (errors at the
+``ERROR_FLOOR`` = 1e-12 floor, plus trailing segments whose slope collapses
+relative to the curve's own scale).  Window and floor are fixed: every
+experiment fits with them.  A full least-squares slope and its r^2 over the
+same points are reported alongside.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-12
+# the headline slope of ``fit_slope`` averages this many trailing segments
+SLOPE_WINDOW = 2
 # a trailing segment of a fit whose slope is below this share of the
 # steepest segment is the round-off plateau (``fit_slope``)
 PLATEAU_REL = 0.2
@@ -91,12 +95,10 @@ class SlopeFit:
 
     slope: float            # windowed: mean of the last two segment slopes
     lsq_slope: float
-    intercept: float
     r_squared: float
     abscissa: str           # "p" | "dof_root"
     dim: int
     n_points: int
-    window: int
 
 
 def _abscissa_values(records, abscissa: str) -> np.ndarray:
@@ -107,42 +109,37 @@ def _abscissa_values(records, abscissa: str) -> np.ndarray:
     raise ValueError("abscissa must be 'p' or 'dof_root'")
 
 
-def fit_slope(records, abscissa: str = "dof_root", window: int = 2,
-              error_key: str = "l2", floor: float = ERROR_FLOOR) -> SlopeFit:
+def fit_slope(records, abscissa: str = "dof_root",
+              error_key: str = "l2") -> SlopeFit:
     """Windowed + least-squares slope of log(error) against the abscissa.
 
-    Records with error <= floor are excluded; trailing segments whose slope
-    falls below ``PLATEAU_REL`` times the steepest segment seen are treated
-    as the round-off plateau and dropped.
+    Records with error <= ``ERROR_FLOOR`` are excluded; trailing segments
+    whose slope falls below ``PLATEAU_REL`` times the steepest segment seen
+    are treated as the round-off plateau and dropped, and the headline slope
+    is the mean of the last ``SLOPE_WINDOW`` segments left.
     """
-    if window < 1:
-        raise ValueError("the slope window needs at least 1 segment")
-    if floor < 0:
-        # an error of exactly 0 would pass the floor and reach the log
-        raise ValueError("the error floor must be non-negative")
     recs = [r for r in records if np.isfinite(r.error(error_key))]
     for r in recs:
         if r.error(error_key) < 0:
             raise ValueError("errors must be positive to fit a slope")
-    recs = [r for r in recs if r.error(error_key) > floor]
-    if len(recs) < window + 1:
+    recs = [r for r in recs if r.error(error_key) > ERROR_FLOOR]
+    if len(recs) < SLOPE_WINDOW + 1:
         raise ValueError("not enough points above the floor to fit")
     x = _abscissa_values(recs, abscissa)
     y = np.log([r.error(error_key) for r in recs])
     slopes = -(np.diff(y) / np.diff(x))
-    while slopes.size > window and slopes[-1] < PLATEAU_REL * slopes.max():
+    while (slopes.size > SLOPE_WINDOW
+           and slopes[-1] < PLATEAU_REL * slopes.max()):
         slopes = slopes[:-1]
         x, y = x[:-1], y[:-1]
-    win_slope = float(np.mean(slopes[-window:]))
+    win_slope = float(np.mean(slopes[-SLOPE_WINDOW:]))
     A = np.vstack([x, np.ones_like(x)]).T
     (lsq, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = A @ [lsq, intercept] - y
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return SlopeFit(slope=win_slope, lsq_slope=float(-lsq),
-                    intercept=float(intercept), r_squared=r2,
-                    abscissa=abscissa, dim=recs[0].dim, n_points=len(x),
-                    window=window)
+    return SlopeFit(slope=win_slope, lsq_slope=float(-lsq), r_squared=r2,
+                    abscissa=abscissa, dim=recs[0].dim, n_points=len(x))
 
 
 def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
@@ -229,10 +226,9 @@ def _with_p_rate(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
 
 def _fem_solver(sw: dict, references: Optional[dict] = None):
     from . import fem
-    # graded_* and n are keys of one kind each, so the other gets the defaults
+    # n is a key of fem-sine alone, so the L-shape gets the default
     prob = fem.fem_problem("lshape" if sw["kind"] == "fem-lshape"
                            else f"sine{sw.get('dim', 2)}d", n=sw.get("n"))
-    sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
     mesh = prob.make_mesh()
     family = sw["family"]
 
@@ -240,11 +236,11 @@ def _fem_solver(sw: dict, references: Optional[dict] = None):
         dofmap = fem.build_dofmap(mesh, p, family)
         system = fem.assemble_poisson(mesh, dofmap, prob.source, prob.dirichlet)
         sol = fem.condense_solve(system, dofmap)
+        # the sine meshes have no singular corner: plain Gauss throughout
         err = fem.h1_error(sol, prob.exact_gradient,
-                           graded_at=mesh.singular_corner if prob.graded else None,
-                           sigma=sigma, layers=sw.get("graded_layers"))
+                           graded_at=mesh.singular_corner)
         return (dofmap.n_dof, {"h1_semi": err},
-                {"residual": sol.residual_norm, "problem": prob.name,
+                {"residual": sol.residual_norm,
                  "skeleton_free": sol.skeleton_free,
                  "factor_nnz": sol.factor_nnz})
 
@@ -293,12 +289,12 @@ class _Reference(NamedTuple):
 
 
 def _reference_key(sw: dict) -> tuple:
-    """The effective (function, dim, runge_a, p_max, margin) of a
-    project-sweep, defaults filled in: sweeps with equal keys measure against
-    the same reference expansion."""
+    """The effective (function, dim, p_max, margin) of a project-sweep,
+    defaults filled in: sweeps with equal keys measure against the same
+    reference expansion."""
     from .expansion import DEFAULT_REFERENCE_MARGIN
-    return (sw.get("function", "sine"), sw["dim"], sw.get("runge_a", 0.5),
-            sw["p_max"], sw.get("margin", DEFAULT_REFERENCE_MARGIN))
+    return (sw.get("function", "sine"), sw["dim"], sw["p_max"],
+            sw.get("margin", DEFAULT_REFERENCE_MARGIN))
 
 
 def _reference(sw: dict, references: dict) -> _Reference:
@@ -307,8 +303,8 @@ def _reference(sw: dict, references: dict) -> _Reference:
     from . import expansion
     key = _reference_key(sw)
     if key not in references:
-        function, dim, runge_a, p_max, margin = key
-        oracle = named_function(function, dim, runge_a=runge_a)
+        function, dim, p_max, margin = key
+        oracle = named_function(function, dim)
         references[key] = _Reference(
             expansion.reference_expansion(oracle, p_max, margin=margin),
             sw["name"])
@@ -320,7 +316,7 @@ def _projection_solver(sw: dict, references: Optional[dict] = None):
     expansion of the named function, taken from ``references`` (built for
     this sweep alone without one)."""
     from .projections import projection_errors
-    dim, function = sw["dim"], sw.get("function", "sine")
+    dim = sw["dim"]
     project, family = _PROJECTIONS[sw["proj_kind"]]
     u = _reference(sw, {} if references is None else references).u
 
@@ -329,7 +325,7 @@ def _projection_solver(sw: dict, references: Optional[dict] = None):
         dof = dof_count(BasisSpec(dim, p, family))
         err = projection_errors(u, res)
         return (dof, {"l2": err.l2, "h1_semi": err.h1_semi},
-                {"trusted": err.trusted, "function": function})
+                {"trusted": err.trusted})
 
     return (f"proj_{sw['proj_kind']}", dim, range(sw["p_min"], sw["p_max"] + 1),
             solve_one)
@@ -467,10 +463,10 @@ def _int(lo: int, hi: Optional[int] = None, required: bool = False) -> Key:
                and (hi is None or v <= hi), text, int)
 
 
-def _number(lo: float, hi: float = float("inf")) -> Key:
+def _number(lo: float) -> Key:
     return Key(False, lambda v: isinstance(v, (int, float))
-               and not isinstance(v, bool) and lo < v < hi,
-               f"a number in ({lo}, {hi})", float)
+               and not isinstance(v, bool) and lo < v < float("inf"),
+               f"a number in ({lo}, inf)", float)
 
 
 def _choice(options: tuple, required: bool = False) -> Key:
@@ -507,13 +503,13 @@ class Kind(NamedTuple):
 
 
 def _lshape_meta(sw: dict) -> dict:
-    """The error quadrature; layers, points per axis and points per corner
-    element at each degree of ``p_list``, in its order."""
+    """The error quadrature of ``h1_error`` at its defaults: the graded ratio,
+    and the layers, points per axis and points per corner element at each
+    degree of ``p_list``, in its order."""
     from . import fem
     from .orthopoly import graded_rule
-    sigma = sw.get("graded_ratio", fem.GRADED_SIGMA_DEFAULT)
-    rules = [fem.error_quadrature(p, sw.get("graded_layers"), sigma=sigma)
-             for p in sw["p_list"]]
+    sigma = fem.GRADED_SIGMA_DEFAULT
+    rules = [fem.error_quadrature(p) for p in sw["p_list"]]
     return {"quadrature": {
         "graded_sigma": sigma,
         "graded_layers": [layers for layers, _ in rules],
@@ -531,7 +527,7 @@ KINDS = {
          "p_min": _int(0, required=True), "p_max": _int(0, required=True),
          "function": _choice(("sine", "expsum", "runge1d-tensor")),
          # projection_errors needs the reference 4 degrees above p_max
-         "margin": _int(4), "runge_a": _number(0.0)},
+         "margin": _int(4)},
         ("l2", "h1_semi"), _projection_solver),
     "fem-sine": Kind(
         "sine Poisson benchmark",
@@ -540,8 +536,7 @@ KINDS = {
         ("h1_semi",), _fem_solver),
     "fem-lshape": Kind(
         "L-shape corner benchmark",
-        {"family": _choice(("Q", "S"), required=True), "p_list": _P_LIST,
-         "graded_ratio": _number(0.0, 1.0), "graded_layers": _int(1)},
+        {"family": _choice(("Q", "S"), required=True), "p_list": _P_LIST},
         ("h1_semi",), _fem_solver, _lshape_meta),
     "dg-sine": Kind(
         "SIP DG sine benchmark",
@@ -561,13 +556,6 @@ KINDS = {
          "m_max": _int(0)},
         ("lattice_max", "phi")),
 }
-
-TABLE1_PRESET = {"sweeps": [
-    {"name": f"table1_fem_{family.lower()}", "kind": "fem-lshape",
-     "family": family, "p_list": [1, 2, 3, 4, 5, 10, 15, 20, 25]}
-    for family in ("S", "Q")]}
-PRESETS = {"table1": TABLE1_PRESET}
-ROOT_KEYS = ("sweeps", "preset")
 
 
 def _validate_sweep(i: int, sw) -> None:
@@ -593,11 +581,6 @@ def _validate_sweep(i: int, sw) -> None:
             raise ConfigError(f"{where}.{k}: must be {key.text}")
     if sw["kind"] == "project-sweep" and sw["p_min"] > sw["p_max"]:
         raise ConfigError(f"{where}.p_min: must not exceed p_max")
-    # the other functions have no width; a value they ignore would also
-    # split the reference key
-    if "runge_a" in sw and sw.get("function") != "runge1d-tensor":
-        raise ConfigError(f"{where}.runge_a: only for function "
-                          f"'runge1d-tensor'")
 
 
 def _validated_sweeps(config) -> list[dict]:
@@ -610,18 +593,9 @@ def _validated_sweeps(config) -> list[dict]:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
-    unknown = sorted(config.keys() - set(ROOT_KEYS))
+    unknown = sorted(config.keys() - {"sweeps"})
     if unknown:
-        raise ConfigError(f"{unknown[0]}: not a root key, "
-                          f"which are {ROOT_KEYS}")
-    if "preset" in config:
-        preset = config["preset"]
-        if "sweeps" in config:
-            raise ConfigError("preset: replaces sweeps, give one of them")
-        if not isinstance(preset, str) or preset not in PRESETS:
-            raise ConfigError(f"preset: unknown {preset!r}, "
-                              f"must be one of {tuple(PRESETS)}")
-        config = PRESETS[preset]
+        raise ConfigError(f"{unknown[0]}: not a root key, only sweeps is")
     if "sweeps" not in config or not isinstance(config["sweeps"], list):
         raise ConfigError("sweeps: required list")
     written = {}

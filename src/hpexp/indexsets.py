@@ -39,6 +39,15 @@ LEMMA_AUDIT_CAP = 40
 _FAMILIES = ("Q", "P", "S")
 
 
+def _integer(**values) -> None:
+    """Raise ValueError unless each named value is an integer (np.int64 is
+    one; a bool, read as 0 or 1, and 2.0 are not): the one rule for the
+    sizes, dimensions and degrees the layers take."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} = {value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Basis family selector: dimension, degree and family Q | P | S."""
@@ -48,6 +57,7 @@ class BasisSpec:
     family: str
 
     def __post_init__(self):
+        _integer(dim=self.dim, p=self.p)
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.family not in _FAMILIES:

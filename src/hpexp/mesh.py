@@ -6,7 +6,8 @@ code c of cell i is the lattice point 2 i + (0, 2, 1)[c], its dimension is
 its number of odd coordinates, and it is on the boundary iff fewer than the
 2^(d-j) cells around a j-entity hold it.  ``fem`` numbers its dofs from
 this lattice, and ``dgfem`` names its facets by the cells' lattice
-positions.  The module imports numpy alone, so a DG run loads no FEM solver.
+positions.  The module imports numpy and ``indexsets`` alone, so a DG run
+loads no FEM solver.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
+
+from .indexsets import _integer
 
 __all__ = ["Mesh", "mesh_uniform", "mesh_lshape"]
 
@@ -38,7 +41,7 @@ class Mesh:
     singular_corner: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _integer("dim", self.dim)
+        _integer(dim=self.dim)
         cells, d = np.asarray(self.cells), self.dim
         if (cells.ndim != 2 or cells.shape[1] != d or not cells.size
                 or not np.issubdtype(cells.dtype, np.integer)):
@@ -76,13 +79,6 @@ class Mesh:
 
 
 _HALF = np.array([0, 2, 1])         # lattice offset of local code 0, 1, 2
-
-
-def _integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (np.int64 is one; a
-    bool, read as 0 or 1, and 2.0 are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} = {value!r} must be an integer")
 
 
 def _unique_rows(rows: np.ndarray, shape):
@@ -127,8 +123,7 @@ def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
     rounding of their end points.  All of it is checked before h is
     computed, so a bad domain raises here rather than turning h and every
     coordinate downstream into inf or NaN."""
-    _integer("dim", dim)
-    _integer("n", n)
+    _integer(dim=dim, n=n)
     if n < 1:
         raise ValueError("need n >= 1")
     if np.asarray(domain).dtype.kind not in "iuf":

@@ -8,6 +8,9 @@ axis.  The composite rules come from the breakpoints of the 1D
 plain-Gauss elements are integrated as ``fem.h1_error`` integrates them, so
 their errors must agree bit for bit; the corner-piece errors must agree to
 round-off.
+
+``TABLE1`` is the paper's Table-1 benchmark as a config of ``hpexp run``:
+the L-shape sweeps of both families at its nine degrees.
 """
 
 from functools import reduce
@@ -17,6 +20,11 @@ import numpy as np
 from hpexp import fem
 from hpexp.indexsets import flat_positions
 from hpexp.orthopoly import apply_axes, element_grids, gauss_rule, graded_rule
+
+TABLE1 = {"sweeps": [
+    {"name": f"table1_fem_{family.lower()}", "kind": "fem-lshape",
+     "family": family, "p_list": [1, 2, 3, 4, 5, 10, 15, 20, 25]}
+    for family in ("S", "Q")]}
 
 
 def composite_rule(sigma, layers, order, end):

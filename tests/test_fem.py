@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hpexp import fem, harness
+from hpexp.bounds import lemma_audit, sharp_l2_ratio
+from hpexp.functions import named_function
 from hpexp.harness import run_sweep
 from hpexp.indexsets import BasisSpec, bubble_indices, dof_count
 from hpexp.lapack import dpotrs
 from hpexp.orthopoly import apply_axes, element_grids, gauss_rule
 import skeleton_reference
-from graded_reference import h1_error_tensorized
+from graded_reference import TABLE1, h1_error_tensorized
 from skeleton_reference import factor_multifrontal_add_at, free_skeleton_matrix
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
@@ -40,19 +42,48 @@ def test_mesh_uniform_counts():
     assert fem.mesh_uniform(np.int64(2), np.int64(3)).n_elements == 9
 
 
-@pytest.mark.parametrize("make", [
-    lambda: fem.mesh_uniform(2, True),
-    lambda: fem.mesh_uniform(2, 2.5),
-    lambda: fem.mesh_uniform(True, 2),
-    lambda: fem.mesh_uniform(2.0, 2),
-    lambda: fem.Mesh(dim=True, h=0.5, origin=np.zeros(1),
-                     cells=np.array([[0], [1]])),
-], ids=["n_boolean", "n_fraction", "dim_boolean", "dim_float", "mesh_dim"])
-def test_sizes_must_be_integers(make):
-    # a boolean was read as 1 (a one-cell or a 1D mesh), and 2.5 or 2.0
-    # failed late with an unnamed TypeError
-    with pytest.raises(ValueError, match="must be an integer"):
+_INTEGER = "must be an integer"
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: fem.mesh_uniform(2, True), _INTEGER),
+    (lambda: fem.mesh_uniform(2, 2.5), _INTEGER),
+    (lambda: fem.mesh_uniform(True, 2), _INTEGER),
+    (lambda: fem.mesh_uniform(2.0, 2), _INTEGER),
+    (lambda: fem.Mesh(dim=True, h=0.5, origin=np.zeros(1),
+                      cells=np.array([[0], [1]])), _INTEGER),
+    (lambda: dof_count(BasisSpec(2, 2.5, "Q")), _INTEGER),
+    (lambda: BasisSpec(2, True, "Q"), _INTEGER),
+    (lambda: BasisSpec(2.0, 2, "Q"), _INTEGER),
+    (lambda: fem.build_dofmap(fem.mesh_uniform(2, 2), True, "Q"), _INTEGER),
+    (lambda: fem.build_dofmap(fem.mesh_uniform(2, 2), 2.0, "Q"), _INTEGER),
+    (lambda: lemma_audit(True, 4, 2), _INTEGER),
+    (lambda: lemma_audit(2, 4.0, 2), _INTEGER),
+    (lambda: sharp_l2_ratio(True, 3, 1), _INTEGER),
+    (lambda: named_function("sine", 2.0), _INTEGER),
+    (lambda: named_function("sine", 0), "dim >= 1"),
+    (lambda: named_function("runge1d-tensor", 2, runge_a=0), "runge_a"),
+    (lambda: named_function("runge1d-tensor", 2, runge_a=np.nan), "runge_a"),
+    (lambda: named_function("runge1d-tensor", 2, runge_a=True), "runge_a"),
+], ids=["n_boolean", "n_fraction", "dim_boolean", "dim_float", "mesh_dim",
+        "basis_p_fraction", "basis_p_boolean", "basis_dim_float",
+        "dofmap_p_boolean", "dofmap_p_float", "lemma_d_boolean",
+        "lemma_M_float", "sharp_d_boolean", "function_dim_float",
+        "function_dim_zero", "runge_a_zero", "runge_a_nan", "runge_a_boolean"])
+def test_sizes_must_be_integers(make, match):
+    # a boolean was read as 1 (a one-cell or a 1D mesh, a degree or a
+    # dimension of 1), 2.5 gave a fractional Dof count, and 2.0 failed late
+    # with an unnamed TypeError; a zero width or dimension gave a NaN or a
+    # 0-D function
+    with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_sizes_take_numpy_integers():
+    assert dof_count(BasisSpec(np.int64(2), np.int64(3), "Q")) == 16
+    assert fem.build_dofmap(fem.mesh_uniform(2, 1), np.int64(1), "Q").n_dof == 4
+    assert lemma_audit(np.int64(2), np.int64(2), np.int64(2)).holds
+    assert named_function("sine", np.int64(2)).dim == 2
 
 
 @pytest.mark.parametrize("domain, match", [
@@ -1241,7 +1272,7 @@ def test_corner_pieces_match_the_tensorized_reference(lshape, family):
     # the 18 Table-1 solutions: the corner-piece rule against the tensor
     # product of composite graded rules that h1_error used before it
     prob = fem.fem_problem("lshape")
-    for p in harness.TABLE1_PRESET["sweeps"][0]["p_list"]:
+    for p in TABLE1["sweeps"][0]["p_list"]:
         dm = fem.build_dofmap(lshape, p, family)
         sol = fem.condense_solve(fem.assemble_poisson(
             lshape, dm, prob.source, prob.dirichlet), dm)

@@ -35,14 +35,15 @@ from pathlib import Path
 import pytest
 
 from hpexp import fem
-from hpexp.harness import TABLE1_PRESET, run_sweep
+from hpexp.harness import run_sweep
+from graded_reference import TABLE1
 from skeleton_reference import FACTORIZATIONS
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FLOOR = 1e-12
 RTOL = 1e-10
 
-SWEEPS = [dict(sw) for sw in TABLE1_PRESET["sweeps"]]
+SWEEPS = [dict(sw) for sw in TABLE1["sweeps"]]
 SWEEPS += [{"name": f"sine2d_{fam.lower()}", "kind": "fem-sine", "family": fam,
             "dim": 2, "n": 4, "p_list": [1, 2, 3, 4, 5, 6, 8]}
            for fam in ("Q", "S")]

@@ -13,10 +13,11 @@ from hpexp.bounds import LEMMA_AUDIT_CAP
 from hpexp.cli import main as cli_main
 from hpexp.orthopoly import graded_rule
 from hpexp.harness import (ConfigError, ConvergenceRecord, ERROR_FLOOR, Solver,
-                           TABLE1_PRESET, _lshape_meta, _validated_sweeps,
+                           _lemma_records, _lshape_meta, _validated_sweeps,
                            _with_p_rate, fit_slope, ratio_report,
                            records_from_csv, records_to_csv, run_config,
                            run_sweep, sweep, write_records)
+from graded_reference import TABLE1
 
 
 def _rec(method, p, dim, dof, err):
@@ -53,7 +54,7 @@ def test_fit_slope_windowed_vs_lsq_agreement():
 def test_fit_slope_excludes_floor_and_plateau():
     errs = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 3e-12, 2.5e-12, 3.1e-12]
     recs = [_rec("m", p, 2, (p + 1) ** 2, e) for p, e in enumerate(errs, start=2)]
-    fit = fit_slope(recs, abscissa="p", floor=1e-12)
+    fit = fit_slope(recs, abscissa="p")
     # the flat 3e-12 tail is dropped; the window ends on the last two real
     # segments (one full decade pair, one partial into the 3e-12 point)
     expect = 0.5 * (np.log(100.0) + np.log(1e-10 / 3e-12))
@@ -61,7 +62,7 @@ def test_fit_slope_excludes_floor_and_plateau():
     assert fit.n_points == 6
     # errors at the floor itself are excluded entirely
     recs2 = recs[:-3] + [_rec("m", 9, 2, 100, 5e-13)]
-    fit2 = fit_slope(recs2, abscissa="p", floor=1e-12)
+    fit2 = fit_slope(recs2, abscissa="p")
     assert fit2.n_points == 5
     assert fit2.slope == pytest.approx(np.log(100.0), rel=1e-9)
 
@@ -76,16 +77,9 @@ def test_fit_slope_rejects_nonpositive():
 def test_fit_slope_needs_enough_points():
     recs = [_rec("m", 2, 2, 9, 1e-13), _rec("m", 3, 2, 16, 1e-14),
             _rec("m", 4, 2, 25, 1e-15)]
+    assert all(r.error("l2") < ERROR_FLOOR for r in recs)
     with pytest.raises(ValueError):
-        fit_slope(recs, abscissa="p", floor=ERROR_FLOOR)
-
-
-@pytest.mark.parametrize("window", [0, -1])
-def test_fit_slope_rejects_empty_window(window):
-    # slopes[-0:] would average every segment instead of the last ones
-    recs = [_rec("m", p, 2, (p + 1) ** 2, np.exp(-2.0 * p)) for p in range(2, 8)]
-    with pytest.raises(ValueError):
-        fit_slope(recs, abscissa="p", window=window)
+        fit_slope(recs, abscissa="p")
 
 
 def _exact_zero_tail():
@@ -94,10 +88,8 @@ def _exact_zero_tail():
 
 
 def test_fit_slope_rejects_negative_floor():
-    # with floor < 0 the exact zeros pass the floor and reach np.log
-    with pytest.raises(ValueError, match="floor"):
-        fit_slope(_exact_zero_tail(), abscissa="p", floor=-1.0)
-    assert fit_slope(_exact_zero_tail(), abscissa="p", floor=0.0).n_points == 4
+    # exact zeros fall below the fixed floor and never reach np.log
+    assert fit_slope(_exact_zero_tail(), abscissa="p").n_points == 4
 
 
 @pytest.mark.parametrize("text", ["", "\n\n"])
@@ -329,10 +321,12 @@ _SWEEP = {"name": "c", "kind": "basis-count", "dim": 2, "p_max": 2}
 @pytest.mark.parametrize("config,message", [
     pytest.param({"sweeps": [], "blas_thread": 2}, "blas_thread: not a root key",
                  id="unknown_root_key"),
-    pytest.param({"preset": "table1", "sweeps": [_SWEEP]}, "preset: replaces",
-                 id="preset_and_sweeps"),
-    pytest.param({"preset": "table2"}, "'table2'", id="unknown_preset"),
-    pytest.param({"preset": None}, "None", id="preset_null"),
+    # the root key is sweeps alone: Table 1 is a two-sweep config
+    pytest.param({"preset": "table1", "sweeps": [_SWEEP]},
+                 "preset: not a root key", id="preset_and_sweeps"),
+    pytest.param({"preset": "table2"}, "preset: not a root key",
+                 id="unknown_preset"),
+    pytest.param({"preset": None}, "preset: not a root key", id="preset_null"),
     pytest.param({"preset": ["table1"]}, "preset", id="preset_list"),
 ])
 def test_root_validation(config, message):
@@ -342,7 +336,6 @@ def test_root_validation(config, message):
 
 def test_root_validation_keeps_the_valid_forms():
     assert _validated_sweeps({"sweeps": [_SWEEP]}) == [_SWEEP]
-    assert _validated_sweeps({"preset": "table1"}) == TABLE1_PRESET["sweeps"]
 
 
 @pytest.mark.parametrize("sigma,layers,kept", [
@@ -353,8 +346,10 @@ def test_root_validation_keeps_the_valid_forms():
 def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
                                                      sigma, layers, kept):
     # h1_error's own (layers, order) at each Table-1 degree, and the points
-    # of each corner element's rule, read where it builds the rules;
-    # assembly and solve are replaced by a zero solution
+    # of each corner element's rule, read where it builds the rules, against
+    # the meta at the defaults, which a sweep runs, and against
+    # error_quadrature at the other (sigma, layers); assembly and solve are
+    # replaced by a zero solution
     used, corner = [], []
     element_rules_used = fem._element_rules
 
@@ -370,39 +365,50 @@ def test_lshape_meta_is_the_quadrature_h1_error_uses(tmp_path, monkeypatch,
     monkeypatch.setattr(fem, "assemble_poisson", lambda *args: None)
     monkeypatch.setattr(fem, "condense_solve", lambda system, dofmap:
                         fem.FemSolution(dofmap, np.zeros(dofmap.n_dof), 0.0))
-    sw = dict(TABLE1_PRESET["sweeps"][1])
-    if sigma is not None:
-        sw["graded_ratio"] = sigma
-    if layers is not None:
-        sw["graded_layers"] = layers
-    run_config({"sweeps": [sw]}, out_dir=tmp_path)
-    quad = json.loads((tmp_path / f"{sw['name']}.meta.json").read_text())[
-        "quadrature"]
-    assert quad == _lshape_meta(sw)["quadrature"]
-    assert used == list(zip(quad["graded_layers"], quad["error_rule_order"]))
-    assert corner == [{points} for points in quad["corner_points"]]
+    sw = dict(TABLE1["sweeps"][1])
+    ratio = sigma if sigma is not None else fem.GRADED_SIGMA_DEFAULT
     if sigma is None and layers is None:
+        run_config({"sweeps": [sw]}, out_dir=tmp_path)
+        quad = json.loads((tmp_path / f"{sw['name']}.meta.json").read_text())[
+            "quadrature"]
+        assert quad == _lshape_meta(sw)["quadrature"]
+        assert quad["graded_sigma"] == ratio
+        rules = list(zip(quad["graded_layers"], quad["error_rule_order"]))
+        points = quad["corner_points"]
         # 14 layers of 3 boxes and the innermost square, 50 x 50 points each
-        assert quad["corner_points"][-1] == 43 * 50 ** 2
+        assert points[-1] == 43 * 50 ** 2
+    else:
+        mesh = fem.mesh_lshape()
+        grad = fem.fem_problem("lshape").exact_gradient
+        for p in sw["p_list"]:
+            dofmap = fem.build_dofmap(mesh, p, sw["family"])
+            fem.h1_error(fem.FemSolution(dofmap, np.zeros(dofmap.n_dof), 0.0),
+                         grad, graded_at=mesh.singular_corner, sigma=ratio,
+                         layers=layers)
+        rules = [fem.error_quadrature(p, layers, sigma=ratio)
+                 for p in sw["p_list"]]
+        points = [graded_rule(ratio, n, order, (-1, -1)).nodes.shape[1]
+                  * order ** 2 for n, order in rules]
+    assert used == rules
+    assert corner == [{n} for n in points]
     assert len(used) == len(sw["p_list"]) == 9
     # the count graded_rule keeps, not the count asked for
-    ratio = sigma if sigma is not None else fem.GRADED_SIGMA_DEFAULT
-    assert quad["graded_layers"] == [
+    kept_layers = [n for n, _ in rules]
+    assert kept_layers == [
         graded_rule(ratio, layers if layers is not None else max(p, 20),
                     order).layers
-        for p, order in zip(sw["p_list"], quad["error_rule_order"])]
-    assert set(quad["graded_layers"]) == kept
-    assert quad["error_rule_order"][0] == 12
-    assert quad["error_rule_order"][-1] == 50
+        for p, (_, order) in zip(sw["p_list"], rules)]
+    assert set(kept_layers) == kept
+    assert rules[0][1] == 12
+    assert rules[-1][1] == 50
 
 
 def test_table1_preset_validates():
-    from hpexp.harness import TABLE1_PRESET, _validate_sweep
-    for i, sw in enumerate(TABLE1_PRESET["sweeps"]):
-        _validate_sweep(i, sw)
-    names = [sw["name"] for sw in TABLE1_PRESET["sweeps"]]
+    # Table 1 is a config of two sweeps, one per family
+    assert _validated_sweeps(TABLE1) == TABLE1["sweeps"]
+    names = [sw["name"] for sw in TABLE1["sweeps"]]
     assert names == ["table1_fem_s", "table1_fem_q"]
-    assert TABLE1_PRESET["sweeps"][0]["p_list"][-1] == 25
+    assert TABLE1["sweeps"][0]["p_list"][-1] == 25
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -502,16 +508,6 @@ def test_cli_lemma_audit_and_sharp_ratio(capsys):
     assert "max_ratio=2.5" in out and "holds=True" in out
 
 
-def test_cli_rejects_empty_slope_window(tmp_path, capsys):
-    run_config({"sweeps": [{"name": "proj", "kind": "project-sweep",
-                            "proj_kind": "l2p", "dim": 2, "p_min": 0,
-                            "p_max": 8, "margin": 10}]}, out_dir=tmp_path)
-    for window in ("0", "-1"):
-        assert cli_main(["slope-fit", str(tmp_path / "proj.csv"),
-                         "--error-key", "l2", "--window", window]) == 1
-    assert capsys.readouterr().out == ""
-
-
 def test_cli_rejects_negative_degree(capsys):
     # p = -1 used to print max_ratio=1 ... holds=True and exit 0
     assert cli_main(["sharp-ratio", "--dim", "2", "--p", "-1", "--s", "0"]) == 1
@@ -520,15 +516,12 @@ def test_cli_rejects_negative_degree(capsys):
 
 
 def test_cli_rejects_negative_floor_and_empty_csv(tmp_path, capsys):
-    csv = tmp_path / "zeros.csv"
-    csv.write_text(records_to_csv(_exact_zero_tail()))
-    assert cli_main(["slope-fit", str(csv), "--abscissa", "p",
-                     "--floor", "-1"]) == 1
+    # the floor is fixed; an empty CSV is still a usage error
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert cli_main(["slope-fit", str(empty)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.count("usage error") == 2
+    assert out == "" and err.count("usage error") == 1
 
 
 def test_cli_fem_subcommands(tmp_path, capsys):
@@ -644,10 +637,9 @@ def test_cli_sweep_options_are_the_kind_keys(command):
 
 
 # two project-sweeps' references are one exactly when their effective
-# (function, dim, runge_a, p_max, margin) are equal, defaults filled in
+# (function, dim, p_max, margin) are equal, defaults filled in
 _REF = {"kind": "project-sweep", "proj_kind": "l2q", "dim": 2, "p_min": 2,
         "p_max": 5, "margin": 6}
-_RUNGE = dict(_REF, function="runge1d-tensor", runge_a=0.5)
 
 
 @pytest.mark.parametrize("a,b,shared", [
@@ -655,14 +647,12 @@ _RUNGE = dict(_REF, function="runge1d-tensor", runge_a=0.5)
     (_REF, dict(_REF, p_max=6), False),
     (_REF, dict(_REF, function="expsum"), False),
     (_REF, dict(_REF, dim=3), False),
-    (_RUNGE, dict(_RUNGE, runge_a=0.3), False),
     (_REF, dict(_REF, proj_kind="h1q", p_min=1), True),
     (_REF, dict(_REF, function="sine"), True),
     (dict(_REF, margin=20), {k: v for k, v in _REF.items() if k != "margin"},
      True),
-    (_RUNGE, {k: v for k, v in _RUNGE.items() if k != "runge_a"}, True),
-], ids=["margin", "p_max", "function", "dim", "runge_a", "proj_kind",
-        "default_function", "default_margin", "default_runge_a"])
+], ids=["margin", "p_max", "function", "dim", "proj_kind",
+        "default_function", "default_margin"])
 def test_run_config_shares_a_reference_only_between_equal_keys(
         monkeypatch, tmp_path, a, b, shared):
     built = []
@@ -719,17 +709,64 @@ def test_project_sweep_meta_records_its_reference(tmp_path):
     assert "reference" not in metas["counts"]
 
 
-def test_cli_runge_a_needs_the_runge_function(tmp_path, capsys):
-    base = ["project-sweep", "--dim", "2", "--kind", "l2q", "--p-min", "1",
-            "--p-max", "3"]
-    bad = ["--out", str(tmp_path / "bad")]
-    assert cli_main(base + ["--function", "expsum", "--runge-a", "7"]) == 1
-    assert cli_main(base + ["--runge-a", "0.1"] + bad) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("runge_a: only for function") == 2
-    assert list(tmp_path.iterdir()) == []
-    assert cli_main(base + ["--function", "runge1d-tensor", "--runge-a", "0.3",
-                            "--out", str(tmp_path / "r")]) == 0
-    meta = json.loads((tmp_path / "r.meta.json").read_text())
-    assert meta["sweep"]["runge_a"] == 0.3
-    assert meta["reference"] == {"degree": 23, "built_by": "r"}
+
+@pytest.mark.parametrize("config,key", [
+    ({"preset": "table1"}, "preset"),
+    ({"sweeps": [dict(_PROJ, function="runge1d-tensor", runge_a=0.5)]},
+     "runge_a"),
+    ({"sweeps": [dict(_LSHAPE, graded_ratio=0.15)]}, "graded_ratio"),
+    ({"sweeps": [dict(_LSHAPE, graded_layers=14)]}, "graded_layers"),
+], ids=["preset", "runge_a", "graded_ratio", "graded_layers"])
+def test_cli_run_rejects_a_removed_key(tmp_path, capsys, config, key):
+    # no workload, criterion or demo set these; a config that does is an
+    # error naming the key, before anything runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{key}: not a" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_slope_fit_options_are_the_abscissa_and_the_error_key():
+    options = {s for a in _subcommand("slope-fit")._actions
+               for s in a.option_strings}
+    assert options == {"-h", "--help", "--abscissa", "--error-key"}
+
+
+class _Reads(dict):
+    """A sweep that records the keys read from it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# a value the validator accepts for each declared key, of every kind
+_KEY_VALUES = {"proj_kind": "l2q", "dim": 2, "p_min": 1, "p_max": 2,
+               "function": "expsum", "margin": 4, "family": "Q",
+               "p_list": [1], "n": 1, "gamma": 10.0, "M_max": 0, "m_max": 0}
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_every_declared_key_is_read(kind):
+    # a key the validator accepts and the run then ignores would be a
+    # setting that changes nothing
+    spec = harness.KINDS[kind]
+    sw = {"name": kind, "kind": kind,
+          **{k: v for k, v in _KEY_VALUES.items() if k in spec.fields}}
+    _validated_sweeps({"sweeps": [sw]})
+    sw = _Reads(sw)
+    if spec.solver is None:
+        _lemma_records(sw)
+    else:
+        spec.solver(sw, {})
+    spec.meta(sw)
+    assert spec.fields.keys() <= sw.read
