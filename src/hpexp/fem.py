@@ -30,11 +30,11 @@ interiors.
 
 Quadrature is element-batched: the load, the Dirichlet data and the H1
 error evaluate their integrands on the grids of all elements at once (one
-batch per per-axis rule tuple) and contract them with
-``orthopoly.apply_axes``.  The element-batch kernels are ``orthopoly``'s,
-shared with ``dgfem``: ``grid_values`` for the load and the boundary data,
-``kron_laplacian`` for the local stiffness and ``gradient_error_sq`` for
-the pointwise H1 error.
+batch per per-axis rule tuple; the H1 error in chunks of at most
+``ERROR_CHUNK`` points) and contract them with ``orthopoly.apply_axes``.
+The element-batch kernels are ``orthopoly``'s, shared with ``dgfem``:
+``grid_values`` for the load and the boundary data, ``kron_laplacian`` for
+the local stiffness and ``gradient_error_sq`` for the pointwise H1 error.
 
 The skeleton is never assembled, in 2D or 3D.  Its free dofs are ordered by
 nested dissection on the grid planes, which are grid lines in 2D (George
@@ -101,6 +101,9 @@ __all__ = [
 ]
 
 GRADED_SIGMA_DEFAULT = 0.15
+# quadrature points per chunk of h1_error: each of its grid-sized transients
+# is at most 256 KB, unless one element or piece alone has more points
+ERROR_CHUNK = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +216,8 @@ def _local_matrices_1d(p: int):
 
 def local_stiffness(dim: int, p: int, h: float, modes) -> np.ndarray:
     """Shared local stiffness over the given local modes, physically scaled."""
-    full = kron_laplacian(*_local_matrices_1d(p), dim) * (0.5 * h) ** (dim - 2)
+    full = kron_laplacian(*_local_matrices_1d(p), dim)
+    full *= (0.5 * h) ** (dim - 2)
     flat = flat_positions(modes, p)
     return full[np.ix_(flat, flat)]
 
@@ -593,9 +597,13 @@ def _element_schur(k_local: np.ndarray, dofmap: DofMap):
     of an F-ordered array), K_ib, X = K_ii^-1 K_ib and the element Schur
     complement S_loc on the skeleton modes.  Without interior modes
     (Q p = 1; S p <= 3 in 2D, p <= 5 in 3D) the block is 0 x 0 and
-    S_loc is K_bb."""
+    S_loc is K_bb.
+
+    U is gathered into F order in one copy: the gather from ``k_local.T``
+    is C-ordered, so its transpose is K_ii in F order, with no second copy
+    (2.7 MB at Q p = 25 in 2D) to reorder it for LAPACK."""
     il, bl = dofmap.interior_local, dofmap.skeleton_local
-    U = np.asfortranarray(k_local[np.ix_(il, il)])
+    U = k_local.T[np.ix_(il, il)].T
     if dpotrf(U, lower=False):
         raise IndefiniteSystemError("interior block not SPD")
     Kib = k_local[np.ix_(il, bl)]
@@ -731,10 +739,18 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
     corner pieces of ``graded_rule``, the rest plain Gauss;
     ``error_quadrature`` gives the default layers and points.
 
-    The elements sharing one rule are integrated as one batch.  On the corner
-    pieces every basis table is a stack of per-piece matrices, and the
-    coefficient tensors gain a piece axis of length 1, so each contraction of
-    ``apply_axes`` covers all pieces of the batch at once.
+    The elements sharing one rule are integrated together, in chunks of at
+    most ``ERROR_CHUNK`` quadrature points (or one element or piece, if
+    that is larger): a run of elements on plain Gauss, a run of pieces
+    within one element on the corner pieces.  On the corner pieces every
+    basis table is a stack of per-piece matrices, and the coefficient
+    tensors gain a piece axis of length 1, so each contraction of
+    ``apply_axes`` covers all pieces of the chunk at once.  Each chunk's
+    exact gradient and squared gradient error are its own transients
+    (an L-shape corner element is 43 pieces of 50 x 50 points at p = 25,
+    4 chunks); the squares go into one buffer per rule, which is weighted
+    and summed once.  ``apply_axes`` makes each element's and each piece's
+    product alone, so the errors are bit for bit those of one batch per rule.
     """
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
@@ -754,9 +770,23 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
                 for x in nodes]
         c = coeffs[elems].reshape((elems.size,) + (1,) * len(pieces)
                                   + (p + 1,) * d)
-        gex = exact_gradient(*element_grids(mesh.elem_lower[elems], a, nodes))
+        grid = tuple(x.shape[-1] for x in nodes)
+        err_sq = np.empty((elems.size,) + pieces + grid)
+        # elements, or pieces of one element, per chunk
+        step = max(1, ERROR_CHUNK // int(np.prod(grid)))
+        if pieces:
+            chunks = [(slice(e, e + 1), slice(j, j + step))
+                      for e in range(elems.size)
+                      for j in range(0, pieces[0], step)]
+        else:
+            chunks = [(slice(e, e + step), slice(None))
+                      for e in range(0, elems.size, step)]
+        for e, s in chunks:
+            gex = exact_gradient(*element_grids(
+                mesh.elem_lower[elems[e]], a, [x[s] for x in nodes]))
+            err_sq[e, s] = gradient_error_sq(
+                c[e], [v[s] for v in vals], [v[s] for v in ders], gex, a)
         # weighted in place, as the squares are summed
-        err_sq = gradient_error_sq(c, vals, ders, gex, a)
         err_sq *= reduce(np.multiply, [
             w.reshape(pieces + (1,) * k + (-1,) + (1,) * (d - 1 - k))
             for k, w in enumerate(weights)])

@@ -291,8 +291,9 @@ def gradient_error_sq(coeffs, vals, ders, gradient, half: float) -> np.ndarray:
     (pieces, q_k, n_k); partial k applies the derivative table on axis k
     only, through ``apply_axes``, and divides by ``half``.  The squares are
     formed and summed in place, axis 0 first, so the grid is held in as few
-    buffers as possible (107 500 points on a corner element of the L-shape
-    at p = 25).
+    buffers as possible (``fem.h1_error`` passes chunks of at most
+    ``fem.ERROR_CHUNK`` points, where an L-shape corner element has
+    107 500 at p = 25).
     """
     for k in range(len(vals)):
         e = gradient[k] - apply_axes(

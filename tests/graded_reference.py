@@ -9,6 +9,11 @@ plain-Gauss elements are integrated as ``fem.h1_error`` integrates them, so
 their errors must agree bit for bit; the corner-piece errors must agree to
 round-off.
 
+``h1_error_one_batch`` is ``fem.h1_error`` as it was before its chunks:
+each group of elements sharing one rule is one batch, its exact gradient
+and squared error evaluated on the whole group's grid at once.  The chunked
+errors must agree with it bit for bit.
+
 ``TABLE1`` is the paper's Table-1 benchmark as a config of ``hpexp run``:
 the L-shape sweeps of both families at its nine degrees.
 """
@@ -19,7 +24,8 @@ import numpy as np
 
 from hpexp import fem
 from hpexp.indexsets import flat_positions
-from hpexp.orthopoly import apply_axes, element_grids, gauss_rule, graded_rule
+from hpexp.orthopoly import (apply_axes, element_grids, gauss_rule,
+                             gradient_error_sq, graded_rule)
 
 TABLE1 = {"sweeps": [
     {"name": f"table1_fem_{family.lower()}", "kind": "fem-lshape",
@@ -88,5 +94,36 @@ def h1_error_tensorized(sol, exact_gradient, graded_at=None,
             else:
                 err_sq = e
         err_sq *= reduce(np.multiply.outer, [w for _, w in rules])
+        total += float(np.sum(err_sq))
+    return float(np.sqrt(total * a ** d))
+
+
+def h1_error_one_batch(sol, exact_gradient, graded_at=None,
+                       sigma=fem.GRADED_SIGMA_DEFAULT, layers=None,
+                       quad_order=None):
+    """|u - u_h|_{H1} on the rules of ``fem.h1_error``, one batch per rule."""
+    dofmap = sol.dofmap
+    mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
+    ne, a = mesh.n_elements, 0.5 * mesh.h
+    layers, order = fem.error_quadrature(p, layers, quad_order, sigma)
+    coeffs = np.zeros((ne, (p + 1) ** d))
+    coeffs[:, flat_positions(dofmap.local_modes, p)] = \
+        sol.values[dofmap.cell_dofs]
+    coeffs = coeffs.reshape((ne,) + (p + 1,) * d)
+    total = 0.0
+    for elems, nodes, weights in fem._element_rules(mesh, graded_at, sigma,
+                                                    layers, order):
+        pieces = nodes[0].shape[:-1]
+        vals = [fem.basis1d_values(p, x.ravel()).T.reshape(x.shape + (p + 1,))
+                for x in nodes]
+        ders = [fem.basis1d_derivs(p, x.ravel()).T.reshape(x.shape + (p + 1,))
+                for x in nodes]
+        c = coeffs[elems].reshape((elems.size,) + (1,) * len(pieces)
+                                  + (p + 1,) * d)
+        gex = exact_gradient(*element_grids(mesh.elem_lower[elems], a, nodes))
+        err_sq = gradient_error_sq(c, vals, ders, gex, a)
+        err_sq *= reduce(np.multiply, [
+            w.reshape(pieces + (1,) * k + (-1,) + (1,) * (d - 1 - k))
+            for k, w in enumerate(weights)])
         total += float(np.sum(err_sq))
     return float(np.sqrt(total * a ** d))

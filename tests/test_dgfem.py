@@ -616,6 +616,23 @@ def test_solve_builds_the_element_pairs_once(monkeypatch):
     assert sol.residual_norm < 1e-12
 
 
+@pytest.mark.parametrize("family, p", [("Q", 2), ("Q", 10), ("P", 2),
+                                       ("P", 12)])
+def test_symmetry_scale_of_the_blocks_is_that_of_the_csc(family, p):
+    """dg_solve scales its symmetry check by the largest |entry| of the
+    distinct summed blocks, as max and -min: every stored CSC entry is an
+    entry of one of them, so it is the CSC's largest |entry|, on the dg
+    workload's mesh."""
+    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
+    system = dgfem.assemble_sip(8, dgfem.DgSpec(family, p), f, exact)
+    pairs = system.matrix._pairs()
+    blocks, A_csc = pairs[3], system.matrix.tocsc(pairs)
+    assert len(blocks) <= 33
+    assert max(blocks.max(initial=0.0), -blocks.min(initial=0.0)) \
+        == np.abs(blocks).max() == np.abs(A_csc.data).max()
+
+
 def test_asymmetric_system_raises():
     g, _ = _linear()
     base = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2), lambda x, y: 0.0 * x, g)

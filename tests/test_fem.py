@@ -9,11 +9,13 @@ from hpexp import fem, harness
 from hpexp.bounds import lemma_audit, sharp_l2_ratio
 from hpexp.functions import named_function
 from hpexp.harness import run_sweep
-from hpexp.indexsets import BasisSpec, bubble_indices, dof_count
-from hpexp.lapack import dpotrs
-from hpexp.orthopoly import apply_axes, element_grids, gauss_rule
+from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
+                              flat_positions)
+from hpexp.lapack import dpotrf, dpotrs
+from hpexp.orthopoly import (apply_axes, element_grids, gauss_rule,
+                             gradient_error_sq, kron_laplacian)
 import skeleton_reference
-from graded_reference import TABLE1, h1_error_tensorized
+from graded_reference import TABLE1, h1_error_one_batch, h1_error_tensorized
 from skeleton_reference import factor_multifrontal_add_at, free_skeleton_matrix
 
 LSHAPE_U_H1_SQ = 1.8362266618751626   # (1/3) int_0^{3pi/2} R(phi)^{4/3} dphi
@@ -1292,6 +1294,70 @@ def test_plain_gauss_errors_are_bitwise_the_reference(name, n, p_list, family):
         prob, _, _, _, sol = _solved(name, n, p, family)
         assert fem.h1_error(sol, prob.exact_gradient) \
             == h1_error_tensorized(sol, prob.exact_gradient), p
+
+
+@pytest.mark.parametrize("name, n, p, family", [
+    *[("lshape", None, p, f) for f in ("Q", "S") for p in (1, 5, 25)],
+    ("sine2d", 8, 12, "Q"), ("sine3d", 4, 8, "Q"), ("sine3d", 4, 8, "S")])
+def test_chunked_h1_error_is_bitwise_the_one_batch_loop(name, n, p, family):
+    # the chunks fill one buffer per rule, weighted and summed once: the
+    # same bits as evaluating each rule's whole grid at once
+    prob, mesh, _, _, sol = _solved(name, n, p, family)
+    got = fem.h1_error(sol, prob.exact_gradient,
+                       graded_at=mesh.singular_corner)
+    ref = h1_error_one_batch(sol, prob.exact_gradient,
+                             graded_at=mesh.singular_corner)
+    assert np.array_equal(np.float64(got).view(np.int64),
+                          np.float64(ref).view(np.int64))
+
+
+def test_h1_error_chunks_hold_at_most_the_bound(monkeypatch):
+    # the L-shape at Q p = 25: each corner element's 43 pieces of 50 x 50
+    # points go in 4 chunks of at most 13 pieces, the 9 plain elements in one
+    bound, sizes = 2 ** 15, []
+
+    def recorder(coeffs, vals, ders, gradient, half):
+        out = gradient_error_sq(coeffs, vals, ders, gradient, half)
+        sizes.append(out.size)
+        return out
+
+    prob, mesh, _, _, sol = _solved("lshape", None, 25, "Q")
+    monkeypatch.setattr(fem, "gradient_error_sq", recorder)
+    fem.h1_error(sol, prob.exact_gradient, graded_at=mesh.singular_corner)
+    assert max(sizes) <= bound
+    assert fem.ERROR_CHUNK == bound
+    assert sorted(sizes) == [2500 * 4] * 3 + [9 * 2500] + [2500 * 13] * 9
+    assert sum(sizes) == 3 * 43 * 2500 + 9 * 2500
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family", ["Q", "S"])
+def test_dense_blocks_are_the_one_copy_forms(dim, family, monkeypatch):
+    # local_stiffness scales in place and _element_schur gathers K_ii
+    # straight into F order: bit for bit the old expressions
+    h, gathered = 0.25, []
+
+    def recorder(a, lower):
+        gathered.append((a.flags.f_contiguous, a.copy(order="F")))
+        return dpotrf(a, lower=lower)
+
+    monkeypatch.setattr(fem, "dpotrf", recorder)
+    for p in range(1, 9 if dim == 2 else 7):
+        dm = fem.build_dofmap(fem.mesh_uniform(dim, 2), p, family)
+        full = kron_laplacian(*fem._local_matrices_1d(p), dim) \
+            * (0.5 * h) ** (dim - 2)
+        flat = flat_positions(dm.local_modes, p)
+        k_local = fem.local_stiffness(dim, p, h, dm.local_modes)
+        assert np.array_equal(k_local.view(np.int64),
+                              full[np.ix_(flat, flat)].view(np.int64)), p
+        want = np.asfortranarray(k_local[np.ix_(dm.interior_local,
+                                                dm.interior_local)])
+        U = fem._element_schur(k_local, dm)[0]
+        f_ordered, K_ii = gathered.pop()
+        assert f_ordered and U.flags.f_contiguous, p
+        assert np.array_equal(K_ii.view(np.int64), want.view(np.int64)), p
+        assert dpotrf(want, lower=False) == 0, p
+        assert np.array_equal(U.view(np.int64), want.view(np.int64)), p
 
 
 def _polar_lshape_gradient(x, y):
