@@ -65,9 +65,6 @@ def stirling_envelope_check(d: int, m: int, n: int) -> bool:
 class LemmaAuditReport:
     """Exhaustive lattice maximum of F(xi, rho) against the phi bound."""
 
-    d: int
-    M: int
-    m: int
     lattice_max: float
     argmax_xi: tuple[int, ...]
     argmax_rho: tuple[int, ...]
@@ -112,7 +109,7 @@ def lemma_audit(d: int, M: int, m: int) -> LemmaAuditReport:
     phi_value = phi(d, M, m)
     lattice_max = float(np.exp(val[i, j]))
     return LemmaAuditReport(
-        d=d, M=M, m=m, lattice_max=lattice_max,
+        lattice_max=lattice_max,
         argmax_xi=tuple(x[i].tolist()), argmax_rho=tuple(r[j].tolist()),
         phi_value=phi_value,
         holds=bool(lattice_max <= phi_value * (1.0 + 1e-12)))

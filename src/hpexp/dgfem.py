@@ -97,9 +97,13 @@ class DgSpec:
         _integer(p=self.p)
         if self.p < 1:
             raise ValueError("need p >= 1")
-        # the chained comparison is False for NaN too
-        if not 0 < self.gamma < np.inf:
-            raise ValueError("penalty factor must be finite and positive")
+        # a real number, not a string or a boolean; the chained comparison
+        # is False for NaN too
+        gamma = np.asarray(self.gamma)
+        if (gamma.shape or gamma.dtype.kind not in "iuf"
+                or not 0 < gamma < np.inf):
+            raise ValueError(f"penalty factor gamma = {self.gamma!r} must be "
+                             f"a finite positive real")
 
 
 @dataclass
@@ -277,16 +281,6 @@ def _k1_legendre(p: int) -> np.ndarray:
     return np.where((i + j) % 2 == 0, m * (m + 1), 0).astype(float)
 
 
-def _square_mesh(n: int, domain) -> Mesh:
-    """``mesh_uniform(2, n, domain)`` for a domain that is one (lo, hi) pair
-    of reals (``mesh_uniform`` also takes one pair per axis, and checks the
-    ends' order and finiteness)."""
-    dom = np.asarray(domain)
-    if dom.shape != (2,) or dom.dtype.kind not in "iuf":
-        raise ValueError(f"domain {domain} must be one (lo, hi) pair of reals")
-    return mesh_uniform(2, n, domain)
-
-
 def _facets(mesh: Mesh):
     """``inner`` (nf, 3), the interior facets as (minus cell, plus cell,
     axis), the normal running from minus to plus, by minus cell and then
@@ -348,10 +342,10 @@ def _traces(C: np.ndarray, along: np.ndarray, ends: np.ndarray, axis: int,
     return apply_axes(apply_axes(C, normal), tangent).reshape(C.shape[0], -1)
 
 
-def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable, g: Callable,
-                 domain=(0.0, 1.0)) -> DgSystem:
-    """Assemble the SIP system on an n x n uniform square mesh."""
-    mesh = _square_mesh(mesh_n, domain)
+def assemble_sip(mesh_n: int, spec: DgSpec, f: Callable,
+                 g: Callable) -> DgSystem:
+    """Assemble the SIP system on the n x n uniform mesh of the unit square."""
+    mesh = mesh_uniform(2, mesh_n)
     p, a = spec.p, mesh.h / 2.0
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
     nm, ne = len(modes), mesh.n_elements
@@ -572,10 +566,10 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
                           residual_norm=float(res), factor_nnz=int(lu.nnz))
 
 
-def broken_interpolant(spec: DgSpec, n: int, f: Callable,
-                       domain=(0.0, 1.0)) -> BrokenSolution:
-    """Elementwise L2 projection of f onto the broken space (test oracle)."""
-    mesh = _square_mesh(n, domain)
+def broken_interpolant(spec: DgSpec, n: int, f: Callable) -> BrokenSolution:
+    """Elementwise L2 projection of f onto the broken space on the n x n
+    uniform mesh of the unit square (test oracle)."""
+    mesh = mesh_uniform(2, n)
     p = spec.p
     modes = enumerate_modes(BasisSpec(2, p, spec.family))
     rule = gauss_rule(p + 10)

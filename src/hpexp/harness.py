@@ -153,7 +153,6 @@ def ratio_report(fit_a: SlopeFit, fit_b: SlopeFit) -> dict:
     ideal = factorial(fit_a.dim) ** (1.0 / fit_a.dim) \
         if fit_a.abscissa == "dof_root" else 1.0
     return {"ratio": float(ratio), "ideal": float(ideal),
-            "gap": float(ideal - ratio),
             "lsq_ratio": float(fit_a.lsq_slope / fit_b.lsq_slope)}
 
 

@@ -115,34 +115,27 @@ def _lattice(mesh: Mesh):
 
 
 def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
-    """n^d congruent elements on a box given as one shared (lo, hi) pair,
-    shape (2,), or one pair per axis, shape (dim, 2).
+    """n^d congruent elements on the box (lo, hi)^d, the domain given as
+    the one pair (lo, hi).
 
-    The ends must be finite real numbers (not strings or booleans), every
-    axis must run upward, and all axes must have one width up to the
-    rounding of their end points.  All of it is checked before h is
-    computed, so a bad domain raises here rather than turning h and every
-    coordinate downstream into inf or NaN."""
+    The ends must be finite real numbers (not strings or booleans) with
+    lo < hi.  All of it is checked before h is computed, so a bad domain
+    raises here rather than turning h and every coordinate downstream into
+    inf or NaN."""
     _integer(dim=dim, n=n)
     if n < 1:
         raise ValueError("need n >= 1")
-    if np.asarray(domain).dtype.kind not in "iuf":
-        raise ValueError(f"domain {domain} must hold real numbers")
-    dom = np.asarray(domain, dtype=float)
-    if dom.shape == (2,):
-        dom = np.tile(dom, (dim, 1))
-    if dom.shape != (dim, 2):
-        raise ValueError(f"domain {domain} must be one (lo, hi) pair or "
-                         f"{dim} of them")
+    dom = np.asarray(domain)
+    if dom.shape != (2,) or dom.dtype.kind not in "iuf":
+        raise ValueError(f"domain {domain} must be one (lo, hi) pair of "
+                         f"real numbers")
+    lo, hi = dom.astype(float)
     # the comparison is False for NaN too
-    if not (np.all(dom[:, 1] > dom[:, 0]) and np.isfinite(dom).all()):
-        raise ValueError(f"domain {domain} must have finite ends and lo < hi "
-                         f"on every axis")
-    widths = dom[:, 1] - dom[:, 0]
-    if np.ptp(widths) > 4 * np.spacing(np.abs(dom).max()):
-        raise ValueError(f"domain {domain}: elements must be congruent cubes")
+    if not (lo < hi and np.isfinite(dom).all()):
+        raise ValueError(f"domain {domain} must have finite ends and lo < hi")
     cells = np.array(list(product(range(n), repeat=dim)))
-    return Mesh(dim=dim, h=float(widths[0] / n), origin=dom[:, 0], cells=cells)
+    return Mesh(dim=dim, h=float((hi - lo) / n), origin=np.full(dim, lo),
+                cells=cells)
 
 
 def mesh_lshape() -> Mesh:

@@ -106,11 +106,10 @@ def log_gamma(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights on [-1, 1], exact for polynomials up to exactness_degree."""
+    """Nodes/weights on [-1, 1]."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
     def __post_init__(self):
         self.nodes.flags.writeable = False
@@ -141,7 +140,7 @@ def gauss_rule(n: int) -> QuadratureRule:
     dL = legendre_deriv_table(n, 1, x)[n]
     w = 2.0 / ((1.0 - x * x) * dL * dL)
     order = np.argsort(x)
-    return QuadratureRule(nodes=x[order], weights=w[order], exactness_degree=2 * n - 1)
+    return QuadratureRule(nodes=x[order], weights=w[order])
 
 
 @dataclass(frozen=True)
@@ -155,13 +154,13 @@ class GradedRule:
     on every axis is the innermost box, and layer i = 1..layers, the band
     between the corner boxes of cells 0..i-1 and of cells 0..i, is 2^d - 1
     boxes: for each non-empty set of axes, cell i on those axes and cells
-    0..i-1 on the others.  Every piece carries the tensor ``base`` rule;
-    ``nodes[k]`` and ``weights[k]``, of shape (pieces, order), are the axis-k
-    nodes and weights of every piece.  In one dimension the pieces are the
-    cells, and the rule is the composite graded rule.
+    0..i-1 on the others.  Every piece carries the tensor Gauss rule of
+    ``graded_rule``'s ``per_cell_order`` nodes; ``nodes[k]`` and
+    ``weights[k]``, of shape (pieces, order), are the axis-k nodes and
+    weights of every piece.  In one dimension the pieces are the cells, and
+    the rule is the composite graded rule.
     """
 
-    base: QuadratureRule
     breakpoints: np.ndarray
     layers: int
     nodes: np.ndarray
@@ -205,8 +204,8 @@ def graded_rule(sigma: float, layers: int, per_cell_order: int,
     lo, hi = ends.min(axis=2)[..., None], ends.max(axis=2)[..., None]
     half = 0.5 * (hi - lo)
     base = gauss_rule(per_cell_order)
-    return GradedRule(base=base, breakpoints=np.sort(coord, axis=1),
-                      layers=layers, nodes=0.5 * (lo + hi) + half * base.nodes,
+    return GradedRule(breakpoints=np.sort(coord, axis=1), layers=layers,
+                      nodes=0.5 * (lo + hi) + half * base.nodes,
                       weights=half * base.weights)
 
 

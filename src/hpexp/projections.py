@@ -36,7 +36,7 @@ from .errors import InadmissibleDegreeError
 from .expansion import (CoeffTensor, _contract, _derivative, _outer_tables,
                         _tail_sums, _weight_vectors, l2_norm,
                         sobolev_seminorm, weighted_seminorm)
-from .indexsets import degree_mask
+from .indexsets import _integer, degree_mask
 from .orthopoly import apply_axes
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "project_h1_s",
     "project_h1_p",
     "projection_errors",
-    "h1_axis_matrix",
     "audit_h1s_bounds",
     "h1s_bound",
 ]
@@ -59,7 +58,6 @@ class ProjectionResult:
     """A projection output in plain Legendre coefficients."""
 
     projected: CoeffTensor
-    kind: str
     p: int
 
 
@@ -72,16 +70,15 @@ class ErrorReport:
 
 def project_l2(u: CoeffTensor, family: str, p: int) -> ProjectionResult:
     """L2-orthogonal projection: truncate coefficients to the family index set."""
+    _integer(p=p)
     if family not in ("Q", "P"):
         raise ValueError("L2 projection families are Q and P")
     if min(u.degrees) < p:
         raise ValueError("reference tensor degree budget is below p")
     out = u.coeffs[(slice(0, p + 1),) * u.dim]
     out = np.where(degree_mask(out.shape, family, p), out, 0.0)
-    kind = "L2_Q" if family == "Q" else "L2_P"
     return ProjectionResult(
-        projected=CoeffTensor(coeffs=out, tail_trusted=u.tail_trusted),
-        kind=kind, p=p)
+        projected=CoeffTensor(coeffs=out, tail_trusted=u.tail_trusted), p=p)
 
 
 def _psi_to_legendre_matrix(p: int) -> np.ndarray:
@@ -118,12 +115,6 @@ def _axis_maps(p: int, m_src: int) -> tuple[np.ndarray, np.ndarray]:
     return R, T
 
 
-def h1_axis_matrix(p: int, m_src: int) -> np.ndarray:
-    """The one-dimensional H1 projection as a (p+1) x (m_src+1) matrix."""
-    R, T = _axis_maps(p, m_src)
-    return T @ R
-
-
 def _project_h1(u: CoeffTensor, p: int, axes, serendipity: bool) -> CoeffTensor:
     """The 1D H1 projections on ``axes`` (the other axes untouched): R on
     each, the S rule on the psi tensor if ``serendipity`` (the mask over the
@@ -141,31 +132,33 @@ def _project_h1(u: CoeffTensor, p: int, axes, serendipity: bool) -> CoeffTensor:
 def project_h1_q(u: CoeffTensor, p: int) -> ProjectionResult:
     """Tensor H1 projection onto Q_p; reproduces u at the (-1,..,-1)-corner
     lattice vertices and any member of Q_p."""
+    _integer(p=p)
     if p < 1:
         raise InadmissibleDegreeError("H1 projection requires p >= 1")
     return ProjectionResult(projected=_project_h1(u, p, range(u.dim), False),
-                            kind="H1_Q", p=p)
+                            p=p)
 
 
 def project_h1_s(u: CoeffTensor, p: int) -> ProjectionResult:
     """Serendipity H1 projection: the psi tensor cut by the S rule."""
+    _integer(p=p)
     d = u.dim
     minimum = 4 if d == 2 else 6
     if p < minimum:
         raise InadmissibleDegreeError(
             f"serendipity H1 projection requires p >= {minimum} in {d}D")
-    return ProjectionResult(projected=_project_h1(u, p, range(d), True),
-                            kind="H1_S", p=p)
+    return ProjectionResult(projected=_project_h1(u, p, range(d), True), p=p)
 
 
 def project_h1_p(u: CoeffTensor, p: int) -> ProjectionResult:
     """Total-degree H1 projection, defined as serendipity at degree p+1-d."""
+    _integer(p=p)
     d = u.dim
     if p < 3 * d - 1:
         raise InadmissibleDegreeError(
             f"total-degree H1 projection requires p >= {3 * d - 1}")
     res = project_h1_s(u, p + 1 - d)
-    return ProjectionResult(projected=res.projected, kind="H1_P", p=p)
+    return ProjectionResult(projected=res.projected, p=p)
 
 
 def audit_h1s_bounds(u_ref: CoeffTensor, p_values, norm: str = "l2") -> dict:

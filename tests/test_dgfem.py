@@ -38,7 +38,8 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             dgfem.DgSpec("Q", p)
     assert dgfem.DgSpec("Q", np.int64(2)).p == 2
-    for gamma in (0.0, float("nan"), float("inf")):
+    # True was read as 1.0, and "10" failed with an unnamed TypeError
+    for gamma in (0.0, float("nan"), float("inf"), True, "10"):
         with pytest.raises(ValueError):
             dgfem.DgSpec("Q", 2, gamma=gamma)
 
@@ -761,33 +762,26 @@ def test_mesh_size_below_one_raises(n):
         dgfem.broken_interpolant(spec, n, zero)
 
 
+# DG builds its systems on the unit square; a domain is checked in one
+# place, ``mesh_uniform``, which these cases hold to its one-pair rule
+
 @pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan),
                                     (0.0, np.inf), (-np.inf, 1.0)])
 def test_domain_not_running_upward_raises(domain):
-    # a reversed domain gives h < 0, and the solve then returned a wrong
+    # a reversed domain gives h < 0, and the DG solve then returned a wrong
     # dg_norm with no error; an infinite end gave h = inf and a NaN matrix
-    # with RuntimeWarnings alone (mesh_uniform names both faults at once:
-    # "finite ends and lo < hi")
-    spec = dgfem.DgSpec("Q", 2)
-    g, _ = _linear()
+    # with RuntimeWarnings alone (one message names both faults)
     with pytest.raises(ValueError, match="lo < hi"):
-        dgfem.assemble_sip(2, spec, lambda x, y: 0.0 * x, g, domain=domain)
-    with pytest.raises(ValueError, match="lo < hi"):
-        dgfem.broken_interpolant(spec, 2, g, domain=domain)
+        fem.mesh_uniform(2, 2, domain)
 
 
 @pytest.mark.parametrize("domain", [
     (0.0, 1.0, 5.0), [(0.0, 1.0), (0.0, 1.0)], (0.0,), ("0", "1"),
 ], ids=["three_values", "per_axis", "one_value", "strings"])
 def test_domain_not_one_pair_raises(domain):
-    # a third value was dropped silently, and a per-axis domain died in
-    # float() with an unnamed TypeError
-    spec = dgfem.DgSpec("Q", 2)
-    g, _ = _linear()
-    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair of reals"):
-        dgfem.assemble_sip(2, spec, lambda x, y: 0.0 * x, g, domain=domain)
-    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair of reals"):
-        dgfem.broken_interpolant(spec, 2, g, domain=domain)
+    # a third value was dropped silently; a pair per axis is not a domain
+    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair of real"):
+        fem.mesh_uniform(2, 2, domain)
 
 
 def test_nan_load_raises():

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hpexp import fem, harness
 from hpexp.bounds import lemma_audit, sharp_l2_ratio
+from hpexp.expansion import CoeffTensor
 from hpexp.functions import named_function
 from hpexp.harness import run_sweep
 from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
@@ -14,6 +15,8 @@ from hpexp.indexsets import (BasisSpec, bubble_indices, dof_count,
 from hpexp.lapack import dpotrf, dpotrs
 from hpexp.orthopoly import (apply_axes, element_grids, gauss_rule,
                              gradient_error_sq, kron_laplacian)
+from hpexp.projections import (project_h1_p, project_h1_q, project_h1_s,
+                               project_l2)
 import skeleton_reference
 from graded_reference import TABLE1, h1_error_one_batch, h1_error_tensorized
 from skeleton_reference import factor_multifrontal_add_at, free_skeleton_matrix
@@ -39,12 +42,11 @@ def test_mesh_uniform_counts():
     assert fem.mesh_uniform(3, 4, (0.0, 1.0)).n_elements == 64
     single = fem.mesh_uniform(2, 1, (-1.0, 1.0))
     assert single.n_elements == 1 and single.h == 2.0
-    # widths 0.30000000000000004 and 0.3: equal up to their end points' rounding
-    assert fem.mesh_uniform(2, 3, ((0.1, 0.4), (0.2, 0.5))).n_elements == 9
     assert fem.mesh_uniform(np.int64(2), np.int64(3)).n_elements == 9
 
 
 _INTEGER = "must be an integer"
+_U = CoeffTensor(np.zeros((13, 13)))        # a 2D tensor of degree 12
 
 
 @pytest.mark.parametrize("make, match", [
@@ -67,16 +69,24 @@ _INTEGER = "must be an integer"
     (lambda: named_function("runge1d-tensor", 2, runge_a=0), "runge_a"),
     (lambda: named_function("runge1d-tensor", 2, runge_a=np.nan), "runge_a"),
     (lambda: named_function("runge1d-tensor", 2, runge_a=True), "runge_a"),
+    (lambda: project_l2(_U, "Q", True), _INTEGER),
+    (lambda: project_l2(_U, "Q", 2.0), _INTEGER),
+    (lambda: project_h1_q(_U, True), _INTEGER),
+    (lambda: project_h1_q(_U, 2.0), _INTEGER),
+    (lambda: project_h1_s(_U, 5.0), _INTEGER),
+    (lambda: project_h1_p(_U, 5.0), _INTEGER),
 ], ids=["n_boolean", "n_fraction", "dim_boolean", "dim_float", "mesh_dim",
         "basis_p_fraction", "basis_p_boolean", "basis_dim_float",
         "dofmap_p_boolean", "dofmap_p_float", "lemma_d_boolean",
         "lemma_M_float", "sharp_d_boolean", "function_dim_float",
-        "function_dim_zero", "runge_a_zero", "runge_a_nan", "runge_a_boolean"])
+        "function_dim_zero", "runge_a_zero", "runge_a_nan", "runge_a_boolean",
+        "l2_p_boolean", "l2_p_float", "h1q_p_boolean", "h1q_p_float",
+        "h1s_p_float", "h1p_p_float"])
 def test_sizes_must_be_integers(make, match):
     # a boolean was read as 1 (a one-cell or a 1D mesh, a degree or a
-    # dimension of 1), 2.5 gave a fractional Dof count, and 2.0 failed late
-    # with an unnamed TypeError; a zero width or dimension gave a NaN or a
-    # 0-D function
+    # dimension of 1; the L2 projection returned its degree-1 result), 2.5
+    # gave a fractional Dof count, and 2.0 failed late with an unnamed
+    # TypeError; a zero width or dimension gave a NaN or a 0-D function
     with pytest.raises(ValueError, match=match):
         make()
 
@@ -90,22 +100,22 @@ def test_sizes_take_numpy_integers():
 
 @pytest.mark.parametrize("domain, match", [
     ((1.0, 0.0), "lo < hi"),
-    (((0.0, 1.0), (0.0, 1.0 + 1e-9)), "congruent"),
+    (((0.0, 1.0), (0.0, 1.0 + 1e-9)), "pair"),
     ((0.0, 1.0, 5.0), "pair"),
     (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), "pair"),
     ((((0.0, 1.0), (0.0, 1.0)),), "pair"),
     ((0.0, np.inf), "finite"),
-    (((0.0, 1.0), (-np.inf, 0.0)), "finite"),
+    (((0.0, 1.0), (-np.inf, 0.0)), "pair"),
     (("0", "1"), "real numbers"),
     ((False, True), "real numbers"),
 ], ids=["reversed", "unequal_widths", "three_values", "three_rows",
         "extra_axis", "infinite_end", "infinite_axis", "strings", "booleans"])
 def test_mesh_uniform_rejects_a_domain_of_no_congruent_cubes(domain, match):
     # a reversed domain gave h < 0 and a misleading failure in the solve;
-    # unequal widths put the top vertex off the lattice of h; a third value
-    # was dropped silently, and a third row failed later in a broadcast; an
-    # infinite end gave h = inf and NaN coordinates, and strings and
-    # booleans were read as the numbers they convert to
+    # a third value was dropped silently; an infinite end gave h = inf and
+    # NaN coordinates, and strings and booleans were read as the numbers
+    # they convert to; a domain is one (lo, hi) pair, so a pair per axis,
+    # even of unequal widths or with an infinite end, is refused as such
     with pytest.raises(ValueError, match=match):
         fem.mesh_uniform(2, 2, domain)
 
