@@ -6,7 +6,9 @@ content sits in products of the boundary-vanishing antiderivatives psi_j.
 The serendipity projection simply drops interior (and 3D face) bubble blocks
 whose total degree exceeds p - so the Q-S difference vanishes identically on
 the square's boundary (2D) and on the cube's edges (3D), and vertex values
-are preserved by every member of the family.
+are preserved by every member of the family.  The last block audits the
+serendipity H1 bounds in the L2 norm and the H1 seminorm, in 2D and 3D:
+the smallest audited degree from which each bound holds for the sine.
 """
 
 import numpy as np
@@ -39,3 +41,12 @@ print("\nempirical threshold of the serendipity L2 bound (sine):")
 rep = audit_h1s_bounds(u, range(4, 13), norm="l2")
 print(f"  bound {rep['kind']} with s={rep['s']} holds from p = "
       f"{rep['smallest_p_holding']}")
+
+print("\nempirical thresholds of the serendipity H1 bounds (sine), "
+      "L2 and H1 norm:")
+u3 = reference_expansion(named_function("sine", 3), 10)
+for ref, degrees in ((u, range(4, 13)), (u3, range(6, 11))):
+    for norm in ("l2", "h1"):
+        rep = audit_h1s_bounds(ref, degrees, norm=norm)
+        print(f"  bound {rep['kind']} with s={rep['s']} holds from p = "
+              f"{rep['smallest_p_holding']}")

@@ -18,7 +18,9 @@ window and error floor.  Exit codes: 0 success, 1 usage or config error,
 2 numerical failure.  A sweep's options are checked by the config validator
 before it runs, so any other error raised inside a sweep is a bug and
 propagates with its traceback; only sharp-ratio and slope-fit map their
-functions' ``ValueError`` and ``KeyError`` to a usage error.
+functions' ``ValueError`` and ``KeyError``, and slope-fit a CSV it cannot
+read (``OSError``), to a usage error.  ``run`` reports a config file it
+cannot read or parse as a config error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .harness import (ConfigError, fit_slope, records_from_csv, records_to_csv,
 
 
 # the subcommands whose functions validate their inputs themselves, with a
-# ValueError or KeyError; every other one goes through the config validator
+# ValueError or KeyError (or an OSError on an unreadable CSV); every other
+# one goes through the config validator
 _VALIDATING = ("sharp-ratio", "slope-fit")
 
 
@@ -148,7 +151,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # the sweeps are validated before they run, so there it is a bug
         if args.command not in _VALIDATING:
             raise

@@ -26,7 +26,6 @@ from .orthopoly import apply_axes, gauss_rule, legendre_table, log_gamma
 __all__ = [
     "CoeffTensor",
     "FunctionOracle",
-    "InsufficientQuadratureError",
     "expand",
     "reference_expansion",
     "evaluate",
@@ -40,10 +39,6 @@ __all__ = [
 
 DEFAULT_REFERENCE_MARGIN = 20
 TAIL_ENERGY_TOLERANCE = 1e-14
-
-
-class InsufficientQuadratureError(ValueError):
-    """Raised when a quadrature order cannot resolve the requested degrees."""
 
 
 @dataclass(frozen=True)
@@ -90,19 +85,18 @@ def _contract(t: np.ndarray, rows) -> float:
     return float(t)
 
 
-def expand(f: FunctionOracle, degrees, quad_order: int) -> CoeffTensor:
-    """Expand an oracle into Legendre coefficients by tensor Gauss quadrature.
+def expand(f: FunctionOracle, degrees) -> CoeffTensor:
+    """Expand an oracle into Legendre coefficients by tensor Gauss quadrature
+    of ``max(degrees) + 10`` points per axis.
 
-    Exact (to roundoff) whenever f is a polynomial within the degree budget and
-    quad_order resolves the products f * L_i.
+    Exact (to roundoff) whenever f is a polynomial of degree at most
+    ``max(degrees) + 19`` per axis, as the rule then integrates every
+    product f * L_i exactly.
     """
     degrees = tuple(int(m) for m in degrees)
     if len(degrees) != f.dim:
         raise ValueError("degree tuple does not match oracle dimension")
-    if quad_order < max(degrees) + 1:
-        raise InsufficientQuadratureError(
-            f"quad_order {quad_order} cannot resolve degree {max(degrees)}")
-    rule = gauss_rule(quad_order)
+    rule = gauss_rule(max(degrees) + 10)
     grids = np.meshgrid(*([rule.nodes] * f.dim), indexing="ij", sparse=True)
     values = np.asarray(f.f(*grids), dtype=float)
     # (m+1, q) per axis: weighted, normalized Legendre values
@@ -115,16 +109,17 @@ def reference_expansion(f: FunctionOracle, p: int,
                         margin: int = DEFAULT_REFERENCE_MARGIN) -> CoeffTensor:
     """Overkill expansion used as the reference for degree-p error measurement.
 
-    Uses degree p + margin in every direction and quad_order max degree + 10,
-    and flags the tensor untrusted unless the outermost band, the entries
-    outside [0, m - 1)^d, carries less than 1e-14 of the total energy.  That
-    fraction is read from the outer-shell sums, which sum non-negative
-    terms only; they stay in the returned tensor's ``cache``.
+    Uses degree m = p + margin in every direction, on ``expand``'s rule of
+    m + 10 Gauss points per axis, and flags the tensor untrusted unless the
+    outermost band, the entries outside [0, m - 1)^d, carries less than
+    1e-14 of the total energy.  That fraction is read from the outer-shell
+    sums, which sum non-negative terms only; they stay in the returned
+    tensor's ``cache``.
     """
     m = p + margin
     # C order: sums over the tensor round by its layout, and every output
     # against a reference was measured on this one
-    coeffs = expand(f, (m,) * f.dim, m + 10).coeffs.copy()
+    coeffs = expand(f, (m,) * f.dim).coeffs.copy()
     tables = _build_outer_tables(coeffs)
     total = tables.l2[0]
     trusted = bool(total == 0.0
@@ -277,11 +272,10 @@ def composition_array(total: int, parts: int) -> np.ndarray:
 
 
 def sobolev_seminorm(u: CoeffTensor, s: int) -> float:
-    """|u|_{H^s} = sqrt(sum_{|alpha|=s} ||D^alpha u||^2), exact in coefficient space."""
-    if s < 0:
-        raise ValueError("order must be non-negative")
-    if s == 0:
-        return l2_norm(u)
+    """|u|_{H^s} = sqrt(sum_{|alpha|=s} ||D^alpha u||^2), exact in coefficient
+    space; ``composition_array`` rejects s < 0, and s = 0 gives ``l2_norm(u)``
+    bit for bit (the square root of a double's rounded square is the
+    double)."""
     total = sum(l2_norm(_derivative(u, alpha)) ** 2
                 for alpha in composition_array(s, u.dim).tolist())
     return float(np.sqrt(total))

@@ -719,25 +719,24 @@ def _element_rules(mesh: Mesh, graded_at, sigma: float, layers: int,
 
 
 def error_quadrature(p: int, layers: Optional[int] = None,
-                     quad_order: Optional[int] = None,
                      sigma: float = GRADED_SIGMA_DEFAULT) -> tuple[int, int]:
-    """(graded layers, Gauss points per axis) of ``h1_error`` at degree p: the
-    values given, else ``max(p, 20)`` layers and ``max(2p, 12)`` points.
+    """(graded layers, Gauss points per axis) of ``h1_error`` at degree p:
+    ``layers`` if given, else ``max(p, 20)``, and ``max(2p, 12)`` points.
 
     The layer count is the one ``graded_rule`` keeps at ratio ``sigma``: it
     clamps layers past floating-point resolution (to 14 at sigma = 0.15).
     """
-    order = quad_order if quad_order is not None else max(2 * p, 12)
+    order = max(2 * p, 12)
     layers = layers if layers is not None else max(p, 20)
     return graded_rule(sigma, layers, order).layers, order
 
 
 def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
-             sigma: float = GRADED_SIGMA_DEFAULT, layers: Optional[int] = None,
-             quad_order: Optional[int] = None) -> float:
+             sigma: float = GRADED_SIGMA_DEFAULT,
+             layers: Optional[int] = None) -> float:
     """Elementwise |u - u_h|_{H1}; elements touching ``graded_at`` use the
     corner pieces of ``graded_rule``, the rest plain Gauss;
-    ``error_quadrature`` gives the default layers and points.
+    ``error_quadrature`` gives the layers and points.
 
     The elements sharing one rule are integrated together, in chunks of at
     most ``ERROR_CHUNK`` quadrature points (or one element or piece, if
@@ -755,7 +754,7 @@ def h1_error(sol: FemSolution, exact_gradient: Callable, graded_at=None,
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
     ne, a = mesh.n_elements, 0.5 * mesh.h
-    layers, order = error_quadrature(p, layers, quad_order, sigma)
+    layers, order = error_quadrature(p, layers, sigma)
     coeffs = np.zeros((ne, (p + 1) ** d))
     coeffs[:, flat_positions(dofmap.local_modes, p)] = \
         sol.values[dofmap.cell_dofs]
@@ -864,8 +863,8 @@ def fem_problem(name: str, n: Optional[int] = None) -> FemProblem:
         dim = int(name[4])
         nn = n if n is not None else 8 if dim == 2 else 4
         u = named_function("sine", dim)
-        return FemProblem(lambda: mesh_uniform(dim, nn, (0.0, 1.0)),
-                          u.source, _zero, u.gradient, graded=False)
+        return FemProblem(lambda: mesh_uniform(dim, nn), u.source, _zero,
+                          u.gradient, graded=False)
     if name == "lshape":
         return FemProblem(mesh_lshape, _zero, _lshape_solution,
                           _lshape_gradient, graded=True)

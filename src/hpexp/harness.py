@@ -344,12 +344,6 @@ def _basis_count_solver(sw: dict, references: Optional[dict] = None):
 # CSV / JSON persistence
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.14e}"
-    return str(x)
-
-
 def records_to_csv(records: list[ConvergenceRecord]) -> str:
     """Stable CSV: header + one row per record, 15 significant digits."""
     keys = sorted({k for r in records for k in r.errors})
@@ -359,8 +353,8 @@ def records_to_csv(records: list[ConvergenceRecord]) -> str:
     lines = [",".join(header)]
     for r in records:
         row = [r.method, str(r.p), str(r.dim), str(r.dof)]
-        row += [_fmt(float(r.errors.get(k, float("nan")))) for k in keys]
-        row += [_fmt(float(r.extra[k])) if k in r.extra else ""
+        row += [f"{float(r.errors.get(k, float('nan'))):.14e}" for k in keys]
+        row += [f"{float(r.extra[k]):.14e}" if k in r.extra else ""
                 for k in extra_keys]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -587,12 +581,14 @@ def _validate_sweep(i: int, sw) -> None:
 
 def _validated_sweeps(config) -> list[dict]:
     """The sweeps of a config, the root and every sweep checked before any of
-    them runs."""
+    them runs.  A config given as a path is read as UTF-8 JSON; a file that
+    cannot be read (missing, a directory, not UTF-8) or parsed is a
+    ``ConfigError`` that names the path."""
     if isinstance(config, (str, Path)):
         try:
-            config = json.loads(Path(config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            config = json.loads(Path(config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {config} as JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
     unknown = sorted(config.keys() - {"sweeps"})

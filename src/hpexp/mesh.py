@@ -114,28 +114,13 @@ def _lattice(mesh: Mesh):
     return np.where(held > 0, odd, -1), (held > 0) & (held < 2 ** (d - odd))
 
 
-def mesh_uniform(dim: int, n: int, domain=(0.0, 1.0)) -> Mesh:
-    """n^d congruent elements on the box (lo, hi)^d, the domain given as
-    the one pair (lo, hi).
-
-    The ends must be finite real numbers (not strings or booleans) with
-    lo < hi.  All of it is checked before h is computed, so a bad domain
-    raises here rather than turning h and every coordinate downstream into
-    inf or NaN."""
+def mesh_uniform(dim: int, n: int) -> Mesh:
+    """n^d congruent elements on the unit box (0, 1)^d, of edge h = 1/n."""
     _integer(dim=dim, n=n)
     if n < 1:
         raise ValueError("need n >= 1")
-    dom = np.asarray(domain)
-    if dom.shape != (2,) or dom.dtype.kind not in "iuf":
-        raise ValueError(f"domain {domain} must be one (lo, hi) pair of "
-                         f"real numbers")
-    lo, hi = dom.astype(float)
-    # the comparison is False for NaN too
-    if not (lo < hi and np.isfinite(dom).all()):
-        raise ValueError(f"domain {domain} must have finite ends and lo < hi")
     cells = np.array(list(product(range(n), repeat=dim)))
-    return Mesh(dim=dim, h=float((hi - lo) / n), origin=np.full(dim, lo),
-                cells=cells)
+    return Mesh(dim=dim, h=float(1 / n), origin=np.zeros(dim), cells=cells)
 
 
 def mesh_lshape() -> Mesh:

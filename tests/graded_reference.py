@@ -67,13 +67,12 @@ def element_rules_tensorized(mesh, graded_at, sigma, layers, order):
 
 
 def h1_error_tensorized(sol, exact_gradient, graded_at=None,
-                        sigma=fem.GRADED_SIGMA_DEFAULT, layers=None,
-                        quad_order=None):
+                        sigma=fem.GRADED_SIGMA_DEFAULT, layers=None):
     """|u - u_h|_{H1} with the graded elements on tensorized composite rules."""
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
     ne, a = mesh.n_elements, 0.5 * mesh.h
-    layers, order = fem.error_quadrature(p, layers, quad_order, sigma)
+    layers, order = fem.error_quadrature(p, layers, sigma)
     coeffs = np.zeros((ne, (p + 1) ** d))
     coeffs[:, flat_positions(dofmap.local_modes, p)] = \
         sol.values[dofmap.cell_dofs]
@@ -101,11 +100,14 @@ def h1_error_tensorized(sol, exact_gradient, graded_at=None,
 def h1_error_one_batch(sol, exact_gradient, graded_at=None,
                        sigma=fem.GRADED_SIGMA_DEFAULT, layers=None,
                        quad_order=None):
-    """|u - u_h|_{H1} on the rules of ``fem.h1_error``, one batch per rule."""
+    """|u - u_h|_{H1} on the rules of ``fem.h1_error``, one batch per rule;
+    ``quad_order`` Gauss points per axis replace ``fem.error_quadrature``'s
+    if given, an overkill rule for the tests that check the default."""
     dofmap = sol.dofmap
     mesh, p, d = dofmap.mesh, dofmap.p, dofmap.mesh.dim
     ne, a = mesh.n_elements, 0.5 * mesh.h
-    layers, order = fem.error_quadrature(p, layers, quad_order, sigma)
+    layers, order = fem.error_quadrature(p, layers, sigma)
+    order = quad_order or order
     coeffs = np.zeros((ne, (p + 1) ** d))
     coeffs[:, flat_positions(dofmap.local_modes, p)] = \
         sol.values[dofmap.cell_dofs]

@@ -229,7 +229,7 @@ def test_criterion_5_exact_formula_suite():
     repro = projection_errors(res_q.projected,
                               project_l2(res_q.projected, "Q", p), margin=0)
     # patch test
-    mesh = fem.mesh_uniform(2, 4, (0.0, 1.0))
+    mesh = fem.mesh_uniform(2, 4)
     dm = fem.build_dofmap(mesh, 1, "Q")
     g = lambda x, y: 0.5 - x + 2 * y + 0.75 * x * y
     system = fem.assemble_poisson(mesh, dm, lambda x, y: 0.0 * x * y, g)

@@ -762,28 +762,6 @@ def test_mesh_size_below_one_raises(n):
         dgfem.broken_interpolant(spec, n, zero)
 
 
-# DG builds its systems on the unit square; a domain is checked in one
-# place, ``mesh_uniform``, which these cases hold to its one-pair rule
-
-@pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan),
-                                    (0.0, np.inf), (-np.inf, 1.0)])
-def test_domain_not_running_upward_raises(domain):
-    # a reversed domain gives h < 0, and the DG solve then returned a wrong
-    # dg_norm with no error; an infinite end gave h = inf and a NaN matrix
-    # with RuntimeWarnings alone (one message names both faults)
-    with pytest.raises(ValueError, match="lo < hi"):
-        fem.mesh_uniform(2, 2, domain)
-
-
-@pytest.mark.parametrize("domain", [
-    (0.0, 1.0, 5.0), [(0.0, 1.0), (0.0, 1.0)], (0.0,), ("0", "1"),
-], ids=["three_values", "per_axis", "one_value", "strings"])
-def test_domain_not_one_pair_raises(domain):
-    # a third value was dropped silently; a pair per axis is not a domain
-    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair of real"):
-        fem.mesh_uniform(2, 2, domain)
-
-
 def test_nan_load_raises():
     g, _ = _linear()
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),

@@ -456,6 +456,38 @@ def test_cli_config_error(tmp_path):
     assert cli_main(["run", str(path)]) == 1
 
 
+def _unreadable(tmp_path, which):
+    """A path that cannot be read as text: missing, a directory, or a file
+    that is not UTF-8."""
+    path = tmp_path / which
+    if which == "directory":
+        path.mkdir()
+    elif which == "not_utf8":
+        path.write_bytes(b"\xff\xfe{")
+    return path
+
+
+@pytest.mark.parametrize("which", ["missing", "directory", "not_utf8"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, which):
+    # each ended in a traceback (FileNotFoundError, IsADirectoryError,
+    # UnicodeDecodeError)
+    path = _unreadable(tmp_path, which)
+    assert cli_main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:")
+    assert str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_cli_slope_fit_unreadable_csv_is_a_usage_error(tmp_path, capsys,
+                                                       which):
+    # each ended in a traceback (FileNotFoundError, IsADirectoryError)
+    assert cli_main(["slope-fit", str(_unreadable(tmp_path, which))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:")
+    assert err.count("\n") == 1
+
+
 def test_cli_slope_fit_pipeline(tmp_path, capsys):
     cfg = {"sweeps": [{"name": "proj", "kind": "project-sweep",
                        "proj_kind": "l2q", "dim": 2, "p_min": 2, "p_max": 8,
