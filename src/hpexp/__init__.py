@@ -11,8 +11,9 @@ the environment sets: on a 2-core host a second OpenBLAS thread spins between
 calls, and the FEM benchmark sweeps took about 1.55x as long with it, also in
 stages that make no BLAS call.  Importing the package sets the copies loaded
 at that point: numpy's, whose LAPACK ``fem`` calls through ``hpexp.lapack``.
-``dgfem``, the only module that imports scipy, sets scipy's copy as it loads
-it.  Every meta.json records the count in use.
+``dgfem``, the only module that imports scipy (its top level, and SuperLU
+and the sparse kernels from their compiled files), sets scipy's copy, which
+SuperLU links, as it loads it.  Every meta.json records the count in use.
 
 The coefficient layers (``orthopoly``, ``indexsets``, ``functions``,
 ``expansion``, ``projections``, ``bounds``), ``mesh``, ``harness`` and

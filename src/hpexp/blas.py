@@ -2,9 +2,11 @@
 
 numpy and scipy wheels each bundle their own OpenBLAS.  numpy's copy loads
 with numpy, and ``fem`` calls its LAPACK through ``hpexp.lapack``; scipy's
-loads only with ``scipy.linalg``, which only ``dgfem`` imports, so each copy
-is set as it loads: ``import hpexp`` sets the copies loaded at that point,
-and ``dgfem`` calls ``set_threads(1)`` again right after its scipy imports.
+loads with scipy's compiled SuperLU, which links it and which only
+``dgfem`` loads (``scipy.linalg`` loads it too, and no module here imports
+that), so each copy is set as it loads: ``import hpexp`` sets the copies
+loaded at that point, and ``dgfem`` calls ``set_threads(1)`` again right
+after it loads SuperLU.
 ``threads()`` reads each copy's count and ``set_threads(n)`` sets every copy
 to ``n``.  The copies are found by name among the files mapped into the
 process (``/proc/self/maps``, ``_paths``), scanned afresh on each call so

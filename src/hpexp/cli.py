@@ -20,7 +20,9 @@ before it runs, so any other error raised inside a sweep is a bug and
 propagates with its traceback; only sharp-ratio and slope-fit map their
 functions' ``ValueError`` and ``KeyError``, and slope-fit a CSV it cannot
 read (``OSError``), to a usage error.  ``run`` reports a config file it
-cannot read or parse as a config error.
+cannot read or parse as a config error.  An output directory that cannot be
+created (``run``'s --out-dir, or the directory of --out, being a file or
+lying below one) is a usage error too, reported before any sweep runs.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .harness import (ConfigError, fit_slope, records_from_csv, records_to_csv,
-                      run_config, run_sweep)
+from .harness import (ConfigError, OutputError, fit_slope, records_from_csv,
+                      records_to_csv, run_config, run_sweep)
 
 
 # the subcommands whose functions validate their inputs themselves, with a
@@ -151,6 +153,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except OutputError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         # the sweeps are validated before they run, so there it is a bug
         if args.command not in _VALIDATING:

@@ -32,7 +32,8 @@ fitted P:Q ratio moves with that order: one scipy sort per distinct
 block-row, then the runs of equal keys added left to right
 (``SipOperator._pairs``); the condensed solver of ROADMAP item 2 deletes
 it.  The system is factorized once, by SuperLU with COLAMD ordering and
-diagonal pivots, and the same LU proves the matrix positive definite:
+diagonal pivots, called as ``scipy.sparse.linalg.splu`` calls it, and the
+same LU proves the matrix positive definite:
 Sylvester's law of inertia reads the number of non-positive eigenvalues
 from the signs of diag(U), and a zero diagonal pivot, which no positive
 definite matrix has, shows as a row permutation that left the diagonal
@@ -44,19 +45,31 @@ zero diagonal pivot, the non-positive pivots, and then, once the matrix is
 proven definite, the solve and its residual.  A penalty too small for
 coercivity raises ``IndefiniteSipError`` with the count of non-positive
 pivots.
+
+Of scipy, DG needs two compiled modules: SuperLU (``_superlu``) and the
+sparse kernels (``_sparsetools``: the row sort and the CSC matvec).  Both are
+loaded from their files in scipy's package directory, without the Python
+layers of ``scipy.sparse`` around them (about 140 modules and 29 MB), and
+registered under their own names, so that a later ``import scipy.sparse``
+reuses them (``_compiled``).  A file that is not where scipy 1.17.1 keeps it
+raises ``ImportError``; a ``SuperLU`` object laid out otherwise,
+``RuntimeError`` (``_pivots``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from itertools import product
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import blas
 from .errors import IndefiniteSipError
@@ -66,9 +79,43 @@ from .orthopoly import (apply_axes, element_grids, gauss_rule,
                         gradient_error_sq, grid_values, kron_laplacian,
                         legendre_deriv_table, legendre_table)
 
-# scipy's OpenBLAS loads with the imports above, after ``import hpexp`` set
-# the copies loaded then: one thread for it too (see ``hpexp.blas``)
+
+def _compiled(name: str, root: str) -> ModuleType:
+    """scipy's compiled module ``name`` (``scipy.<path>``), loaded from its
+    file under ``root``, scipy's package directory, and registered in
+    ``sys.modules`` under ``name``; a module already registered there is
+    returned as it is, so that scipy and DG share one ``SuperLU`` type.
+    Where no file with an extension suffix exists, raises ``ImportError``
+    naming the file."""
+    if name in sys.modules:
+        return sys.modules[name]
+    base = os.path.join(root, *name.split(".")[1:])
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"hpexp.dgfem loads scipy's compiled {name} from "
+                          f"its file, and none of {', '.join(paths)} exists",
+                          name=name, path=base)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_SCIPY = os.path.dirname(scipy.__file__)
+_superlu = _compiled("scipy.sparse.linalg._dsolve._superlu", _SCIPY)
+_sparsetools = _compiled("scipy.sparse._sparsetools", _SCIPY)
+
+# scipy's OpenBLAS, which ``_superlu`` links, loads with it, after ``import
+# hpexp`` set the copies loaded then: one thread for it too (see
+# ``hpexp.blas``)
 blas.set_threads(1)
+
+# the options ``splu(A, permc_spec="COLAMD", diag_pivot_thresh=0.0)`` passes
+_LU_OPTIONS = {"DiagPivotThresh": 0.0, "ColPerm": "COLAMD",
+               "PanelSize": None, "Relax": None}
 
 __all__ = [
     "DgSpec",
@@ -127,7 +174,7 @@ class SipOperator:
     ``blocks`` holds the distinct nm x nm element blocks, and each row of
     ``terms`` (row element, column element, block id) adds one of them at
     that block position.  The rows run in the COO order of the assembly.
-    ``shape`` and ``nnz`` are those of the expansion ``tocsc`` builds:
+    ``shape`` and ``nnz`` are those of the expansion ``_tocsc`` builds:
     every element pair that ``terms`` names stores its full nm x nm block.
 
     An entry that several terms reach (the diagonal blocks: the volume and
@@ -164,13 +211,14 @@ class SipOperator:
         its signature, the rank order of its terms' column elements and
         their block ids: std::sort compares keys and nothing else, and
         every row of a block-row has the same keys.  At the first
-        block-row of each signature its keys, with their positions as
-        data, go through scipy's own ``sort_indices`` once (at most 9
-        signatures on a SIP mesh: interior, edges and corners), sorted
-        exactly when a conversion of the whole operator sorts; the runs of
-        equal keys are then added left to right, as ``csr_sum_duplicates``
-        adds them, for all nm rows at once, and each column rank of the
-        signature gets its own value id."""
+        block-row of each signature its keys (int32), with their positions
+        (int64) as data, go once through scipy's compiled
+        ``csr_sort_indices``, which ``csr_matrix.sort_indices`` calls (at
+        most 9 signatures on a SIP mesh: interior, edges and corners),
+        sorted exactly when a conversion of the whole operator sorts; the
+        runs of equal keys are then added left to right, as
+        ``csr_sum_duplicates`` adds them, for all nm rows at once, and each
+        column rank of the signature gets its own value id."""
         nm, ne = self.blocks.shape[1], self.n_elements
         row_elem, col_elem, bid = self.terms.T
         by_row = np.argsort(row_elem, kind="stable")
@@ -189,15 +237,16 @@ class SipOperator:
             cols, rank = np.unique(col_elem[t], return_inverse=True)
             signature = (rank.tobytes(), bid[t].tobytes())
             if signature not in row_ids:
-                keys = (rank[:, None] * nm + local).ravel()
-                row = sp.csr_matrix((np.arange(keys.size), keys,
-                                     [0, keys.size]), shape=(1, keys.size))
-                row.has_sorted_indices = not descent
-                row.sort_indices()
+                keys = (rank[:, None] * nm + local).ravel().astype(np.int32)
+                positions = np.arange(keys.size)
+                if descent:
+                    _sparsetools.csr_sort_indices(
+                        1, np.array([0, keys.size], dtype=np.int32), keys,
+                        positions)
                 # sorted position q holds key (column rank r, column j) of
                 # the term with block block[q]; the run of key (r, j), one
                 # entry per term of rank r, adds column j of those blocks
-                block, column = bid[t][row.data // nm], row.indices % nm
+                block, column = bid[t][positions // nm], keys % nm
                 length = np.repeat(np.bincount(rank), nm)
                 first = np.cumsum(length) - length
                 total = self.blocks[block[first], :, column[first]]
@@ -216,23 +265,23 @@ class SipOperator:
         csc = np.lexsort((rows, cols))
         return rows[csc], cols[csc], ids[csc], np.stack(values)
 
-    def tocsc(self, pairs=None) -> sp.csc_matrix:
-        """The CSC matrix SuperLU factors, written block by block, bit for
-        bit the arrays of scipy's COO-to-CSR conversion of every term
-        followed by its CSR-to-CSC one (int32 indices where those have
-        them).  Column element f stores its k pairs as one (nm, k, nm)
-        run: column, row element, row.  ``pairs`` is ``_pairs()``, built
-        here if not given."""
+    def _tocsc(self, pairs=None) -> tuple:
+        """The CSC arrays (data, indices, indptr) SuperLU factors, written
+        block by block, bit for bit those of scipy's COO-to-CSR conversion
+        of every term followed by its CSR-to-CSC one, with int32 indices,
+        SuperLU's index type.  Column element f stores its k pairs as one
+        (nm, k, nm) run: column, row element, row.  ``pairs`` is
+        ``_pairs()``, built here if not given."""
         nm, ne = self.blocks.shape[1], self.n_elements
         rows, cols, ids, values = self._pairs() if pairs is None else pairs
         size, nnz = ne * nm, rows.size * nm * nm
-        # scipy's index dtype rule for a conversion of this size
-        index = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max \
-            else np.int64
+        if nnz > np.iinfo(np.int32).max:
+            raise ValueError(f"{nnz} stored entries exceed SuperLU's int32 "
+                             f"indices")
         per_col = np.bincount(cols, minlength=ne)
-        indptr = np.zeros(size + 1, dtype=index)
+        indptr = np.zeros(size + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(np.repeat(per_col * nm, nm))
-        indices = np.empty(nnz, dtype=index)
+        indices = np.empty(nnz, dtype=np.int32)
         data = np.empty(nnz)
         local = np.arange(nm)
         for f, first in enumerate(np.cumsum(per_col) - per_col):
@@ -243,7 +292,7 @@ class SipOperator:
                 values[ids[pairs]].transpose(2, 0, 1)
             indices[run].reshape(nm, k * nm)[...] = \
                 (rows[pairs, None] * nm + local).ravel()
-        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
+        return data, indices, indptr
 
     def asymmetry(self, pairs=None) -> float:
         """max |A - A^T| of the expansion A, pair by pair: each stored
@@ -452,7 +501,7 @@ def _in_place(address, ctype, count: int) -> np.ndarray:
                          dtype=np.dtype(ctype))
 
 
-def _pivots(lu: spla.SuperLU) -> np.ndarray:
+def _pivots(lu: _superlu.SuperLU) -> np.ndarray:
     """diag(U) of scipy's SuperLU factorization ``lu``, read where SuperLU
     stores it: pivot j is the diagonal entry of column j in the diagonal
     block of its supernode of L, ``nzval[nzval_colptr[j] + j - f]`` with f
@@ -470,7 +519,7 @@ def _pivots(lu: spla.SuperLU) -> np.ndarray:
             f"dgfem._pivots reads SuperLU's factors in place as scipy 1.17.1 "
             f"lays them out; under scipy {scipy.__version__}, {what}")
 
-    if (type(lu) is not spla.SuperLU
+    if (type(lu) is not _superlu.SuperLU
             or type(lu).__basicsize__ < ctypes.sizeof(_Factors)):
         raise mismatch(f"it got a {type(lu).__name__}, not scipy's SuperLU "
                        f"object, or that object is smaller")
@@ -499,7 +548,8 @@ def _pivots(lu: spla.SuperLU) -> np.ndarray:
 def dg_solve(system: DgSystem) -> BrokenSolution:
     """One sparse LU solve whose pivots prove the SIP matrix definite.
 
-    SuperLU factorizes A once, with COLAMD ordering and diagonal pivots: at
+    SuperLU factorizes A once, with COLAMD ordering and diagonal pivots
+    (``splu``'s call of SuperLU, with its options, made here directly): at
     threshold 0 it takes the diagonal entry whenever that is non-zero, so the
     row and column permutations differ only after an exactly zero diagonal
     pivot.  Every earlier pivot was diagonal, so that zero is a diagonal entry
@@ -519,16 +569,16 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     The element pairs (``SipOperator._pairs``) are built once, for both
     the symmetry check on the element blocks (``SipOperator.asymmetry``)
     and the one expansion of ``system.matrix`` to the CSC arrays SuperLU
-    factors (``SipOperator.tocsc``), whose sums of terms, one scipy sort
+    factors (``SipOperator._tocsc``), whose sums of terms, one scipy sort
     per block-row signature, are bit for bit those of scipy's COO-to-CSR
     conversion; they are dropped before the factorization.  The symmetry
     check's scale, the largest |entry| of A, is read from the distinct
     summed blocks (at most 33 on the workload's meshes), which hold every
-    stored entry, not from the CSC's data.  The residual is the CSC's
-    matvec.
+    stored entry, not from the CSC's data.  The residual is scipy's CSC
+    matvec, into zeros, as ``A @ u`` takes it.
     """
     pairs = system.matrix._pairs()
-    A_csc = system.matrix.tocsc(pairs)
+    data, indices, indptr = system.matrix._tocsc(pairs)
     asym = system.matrix.asymmetry(pairs)
     # every stored entry is an entry of one of the distinct summed blocks;
     # max and -min make no |blocks| copy (3.9 MB at Q p = 10), whose pages
@@ -537,9 +587,12 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
     del pairs
     if not asym <= 1e-10 * max(scale, 1.0):
         raise IndefiniteSipError(f"system not symmetric: {asym:.2e}")
-    size = A_csc.shape[0]
+    size = system.matrix.shape[0]
     try:
-        lu = spla.splu(A_csc, permc_spec="COLAMD", diag_pivot_thresh=0.0)
+        # L and U, which nothing here reads, would come as their raw arrays
+        lu = _superlu.gstrf(size, data.size, data, indices, indptr,
+                            csc_construct_func=lambda arrays, shape: arrays,
+                            ilu=False, options=_LU_OPTIONS)
     except RuntimeError as exc:
         raise IndefiniteSipError(f"SIP matrix singular: {exc}") from exc
     off_diagonal = lu.perm_r != lu.perm_c
@@ -556,7 +609,9 @@ def dg_solve(system: DgSystem) -> BrokenSolution:
             f"SIP matrix not positive definite: {n_nonpos} non-positive "
             f"pivot(s) of {size}")
     u = lu.solve(system.rhs)
-    res = (np.linalg.norm(A_csc @ u - system.rhs)
+    Au = np.zeros(size)
+    _sparsetools.csc_matvec(size, size, indptr, indices, data, u, Au)
+    res = (np.linalg.norm(Au - system.rhs)
            / max(np.linalg.norm(system.rhs), 1e-300))
     if not res < 1e-8:
         raise IndefiniteSipError(f"direct solve residual too large: {res:.2e}")

@@ -286,10 +286,9 @@ def weighted_seminorm(u: CoeffTensor, s: int) -> float:
 
     One table G[k, i] = 2/(2i+1) Gamma(i+k+1)/Gamma(i-k+1) (zero for i < k)
     serves every axis: composition alpha contributes the contraction of a^2
-    with the rows G[alpha_k] of its axes.
+    with the rows G[alpha_k] of its axes; ``composition_array`` rejects
+    s < 0.
     """
-    if s < 0:
-        raise ValueError("order must be non-negative")
     if s == 0:
         return l2_norm(u)
     a = u.coeffs

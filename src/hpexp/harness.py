@@ -61,6 +61,7 @@ __all__ = [
     "run_sweep",
     "run_config",
     "ConfigError",
+    "OutputError",
     "KINDS",
     "PROJECTION_KINDS",
     "SWEEP_ERRORS",
@@ -416,6 +417,23 @@ def _environment() -> dict:
             "blas_threads": blas.threads()}
 
 
+class OutputError(OSError):
+    """An output directory that cannot be created."""
+
+
+def _output_dir(path) -> Path:
+    """``path``, created with its parents where missing; a path that cannot
+    be a directory (it or a parent is a file) raises ``OutputError``
+    naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create the output directory {path}: "
+                          f"{exc.strerror}") from exc
+    return path
+
+
 def write_records(records, path_prefix, meta: Optional[dict] = None) -> None:
     """Write PREFIX.csv and PREFIX.meta.json; a dotted prefix is kept whole.
 
@@ -423,7 +441,7 @@ def write_records(records, path_prefix, meta: Optional[dict] = None) -> None:
     across machines.
     """
     prefix = Path(path_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    _output_dir(prefix.parent)
     Path(f"{prefix}.csv").write_text(records_to_csv(records))
     payload = {"tool": "hpexp", "version": __version__,
                "environment": _environment()}
@@ -643,14 +661,17 @@ def run_sweep(sw: dict, stop_below: Optional[float] = None) -> list[ConvergenceR
 def run_config(config, out_dir=".") -> dict:
     """Validate and execute a sweep bundle; returns {name: records}.
 
-    The whole config is validated before anything runs, so a malformed config
-    produces no partial files.  Project-sweeps with equal ``_reference_key``
+    The whole config is validated, and ``out_dir`` created, before anything
+    runs, so a malformed config produces no partial files and an output
+    directory that cannot be created (``OutputError``) fails before any
+    sweep.  Project-sweeps with equal ``_reference_key``
     share one reference expansion, with its outer-shell tables: the first of
     them builds it inside its ``seconds``, and it is dropped after the last,
     so the run holds no reference that no later sweep reads.  Each
     project-sweep meta records the reference's degree and builder.
     """
     sweeps = _validated_sweeps(config)
+    out_dir = _output_dir(out_dir)
     last_use = {_reference_key(sw): i for i, sw in enumerate(sweeps)
                 if sw["kind"] == "project-sweep"}
     references, results = {}, {}
@@ -668,6 +689,6 @@ def run_config(config, out_dir=".") -> dict:
         residuals = [r.extra["residual"] for r in recs if "residual" in r.extra]
         if residuals:
             meta["max_solver_residual"] = max(residuals)
-        write_records(recs, Path(out_dir) / sw["name"], meta)
+        write_records(recs, out_dir / sw["name"], meta)
         results[sw["name"]] = recs
     return results

@@ -21,6 +21,12 @@ def _dg_sweep(n, family, p_list, gamma=10.0):
                       "p_list": p_list, "gamma": gamma})
 
 
+def _csc(operator, pairs=None):
+    """The expansion of a ``SipOperator``, its raw CSC arrays, as a scipy
+    matrix."""
+    return sp.csc_matrix(operator._tocsc(pairs), shape=operator.shape)
+
+
 def _linear():
     g = lambda x, y: 1.0 + 2.0 * x - y
     grad = lambda x, y: (2.0 + 0.0 * x, -1.0 + 0.0 * y)
@@ -58,7 +64,7 @@ def test_linear_consistency(family):
 def test_system_symmetry():
     system = dgfem.assemble_sip(4, dgfem.DgSpec("P", 3),
                                 lambda x, y: np.sin(x + y), lambda x, y: 0.0 * x)
-    A = system.matrix.tocsc()
+    A = _csc(system.matrix)
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
 
 
@@ -189,7 +195,7 @@ def test_sip_gathers_match_per_facet_loop(family, p_list, n):
         system = dgfem.assemble_sip(n, spec, f, g)
         A, rhs = _reference_sip(n, spec, f, g)
         A_csc = A.tocsc()
-        _assert_bitwise_equal(system.matrix.tocsc(), A_csc, p)
+        _assert_bitwise_equal(_csc(system.matrix), A_csc, p)
         assert system.matrix.asymmetry() == _reference_asymmetry(A, A_csc), p
         assert np.array_equal(system.rhs, rhs), p
 
@@ -225,19 +231,19 @@ def test_pairs_sorts_once_per_block_row_signature(monkeypatch, n,
     # one scipy sort per distinct block-row (interior, edges and corners),
     # not one per block-row nor one per row of the matrix
     zero = lambda x, y: 0.0 * x
-    sort_indices, calls = sp.csr_matrix.sort_indices, []
+    sort, calls = dgfem._sparsetools.csr_sort_indices, []
 
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return sort_indices(matrix)
+    def counted(n_row, *arrays):
+        calls.append(n_row)
+        return sort(n_row, *arrays)
 
-    monkeypatch.setattr(sp.csr_matrix, "sort_indices", counted)
+    monkeypatch.setattr(dgfem._sparsetools, "csr_sort_indices", counted)
     for family, p in (("Q", 1), ("P", 4)):
         calls.clear()
         dgfem.assemble_sip(n, dgfem.DgSpec(family, p), zero, zero).matrix \
             ._pairs()
         assert len(calls) == signatures, (family, p)
-        assert all(rows == 1 for rows, _ in calls), (family, p)
+        assert all(rows == 1 for rows in calls), (family, p)
 
 
 def _reference_terms(n):
@@ -353,7 +359,7 @@ def test_operator_shape_and_nnz_are_those_of_its_expansion(family, n):
     for p in (1, 2, 5, 10):
         operator = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), zero,
                                       zero).matrix
-        expanded = operator.tocsc()
+        expanded = _csc(operator)
         assert operator.shape == expanded.shape, p
         assert operator.nnz == expanded.nnz, p
 
@@ -390,7 +396,7 @@ def test_consistency_residual_of_interpolant():
     spec = dgfem.DgSpec("Q", 4)
     system = dgfem.assemble_sip(4, spec, f, exact)
     interp = dgfem.broken_interpolant(spec, 4, exact)
-    resid = system.matrix.tocsc() @ interp.coeffs.ravel() - system.rhs
+    resid = _csc(system.matrix) @ interp.coeffs.ravel() - system.rhs
     errs = dgfem.dg_errors(interp, exact, grad)
     assert np.linalg.norm(resid) / np.linalg.norm(system.rhs) \
         <= 25.0 * errs["dg_norm"]
@@ -412,7 +418,7 @@ def test_indefinite_with_tiny_penalty():
     with pytest.raises(dgfem.IndefiniteSipError) as info:
         dgfem.dg_solve(system)
     # the pivot count is the number of negative eigenvalues
-    eig = np.linalg.eigvalsh(system.matrix.tocsc().toarray())
+    eig = np.linalg.eigvalsh(_csc(system.matrix).toarray())
     n_neg = int(np.count_nonzero(eig < 0))
     assert n_neg > 0
     assert f"{n_neg} non-positive pivot(s) of {system.matrix.shape[0]}" \
@@ -458,7 +464,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
     residuals = {}
     for n, gamma, family, p in grid:
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
-        A = system.matrix.tocsc()
+        A = _csc(system.matrix)
         eig = np.linalg.eigvalsh(A.toarray())
         try:
             np.linalg.cholesky(A.toarray())
@@ -492,7 +498,7 @@ def test_definiteness_verdict_matches_dense_cholesky():
         n, gamma, family, p = case
         system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p, gamma), f, g)
         # scipy's default (partial-pivot) COLAMD LU leaves the diagonal here
-        lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
+        lu = spla.splu(_csc(system.matrix), permc_spec="COLAMD")
         assert not np.array_equal(lu.perm_r, lu.perm_c), case
         assert residuals[case] < 1e-8, case
 
@@ -537,9 +543,37 @@ def test_solve_is_bitwise_the_spsolve_solution(n, family, p):
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(n, dgfem.DgSpec(family, p), f, exact)
-    reference = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    reference = spla.spsolve(_csc(system.matrix), system.rhs)
     sol = dgfem.dg_solve(system)
     assert np.array_equal(sol.coeffs.ravel(), reference)
+
+
+@pytest.mark.parametrize("family, p", [("Q", 7), ("P", 9)])
+def test_solve_is_bitwise_the_public_splu_one(monkeypatch, family, p):
+    """dg_solve calls SuperLU as ``splu`` does, with its options: on the dg
+    workload's mesh the solution, the residual and the pivots are bit for
+    bit those of the public ``splu`` on the same matrix, with the residual
+    taken by scipy's ``A @ u``."""
+    exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
+    system = dgfem.assemble_sip(8, dgfem.DgSpec(family, p), f, exact)
+    factors, gstrf = [], dgfem._superlu.gstrf
+
+    def kept(*args, **kwargs):
+        factors.append(gstrf(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(dgfem._superlu, "gstrf", kept)
+    sol = dgfem.dg_solve(system)
+    A = _csc(system.matrix)
+    lu = spla.splu(A, permc_spec="COLAMD", diag_pivot_thresh=0.0)
+    u = lu.solve(system.rhs)
+    res = (np.linalg.norm(A @ u - system.rhs)
+           / max(np.linalg.norm(system.rhs), 1e-300))
+    assert np.array_equal(sol.coeffs.ravel().view(np.int64), u.view(np.int64))
+    assert sol.residual_norm == res and sol.factor_nnz == lu.nnz
+    assert np.array_equal(dgfem._pivots(factors[0]).view(np.int64),
+                          dgfem._pivots(lu).view(np.int64))
 
 
 def test_pivot_read_copies_no_factor():
@@ -550,7 +584,7 @@ def test_pivot_read_copies_no_factor():
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(8, dgfem.DgSpec("Q", 7), f, exact)
-    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD",
+    lu = spla.splu(_csc(system.matrix), permc_spec="COLAMD",
                    diag_pivot_thresh=0.0)
     traced = []
     for read in (dgfem._pivots, lambda lu: lu.U.diagonal()):
@@ -562,7 +596,7 @@ def test_pivot_read_copies_no_factor():
             tracemalloc.stop()
     assert traced[0] < 2 ** 20 < 10 * 2 ** 20 < traced[1], traced
     sol = dgfem.dg_solve(system)
-    A = sp.csr_matrix(system.matrix.tocsc())
+    A = sp.csr_matrix(_csc(system.matrix))
     res = (np.linalg.norm(A @ sol.coeffs.ravel() - system.rhs)
            / max(np.linalg.norm(system.rhs), 1e-300))
     assert sol.residual_norm == res
@@ -574,7 +608,7 @@ def test_pivots_of_another_object_raise_before_any_read(monkeypatch):
     raises a RuntimeError naming scipy's version."""
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
                                 lambda x, y: 0.0 * x, lambda x, y: 0.0 * y)
-    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD",
+    lu = spla.splu(_csc(system.matrix), permc_spec="COLAMD",
                    diag_pivot_thresh=0.0)
 
     class Wrapper:
@@ -585,7 +619,7 @@ def test_pivots_of_another_object_raise_before_any_read(monkeypatch):
         raise AssertionError(f"read memory at {address:#x}")
 
     monkeypatch.setattr(dgfem._Factors, "from_address", no_read)
-    for other in (Wrapper(), system.matrix.tocsc(), None):
+    for other in (Wrapper(), _csc(system.matrix), None):
         with pytest.raises(RuntimeError,
                            match=re.escape(f"scipy {scipy.__version__}")):
             dgfem._pivots(other)
@@ -598,22 +632,22 @@ def test_solve_builds_the_element_pairs_once(monkeypatch):
     exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(3, dgfem.DgSpec("Q", 3), f, exact)
-    built, alive_at_splu = [], []
-    pairs, splu = dgfem.SipOperator._pairs, dgfem.spla.splu
+    built, alive_at_gstrf = [], []
+    pairs, gstrf = dgfem.SipOperator._pairs, dgfem._superlu.gstrf
 
     def counted_pairs(operator):
         out = pairs(operator)
         built.append(weakref.ref(out[3]))
         return out
 
-    def tracked_splu(A_csc, **kwargs):
-        alive_at_splu.append([ref() is not None for ref in built])
-        return splu(A_csc, **kwargs)
+    def tracked_gstrf(*args, **kwargs):
+        alive_at_gstrf.append([ref() is not None for ref in built])
+        return gstrf(*args, **kwargs)
 
     monkeypatch.setattr(dgfem.SipOperator, "_pairs", counted_pairs)
-    monkeypatch.setattr(dgfem.spla, "splu", tracked_splu)
+    monkeypatch.setattr(dgfem._superlu, "gstrf", tracked_gstrf)
     sol = dgfem.dg_solve(system)
-    assert len(built) == 1 and alive_at_splu == [[False]]
+    assert len(built) == 1 and alive_at_gstrf == [[False]]
     assert sol.residual_norm < 1e-12
 
 
@@ -628,7 +662,7 @@ def test_symmetry_scale_of_the_blocks_is_that_of_the_csc(family, p):
     f = lambda x, y: 2 * np.pi ** 2 * exact(x, y)
     system = dgfem.assemble_sip(8, dgfem.DgSpec(family, p), f, exact)
     pairs = system.matrix._pairs()
-    blocks, A_csc = pairs[3], system.matrix.tocsc(pairs)
+    blocks, A_csc = pairs[3], _csc(system.matrix, pairs)
     assert len(blocks) <= 33
     assert max(blocks.max(initial=0.0), -blocks.min(initial=0.0)) \
         == np.abs(blocks).max() == np.abs(A_csc.data).max()
@@ -641,7 +675,7 @@ def test_asymmetric_system_raises():
     assert base.matrix.asymmetry() < 1e-12
     # one stored entry changed, then one entry outside the symmetric pattern
     for i, j in ((0, 1), (0, base.matrix.shape[0] - 1)):
-        A = base.matrix.tocsc().tolil()
+        A = _csc(base.matrix).tolil()
         A[i, j] += 1.0
         base.matrix = _block_operator(A, nm)
         with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
@@ -653,7 +687,7 @@ def test_nan_entry_fails_the_symmetry_check():
     g, _ = _linear()
     system = dgfem.assemble_sip(2, dgfem.DgSpec("Q", 2),
                                 lambda x, y: 0.0 * x, g)
-    A = sp.csr_matrix(system.matrix.tocsc())
+    A = sp.csr_matrix(_csc(system.matrix))
     A.data[A.indptr[3]] = np.nan
     system.matrix = _block_operator(A, len(system.modes))
     with pytest.raises(dgfem.IndefiniteSipError, match="not symmetric"):
@@ -702,7 +736,7 @@ def _coo_reference(operator):
 
 def test_hand_made_operator_is_bitwise_its_coo_conversion():
     base = _hand_made_system()
-    scale = np.abs(base.matrix.tocsc().data).max()
+    scale = np.abs(_csc(base.matrix).data).max()
     assert base.matrix.asymmetry() < 1e-15 * scale
     assert dgfem.dg_solve(base).residual_norm < 1e-8
     # a pair with no transposed partner, and a NaN block
@@ -713,7 +747,7 @@ def test_hand_made_operator_is_bitwise_its_coo_conversion():
     everything = _hand_made_system(extra_terms=[(0, 2, 3), (0, 2, 4)],
                                    nan=True)
     operator = everything.matrix
-    _assert_bitwise_equal(operator.tocsc(), _coo_reference(operator),
+    _assert_bitwise_equal(_csc(operator), _coo_reference(operator),
                           "hand-made")
     # np.max carries the NaN where Python's max(1.0, nan) would drop it:
     # the unpartnered pair (0, 2) comes before the NaN diagonal (2, 2)
@@ -724,7 +758,7 @@ def test_hand_made_operator_is_bitwise_its_coo_conversion():
     table_order = np.zeros((3, nm, 3, nm))
     for row, col, block in base.matrix.terms:
         table_order[row, :, col, :] += base.matrix.blocks[block]
-    expanded = base.matrix.tocsc().toarray().reshape(3, nm, 3, nm)
+    expanded = _csc(base.matrix).toarray().reshape(3, nm, 3, nm)
     assert not np.array_equal(expanded, table_order)
     assert np.allclose(expanded, table_order, rtol=1e-12, atol=1e-6)
 
@@ -748,7 +782,7 @@ def test_sorted_block_row_sums_as_the_coo_conversion(descent):
         terms[-3:] = [(1, 1, 41), (1, 1, 42), (1, 1, 43)]
     operator = dgfem.SipOperator(blocks=blocks, terms=np.array(terms),
                                  n_elements=2)
-    _assert_bitwise_equal(operator.tocsc(), _coo_reference(operator),
+    _assert_bitwise_equal(_csc(operator), _coo_reference(operator),
                           descent)
 
 
@@ -779,7 +813,7 @@ def test_singular_matrix_raises():
     keep[5] = 0.0
     D = sp.diags(keep)
     # a zero row and column
-    system.matrix = _block_operator(D @ system.matrix.tocsc() @ D,
+    system.matrix = _block_operator(D @ _csc(system.matrix) @ D,
                                     len(system.modes))
     with pytest.raises(dgfem.IndefiniteSipError):
         dgfem.dg_solve(system)

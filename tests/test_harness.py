@@ -478,6 +478,35 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, which):
     assert str(path) in err and err.count("\n") == 1
 
 
+def test_cli_out_below_a_file_is_a_usage_error(tmp_path, capsys):
+    # it ended in a FileExistsError traceback
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert cli_main(["basis-count", "--p-max", "2",
+                     "--out", str(afile / "x")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:")
+    assert str(afile) in err and err.count("\n") == 1
+
+
+def test_cli_run_out_dir_below_a_file_fails_before_any_sweep(
+        tmp_path, capsys, monkeypatch):
+    # it ended in a NotADirectoryError traceback, after the first sweep ran
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    config = tmp_path / "ok.json"
+    config.write_text(json.dumps({"sweeps": [
+        {"name": "bc", "kind": "basis-count", "family": "Q", "p_max": 2}]}))
+    ran = []
+    monkeypatch.setattr(harness, "_records",
+                        lambda *args, **kwargs: ran.append(args))
+    assert cli_main(["run", str(config), "--out-dir", str(afile / "sub")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:")
+    assert str(afile / "sub") in err and err.count("\n") == 1
+    assert ran == []
+
+
 @pytest.mark.parametrize("which", ["missing", "directory"])
 def test_cli_slope_fit_unreadable_csv_is_a_usage_error(tmp_path, capsys,
                                                        which):

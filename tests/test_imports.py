@@ -1,8 +1,8 @@
 """What a run imports: the coefficient layers and the FEM solver load no
 scipy, a FEM sweep no DG solver, no ``numpy.ma``, no coefficient layer and
-no ``importlib.metadata``, a DG sweep no FEM solver, and every OpenBLAS a
-solver module loads runs one thread: numpy's alone for ``fem``, scipy's too
-for ``dgfem``.
+no ``importlib.metadata``, a DG sweep no FEM solver and none of scipy's
+Python sparse or linear-algebra layers, and every OpenBLAS a solver module
+loads runs one thread: numpy's alone for ``fem``, scipy's too for ``dgfem``.
 
 Each check runs in a fresh interpreter, since the test process already holds
 every module the other tests imported.
@@ -202,6 +202,46 @@ def test_moved_names_are_reexported_from_their_old_modules():
             is errors.InadmissibleDegreeError)
     assert bounds.LEMMA_AUDIT_CAP == indexsets.LEMMA_AUDIT_CAP == 40
     assert harness.PROJECTION_KINDS == ("l2q", "l2p", "h1q", "h1s", "h1p")
+
+
+def test_dg_run_loads_only_two_compiled_scipy_modules():
+    # dgfem loads SuperLU and the sparse kernels from their files: no
+    # scipy.sparse, scipy.sparse.linalg or scipy.linalg package, only
+    # scipy's top level beside them.  SuperLU links scipy's OpenBLAS, so two
+    # copies are loaded, both at one thread
+    code = ("import contextlib, io, json, sys\n"
+            "from hpexp import blas\n"
+            "from hpexp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['dg-sine', '--n', '2', '--family', 'q', '--p-max', '3'])\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'scipy')\n"
+            "threads = blas.threads()\n"
+            "from hpexp import dgfem\n"
+            "from scipy.sparse import _sparsetools, linalg\n"
+            "shared = (linalg.SuperLU is dgfem._superlu.SuperLU\n"
+            "          and _sparsetools is dgfem._sparsetools)\n"
+            "print(json.dumps([loaded, threads, shared]))")
+    modules, threads, shared = _run(code, OPENBLAS_NUM_THREADS="2")
+    assert [m for m in modules
+            if m.split(".")[1:2] in (["sparse"], ["linalg"])] == [
+        "scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu"]
+    assert "scipy" in modules
+    # a later public import reuses both modules, so splu's SuperLU is DG's
+    assert shared
+    if threads is not None:
+        assert len(threads) == 2 and set(threads.values()) == {1}, threads
+
+
+def test_dg_compiled_module_missing_names_its_file(monkeypatch, tmp_path):
+    # no fallback: a scipy whose compiled module is not where dgfem looks
+    # is an ImportError naming the file, not another solver
+    name = "scipy.sparse._sparsetools"
+    monkeypatch.delitem(sys.modules, name)
+    with pytest.raises(ImportError) as info:
+        dgfem._compiled(name, str(tmp_path))
+    assert str(tmp_path / "sparse" / "_sparsetools") in str(info.value)
+    assert name not in sys.modules
 
 
 @pytest.mark.parametrize("module", ["hpexp.fem", "hpexp.dgfem"])
